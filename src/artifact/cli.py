@@ -342,8 +342,13 @@ def _entry_fraction(x: object) -> Fraction:
 def _load_input(args: argparse.Namespace, shape: ShapeConfig) -> list[list[Fraction]]:
     if args.input:
         obj = _load_json(args.input)
-        rows = obj["entries"] if isinstance(obj, dict) else obj
-        entries = [[_entry_fraction(x) for x in row] for row in rows]
+        if isinstance(obj, dict):
+            if "entries" not in obj:
+                raise CliUsageError(f"{args.input}: input object needs \"entries\"")
+            obj = obj["entries"]
+        if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
+            raise CliUsageError(f"{args.input}: input must be a list of rows")
+        entries = [[_entry_fraction(x) for x in row] for row in obj]
         if len(entries) != shape.seq_len or any(
             len(r) != shape.d_model for r in entries
         ):

@@ -4,20 +4,25 @@ A p-bit float is a pair ``(m, e)`` of arbitrary-size integers encoding the
 value ``m * 2**e``.  Zero is canonically ``(0, 0)``; otherwise the
 significand is normalized, ``2**(p-1) <= |m| <= 2**p - 1``, and the exponent
 lies in the two's-complement window ``-2**p <= e < 2**p``.  Every operation
-takes an exact rational detour (:class:`fractions.Fraction`) and applies a
-single final rounding, so results are bit-reproducible.
+works on the integer pairs: it forms its exact result as an integer ``n``
+times ``2**k`` and rounds that once with :func:`round_scaled`, the single
+rounding kernel, so results are bit-reproducible.  :func:`round_p` adapts
+an ``int`` or ``Fraction`` to the same kernel.
 
-Rounding (:func:`round_p`) is round-to-nearest with ties resolved toward the
-even significand.  A result whose nearest representable would need an
-exponent ``>= 2**p`` raises :class:`Overflow`; tiny results round to zero or
-the smallest normalized magnitude, whichever is nearer (underflow is not an
+Rounding is round-to-nearest with ties resolved toward the even
+significand.  A result whose nearest representable would need an exponent
+``>= 2**p`` raises :class:`Overflow`; tiny results round to zero or the
+smallest normalized magnitude, whichever is nearer (underflow is not an
 error).
 
 Division-flavoured scaling inside the arithmetic ops uses an *approximate*
 quotient: ``a`` over ``b`` equals the exact quotient when that quotient is
 an integer multiple of 1/4, and otherwise the exact quotient plus a fixed
-bias of 1/8 (added regardless of sign).  :func:`approx_div` implements this
-and returns a ``Fraction``, not a float.
+bias of 1/8 (added regardless of sign).  :func:`approx_div` states this rule
+over ``Fraction`` values and is the specification; the ops apply it in
+integers.  ``m / 2**d`` is a multiple of 1/4 exactly when the low ``d - 2``
+bits of ``m`` are zero, and after scaling both sides by 8 the bias is the
+integer ``2**d``.
 
 Zero carries no intrinsic exponent (``(0, e)`` denotes the same value for
 every ``e``; the stored form is the canonical ``(0, 0)``).  The exponent
@@ -33,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "Comparison",
@@ -139,26 +144,24 @@ class FpNumber:
         return f"<{self.m}, {self.e}>@p{self.p}"
 
 
-def _floor_log2(a: Fraction) -> int:
-    """Largest ``f`` with ``2**f <= a`` for a positive rational ``a``."""
-    f = a.numerator.bit_length() - a.denominator.bit_length()
-    # 2**(f-1) < a < 2**(f+1); settle the remaining ambiguity exactly.
-    if _cmp_pow2(a, f) < 0:
-        f -= 1
-    return f
+_new = object.__new__
+_set_m = FpNumber.m.__set__
+_set_e = FpNumber.e.__set__
+_set_p = FpNumber.p.__set__
 
 
-def _cmp_pow2(a: Fraction, k: int) -> int:
-    """Sign of ``a - 2**k`` for positive ``a``."""
-    if k >= 0:
-        lhs, rhs = a.numerator, a.denominator << k
-    else:
-        lhs, rhs = a.numerator << -k, a.denominator
-    return (lhs > rhs) - (lhs < rhs)
+def _normal(m: int, e: int, p: int) -> FpNumber:
+    """An FpNumber whose fields :func:`round_scaled` has already put in
+    normal form, built without repeating the ``__post_init__`` checks."""
+    x = _new(FpNumber)
+    _set_m(x, m)
+    _set_e(x, e)
+    _set_p(x, p)
+    return x
 
 
-def round_p(x: Fraction | int, p: int) -> FpNumber:
-    """Round an exact rational to the nearest p-bit float.
+def round_scaled(n: int, k: int, p: int) -> FpNumber:
+    """Round ``n * 2**k`` to the nearest p-bit float in integer arithmetic.
 
     Ties go to the even significand.  If the nearest representable would
     need an exponent ``>= 2**p`` (this includes the tie at the very top of
@@ -170,95 +173,64 @@ def round_p(x: Fraction | int, p: int) -> FpNumber:
     """
     if p < 1:
         raise ValueError(f"precision must be >= 1, got {p}")
-    if isinstance(x, int):
-        x = Fraction(x)
-    elif not isinstance(x, Fraction):
-        raise TypeError(f"round_p expects Fraction or int, got {type(x)!r}")
-    if x == 0:
-        return FpNumber(0, 0, p)
-
-    sign = 1 if x > 0 else -1
-    a = -x if x < 0 else x
-    lim = 1 << p
-    e_min, e_max = -lim, lim - 1
-    half = 1 << (p - 1)
-
-    e = _floor_log2(a) - (p - 1)
-    if e < e_min:
-        # Between zero and the smallest normalized magnitude there are no
-        # representables: pick the nearer endpoint, zero on the midpoint.
-        rel = _cmp_pow2(a, p - 2 + e_min)  # compare to half the smallest
-        if rel <= 0:
-            return FpNumber(0, 0, p)
-        return FpNumber(sign * half, e_min, p)
-
-    q = a * pow2(-e)  # in [2**(p-1), 2**p)
-    m0 = q.numerator // q.denominator
-    frac = q - m0
-    if frac > Fraction(1, 2):
-        m = m0 + 1
-    elif frac < Fraction(1, 2):
-        m = m0
-    else:
-        m = m0 if m0 % 2 == 0 else m0 + 1
-    if m == lim:
-        m = half
-        e += 1
-    if e > e_max:
-        raise Overflow(f"exponent {e} out of range for p={p}")
-    return FpNumber(sign * m, e, p)
-
-
-def round_scaled(n: int, k: int, p: int) -> FpNumber:
-    """Round ``n * 2**k`` to ``p`` bits using pure integer arithmetic.
-
-    Exactly equivalent to ``round_p(Fraction(n) * pow2(k), p)`` but avoids
-    building huge rationals; the workhorse behind the fixed-point
-    elementary-function kernels.
-    """
-    if n == 0:
-        return FpNumber(0, 0, p)
-    sign = 1 if n > 0 else -1
+    if not n:
+        return _normal(0, 0, p)
     a = -n if n < 0 else n
     lim = 1 << p
-    e_min, e_max = -lim, lim - 1
-    half_m = lim >> 1
-
-    e = (a.bit_length() - 1 + k) - (p - 1)
-    if e < e_min:
-        # Compare a * 2**k against half the smallest normal 2**(p-2+e_min),
+    shift = a.bit_length() - p
+    e = k + shift
+    if e < -lim:
+        # Compare a * 2**k against 2**(p-2-lim), half the smallest normal,
         # via bit lengths so no giant power of two is materialized.
-        t = p - 2 + e_min - k
+        t = p - 2 - lim - k
         bl = a.bit_length() - 1
-        if t < 0 or bl > t:
-            rel = 1
-        elif bl < t:
-            rel = -1
-        else:
-            rel = 0 if a == (1 << t) else 1
-        if rel <= 0:
-            return FpNumber(0, 0, p)
-        return FpNumber(sign * half_m, e_min, p)
-
-    shift = e - k
+        if bl < t or (bl == t and a == 1 << t):
+            return _normal(0, 0, p)
+        return _normal(-(lim >> 1) if n < 0 else lim >> 1, -lim, p)
     if shift <= 0:
         m = a << -shift
     else:
-        m0 = a >> shift
-        rem = a - (m0 << shift)
-        half = 1 << (shift - 1)
-        if rem > half:
-            m = m0 + 1
-        elif rem < half:
-            m = m0
-        else:
-            m = m0 if m0 % 2 == 0 else m0 + 1
-    if m == lim:
-        m = half_m
-        e += 1
-    if e > e_max:
+        # Add just under half an ulp, plus one more when the kept part is
+        # odd, so an exact tie lands on the even significand.
+        m = (a + (1 << (shift - 1)) - 1 + ((a >> shift) & 1)) >> shift
+        if m == lim:
+            m = lim >> 1
+            e += 1
+    if e >= lim:
         raise Overflow(f"exponent {e} out of range for p={p}")
-    return FpNumber(sign * m, e, p)
+    return _normal(-m if n < 0 else m, e, p)
+
+
+def _round_quotient(num: int, den: int, k: int, p: int) -> FpNumber:
+    """Round ``num / den * 2**k`` for any nonzero ``den``.
+
+    The magnitude is reduced to an integer quotient ``q`` of at least
+    ``p + 2`` bits and the sticky word ``2q | (remainder != 0)``: a
+    non-dyadic quotient is never a rounding tie, so one bit below ``q``
+    settles the rounding as the exact rational would.
+    """
+    a, d = abs(num), abs(den)
+    s = max(0, p + 2 + d.bit_length() - a.bit_length())
+    q, r = divmod(a << s, d)
+    w = (q << 1) | (r != 0)
+    return round_scaled(-w if (num < 0) != (den < 0) else w, k - s - 1, p)
+
+
+def round_p(x: Fraction | int, p: int) -> FpNumber:
+    """Round an exact rational to the nearest p-bit float.
+
+    The rounding rule is that of :func:`round_scaled`: an ``int`` goes to it
+    directly, a dyadic ``Fraction`` as its numerator and power-of-two scale,
+    and any other ``Fraction`` through an integer quotient with a sticky bit.
+    """
+    if isinstance(x, int):
+        return round_scaled(x, 0, p)
+    if not isinstance(x, Fraction):
+        raise TypeError(f"round_p expects Fraction or int, got {type(x)!r}")
+    den = x.denominator
+    if den & (den - 1):
+        return _round_quotient(x.numerator, den, 0, p)
+    return round_scaled(x.numerator, 1 - den.bit_length(), p)
 
 
 def approx_div(a: Fraction | int, b: Fraction | int) -> Fraction:
@@ -278,21 +250,30 @@ def approx_div(a: Fraction | int, b: Fraction | int) -> Fraction:
     return q + Fraction(1, 8)
 
 
-def _require_same_p(xs: Iterable[FpNumber]) -> int:
-    ps = {x.p for x in xs}
-    if len(ps) != 1:
-        raise ValueError(f"operands must share one precision, got {sorted(ps)}")
-    return ps.pop()
+def _mixed_precision(xs: Sequence[FpNumber]) -> ValueError:
+    ps = sorted({x.p for x in xs})
+    return ValueError(f"operands must share one precision, got {ps}")
 
 
-def _aligned_exponents(a: FpNumber, b: FpNumber) -> tuple[int, int]:
-    """Exponents used for alignment, with a zero operand taking the other
-    operand's exponent (zero means the same value at every exponent, so the
-    gap is chosen to be vacuous rather than taken from the canonical form).
+def _require_same_p(xs: Sequence[FpNumber]) -> int:
+    p = xs[0].p
+    for x in xs:
+        if x.p != p:
+            raise _mixed_precision(xs)
+    return p
+
+
+def _align(hi_m: int, lo_m: int, d: int) -> tuple[int, int, int]:
+    """Integer sides of ``hi_m`` against ``lo_m /~ 2**d`` for ``d >= 0``.
+
+    Returns ``(x, y, s)`` with ``x = hi_m * 2**s`` and ``y = (lo_m /~
+    2**d) * 2**s``, both integers: ``s = d`` when the quotient is a
+    multiple of 1/4 (the low ``d - 2`` bits of ``lo_m`` are zero), and
+    otherwise ``s = d + 3`` so the 1/8 bias becomes ``2**d``.
     """
-    ea = b.e if a.is_zero else a.e
-    eb = a.e if b.is_zero else b.e
-    return ea, eb
+    if d <= 2 or not lo_m & ((1 << (d - 2)) - 1):
+        return hi_m << d, lo_m, d
+    return hi_m << (d + 3), (lo_m << 3) + (1 << d), d + 3
 
 
 def fp_add(a: FpNumber, b: FpNumber) -> FpNumber:
@@ -302,29 +283,36 @@ def fp_add(a: FpNumber, b: FpNumber) -> FpNumber:
     2**e1)``, and symmetrically otherwise.  A zero operand aligns at the
     other operand's exponent, making it an additive identity.
     """
-    p = _require_same_p((a, b))
-    ea, eb = _aligned_exponents(a, b)
-    if ea >= eb:
-        hi_m, hi_e, lo_m, lo_e = a.m, ea, b.m, eb
-    else:
-        hi_m, hi_e, lo_m, lo_e = b.m, eb, a.m, ea
-    t = approx_div(lo_m, pow2(hi_e - lo_e))
-    return round_p((hi_m + t) * pow2(hi_e), p)
+    if a.p != b.p:
+        raise _mixed_precision((a, b))
+    if not a.m:
+        return b
+    if not b.m:
+        return a
+    if a.e < b.e:
+        a, b = b, a
+    x, y, s = _align(a.m, b.m, a.e - b.e)
+    return round_scaled(x + y, a.e - s, a.p)
 
 
 def fp_mul(a: FpNumber, b: FpNumber) -> FpNumber:
     """Multiply: significands multiply exactly, exponents add, then round."""
-    p = _require_same_p((a, b))
-    return round_p(Fraction(a.m * b.m) * pow2(a.e + b.e), p)
+    if a.p != b.p:
+        raise _mixed_precision((a, b))
+    return round_scaled(a.m * b.m, a.e + b.e, a.p)
 
 
 def fp_div(a: FpNumber, b: FpNumber) -> FpNumber:
     """Divide: ``round_p((m1 * 2**(p-1) /~ m2) * 2**(e1 - e2 - p + 1))``."""
-    p = _require_same_p((a, b))
+    if a.p != b.p:
+        raise _mixed_precision((a, b))
     if b.is_zero:
         raise DivisionByZero("float division by zero")
-    t = approx_div(a.m * (1 << (p - 1)), b.m)
-    return round_p(t * pow2(a.e - b.e - p + 1), p)
+    p = a.p
+    n, d = a.m << (p - 1), b.m
+    if (n << 2) % d:
+        n, d = (n << 3) + d, d << 3
+    return _round_quotient(n, d, a.e - b.e - p + 1, p)
 
 
 def fp_compare(a: FpNumber, b: FpNumber) -> Comparison:
@@ -337,14 +325,18 @@ def fp_compare(a: FpNumber, b: FpNumber) -> Comparison:
     at the other's exponent, so the verdict always agrees with comparing
     exact values.
     """
-    _require_same_p((a, b))
-    ea, eb = _aligned_exponents(a, b)
-    t = approx_div(b.m, pow2(ea - eb))
-    le = a.m <= t
-    ge = t <= a.m
-    if le and ge:
+    if a.p != b.p:
+        raise _mixed_precision((a, b))
+    x, y = a.m, b.m
+    if x and y:
+        d = a.e - b.e
+        if d < 0:
+            y <<= -d
+        else:
+            x, y, _ = _align(x, y, d)
+    if x == y:
         return Comparison.EQUAL
-    return Comparison.LESS if le else Comparison.GREATER
+    return Comparison.LESS if x < y else Comparison.GREATER
 
 
 def fp_floor(a: FpNumber) -> FpNumber:
@@ -352,26 +344,27 @@ def fp_floor(a: FpNumber) -> FpNumber:
 
     For ``e >= 0`` the value is already an integer and is simply re-rounded
     (wide integers may lose low bits).  For ``e < 0`` the significand is
-    floor-divided by ``2**-e`` (Python ``//``, toward minus infinity) and
-    the integer result rounded.
+    shifted right by ``-e`` (toward minus infinity) and the integer result
+    rounded.
     """
     if a.e >= 0:
-        return round_p(a.m * (1 << a.e), a.p)
-    return round_p(a.m // (1 << -a.e), a.p)
+        return round_scaled(a.m, a.e, a.p)
+    return round_scaled(a.m >> -a.e, 0, a.p)
 
 
 def iter_add(xs: Sequence[FpNumber]) -> FpNumber:
     """Sum a non-empty family exactly, then round once.
 
-    A single exact rational aggregation with one final rounding: the result
-    is invariant under permutation of the operands and is *not* a fold of
-    binary adds.  A singleton returns its element unchanged.
+    The nonzero significands are shifted to the smallest of their exponents
+    and added as integers, with one final rounding: the result is invariant
+    under permutation of the operands and is *not* a fold of binary adds.
+    A singleton returns its element unchanged.
     """
     if not xs:
         raise ValueError("iter_add requires at least one operand")
     p = _require_same_p(xs)
-    total = sum((x.to_fraction() for x in xs), Fraction(0))
-    return round_p(total, p)
+    e0 = min((x.e for x in xs if x.m), default=0)
+    return round_scaled(sum(x.m << (x.e - e0) for x in xs if x.m), e0, p)
 
 
 def iter_mul(xs: Sequence[FpNumber]) -> FpNumber:
@@ -379,7 +372,8 @@ def iter_mul(xs: Sequence[FpNumber]) -> FpNumber:
     if not xs:
         raise ValueError("iter_mul requires at least one operand")
     p = _require_same_p(xs)
-    prod = Fraction(1)
+    m, e = 1, 0
     for x in xs:
-        prod *= x.to_fraction()
-    return round_p(prod, p)
+        m *= x.m
+        e += x.e
+    return round_scaled(m, e, p)

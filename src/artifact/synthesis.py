@@ -621,7 +621,8 @@ def _synth_compare(p: int, exp_bits: int) -> SynthesizedOp:
     # live addend at every window width: otherwise a narrow window (a
     # single possible bias position) folds the carry logic two levels
     # shallower and the comparator's depth would vary with the window.
-    pad_zero = b.raw_and([onehot[3], b.const0()])
+    # The gate hangs off the delta == 0 selector, which every window has.
+    pad_zero = b.raw_and([onehot[0], b.const0()])
     bias = [b.const0()] * 3 + [pad_zero] * (width - 3)
     for v in range(3, dmax + 1):
         bias[v] = b.and_(onehot[v], _quarter_fail(b, m_b, v))

@@ -145,6 +145,21 @@ class TestMambaCommands:
         assert main(["mamba", "depth", "--assign", "d_bogus=1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize(
+        "payload",
+        [{"rows": [[1, 2]]}, [1, 2], {"entries": [[1, 2], 3]}],
+        ids=["object-without-entries", "rows-not-lists", "entries-row-not-list"],
+    )
+    def test_malformed_input_exits_two(self, tmp_path, capsys, command, payload):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(payload))
+        code = main(["mamba", command, "--shape", "2,2,2,2,2",
+                     "--input", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
 
 class TestCircuitCommands:
     """circuit synth / check / rewrite / eval / depth."""

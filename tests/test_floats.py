@@ -108,6 +108,35 @@ class TestRoundP:
         assert me(round_p(Fraction(1, 128), 3)) == (0, 0)
         assert me(round_p(Fraction(-1, 128), 3)) == (0, 0)
 
+    # Non-dyadic values a hair off a rounding tie: the integer quotient
+    # alone would land on the tie, so only the sticky bit decides.
+    @pytest.mark.parametrize(
+        "center",
+        [Fraction(9), Fraction(11), Fraction(15, 2), Fraction(1, 128), Fraction(960)],
+        ids=["tie-even-down", "tie-even-up", "binade-top", "underflow-midpoint", "overflow-tie"],
+    )
+    def test_non_dyadic_beside_ties(self, center):
+        eps = Fraction(1, 3 << 40)
+        for x in (center - eps, center + eps, -center + eps, -center - eps):
+            try:
+                want = oracles.oracle_round(x, 3)
+            except oracles.OracleOverflow:
+                with pytest.raises(Overflow):
+                    round_p(x, 3)
+                continue
+            assert me(round_p(x, 3)) == want, x
+
+    def test_non_dyadic_beside_ties_hand_checked(self):
+        eps = Fraction(1, 3 << 40)
+        assert me(round_p(9 - eps, 3)) == (4, 1)
+        assert me(round_p(9 + eps, 3)) == (5, 1)
+        assert me(round_p(Fraction(1, 128) - eps, 3)) == (0, 0)
+        assert me(round_p(Fraction(1, 128) + eps, 3)) == (4, -8)
+        assert me(round_p(Fraction(-1, 128) - eps, 3)) == (-4, -8)
+        assert me(round_p(960 - eps, 3)) == (7, 7)
+        with pytest.raises(Overflow):
+            round_p(960 + eps, 3)
+
     def test_matches_oracle_on_random_rationals(self):
         rng = random.Random(7)
         for p in (3, 4):
@@ -226,17 +255,31 @@ class TestScalarOps:
 
 
 class TestOracleConformance:
-    """Window-limited exhaustive agreement (the full window is criterion 1)."""
+    """Exhaustive agreement over every legal p=3 float: 129 values, 16,641
+    pairs per two-operand op."""
 
-    VALUES = oracles.legal_floats(3, -2, 2)
+    VALUES = oracles.legal_floats(3)
 
     def to_fp(self, t):
         return FpNumber(t[0], t[1], 3)
 
-    def test_add_matches_oracle(self):
+    def assert_pairs_match(self, op, oracle_op):
         for a in self.VALUES:
             for b in self.VALUES:
-                assert me(fp_add(self.to_fp(a), self.to_fp(b))) == oracles.oracle_add(a, b, 3)
+                try:
+                    want = oracle_op(a, b)
+                except oracles.OracleOverflow:
+                    with pytest.raises(Overflow):
+                        op(self.to_fp(a), self.to_fp(b))
+                    continue
+                except oracles.OracleDivisionByZero:
+                    with pytest.raises(DivisionByZero):
+                        op(self.to_fp(a), self.to_fp(b))
+                    continue
+                assert me(op(self.to_fp(a), self.to_fp(b))) == want, (a, b)
+
+    def test_add_matches_oracle(self):
+        self.assert_pairs_match(fp_add, lambda a, b: oracles.oracle_add(a, b, 3))
 
     def test_compare_matches_oracle(self):
         for a in self.VALUES:
@@ -244,15 +287,14 @@ class TestOracleConformance:
                 assert fp_compare(self.to_fp(a), self.to_fp(b)).value == oracles.oracle_compare(a, b)
 
     def test_mul_matches_oracle(self):
+        self.assert_pairs_match(fp_mul, lambda a, b: oracles.oracle_mul(a, b, 3))
+
+    def test_div_matches_oracle(self):
+        self.assert_pairs_match(fp_div, lambda a, b: oracles.oracle_div(a, b, 3))
+
+    def test_floor_matches_oracle(self):
         for a in self.VALUES:
-            for b in self.VALUES:
-                try:
-                    got = me(fp_mul(self.to_fp(a), self.to_fp(b)))
-                except Overflow:
-                    with pytest.raises(oracles.OracleOverflow):
-                        oracles.oracle_mul(a, b, 3)
-                    continue
-                assert got == oracles.oracle_mul(a, b, 3)
+            assert me(fp_floor(self.to_fp(a))) == oracles.oracle_floor(a, 3)
 
 
 class TestProperties:

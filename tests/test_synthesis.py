@@ -116,6 +116,13 @@ class TestCompareCircuit:
         report = check_op(synth_primitive("compare", 2))
         assert report["ok"], report["mismatches"][:3]
 
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_exhaustive_window_one(self, p):
+        """A one-bit window has no biased shift at all, only the pad."""
+        report = check_op(synth_primitive("compare", p, exp_bits=1))
+        assert report["cases"] == (1 + 2**p * 2) ** 2
+        assert report["ok"], report["mismatches"][:3]
+
     def test_verdict_encoding(self):
         """(lt, gt) bits: less=10, greater=01, equal=00."""
         op = synth_primitive("compare", 3)
@@ -137,7 +144,7 @@ class TestCompareCircuit:
         """Wider exponent windows widen fan-ins, not the critical path."""
         depths = {
             w: synth_primitive("compare", 3, exp_bits=w).circuit.depth
-            for w in (2, 3, 5)
+            for w in (1, 2, 3, 5)
         }
         assert len(set(depths.values())) == 1, depths
 
