@@ -23,10 +23,11 @@ Subcommands
 
 Models and inputs are JSON; netlists and corpora are line-oriented text.
 A model file holds ``{"shape": {...}, "params": ...}`` where ``params`` is
-``"random"`` (with ``"seed"``/``"positive"``), ``"zero"``, or explicit
-nested rationals as produced by the library's serializer.  Every command is
-a deterministic function of its arguments and seeds: JSON is printed with
-sorted keys, no timestamps are embedded, and reruns are byte-identical.
+``"random"`` (with ``"seed"``/``"positive"``), ``"zero"``, or an object of
+nested rationals laid out as ``artifact.mamba.PARAM_SCHEMA`` (the form
+``MambaParams.to_json_dict`` writes).  Every command is a deterministic
+function of its arguments and seeds: JSON is printed with sorted keys, no
+timestamps are embedded, and reruns are byte-identical.
 
 Exit codes: 0 on success, 1 when a check fails or arithmetic leaves the
 model's domain (division by zero, overflow), 2 for usage or input-syntax
@@ -253,41 +254,6 @@ def _parse_shape(text: str) -> ShapeConfig:
     return ShapeConfig(l, d, e, n, k)
 
 
-def _zero_params(shape: ShapeConfig) -> MambaParams:
-    z = Fraction(0)
-
-    def vec(k: int) -> tuple:
-        return (z,) * k
-
-    def mat(r: int, c: int) -> tuple:
-        return tuple(vec(c) for _ in range(r))
-
-    l, d, e, n, k = (
-        shape.seq_len,
-        shape.d_model,
-        shape.d_inner,
-        shape.d_state,
-        shape.kernel_size,
-    )
-    return MambaParams(
-        w_x_in=mat(d, e),
-        b_x_in=vec(e),
-        w_conv=tuple(mat(e, e) for _ in range(k)),
-        a_diag=vec(n),
-        b_base=mat(n, e),
-        c_base=mat(e, n),
-        w_b=mat(n, l),
-        p_b=mat(e, e),
-        w_c=mat(e, l),
-        p_c=mat(e, n),
-        w_delta=vec(l),
-        p_delta=vec(e),
-        w_delta_scalar=z,
-        w_x_out=mat(e, d),
-        b_x_out=vec(d),
-    )
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -311,7 +277,7 @@ def _load_model(args: argparse.Namespace) -> tuple[ShapeConfig, MambaParams]:
                     bool(obj.get("positive", False)),
                 )
             elif params_field == "zero":
-                params = _zero_params(shape)
+                params = MambaParams.build(shape, lambda name, index: Fraction(0))
             else:
                 params = MambaParams.from_json_dict(params_field)
         except (KeyError, TypeError, ValueError) as exc:

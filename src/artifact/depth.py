@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from types import MappingProxyType, SimpleNamespace
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from artifact.contexts import PBitScalars, ScalarContext
@@ -590,46 +590,31 @@ def _grid_mat(rows: int, cols: int, off: int = 0) -> tuple[tuple[Fraction, ...],
     return tuple(tuple(_grid_fraction(i, j, off) for j in range(cols)) for i in range(rows))
 
 
-def _grid_vec(k: int, off: int = 0) -> tuple[Fraction, ...]:
-    return tuple(_grid_fraction(0, j, off) for j in range(k))
+# Grid offset of each reference parameter field (``w_conv`` slice k adds k).
+_REFERENCE_OFFSETS = {
+    "w_x_in": 1, "b_x_in": 2, "w_conv": 3, "b_base": 4, "c_base": 5, "w_b": 6, "p_b": 7,
+    "w_c": 8, "p_c": 9, "w_delta": 10, "p_delta": 11, "w_x_out": 12, "b_x_out": 13,
+}
 
 
 def reference_params(shape: ShapeConfig) -> MambaParams:
     """Deterministic, positive parameters whose step sizes keep every
     discretization row away from the small-argument guard on the whole
     shape grid (the state diagonal has magnitude at least 1/4)."""
-    L, D, E, n, K = (
-        shape.seq_len,
-        shape.d_model,
-        shape.d_inner,
-        shape.d_state,
-        shape.kernel_size,
-    )
-    return MambaParams(
-        w_x_in=_grid_mat(D, E, 1),
-        b_x_in=_grid_vec(E, 2),
-        w_conv=tuple(_grid_mat(E, E, 3 + k) for k in range(K)),
-        a_diag=tuple(Fraction(-(4 + (2 * i) % 5), 16) for i in range(n)),
-        b_base=_grid_mat(n, E, 4),
-        c_base=_grid_mat(E, n, 5),
-        w_b=_grid_mat(n, L, 6),
-        p_b=_grid_mat(E, E, 7),
-        w_c=_grid_mat(E, L, 8),
-        p_c=_grid_mat(E, n, 9),
-        w_delta=_grid_vec(L, 10),
-        p_delta=_grid_vec(E, 11),
-        w_delta_scalar=Fraction(1, 2),
-        w_x_out=_grid_mat(E, D, 12),
-        b_x_out=_grid_vec(D, 13),
-    )
+
+    def leaf(name: str, index: tuple[int, ...]) -> Fraction:
+        if name == "a_diag":
+            return Fraction(-(4 + (2 * index[0]) % 5), 16)
+        if name == "w_delta_scalar":
+            return Fraction(1, 2)
+        *outer, i, j = (0, 0) + index
+        return _grid_fraction(i, j, _REFERENCE_OFFSETS[name] + sum(outer))
+
+    return MambaParams.build(shape, leaf)
 
 
 def reference_input(shape: ShapeConfig) -> list[list[Fraction]]:
     return [list(r) for r in _grid_mat(shape.seq_len, shape.d_model, 14)]
-
-
-def _leaves(ctx: ScalarContext, rows: Sequence[Sequence[Fraction]]):
-    return wrap_values(ctx, rows)
 
 
 def _disc_leaves(ctx: ScalarContext, shape: ShapeConfig) -> SsmDiscrete:
@@ -648,22 +633,22 @@ def _component_builders() -> Mapping[str, Callable[[TracedScalars, ShapeConfig],
         return run
 
     def b_input_projection(ctx, shape):
-        x = _leaves(ctx, _grid_mat(shape.seq_len, shape.d_model, 30))
-        w = _leaves(ctx, _grid_mat(shape.d_model, shape.d_inner, 31))
-        b = [ctx.input(v) for v in _grid_vec(shape.d_inner, 32)]
+        x = wrap_values(ctx, _grid_mat(shape.seq_len, shape.d_model, 30))
+        w = wrap_values(ctx, _grid_mat(shape.d_model, shape.d_inner, 31))
+        b = wrap_values(ctx, _grid_mat(1, shape.d_inner, 32))[0]
         return input_projection(ctx, x, w, b)
 
     def b_conv1d(ctx, shape):
-        x = _leaves(ctx, _grid_mat(shape.seq_len, shape.d_inner, 33))
+        x = wrap_values(ctx, _grid_mat(shape.seq_len, shape.d_inner, 33))
         w = [
-            _leaves(ctx, _grid_mat(shape.d_inner, shape.d_inner, 34 + k))
+            wrap_values(ctx, _grid_mat(shape.d_inner, shape.d_inner, 34 + k))
             for k in range(shape.kernel_size)
         ]
         return conv1d(ctx, x, w)
 
     def b_select(ctx, shape):
         pw = wrap_params(ctx, reference_params(shape))
-        x = _leaves(ctx, _grid_mat(shape.seq_len, shape.d_inner, 35))
+        x = wrap_values(ctx, _grid_mat(shape.seq_len, shape.d_inner, 35))
         return select_params(
             ctx, x, pw.w_b, pw.p_b, pw.w_c, pw.p_c, pw.w_delta, pw.p_delta, pw.w_delta_scalar
         )
@@ -671,18 +656,18 @@ def _component_builders() -> Mapping[str, Callable[[TracedScalars, ShapeConfig],
     def b_discretize(ctx, shape):
         n, E = shape.d_state, shape.d_inner
         a = [ctx.input(Fraction(-(4 + i % 5), 8)) for i in range(n)]
-        b = _leaves(ctx, _grid_mat(n, E, 36))
-        c = _leaves(ctx, _grid_mat(E, n, 37))
+        b = wrap_values(ctx, _grid_mat(n, E, 36))
+        c = wrap_values(ctx, _grid_mat(E, n, 37))
         return discretize(ctx, a, b, c, ctx.input(Fraction(1, 2)))
 
     def b_hidden(ctx, shape):
         disc = _disc_leaves(ctx, shape)
-        x = _leaves(ctx, _grid_mat(shape.seq_len, shape.d_inner, 38))
+        x = wrap_values(ctx, _grid_mat(shape.seq_len, shape.d_inner, 38))
         return hidden_recurrence(ctx, disc, x)
 
     def b_recurrent(ctx, shape):
         disc = _disc_leaves(ctx, shape)
-        x = _leaves(ctx, _grid_mat(shape.seq_len, shape.d_inner, 39))
+        x = wrap_values(ctx, _grid_mat(shape.seq_len, shape.d_inner, 39))
         return ssm_recurrent(ctx, disc, x)
 
     def b_kernel(ctx, shape):
@@ -695,13 +680,13 @@ def _component_builders() -> Mapping[str, Callable[[TracedScalars, ShapeConfig],
             [[ctx.input(_grid_fraction(dp, d + k, 40)) for k in range(L)] for d in range(E)]
             for dp in range(E)
         ]
-        x = _leaves(ctx, _grid_mat(L, E, 41))
+        x = wrap_values(ctx, _grid_mat(L, E, 41))
         return ssm_convolution(ctx, kern, x)
 
     def b_ssm(form):
         def run(ctx, shape):
             pw = wrap_params(ctx, reference_params(shape))
-            x = _leaves(ctx, _grid_mat(shape.seq_len, shape.d_inner, 42))
+            x = wrap_values(ctx, _grid_mat(shape.seq_len, shape.d_inner, 42))
             return ssm_select(ctx, pw, x, form)
 
         return run
@@ -709,7 +694,7 @@ def _component_builders() -> Mapping[str, Callable[[TracedScalars, ShapeConfig],
     def b_mamba(form):
         def run(ctx, shape):
             pw = wrap_params(ctx, reference_params(shape))
-            x = _leaves(ctx, reference_input(shape))
+            x = wrap_values(ctx, reference_input(shape))
             return mamba_forward(ctx, pw, x, form)
 
         return run

@@ -26,17 +26,20 @@ algebraically identical; in exact arithmetic they agree entry for entry.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+import re
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Sequence
+from typing import Callable, Sequence
 
 from artifact.contexts import ExactScalars, PBitScalars, ScalarContext
 from artifact.floats import FpNumber
 from artifact.matrices import FpMatrix, ShapeMismatch
 
 __all__ = [
+    "GATE_SCHEMA",
     "MambaParams",
+    "PARAM_SCHEMA",
     "ShapeConfig",
     "SsmDiscrete",
     "conv1d",
@@ -74,147 +77,160 @@ class ShapeConfig:
     kernel_size: int
 
     def __post_init__(self) -> None:
-        for name in ("seq_len", "d_model", "d_inner", "d_state", "kernel_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1")
         if self.kernel_size > self.seq_len:
             raise ValueError("kernel_size must not exceed seq_len")
 
     def to_json_dict(self) -> dict:
-        return {
-            "seq_len": self.seq_len,
-            "d_model": self.d_model,
-            "d_inner": self.d_inner,
-            "d_state": self.d_state,
-            "kernel_size": self.kernel_size,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ShapeConfig":
-        return cls(**{k: int(v) for k, v in obj.items()})
+        if not isinstance(obj, dict):
+            raise ValueError(f"shape must be an object, not {obj!r}")
+        return cls(**{k: _json_int(v) for k, v in obj.items()})
+
+
+# The parameter layout: each field's name and its dimensions as ShapeConfig
+# attribute names, outermost first (``()`` is a scalar), in dataclass field
+# order, which is also the order ``MambaParams.build`` fills them in.
+PARAM_SCHEMA: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("w_x_in", ("d_model", "d_inner")),
+    ("b_x_in", ("d_inner",)),
+    ("w_conv", ("kernel_size", "d_inner", "d_inner")),
+    ("a_diag", ("d_state",)),
+    ("b_base", ("d_state", "d_inner")),
+    ("c_base", ("d_inner", "d_state")),
+    ("w_b", ("d_state", "seq_len")),
+    ("p_b", ("d_inner", "d_inner")),
+    ("w_c", ("d_inner", "seq_len")),
+    ("p_c", ("d_inner", "d_state")),
+    ("w_delta", ("seq_len",)),
+    ("p_delta", ("d_inner",)),
+    ("w_delta_scalar", ()),
+    ("w_x_out", ("d_inner", "d_model")),
+    ("b_x_out", ("d_model",)),
+)
+
+# The optional gate-branch projection: both fields set, or both ``None``
+# (the gate then shares the input projection).
+GATE_SCHEMA: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("w_gate", ("d_model", "d_inner")),
+    ("b_gate", ("d_inner",)),
+)
 
 
 @dataclass(frozen=True, slots=True)
 class MambaParams:
-    """All model parameters, stored as exact rationals.
+    """All model parameters as exact rationals, laid out by :data:`PARAM_SCHEMA`.
 
     ``b_base``/``c_base`` are the direct (non-selective) state-space input
     and output maps, used when the discretization and recurrence run on
     their own; the selective path replaces them with the input-dependent
     ``w_b/p_b`` and ``w_c/p_c`` sandwich products.  The state matrix is
     diagonal and stored as its diagonal ``a_diag``.  ``w_gate``/``b_gate``
-    are the gate-branch projection; when ``None`` the gate shares the main
-    input projection (the default tying).
+    (:data:`GATE_SCHEMA`) are the gate-branch projection; when ``None`` the
+    gate shares the main input projection (the default tying).
     """
 
-    w_x_in: Mat  # D x E
-    b_x_in: Vec  # E
-    w_conv: tuple[Mat, ...]  # K x E x E
-    a_diag: Vec  # n (diagonal of the n x n state matrix)
-    b_base: Mat  # n x E
-    c_base: Mat  # E x n
-    w_b: Mat  # n x L
-    p_b: Mat  # E x E
-    w_c: Mat  # E x L
-    p_c: Mat  # E x n
-    w_delta: Vec  # L (the 1 x L step-size row)
-    p_delta: Vec  # E
+    w_x_in: Mat
+    b_x_in: Vec
+    w_conv: tuple[Mat, ...]
+    a_diag: Vec
+    b_base: Mat
+    c_base: Mat
+    w_b: Mat
+    p_b: Mat
+    w_c: Mat
+    p_c: Mat
+    w_delta: Vec
+    p_delta: Vec
     w_delta_scalar: Fraction
-    w_x_out: Mat  # E x D
-    b_x_out: Vec  # D
+    w_x_out: Mat
+    b_x_out: Vec
     w_gate: Mat | None = None
     b_gate: Vec | None = None
 
+    @classmethod
+    def build(cls, shape: ShapeConfig, leaf: Callable[[str, tuple], Fraction]) -> "MambaParams":
+        """Fill every :data:`PARAM_SCHEMA` field with ``leaf(name, index)``,
+        in schema order and row-major; the gate stays tied."""
+
+        def fill(name, sizes, index):
+            if not sizes:
+                return leaf(name, index)
+            return tuple([fill(name, sizes[1:], index + (i,)) for i in range(sizes[0])])
+
+        return cls(**{
+            name: fill(name, [getattr(shape, d) for d in dims], ())
+            for name, dims in PARAM_SCHEMA
+        })
+
+    def _schema(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """The schema entries this instance sets: a tied gate is left out."""
+        if all(getattr(self, name) is None for name, _ in GATE_SCHEMA):
+            return PARAM_SCHEMA
+        return PARAM_SCHEMA + GATE_SCHEMA
+
     def validate(self, shape: ShapeConfig) -> None:
-        L, D, E, n, K = (
-            shape.seq_len,
-            shape.d_model,
-            shape.d_inner,
-            shape.d_state,
-            shape.kernel_size,
-        )
-        def dims(m, r, c, name):
-            if len(m) != r or any(len(row) != c for row in m):
-                raise ShapeMismatch(f"{name} must be {r}x{c}")
-        dims(self.w_x_in, D, E, "w_x_in")
-        if len(self.b_x_in) != E:
-            raise ShapeMismatch("b_x_in must have length d_inner")
-        if len(self.w_conv) != K:
-            raise ShapeMismatch("w_conv must have kernel_size slices")
-        for s in self.w_conv:
-            dims(s, E, E, "w_conv slice")
-        if len(self.a_diag) != n:
-            raise ShapeMismatch("a_diag must have length d_state")
-        dims(self.b_base, n, E, "b_base")
-        dims(self.c_base, E, n, "c_base")
-        dims(self.w_b, n, L, "w_b")
-        dims(self.p_b, E, E, "p_b")
-        dims(self.w_c, E, L, "w_c")
-        dims(self.p_c, E, n, "p_c")
-        if len(self.w_delta) != L or len(self.p_delta) != E:
-            raise ShapeMismatch("step-size projections must be L and E long")
-        dims(self.w_x_out, E, D, "w_x_out")
-        if len(self.b_x_out) != D:
-            raise ShapeMismatch("b_x_out must have length d_model")
-        if (self.w_gate is None) != (self.b_gate is None):
+        if len({getattr(self, name) is None for name, _ in GATE_SCHEMA}) > 1:
             raise ShapeMismatch("gate weight and bias must come together")
-        if self.w_gate is not None:
-            dims(self.w_gate, D, E, "w_gate")
-            assert self.b_gate is not None
-            if len(self.b_gate) != E:
-                raise ShapeMismatch("b_gate must have length d_inner")
+        for name, dims in self._schema():
+            sizes = [getattr(shape, d) for d in dims]
+            if not _has_dims(getattr(self, name), sizes):
+                want = "x".join(map(str, sizes)) or "a scalar"
+                raise ShapeMismatch(f"{name} must be {want} ({' x '.join(dims)})")
 
     # ------------------------------------------------------------- json
     def to_json_dict(self) -> dict:
-        def mat(m):
-            return [[_fr_json(x) for x in row] for row in m]
-        out = {
-            "w_x_in": mat(self.w_x_in),
-            "b_x_in": [_fr_json(x) for x in self.b_x_in],
-            "w_conv": [mat(s) for s in self.w_conv],
-            "a_diag": [_fr_json(x) for x in self.a_diag],
-            "b_base": mat(self.b_base),
-            "c_base": mat(self.c_base),
-            "w_b": mat(self.w_b),
-            "p_b": mat(self.p_b),
-            "w_c": mat(self.w_c),
-            "p_c": mat(self.p_c),
-            "w_delta": [_fr_json(x) for x in self.w_delta],
-            "p_delta": [_fr_json(x) for x in self.p_delta],
-            "w_delta_scalar": _fr_json(self.w_delta_scalar),
-            "w_x_out": mat(self.w_x_out),
-            "b_x_out": [_fr_json(x) for x in self.b_x_out],
+        return {
+            name: _nested(_fr_json, getattr(self, name), len(dims), list)
+            for name, dims in self._schema()
         }
-        if self.w_gate is not None:
-            out["w_gate"] = mat(self.w_gate)
-            out["b_gate"] = [_fr_json(x) for x in self.b_gate]
-        return out
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MambaParams":
-        def mat(m):
-            return tuple(tuple(_fr_parse(x) for x in row) for row in m)
-        def vec(v):
-            return tuple(_fr_parse(x) for x in v)
-        return cls(
-            w_x_in=mat(obj["w_x_in"]),
-            b_x_in=vec(obj["b_x_in"]),
-            w_conv=tuple(mat(s) for s in obj["w_conv"]),
-            a_diag=vec(obj["a_diag"]),
-            b_base=mat(obj["b_base"]),
-            c_base=mat(obj["c_base"]),
-            w_b=mat(obj["w_b"]),
-            p_b=mat(obj["p_b"]),
-            w_c=mat(obj["w_c"]),
-            p_c=mat(obj["p_c"]),
-            w_delta=vec(obj["w_delta"]),
-            p_delta=vec(obj["p_delta"]),
-            w_delta_scalar=_fr_parse(obj["w_delta_scalar"]),
-            w_x_out=mat(obj["w_x_out"]),
-            b_x_out=vec(obj["b_x_out"]),
-            w_gate=mat(obj["w_gate"]) if "w_gate" in obj else None,
-            b_gate=vec(obj["b_gate"]) if "b_gate" in obj else None,
-        )
+        """Decode :meth:`to_json_dict` output.  A malformed entry or an
+        unknown field raises ``ValueError``, a missing field ``TypeError``."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"params must be an object, not {obj!r}")
+        schema = dict(PARAM_SCHEMA + GATE_SCHEMA)
+        decoded = {}
+        for name, value in obj.items():
+            if name not in schema:
+                raise ValueError(f"unknown params field {name!r}")
+            try:
+                decoded[name] = _nested(_fr_parse, value, len(schema[name]))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        return cls(**decoded)
+
+
+def _has_dims(value, sizes: Sequence[int]) -> bool:
+    if not isinstance(value, (tuple, list)):
+        return not sizes
+    if not sizes or len(value) != sizes[0]:
+        return False
+    return len(sizes) == 1 or all(_has_dims(v, sizes[1:]) for v in value)
+
+
+def _nested(fn, value, depth: int, seq=tuple):
+    """``fn`` over every leaf of a ``depth``-deep nesting, rebuilt with ``seq``."""
+    if depth == 0:
+        return fn(value)
+    return seq([_nested(fn, v, depth - 1, seq) for v in value])
+
+
+_DECIMAL_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def _json_int(x: object) -> int:
+    """A JSON integer or decimal-integer string; booleans and floats are refused."""
+    if type(x) is int or isinstance(x, str) and _DECIMAL_INT.fullmatch(x):
+        return int(x)
+    raise ValueError(f"not an integer: {x!r}")
 
 
 def _fr_json(x: Fraction) -> dict:
@@ -222,7 +238,12 @@ def _fr_json(x: Fraction) -> dict:
 
 
 def _fr_parse(obj: dict) -> Fraction:
-    return Fraction(int(obj["n"]), int(obj["d"]))
+    if not isinstance(obj, dict) or set(obj) != {"n", "d"}:
+        raise ValueError(f"bad rational entry {obj!r}")
+    d = _json_int(obj["d"])
+    if d == 0:
+        raise ValueError(f"zero denominator in {obj!r}")
+    return Fraction(_json_int(obj["n"]), d)
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,33 +260,12 @@ class SsmDiscrete:
 
 
 def wrap_params(ctx: ScalarContext, params: MambaParams) -> SimpleNamespace:
-    """Convert exact parameters into context leaves."""
-
-    def mat(m):
-        return tuple(tuple(ctx.input(x) for x in row) for row in m)
-
-    def vec(v):
-        return tuple(ctx.input(x) for x in v)
-
-    return SimpleNamespace(
-        w_x_in=mat(params.w_x_in),
-        b_x_in=vec(params.b_x_in),
-        w_conv=tuple(mat(s) for s in params.w_conv),
-        a_diag=vec(params.a_diag),
-        b_base=mat(params.b_base),
-        c_base=mat(params.c_base),
-        w_b=mat(params.w_b),
-        p_b=mat(params.p_b),
-        w_c=mat(params.w_c),
-        p_c=mat(params.p_c),
-        w_delta=vec(params.w_delta),
-        p_delta=vec(params.p_delta),
-        w_delta_scalar=ctx.input(params.w_delta_scalar),
-        w_x_out=mat(params.w_x_out),
-        b_x_out=vec(params.b_x_out),
-        w_gate=mat(params.w_gate) if params.w_gate is not None else None,
-        b_gate=vec(params.b_gate) if params.b_gate is not None else None,
-    )
+    """Convert exact parameters into context leaves, in schema order; a
+    tied gate stays ``None``."""
+    pw = SimpleNamespace(**{name: None for name, _ in GATE_SCHEMA})
+    for name, dims in params._schema():
+        setattr(pw, name, _nested(ctx.input, getattr(params, name), len(dims)))
+    return pw
 
 
 def wrap_values(ctx: ScalarContext, rows: Sequence[Sequence[Fraction]]):
@@ -552,42 +552,14 @@ def random_params(shape: ShapeConfig, seed: int, positive: bool = False) -> Mamb
     and every product and sum keeps one sign.
     """
     rng = random.Random(seed)
+    lo = 1 if positive else -16
 
-    def fr() -> Fraction:
-        if positive:
-            return Fraction(rng.randrange(1, 17), 16)
-        return Fraction(rng.randrange(-16, 17), 16)
+    def leaf(name: str, index: tuple[int, ...]) -> Fraction:
+        if name == "a_diag":
+            return Fraction(-rng.randrange(4, 33), 16)
+        return Fraction(rng.randrange(lo, 17), 16)
 
-    def vec(k):
-        return tuple(fr() for _ in range(k))
-
-    def mat(r, c):
-        return tuple(vec(c) for _ in range(r))
-
-    L, D, E, n, K = (
-        shape.seq_len,
-        shape.d_model,
-        shape.d_inner,
-        shape.d_state,
-        shape.kernel_size,
-    )
-    return MambaParams(
-        w_x_in=mat(D, E),
-        b_x_in=vec(E),
-        w_conv=tuple(mat(E, E) for _ in range(K)),
-        a_diag=tuple(Fraction(-rng.randrange(4, 33), 16) for _ in range(n)),
-        b_base=mat(n, E),
-        c_base=mat(E, n),
-        w_b=mat(n, L),
-        p_b=mat(E, E),
-        w_c=mat(E, L),
-        p_c=mat(E, n),
-        w_delta=vec(L),
-        p_delta=vec(E),
-        w_delta_scalar=fr(),
-        w_x_out=mat(E, D),
-        b_x_out=vec(D),
-    )
+    return MambaParams.build(shape, leaf)
 
 
 def random_input(shape: ShapeConfig, seed: int, positive: bool = False) -> list[list[Fraction]]:

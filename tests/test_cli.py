@@ -3,13 +3,19 @@ and the wiring of each subcommand to its module."""
 
 from __future__ import annotations
 
+import copy
 import json
 from fractions import Fraction
+from functools import reduce
+from operator import getitem
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from artifact.cli import eval_expression, main
 from artifact.floats import DivisionByZero, FpNumber, round_p
+from artifact.mamba import ShapeConfig, random_params
 
 
 class TestExpressionParser:
@@ -159,6 +165,103 @@ class TestMambaCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def _explicit_model() -> dict:
+    """A valid 1,1,1,1,1 model file with every parameter spelled out."""
+    shape = ShapeConfig(1, 1, 1, 1, 1)
+    return {"shape": shape.to_json_dict(), "params": random_params(shape, 0).to_json_dict()}
+
+
+def _run_model(path, model) -> int:
+    path.write_text(json.dumps(model))
+    return main(["mamba", "run", "--model", str(path)])
+
+
+def _paths(obj, path=()):
+    """The key path of every value nested in ``obj``, the root excluded."""
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    else:
+        items = ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _mutate(model: dict, kind: str, where: int, value) -> None:
+    if kind == "shape":
+        model["shape"] = value
+        return
+    paths = list(_paths(model))
+    if kind == "zero-d":
+        paths, value = [p for p in paths if p[-1] == "d"], 0
+    if not paths:
+        return
+    path = paths[where % len(paths)]
+    parent = reduce(getitem, path[:-1], model)
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "nest":
+        parent[path[-1]] = [parent[path[-1]]]
+    elif kind == "unnest" and isinstance(parent[path[-1]], list) and parent[path[-1]]:
+        parent[path[-1]] = parent[path[-1]][0]
+    elif kind in ("replace", "zero-d"):
+        parent[path[-1]] = value
+
+
+_MUTATION = st.tuples(
+    st.sampled_from(["drop", "nest", "unnest", "replace", "zero-d", "shape"]),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(
+        [1.5, 2.0, True, False, None, 0, "x", "1", "-1", "1/2", "0", [], [1], {}, {"n": "1"}]
+    ),
+)
+
+
+class TestModelFiles:
+    """--model decoding: the explicit parameter dict and the shape."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda m: m.update(shape=[1, 1, 1, 1, 1]),
+            lambda m: m["params"].update(w_delta_scalar={"n": "1", "d": "0"}),
+            lambda m: m["params"].update(w_delta_scalar={"n": 1.5, "d": 1}),
+            lambda m: m["params"].update(w_delta_scalar={"n": True, "d": 2}),
+            lambda m: m["shape"].update(seq_len=1.5),
+            lambda m: m["shape"].update(seq_len=True),
+        ],
+        ids=["shape-list", "zero-denominator", "float-numerator", "bool-numerator",
+             "float-shape", "bool-shape"],
+    )
+    def test_malformed_model_exits_two(self, tmp_path, capsys, mutate):
+        model = _explicit_model()
+        mutate(model)
+        assert _run_model(tmp_path / "m.json", model) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    def test_decimal_integer_strings_accepted(self, tmp_path, capsys):
+        model = _explicit_model()
+        model["shape"]["seq_len"] = "1"
+        model["params"]["w_delta_scalar"] = {"n": "-3", "d": 4}
+        assert _run_model(tmp_path / "m.json", model) == 0
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(_MUTATION, min_size=1, max_size=3))
+    def test_mutated_model_fails_cleanly(self, tmp_path, capsys, mutations):
+        """Whatever the mutation, ``main`` returns an exit code, and a
+        failure is one stderr line with no traceback."""
+        model = _explicit_model()
+        for kind, where, value in mutations:
+            _mutate(model, kind, where, copy.deepcopy(value))
+        code = _run_model(tmp_path / "m.json", model)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code:
+            assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 class TestCircuitCommands:

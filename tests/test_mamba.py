@@ -10,6 +10,10 @@ cancellation-free instances.
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,7 +22,11 @@ from artifact.contexts import ExactScalars, PBitScalars
 from artifact.elementary import exp_fp
 from artifact.floats import FpNumber, fp_add, fp_div, fp_mul, iter_add, round_p
 from artifact.matrices import FpMatrix, ShapeMismatch, max_rel_gap
+from artifact.cli import _load_model
+from artifact.depth import reference_params
 from artifact.mamba import (
+    GATE_SCHEMA,
+    PARAM_SCHEMA,
     MambaParams,
     ShapeConfig,
     conv1d,
@@ -57,6 +65,34 @@ class TestShapesAndParams:
         with pytest.raises(ShapeMismatch):
             params.validate(bad)
 
+    @pytest.mark.parametrize(
+        "name,dims", PARAM_SCHEMA + GATE_SCHEMA, ids=[n for n, _ in PARAM_SCHEMA + GATE_SCHEMA]
+    )
+    def test_params_validate_catches_bad_dims_per_field(self, name, dims):
+        """Dropping the last entry along any axis of any field, or nesting
+        the field one level deeper, is a ``ShapeMismatch`` naming it."""
+        shape = ShapeConfig(seq_len=4, d_model=2, d_inner=3, d_state=2, kernel_size=2)
+        base = random_params(shape, seed=0)
+        params = dataclasses.replace(base, w_gate=base.w_x_in, b_gate=base.b_x_in)
+        params.validate(shape)
+
+        def knock(value, axis):
+            return value[:-1] if axis == 0 else tuple(knock(v, axis - 1) for v in value)
+
+        value = getattr(params, name)
+        for bad in [knock(value, axis) for axis in range(len(dims))] + [(value,)]:
+            with pytest.raises(ShapeMismatch, match=name):
+                dataclasses.replace(params, **{name: bad}).validate(shape)
+
+    @pytest.mark.parametrize("present", [n for n, _ in GATE_SCHEMA])
+    def test_params_validate_rejects_half_gate(self, present):
+        shape = shape_small()
+        base = random_params(shape, seed=0)
+        gated = dataclasses.replace(base, w_gate=base.w_x_in, b_gate=base.b_x_in)
+        half = dataclasses.replace(base, **{present: getattr(gated, present)})
+        with pytest.raises(ShapeMismatch, match="come together"):
+            half.validate(shape)
+
     def test_params_json_round_trip(self):
         shape = shape_small()
         params = random_params(shape, seed=7)
@@ -69,6 +105,47 @@ class TestShapesAndParams:
         assert random_params(shape, seed=3) == random_params(shape, seed=3)
         assert random_params(shape, seed=3) != random_params(shape, seed=4)
         assert random_input(shape, seed=3) == random_input(shape, seed=3)
+
+
+def _zero_model(tmp_path, shape: ShapeConfig) -> MambaParams:
+    path = tmp_path / f"zero_{shape.seq_len}_{shape.d_model}_{shape.d_inner}.json"
+    path.write_text(json.dumps({"shape": shape.to_json_dict(), "params": "zero"}))
+    args = argparse.Namespace(model=str(path), shape=None, seed=0, positive=False)
+    return _load_model(args)[1]
+
+
+class TestParamLayoutPinned:
+    """The parameter builders, pinned by the sha256 of their sorted-key
+    JSON over a few shapes.  A change to the field order, the draw order or
+    a leaf value changes the digest."""
+
+    SHAPES = [(1, 1, 1, 1, 1), (3, 2, 2, 2, 2), (4, 1, 3, 2, 2), (5, 3, 2, 4, 5)]
+
+    @pytest.mark.parametrize(
+        "build,digest",
+        [
+            (lambda s, _: random_params(s, 0),
+             "201617a8612aa6e75080144d61489188ef70301dd50f7d170c3a9044ed69ebd5"),
+            (lambda s, _: random_params(s, 1, positive=True),
+             "2ab6e2558c6e75af46ae8a619a74989e887a0a32d3b82a7ce5c7c0a7700ef07c"),
+            (lambda s, _: random_params(s, 2),
+             "8c29b045df0952d1d5083eba84f286fab26f525967dc2f08a12fe8a6b03a4f37"),
+            (lambda s, _: random_params(s, 2, positive=True),
+             "5a505dacb25bc93da20302244e71ad11d3b02d2c22f5c98c83f33431dcd29fcb"),
+            (lambda s, _: reference_params(s),
+             "020afafc45e08a42ee292cb46e897c4113d6db263db679207b25fdb91e558b60"),
+            (lambda s, tmp: _zero_model(tmp, s),
+             "9ce089575633f246e907f850d0a7d5bef94c6d1a3d65b886d7bbb1dae5c6e5d0"),
+        ],
+        ids=["random-0", "random-1-positive", "random-2", "random-2-positive",
+             "reference", "cli-zero"],
+    )
+    def test_builder_digest(self, tmp_path, build, digest):
+        acc = hashlib.sha256()
+        for dims in self.SHAPES:
+            params = build(ShapeConfig(*dims), tmp_path)
+            acc.update(json.dumps(params.to_json_dict(), sort_keys=True).encode())
+        assert acc.hexdigest() == digest
 
 
 class TestInputProjection:
