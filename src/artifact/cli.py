@@ -93,6 +93,7 @@ from artifact.hardness import (
 from artifact.mamba import (
     MambaParams,
     ShapeConfig,
+    _json_int,
     forward_matrix,
     random_input,
     random_params,
@@ -271,11 +272,10 @@ def _load_model(args: argparse.Namespace) -> tuple[ShapeConfig, MambaParams]:
             shape = ShapeConfig.from_json_dict(obj["shape"])
             params_field = obj.get("params", "random")
             if params_field == "random":
-                params = random_params(
-                    shape,
-                    int(obj.get("seed", args.seed)),
-                    bool(obj.get("positive", False)),
-                )
+                positive = obj.get("positive", False)
+                if not isinstance(positive, bool):
+                    raise ValueError(f"positive must be true or false, not {positive!r}")
+                params = random_params(shape, _json_int(obj.get("seed", args.seed)), positive)
             elif params_field == "zero":
                 params = MambaParams.build(shape, lambda name, index: Fraction(0))
             else:
@@ -424,9 +424,7 @@ def cmd_mamba_depth(args: argparse.Namespace) -> int:
     else:
         shapes = _DEPTH_DEFAULT_SHAPES
     assignment = _parse_assignment(args.assign)
-    report = depth_report(
-        shapes=shapes, p=args.precision, assignment=assignment, strict=False
-    )
+    report = depth_report(shapes=shapes, assignment=assignment, strict=False)
     _dump(report, args.out)
     ok = True
     for comp in report["components"].values():
@@ -695,7 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--full-grid", action="store_true",
         help="use the full L x D x E x n shape grid (slower)",
     )
-    add_precision(dep)
     dep.add_argument("-o", "--out", help="output file (default stdout)")
     dep.set_defaults(func=cmd_mamba_depth)
 

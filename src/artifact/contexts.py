@@ -5,7 +5,8 @@ written once against a small scalar vocabulary and executed under any of
 three contexts: :class:`PBitScalars` rounds every operation to ``p`` bits,
 :class:`ExactScalars` computes exact rationals (the reference semantics the
 p-bit route is measured against), and the tracer in :mod:`artifact.depth`
-replays the same code while recording a cost-annotated dataflow graph.
+replays the same code on node ids, recording a cost-annotated dataflow
+graph and computing no values.
 
 The vocabulary distinguishes flavours that plain value semantics don't care
 about but the cost model does:
@@ -19,6 +20,9 @@ about but the cost model does:
 * ``seq_point`` — a stage barrier separating pipeline phases.
 
 In the value contexts the structural extras are identities/no-ops.
+``guard_small`` is the one method that reads a value: the value contexts
+compare it with their threshold, and the tracer always answers ``False``,
+tracing the general branch.
 """
 
 from __future__ import annotations
@@ -120,17 +124,11 @@ class ScalarContext(ABC, Generic[V]):
     def seq_point(self, xs: Sequence[V]) -> None:
         """Stage barrier; a no-op outside the tracer."""
 
-    # --------------------------------------------------------- inspection
+    # -------------------------------------------------------- control flow
     @abstractmethod
-    def to_fraction(self, a: V) -> Fraction: ...
-
-    @abstractmethod
-    def singularity_threshold(self) -> Fraction:
-        """Magnitude below which the discretization takes its small branch."""
-
     def guard_small(self, a: V) -> bool:
-        """Control-flow test ``|a| < threshold``; never a traced event."""
-        return abs(self.to_fraction(a)) < self.singularity_threshold()
+        """Whether ``|a|`` is below the magnitude at which the
+        discretization takes its small branch; never a traced event."""
 
 
 class PBitScalars(ScalarContext[FpNumber]):
@@ -181,11 +179,8 @@ class PBitScalars(ScalarContext[FpNumber]):
     def silu(self, a):
         return silu_fp(a, self.taylor)
 
-    def to_fraction(self, a):
-        return a.to_fraction()
-
-    def singularity_threshold(self) -> Fraction:
-        return Fraction(1, 1 << (self.p // 2))
+    def guard_small(self, a):
+        return abs(a.to_fraction()) < Fraction(1, 1 << (self.p // 2))
 
 
 class ExactScalars(ScalarContext[Fraction]):
@@ -244,8 +239,5 @@ class ExactScalars(ScalarContext[Fraction]):
     def silu(self, a):
         return self._elem(silu_fp, a)
 
-    def to_fraction(self, a):
-        return a
-
-    def singularity_threshold(self) -> Fraction:
-        return Fraction(1, 1 << (self.ref_p // 2))
+    def guard_small(self, a):
+        return abs(a) < Fraction(1, 1 << (self.ref_p // 2))

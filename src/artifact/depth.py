@@ -9,9 +9,13 @@ block), and ``d_dup`` (a broadcast, default weight zero — wiring, not
 gates).  ``d_log`` and ``d_sp`` are composite constants defined by the
 formula registry in terms of the base set.
 
-:class:`TracedScalars` is an evaluation context that both computes real
-p-bit values and records every operation as a node in a :class:`CostTrace`
-DAG.  The critical-path depth of a trace is a :class:`DepthExpr` — a
+:class:`TracedScalars` is an evaluation context that records structure
+only: it runs the model code on node ids, computes no values, and records
+every operation as a node in a :class:`CostTrace` DAG.  Value-dependent
+control flow takes the general branch (the discretization is traced on
+its full schedule), so a trace, and every depth in :func:`depth_report`,
+depends on the shape alone, never on values or precision.  The
+critical-path depth of a trace is a :class:`DepthExpr` — a
 nonnegative integer combination of the constants — computed by carrying a
 Pareto frontier of incomparable path sums through the DAG (two symbolic
 sums are comparable only coefficient-wise, since the constants may take
@@ -37,7 +41,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from artifact.contexts import PBitScalars, ScalarContext
+from artifact.contexts import ScalarContext
 from artifact.mamba import (
     MambaParams,
     ShapeConfig,
@@ -67,7 +71,6 @@ __all__ = [
     "DepthExpr",
     "TraceNode",
     "TracedScalars",
-    "TracedValue",
     "Verdict",
     "check_depth",
     "component_names",
@@ -216,8 +219,9 @@ def _frontier(exprs: Iterable[DepthExpr]) -> tuple[DepthExpr, ...]:
 
 @dataclass(frozen=True, slots=True)
 class TraceNode:
-    """One event (or leaf) in a trace: a label for humans, the depth
-    constant it costs (``None`` for leaves), and predecessor ids."""
+    """One event, leaf or stage barrier in a trace: a label for humans, the
+    depth constant it costs (``None`` for leaves and barriers), and
+    predecessor ids."""
 
     id: int
     label: str
@@ -398,105 +402,86 @@ def check_depth(traced: DepthExpr, formula: DepthExpr) -> DepthCheck:
 # -------------------------------------------------------------- the tracer
 
 
-class TracedValue:
-    """A p-bit value together with the id of the node that produced it."""
+class TracedScalars(ScalarContext[int]):
+    """Records the event DAG of a computation and computes no values.
 
-    __slots__ = ("value", "node")
+    A traced value is the id of the node that produced it; ``input`` and
+    ``const`` ignore their argument and emit a leaf.  :meth:`guard_small`
+    always answers ``False``, so the discretization is traced on its
+    general branch, the schedule ``d_disc`` counts: a trace, and every
+    depth read from it, depends on the shape alone.
 
-    def __init__(self, value, node: int):
-        self.value = value
-        self.node = node
-
-
-class TracedScalars(ScalarContext[TracedValue]):
-    """Computes p-bit values while recording the event DAG.
-
-    Stage barriers (:meth:`seq_point`) add their member nodes as
-    predecessors of every subsequently recorded event, serializing
-    pipeline phases the way the depth formulas count them.
+    A stage barrier (:meth:`seq_point`) is one zero-cost node whose
+    predecessors are the stage's members; every later event takes it as a
+    predecessor, serializing pipeline phases the way the depth formulas
+    count them.  A new barrier replaces the previous one.
     """
 
-    def __init__(self, p: int = 16) -> None:
-        self._inner = PBitScalars(p)
+    def __init__(self) -> None:
         self._nodes: list[TraceNode] = []
         self._barrier: tuple[int, ...] = ()
 
     # ------------------------------------------------------ trace plumbing
     def _emit(self, label: str, cost: str | None, preds: Sequence[int]) -> int:
         node = TraceNode(
-            len(self._nodes), label, cost, tuple(dict.fromkeys(list(preds) + list(self._barrier)))
+            len(self._nodes), label, cost, tuple(dict.fromkeys((*preds, *self._barrier)))
         )
         self._nodes.append(node)
         return node.id
 
-    def _leaf(self, label: str, value, preds: Sequence[int] = ()) -> TracedValue:
-        return TracedValue(value, self._emit(label, None, preds))
-
-    def trace(self, outputs: Sequence[TracedValue] = ()) -> CostTrace:
-        return CostTrace(list(self._nodes), [v.node for v in outputs])
+    def trace(self, outputs: Sequence[int] = ()) -> CostTrace:
+        return CostTrace(list(self._nodes), outputs)
 
     # --------------------------------------------------------------- leaves
-    def input(self, q: Fraction) -> TracedValue:
-        return self._leaf("input", self._inner.input(q))
+    def input(self, q: Fraction) -> int:
+        return self._emit("input", None, ())
 
-    def const(self, q: Fraction) -> TracedValue:
-        return self._leaf("const", self._inner.const(q))
+    def const(self, q: Fraction) -> int:
+        return self._emit("const", None, ())
 
-    def const_mul(self, a: TracedValue, b: TracedValue) -> TracedValue:
+    def const_mul(self, a: int, b: int) -> int:
         # A parameter-parameter product is constant folding, not a gate.
-        return self._leaf("const_mul", self._inner.mul(a.value, b.value), (a.node, b.node))
+        return self._emit("const_mul", None, (a, b))
 
-    def reinject(self, a: TracedValue) -> TracedValue:
+    def reinject(self, a: int) -> int:
         # Carried state re-enters as a fresh level-zero leaf.
-        return self._leaf("reinject", a.value)
+        return self._emit("reinject", None, ())
 
     # --------------------------------------------------------------- events
-    def add(self, a: TracedValue, b: TracedValue) -> TracedValue:
-        return TracedValue(
-            self._inner.add(a.value, b.value), self._emit("add", "d_std", (a.node, b.node))
-        )
+    def add(self, a: int, b: int) -> int:
+        return self._emit("add", "d_std", (a, b))
 
-    def mul(self, a: TracedValue, b: TracedValue) -> TracedValue:
-        return TracedValue(
-            self._inner.mul(a.value, b.value), self._emit("mul", "d_std", (a.node, b.node))
-        )
+    def mul(self, a: int, b: int) -> int:
+        return self._emit("mul", "d_std", (a, b))
 
-    def div(self, a: TracedValue, b: TracedValue) -> TracedValue:
-        return TracedValue(
-            self._inner.div(a.value, b.value), self._emit("div", "d_std", (a.node, b.node))
-        )
+    def div(self, a: int, b: int) -> int:
+        return self._emit("div", "d_std", (a, b))
 
-    def floor(self, a: TracedValue) -> TracedValue:
-        return TracedValue(self._inner.floor(a.value), self._emit("floor", "d_std", (a.node,)))
+    def floor(self, a: int) -> int:
+        return self._emit("floor", "d_std", (a,))
 
-    def index(self, a: TracedValue) -> TracedValue:
-        return TracedValue(a.value, self._emit("index", "d_std", (a.node,)))
+    def index(self, a: int) -> int:
+        return self._emit("index", "d_std", (a,))
 
-    def dup(self, a: TracedValue) -> TracedValue:
-        return TracedValue(a.value, self._emit("dup", "d_dup", (a.node,)))
+    def dup(self, a: int) -> int:
+        return self._emit("dup", "d_dup", (a,))
 
-    def iter_add(self, xs: Sequence[TracedValue]) -> TracedValue:
-        return TracedValue(
-            self._inner.iter_add([x.value for x in xs]),
-            self._emit("iter_add", "d_oplus", [x.node for x in xs]),
-        )
+    def iter_add(self, xs: Sequence[int]) -> int:
+        return self._emit("iter_add", "d_oplus", xs)
 
-    def iter_mul(self, xs: Sequence[TracedValue]) -> TracedValue:
-        return TracedValue(
-            self._inner.iter_mul([x.value for x in xs]),
-            self._emit("iter_mul", "d_otimes", [x.node for x in xs]),
-        )
+    def iter_mul(self, xs: Sequence[int]) -> int:
+        return self._emit("iter_mul", "d_otimes", xs)
 
-    def exp(self, a: TracedValue) -> TracedValue:
-        return TracedValue(self._inner.exp(a.value), self._emit("exp", "d_exp", (a.node,)))
+    def exp(self, a: int) -> int:
+        return self._emit("exp", "d_exp", (a,))
 
-    def sqrt(self, a: TracedValue) -> TracedValue:
-        return TracedValue(self._inner.sqrt(a.value), self._emit("sqrt", "d_sqrt", (a.node,)))
+    def sqrt(self, a: int) -> int:
+        return self._emit("sqrt", "d_sqrt", (a,))
 
     # ------------------------------------------------- composite schedules
     _SERIES_TERMS = 3  # representative; all terms share one level
 
-    def _log_schedule(self, pred: int) -> int:
+    def _log_schedule(self, a: int) -> int:
         """The reference logarithm schedule; returns the final node id.
 
         Shift and scale extraction in parallel (std), the argument series
@@ -504,8 +489,8 @@ class TracedScalars(ScalarContext[TracedValue]):
         constant series (same two levels), the scale product, the final
         add: critical path 3*d_std + 2*d_otimes + 2*d_oplus.
         """
-        u = self._emit("log_shift", "d_std", (pred,))
-        k = self._emit("log_scale", "d_std", (pred,))
+        u = self._emit("log_shift", "d_std", (a,))
+        k = self._emit("log_scale", "d_std", (a,))
         terms = [
             self._emit("log_series_term", "d_otimes", (u,))
             for _ in range(self._SERIES_TERMS)
@@ -521,44 +506,33 @@ class TracedScalars(ScalarContext[TracedValue]):
         scaled = self._emit("log_scale_mul", "d_std", (k, cseries))
         return self._emit("log_combine", "d_std", (series, scaled))
 
-    def log(self, a: TracedValue) -> TracedValue:
-        return TracedValue(self._inner.log(a.value), self._log_schedule(a.node))
+    def log(self, a: int) -> int:
+        return self._log_schedule(a)
 
-    def softplus(self, a: TracedValue) -> TracedValue:
-        e = self._emit("exp", "d_exp", (a.node,))
+    def softplus(self, a: int) -> int:
+        e = self._emit("exp", "d_exp", (a,))
         one = self._emit("const", None, ())
-        shifted = self._emit("add", "d_std", (e, one))
-        return TracedValue(self._inner.softplus(a.value), self._log_schedule(shifted))
+        return self._log_schedule(self._emit("add", "d_std", (e, one)))
 
-    def sigmoid(self, a: TracedValue) -> TracedValue:
-        e = self._emit("exp", "d_exp", (a.node,))
-        return TracedValue(
-            self._inner.sigmoid(a.value), self._emit("sigmoid_combine", "d_std", (e, a.node))
-        )
+    def sigmoid(self, a: int) -> int:
+        return self._emit("sigmoid_combine", "d_std", (self._emit("exp", "d_exp", (a,)), a))
 
-    def silu(self, a: TracedValue) -> TracedValue:
-        e = self._emit("exp", "d_exp", (a.node,))
-        return TracedValue(
-            self._inner.silu(a.value), self._emit("silu_combine", "d_std", (e, a.node))
-        )
+    def silu(self, a: int) -> int:
+        return self._emit("silu_combine", "d_std", (self._emit("exp", "d_exp", (a,)), a))
 
     # ----------------------------------------------------- control features
-    def seq_point(self, xs: Sequence[TracedValue]) -> None:
-        self._barrier = tuple(x.node for x in xs)
+    def seq_point(self, xs: Sequence[int]) -> None:
+        # The barrier's preds are exactly the members, not the last barrier.
+        self._barrier = ()
+        self._barrier = (self._emit("barrier", None, xs),)
 
-    def to_fraction(self, a: TracedValue) -> Fraction:
-        return self._inner.to_fraction(a.value)
-
-    def singularity_threshold(self) -> Fraction:
-        return self._inner.singularity_threshold()
-
-    def guard_small(self, a: TracedValue) -> bool:
-        # Control flow, untraced.
-        return self._inner.guard_small(a.value)
+    def guard_small(self, a: int) -> bool:
+        # Structure only: always the general branch.
+        return False
 
 
-def _collect_values(obj: Any, into: list[TracedValue]) -> None:
-    if isinstance(obj, TracedValue):
+def _collect_values(obj: Any, into: list[int]) -> None:
+    if isinstance(obj, int):
         into.append(obj)
     elif isinstance(obj, SsmDiscrete):
         for part in (obj.a_bar, obj.b_bar, obj.c_bar, obj.delta):
@@ -568,12 +542,12 @@ def _collect_values(obj: Any, into: list[TracedValue]) -> None:
             _collect_values(item, into)
 
 
-def trace_run(fn: Callable[[TracedScalars], Any], p: int = 16) -> CostTrace:
+def trace_run(fn: Callable[[TracedScalars], Any]) -> CostTrace:
     """Run ``fn`` under a fresh tracing context and return its trace, with
-    every traced value in the function's result marked as an output."""
-    ctx = TracedScalars(p)
+    every node id in the function's result marked as an output."""
+    ctx = TracedScalars()
     result = fn(ctx)
-    outs: list[TracedValue] = []
+    outs: list[int] = []
     _collect_values(result, outs)
     return ctx.trace(outs)
 
@@ -728,13 +702,13 @@ def component_names() -> tuple[str, ...]:
     return tuple(_BUILDERS)
 
 
-def trace_component(name: str, shape: ShapeConfig, p: int = 16) -> CostTrace:
-    """Trace one component on deterministic guard-free inputs."""
+def trace_component(name: str, shape: ShapeConfig) -> CostTrace:
+    """Trace one component at one shape."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise ValueError(f"unknown component {name!r}") from None
-    return trace_run(lambda ctx: builder(ctx, shape), p)
+    return trace_run(lambda ctx: builder(ctx, shape))
 
 
 def default_shape_grid() -> list[ShapeConfig]:
@@ -751,7 +725,6 @@ def default_shape_grid() -> list[ShapeConfig]:
 
 def depth_report(
     shapes: Sequence[ShapeConfig] | None = None,
-    p: int = 16,
     assignment: Mapping[str, int] | None = None,
     strict: bool = True,
 ) -> dict:
@@ -774,7 +747,7 @@ def depth_report(
     }
     traced_mamba: DepthExpr | None = None
     for name in component_names():
-        depths = [trace_component(name, shape, p).critical_depth() for shape in grid]
+        depths = [trace_component(name, shape).critical_depth() for shape in grid]
         identical = all(d == depths[0] for d in depths)
         if strict and not identical:
             raise ValueError(f"component {name} depth varies across shapes")

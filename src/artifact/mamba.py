@@ -378,8 +378,9 @@ def discretize(ctx: ScalarContext, a_diag, b, c, delta) -> SsmDiscrete:
 
     ``a_bar_i = exp(delta * a_i)`` and ``b_bar[i,k] = ((exp(delta * a_i) -
     1) / (delta * a_i)) * delta * b[i,k]``, except that rows whose
-    ``|delta * a_i|`` falls below the singularity threshold use the limit
-    form ``delta * b[i,k]``.  The evaluation is staged serially — products,
+    ``|delta * a_i|`` falls below the context's singularity threshold
+    (``ctx.guard_small``; never for the tracer) use the limit form
+    ``delta * b[i,k]``.  The evaluation is staged serially — products,
     first exponential, reciprocal, a *recomputed* exponential, shift,
     ratio, product, aggregation — with barriers between the stages.
     """

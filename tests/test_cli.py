@@ -231,9 +231,13 @@ class TestModelFiles:
             lambda m: m["params"].update(w_delta_scalar={"n": True, "d": 2}),
             lambda m: m["shape"].update(seq_len=1.5),
             lambda m: m["shape"].update(seq_len=True),
+            lambda m: m.update(params="random", seed=1.9),
+            lambda m: m.update(params="random", seed=True),
+            lambda m: m.update(params="random", positive="false"),
         ],
         ids=["shape-list", "zero-denominator", "float-numerator", "bool-numerator",
-             "float-shape", "bool-shape"],
+             "float-shape", "bool-shape", "random-float-seed", "random-bool-seed",
+             "random-string-positive"],
     )
     def test_malformed_model_exits_two(self, tmp_path, capsys, mutate):
         model = _explicit_model()

@@ -7,15 +7,18 @@ dict arithmetic so a registry typo cannot vouch for itself.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from artifact.contexts import PBitScalars
+from artifact import floats
 from artifact.depth import (
     COMPONENT_REGISTRY_KEYS,
     CostTrace,
     CycleDetected,
+    DEFAULT_ASSIGNMENT,
     DepthExpr,
     TraceNode,
     TracedScalars,
@@ -29,7 +32,7 @@ from artifact.depth import (
     trace_component,
     trace_run,
 )
-from artifact.mamba import ShapeConfig
+from artifact.mamba import ShapeConfig, discretize
 
 F = Fraction
 
@@ -134,7 +137,7 @@ class TestCostTrace:
         def run(ctx):
             return ctx.add(ctx.input(F(1)), ctx.input(F(2)))
 
-        trace = trace_run(run, p=8)
+        trace = trace_run(run)
         assert trace.size == 1
         assert critical_depth(trace) == expr(d_std=1)
 
@@ -142,7 +145,7 @@ class TestCostTrace:
         def run(ctx):
             return ctx.iter_add([ctx.input(F(i + 1, 64)) for i in range(100)])
 
-        trace = trace_run(run, p=8)
+        trace = trace_run(run)
         assert trace.size == 1
         assert trace.critical_depth() == expr(d_oplus=1)
 
@@ -153,7 +156,7 @@ class TestCostTrace:
                 v = ctx.add(v, v)
             return v
 
-        assert trace_run(chain, 8).critical_depth() == expr(d_std=3)
+        assert trace_run(chain).critical_depth() == expr(d_std=3)
 
         def parallel(ctx):
             return [
@@ -161,7 +164,7 @@ class TestCostTrace:
                 ctx.mul(ctx.input(F(3, 4)), ctx.input(F(1, 8))),
             ]
 
-        assert trace_run(parallel, 8).critical_depth() == expr(d_std=1)
+        assert trace_run(parallel).critical_depth() == expr(d_std=1)
 
     def test_matmul_critical_path(self):
         """Products in parallel, one aggregation per entry: d_std+d_oplus."""
@@ -177,7 +180,7 @@ class TestCostTrace:
                 for i in range(4)
             ]
 
-        trace = trace_run(run, p=16)
+        trace = trace_run(run)
         assert trace.critical_depth() == expr(d_std=1, d_oplus=1)
         assert trace.size == 4 * 4 * 4 + 16
 
@@ -185,7 +188,7 @@ class TestCostTrace:
         def run(ctx):
             return ctx.mul(ctx.input(F(1, 2)), ctx.input(F(1, 2)))
 
-        trace = trace_run(run, p=8)
+        trace = trace_run(run)
         assert len(trace.outputs) == 1
         assert trace.nodes[trace.outputs[0]].cost == "d_std"
 
@@ -237,7 +240,7 @@ class TestCostTrace:
             # Data-independent of `a`, but in the next stage.
             return ctx.mul(ctx.input(F(3, 4)), ctx.input(F(3, 4)))
 
-        assert trace_run(run, 8).critical_depth() == expr(d_std=2)
+        assert trace_run(run).critical_depth() == expr(d_std=2)
 
 
 class TestCheckDepth:
@@ -260,24 +263,52 @@ class TestCheckDepth:
         assert check_depth(reg["d_log"], expr(d_log=1)).verdict is Verdict.WITHIN_BOUND
 
 
-class TestTracedValues:
-    def test_traced_values_match_untraced_context(self):
-        """Tracing must not change any computed value."""
-        plain = PBitScalars(16)
-        traced = TracedScalars(16)
-        for q in (F(5, 8), F(3, 2), F(7, 16)):
-            for op in ("exp", "log", "sqrt", "softplus", "sigmoid", "silu"):
-                want = getattr(plain, op)(plain.input(q))
-                got = getattr(traced, op)(traced.input(q)).value
-                assert got == want, op
-        a, b = plain.input(F(5, 8)), plain.input(F(3, 2))
-        ta, tb = traced.input(F(5, 8)), traced.input(F(3, 2))
-        assert traced.add(ta, tb).value == plain.add(a, b)
-        assert traced.div(ta, tb).value == plain.div(a, b)
-        assert traced.iter_add([ta, tb, ta]).value == plain.iter_add([a, b, a])
-        assert traced.const_mul(ta, tb).value == plain.mul(a, b)
-        assert traced.index(ta).value is ta.value
-        assert traced.guard_small(traced.input(F(1, 1 << 12)))
+class TestStructureOnlyTracer:
+    """The tracer records structure: no values, no precision, one barrier
+    node per stage."""
+
+    def test_small_rows_trace_the_general_branch(self):
+        """|delta * a| = 2^-10 is below the p=16 guard threshold 2^-8, yet
+        the row is traced on the full discretization schedule."""
+
+        def run(ctx):
+            a = [ctx.input(F(-1, 1 << 9))]
+            b = [[ctx.input(F(1, 2)), ctx.input(F(3, 4))]]
+            c = [[ctx.input(F(1, 2))], [ctx.input(F(1, 4))]]
+            return discretize(ctx, a, b, c, ctx.input(F(1, 2)))
+
+        assert trace_run(run).critical_depth() == formula_registry()["d_disc"]
+
+    def test_one_barrier_node_per_stage(self, monkeypatch):
+        added = []
+        seq_point = TracedScalars.seq_point
+
+        def recording(ctx, xs):
+            before = len(ctx.trace().nodes)
+            seq_point(ctx, xs)
+            added.append((list(xs), ctx.trace().nodes[before:]))
+
+        monkeypatch.setattr(TracedScalars, "seq_point", recording)
+        trace = trace_component("mamba_forward_convolution", ShapeConfig(4, 2, 2, 2, 2))
+        assert added
+        for members, new in added:
+            assert [(n.label, n.cost) for n in new] == [("barrier", None)]
+            # Exactly the members: the barrier replaces, not chains, the last one.
+            assert new[0].preds == tuple(dict.fromkeys(members))
+        barriers = {n.id for n in trace.nodes if n.label == "barrier"}
+        assert len(barriers) == len(added)
+        assert all(sum(q in barriers for q in n.preds) <= 1 for n in trace.nodes)
+
+    def test_tracing_does_no_arithmetic(self, monkeypatch):
+        shape = ShapeConfig(2, 2, 2, 2, 2)
+        want = trace_component("mamba_forward_convolution", shape)
+
+        def refuse(*args):
+            raise AssertionError("the tracer rounded a value")
+
+        monkeypatch.setattr(floats, "round_scaled", refuse)
+        got = trace_component("mamba_forward_convolution", shape)
+        assert got.nodes == want.nodes and got.outputs == want.outputs
 
 
 class TestComponentTraces:
@@ -346,3 +377,23 @@ class TestDepthReport:
         assert {s.d_inner for s in grid} == {1, 2, 3}
         assert {s.d_state for s in grid} == {1, 2, 3}
         assert len(grid) == 4 * 27
+
+
+class TestDepthReportPinned:
+    """The report bytes, pinned by the sha256 of its sorted-key JSON over
+    the CLI's three default shapes plus a long one."""
+
+    SHAPES = [(1, 1, 1, 1, 1), (2, 2, 2, 2, 2), (4, 3, 3, 3, 2), (16, 2, 2, 2, 2)]
+
+    @pytest.mark.parametrize(
+        "assignment,digest",
+        [
+            (None, "b1c41324fbcc47569bee5e0d09d0db5e7f33e756783a0369ba52c1f54310ab82"),
+            (dict.fromkeys(DEFAULT_ASSIGNMENT, 1),
+             "c243f9c395ff09abcb5bf1de2c4b4ba136f5f7fccc44fdffb5e1b3fd925d8b81"),
+        ],
+        ids=["default", "all-1"],
+    )
+    def test_report_digest(self, assignment, digest):
+        report = depth_report(shapes=[ShapeConfig(*s) for s in self.SHAPES], assignment=assignment)
+        assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
