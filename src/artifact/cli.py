@@ -46,7 +46,7 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from artifact.circuits import (
     Circuit,
@@ -111,6 +111,15 @@ log = logging.getLogger("artifact.cli")
 
 class CliUsageError(ValueError):
     """Bad arguments or malformed input files (exit code 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises :class:`CliUsageError` instead of
+    printing usage and exiting, so bad arguments follow the one-line exit-2
+    contract.  ``--help`` still prints usage and exits 0."""
+
+    def error(self, message: str) -> NoReturn:
+        raise CliUsageError(f"{self.prog}: {message}")
 
 
 # ------------------------------------------------------------- fp command
@@ -400,6 +409,8 @@ def _parse_assignment(text: str | None) -> dict[str, int]:
             value = int(raw)
         except ValueError:
             raise CliUsageError(f"bad --assign entry {item!r}") from None
+        if value < 0:
+            raise CliUsageError(f"--assign weights must be nonnegative: {item!r}")
         if name == "all":
             assignment = {key: value for key in assignment}
         elif name in assignment:
@@ -629,7 +640,7 @@ def cmd_hardness_barrington(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="artifact",
         description="p-bit float workbench: scalar model, state-space block, "
         "depth calculus, circuit synthesis, hardness corpora.",
@@ -795,10 +806,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     if os.environ.get("ARTIFACT_LOG", "").lower() == "debug":
         logging.basicConfig(level=logging.DEBUG)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    log.debug("dispatch %s", args.command)
     try:
+        args = build_parser().parse_args(argv)
+        log.debug("dispatch %s", args.command)
         return args.func(args)
     except (FpError, NegativeInput, NonPositiveInput) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

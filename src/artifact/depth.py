@@ -16,10 +16,13 @@ control flow takes the general branch (the discretization is traced on
 its full schedule), so a trace, and every depth in :func:`depth_report`,
 depends on the shape alone, never on values or precision.  The
 critical-path depth of a trace is a :class:`DepthExpr` — a
-nonnegative integer combination of the constants — computed by carrying a
-Pareto frontier of incomparable path sums through the DAG (two symbolic
-sums are comparable only coefficient-wise, since the constants may take
-any positive weights).
+nonnegative integer combination of the constants.  It is the top of a
+Pareto frontier of incomparable path sums (two symbolic sums are
+comparable only coefficient-wise, since the constants may take any
+nonnegative weights).  The frontier is computed as each node is appended
+to the trace, on path sums held as tuples of ints indexed like
+``BASE_CONSTANTS``; :class:`DepthExpr` objects are built only when a
+frontier or depth is read.
 
 The elementary functions are traced on their *reference schedules*: the
 logarithm as two parallel standard levels (shift and scale), an iterated
@@ -38,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import add, le
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -207,16 +211,6 @@ class DepthExpr:
         return " + ".join(parts)
 
 
-def _frontier(exprs: Iterable[DepthExpr]) -> tuple[DepthExpr, ...]:
-    """Pareto maxima of a family of depth expressions."""
-    uniq = list(dict.fromkeys(exprs))
-    out = []
-    for e in uniq:
-        if not any(other is not e and e <= other for other in uniq):
-            out.append(e)
-    return tuple(out)
-
-
 @dataclass(frozen=True, slots=True)
 class TraceNode:
     """One event, leaf or stage barrier in a trace: a label for humans, the
@@ -229,49 +223,136 @@ class TraceNode:
     preds: tuple[int, ...]
 
 
-class CostTrace:
-    """An acyclic event DAG with marked outputs.
+#: A path sum as a vector of coefficients indexed like ``BASE_CONSTANTS``.
+_Sum = tuple[int, ...]
+_ORIGIN: tuple[_Sum, ...] = ((0,) * len(BASE_CONSTANTS),)
+#: The unit vector each event cost adds to a path sum.
+_STEPS: dict[str, _Sum] = {
+    name: tuple(int(i == k) for i in range(len(BASE_CONSTANTS)))
+    for k, name in enumerate(BASE_CONSTANTS)
+}
 
-    Nodes must list predecessors with smaller ids (sequence order); the
-    constructor raises :class:`CycleDetected` otherwise.  ``size`` counts
+
+def _maxima(sums: Iterable[_Sum]) -> tuple[_Sum, ...]:
+    """Pareto maxima of path sums, deduplicated, in first-occurrence order."""
+    uniq = list(dict.fromkeys(sums))
+    return tuple(
+        s for s in uniq if not any(s is not t and all(map(le, s, t)) for t in uniq)
+    )
+
+
+def _expr(s: _Sum) -> DepthExpr:
+    return DepthExpr(tuple(sorted((k, c) for k, c in zip(BASE_CONSTANTS, s) if c)))
+
+
+class CostTrace:
+    """An acyclic event DAG with marked outputs, and the Pareto frontier of
+    path sums ending at each node.
+
+    A path sum is a tuple of ints indexed like ``BASE_CONSTANTS``.
+    :meth:`append` is the one way a node enters a trace: it checks the id
+    (dense, in order) and the predecessors (smaller ids, else
+    :class:`CycleDetected`), then computes the node's frontier once.  A
+    node without predecessors starts at zero, one predecessor's frontier is
+    reused as is, several are deduplicated and cut to their Pareto maxima,
+    and a cost-bearing node adds one to its constant's coordinate.  The
+    frontier of the whole trace is kept up to date the same way, so the
+    critical depth costs nothing once the last node is in.
+
+    Each distinct frontier is stored once and a node holds its index.
+    Merges and bumps are memoized on those indices, so once a trace has met
+    its few distinct frontiers a node costs a few dictionary lookups.  Path
+    sums become :class:`DepthExpr` only when read.  ``size`` counts
     cost-bearing events only.
     """
 
-    def __init__(self, nodes: Sequence[TraceNode], outputs: Sequence[int] = ()):
-        for i, node in enumerate(nodes):
-            if node.id != i:
-                raise ValueError("node ids must be dense and in order")
-            if any(q >= i for q in node.preds):
-                raise CycleDetected(f"node {i} depends on a later node")
-            if node.cost is not None and node.cost not in BASE_CONSTANTS:
-                raise ValueError(f"unknown event cost {node.cost!r}")
-        self.nodes: tuple[TraceNode, ...] = tuple(nodes)
+    def __init__(self, nodes: Iterable[TraceNode] = (), outputs: Sequence[int] = ()):
+        self._nodes: list[TraceNode] = []
+        self._fronts: list[int] = []  # per node, an index into _frontiers
+        self._frontiers: list[tuple[_Sum, ...]] = [_ORIGIN]
+        self._index: dict[tuple[_Sum, ...], int] = {_ORIGIN: 0}
+        self._merged: dict[tuple[int, ...], int] = {}
+        self._bumped: dict[tuple[int, str], int] = {}
+        self._critical: tuple[_Sum, ...] = _ORIGIN
         self.outputs: tuple[int, ...] = tuple(outputs)
+        for node in nodes:
+            self.append(node)
+
+    def _intern(self, front: tuple[_Sum, ...]) -> int:
+        f = self._index.setdefault(front, len(self._frontiers))
+        if f == len(self._frontiers):
+            # Every frontier a node can have is in the table, so only a new
+            # entry can move the critical frontier.
+            self._frontiers.append(front)
+            self._critical = _maxima([*self._critical, *front])
+        return f
+
+    def append(self, node: TraceNode) -> None:
+        """Add ``node``, which must carry the next id, and its frontier."""
+        i = len(self._nodes)
+        if node.id != i:
+            raise ValueError("node ids must be dense and in order")
+        preds = node.preds
+        if preds and max(preds) >= i:
+            raise CycleDetected(f"node {i} depends on a later node")
+        if preds and min(preds) < 0:
+            raise ValueError(f"node {i} has a negative predecessor id")
+        f = self._merge(tuple(dict.fromkeys(map(self._fronts.__getitem__, preds))))
+        if node.cost is not None:
+            f = self._bump(f, node.cost)
+        self._nodes.append(node)
+        self._fronts.append(f)
+
+    def _merge(self, key: tuple[int, ...]) -> int:
+        """The frontier index of a node whose predecessors' distinct
+        frontiers are ``key``."""
+        if len(key) < 2:
+            return key[0] if key else 0
+        f = self._merged.get(key)
+        if f is None:
+            sums = [s for g in key for s in self._frontiers[g]]
+            f = self._merged[key] = self._intern(_maxima(sums))
+        return f
+
+    def _bump(self, f: int, cost: str) -> int:
+        """The frontier index after an event of ``cost`` on frontier ``f``."""
+        g = self._bumped.get((f, cost))
+        if g is None:
+            step = _STEPS.get(cost)
+            if step is None:
+                raise ValueError(f"unknown event cost {cost!r}")
+            front = tuple([tuple(map(add, s, step)) for s in self._frontiers[f]])
+            g = self._bumped[f, cost] = self._intern(front)
+        return g
+
+    def _with_outputs(self, outputs: Sequence[int]) -> "CostTrace":
+        """A copy of this trace, frontiers included, with ``outputs`` marked."""
+        twin = CostTrace(outputs=outputs)
+        twin._nodes, twin._fronts = self._nodes.copy(), self._fronts.copy()
+        twin._frontiers, twin._index = self._frontiers.copy(), self._index.copy()
+        twin._merged, twin._bumped = self._merged.copy(), self._bumped.copy()
+        twin._critical = self._critical
+        return twin
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    @property
+    def nodes(self) -> tuple[TraceNode, ...]:
+        return tuple(self._nodes)
 
     @property
     def size(self) -> int:
-        return sum(1 for n in self.nodes if n.cost is not None)
+        return sum(1 for n in self._nodes if n.cost is not None)
 
     def depth_frontiers(self) -> list[tuple[DepthExpr, ...]]:
         """Per-node Pareto frontier of path sums ending at the node."""
-        fronts: list[tuple[DepthExpr, ...]] = []
-        for node in self.nodes:
-            incoming: list[DepthExpr] = [DepthExpr.zero()]
-            for q in node.preds:
-                incoming.extend(fronts[q])
-            base = _frontier(incoming)
-            if node.cost is not None:
-                step = DepthExpr.single(node.cost)
-                base = tuple(e + step for e in base)
-            fronts.append(base)
-        return fronts
+        exprs = [tuple(map(_expr, front)) for front in self._frontiers]
+        return [exprs[f] for f in self._fronts]
 
     def critical_frontier(self) -> tuple[DepthExpr, ...]:
-        fronts = self.depth_frontiers()
-        every: list[DepthExpr] = [DepthExpr.zero()]
-        for f in fronts:
-            every.extend(f)
-        return _frontier(every)
+        """Pareto frontier of every path sum in the trace."""
+        return tuple(map(_expr, self._critical))
 
     def critical_depth(self) -> DepthExpr:
         """The unique maximal path sum.
@@ -414,23 +495,25 @@ class TracedScalars(ScalarContext[int]):
     A stage barrier (:meth:`seq_point`) is one zero-cost node whose
     predecessors are the stage's members; every later event takes it as a
     predecessor, serializing pipeline phases the way the depth formulas
-    count them.  A new barrier replaces the previous one.
+    count them.  A new barrier replaces the previous one.  Every node goes
+    through :meth:`CostTrace.append` as it is emitted, so the frontiers are
+    ready when tracing ends.
     """
 
     def __init__(self) -> None:
-        self._nodes: list[TraceNode] = []
+        self._trace = CostTrace()
         self._barrier: tuple[int, ...] = ()
 
     # ------------------------------------------------------ trace plumbing
     def _emit(self, label: str, cost: str | None, preds: Sequence[int]) -> int:
-        node = TraceNode(
-            len(self._nodes), label, cost, tuple(dict.fromkeys((*preds, *self._barrier)))
+        i = len(self._trace)
+        self._trace.append(
+            TraceNode(i, label, cost, tuple(dict.fromkeys((*preds, *self._barrier))))
         )
-        self._nodes.append(node)
-        return node.id
+        return i
 
     def trace(self, outputs: Sequence[int] = ()) -> CostTrace:
-        return CostTrace(list(self._nodes), outputs)
+        return self._trace._with_outputs(outputs)
 
     # --------------------------------------------------------------- leaves
     def input(self, q: Fraction) -> int:

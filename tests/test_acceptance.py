@@ -15,6 +15,8 @@ agreement with independent oracles plus corpus reproducibility.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -261,7 +263,8 @@ class TestAcceptance:
 
     def test_criterion_4_constant_depth_across_shapes(self):
         """Symbolic critical depth of every component and of the full block
-        is identical over the grid L in {1,2,4,8}, D,E,n in {1,2,3}."""
+        is identical over the grid L in {1,2,4,8}, D,E,n in {1,2,3}; the
+        report's bytes are pinned by the sha256 of its sorted-key JSON."""
         t0 = time.perf_counter()
         shapes = default_shape_grid()
         assert len(shapes) == 108
@@ -271,6 +274,8 @@ class TestAcceptance:
         for name, comp in rep["components"].items():
             assert comp["identical_across_shapes"], name
             assert comp["shapes_checked"] == 108
+        digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+        assert digest == "ca6d6ee34555733418703397707d7df7afae53f5d3dbd300fbb38403fb3a93b1"
         elapsed = time.perf_counter() - t0
         assert elapsed <= 60
         report(4, f"{len(rep['components'])} components constant over "

@@ -151,6 +151,14 @@ class TestMambaCommands:
         assert main(["mamba", "depth", "--assign", "d_bogus=1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("assign", ["d_std=-1", "all=-1", "d_exp=2,d_dup=-3"])
+    def test_negative_assign_exits_two(self, capsys, assign):
+        assert main(["mamba", "depth", "--shape", "1,1,1,1,1", "--assign", assign]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err.startswith("CliUsageError: ") and len(err.splitlines()) == 1
+        assert "nonnegative" in err
+
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize(
         "payload",
@@ -165,6 +173,28 @@ class TestMambaCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+class TestUsageErrors:
+    """Argument errors follow the exit-2 contract: a returned 2 and one
+    stderr line, not argparse's usage dump and ``SystemExit``."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["mamba", "depth", "-p", "8"], ["mamba", "run", "--seed", "x"], ["bogus"], ["mamba"]],
+        ids=["unknown-option", "bad-int", "unknown-subcommand", "missing-subcommand"],
+    )
+    def test_usage_error_returns_two(self, capsys, argv):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err.startswith("CliUsageError: artifact") and len(err.splitlines()) == 1
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mamba", "depth", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: artifact mamba depth")
 
 
 def _explicit_model() -> dict:

@@ -12,9 +12,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from artifact import floats
 from artifact.depth import (
+    BASE_CONSTANTS,
     COMPONENT_REGISTRY_KEYS,
     CostTrace,
     CycleDetected,
@@ -201,6 +204,31 @@ class TestCostTrace:
         with pytest.raises(CycleDetected):
             CostTrace(nodes)
 
+    def test_append_checks_ids_preds_and_costs(self):
+        trace = CostTrace()
+        trace.append(TraceNode(0, "input", None, ()))
+        with pytest.raises(ValueError, match="dense"):
+            trace.append(TraceNode(2, "add", "d_std", (0,)))
+        with pytest.raises(CycleDetected):
+            trace.append(TraceNode(1, "add", "d_std", (0, 1)))
+        with pytest.raises(ValueError, match="negative"):
+            trace.append(TraceNode(1, "add", "d_std", (-1,)))
+        with pytest.raises(ValueError, match="unknown event cost"):
+            trace.append(TraceNode(1, "add", "d_bogus", (0,)))
+        trace.append(TraceNode(1, "exp", "d_exp", (0,)))
+        assert len(trace) == 2 and trace.critical_depth() == expr(d_exp=1)
+
+    def test_snapshot_is_independent_of_the_tracer(self):
+        ctx = TracedScalars()
+        a = ctx.exp(ctx.input(F(1)))
+        early = ctx.trace([a])
+        ctx.sqrt(ctx.add(a, a))
+        # The tracer has met this frontier already; the snapshot has not.
+        early.append(TraceNode(len(early), "add", "d_std", (a,)))
+        assert early.outputs == (a,) and len(early) == 3
+        assert early.critical_depth() == expr(d_exp=1, d_std=1)
+        assert ctx.trace().critical_depth() == expr(d_exp=1, d_std=1, d_sqrt=1)
+
     def test_monotone_under_added_dependency(self):
         """Serializing two events never decreases the critical depth."""
         base = CostTrace(
@@ -241,6 +269,73 @@ class TestCostTrace:
             return ctx.mul(ctx.input(F(3, 4)), ctx.input(F(3, 4)))
 
         assert trace_run(run).critical_depth() == expr(d_std=2)
+
+
+def _pareto(sums: set[DepthExpr]) -> set[DepthExpr]:
+    return {e for e in sums if not any(e != f and e <= f for f in sums)}
+
+
+def _brute_force_frontiers(nodes):
+    """Every path sum into each node (a path may start at any node, so zero
+    is always among them), cut to the Pareto maxima by coefficient; and the
+    maxima over every path sum in the DAG."""
+    sums: list[set[DepthExpr]] = []
+    for node in nodes:
+        into = {DepthExpr.zero()}.union(*(sums[q] for q in node.preds))
+        step = DepthExpr.single(node.cost) if node.cost else DepthExpr.zero()
+        sums.append({e + step for e in into})
+    return [_pareto(s) for s in sums], _pareto({DepthExpr.zero()}.union(*sums))
+
+
+@st.composite
+def _dags(draw):
+    """Up to 12 nodes with random costs (``None`` included) and random,
+    possibly repeated, earlier predecessors."""
+    nodes = []
+    for i in range(draw(st.integers(1, 12))):
+        cost = draw(st.sampled_from((*BASE_CONSTANTS, None)))
+        preds = draw(st.lists(st.integers(0, i - 1), max_size=4)) if i else []
+        nodes.append(TraceNode(i, "n", cost, tuple(preds)))
+    return nodes
+
+
+# Node 4 merges two incomparable sums; node 6 merges them, bumped, with a third.
+_INCOMPARABLE = [
+    TraceNode(0, "n", None, ()),
+    TraceNode(1, "n", "d_exp", (0,)),
+    TraceNode(2, "n", "d_otimes", (0,)),
+    TraceNode(3, "n", "d_sqrt", ()),
+    TraceNode(4, "n", None, (1, 2, 1)),
+    TraceNode(5, "n", "d_std", (4,)),
+    TraceNode(6, "n", "d_oplus", (5, 3, 4)),
+]
+
+
+class TestFrontierOracle:
+    """The per-node and critical frontiers agree with brute force on random
+    DAGs, including frontiers with several incomparable entries, which real
+    traces never have."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(_dags())
+    @example(_INCOMPARABLE)
+    def test_frontiers_match_brute_force(self, nodes):
+        trace = CostTrace(nodes)
+        fronts, critical = _brute_force_frontiers(nodes)
+        for got, want in zip(trace.depth_frontiers(), fronts, strict=True):
+            assert len(got) == len(set(got)) and set(got) == want
+        got = trace.critical_frontier()
+        assert len(got) == len(set(got)) and set(got) == critical
+        if len(critical) == 1:
+            assert trace.critical_depth() in critical
+        else:
+            with pytest.raises(ValueError, match="not unique"):
+                trace.critical_depth()
+
+    def test_example_has_incomparable_frontiers(self):
+        fronts, critical = _brute_force_frontiers(_INCOMPARABLE)
+        assert [len(f) for f in fronts] == [1, 1, 1, 1, 2, 2, 3]
+        assert len(critical) == 3
 
 
 class TestCheckDepth:
