@@ -27,7 +27,7 @@ line number on error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "ArityMismatch",

@@ -43,7 +43,7 @@ import logging
 import os
 import random
 import sys
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, Overflow, Underflow, localcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NoReturn, Sequence
@@ -59,8 +59,12 @@ from artifact.circuits import (
     serialize_netlist,
     to_majority_only,
 )
-from artifact.contexts import ExactScalars, PBitScalars
-from artifact.depth import DEFAULT_ASSIGNMENT, default_shape_grid, depth_report
+from artifact.depth import (
+    DEFAULT_ASSIGNMENT,
+    default_shape_grid,
+    depth_report,
+    resolve_assignment,
+)
 from artifact.elementary import (
     NegativeInput,
     NonPositiveInput,
@@ -163,85 +167,93 @@ def _tokenize_expr(text: str) -> list[str]:
     return tokens
 
 
-def eval_expression(text: str, p: int) -> FpNumber:
-    """Evaluate the expression with every operation rounded to p bits."""
-    tokens = _tokenize_expr(text)
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise CliUsageError("unexpected end of expression")
-        pos += 1
-        return tokens[pos - 1]
-
-    def parse_sum() -> FpNumber:
-        value = parse_product()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_product()
-            if op == "-":
-                rhs = FpNumber(-rhs.m, rhs.e, rhs.p)
-            value = fp_add(value, rhs)
-        return value
-
-    def parse_product() -> FpNumber:
-        value = parse_unary()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = parse_unary()
-            value = fp_mul(value, rhs) if op == "*" else fp_div(value, rhs)
-        return value
-
-    def parse_unary() -> FpNumber:
-        if peek() == "-":
-            take()
-            inner = parse_unary()
-            return FpNumber(-inner.m, inner.e, inner.p)
-        return parse_atom()
-
-    def parse_atom() -> FpNumber:
-        tok = take()
-        if tok == "(":
-            value = parse_sum()
-            if take() != ")":
-                raise CliUsageError("missing ')'")
-            return value
-        if tok in _UNARY_FNS:
-            if take() != "(":
-                raise CliUsageError(f"{tok} needs parenthesized argument")
-            arg = parse_sum()
-            if take() != ")":
-                raise CliUsageError("missing ')'")
-            return _UNARY_FNS[tok](arg)
-        if tok[0].isdigit() or tok[0] == ".":
-            try:
-                if "." in tok:
-                    whole, _, frac = tok.partition(".")
-                    if "." in frac:
-                        raise ValueError
-                    num = int((whole or "0") + (frac or "0"))
-                    value = Fraction(num, 10 ** len(frac))
-                else:
-                    value = Fraction(int(tok))
-            except ValueError:
-                raise CliUsageError(f"bad numeric literal {tok!r}") from None
-            return round_p(value, p)
+def _literal(tok: str, p: int) -> FpNumber:
+    if not (tok[0].isdigit() or tok[0] == "."):
         raise CliUsageError(f"unexpected token {tok!r}")
+    try:
+        if "." in tok:
+            whole, _, frac = tok.partition(".")
+            if "." in frac:
+                raise ValueError
+            value = Fraction(int((whole or "0") + (frac or "0")), 10 ** len(frac))
+        else:
+            value = Fraction(int(tok))
+    except ValueError:
+        raise CliUsageError(f"bad numeric literal {tok!r}") from None
+    return round_p(value, p)
 
-    result = parse_sum()
-    if pos != len(tokens):
-        raise CliUsageError(f"trailing tokens after position {pos}")
-    return result
+
+def eval_expression(text: str, p: int) -> FpNumber:
+    """Evaluate the expression with every operation rounded to p bits.
+
+    Unary minus binds tightest, then ``* /``, then ``+ -``; binary
+    operators associate to the left.  The parse runs on explicit operator
+    and value stacks, so nesting depth is unbounded, and it applies each
+    operation as soon as its right operand is complete.
+    """
+    values: list[FpNumber] = []
+    ops: list[str] = []  # pending "neg", binary operators, "(" and function names
+
+    def apply(op: str) -> None:
+        x = values.pop()
+        if op == "neg":
+            values.append(FpNumber(-x.m, x.e, x.p))
+        elif op in _UNARY_FNS:
+            values.append(_UNARY_FNS[op](x))
+        elif op == "*":
+            values[-1] = fp_mul(values[-1], x)
+        elif op == "/":
+            values[-1] = fp_div(values[-1], x)
+        else:
+            values[-1] = fp_add(values[-1], x if op == "+" else FpNumber(-x.m, x.e, x.p))
+
+    def operand_done() -> None:
+        while ops and ops[-1] == "neg":
+            apply(ops.pop())
+        if ops and ops[-1] in ("*", "/"):
+            apply(ops.pop())
+
+    want_operand = True
+    for tok in _tokenize_expr(text):
+        if want_operand:
+            if ops and ops[-1] in _UNARY_FNS and tok != "(":
+                raise CliUsageError(f"{ops[-1]} needs parenthesized argument")
+            if tok in ("-", "(") or tok in _UNARY_FNS:
+                ops.append("neg" if tok == "-" else tok)
+            else:
+                values.append(_literal(tok, p))
+                want_operand = False
+                operand_done()
+            continue
+        if tok not in ("*", "/") and ops and ops[-1] in ("+", "-"):
+            apply(ops.pop())
+        if tok in ("+", "-", "*", "/"):
+            ops.append(tok)
+            want_operand = True
+        elif tok == ")" and ops and ops[-1] == "(":
+            ops.pop()
+            if ops and ops[-1] in _UNARY_FNS:
+                apply(ops.pop())
+            operand_done()
+        else:
+            raise CliUsageError(f"unexpected token {tok!r} after an operand")
+    if want_operand:
+        raise CliUsageError("unexpected end of expression")
+    if ops and ops[-1] in ("+", "-"):
+        apply(ops.pop())
+    if ops:
+        raise CliUsageError("missing ')'")
+    return values[0]
 
 
 def _decimal_approx(x: FpNumber, digits: int = 12) -> str:
     with localcontext() as ctx:
-        ctx.prec = digits
-        return str(Decimal(x.m) * (Decimal(2) ** x.e))
+        ctx.prec, ctx.Emax, ctx.Emin = digits, MAX_EMAX, MIN_EMIN
+        ctx.traps[Underflow] = True
+        try:
+            return str(Decimal(x.m) * (Decimal(2) ** x.e))
+        except (Overflow, Underflow):
+            return "(beyond the decimal exponent range)"
 
 
 def cmd_fp(args: argparse.Namespace) -> int:
@@ -272,6 +284,8 @@ def _load_json(path: str) -> dict:
         raise CliUsageError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise CliUsageError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise CliUsageError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_model(args: argparse.Namespace) -> tuple[ShapeConfig, MambaParams]:
@@ -409,15 +423,16 @@ def _parse_assignment(text: str | None) -> dict[str, int]:
             value = int(raw)
         except ValueError:
             raise CliUsageError(f"bad --assign entry {item!r}") from None
-        if value < 0:
-            raise CliUsageError(f"--assign weights must be nonnegative: {item!r}")
         if name == "all":
             assignment = {key: value for key in assignment}
         elif name in assignment:
             assignment[name] = value
         else:
             raise CliUsageError(f"unknown depth constant {name!r}")
-    return assignment
+    try:
+        return resolve_assignment(assignment)
+    except ValueError as exc:
+        raise CliUsageError(f"--assign: {exc}") from None
 
 
 _DEPTH_DEFAULT_SHAPES = (
@@ -638,6 +653,23 @@ def cmd_hardness_barrington(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------ arg parsing
 
+#: Largest ``-p``.  A p-bit significand prints in about 0.3*p decimal
+#: digits, so every command's output stays far below the interpreter's
+#: 4300-digit limit on int-to-string conversion.
+MAX_PRECISION = 4096
+
+
+def _precision(text: str) -> int:
+    try:
+        p = int(text)
+    except ValueError:
+        p = 0
+    if not 1 <= p <= MAX_PRECISION:
+        raise argparse.ArgumentTypeError(
+            f"precision must be an integer from 1 to {MAX_PRECISION}, got {text!r}"
+        )
+    return p
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -649,8 +681,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_precision(p: argparse.ArgumentParser, default: int = 16) -> None:
         p.add_argument(
-            "-p", "--precision", type=int, default=default,
-            help=f"significand bits (default {default})",
+            "-p", "--precision", type=_precision, default=default,
+            help=f"significand bits, 1 to {MAX_PRECISION} (default {default})",
         )
 
     fp = sub.add_parser("fp", help="evaluate an expression in p-bit floats")

@@ -84,6 +84,7 @@ __all__ = [
     "formula_registry",
     "reference_input",
     "reference_params",
+    "resolve_assignment",
     "trace_component",
     "trace_run",
 ]
@@ -115,6 +116,16 @@ BASE_CONSTANTS: tuple[str, ...] = (
 DEFAULT_ASSIGNMENT: Mapping[str, int] = MappingProxyType(
     {"d_std": 1, "d_oplus": 1, "d_otimes": 1, "d_exp": 1, "d_sqrt": 1, "d_dup": 0}
 )
+
+
+def resolve_assignment(assignment: Mapping[str, int] | None = None) -> dict[str, int]:
+    """``DEFAULT_ASSIGNMENT`` overridden by ``assignment``.  Depth weights
+    count gates along a path, so a negative one raises ``ValueError``."""
+    weights = {**DEFAULT_ASSIGNMENT, **(assignment or {})}
+    negative = [f"{name}={w}" for name, w in weights.items() if w < 0]
+    if negative:
+        raise ValueError(f"depth weights must be nonnegative: {', '.join(negative)}")
+    return weights
 
 
 class CycleDetected(ValueError):
@@ -196,9 +207,7 @@ class DepthExpr:
         return out
 
     def evaluate(self, assignment: Mapping[str, int] | None = None) -> int:
-        weights = dict(DEFAULT_ASSIGNMENT)
-        if assignment:
-            weights.update(assignment)
+        weights = resolve_assignment(assignment)
         return sum(c * weights.get(name, 1) for name, c in self.expand().coeffs)
 
     def __str__(self) -> str:
@@ -821,11 +830,12 @@ def depth_report(
     block is dual-checked against the literal formula and the recomputed
     compositional one.
     """
+    weights = resolve_assignment(assignment)
     grid = list(shapes) if shapes is not None else default_shape_grid()
     registry = formula_registry()
     report: dict[str, Any] = {
         "shapes": [s.to_json_dict() for s in grid],
-        "assignment": {**DEFAULT_ASSIGNMENT, **(assignment or {})},
+        "assignment": weights,
         "components": {},
     }
     traced_mamba: DepthExpr | None = None
@@ -837,7 +847,7 @@ def depth_report(
         entry: dict[str, Any] = {
             "depth": depths[0].as_dict(),
             "depth_str": str(depths[0]),
-            "numeric_depth": depths[0].evaluate(assignment),
+            "numeric_depth": depths[0].evaluate(weights),
             "identical_across_shapes": identical,
             "shapes_checked": len(grid),
         }

@@ -30,7 +30,6 @@ comfortably representable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 

@@ -29,9 +29,9 @@ evaluators in this module.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations as iter_permutations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .circuits import ArityMismatch, Circuit, Gate
 
@@ -80,6 +80,69 @@ class UnsupportedGate(ValueError):
 
 class IndexOutOfRange(IndexError):
     """A branching-program instruction references a missing input bit."""
+
+
+# ---------------------------------------------------------- formula trees
+# NC^1 formulas are deep by nature, and one Python frame per level stops at
+# the recursion limit near depth 1000, so formula trees (ArithNode and
+# BoolFormula, both ``op`` plus ``args``) are walked on explicit stacks.
+
+
+def _postorder(root: ArithNode | BoolFormula) -> list:
+    """Every node under ``root``, children before parents, left to right."""
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack += node.args
+    return order[::-1]
+
+
+def _flatten(rope: str | tuple) -> str:
+    """Concatenate a rope (a string, or a tuple of ropes).  Printers build
+    ropes in post-order and flatten once, linear in the size at any depth."""
+    out, stack = [], [rope]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+        else:
+            stack += item[::-1]
+    return "".join(out)
+
+
+def _parse_brackets(tokens: Sequence[str], leaf: Callable, forms: dict, cls: type):
+    """Shift-reduce parse of a fully parenthesized grammar.  A group's shape
+    spells its operators (the symbols in ``forms``' keys) in place and each
+    operand as ``.``; any other token is an operand, ``leaf(token)``.  At
+    ``)`` the shape must be a key of ``forms``, and the group becomes the
+    operand ``cls(forms[shape], args=operands)``."""
+    ops = set("".join(forms)) - {"."}
+    shape, args, outer = "", [], []  # the open group, and the groups around it
+    for i, tok in enumerate(tokens):
+        if tok == "(":
+            outer.append((shape, args))
+            shape, args = "", []
+        elif tok == ")":
+            if not outer:
+                raise FormulaParseError(f"unmatched ')' at {i}")
+            op = forms.get(shape)
+            if op is None:
+                raise FormulaParseError(f"malformed group closed at {i}")
+            node = cls(op, args=tuple(args))
+            shape, args = outer.pop()
+            shape += "."
+            args.append(node)
+        elif tok in ops:
+            shape += tok
+        else:
+            shape += "."
+            args.append(leaf(tok))
+    if outer:
+        raise FormulaParseError(f"{len(outer)} unclosed '('")
+    if shape != ".":
+        raise FormulaParseError("formula does not reduce to a single term")
+    return args[0]
 
 
 # ------------------------------------------------------------- arithmetic
@@ -164,86 +227,47 @@ class ArithFormula:
     n_indeterminates: int
 
     def to_sexpr(self) -> str:
-        return _node_to_sexpr(self.root)
+        ropes: list = []
+        for node in _postorder(self.root):
+            if node.op == "const":
+                ropes.append(str(node.value))
+            elif node.op == "var":
+                ropes.append(f"X{node.index}")
+            elif node.op == "neg":
+                ropes.append(("(- ", ropes.pop(), ")"))
+            else:
+                b = ropes.pop()
+                ropes[-1] = ("(+ " if node.op == "add" else "(* ", ropes[-1], " ", b, ")")
+        return _flatten(ropes.pop())
 
 
-def _node_to_sexpr(node: ArithNode) -> str:
-    if node.op == "const":
-        return str(node.value)
-    if node.op == "var":
-        return f"X{node.index}"
-    if node.op == "neg":
-        return f"(- {_node_to_sexpr(node.args[0])})"
-    sym = "+" if node.op == "add" else "*"
-    return f"({sym} {_node_to_sexpr(node.args[0])} {_node_to_sexpr(node.args[1])})"
-
-
-def _tokenize_sexpr(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
+_SEXPR_FORMS = {"+..": "add", "*..": "mul", "-.": "neg"}
 
 
 def parse_arith(text: str, semiring: Semiring) -> ArithFormula:
     """Parse an S-expression: atoms are integers or ``Xk``; forms are
     ``(+ a b)``, ``(* a b)``, and ``(- a)``."""
-    tokens = _tokenize_sexpr(text)
-    if not tokens:
-        raise FormulaParseError("empty formula")
-    pos = 0
 
-    def parse_node() -> ArithNode:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise FormulaParseError("unexpected end of formula")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "(":
-            if pos >= len(tokens):
-                raise FormulaParseError("dangling '('")
-            op = tokens[pos]
-            pos += 1
-            if op == "-":
-                child = parse_node()
-                node = ArithNode("neg", args=(child,))
-            elif op in ("+", "*"):
-                left = parse_node()
-                right = parse_node()
-                node = ArithNode("add" if op == "+" else "mul", args=(left, right))
-            else:
-                raise FormulaParseError(f"unknown operator {op!r}")
-            if pos >= len(tokens) or tokens[pos] != ")":
-                raise FormulaParseError("missing ')'")
-            pos += 1
-            return node
-        if tok == ")":
-            raise FormulaParseError("unexpected ')'")
-        if tok.startswith("X"):
-            try:
-                index = int(tok[1:])
-            except ValueError:
-                raise FormulaParseError(f"bad indeterminate {tok!r}") from None
-            if index < 1:
-                raise FormulaParseError("indeterminate indices are 1-based")
-            return ArithNode("var", index=index)
+    def leaf(tok: str) -> ArithNode:
+        var = tok.startswith("X")
         try:
-            value = int(tok)
+            number = int(tok[1:] if var else tok)
         except ValueError:
             raise FormulaParseError(f"bad atom {tok!r}") from None
-        return ArithNode("const", value=semiring.coerce(value))
+        if not var:
+            return ArithNode("const", value=semiring.coerce(number))
+        if number < 1:
+            raise FormulaParseError("indeterminate indices are 1-based")
+        return ArithNode("var", index=number)
 
-    root = parse_node()
-    if pos != len(tokens):
-        raise FormulaParseError(f"trailing tokens at {pos}")
-    return ArithFormula(semiring, root, _max_index(root))
-
-
-def _max_index(node: ArithNode) -> int:
-    if node.op == "var":
-        return node.index or 0
-    return max((_max_index(a) for a in node.args), default=0)
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    root = _parse_brackets(tokens, leaf, _SEXPR_FORMS, ArithNode)
+    n = max((v.index for v in _postorder(root) if v.op == "var"), default=0)
+    return ArithFormula(semiring, root, n)
 
 
 def eval_arith(formula: ArithFormula, assignment: Sequence[int]) -> int:
-    """Recursive evaluation of the tree under X_i := assignment[i-1]."""
+    """Evaluate the tree under X_i := assignment[i-1]."""
     if len(assignment) != formula.n_indeterminates:
         raise ArityMismatch(
             f"formula uses X1..X{formula.n_indeterminates}, "
@@ -251,24 +275,26 @@ def eval_arith(formula: ArithFormula, assignment: Sequence[int]) -> int:
         )
     ring = formula.semiring
     values = [ring.coerce(c) for c in assignment]
-
-    def walk(node: ArithNode) -> int:
-        if node.op == "const":
-            return ring.coerce(node.value or 0)
-        if node.op == "var":
-            return values[(node.index or 1) - 1]
-        if node.op == "neg":
-            return ring.neg(walk(node.args[0]))
-        a, b = (walk(x) for x in node.args)
-        return ring.add(a, b) if node.op == "add" else ring.mul(a, b)
-
-    return walk(formula.root)
+    stack: list[int] = []
+    for node in _postorder(formula.root):
+        op = node.op
+        if op == "const":
+            stack.append(ring.coerce(node.value or 0))
+        elif op == "var":
+            stack.append(values[(node.index or 1) - 1])
+        elif op == "neg":
+            stack.append(ring.neg(stack.pop()))
+        else:
+            b = stack.pop()
+            stack[-1] = ring.add(stack[-1], b) if op == "add" else ring.mul(stack[-1], b)
+    return stack.pop()
 
 
 # ----------------------------------------------------------- Boolean form
 
 _NOT, _AND, _OR = "¬", "∧", "∨"
-_ALIASES = {"!": _NOT, "~": _NOT, "&": _AND, "|": _OR}
+_ALIASES = str.maketrans({"!": _NOT, "~": _NOT, "&": _AND, "|": _OR})
+_INFIX_FORMS = {f"{_NOT}.": "not", f".{_AND}.": "and", f".{_OR}.": "or"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,74 +306,51 @@ class BoolFormula:
     args: tuple["BoolFormula", ...] = ()
 
     def to_infix(self) -> str:
-        if self.op == "const":
-            return str(self.value)
-        if self.op == "not":
-            return f"({_NOT}{self.args[0].to_infix()})"
-        sym = _AND if self.op == "and" else _OR
-        return f"({self.args[0].to_infix()}{sym}{self.args[1].to_infix()})"
+        ropes: list = []
+        for node in _postorder(self):
+            if node.op == "const":
+                ropes.append(str(node.value))
+            elif node.op == "not":
+                ropes.append((f"({_NOT}", ropes.pop(), ")"))
+            else:
+                b = ropes.pop()
+                ropes[-1] = ("(", ropes[-1], _AND if node.op == "and" else _OR, b, ")")
+        return _flatten(ropes.pop())
 
     def to_postfix(self) -> str:
         """Canonical postfix: the longer operand printed first (the two
         binary connectives are commutative, so swapping preserves value)."""
-        if self.op == "const":
-            return str(self.value)
-        if self.op == "not":
-            return f"({self.args[0].to_postfix()}{_NOT})"
-        sym = _AND if self.op == "and" else _OR
-        first = self.args[0].to_postfix()
-        second = self.args[1].to_postfix()
-        if len(first) < len(second):
-            first, second = second, first
-        return f"{first}{second}{sym}"
+        ropes: list = []  # (rope, printed length) pairs
+        for node in _postorder(self):
+            if node.op == "const":
+                text = str(node.value)
+                ropes.append((text, len(text)))
+            elif node.op == "not":
+                rope, n = ropes.pop()
+                ropes.append((("(", rope, f"{_NOT})"), n + 3))
+            else:
+                (b, nb), (a, na) = ropes.pop(), ropes.pop()
+                if na < nb:
+                    a, b = b, a
+                sym = _AND if node.op == "and" else _OR
+                ropes.append(((a, b, sym), na + nb + 1))
+        return _flatten(ropes.pop()[0])
 
 
 def _canon(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch.isspace():
-            continue
-        out.append(_ALIASES.get(ch, ch))
-    return "".join(out)
+    """Aliases replaced by the connectives, whitespace dropped."""
+    return "".join(text.translate(_ALIASES).split())
 
 
 def parse_bool_infix(text: str) -> BoolFormula:
     """Fully parenthesized infix: 0, 1, (NOT f), (f AND g), (f OR g)."""
-    s = _canon(text)
-    pos = 0
 
-    def parse_node() -> BoolFormula:
-        nonlocal pos
-        if pos >= len(s):
-            raise FormulaParseError("unexpected end of formula")
-        ch = s[pos]
-        if ch in "01":
-            pos += 1
-            return BoolFormula("const", value=int(ch))
-        if ch != "(":
-            raise FormulaParseError(f"expected '(' or constant at {pos}")
-        pos += 1
-        if pos < len(s) and s[pos] == _NOT:
-            pos += 1
-            inner = parse_node()
-            node = BoolFormula("not", args=(inner,))
-        else:
-            left = parse_node()
-            if pos >= len(s) or s[pos] not in (_AND, _OR):
-                raise FormulaParseError(f"expected connective at {pos}")
-            op = "and" if s[pos] == _AND else "or"
-            pos += 1
-            right = parse_node()
-            node = BoolFormula(op, args=(left, right))
-        if pos >= len(s) or s[pos] != ")":
-            raise FormulaParseError(f"missing ')' at {pos}")
-        pos += 1
-        return node
+    def leaf(ch: str) -> BoolFormula:
+        if ch not in ("0", "1"):
+            raise FormulaParseError(f"unexpected symbol {ch!r}")
+        return BoolFormula("const", value=int(ch))
 
-    node = parse_node()
-    if pos != len(s):
-        raise FormulaParseError(f"trailing characters at {pos}")
-    return node
+    return _parse_brackets(_canon(text), leaf, _INFIX_FORMS, BoolFormula)
 
 
 def parse_bool_postfix(text: str) -> BoolFormula:
@@ -399,13 +402,16 @@ def parse_bool_postfix(text: str) -> BoolFormula:
 
 
 def eval_bool(formula: BoolFormula) -> int:
-    if formula.op == "const":
-        return formula.value or 0
-    if formula.op == "not":
-        return 1 - eval_bool(formula.args[0])
-    a = eval_bool(formula.args[0])
-    b = eval_bool(formula.args[1])
-    return (a & b) if formula.op == "and" else (a | b)
+    stack: list[int] = []
+    for node in _postorder(formula):
+        if node.op == "const":
+            stack.append(node.value or 0)
+        elif node.op == "not":
+            stack.append(1 - stack.pop())
+        else:
+            b = stack.pop()
+            stack[-1] = (stack[-1] & b) if node.op == "and" else (stack[-1] | b)
+    return stack.pop()
 
 
 # ------------------------------------------------------------ permutations

@@ -33,7 +33,6 @@ from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from artifact.contexts import ExactScalars, PBitScalars, ScalarContext
-from artifact.floats import FpNumber
 from artifact.matrices import FpMatrix, ShapeMismatch
 
 __all__ = [

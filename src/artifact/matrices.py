@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from artifact.floats import FpNumber, fp_mul, iter_add, round_p
 
@@ -95,15 +95,6 @@ class FpMatrix:
         if self.mode == "exact":
             return [list(row) for row in self.data]
         return [[x.to_fraction() for x in row] for row in self.data]
-
-    def map_entries(self, fn: Callable[[Entry], Entry]) -> "FpMatrix":
-        return FpMatrix(
-            self.rows,
-            self.cols,
-            self.mode,
-            self.p,
-            tuple(tuple(fn(x) for x in row) for row in self.data),
-        )
 
     # ----------------------------------------------------------------- json
     def to_json_dict(self) -> dict:

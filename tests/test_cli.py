@@ -79,6 +79,36 @@ class TestFpCommand:
         assert main(["fp", "1+"]) == 2
         assert capsys.readouterr().err
 
+    def test_deep_nesting_evaluates(self, capsys):
+        """10^4 nested parentheses and a 10^4-long chain of unary minus,
+        ten times the default recursion limit, print like their flat forms."""
+        assert main(["fp", "1.5"]) == 0
+        want = capsys.readouterr().out
+        assert main(["fp", "(" * 10_000 + "1.5" + ")" * 10_000]) == 0
+        assert capsys.readouterr().out == want
+        assert main(["fp", "--", "-" * 10_000 + "1.5"]) == 0
+        assert capsys.readouterr().out == want
+        assert main(["fp", "--", "-" * 9_999 + "1.5"]) == 0
+        assert capsys.readouterr().out == want.replace("m=", "m=-").replace("~ ", "~ -")
+
+    def test_precision_range_exits_two(self, capsys):
+        assert main(["fp", "-p", "100000", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err.startswith("CliUsageError: ") and len(err.splitlines()) == 1
+        assert "from 1 to 4096" in err
+        assert main(["fp", "-p", "4096", "1"]) == 0
+        assert capsys.readouterr().out.startswith(f"(m={2 ** 4095}, e=-4095, p=4096)")
+
+    def test_decimal_display_at_extreme_exponents(self, capsys):
+        """The exponent window grows with p; the trailing decimal is shown
+        past the default decimal context and replaced by a note beyond it."""
+        assert main(["fp", "-p", "24", "exp(exp(15))"]) == 0
+        assert capsys.readouterr().out.endswith("~ 1.42207189947E+1419716\n")
+        for expr in ("exp(exp(43))", "1/exp(exp(43))"):
+            assert main(["fp", "-p", "70", expr]) == 0
+            assert capsys.readouterr().out.endswith("~ (beyond the decimal exponent range)\n")
+
 
 class TestMambaCommands:
     """mamba run / compare / depth."""
@@ -296,6 +326,77 @@ class TestModelFiles:
         assert code in (0, 1, 2)
         if code:
             assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--model", "--input"])
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys, flag):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main(["mamba", "run", "--shape", "2,2,2,2,2", flag, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err.startswith("CliUsageError: ") and len(err.splitlines()) == 1
+        assert "nested too deeply" in err
+
+
+# Valid inputs of the text commands, mutated below: corpus lines for
+# `hardness eval` and expressions for `fp`, each with a way to grow it past
+# the default recursion limit that keeps it valid (nesting, or a long word).
+_TEXT_TARGETS = {
+    "bool": (["(0¬)1∧1∨", "(1¬)01∧∨", "1"], lambda t, k: "(" * k + t + "¬)" * k),
+    "arith": (
+        ["(+ (* X1 3) (- X2)) ; 4,-2", "(* 2 (+ X3 -7)) ; 1,2,3", "5 ; "],
+        lambda t, k: "(- " * k + t.replace(";", ")" * k + " ;", 1),
+    ),
+    "perm": (["23451 23451", "21345 13245 12354", "54321"], lambda t, k: " ".join([t] * k)),
+    "fp": (["(1+3)*silu(2)", "log(2)-exp(0.5)/3", "-floor(2.5)*-.5"], lambda t, k: "(" * k + t + ")" * k),
+}
+_EDIT = st.tuples(
+    st.sampled_from(["drop", "insert", "duplicate"]),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(list("()01¬∧∨&|!~+-*/X;,. 5e")),
+)
+
+
+def _edit(text: str, kind: str, where: int, ch: str) -> str:
+    i = where % (len(text) + 1)
+    if kind == "drop":
+        return text[:i] + text[i + 1:]
+    if kind == "insert":
+        return text[:i] + ch + text[i:]
+    return text[:i] + text[i:i + 1] * 2 + text[i + 1:]
+
+
+class TestMutatedTextInputs:
+    """The exit-2 contract for line-oriented text: whatever a mutation does
+    to a corpus line or an expression, ``main`` returns an exit code, and a
+    failure is one stderr line with no traceback.  An unmutated input
+    succeeds however deep it is grown."""
+
+    @pytest.mark.parametrize("target", sorted(_TEXT_TARGETS))
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from([0, 1, 3, 1500, 5000]),
+        st.lists(_EDIT, max_size=3),
+    )
+    def test_mutated_text_fails_cleanly(self, tmp_path, capsys, target, pick, depth, edits):
+        valid, nest = _TEXT_TARGETS[target]
+        text = nest(valid[pick], depth) if depth else valid[pick]
+        for kind, where, ch in edits:
+            text = _edit(text, kind, where, ch)
+        if target == "fp":
+            code = main(["fp", "--", text])
+        else:
+            path = tmp_path / "corpus.txt"
+            path.write_text(text + "\n", encoding="utf-8")
+            code = main(["hardness", "eval", target, str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code:
+            assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        if not edits:
+            assert code == 0
 
 
 class TestCircuitCommands:

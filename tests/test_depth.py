@@ -76,6 +76,13 @@ class TestDepthExpr:
         assert e.evaluate() == 3
         assert e.evaluate({"d_dup": 2, "d_std": 10}) == 31
 
+    def test_negative_weights_refused(self):
+        """The library refuses negative weights itself, before any tracing."""
+        with pytest.raises(ValueError, match="nonnegative: d_std=-1"):
+            depth_report(shapes=[ShapeConfig(1, 1, 1, 1, 1)], assignment={"d_std": -1})
+        with pytest.raises(ValueError, match="nonnegative"):
+            expr(d_std=1).evaluate({"d_dup": -2})
+
     def test_composite_constants_expand(self):
         reg = formula_registry()
         assert expr(d_log=1).expand() == reg["d_log"]

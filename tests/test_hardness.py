@@ -616,3 +616,53 @@ class TestCorpora:
             gen_instances("bool", 5, 1, count=0)
         with pytest.raises(ValueError):
             eval_instance("nosuch", "1")
+
+
+DEEP = 100_000  # nesting depth, a hundred times the default recursion limit
+
+
+class TestDeepFormulas:
+    """Formulas nested 10^5 levels deep parse, evaluate and print under the
+    default recursion limit: the library walks trees on explicit stacks."""
+
+    def test_bool_left_comb(self):
+        rng = random.Random(831)
+        bits = [rng.randint(0, 1) for _ in range(DEEP + 1)]
+        ops = [rng.choice("∧∨") for _ in range(DEEP)]
+        want = bits[0]
+        for b, op in zip(bits[1:], ops):
+            want = (want & b) if op == "∧" else (want | b)
+        postfix = f"{bits[0]}" + "".join(f"{b}{op}" for b, op in zip(bits[1:], ops))
+        tree = parse_bool_postfix(postfix)
+        assert eval_bool(tree) == want
+        assert tree.to_postfix() == postfix
+
+    def test_bool_negation_chain(self):
+        """The chain wraps a binary node whose printed operands swap in
+        postfix, so the length rule is applied at the bottom of the chain."""
+        infix = "(¬" * DEEP + "(1∨(¬0))" + ")" * DEEP
+        tree = parse_bool_infix(infix)
+        assert eval_bool(tree) == 1  # an even number of negations of 1
+        assert tree.to_infix() == infix
+        postfix = "(" * DEEP + "(0¬)1∨" + "¬)" * DEEP
+        assert tree.to_postfix() == postfix
+
+    def test_arith_comb_over_z7(self):
+        rng = random.Random(832)
+        ops = [rng.choice("+*") for _ in range(DEEP)]
+        leaves = [rng.choice(["X1", "X2", "3", "5"]) for _ in range(DEEP)]
+        text = "".join(f"({op} " for op in reversed(ops)) + "X2" + "".join(
+            f" {leaf})" for leaf in leaves
+        )
+        x = {"X1": 4, "X2": 6, "3": 3, "5": 5}
+        want = x["X2"]
+        for op, leaf in zip(ops, leaves):
+            want = (want + x[leaf]) % 7 if op == "+" else (want * x[leaf]) % 7
+        formula = parse_arith(text, Semiring.zmod(7))
+        assert formula.n_indeterminates == 2
+        assert eval_arith(formula, [4, 6]) == want
+        assert formula.to_sexpr() == text
+
+    def test_integer_negation_chain_instance(self):
+        line = "(- " * DEEP + "(+ X1 2)" + ")" * DEEP + " ; 5"
+        assert eval_instance("arith", line) == "7"  # DEEP is even
