@@ -13,11 +13,16 @@ input-to-output path and computes nothing), every other gate is one level
 above its deepest argument, and the circuit depth is the deepest output.
 Size counts all non-``INPUT`` gates, constants included.
 
-Evaluation is bit-sliced: a wire's value across many assignments is packed
-into one big integer, so exhaustive equivalence checks over all encodable
-operand pairs run as a single forward pass with word-parallel bitwise
-operations (thresholds use a ripple popcount over bit planes followed by a
-lane-wise constant comparison).
+Evaluation is bit-sliced, with one core, :func:`evaluate_words`: a wire's
+value on every lane is one integer (lane ``i`` at bit ``i``), so a single
+forward pass of word-wide bitwise operations evaluates all lanes at once
+(thresholds use a ripple popcount over bit planes followed by a lane-wise
+constant comparison).  :func:`evaluate_many` packs assignments into such
+words ``BLOCK_LANES`` lanes at a time (:func:`pack_codes` transposes
+per-lane integer codes into bit planes) and unpacks the output words;
+:func:`evaluate` hands one assignment to the core as one-bit words.
+Callers that can build input words directly, such as the exhaustive sweep
+of ``synthesis.check_op``, skip packing altogether.
 
 The textual netlist format is one gate per line, ``id KIND [k] inputs...``,
 followed by a final ``OUTPUTS id...`` line; parsing reports the offending
@@ -37,13 +42,18 @@ __all__ = [
     "ParseError",
     "evaluate",
     "evaluate_many",
+    "evaluate_words",
     "is_majority_only",
+    "pack_codes",
     "parse_netlist",
     "serialize_netlist",
     "to_majority_only",
 ]
 
 GATE_KINDS = ("INPUT", "CONST0", "CONST1", "NOT", "AND", "OR", "THRESHOLD")
+# Lanes per evaluation block: a wire's word stays 8 KiB, so the live words
+# of even a p=5 float circuit fit in tens of megabytes.
+BLOCK_LANES = 1 << 16
 
 
 class CircuitError(ValueError):
@@ -163,41 +173,39 @@ def _ge_const(planes: list[int], k: int, mask: int) -> int:
     return (gt | eq) & mask
 
 
-def evaluate_many(
-    circuit: Circuit, assignments: Sequence[Sequence[int]]
-) -> list[tuple[int, ...]]:
-    """Evaluate on many assignments at once (bit-sliced across lanes)."""
-    lanes = len(assignments)
-    for a in assignments:
-        if len(a) != circuit.n_inputs:
-            raise ArityMismatch(
-                f"assignment length {len(a)} != input count {circuit.n_inputs}"
-            )
+def evaluate_words(
+    circuit: Circuit, input_words: Sequence[int], lanes: int
+) -> list[int]:
+    """The bit-sliced core: evaluate on packed words, one per input.
+
+    Bit ``i`` of ``input_words[j]`` is input ``j`` on lane ``i``; every
+    word is below ``2**lanes``.  Returns one word per output in the same
+    layout, so many assignments cost one forward pass of word-wide
+    bitwise operations.
+    """
+    if len(input_words) != circuit.n_inputs:
+        raise ArityMismatch(
+            f"assignment length {len(input_words)} != input count {circuit.n_inputs}"
+        )
     mask = (1 << lanes) - 1
-    packed_inputs: list[int] = []
-    for pos in range(circuit.n_inputs):
-        word = 0
-        for lane, a in enumerate(assignments):
-            if a[pos]:
-                word |= 1 << lane
-        packed_inputs.append(word)
     wires = [0] * len(circuit.gates)
-    next_input = iter(packed_inputs)
+    next_input = iter(input_words)
     for g in circuit.gates:
-        if g.kind == "INPUT":
+        kind = g.kind
+        if kind == "INPUT":
             wires[g.id] = next(next_input)
-        elif g.kind == "CONST0":
+        elif kind == "CONST0":
             wires[g.id] = 0
-        elif g.kind == "CONST1":
+        elif kind == "CONST1":
             wires[g.id] = mask
-        elif g.kind == "NOT":
-            wires[g.id] = ~wires[g.inputs[0]] & mask
-        elif g.kind == "AND":
+        elif kind == "NOT":
+            wires[g.id] = wires[g.inputs[0]] ^ mask
+        elif kind == "AND":
             acc = mask
             for q in g.inputs:
                 acc &= wires[q]
             wires[g.id] = acc
-        elif g.kind == "OR":
+        elif kind == "OR":
             acc = 0
             for q in g.inputs:
                 acc |= wires[q]
@@ -205,14 +213,70 @@ def evaluate_many(
         else:  # THRESHOLD
             planes = _popcount_planes([wires[q] for q in g.inputs])
             wires[g.id] = _ge_const(planes, g.k or 0, mask)
+    return [wires[o] for o in circuit.outputs]
+
+
+# _BIT_DIGITS[b] maps a byte to the digit b"1" when its bit b is set, and
+# _DIGIT_BITS maps the digits b"0" and b"1" back to the bytes 0 and 1.
+_BIT_DIGITS = [bytes(0x31 if v >> b & 1 else 0x30 for v in range(256)) for b in range(8)]
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def pack_codes(codes: Sequence[int], width: int) -> list[int]:
+    """Transpose per-lane integer codes into ``width`` bit-plane words.
+
+    Bit ``i`` of word ``j`` is bit ``j`` of ``codes[i]``; every code is
+    below ``2**width``.  The codes are laid out as fixed-width byte
+    strings, so each plane is one strided slice of them, translated to
+    binary digits and read back by ``int``.
+    """
+    if not codes:
+        return [0] * width
+    stride = (width + 7) // 8
+    data = b"".join([c.to_bytes(stride, "little") for c in codes])
     return [
-        tuple((wires[o] >> lane) & 1 for o in circuit.outputs) for lane in range(lanes)
+        int(data[j >> 3 :: stride].translate(_BIT_DIGITS[j & 7])[::-1], 2)
+        for j in range(width)
     ]
+
+
+def _unpack(words: Sequence[int], lanes: int) -> list[tuple[int, ...]]:
+    """Per-lane bit tuples from bit-plane words (the inverse transpose)."""
+    if not words:
+        return [()] * lanes
+    planes = [
+        format(w, f"0{lanes}b")[::-1].encode().translate(_DIGIT_BITS) for w in words
+    ]
+    return list(zip(*planes))
+
+
+def evaluate_many(
+    circuit: Circuit, assignments: Sequence[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """Evaluate on many assignments at once.
+
+    The assignments are packed into words ``BLOCK_LANES`` lanes at a time,
+    evaluated by :func:`evaluate_words` and unpacked again, so memory stays
+    bounded however many there are.
+    """
+    for a in assignments:
+        if len(a) != circuit.n_inputs:
+            raise ArityMismatch(
+                f"assignment length {len(a)} != input count {circuit.n_inputs}"
+            )
+    results: list[tuple[int, ...]] = []
+    for start in range(0, len(assignments), BLOCK_LANES):
+        block = assignments[start : start + BLOCK_LANES]
+        codes = [sum(1 << j for j, bit in enumerate(a) if bit) for a in block]
+        words = pack_codes(codes, circuit.n_inputs)
+        results.extend(_unpack(evaluate_words(circuit, words, len(block)), len(block)))
+    return results
 
 
 def evaluate(circuit: Circuit, assignment: Sequence[int]) -> tuple[int, ...]:
     """Evaluate one assignment; bits in INPUT-gate order."""
-    return evaluate_many(circuit, [assignment])[0]
+    words = [1 if bit else 0 for bit in assignment]
+    return tuple(evaluate_words(circuit, words, 1))
 
 
 # ------------------------------------------------------------ majority form

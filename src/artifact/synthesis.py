@@ -31,10 +31,11 @@ granularity; they remain software-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, product
 from typing import Sequence
 
-from .circuits import Circuit, Gate, evaluate_many
-from .floats import FpNumber, Overflow, fp_add, fp_compare, fp_mul, iter_add
+from .circuits import BLOCK_LANES, Circuit, Gate, evaluate_words, pack_codes
+from .floats import Comparison, FpNumber, Overflow, fp_add, fp_compare, fp_mul, iter_add
 
 __all__ = [
     "BitEncoding",
@@ -98,12 +99,19 @@ class BitEncoding:
     def e_max(self) -> int:
         return (1 << (self.exp_bits - 1)) - 1
 
-    def encode(self, x: FpNumber) -> tuple[int, ...]:
+    def code(self, x: FpNumber) -> int:
+        """The encoding as one integer: bit ``i`` is bit ``i`` of ``encode(x)``."""
         if x.p != self.p:
             raise ValueError(f"value has p={x.p}, encoding has p={self.p}")
         if not x.is_zero and not self.e_min <= x.e <= self.e_max:
             raise ValueError(f"exponent {x.e} outside window of {self}")
-        return _to_twos(x.m, self.sig_bits) + _to_twos(x.e, self.exp_bits)
+        sig_mask = (1 << self.sig_bits) - 1
+        exp_mask = (1 << self.exp_bits) - 1
+        return (x.m & sig_mask) | ((x.e & exp_mask) << self.sig_bits)
+
+    def encode(self, x: FpNumber) -> tuple[int, ...]:
+        code = self.code(x)
+        return tuple((code >> i) & 1 for i in range(self.width))
 
     def decode(self, bits: Sequence[int]) -> FpNumber:
         if len(bits) != self.width:
@@ -512,14 +520,23 @@ class SynthesizedOp:
     output_encoding: BitEncoding | None
     m: int | None = None
 
+    @property
+    def n_operands(self) -> int:
+        return self.m if self.kind == "iter_add" else 2
+
+    def input_code(self, operands: Sequence[FpNumber]) -> int:
+        """The input bits as one integer: bit ``i`` feeds INPUT gate ``i``."""
+        if len(operands) != self.n_operands:
+            raise ValueError(f"{self.kind} takes {self.n_operands} operands")
+        enc = self.input_encoding
+        code = 0
+        for t, x in enumerate(operands):
+            code |= enc.code(x) << (t * enc.width)
+        return code
+
     def encode_inputs(self, operands: Sequence[FpNumber]) -> list[int]:
-        expected = self.m if self.kind == "iter_add" else 2
-        if len(operands) != expected:
-            raise ValueError(f"{self.kind} takes {expected} operands")
-        bits: list[int] = []
-        for x in operands:
-            bits.extend(self.input_encoding.encode(x))
-        return bits
+        code = self.input_code(operands)
+        return [(code >> i) & 1 for i in range(self.circuit.n_inputs)]
 
 
 def _decode_operand(b: _Builder, enc: BitEncoding) -> tuple[list[int], list[int]]:
@@ -725,14 +742,134 @@ def synth_primitive(
 # ------------------------------------------------------------- conformance
 
 
-def _reference_result(kind: str, operands: Sequence[FpNumber]):
+MAX_MISMATCHES = 10
+MAX_SWEEP_LANES = 1 << 25  # p=6 add at the default window is 4097**2 lanes
+_VERDICT_BITS = {
+    Comparison.LESS: (1, 0),
+    Comparison.GREATER: (0, 1),
+    Comparison.EQUAL: (0, 0),
+}
+_VERDICT_CODES = {v: lt | gt << 1 for v, (lt, gt) in _VERDICT_BITS.items()}
+
+
+def _reference(kind: str):
+    """The software op a primitive kind is checked against, called with
+    the operands of one case."""
     if kind == "add":
-        return fp_add(operands[0], operands[1])
+        return fp_add
     if kind == "mul":
-        return fp_mul(operands[0], operands[1])
-    if kind == "iter_add":
-        return iter_add(list(operands))
-    return fp_compare(operands[0], operands[1])
+        return fp_mul
+    if kind == "compare":
+        return fp_compare
+    return lambda *xs: iter_add(xs)
+
+
+def _expected_words(op: SynthesizedOp, cases: Sequence[Sequence[FpNumber]]) -> list[int]:
+    """Reference results of every case, packed like the circuit's outputs.
+
+    Two bit-plane words follow the expected outputs: lanes where the
+    reference overflows (only the flag output is checked there) and lanes
+    whose reference result the output encoding cannot hold (always a
+    mismatch, as no output bits can equal it).
+    """
+    ref = _reference(op.kind)
+    n_out = len(op.circuit.outputs)
+    if op.kind == "compare":
+        return pack_codes([_VERDICT_CODES[ref(*case)] for case in cases], n_out + 2)
+    # BitEncoding.code, inlined: this loop runs once per lane.
+    enc = op.output_encoding
+    sig_mask, exp_mask = (1 << enc.sig_bits) - 1, (1 << enc.exp_bits) - 1
+    sig_bits, e_min, e_max = enc.sig_bits, enc.e_min, enc.e_max
+    overflow = 1 << (n_out - 1) | 1 << n_out
+    unencodable = 1 << (n_out + 1)
+    codes = []
+    for case in cases:
+        try:
+            r = ref(*case)
+        except Overflow:
+            codes.append(overflow)
+            continue
+        e = r.e
+        if e_min <= e <= e_max:
+            codes.append((r.m & sig_mask) | (e & exp_mask) << sig_bits)
+        else:
+            codes.append(unencodable)
+    return pack_codes(codes, n_out + 2)
+
+
+def _mismatch_lanes(outputs: list[int], expected: list[int], limit: int) -> list[int]:
+    """The first ``limit`` lanes, in order, where outputs and reference disagree.
+
+    The last output (the overflow flag, or ``gt`` for compare) is checked on
+    every lane; the others are skipped on lanes where the reference
+    overflows.
+    """
+    *want, overflow, unencodable = expected
+    values = 0
+    for got, exp in zip(outputs[:-1], want[:-1]):
+        values |= got ^ exp
+    diff = (values & ~overflow) | (outputs[-1] ^ want[-1]) | unencodable
+    lanes = []
+    while diff and len(lanes) < limit:
+        low = diff & -diff
+        lanes.append(low.bit_length() - 1)
+        diff ^= low
+    return lanes
+
+
+def _mismatch_report(op: SynthesizedOp, case: Sequence[FpNumber], got: tuple[int, ...]) -> dict:
+    if op.kind == "compare":
+        want = _VERDICT_BITS[fp_compare(*case)]
+    else:
+        try:
+            want = str(_reference(op.kind)(*case))
+        except Overflow:
+            want = "overflow"
+    return {"operands": [str(x) for x in case], "want": want, "got": got}
+
+
+def _sweep_blocks(op: SynthesizedOp, values: list[FpNumber]):
+    """The exhaustive sweep as ``(cases, input words)`` blocks of at most
+    ``BLOCK_LANES`` lanes (and at least one head).
+
+    Lanes run in mixed radix over the value list, the first operand most
+    significant: for two operands lane ``i*V + j`` is ``(values[i],
+    values[j])``.  A block is a run of heads (value indices of all operands
+    but the last), each followed by all V values of the last operand.  In
+    it, a bit of the last operand is a V-lane pattern repeated once per
+    head, and a bit of a leading operand is a run of V equal lanes per
+    head; both are written as binary strings, with no per-lane encoding.
+    """
+    enc = op.input_encoding
+    n_values = len(values)
+    codes = [enc.code(x) for x in values]
+    ones, zeros = "1" * n_values, "0" * n_values
+    bit_runs = [[ones if (c >> k) & 1 else zeros for c in codes] for k in range(enc.width)]
+    last_patterns = [
+        "".join("1" if (c >> k) & 1 else "0" for c in reversed(codes))
+        for k in range(enc.width)
+    ]
+    heads = product(range(n_values), repeat=op.n_operands - 1)
+    per_block = max(1, BLOCK_LANES // n_values)
+    while block := list(islice(heads, per_block)):
+        words = []
+        for t in range(op.n_operands - 1):
+            for runs in bit_runs:
+                words.append(int("".join([runs[h[t]] for h in reversed(block)]), 2))
+        words.extend(int(pattern * len(block), 2) for pattern in last_patterns)
+        cases: list[tuple[FpNumber, ...]] = []
+        for h in block:
+            cases.extend(product(*[(values[i],) for i in h], values))
+        yield cases, words
+
+
+def _case_blocks(op: SynthesizedOp, cases: Sequence[Sequence[FpNumber]]):
+    """Explicit cases in blocks of ``BLOCK_LANES``, inputs packed by
+    transposing each case's input code."""
+    for start in range(0, len(cases), BLOCK_LANES):
+        block = cases[start : start + BLOCK_LANES]
+        codes = [op.input_code(case) for case in block]
+        yield block, pack_codes(codes, op.circuit.n_inputs)
 
 
 def check_op(
@@ -740,59 +877,47 @@ def check_op(
 ) -> dict:
     """Compare a synthesized primitive against the software operation.
 
-    ``cases=None`` runs the exhaustive sweep over every encodable operand
-    pair (two-operand kinds only).  All cases are evaluated in a single
-    bit-sliced pass.  Returns a report dict with the case count and the
-    first few mismatches (empty list means full agreement).
+    ``cases=None`` runs the exhaustive sweep over every tuple of encodable
+    operands (``V**2`` lanes for the binary kinds, ``V**m`` for
+    ``iter_add``, with ``V`` encodable values); its input words are built
+    directly from the value list.  Explicit cases are packed by transposing
+    their input codes.  Either way the circuit runs through
+    :func:`~artifact.circuits.evaluate_words` ``BLOCK_LANES`` lanes at a
+    time, the reference results are packed into expected output words, and
+    one XOR per output finds the mismatching lanes.  Where the reference
+    overflows only the flag output is checked; a reference result outside
+    the output encoding's window always mismatches.
+
+    Returns a report dict with the case count and the first
+    ``MAX_MISMATCHES`` (10) mismatches in case order, each with the
+    operands, the wanted result and the circuit's output bits; an empty
+    list means full agreement.
     """
     if cases is None:
-        if op.kind == "iter_add":
-            raise ValueError("iter_add has no exhaustive sweep; pass explicit cases")
         values = op.input_encoding.enumerate_values()
-        cases = [(x, y) for x in values for y in values]
-    assignments = [op.encode_inputs(list(c)) for c in cases]
-    results = evaluate_many(op.circuit, assignments)
-    mismatches: list[dict] = []
-    for case, out_bits in zip(cases, results):
-        if op.kind == "compare":
-            verdict = _reference_result("compare", case)
-            want = {
-                "less": (1, 0),
-                "greater": (0, 1),
-                "equal": (0, 0),
-            }[verdict.value]
-            if tuple(out_bits) != want:
-                mismatches.append(
-                    {"operands": [str(x) for x in case], "want": want, "got": out_bits}
-                )
-            continue
-        flag = out_bits[-1]
-        try:
-            want_val = _reference_result(op.kind, case)
-        except Overflow:
-            if flag != 1:
-                mismatches.append(
-                    {"operands": [str(x) for x in case], "want": "overflow", "got": out_bits}
-                )
-            continue
-        ok = False
-        if flag == 0:
-            got_val = op.output_encoding.decode(out_bits[:-1])
-            ok = got_val == want_val
-        if not ok:
-            mismatches.append(
-                {
-                    "operands": [str(x) for x in case],
-                    "want": str(want_val),
-                    "got": out_bits,
-                }
+        total = len(values) ** op.n_operands
+        if total > MAX_SWEEP_LANES:
+            raise ValueError(
+                f"exhaustive sweep of {total} cases exceeds {MAX_SWEEP_LANES}; "
+                "pass explicit cases"
             )
-        if len(mismatches) >= 10:
+        blocks = _sweep_blocks(op, values)
+    else:
+        total = len(cases)
+        blocks = _case_blocks(op, cases)
+    mismatches: list[dict] = []
+    for block, words in blocks:
+        outputs = evaluate_words(op.circuit, words, len(block))
+        expected = _expected_words(op, block)
+        for lane in _mismatch_lanes(outputs, expected, MAX_MISMATCHES - len(mismatches)):
+            got = tuple((w >> lane) & 1 for w in outputs)
+            mismatches.append(_mismatch_report(op, block[lane], got))
+        if len(mismatches) >= MAX_MISMATCHES:
             break
     return {
         "kind": op.kind,
         "p": op.p,
-        "cases": len(cases),
+        "cases": total,
         "mismatches": mismatches,
         "ok": not mismatches,
     }

@@ -218,3 +218,26 @@ def polyfit_max_rel_residual(xs: list[int], ys: list[int], degree: int) -> Fract
         rel = abs(fit - y) / abs(Fraction(y)) if y else abs(fit)
         worst = max(worst, rel)
     return worst
+
+
+def reference_evaluate(circuit, assignment) -> tuple[int, ...]:
+    """Plain per-gate semantics of a circuit on one assignment, independent
+    of the bit-sliced evaluator."""
+    values = {}
+    inputs = iter(assignment)
+    for g in circuit.gates:
+        if g.kind == "INPUT":
+            values[g.id] = next(inputs) & 1
+        elif g.kind == "CONST0":
+            values[g.id] = 0
+        elif g.kind == "CONST1":
+            values[g.id] = 1
+        elif g.kind == "NOT":
+            values[g.id] = 1 - values[g.inputs[0]]
+        elif g.kind == "AND":
+            values[g.id] = int(all(values[q] for q in g.inputs))
+        elif g.kind == "OR":
+            values[g.id] = int(any(values[q] for q in g.inputs))
+        else:
+            values[g.id] = int(sum(values[q] for q in g.inputs) >= g.k)
+    return tuple(values[o] for o in circuit.outputs)

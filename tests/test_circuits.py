@@ -8,6 +8,7 @@ import random
 import pytest
 
 from artifact.circuits import (
+    BLOCK_LANES,
     ArityMismatch,
     Circuit,
     CircuitError,
@@ -15,33 +16,15 @@ from artifact.circuits import (
     ParseError,
     evaluate,
     evaluate_many,
+    evaluate_words,
     is_majority_only,
+    pack_codes,
     parse_netlist,
     serialize_netlist,
     to_majority_only,
 )
 
-
-def reference_evaluate(circuit: Circuit, assignment) -> tuple[int, ...]:
-    """Plain per-gate semantics, independent of the bit-sliced evaluator."""
-    values = {}
-    inputs = iter(assignment)
-    for g in circuit.gates:
-        if g.kind == "INPUT":
-            values[g.id] = next(inputs) & 1
-        elif g.kind == "CONST0":
-            values[g.id] = 0
-        elif g.kind == "CONST1":
-            values[g.id] = 1
-        elif g.kind == "NOT":
-            values[g.id] = 1 - values[g.inputs[0]]
-        elif g.kind == "AND":
-            values[g.id] = int(all(values[q] for q in g.inputs))
-        elif g.kind == "OR":
-            values[g.id] = int(any(values[q] for q in g.inputs))
-        else:
-            values[g.id] = int(sum(values[q] for q in g.inputs) >= g.k)
-    return tuple(values[o] for o in circuit.outputs)
+from oracles import reference_evaluate
 
 
 def random_circuit(rng: random.Random, n_inputs: int, n_gates: int) -> Circuit:
@@ -194,6 +177,53 @@ class TestEvaluate:
         packed = evaluate_many(c, assignments)
         for a, got in zip(assignments, packed):
             assert got == reference_evaluate(c, a)
+
+    def test_matches_reference_across_block_boundary(self):
+        """More lanes than one evaluation block: every lane on both sides
+        of the boundary agrees with per-gate semantics."""
+        rng = random.Random(7003)
+        c = random_circuit(rng, 4, 12)
+        assignments = [
+            [rng.randint(0, 1) for _ in range(4)] for _ in range(BLOCK_LANES + 5)
+        ]
+        packed = evaluate_many(c, assignments)
+        assert len(packed) == len(assignments)
+        assert packed == [reference_evaluate(c, a) for a in assignments]
+
+    def test_zero_and_one_lane(self):
+        rng = random.Random(7004)
+        c = random_circuit(rng, 3, 10)
+        assert evaluate_many(c, []) == []
+        assert evaluate_many(c, [[1, 0, 1]]) == [reference_evaluate(c, [1, 0, 1])]
+        assert evaluate(c, [1, 0, 1]) == reference_evaluate(c, [1, 0, 1])
+
+    def test_no_outputs(self):
+        c = Circuit([Gate(0, "INPUT")], [])
+        assert evaluate_many(c, [[0], [1]]) == [(), ()]
+
+    def test_words_match_many(self):
+        """The packed core on hand-built words equals evaluate_many: bit i
+        of input word j is input j of lane i."""
+        rng = random.Random(7005)
+        c = random_circuit(rng, 3, 15)
+        assignments = [[(i >> j) & 1 for j in range(3)] for i in range(8)]
+        words = [0b11110000, 0b11001100, 0b10101010][::-1]
+        outputs = evaluate_words(c, words, 8)
+        assert [tuple((w >> i) & 1 for w in outputs) for i in range(8)] == (
+            evaluate_many(c, assignments)
+        )
+        with pytest.raises(ArityMismatch):
+            evaluate_words(c, words[:2], 8)
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 20, 70])
+    def test_pack_codes_transposes(self, width):
+        rng = random.Random(7006 + width)
+        codes = [rng.randrange(1 << width) for _ in range(300)]
+        words = pack_codes(codes, width)
+        assert words == [
+            sum(((c >> j) & 1) << i for i, c in enumerate(codes)) for j in range(width)
+        ]
+        assert pack_codes([], width) == [0] * width
 
 
 class TestMajorityRewrite:

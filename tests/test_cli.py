@@ -5,17 +5,21 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from operator import getitem
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from artifact.circuits import serialize_netlist
 from artifact.cli import eval_expression, main
 from artifact.floats import DivisionByZero, FpNumber, round_p
+from artifact.hardness import enumerate_small_circuits
 from artifact.mamba import ShapeConfig, random_params
+from artifact.synthesis import synth_primitive
 
 
 class TestExpressionParser:
@@ -396,6 +400,67 @@ class TestMutatedTextInputs:
         if code:
             assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         if not edits:
+            assert code == 0
+
+
+@cache
+def _valid_netlists() -> tuple[str, ...]:
+    """Small AND/NOT/OR circuits that ``barrington`` takes (after
+    ``--lower``), and a synthesized comparator with wide gates."""
+    small = enumerate_small_circuits(3, 3, include_or=True)
+    picks = [small[i] for i in (0, len(small) // 3, 2 * len(small) // 3, -1)]
+    picks.append(synth_primitive("compare", 2, exp_bits=1).circuit)
+    return tuple(serialize_netlist(c) for c in picks)
+
+
+_NETLIST_EDIT = st.tuples(
+    st.sampled_from(["drop", "insert", "duplicate"]),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(["0", "1", "2", "5", "-1", "x", "#", "\n", "INPUT", "CONST0",
+                     "CONST1", "NOT", "AND", "OR", "THRESHOLD", "OUTPUTS"]),
+)
+
+
+class TestMutatedNetlists:
+    """The exit-2 contract for netlists: whatever token a mutation drops,
+    inserts or duplicates, ``circuit eval``, ``circuit depth`` and
+    ``hardness barrington --check`` return an exit code, and a failure is
+    one stderr line with no traceback."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.integers(min_value=0, max_value=4),
+        st.sampled_from(["eval", "depth", "barrington", "barrington --lower"]),
+        st.lists(_NETLIST_EDIT, max_size=3),
+    )
+    def test_mutated_netlist_fails_cleanly(self, tmp_path, capsys, pick, command, edits):
+        if command.startswith("barrington"):
+            pick %= 4  # the comparator's 4**depth program would not fit
+        text = _valid_netlists()[pick]
+        n_inputs = text.count("INPUT")
+        tokens = re.findall(r"\S+|\n", text)
+        for kind, where, token in edits:
+            i = where % (len(tokens) + 1)
+            if kind == "drop":
+                del tokens[i:i + 1]
+            elif kind == "insert":
+                tokens.insert(i, token)
+            else:
+                tokens[i:i + 1] = tokens[i:i + 1] * 2
+        path = tmp_path / "c.nl"
+        path.write_text(" ".join(tokens), encoding="utf-8")
+        if command == "eval":
+            code = main(["circuit", "eval", str(path), "--bits", "1" * n_inputs])
+        elif command == "depth":
+            code = main(["circuit", "depth", str(path)])
+        else:
+            code = main(["hardness", "barrington", str(path), "--check", *command.split()[1:]])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code:
+            assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        if not edits and command in ("eval", "depth"):
             assert code == 0
 
 

@@ -5,14 +5,23 @@ depth/size guarantees."""
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from artifact.circuits import evaluate, parse_netlist, serialize_netlist
-from artifact.floats import FpNumber, fp_add, fp_compare, fp_mul, iter_add
+from artifact.circuits import (
+    Circuit,
+    evaluate,
+    evaluate_many,
+    parse_netlist,
+    serialize_netlist,
+)
+from artifact.floats import FpNumber, Overflow, fp_add, fp_compare, fp_mul, iter_add
 from artifact.synthesis import (
     BitEncoding,
+    SynthesizedOp,
     UnsupportedPrecision,
     check_op,
     synth_primitive,
@@ -27,6 +36,46 @@ def random_value(rng: random.Random, enc: BitEncoding, zero_rate: float = 0.1) -
         return FpNumber.zero(enc.p)
     m = rng.randrange(1 << (enc.p - 1), 1 << enc.p) * rng.choice((1, -1))
     return FpNumber(m, rng.randint(enc.e_min, enc.e_max), enc.p)
+
+
+def with_outputs(op: SynthesizedOp, outputs) -> SynthesizedOp:
+    """The same primitive with its circuit's outputs rewired."""
+    circuit = Circuit(op.circuit.gates, outputs)
+    return SynthesizedOp(op.kind, op.p, circuit, op.input_encoding, op.output_encoding, op.m)
+
+
+def per_lane_mismatches(op: SynthesizedOp, cases) -> list[dict]:
+    """The conformance rules applied one case at a time: compare wants its
+    (lt, gt) bits; a rounding op wants the flag alone where the reference
+    overflows, and otherwise a clear flag and the reference's encoding
+    (a reference the output encoding cannot hold always mismatches).
+    Stops at the first ten mismatches."""
+    reference = {"add": fp_add, "mul": fp_mul, "iter_add": lambda *xs: iter_add(xs)}
+    outputs = evaluate_many(op.circuit, [op.encode_inputs(case) for case in cases])
+    mismatches = []
+    for case, got in zip(cases, outputs):
+        if op.kind == "compare":
+            want = {"less": (1, 0), "greater": (0, 1), "equal": (0, 0)}[
+                fp_compare(*case).value
+            ]
+            bad = got != want
+        else:
+            try:
+                value = reference[op.kind](*case)
+            except Overflow:
+                want, bad = "overflow", got[-1] != 1
+            else:
+                want = str(value)
+                try:
+                    bits = op.output_encoding.encode(value)
+                except ValueError:
+                    bits = None
+                bad = got[-1] != 0 or got[:-1] != bits
+        if bad:
+            mismatches.append({"operands": [str(x) for x in case], "want": want, "got": got})
+            if len(mismatches) == 10:
+                break
+    return mismatches
 
 
 class TestBitEncoding:
@@ -295,3 +344,142 @@ class TestNetlistIntegration:
             for b in values[:9]:
                 bits = op.encode_inputs([a, b])
                 assert evaluate(back, bits) == evaluate(op.circuit, bits)
+
+
+class TestConformanceReports:
+    """check_op against per-lane rules on broken circuits, the mismatch cap,
+    and the exhaustive sweeps the packed evaluator makes affordable."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("kind", ["add", "mul", "compare"])
+    def test_permuted_outputs_match_per_lane_oracle(self, kind, p):
+        op = synth_primitive(kind, p)
+        values = op.input_encoding.enumerate_values()
+        cases = list(product(values, repeat=2))
+        rng = random.Random(8300 + p)
+        for _ in range(3):
+            outputs = list(op.circuit.outputs)
+            while outputs == list(op.circuit.outputs):
+                rng.shuffle(outputs)
+            broken = with_outputs(op, outputs)
+            report = check_op(broken)
+            assert report["cases"] == len(cases)
+            assert report["mismatches"] == per_lane_mismatches(broken, cases)
+            assert not report["ok"]
+
+    def test_permuted_iter_add_outputs_match_per_lane_oracle(self):
+        op = synth_primitive("iter_add", 3, m=4)
+        rng = random.Random(8310)
+        cases = [
+            tuple(random_value(rng, op.input_encoding) for _ in range(4))
+            for _ in range(300)
+        ]
+        for _ in range(3):
+            outputs = list(op.circuit.outputs)
+            rng.shuffle(outputs)
+            broken = with_outputs(op, outputs)
+            assert check_op(broken, cases)["mismatches"] == per_lane_mismatches(broken, cases)
+
+    def test_swapped_comparator_reports_first_ten(self):
+        """(gt, lt) for (lt, gt) is wrong on 4160 of 4225 lanes; only the
+        first ten are reported, in case order."""
+        op = synth_primitive("compare", 3)
+        broken = with_outputs(op, op.circuit.outputs[::-1])
+        values = op.input_encoding.enumerate_values()
+        report = check_op(broken)
+        assert report["cases"] == 65 * 65 and not report["ok"]
+        assert len(report["mismatches"]) == 10
+        assert report["mismatches"] == per_lane_mismatches(
+            broken, list(product(values, repeat=2))
+        )
+
+    def test_unnormalized_outputs_are_mismatches(self):
+        """An adder whose sign output is wired to an input decodes to
+        significands such as -2 at p=3: mismatches, not an exception."""
+        op = synth_primitive("add", 3)
+        outputs = list(op.circuit.outputs)
+        outputs[op.p] = 8  # the sign bit of the result's significand
+        report = check_op(with_outputs(op, outputs))
+        assert not report["ok"]
+        assert len(report["mismatches"]) == 10
+
+    @pytest.mark.parametrize("kind", ["add", "mul", "compare"])
+    def test_exhaustive_p5(self, kind):
+        """All 1025**2 operand pairs at p=5; a few seconds each."""
+        start = time.perf_counter()
+        report = check_op(synth_primitive(kind, 5))
+        elapsed = time.perf_counter() - start
+        assert report["cases"] == 1025**2
+        assert report["ok"], report["mismatches"][:3]
+        assert elapsed <= 60, elapsed
+
+    def test_exhaustive_iter_add_p3_m3(self):
+        """Every operand triple at p=3: 65**3 lanes in mixed radix."""
+        report = check_op(synth_primitive("iter_add", 3, m=3))
+        assert report["cases"] == 65**3 == 274_625
+        assert report["ok"], report["mismatches"][:3]
+
+    def test_permuted_iter_add_sweep_matches_per_lane_oracle(self):
+        """The exhaustive m=3 sweep runs in mixed radix, first operand
+        slowest: its mismatches come in that order."""
+        op = synth_primitive("iter_add", 2, m=3)
+        values = op.input_encoding.enumerate_values()
+        outputs = list(op.circuit.outputs)
+        random.Random(8320).shuffle(outputs)
+        broken = with_outputs(op, outputs)
+        report = check_op(broken)
+        assert report["cases"] == 17**3
+        assert report["mismatches"] == per_lane_mismatches(
+            broken, list(product(values, repeat=3))
+        )
+
+    def test_overflow_lanes_check_the_flag_only(self):
+        """Where the reference overflows, garbage value outputs pass and a
+        clear flag fails."""
+        op = synth_primitive("mul", 3)
+        values = op.input_encoding.enumerate_values()
+        cases = []
+        for case in product(values, repeat=2):
+            try:
+                fp_mul(*case)
+            except Overflow:
+                cases.append(case)
+        assert len(cases) > 10
+        garbage = list(range(len(op.circuit.outputs) - 1)) + [op.circuit.outputs[-1]]
+        assert check_op(with_outputs(op, garbage), cases)["ok"]
+        no_flag = list(op.circuit.outputs[:-1]) + [0]
+        report = check_op(with_outputs(op, no_flag), cases)
+        assert report["mismatches"] == per_lane_mismatches(with_outputs(op, no_flag), cases)
+        assert [m["want"] for m in report["mismatches"]] == ["overflow"] * 10
+
+    def test_unencodable_reference_always_mismatches(self):
+        """With the output window narrowed to two exponent bits, exactly
+        the results outside [-2, 1] mismatch."""
+        op = synth_primitive("mul", 3)
+        narrow = BitEncoding(3, 2)
+        outs = op.circuit.outputs
+        circuit = Circuit(op.circuit.gates, outs[: narrow.width] + outs[-1:])
+        narrowed = SynthesizedOp("mul", 3, circuit, op.input_encoding, narrow)
+        values = op.input_encoding.enumerate_values()
+        cases = list(product(values, repeat=2))
+        outside = []
+        for case in cases:
+            try:
+                if not narrow.e_min <= fp_mul(*case).e <= narrow.e_max:
+                    outside.append(case)
+            except Overflow:
+                pass
+        report = check_op(narrowed, cases)
+        assert report["mismatches"] == per_lane_mismatches(narrowed, cases)
+        assert [m["operands"] for m in report["mismatches"]] == [
+            [str(x) for x in case] for case in outside[:10]
+        ]
+        # Not even all-zero outputs can match such a result.
+        zero = next(g.id for g in op.circuit.gates if g.kind == "CONST0")
+        silent = Circuit(op.circuit.gates, [zero] * (narrow.width + 1))
+        silenced = SynthesizedOp("mul", 3, silent, op.input_encoding, narrow)
+        assert len(check_op(silenced, outside)["mismatches"]) == 10
+
+    def test_oversized_sweep_refused(self):
+        with pytest.raises(ValueError):
+            check_op(synth_primitive("iter_add", 3, m=8))
