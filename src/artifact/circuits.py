@@ -80,33 +80,39 @@ class Gate:
     k: int | None = None  # THRESHOLD only
 
 
+def _check_gate(g: Gate, i: int) -> None:
+    """Raise :class:`CircuitError` unless ``g`` may stand at position ``i``
+    of a gate list: its id is ``i``, its kind is known, its inputs precede
+    it, its fan-in suits its kind, and only a THRESHOLD gate carries a
+    ``k``, with ``1 <= k <= fan-in``."""
+    if g.id != i:
+        raise CircuitError(f"gate ids must be dense and ordered, got {g.id} at {i}")
+    if g.kind not in GATE_KINDS:
+        raise CircuitError(f"unknown gate kind {g.kind!r}")
+    if g.inputs and (min(g.inputs) < 0 or max(g.inputs) >= i):
+        raise CircuitError(f"gate {i} input ids must precede it")
+    if g.kind in ("INPUT", "CONST0", "CONST1"):
+        if g.inputs:
+            raise CircuitError(f"{g.kind} gate {i} takes no inputs")
+    elif g.kind == "NOT":
+        if len(g.inputs) != 1:
+            raise CircuitError(f"NOT gate {i} must have exactly one input")
+    elif not g.inputs:
+        raise CircuitError(f"{g.kind} gate {i} needs at least one input")
+    if g.kind == "THRESHOLD":
+        if g.k is None or not 1 <= g.k <= len(g.inputs):
+            raise CircuitError(f"THRESHOLD gate {i} needs 1 <= k <= fan-in, got k={g.k}")
+    elif g.k is not None:
+        raise CircuitError(f"gate {i}: only THRESHOLD carries k")
+
+
 class Circuit:
     """A validated gate list plus designated output ids."""
 
     def __init__(self, gates: Sequence[Gate], outputs: Sequence[int]):
         n = len(gates)
         for i, g in enumerate(gates):
-            if g.id != i:
-                raise CircuitError(f"gate ids must be dense and ordered, got {g.id} at {i}")
-            if g.kind not in GATE_KINDS:
-                raise CircuitError(f"unknown gate kind {g.kind!r}")
-            if any(q >= i or q < 0 for q in g.inputs):
-                raise CircuitError(f"gate {i} input ids must precede it")
-            if g.kind in ("INPUT", "CONST0", "CONST1"):
-                if g.inputs:
-                    raise CircuitError(f"{g.kind} gate {i} takes no inputs")
-            elif g.kind == "NOT":
-                if len(g.inputs) != 1:
-                    raise CircuitError(f"NOT gate {i} must have exactly one input")
-            elif not g.inputs:
-                raise CircuitError(f"{g.kind} gate {i} needs at least one input")
-            if g.kind == "THRESHOLD":
-                if g.k is None or not 1 <= g.k <= len(g.inputs):
-                    raise CircuitError(
-                        f"THRESHOLD gate {i} needs 1 <= k <= fan-in, got k={g.k}"
-                    )
-            elif g.k is not None:
-                raise CircuitError(f"gate {i}: only THRESHOLD carries k")
+            _check_gate(g, i)
         for o in outputs:
             if not 0 <= o < n:
                 raise CircuitError(f"output id {o} out of range")
@@ -396,19 +402,12 @@ def parse_netlist(text: str) -> Circuit:
             inputs = tuple(int(x) for x in rest)
         except ValueError:
             raise ParseError(line_no, "input ids must be integers") from None
-        if gid != len(gates):
-            raise ParseError(line_no, f"expected gate id {len(gates)}, got {gid}")
-        if any(q >= gid or q < 0 for q in inputs):
-            raise ParseError(line_no, f"gate {gid} refers to a not-yet-defined gate")
-        if kind in ("INPUT", "CONST0", "CONST1") and inputs:
-            raise ParseError(line_no, f"{kind} takes no inputs")
-        if kind == "NOT" and len(inputs) != 1:
-            raise ParseError(line_no, "NOT must have exactly one input")
-        if kind in ("AND", "OR") and not inputs:
-            raise ParseError(line_no, f"{kind} needs at least one input")
-        if kind == "THRESHOLD" and not 1 <= (k or 0) <= len(inputs):
-            raise ParseError(line_no, f"need 1 <= k <= fan-in, got k={k}")
-        gates.append(Gate(gid, kind, inputs, k))
+        gate = Gate(gid, kind, inputs, k)
+        try:
+            _check_gate(gate, len(gates))
+        except CircuitError as exc:
+            raise ParseError(line_no, str(exc)) from None
+        gates.append(gate)
     if outputs is None:
         raise ParseError(len(text.splitlines()) or 1, "missing OUTPUTS line")
     try:

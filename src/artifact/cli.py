@@ -31,16 +31,13 @@ timestamps are embedded, and reruns are byte-identical.
 
 Exit codes: 0 on success, 1 when a check fails or arithmetic leaves the
 model's domain (division by zero, overflow), 2 for usage or input-syntax
-errors.  Set ``ARTIFACT_LOG=debug`` for diagnostic logging; there are no
-other environment knobs.
+errors.  No environment variable is read.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import random
 import sys
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, Overflow, Underflow, localcontext
@@ -109,8 +106,6 @@ from artifact.synthesis import (
     check_op,
     synth_primitive,
 )
-
-log = logging.getLogger("artifact.cli")
 
 
 class CliUsageError(ValueError):
@@ -836,11 +831,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if os.environ.get("ARTIFACT_LOG", "").lower() == "debug":
-        logging.basicConfig(level=logging.DEBUG)
     try:
         args = build_parser().parse_args(argv)
-        log.debug("dispatch %s", args.command)
         return args.func(args)
     except (FpError, NegativeInput, NonPositiveInput) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

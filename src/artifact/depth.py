@@ -7,7 +7,7 @@ iterated addition of any width), ``d_otimes`` (one single-rounding iterated
 multiplication), ``d_exp``/``d_sqrt`` (one exponential / square-root
 block), and ``d_dup`` (a broadcast, default weight zero — wiring, not
 gates).  ``d_log`` and ``d_sp`` are composite constants defined by the
-formula registry in terms of the base set.
+formula registry in terms of that base set.
 
 :class:`TracedScalars` is an evaluation context that records structure
 only: it runs the model code on node ids, computes no values, and records
@@ -16,13 +16,16 @@ control flow takes the general branch (the discretization is traced on
 its full schedule), so a trace, and every depth in :func:`depth_report`,
 depends on the shape alone, never on values or precision.  The
 critical-path depth of a trace is a :class:`DepthExpr` — a
-nonnegative integer combination of the constants.  It is the top of a
-Pareto frontier of incomparable path sums (two symbolic sums are
+nonnegative integer combination of the base constants.  It is the top of
+a Pareto frontier of incomparable path sums (two symbolic sums are
 comparable only coefficient-wise, since the constants may take any
-nonnegative weights).  The frontier is computed as each node is appended
-to the trace, on path sums held as tuples of ints indexed like
-``BASE_CONSTANTS``; :class:`DepthExpr` objects are built only when a
-frontier or depth is read.
+nonnegative weights).  Path sums have one representation: a coefficient
+vector indexed like ``BASE_CONSTANTS``.  The frontier is computed on bare
+vectors as each node is appended to the trace, and a vector read out of
+it is wrapped as ``DepthExpr(vec)``; ``DepthExpr.of`` also accepts the
+composite names and writes them out through the registry, so the checker
+compares two expressions directly.  Component traces are built from the
+shape alone: every leaf is a fresh input whose value is never read.
 
 The elementary functions are traced on their *reference schedules*: the
 logarithm as two parallel standard levels (shift and scale), an iterated
@@ -41,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import add, le
+from operator import add, le, sub
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -61,7 +64,6 @@ from artifact.mamba import (
     ssm_recurrent,
     ssm_select,
     wrap_params,
-    wrap_values,
 )
 
 __all__ = [
@@ -70,7 +72,6 @@ __all__ = [
     "CostTrace",
     "CycleDetected",
     "DEFAULT_ASSIGNMENT",
-    "DEPTH_CONSTANTS",
     "DepthCheck",
     "DepthExpr",
     "TraceNode",
@@ -82,26 +83,13 @@ __all__ = [
     "default_shape_grid",
     "depth_report",
     "formula_registry",
-    "reference_input",
-    "reference_params",
     "resolve_assignment",
     "trace_component",
     "trace_run",
 ]
 
 
-DEPTH_CONSTANTS: tuple[str, ...] = (
-    "d_std",
-    "d_oplus",
-    "d_otimes",
-    "d_exp",
-    "d_sqrt",
-    "d_log",
-    "d_sp",
-    "d_dup",
-)
-
-#: Constants that appear as event tags; d_log / d_sp are composites.
+#: The constants that appear as event tags, in coefficient-vector order.
 BASE_CONSTANTS: tuple[str, ...] = (
     "d_std",
     "d_oplus",
@@ -110,6 +98,8 @@ BASE_CONSTANTS: tuple[str, ...] = (
     "d_sqrt",
     "d_dup",
 )
+#: Composite constants, defined by the formula registry over the base set.
+_COMPOSITES = ("d_log", "d_sp")
 
 #: Numeric weights used when a depth expression is evaluated to a single
 #: integer.  Broadcast is wiring, not gates, so d_dup defaults to zero.
@@ -132,92 +122,99 @@ class CycleDetected(ValueError):
     """A trace's predecessor ids do not respect sequence order."""
 
 
+#: A path sum as a vector of coefficients indexed like ``BASE_CONSTANTS``.
+_Sum = tuple[int, ...]
+_ZERO: _Sum = (0,) * len(BASE_CONSTANTS)
+_ORIGIN: tuple[_Sum, ...] = (_ZERO,)
+#: The unit vector each event cost adds to a path sum.
+_STEPS: dict[str, _Sum] = {
+    name: tuple(int(i == k) for i in range(len(BASE_CONSTANTS)))
+    for k, name in enumerate(BASE_CONSTANTS)
+}
+#: (name, index) pairs in name order, the key order of ``as_dict``.
+_BY_NAME = sorted((name, k) for k, name in enumerate(BASE_CONSTANTS))
+
+
 @dataclass(frozen=True, slots=True)
 class DepthExpr:
-    """A nonnegative integer combination of depth constants.
+    """A nonnegative integer combination of the base depth constants.
 
-    Immutable; supports addition, scaling by nonnegative integers,
-    coefficient-wise comparison (a partial order), and numeric evaluation
-    under a weight assignment.
+    ``coeffs`` is the coefficient vector, indexed like ``BASE_CONSTANTS``:
+    the same vectors a :class:`CostTrace` holds as path sums, so a frontier
+    entry is read out as ``DepthExpr(vec)``.  Immutable; supports addition,
+    scaling by nonnegative integers, coefficient-wise comparison (a partial
+    order), and numeric evaluation under a weight assignment.  :meth:`of`
+    also accepts the composites ``d_log`` and ``d_sp`` and writes them out
+    through the formula registry.
     """
 
-    coeffs: tuple[tuple[str, int], ...]
+    coeffs: _Sum
 
     def __post_init__(self) -> None:
-        for name, c in self.coeffs:
-            if name not in DEPTH_CONSTANTS:
-                raise ValueError(f"unknown depth constant {name!r}")
-            if c < 0:
-                raise ValueError("coefficients must be nonnegative")
+        if len(self.coeffs) != len(BASE_CONSTANTS):
+            raise ValueError(f"need {len(BASE_CONSTANTS)} coefficients, got {len(self.coeffs)}")
+        if min(self.coeffs) < 0:
+            raise ValueError("coefficients must be nonnegative")
 
     @classmethod
     def of(cls, mapping: Mapping[str, int] | None = None, **kw: int) -> "DepthExpr":
-        merged: dict[str, int] = dict(mapping or {})
-        merged.update(kw)
-        return cls(tuple(sorted((k, v) for k, v in merged.items() if v)))
+        vec = _ZERO
+        for name, c in {**(mapping or {}), **kw}.items():
+            if not c:
+                continue
+            if c < 0:
+                raise ValueError("coefficients must be nonnegative")
+            if name in _STEPS:
+                unit = _STEPS[name]
+            elif name in _COMPOSITES:
+                unit = _REGISTRY[name].coeffs
+            else:
+                raise ValueError(f"unknown depth constant {name!r}")
+            vec = tuple([v + c * u for v, u in zip(vec, unit)])
+        return cls(vec)
 
     @classmethod
     def zero(cls) -> "DepthExpr":
-        return cls(())
+        return cls(_ZERO)
 
     @classmethod
     def single(cls, name: str) -> "DepthExpr":
         return cls.of({name: 1})
 
     def as_dict(self) -> dict[str, int]:
-        return dict(self.coeffs)
+        """The nonzero coefficients, keyed by constant name in name order."""
+        return {name: self.coeffs[k] for name, k in _BY_NAME if self.coeffs[k]}
 
     def __add__(self, other: "DepthExpr") -> "DepthExpr":
-        merged = self.as_dict()
-        for k, v in other.coeffs:
-            merged[k] = merged.get(k, 0) + v
-        return DepthExpr.of(merged)
+        return DepthExpr(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __mul__(self, k: int) -> "DepthExpr":
         if k < 0:
             raise ValueError("scale must be nonnegative")
-        return DepthExpr.of({name: c * k for name, c in self.coeffs})
+        return DepthExpr(tuple([c * k for c in self.coeffs]))
 
     __rmul__ = __mul__
 
     def __le__(self, other: "DepthExpr") -> bool:
-        theirs = other.as_dict()
-        return all(c <= theirs.get(k, 0) for k, c in self.coeffs)
-
-    def dominates(self, other: "DepthExpr") -> bool:
-        return other <= self
+        return all(map(le, self.coeffs, other.coeffs))
 
     def minus(self, other: "DepthExpr") -> "DepthExpr":
         """Coefficient-wise difference; requires ``other <= self``."""
         if not other <= self:
             raise ValueError("difference would have a negative coefficient")
-        mine = self.as_dict()
-        for k, v in other.coeffs:
-            mine[k] = mine.get(k, 0) - v
-        return DepthExpr.of(mine)
-
-    def expand(self) -> "DepthExpr":
-        """Rewrite the composite constants d_log / d_sp into base ones."""
-        out = DepthExpr.zero()
-        for name, c in self.coeffs:
-            if name in ("d_log", "d_sp"):
-                out = out + c * formula_registry()[name]
-            else:
-                out = out + c * DepthExpr.of({name: 1})
-        return out
+        return DepthExpr(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def evaluate(self, assignment: Mapping[str, int] | None = None) -> int:
         weights = resolve_assignment(assignment)
-        return sum(c * weights.get(name, 1) for name, c in self.expand().coeffs)
+        return sum(c * weights[name] for name, c in zip(BASE_CONSTANTS, self.coeffs))
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        order = {name: i for i, name in enumerate(DEPTH_CONSTANTS)}
-        parts = []
-        for name, c in sorted(self.coeffs, key=lambda kv: order[kv[0]]):
-            parts.append(name if c == 1 else f"{c}*{name}")
-        return " + ".join(parts)
+        parts = [
+            name if c == 1 else f"{c}*{name}"
+            for name, c in zip(BASE_CONSTANTS, self.coeffs)
+            if c
+        ]
+        return " + ".join(parts) or "0"
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,26 +229,12 @@ class TraceNode:
     preds: tuple[int, ...]
 
 
-#: A path sum as a vector of coefficients indexed like ``BASE_CONSTANTS``.
-_Sum = tuple[int, ...]
-_ORIGIN: tuple[_Sum, ...] = ((0,) * len(BASE_CONSTANTS),)
-#: The unit vector each event cost adds to a path sum.
-_STEPS: dict[str, _Sum] = {
-    name: tuple(int(i == k) for i in range(len(BASE_CONSTANTS)))
-    for k, name in enumerate(BASE_CONSTANTS)
-}
-
-
 def _maxima(sums: Iterable[_Sum]) -> tuple[_Sum, ...]:
     """Pareto maxima of path sums, deduplicated, in first-occurrence order."""
     uniq = list(dict.fromkeys(sums))
     return tuple(
         s for s in uniq if not any(s is not t and all(map(le, s, t)) for t in uniq)
     )
-
-
-def _expr(s: _Sum) -> DepthExpr:
-    return DepthExpr(tuple(sorted((k, c) for k, c in zip(BASE_CONSTANTS, s) if c)))
 
 
 class CostTrace:
@@ -356,12 +339,12 @@ class CostTrace:
 
     def depth_frontiers(self) -> list[tuple[DepthExpr, ...]]:
         """Per-node Pareto frontier of path sums ending at the node."""
-        exprs = [tuple(map(_expr, front)) for front in self._frontiers]
+        exprs = [tuple(map(DepthExpr, front)) for front in self._frontiers]
         return [exprs[f] for f in self._fronts]
 
     def critical_frontier(self) -> tuple[DepthExpr, ...]:
         """Pareto frontier of every path sum in the trace."""
-        return tuple(map(_expr, self._critical))
+        return tuple(map(DepthExpr, self._critical))
 
     def critical_depth(self) -> DepthExpr:
         """The unique maximal path sum.
@@ -481,11 +464,10 @@ def check_depth(traced: DepthExpr, formula: DepthExpr) -> DepthCheck:
     included); ``Exceeds`` with the offending difference when the trace
     dominates; ``NotComparable`` when neither does.
     """
-    t, f = traced.expand(), formula.expand()
-    if t <= f:
+    if traced <= formula:
         return DepthCheck(Verdict.WITHIN_BOUND)
-    if f <= t:
-        return DepthCheck(Verdict.EXCEEDS, t.minus(f))
+    if formula <= traced:
+        return DepthCheck(Verdict.EXCEEDS, traced.minus(formula))
     return DepthCheck(Verdict.NOT_COMPARABLE)
 
 
@@ -647,121 +629,75 @@ def trace_run(fn: Callable[[TracedScalars], Any]) -> CostTrace:
 # ----------------------------------------------------- component instances
 
 
-def _grid_fraction(i: int, j: int, off: int = 0) -> Fraction:
-    """Deterministic values in [1/2, 15/16] — positive, guard-free."""
-    return Fraction(8 + (off + 3 * i + 5 * j) % 8, 16)
+def _leaves(ctx: ScalarContext, *dims: int) -> Any:
+    """A ``dims``-shaped nesting of fresh input leaves, emitted row-major;
+    no dims gives one leaf.  The tracer ignores values, so every leaf is 0."""
+    if not dims:
+        return ctx.input(Fraction(0))
+    return [_leaves(ctx, *dims[1:]) for _ in range(dims[0])]
 
 
-def _grid_mat(rows: int, cols: int, off: int = 0) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(_grid_fraction(i, j, off) for j in range(cols)) for i in range(rows))
-
-
-# Grid offset of each reference parameter field (``w_conv`` slice k adds k).
-_REFERENCE_OFFSETS = {
-    "w_x_in": 1, "b_x_in": 2, "w_conv": 3, "b_base": 4, "c_base": 5, "w_b": 6, "p_b": 7,
-    "w_c": 8, "p_c": 9, "w_delta": 10, "p_delta": 11, "w_x_out": 12, "b_x_out": 13,
-}
-
-
-def reference_params(shape: ShapeConfig) -> MambaParams:
-    """Deterministic, positive parameters whose step sizes keep every
-    discretization row away from the small-argument guard on the whole
-    shape grid (the state diagonal has magnitude at least 1/4)."""
-
-    def leaf(name: str, index: tuple[int, ...]) -> Fraction:
-        if name == "a_diag":
-            return Fraction(-(4 + (2 * index[0]) % 5), 16)
-        if name == "w_delta_scalar":
-            return Fraction(1, 2)
-        *outer, i, j = (0, 0) + index
-        return _grid_fraction(i, j, _REFERENCE_OFFSETS[name] + sum(outer))
-
-    return MambaParams.build(shape, leaf)
-
-
-def reference_input(shape: ShapeConfig) -> list[list[Fraction]]:
-    return [list(r) for r in _grid_mat(shape.seq_len, shape.d_model, 14)]
+def _params(ctx: ScalarContext, shape: ShapeConfig) -> Any:
+    return wrap_params(ctx, MambaParams.build(shape, lambda name, index: Fraction(0)))
 
 
 def _disc_leaves(ctx: ScalarContext, shape: ShapeConfig) -> SsmDiscrete:
     n, E = shape.d_state, shape.d_inner
-    a_bar = tuple(ctx.input(_grid_fraction(i, 0, 20)) for i in range(n))
-    b_bar = tuple(tuple(ctx.input(_grid_fraction(i, k, 21)) for k in range(E)) for i in range(n))
-    c_bar = tuple(tuple(ctx.input(_grid_fraction(d, i, 22)) for i in range(n)) for d in range(E))
-    return SsmDiscrete(a_bar, b_bar, c_bar, ctx.input(Fraction(1, 2)))
+    return SsmDiscrete(_leaves(ctx, n), _leaves(ctx, n, E), _leaves(ctx, E, n), _leaves(ctx))
 
 
 def _component_builders() -> Mapping[str, Callable[[TracedScalars, ShapeConfig], Any]]:
     def scalar(fn_name):
         def run(ctx: TracedScalars, shape: ShapeConfig):
-            return getattr(ctx, fn_name)(ctx.input(Fraction(5, 8)))
+            return getattr(ctx, fn_name)(_leaves(ctx))
 
         return run
 
     def b_input_projection(ctx, shape):
-        x = wrap_values(ctx, _grid_mat(shape.seq_len, shape.d_model, 30))
-        w = wrap_values(ctx, _grid_mat(shape.d_model, shape.d_inner, 31))
-        b = wrap_values(ctx, _grid_mat(1, shape.d_inner, 32))[0]
-        return input_projection(ctx, x, w, b)
+        L, D, E = shape.seq_len, shape.d_model, shape.d_inner
+        return input_projection(ctx, _leaves(ctx, L, D), _leaves(ctx, D, E), _leaves(ctx, E))
 
     def b_conv1d(ctx, shape):
-        x = wrap_values(ctx, _grid_mat(shape.seq_len, shape.d_inner, 33))
-        w = [
-            wrap_values(ctx, _grid_mat(shape.d_inner, shape.d_inner, 34 + k))
-            for k in range(shape.kernel_size)
-        ]
-        return conv1d(ctx, x, w)
+        L, E, K = shape.seq_len, shape.d_inner, shape.kernel_size
+        return conv1d(ctx, _leaves(ctx, L, E), _leaves(ctx, K, E, E))
 
     def b_select(ctx, shape):
-        pw = wrap_params(ctx, reference_params(shape))
-        x = wrap_values(ctx, _grid_mat(shape.seq_len, shape.d_inner, 35))
+        pw = _params(ctx, shape)
+        x = _leaves(ctx, shape.seq_len, shape.d_inner)
         return select_params(
             ctx, x, pw.w_b, pw.p_b, pw.w_c, pw.p_c, pw.w_delta, pw.p_delta, pw.w_delta_scalar
         )
 
     def b_discretize(ctx, shape):
-        n, E = shape.d_state, shape.d_inner
-        a = [ctx.input(Fraction(-(4 + i % 5), 8)) for i in range(n)]
-        b = wrap_values(ctx, _grid_mat(n, E, 36))
-        c = wrap_values(ctx, _grid_mat(E, n, 37))
-        return discretize(ctx, a, b, c, ctx.input(Fraction(1, 2)))
+        d = _disc_leaves(ctx, shape)
+        return discretize(ctx, d.a_bar, d.b_bar, d.c_bar, d.delta)
 
     def b_hidden(ctx, shape):
         disc = _disc_leaves(ctx, shape)
-        x = wrap_values(ctx, _grid_mat(shape.seq_len, shape.d_inner, 38))
-        return hidden_recurrence(ctx, disc, x)
+        return hidden_recurrence(ctx, disc, _leaves(ctx, shape.seq_len, shape.d_inner))
 
     def b_recurrent(ctx, shape):
         disc = _disc_leaves(ctx, shape)
-        x = wrap_values(ctx, _grid_mat(shape.seq_len, shape.d_inner, 39))
-        return ssm_recurrent(ctx, disc, x)
+        return ssm_recurrent(ctx, disc, _leaves(ctx, shape.seq_len, shape.d_inner))
 
     def b_kernel(ctx, shape):
-        disc = _disc_leaves(ctx, shape)
-        return conv_kernel(ctx, disc, shape.seq_len)
+        return conv_kernel(ctx, _disc_leaves(ctx, shape), shape.seq_len)
 
     def b_convolution(ctx, shape):
         E, L = shape.d_inner, shape.seq_len
-        kern = [
-            [[ctx.input(_grid_fraction(dp, d + k, 40)) for k in range(L)] for d in range(E)]
-            for dp in range(E)
-        ]
-        x = wrap_values(ctx, _grid_mat(L, E, 41))
-        return ssm_convolution(ctx, kern, x)
+        return ssm_convolution(ctx, _leaves(ctx, E, E, L), _leaves(ctx, L, E))
 
     def b_ssm(form):
         def run(ctx, shape):
-            pw = wrap_params(ctx, reference_params(shape))
-            x = wrap_values(ctx, _grid_mat(shape.seq_len, shape.d_inner, 42))
-            return ssm_select(ctx, pw, x, form)
+            pw = _params(ctx, shape)
+            return ssm_select(ctx, pw, _leaves(ctx, shape.seq_len, shape.d_inner), form)
 
         return run
 
     def b_mamba(form):
         def run(ctx, shape):
-            pw = wrap_params(ctx, reference_params(shape))
-            x = wrap_values(ctx, reference_input(shape))
-            return mamba_forward(ctx, pw, x, form)
+            pw = _params(ctx, shape)
+            return mamba_forward(ctx, pw, _leaves(ctx, shape.seq_len, shape.d_model), form)
 
         return run
 

@@ -29,6 +29,7 @@ evaluators in this module.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
 from typing import Callable, Sequence
@@ -925,5 +926,12 @@ def eval_instance(kind: str, line: str) -> str:
             [int(tok) for tok in assign_text.split(",")] if assign_text else []
         )
         # Pad to the declared arity: corpus formulas may not use every X_i.
-        return str(eval_arith(formula, assignment[: formula.n_indeterminates]))
+        value = eval_arith(formula, assignment[: formula.n_indeterminates])
+        try:
+            return str(value)
+        except ValueError:
+            # Past the interpreter's int-to-string limit: refuse the label
+            # rather than raise that limit for the whole process.
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"label has more than {limit} decimal digits") from None
     raise ValueError(f"unknown corpus kind {kind!r}")

@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import json
 import re
+import sys
 from fractions import Fraction
 from functools import cache, reduce
 from operator import getitem
@@ -572,6 +573,20 @@ class TestHardnessCommands:
         corpus.write_text("01∧\n(0¬)\n")
         assert main(["hardness", "eval", "bool", str(corpus)]) == 0
         assert capsys.readouterr().out.splitlines() == ["0", "1"]
+
+    def test_oversized_arith_label_refused(self, tmp_path, capsys):
+        """9^5000 has 4,772 decimal digits, past the interpreter's
+        int-to-string limit: the label is refused in one line of the
+        program's own, and the limit is left as it is."""
+        corpus = tmp_path / "comb.txt"
+        corpus.write_text("(* " * 5000 + "X1" + " 9)" * 5000 + " ; 1,2,3\n")
+        limit = sys.get_int_max_str_digits()
+        assert main(["hardness", "eval", "arith", str(corpus)]) == 2
+        out, err = capsys.readouterr()
+        assert not out and len(err.splitlines()) == 1
+        assert err == f"ValueError: label has more than {limit} decimal digits\n"
+        assert "set_int_max_str_digits" not in err
+        assert sys.get_int_max_str_digits() == limit
 
     def test_barrington_check_passes(self, tmp_path, capsys):
         nl = tmp_path / "c.nl"

@@ -35,7 +35,15 @@ from artifact.depth import (
     trace_component,
     trace_run,
 )
-from artifact.mamba import ShapeConfig, discretize
+from artifact.mamba import (
+    ShapeConfig,
+    discretize,
+    mamba_forward,
+    random_input,
+    random_params,
+    wrap_params,
+    wrap_values,
+)
 
 F = Fraction
 
@@ -68,7 +76,7 @@ class TestDepthExpr:
         with pytest.raises(ValueError):
             expr(d_weird=1)
         with pytest.raises(ValueError):
-            DepthExpr((("d_std", -1),))
+            DepthExpr((-1, 0, 0, 0, 0, 0))
 
     def test_numeric_evaluation_default_weights(self):
         # All weights 1 except broadcast, which is wiring (weight 0).
@@ -85,8 +93,8 @@ class TestDepthExpr:
 
     def test_composite_constants_expand(self):
         reg = formula_registry()
-        assert expr(d_log=1).expand() == reg["d_log"]
-        assert expr(d_sp=1, d_std=1).expand() == reg["d_sp"] + expr(d_std=1)
+        assert expr(d_log=1) == reg["d_log"]
+        assert expr(d_sp=1, d_std=1) == reg["d_sp"] + expr(d_std=1)
         # Evaluation goes through expansion.
         assert expr(d_log=1).evaluate() == reg["d_log"].evaluate()
 
@@ -411,6 +419,28 @@ class TestStructureOnlyTracer:
         monkeypatch.setattr(floats, "round_scaled", refuse)
         got = trace_component("mamba_forward_convolution", shape)
         assert got.nodes == want.nodes and got.outputs == want.outputs
+
+    @pytest.mark.parametrize("form", ["recurrent", "convolution"])
+    @pytest.mark.parametrize("dims", [(3, 2, 3, 2, 2), (4, 3, 2, 3, 3)])
+    def test_trace_depends_on_the_shape_alone(self, form, dims):
+        """Random signed parameters and inputs give the trace that
+        ``trace_component`` builds from the shape alone: the premise that
+        lets the component builders emit value-free leaves."""
+        shape = ShapeConfig(*dims)
+        want = trace_component(f"mamba_forward_{form}", shape)
+        for seed in (0, 1):
+            got = trace_run(
+                lambda ctx: mamba_forward(
+                    ctx,
+                    wrap_params(ctx, random_params(shape, seed)),
+                    wrap_values(ctx, random_input(shape, seed)),
+                    form,
+                )
+            )
+            assert [(n.id, n.label, n.cost, n.preds) for n in got.nodes] == [
+                (n.id, n.label, n.cost, n.preds) for n in want.nodes
+            ]
+            assert got.outputs == want.outputs
 
 
 class TestComponentTraces:

@@ -23,7 +23,6 @@ from artifact.elementary import exp_fp
 from artifact.floats import FpNumber, fp_add, fp_div, fp_mul, iter_add, round_p
 from artifact.matrices import FpMatrix, ShapeMismatch, max_rel_gap
 from artifact.cli import _load_model
-from artifact.depth import reference_params
 from artifact.mamba import (
     GATE_SCHEMA,
     PARAM_SCHEMA,
@@ -132,13 +131,11 @@ class TestParamLayoutPinned:
              "8c29b045df0952d1d5083eba84f286fab26f525967dc2f08a12fe8a6b03a4f37"),
             (lambda s, _: random_params(s, 2, positive=True),
              "5a505dacb25bc93da20302244e71ad11d3b02d2c22f5c98c83f33431dcd29fcb"),
-            (lambda s, _: reference_params(s),
-             "020afafc45e08a42ee292cb46e897c4113d6db263db679207b25fdb91e558b60"),
             (lambda s, tmp: _zero_model(tmp, s),
              "9ce089575633f246e907f850d0a7d5bef94c6d1a3d65b886d7bbb1dae5c6e5d0"),
         ],
         ids=["random-0", "random-1-positive", "random-2", "random-2-positive",
-             "reference", "cli-zero"],
+             "cli-zero"],
     )
     def test_builder_digest(self, tmp_path, build, digest):
         acc = hashlib.sha256()
