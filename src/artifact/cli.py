@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, Overflow, Underflow, localcontext
 from fractions import Fraction
@@ -308,19 +309,29 @@ def _load_model(args: argparse.Namespace) -> tuple[ShapeConfig, MambaParams]:
     raise CliUsageError("provide --model FILE or --shape L,D,E,n,K")
 
 
+_DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+
+
 def _entry_fraction(x: object) -> Fraction:
-    if isinstance(x, bool):
-        raise CliUsageError(f"bad matrix entry {x!r}")
-    if isinstance(x, int):
+    """An input entry: a JSON integer, or a number or string that
+    ``Fraction`` reads.  A decimal exponent past the interpreter's
+    int-to-string limit is refused before its power of ten is built."""
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except ValueError:
-            raise CliUsageError(f"bad matrix entry {x!r}") from None
     if isinstance(x, float):
-        return Fraction(str(x))
-    raise CliUsageError(f"bad matrix entry {x!r}")
+        x = str(x)
+    if not isinstance(x, str):
+        raise CliUsageError(f"bad matrix entry {x!r}")
+    exponent = _DECIMAL_EXPONENT.search(x)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if len(digits) > len(str(limit)) or digits and int(digits) > limit:
+            raise CliUsageError(f"matrix entry {x!r} has a decimal exponent past {limit}")
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        raise CliUsageError(f"bad matrix entry {x!r}") from None
 
 
 def _load_input(args: argparse.Namespace, shape: ShapeConfig) -> list[list[Fraction]]:

@@ -3,10 +3,11 @@
 Model code (projections, convolutions, the state-space recurrence) is
 written once against a small scalar vocabulary and executed under any of
 three contexts: :class:`PBitScalars` rounds every operation to ``p`` bits,
-:class:`ExactScalars` computes exact rationals (the reference semantics the
-p-bit route is measured against), and the tracer in :mod:`artifact.depth`
-replays the same code on node ids, recording a cost-annotated dataflow
-graph and computing no values.
+:class:`ExactScalars` computes exact rationals on integer pairs ``(n, d)``
+(the reference semantics the p-bit route is measured against;
+:func:`exact_value` reads a value out as a ``Fraction``), and the tracer in
+:mod:`artifact.depth` replays the same code on node ids, recording a
+cost-annotated dataflow graph and computing no values.
 
 The vocabulary distinguishes flavours that plain value semantics don't care
 about but the cost model does:
@@ -27,9 +28,10 @@ tracing the general branch.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 from typing import Generic, Sequence, TypeVar
 
 from artifact.elementary import (
@@ -51,11 +53,12 @@ from artifact.floats import (
     iter_add,
     iter_mul,
     round_p,
+    round_ratio,
 )
 
 V = TypeVar("V")
 
-__all__ = ["ExactScalars", "PBitScalars", "ScalarContext"]
+__all__ = ["ExactScalars", "PBitScalars", "ScalarContext", "exact_value"]
 
 
 class ScalarContext(ABC, Generic[V]):
@@ -183,43 +186,92 @@ class PBitScalars(ScalarContext[FpNumber]):
         return abs(a.to_fraction()) < Fraction(1, 1 << (self.p // 2))
 
 
-class ExactScalars(ScalarContext[Fraction]):
-    """Exact rational arithmetic; elementary functions are evaluated at a
-    high reference precision ``ref_p`` and then carried exactly."""
+Pair = tuple[int, int]
+
+
+def _add(a: Pair, b: Pair) -> Pair:
+    """Exact ``a + b`` on pairs, not reduced: the operands' denominators
+    are combined through their gcd, as :class:`~fractions.Fraction` does."""
+    an, ad = a
+    bn, bd = b
+    if ad == bd:
+        return an + bn, ad
+    g = gcd(ad, bd)
+    if g == 1:
+        return an * bd + bn * ad, ad * bd
+    s = ad // g
+    return an * (bd // g) + bn * s, s * bd
+
+
+def _reduced(n: int, d: int) -> Pair:
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def exact_value(v: Pair) -> Fraction:
+    """The rational that an :class:`ExactScalars` value stands for.
+
+    A module function rather than a method: the benchmark's op counters
+    wrap every public method of a context, and reading a value is not an op.
+    """
+    return Fraction(*v)
+
+
+class ExactScalars(ScalarContext[Pair]):
+    """Exact rational arithmetic on integer pairs ``(n, d)``, ``d > 0``,
+    standing for ``n / d``; elementary functions are evaluated at a high
+    reference precision ``ref_p`` and then carried exactly.
+
+    ``input`` and ``const`` take a ``Fraction``; :func:`exact_value` reads a
+    value back out as one, and no ``Fraction`` is built in between.  ``mul``
+    and ``add`` leave their results unreduced: a gcd per op costs more than
+    the wider integers it saves.  ``iter_add``, ``iter_mul`` and
+    ``reinject`` reduce once, so the aggregations that end each stage and
+    the carried state are in lowest terms, where equal values are equal
+    pairs.  The elementary functions round a pair with
+    :func:`~artifact.floats.round_ratio`, which does not need lowest terms.
+    """
 
     def __init__(self, ref_p: int = 64) -> None:
         self.ref_p = ref_p
 
-    def input(self, q: Fraction) -> Fraction:
-        return Fraction(q)
+    def input(self, q: Fraction) -> Pair:
+        q = Fraction(q)
+        return q.numerator, q.denominator
 
     const = input
 
     def add(self, a, b):
-        return a + b
+        return _add(a, b)
 
     def mul(self, a, b):
-        return a * b
+        return a[0] * b[0], a[1] * b[1]
 
     def div(self, a, b):
-        if b == 0:
+        if not b[0]:
             raise DivisionByZero("exact division by zero")
-        return a / b
+        n, d = a[0] * b[1], a[1] * b[0]
+        return (-n, -d) if d < 0 else (n, d)
 
     def floor(self, a):
-        return Fraction(math.floor(a))
+        return a[0] // a[1], 1
 
     def iter_add(self, xs):
-        return sum(xs, Fraction(0))
+        return _reduced(*reduce(_add, xs, (0, 1)))
 
     def iter_mul(self, xs):
-        out = Fraction(1)
-        for x in xs:
-            out *= x
-        return out
+        n = d = 1
+        for xn, xd in xs:
+            n *= xn
+            d *= xd
+        return _reduced(n, d)
 
-    def _elem(self, fn, a: Fraction) -> Fraction:
-        return fn(round_p(a, self.ref_p)).to_fraction()
+    def reinject(self, a):
+        return _reduced(*a)
+
+    def _elem(self, fn, a: Pair) -> Pair:
+        y = fn(round_ratio(a[0], a[1], self.ref_p))
+        return (y.m << y.e, 1) if y.e >= 0 else (y.m, 1 << -y.e)
 
     def exp(self, a):
         return self._elem(exp_fp, a)
@@ -240,4 +292,4 @@ class ExactScalars(ScalarContext[Fraction]):
         return self._elem(silu_fp, a)
 
     def guard_small(self, a):
-        return abs(a) < Fraction(1, 1 << (self.ref_p // 2))
+        return abs(a[0]) << (self.ref_p // 2) < a[1]

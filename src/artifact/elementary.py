@@ -30,7 +30,7 @@ comfortably representable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import isqrt
 
 from artifact.floats import (
@@ -82,7 +82,9 @@ class TaylorConfig:
     working_bits: int
 
     @classmethod
+    @cache
     def default(cls, p: int) -> "TaylorConfig":
+        """The configuration for precision ``p``, built once per ``p``."""
         n = 1
         # smallest n with (1/2)^n / n <= 2^-(2p+8)  <=>  n * 2^n >= 2^(2p+8)
         while n * (1 << n) < (1 << (2 * p + 8)):
@@ -319,7 +321,7 @@ def sigmoid_fp(x: FpNumber, config: TaylorConfig | None = None) -> FpNumber:
     out = fp_div(one, fp_add(one, en))
     if out.m <= 0:
         return _smallest_positive(p)
-    if out.to_fraction() >= 1:
+    if out.m.bit_length() + out.e > 0:  # out >= 1
         return _largest_below_one(p)
     return out
 

@@ -6,8 +6,9 @@ significand is normalized, ``2**(p-1) <= |m| <= 2**p - 1``, and the exponent
 lies in the two's-complement window ``-2**p <= e < 2**p``.  Every operation
 works on the integer pairs: it forms its exact result as an integer ``n``
 times ``2**k`` and rounds that once with :func:`round_scaled`, the single
-rounding kernel, so results are bit-reproducible.  :func:`round_p` adapts
-an ``int`` or ``Fraction`` to the same kernel.
+rounding kernel, so results are bit-reproducible.  :func:`round_ratio`
+adapts an integer ratio ``n / d`` to the same kernel, and :func:`round_p`
+an ``int`` or ``Fraction``.
 
 Rounding is round-to-nearest with ties resolved toward the even
 significand.  A result whose nearest representable would need an exponent
@@ -56,6 +57,7 @@ __all__ = [
     "iter_mul",
     "pow2",
     "round_p",
+    "round_ratio",
     "round_scaled",
 ]
 
@@ -216,21 +218,27 @@ def _round_quotient(num: int, den: int, k: int, p: int) -> FpNumber:
     return round_scaled(-w if (num < 0) != (den < 0) else w, k - s - 1, p)
 
 
-def round_p(x: Fraction | int, p: int) -> FpNumber:
-    """Round an exact rational to the nearest p-bit float.
+def round_ratio(n: int, d: int, p: int) -> FpNumber:
+    """Round the rational ``n / d`` (``d > 0``, in any terms) to ``p`` bits.
 
-    The rounding rule is that of :func:`round_scaled`: an ``int`` goes to it
-    directly, a dyadic ``Fraction`` as its numerator and power-of-two scale,
-    and any other ``Fraction`` through an integer quotient with a sticky bit.
+    The rounding rule is that of :func:`round_scaled`: a power-of-two ``d``
+    goes to it as a scale, and any other ``d`` through an integer quotient
+    with a sticky bit.  The result depends on the value alone, not on
+    whether ``n / d`` is in lowest terms.
     """
+    if d & (d - 1):
+        return _round_quotient(n, d, 0, p)
+    return round_scaled(n, 1 - d.bit_length(), p)
+
+
+def round_p(x: Fraction | int, p: int) -> FpNumber:
+    """Round an exact rational to the nearest p-bit float, through
+    :func:`round_ratio`."""
     if isinstance(x, int):
         return round_scaled(x, 0, p)
     if not isinstance(x, Fraction):
         raise TypeError(f"round_p expects Fraction or int, got {type(x)!r}")
-    den = x.denominator
-    if den & (den - 1):
-        return _round_quotient(x.numerator, den, 0, p)
-    return round_scaled(x.numerator, 1 - den.bit_length(), p)
+    return round_ratio(x.numerator, x.denominator, p)
 
 
 def approx_div(a: Fraction | int, b: Fraction | int) -> Fraction:

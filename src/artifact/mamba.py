@@ -32,7 +32,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
-from artifact.contexts import ExactScalars, PBitScalars, ScalarContext
+from artifact.contexts import ExactScalars, PBitScalars, ScalarContext, exact_value
 from artifact.matrices import FpMatrix, ShapeMismatch
 
 __all__ = [
@@ -594,4 +594,4 @@ def forward_matrix(
     y = mamba_forward(ctx, pw, xin, form)
     if x.mode == "pbit":
         return FpMatrix.pbit([[v for v in row] for row in y], x.p)
-    return FpMatrix.exact([[v for v in row] for row in y])
+    return FpMatrix.exact([[exact_value(v) for v in row] for row in y])

@@ -4,6 +4,7 @@ and the wiring of each subcommand to its module."""
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import re
 import sys
@@ -197,8 +198,10 @@ class TestMambaCommands:
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize(
         "payload",
-        [{"rows": [[1, 2]]}, [1, 2], {"entries": [[1, 2], 3]}],
-        ids=["object-without-entries", "rows-not-lists", "entries-row-not-list"],
+        [{"rows": [[1, 2]]}, [1, 2], {"entries": [[1, 2], 3]},
+         [["1/0", 1], [1, 1]], [[1, 1], [1, "1e999999"]]],
+        ids=["object-without-entries", "rows-not-lists", "entries-row-not-list",
+             "zero-denominator", "huge-decimal-exponent"],
     )
     def test_malformed_input_exits_two(self, tmp_path, capsys, command, payload):
         path = tmp_path / "x.json"
@@ -208,6 +211,42 @@ class TestMambaCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        if "1e999999" in str(payload):
+            # Refused by the exponent cap, before Fraction builds 10**999999.
+            assert f"past {sys.get_int_max_str_digits()}" in err
+
+
+# sha256 of the stdout of `mamba run|compare --mode exact --shape L,4,8,4,4`
+# (seed 0, default input seed), with signed and with --positive parameters.
+# Exact arithmetic makes the recurrent and convolution routes print the
+# same activations.
+_EXACT_STDOUT_SHA256 = {
+    (4, False, "run"): "259827e610c9bf1e90f6ac7130cca4bdc9d9c23ef92a7b728bedd25c44ea4c06",
+    (4, True, "run"): "430cc60c3b094e7a2ce199c17212f7cff5d00ac7b0bc6e6a82ca420556bac1ca",
+    (16, False, "run"): "2c9eda8db6b8997b9edbf63c4fe40654c9e0154b415ea28d4d73bc665987e413",
+    (16, True, "run"): "c3e3ffce3abbf9c5398320db409581b17564c88b1a2be3a65042f7fe56a9b5e5",
+    (4, False, "compare"): "d45be799b0b153341723a447437ab873f6d844f8ab3fe3b14c6223da23bd5783",
+    (4, True, "compare"): "d45be799b0b153341723a447437ab873f6d844f8ab3fe3b14c6223da23bd5783",
+    (16, False, "compare"): "c126a7291e3c3188040aced56f6895655ea71c8143156a2e092b9cb9e1ae23e6",
+    (16, True, "compare"): "c126a7291e3c3188040aced56f6895655ea71c8143156a2e092b9cb9e1ae23e6",
+}
+
+
+class TestExactRoutePinned:
+    """The exact route's output bytes, pinned: a change to how exact values
+    are computed or printed must not change what is printed."""
+
+    @pytest.mark.parametrize("positive", [False, True], ids=["signed", "positive"])
+    @pytest.mark.parametrize("L", [4, 16])
+    @pytest.mark.parametrize(
+        "command", [["run", "--form", "recurrent"], ["run", "--form", "convolution"], ["compare"]],
+        ids=["run-recurrent", "run-convolution", "compare"],
+    )
+    def test_exact_stdout_digest(self, capsys, command, L, positive):
+        argv = ["mamba", *command, "--mode", "exact", "--shape", f"{L},4,8,4,4"]
+        assert main(argv + ["--positive"] * positive) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == _EXACT_STDOUT_SHA256[L, positive, command[0]]
 
 
 class TestUsageErrors:
@@ -341,6 +380,49 @@ class TestModelFiles:
         assert not out
         assert err.startswith("CliUsageError: ") and len(err.splitlines()) == 1
         assert "nested too deeply" in err
+
+
+_INPUT_MUTATION = st.tuples(
+    st.sampled_from(["drop", "nest", "unnest", "replace"]),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(
+        [1.5, 2.0, True, False, None, 0, -7, "x", "1", "-1", "1/2", "-3/8", "0", "", " 5 ",
+         "1/0", "0/0", "1e999999", "-2.5e-999999", "1e3", "1_000", "1__0", float("nan"),
+         float("inf"), [], [1], {}, {"entries": []}]
+    ),
+)
+
+
+class TestMutatedInputFiles:
+    """The exit-2 contract for ``--input`` files of ``mamba run`` and
+    ``mamba compare``: whatever a mutation does to the JSON, ``main``
+    returns an exit code, and a failure is one stderr line with no
+    traceback.  An unmutated file succeeds."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.sampled_from(["run", "compare"]),
+        st.sampled_from(["pbit", "exact"]),
+        st.booleans(),
+        st.lists(_INPUT_MUTATION, max_size=3),
+    )
+    def test_mutated_input_fails_cleanly(self, tmp_path, capsys, command, mode, wrapped,
+                                         mutations):
+        entries = [["1/2", -3], [0.25, "-7/8"]]
+        payload = {"entries": entries} if wrapped else entries
+        for kind, where, value in mutations:
+            _mutate(payload, kind, where, copy.deepcopy(value))
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(payload))
+        code = main(["mamba", command, "--shape", "2,2,2,2,2", "--mode", mode,
+                     "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code:
+            assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        if not mutations:
+            assert code == 0
 
 
 # Valid inputs of the text commands, mutated below: corpus lines for

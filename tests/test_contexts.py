@@ -1,0 +1,162 @@
+"""Op-level oracle for the exact context.
+
+Every :class:`ExactScalars` op on integer pairs is checked against the
+same op on ``Fraction`` values.  Operands are drawn unreduced and of
+either sign, as ``mul`` and ``add`` leave them; the aggregations and
+``reinject`` must return the canonical (reduced, positive-denominator)
+pair, and the elementary functions must equal ``round_p`` of the
+``Fraction`` fed to the p-bit function.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from artifact.contexts import ExactScalars, exact_value
+from artifact.elementary import exp_fp, log_fp, sigmoid_fp, silu_fp, softplus_fp, sqrt_fp
+from artifact.floats import DivisionByZero, round_p
+
+F = Fraction
+SETTINGS = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def pairs(draw, bits: int = 40):
+    """A pair ``(n, d)``, ``d > 0``, scaled by a common factor so that it
+    is often not in lowest terms."""
+    n = draw(st.integers(-(1 << bits), 1 << bits))
+    d = draw(st.integers(1, 1 << bits))
+    k = draw(st.sampled_from([1, 1, 2, 3, 6, 1 << 20, 3**15]))
+    return n * k, d * k
+
+
+def canonical(v) -> bool:
+    n, d = v
+    return type(n) is int and type(d) is int and d > 0 and math.gcd(n, d) == 1
+
+
+def value(v) -> Fraction:
+    n, d = v
+    assert d > 0
+    return exact_value(v)
+
+
+ctx = ExactScalars()
+
+
+class TestLeaves:
+    @SETTINGS
+    @given(pairs())
+    def test_input_and_const_are_canonical(self, v):
+        q = F(*v)
+        for leaf in (ctx.input, ctx.const):
+            assert leaf(q) == (q.numerator, q.denominator)
+            assert canonical(leaf(q)) and exact_value(leaf(q)) == q
+
+    def test_input_takes_int(self):
+        assert ctx.input(-3) == (-3, 1)
+
+
+class TestArithmetic:
+    @SETTINGS
+    @given(pairs(), pairs())
+    def test_add_mul_div(self, a, b):
+        assert value(ctx.add(a, b)) == F(*a) + F(*b)
+        assert value(ctx.mul(a, b)) == F(*a) * F(*b)
+        assert value(ctx.const_mul(a, b)) == F(*a) * F(*b)
+        if b[0]:
+            assert value(ctx.div(a, b)) == F(*a) / F(*b)
+        else:
+            with pytest.raises(DivisionByZero):
+                ctx.div(a, b)
+
+    @pytest.mark.parametrize("a, b", [((3, 4), (5, 4)), ((6, 8), (-3, 8)), ((1, 6), (1, 10)),
+                                      ((-2, 12), (9, 18)), ((0, 5), (0, 7)), ((7, 1), (-7, 1))])
+    def test_add_shared_and_mixed_denominators(self, a, b):
+        assert value(ctx.add(a, b)) == F(*a) + F(*b)
+
+    @pytest.mark.parametrize("zero", [(0, 1), (0, 9)])
+    def test_div_by_unreduced_zero_raises(self, zero):
+        with pytest.raises(DivisionByZero):
+            ctx.div((3, 2), zero)
+
+    @SETTINGS
+    @given(pairs(bits=12))
+    def test_floor(self, a):
+        got = ctx.floor(a)
+        assert got[1] == 1 and value(got) == math.floor(F(*a))
+
+
+class TestAggregations:
+    @SETTINGS
+    @given(st.lists(pairs(bits=24), max_size=8))
+    def test_iter_add_and_iter_mul(self, xs):
+        total = ctx.iter_add(xs)
+        product = ctx.iter_mul(xs)
+        assert canonical(total) and exact_value(total) == sum((F(*x) for x in xs), F(0))
+        assert canonical(product) and exact_value(product) == math.prod(F(*x) for x in xs)
+
+    def test_empty_families(self):
+        assert ctx.iter_add([]) == (0, 1)
+        assert ctx.iter_mul([]) == (1, 1)
+
+    def test_iter_add_mixed_denominators_reduces(self):
+        xs = [(1, 6), (1, 10), (2, 30), (-4, 12), (6, 9), (0, 4)]
+        assert ctx.iter_add(xs) == (2, 3)
+        assert ctx.iter_add([(3, 6), (-6, 12)]) == (0, 1)
+
+    @SETTINGS
+    @given(pairs())
+    def test_reinject_reduces(self, a):
+        got = ctx.reinject(a)
+        assert canonical(got) and exact_value(got) == F(*a)
+
+
+class TestGuardSmall:
+    @pytest.mark.parametrize("ref_p", [2, 15, 16, 64])
+    @pytest.mark.parametrize("k", [1, 3, 1 << 40])
+    def test_threshold_is_exclusive(self, ref_p, k):
+        c = ExactScalars(ref_p)
+        t = 1 << (ref_p // 2)  # the threshold is 1 / t
+        for sign in (1, -1):
+            assert not c.guard_small((sign * k, t * k))
+            assert c.guard_small((sign * k, t * k + 1))
+            assert not c.guard_small((sign * (k + 1), t * k))
+        assert c.guard_small((0, k))
+
+    @SETTINGS
+    @given(st.sampled_from([8, 16, 64]), pairs(bits=48))
+    def test_matches_fraction(self, ref_p, a):
+        threshold = F(1, 1 << (ref_p // 2))
+        assert ExactScalars(ref_p).guard_small(a) == (abs(F(*a)) < threshold)
+
+
+_ELEMENTARY = {
+    "exp": exp_fp,
+    "sqrt": sqrt_fp,
+    "log": log_fp,
+    "softplus": softplus_fp,
+    "sigmoid": sigmoid_fp,
+    "silu": silu_fp,
+}
+
+
+class TestElementary:
+    @pytest.mark.parametrize("name", sorted(_ELEMENTARY))
+    @SETTINGS
+    @given(st.sampled_from([16, 64]), pairs(bits=10))
+    def test_equals_round_p_of_the_fraction(self, name, ref_p, a):
+        c = ExactScalars(ref_p)
+        fn = _ELEMENTARY[name]
+        try:
+            want = fn(round_p(F(*a), ref_p)).to_fraction()
+        except (ArithmeticError, ValueError) as exc:  # Overflow, NegativeInput, ...
+            with pytest.raises(type(exc)):
+                getattr(c, name)(a)
+            return
+        assert value(getattr(c, name)(a)) == want
