@@ -15,12 +15,16 @@ Size counts all non-``INPUT`` gates, constants included.
 
 Evaluation is bit-sliced, with one core, :func:`evaluate_words`: a wire's
 value on every lane is one integer (lane ``i`` at bit ``i``), so a single
-forward pass of word-wide bitwise operations evaluates all lanes at once
-(thresholds use a ripple popcount over bit planes followed by a lane-wise
-constant comparison).  :func:`evaluate_many` packs assignments into such
-words ``BLOCK_LANES`` lanes at a time (:func:`pack_codes` transposes
-per-lane integer codes into bit planes) and unpacks the output words;
-:func:`evaluate` hands one assignment to the core as one-bit words.
+forward pass of word-wide bitwise operations evaluates all lanes at once.
+A threshold counts its inputs with a ripple popcount over bit planes and
+then compares the count with ``k`` lane-wise.  A THRESHOLD gate whose input
+tuple equals that of the threshold evaluated just before it reuses that
+count, so the ``T_1 ... T_{f+1}`` run that synthesis emits per counting
+column counts the column once; no count outlives one call.
+:func:`evaluate_many` packs assignments into such words ``BLOCK_LANES``
+lanes at a time (:func:`pack_codes` transposes per-lane integer codes into
+bit planes) and unpacks the output words; :func:`evaluate` hands one
+assignment to the core as one-bit words.
 Callers that can build input words directly, such as the exhaustive sweep
 of ``synthesis.check_op``, skip packing altogether.
 
@@ -31,8 +35,7 @@ line number on error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "ArityMismatch",
@@ -51,6 +54,7 @@ __all__ = [
 ]
 
 GATE_KINDS = ("INPUT", "CONST0", "CONST1", "NOT", "AND", "OR", "THRESHOLD")
+_SOURCE_KINDS = ("INPUT", "CONST0", "CONST1")
 # Lanes per evaluation block: a wire's word stays 8 KiB, so the live words
 # of even a p=5 float circuit fit in tens of megabytes.
 BLOCK_LANES = 1 << 16
@@ -72,8 +76,7 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
+class Gate(NamedTuple):
     id: int
     kind: str
     inputs: tuple[int, ...] = ()
@@ -91,7 +94,7 @@ def _check_gate(g: Gate, i: int) -> None:
         raise CircuitError(f"unknown gate kind {g.kind!r}")
     if g.inputs and (min(g.inputs) < 0 or max(g.inputs) >= i):
         raise CircuitError(f"gate {i} input ids must precede it")
-    if g.kind in ("INPUT", "CONST0", "CONST1"):
+    if g.kind in _SOURCE_KINDS:
         if g.inputs:
             raise CircuitError(f"{g.kind} gate {i} takes no inputs")
     elif g.kind == "NOT":
@@ -106,13 +109,33 @@ def _check_gate(g: Gate, i: int) -> None:
         raise CircuitError(f"gate {i}: only THRESHOLD carries k")
 
 
+def _check_gates(gates: Sequence[Gate]) -> None:
+    """:func:`_check_gate` over a whole gate list.
+
+    One loop holds every gate to a sufficient form of the same rules;
+    only a gate that fails it goes to :func:`_check_gate`, which raises
+    the message for the rule it breaks.
+    """
+    for i, g in enumerate(gates):
+        gid, kind, inputs, k = g
+        if inputs:
+            ok = gid == i and min(inputs) >= 0 and max(inputs) < i and (
+                kind == "AND" or kind == "OR" or (kind == "NOT" and len(inputs) == 1)
+                if k is None
+                else kind == "THRESHOLD" and 1 <= k <= len(inputs)
+            )
+        else:
+            ok = gid == i and k is None and kind in _SOURCE_KINDS
+        if not ok:
+            _check_gate(g, i)
+
+
 class Circuit:
     """A validated gate list plus designated output ids."""
 
     def __init__(self, gates: Sequence[Gate], outputs: Sequence[int]):
         n = len(gates)
-        for i, g in enumerate(gates):
-            _check_gate(g, i)
+        _check_gates(gates)
         for o in outputs:
             if not 0 <= o < n:
                 raise CircuitError(f"output id {o} out of range")
@@ -139,7 +162,7 @@ class Circuit:
         """
         level = [0] * len(self.gates)
         for g in self.gates:
-            if g.kind in ("INPUT", "CONST0", "CONST1"):
+            if g.kind in _SOURCE_KINDS:
                 level[g.id] = 0
             else:
                 level[g.id] = 1 + max((level[q] for q in g.inputs), default=0)
@@ -196,29 +219,34 @@ def evaluate_words(
     mask = (1 << lanes) - 1
     wires = [0] * len(circuit.gates)
     next_input = iter(input_words)
-    for g in circuit.gates:
-        kind = g.kind
+    # The input tuple and popcount planes of the last THRESHOLD gate: a
+    # run of thresholds over one column counts it once.
+    counted: tuple[int, ...] | None = None
+    planes: list[int] = []
+    for gid, kind, inputs, k in circuit.gates:
         if kind == "INPUT":
-            wires[g.id] = next(next_input)
+            wires[gid] = next(next_input)
         elif kind == "CONST0":
-            wires[g.id] = 0
+            wires[gid] = 0
         elif kind == "CONST1":
-            wires[g.id] = mask
+            wires[gid] = mask
         elif kind == "NOT":
-            wires[g.id] = wires[g.inputs[0]] ^ mask
+            wires[gid] = wires[inputs[0]] ^ mask
         elif kind == "AND":
             acc = mask
-            for q in g.inputs:
+            for q in inputs:
                 acc &= wires[q]
-            wires[g.id] = acc
+            wires[gid] = acc
         elif kind == "OR":
             acc = 0
-            for q in g.inputs:
+            for q in inputs:
                 acc |= wires[q]
-            wires[g.id] = acc
+            wires[gid] = acc
         else:  # THRESHOLD
-            planes = _popcount_planes([wires[q] for q in g.inputs])
-            wires[g.id] = _ge_const(planes, g.k or 0, mask)
+            if inputs != counted:
+                planes = _popcount_planes([wires[q] for q in inputs])
+                counted = inputs
+            wires[gid] = _ge_const(planes, k, mask)
     return [wires[o] for o in circuit.outputs]
 
 

@@ -353,11 +353,19 @@ def _load_input(args: argparse.Namespace, shape: ShapeConfig) -> list[list[Fract
     return random_input(shape, seed)
 
 
+def _exact_text(q: Fraction) -> str:
+    """``str(q)``, with numerator and denominator printed through
+    ``decimal``: an exact entry may pass the interpreter's 4300-digit
+    limit on int-to-string conversion, which ``decimal`` does not have."""
+    n = str(Decimal(q.numerator))
+    return n if q.denominator == 1 else f"{n}/{Decimal(q.denominator)}"
+
+
 def _matrix_json(m: FpMatrix) -> dict:
     if m.mode == "pbit":
         entries = [[[x.m, x.e] for x in row] for row in m.data]
     else:
-        entries = [[str(x) for x in row] for row in m.data]
+        entries = [[_exact_text(x) for x in row] for row in m.data]
     return {
         "mode": m.mode,
         "p": m.p,

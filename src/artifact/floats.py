@@ -289,7 +289,10 @@ def fp_add(a: FpNumber, b: FpNumber) -> FpNumber:
 
     With ``e1 >= e2`` the result is ``round_p((m1 + (m2 /~ 2**(e1-e2))) *
     2**e1)``, and symmetrically otherwise.  A zero operand aligns at the
-    other operand's exponent, making it an additive identity.
+    other operand's exponent, making it an additive identity.  An exponent
+    gap of ``p + 4`` or more returns the larger-exponent operand without
+    building the aligning shift, which at large ``p`` could be too wide
+    to hold.
     """
     if a.p != b.p:
         raise _mixed_precision((a, b))
@@ -299,7 +302,12 @@ def fp_add(a: FpNumber, b: FpNumber) -> FpNumber:
         return a
     if a.e < b.e:
         a, b = b, a
-    x, y, s = _align(a.m, b.m, a.e - b.e)
+    d = a.e - b.e
+    if d >= a.p + 4:
+        # b's quotient lies strictly between 1/16 and 3/16, under half an
+        # ulp of a even at a binade edge: the sum rounds back to a.
+        return a
+    x, y, s = _align(a.m, b.m, d)
     return round_scaled(x + y, a.e - s, a.p)
 
 
@@ -331,14 +339,19 @@ def fp_compare(a: FpNumber, b: FpNumber) -> Comparison:
     holds, so the verdict is total).  For nonzero operands the 1/8 bias is
     too small to straddle a genuine difference, and a zero operand aligns
     at the other's exponent, so the verdict always agrees with comparing
-    exact values.
+    exact values.  At an exponent gap of ``p + 4`` or more the sign of the
+    larger-exponent operand decides, with no shift built.
     """
     if a.p != b.p:
         raise _mixed_precision((a, b))
     x, y = a.m, b.m
     if x and y:
         d = a.e - b.e
-        if d < 0:
+        if d >= a.p + 4:  # b's quotient is under 1/4: a's sign decides
+            y = 0
+        elif d <= -(a.p + 4):  # a is under 2**-4 of b's magnitude: b's sign decides
+            x = 0
+        elif d < 0:
             y <<= -d
         else:
             x, y, _ = _align(x, y, d)

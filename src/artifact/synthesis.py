@@ -166,72 +166,39 @@ class _Builder:
             self._c1 = self._emit("CONST1")
         return self._c1
 
-    def _const_of(self, gid: int) -> int | None:
-        kind = self.gates[gid].kind
-        if kind == "CONST0":
-            return 0
-        if kind == "CONST1":
-            return 1
-        return None
-
+    # The constants are emitted only by const0/const1, so a gate id is a
+    # constant exactly when it equals _c0 or _c1.
     def not_(self, x: int) -> int:
-        c = self._const_of(x)
-        if c is not None:
-            return self.const1() if c == 0 else self.const0()
+        if x == self._c0:
+            return self.const1()
+        if x == self._c1:
+            return self.const0()
         g = self.gates[x]
         if g.kind == "NOT":
             return g.inputs[0]
         return self._emit("NOT", (x,))
 
     def and_(self, *xs: int) -> int:
-        live: list[int] = []
-        for x in xs:
-            c = self._const_of(x)
-            if c == 0:
-                return self.const0()
-            if c == 1:
-                continue
-            if x not in live:
-                live.append(x)
+        live = dict.fromkeys(xs)  # first occurrences, in order
+        if self._c0 in live:
+            return self.const0()
+        live.pop(self._c1, None)
         if not live:
             return self.const1()
         if len(live) == 1:
-            return live[0]
+            return next(iter(live))
         return self._emit("AND", tuple(live))
 
     def or_(self, *xs: int) -> int:
-        live: list[int] = []
-        for x in xs:
-            c = self._const_of(x)
-            if c == 1:
-                return self.const1()
-            if c == 0:
-                continue
-            if x not in live:
-                live.append(x)
+        live = dict.fromkeys(xs)
+        if self._c1 in live:
+            return self.const1()
+        live.pop(self._c0, None)
         if not live:
             return self.const0()
         if len(live) == 1:
-            return live[0]
+            return next(iter(live))
         return self._emit("OR", tuple(live))
-
-    def threshold(self, k: int, xs: Sequence[int]) -> int:
-        live: list[int] = []
-        for x in xs:
-            c = self._const_of(x)
-            if c == 1:
-                k -= 1
-            elif c is None:
-                live.append(x)
-        if k <= 0:
-            return self.const1()
-        if k > len(live):
-            return self.const0()
-        if k == 1:
-            return self.or_(*live)
-        if k == len(live):
-            return self.and_(*live)
-        return self._emit("THRESHOLD", tuple(live), k)
 
     # Unfolded emitters: fixed gate levels regardless of degenerate inputs.
     def raw_not(self, x: int) -> int:
@@ -382,7 +349,7 @@ def _count_bits_uniform(b: _Builder, column: Sequence[int]) -> list[int]:
     depth independent of the operand count.
     """
     f = len(column)
-    padded = list(column) + [b.const0()]
+    padded = (*column, b.const0())  # one tuple, shared by every T_v
     t = {v: b.raw_threshold(v, padded) for v in range(1, f + 2)}
     exact = {v: b.raw_and([t[v], b.raw_not(t[v + 1])]) for v in range(1, f + 1)}
     bits: list[int] = []
@@ -828,9 +795,31 @@ def _mismatch_report(op: SynthesizedOp, case: Sequence[FpNumber], got: tuple[int
     return {"operands": [str(x) for x in case], "want": want, "got": got}
 
 
+class _SweepCases:
+    """The cases of one sweep block, made on demand: lane ``h*V + j`` is
+    head ``h`` followed by ``values[j]``.  No list of cases is built, so
+    a block's cases never sit in memory beside the circuit's wires."""
+
+    def __init__(self, values: list[FpNumber], heads: list[tuple[int, ...]]):
+        self.values = values
+        self.heads = heads
+
+    def __len__(self) -> int:
+        return len(self.heads) * len(self.values)
+
+    def __iter__(self):
+        for h in self.heads:
+            yield from product(*[(self.values[i],) for i in h], self.values)
+
+    def __getitem__(self, lane: int) -> tuple[FpNumber, ...]:
+        h, j = divmod(lane, len(self.values))
+        return (*[self.values[i] for i in self.heads[h]], self.values[j])
+
+
 def _sweep_blocks(op: SynthesizedOp, values: list[FpNumber]):
     """The exhaustive sweep as ``(cases, input words)`` blocks of at most
-    ``BLOCK_LANES`` lanes (and at least one head).
+    ``BLOCK_LANES`` lanes (and at least one head), the cases a
+    :class:`_SweepCases`.
 
     Lanes run in mixed radix over the value list, the first operand most
     significant: for two operands lane ``i*V + j`` is ``(values[i],
@@ -857,10 +846,7 @@ def _sweep_blocks(op: SynthesizedOp, values: list[FpNumber]):
             for runs in bit_runs:
                 words.append(int("".join([runs[h[t]] for h in reversed(block)]), 2))
         words.extend(int(pattern * len(block), 2) for pattern in last_patterns)
-        cases: list[tuple[FpNumber, ...]] = []
-        for h in block:
-            cases.extend(product(*[(values[i],) for i in h], values))
-        yield cases, words
+        yield _SweepCases(values, block), words
 
 
 def _case_blocks(op: SynthesizedOp, cases: Sequence[Sequence[FpNumber]]):

@@ -21,8 +21,10 @@ from artifact.circuits import (
     pack_codes,
     parse_netlist,
     serialize_netlist,
+    _check_gate,
     to_majority_only,
 )
+from artifact.synthesis import synth_primitive
 
 from oracles import reference_evaluate
 
@@ -46,6 +48,80 @@ def random_circuit(rng: random.Random, n_inputs: int, n_gates: int) -> Circuit:
     n_out = rng.randint(1, 3)
     outputs = [rng.randrange(len(gates)) for _ in range(n_out)]
     return Circuit(gates, outputs)
+
+
+def threshold_run_circuit(rng: random.Random, n_inputs: int, n_runs: int) -> Circuit:
+    """Runs of THRESHOLD gates over one input tuple at several k, as the
+    synthesizer emits per counting column, each followed by one of: the
+    tuple reordered, the tuple with one wire changed, an earlier tuple
+    repeated after other gates, or a plain gate.  Every gate is an output."""
+    gates = [Gate(i, "INPUT") for i in range(n_inputs)]
+    tuples: list[tuple[int, ...]] = []
+
+    def emit(kind: str, inputs: tuple[int, ...], k: int | None = None) -> None:
+        gates.append(Gate(len(gates), kind, inputs, k))
+
+    for _ in range(n_runs):
+        gid = len(gates)
+        ins = tuple(rng.randrange(gid) for _ in range(rng.randint(1, min(9, gid))))
+        tuples.append(ins)
+        for k in rng.sample(range(1, len(ins) + 1), rng.randint(1, len(ins))):
+            emit("THRESHOLD", ins, k)
+        follow = rng.randrange(4)
+        if follow == 0:
+            other = tuple(rng.sample(ins, len(ins)))
+        elif follow == 1:
+            at = rng.randrange(len(ins))
+            other = ins[:at] + (rng.randrange(len(gates)),) + ins[at + 1 :]
+        elif follow == 2:
+            emit("NOT", (rng.randrange(len(gates)),))
+            other = rng.choice(tuples)
+        else:
+            emit(rng.choice(["AND", "OR"]), ins)
+            continue
+        emit("THRESHOLD", other, rng.randint(1, len(other)))
+    return Circuit(gates, list(range(n_inputs, len(gates))))
+
+
+class TestGate:
+    """The gate record: a named tuple of id, kind, inputs and k."""
+
+    def test_positional_and_keyword_construction(self):
+        g = Gate(3, "INPUT")
+        assert (g.id, g.kind, g.inputs, g.k) == (3, "INPUT", (), None)
+        t = Gate(id=4, kind="THRESHOLD", inputs=(0, 1, 2), k=2)
+        assert t == Gate(4, "THRESHOLD", (0, 1, 2), 2)
+        assert Gate(5, "NOT", inputs=(4,)).k is None
+
+    @pytest.mark.parametrize("field", ["id", "kind", "inputs", "k"])
+    def test_fields_are_read_only(self, field):
+        g = Gate(1, "THRESHOLD", (0,), 1)
+        with pytest.raises(AttributeError):
+            setattr(g, field, 2)
+
+    def test_synthesized_netlist_round_trip_keeps_gates(self):
+        c = synth_primitive("iter_add", 3, m=8).circuit
+        assert parse_netlist(serialize_netlist(c)).gates == c.gates
+
+    def test_validation_agrees_with_check_gate(self):
+        """A circuit is refused exactly when ``_check_gate`` refuses one of
+        its gates, with that gate's message."""
+        rng = random.Random(7301)
+        kinds = ["INPUT", "CONST0", "CONST1", "NOT", "AND", "OR", "THRESHOLD", "XOR"]
+        for _ in range(3000):
+            i = rng.randint(0, 4)
+            inputs = tuple(rng.randint(-1, i) for _ in range(rng.randint(0, 3)))
+            g = Gate(rng.choice([i, i, i, i + 1]), rng.choice(kinds), inputs,
+                     rng.choice([None, None, 0, 1, 2, 3, 4]))
+            gates = [Gate(j, "INPUT") for j in range(i)] + [g]
+            try:
+                _check_gate(g, i)
+            except CircuitError as exc:
+                with pytest.raises(CircuitError) as err:
+                    Circuit(gates, [])
+                assert str(err.value) == str(exc)
+            else:
+                assert Circuit(gates, []).gates == tuple(gates)
 
 
 class TestCircuitStructure:
@@ -214,6 +290,31 @@ class TestEvaluate:
         )
         with pytest.raises(ArityMismatch):
             evaluate_words(c, words[:2], 8)
+
+    def test_shared_popcount_matches_reference(self):
+        """Thresholds that share one column's count agree with per-gate
+        semantics, next to reordered, altered and repeated columns."""
+        rng = random.Random(7007)
+        for _ in range(30):
+            c = threshold_run_circuit(rng, rng.randint(2, 6), rng.randint(1, 8))
+            assignments = [
+                [rng.randint(0, 1) for _ in range(c.n_inputs)] for _ in range(64)
+            ]
+            assert evaluate_many(c, assignments) == [
+                reference_evaluate(c, a) for a in assignments
+            ]
+
+    @pytest.mark.parametrize("lanes", [1, 64, BLOCK_LANES + 1])
+    def test_shared_popcount_at_lane_counts(self, lanes):
+        rng = random.Random(7008)
+        c = threshold_run_circuit(rng, 4, 10)
+        want = {
+            code: reference_evaluate(c, [(code >> j) & 1 for j in range(4)])
+            for code in range(16)
+        }
+        codes = [rng.randrange(16) for _ in range(lanes)]
+        got = evaluate_many(c, [[(code >> j) & 1 for j in range(4)] for code in codes])
+        assert got == [want[code] for code in codes]
 
     @pytest.mark.parametrize("width", [1, 7, 8, 9, 20, 70])
     def test_pack_codes_transposes(self, width):

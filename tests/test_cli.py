@@ -8,6 +8,7 @@ import hashlib
 import json
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache, reduce
 from operator import getitem
@@ -20,7 +21,8 @@ from artifact.circuits import serialize_netlist
 from artifact.cli import eval_expression, main
 from artifact.floats import DivisionByZero, FpNumber, round_p
 from artifact.hardness import enumerate_small_circuits
-from artifact.mamba import ShapeConfig, random_params
+from artifact.mamba import ShapeConfig, forward_matrix, random_input, random_params
+from artifact.matrices import FpMatrix
 from artifact.synthesis import synth_primitive
 
 
@@ -247,6 +249,26 @@ class TestExactRoutePinned:
         assert main(argv + ["--positive"] * positive) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == _EXACT_STDOUT_SHA256[L, positive, command[0]]
+
+
+class TestExactLongEntries:
+    """Exact entries past the interpreter's 4300-digit int-to-string limit
+    print in full, and read back with ``decimal`` to the computed values."""
+
+    def test_long_entries_print_and_read_back(self, capsys):
+        argv = ["mamba", "run", "--mode", "exact", "--shape", "16,4,8,4,4", "--seed", "2"]
+        assert main(argv + ["--positive"]) == 0
+        rows = json.loads(capsys.readouterr().out)["entries"]
+        assert any(len(text) > 4300 for row in rows for text in row)
+
+        def read(text: str) -> Fraction:
+            n, _, d = text.partition("/")
+            return Fraction(int(Decimal(n)), int(Decimal(d or "1")))
+
+        shape = ShapeConfig(16, 4, 8, 4, 4)
+        x = FpMatrix.exact(random_input(shape, 3))  # the input seed is --seed + 1
+        want = forward_matrix(shape, random_params(shape, 2, True), x, form="recurrent")
+        assert [[read(t) for t in row] for row in rows] == [list(r) for r in want.data]
 
 
 class TestUsageErrors:

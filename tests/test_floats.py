@@ -297,6 +297,37 @@ class TestOracleConformance:
             assert me(fp_floor(self.to_fp(a))) == oracles.oracle_floor(a, 3)
 
 
+class TestWideExponentGap:
+    """An exponent gap of p+4 or more decides add and compare without
+    aligning the operands: every legal significand pair at each gap from
+    p+4 to p+8 that the exponent range holds, placed at both ends of the
+    range, in both operand orders."""
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_add_and_compare_match_oracle(self, p):
+        lim = 1 << p
+        sigs = [s * m for m in range(lim >> 1, lim) for s in (1, -1)]
+        gaps = [d for d in range(p + 4, p + 9) if d < 2 * lim]
+        assert gaps
+        for d in gaps:
+            for e_lo in (-lim, lim - 1 - d):
+                for m1 in sigs:
+                    for m2 in sigs:
+                        a, b = (m1, e_lo + d), (m2, e_lo)
+                        fa, fb = FpNumber(*a, p), FpNumber(*b, p)
+                        assert me(fp_add(fa, fb)) == oracles.oracle_add(a, b, p), (a, b)
+                        assert me(fp_add(fb, fa)) == oracles.oracle_add(b, a, p), (b, a)
+                        assert fp_compare(fa, fb).value == oracles.oracle_compare(a, b)
+                        assert fp_compare(fb, fa).value == oracles.oracle_compare(b, a)
+
+    def test_astronomical_gap_at_high_precision(self):
+        """A gap far past any shift the interpreter could build."""
+        big, tiny = FpNumber(1 << 63, 0, 64), FpNumber(-(1 << 63), -(1 << 40), 64)
+        assert fp_add(big, tiny) == big and fp_add(tiny, big) == big
+        assert fp_compare(big, tiny) is Comparison.GREATER
+        assert fp_compare(tiny, big) is Comparison.LESS
+
+
 class TestProperties:
     """Seeded property loops across several precisions."""
 

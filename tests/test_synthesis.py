@@ -4,6 +4,7 @@ depth/size guarantees."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -325,6 +326,23 @@ class TestIterAddCircuit:
 
 class TestNetlistIntegration:
     """Synthesized circuits survive the text round trip bit-for-bit."""
+
+    def test_synthesized_netlists_pinned(self):
+        """The gate lists synthesis emits, pinned byte for byte: add, mul
+        and compare at p 2..5 and every window 1..p, then iter_add at p=3
+        for five operand counts, hashed in that order."""
+        h = hashlib.sha256()
+        for kind in ("add", "mul", "compare"):
+            for p in range(2, 6):
+                for window in range(1, p + 1):
+                    h.update(serialize_netlist(synth_primitive(kind, p, window).circuit).encode())
+        for m in (2, 3, 8, 32, 64):
+            op = synth_primitive("iter_add", 3, m=m)
+            h.update(serialize_netlist(op.circuit).encode())
+        assert h.hexdigest() == (
+            "64ebf167b96aebde6937b386c1aac057ef7ffeabec515863ba8aecf29861fccc"
+        )
+        assert op.circuit.depth == 49
 
     def test_add_round_trip_preserves_behaviour(self):
         op = synth_primitive("add", 2)
