@@ -35,7 +35,6 @@ from math import gcd
 from typing import Generic, Sequence, TypeVar
 
 from artifact.elementary import (
-    TaylorConfig,
     exp_fp,
     log_fp,
     sigmoid_fp,
@@ -137,9 +136,8 @@ class ScalarContext(ABC, Generic[V]):
 class PBitScalars(ScalarContext[FpNumber]):
     """Every operation is the p-bit float op: one rounding per event."""
 
-    def __init__(self, p: int, taylor: TaylorConfig | None = None) -> None:
+    def __init__(self, p: int) -> None:
         self.p = p
-        self.taylor = taylor
 
     def input(self, q: Fraction) -> FpNumber:
         return round_p(Fraction(q), self.p)
@@ -165,25 +163,27 @@ class PBitScalars(ScalarContext[FpNumber]):
         return iter_mul(list(xs))
 
     def exp(self, a):
-        return exp_fp(a, self.taylor)
+        return exp_fp(a)
 
     def sqrt(self, a):
-        return sqrt_fp(a, self.taylor)
+        return sqrt_fp(a)
 
     def log(self, a):
-        return log_fp(a, self.taylor)
+        return log_fp(a)
 
     def softplus(self, a):
-        return softplus_fp(a, self.taylor)
+        return softplus_fp(a)
 
     def sigmoid(self, a):
-        return sigmoid_fp(a, self.taylor)
+        return sigmoid_fp(a)
 
     def silu(self, a):
-        return silu_fp(a, self.taylor)
+        return silu_fp(a)
 
     def guard_small(self, a):
-        return abs(a.to_fraction()) < Fraction(1, 1 << (self.p // 2))
+        # |m| * 2**e < 2**-(p // 2) in integers, with no power of two built:
+        # the exponent can be near -2**p.
+        return not a.m or abs(a.m).bit_length() <= -(self.p // 2) - a.e
 
 
 Pair = tuple[int, int]

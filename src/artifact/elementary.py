@@ -9,6 +9,14 @@ working precision is raised and the evaluation repeats.  Away from the
 handled exact points (``exp 0 = 1``, ``log 1 = 0``, perfect-square roots)
 the true values are irrational, so the escalation loop terminates.
 
+``exp_fp``, ``sqrt_fp``, ``log_fp`` and ``softplus_fp`` share that loop,
+:func:`_correctly_rounded`, and one schedule: the first attempt uses
+``w = 2p + 8`` working bits, ``p + 2`` exponential Taylor terms and
+:func:`_base_log_terms` log-series terms, and each retry adds ``p + 16``
+bits, 8 exponential terms and 16 log terms.  The retry is the only
+value-dependent step; each attempt is a fixed sequence of integer
+operations.
+
 Error contract, measured by the test suite against a 256-bit reference:
 ``exp_fp``/``sqrt_fp``/``log_fp`` stay within relative ``2**-p`` of the true
 value (they are correctly rounded, which implies that bound), and
@@ -29,7 +37,7 @@ comfortably representable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Callable
 from functools import cache, lru_cache
 from math import isqrt
 
@@ -46,7 +54,6 @@ from artifact.floats import (
 __all__ = [
     "NegativeInput",
     "NonPositiveInput",
-    "TaylorConfig",
     "exp_fp",
     "log_fp",
     "sigmoid_fp",
@@ -64,41 +71,54 @@ class NonPositiveInput(ValueError):
     """Logarithm of a non-positive float."""
 
 
-@dataclass(frozen=True, slots=True)
-class TaylorConfig:
-    """Series lengths and working precision for one evaluation.
+@cache
+def _base_log_terms(p: int) -> int:
+    """Log-series length of the first attempt at precision ``p``.
 
-    ``exp_terms`` is the number of Taylor terms for the exponential after
-    range reduction (default ``p + 2``).  ``log_terms`` is the alternating
-    log-series length, the smallest ``n`` with ``(1/2)**n / n <= 2**-(2p+8)``
-    — the truncation error is then far below the half-ulp commit margin
-    (and a fortiori below ``2**-(p+1)``).  ``working_bits`` is the number of
-    fixed-point fraction bits, default ``2p + 8``.  The commit loop may
-    escalate beyond these values; it never goes below them.
+    The smallest ``n`` with ``(1/2)**n / n <= 2**-(2p+8)``: at ``|u| <= 1/2``
+    the truncation error is then far below the half-ulp commit margin (and a
+    fortiori below ``2**-(p+1)``).
     """
-
-    exp_terms: int
-    log_terms: int
-    working_bits: int
-
-    @classmethod
-    @cache
-    def default(cls, p: int) -> "TaylorConfig":
-        """The configuration for precision ``p``, built once per ``p``."""
-        n = 1
-        # smallest n with (1/2)^n / n <= 2^-(2p+8)  <=>  n * 2^n >= 2^(2p+8)
-        while n * (1 << n) < (1 << (2 * p + 8)):
-            n += 1
-        return cls(exp_terms=p + 2, log_terms=n, working_bits=2 * p + 8)
+    n = 1
+    # n * 2^n >= 2^(2p+8) is the same condition
+    while n * (1 << n) < (1 << (2 * p + 8)):
+        n += 1
+    return n
 
 
-def _escalate(cfg: TaylorConfig, p: int) -> TaylorConfig:
-    return replace(
-        cfg,
-        working_bits=cfg.working_bits + p + 16,
-        exp_terms=cfg.exp_terms + 8,
-        log_terms=cfg.log_terms + 16,
-    )
+Attempt = Callable[[int, int, int], tuple[int, int, int]]
+
+
+def _correctly_rounded(p: int, attempt: Attempt) -> FpNumber:
+    """Run ``attempt(w, exp_terms, log_terms) -> (t, b, scale)`` on the
+    escalation schedule until ``(t ± b) * 2**scale`` commits to one p-bit
+    float (see the module docstring)."""
+    w, exp_terms, log_terms = 2 * p + 8, p + 2, _base_log_terms(p)
+    while True:
+        t, b, scale = attempt(w, exp_terms, log_terms)
+        out = _commit(t, b, scale, p)
+        if out is not None:
+            return out
+        w += p + 16
+        exp_terms += 8
+        log_terms += 16
+
+
+def _commit(t: int, b: int, scale: int, p: int) -> FpNumber | None:
+    """Round ``(t ± b) * 2**scale``; None when the interval straddles."""
+    try:
+        lo = round_scaled(t - b, scale, p)
+    except Overflow:
+        lo = None
+    try:
+        hi = round_scaled(t + b, scale, p)
+    except Overflow:
+        hi = None
+    if lo == hi:
+        if lo is None:
+            raise Overflow(f"result exceeds the exponent range at p={p}")
+        return lo
+    return None
 
 
 def _fx_mul(a: int, b: int, w: int) -> int:
@@ -151,7 +171,7 @@ def _exp_core(v_m: int, v_e: int, w: int, n_terms: int) -> tuple[int, int, int]:
     return t, j, b
 
 
-def exp_fp(x: FpNumber, config: TaylorConfig | None = None) -> FpNumber:
+def exp_fp(x: FpNumber) -> FpNumber:
     """Exponential, correctly rounded to ``p`` bits.
 
     Range reduction ``x = j*log2 + s`` with ``|s| <= log2/2``, Taylor series
@@ -162,63 +182,41 @@ def exp_fp(x: FpNumber, config: TaylorConfig | None = None) -> FpNumber:
     p = x.p
     if x.m == 0:
         return round_p(1, p)
-    cfg = config or TaylorConfig.default(p)
     # floor(log2 |x|) >= p+2 puts exp(x) decisively past the exponent range
     # (positive x) or far below half the smallest normal (negative x).
     if abs(x.m).bit_length() - 1 + x.e >= p + 2:
         if x.m > 0:
             raise Overflow(f"exp of {x} exceeds the exponent range at p={p}")
         return FpNumber.zero(p)
-    while True:
-        w = cfg.working_bits
-        t, j, b = _exp_core(x.m, x.e, w, cfg.exp_terms)
-        out = _commit(t, b, j - w, p)
-        if out is not None:
-            return out
-        cfg = _escalate(cfg, p)
 
+    def attempt(w: int, exp_terms: int, log_terms: int) -> tuple[int, int, int]:
+        t, j, b = _exp_core(x.m, x.e, w, exp_terms)
+        return t, b, j - w
 
-def _commit(t: int, b: int, scale: int, p: int) -> FpNumber | None:
-    """Round ``(t ± b) * 2**scale``; None when the interval straddles."""
-    try:
-        lo = round_scaled(t - b, scale, p)
-    except Overflow:
-        lo = None
-    try:
-        hi = round_scaled(t + b, scale, p)
-    except Overflow:
-        hi = None
-    if lo == hi:
-        if lo is None:
-            raise Overflow(f"result exceeds the exponent range at p={p}")
-        return lo
-    return None
+    return _correctly_rounded(p, attempt)
 
 
 # -------------------------------------------------------------------- sqrt
 
 
-def sqrt_fp(x: FpNumber, config: TaylorConfig | None = None) -> FpNumber:
+def sqrt_fp(x: FpNumber) -> FpNumber:
     """Square root, correctly rounded; exact perfect squares stay exact."""
     p = x.p
     if x.m < 0:
         raise NegativeInput(f"sqrt of negative float {x}")
     if x.m == 0:
         return FpNumber.zero(p)
-    cfg = config or TaylorConfig.default(p)
     # Split an even power of two: x = (m * 2**t) * 2**(e - t), e - t even.
     t_odd = x.e & 1
     big_m = x.m << t_odd
     half_e = (x.e - t_odd) >> 1
-    g = cfg.working_bits
-    while True:
-        s = isqrt(big_m << (2 * g))
-        if s * s == big_m << (2 * g):
-            return round_scaled(s, half_e - g, p)
-        out = _commit(s, 1, half_e - g, p)
-        if out is not None:
-            return out
-        g += p + 16
+
+    def attempt(w: int, exp_terms: int, log_terms: int) -> tuple[int, int, int]:
+        n = big_m << (2 * w)
+        s = isqrt(n)
+        return s, int(s * s != n), half_e - w  # a perfect square commits exactly
+
+    return _correctly_rounded(p, attempt)
 
 
 # --------------------------------------------------------------------- log
@@ -249,7 +247,7 @@ def _scaled_log2(k: int, w: int) -> tuple[int, int]:
     return val, 2
 
 
-def log_fp(x: FpNumber, config: TaylorConfig | None = None) -> FpNumber:
+def log_fp(x: FpNumber) -> FpNumber:
     """Natural logarithm, correctly rounded to ``p`` bits.
 
     The input splits as ``x = r * 2**k`` by exponent parity — even ``e``
@@ -266,7 +264,6 @@ def log_fp(x: FpNumber, config: TaylorConfig | None = None) -> FpNumber:
         raise NonPositiveInput(f"log of non-positive float {x}")
     if x.m == 1 << (p - 1) and x.e == -(p - 1):
         return FpNumber.zero(p)
-    cfg = config or TaylorConfig.default(p)
     if x.e % 2 == 0:
         r_m, r_bits, k = x.m, p, x.e + p
     else:
@@ -275,15 +272,14 @@ def log_fp(x: FpNumber, config: TaylorConfig | None = None) -> FpNumber:
     if 2 * r_m > 3 * (1 << r_bits):
         r_bits += 1
         k += 1
-    while True:
-        w = cfg.working_bits
+
+    def attempt(w: int, exp_terms: int, log_terms: int) -> tuple[int, int, int]:
         u = (r_m << (w - r_bits)) - (1 << w)  # exact: w >= p + 2
-        series, b1 = _log1p_series(u, w, cfg.log_terms)
+        series, b1 = _log1p_series(u, w, log_terms)
         klog2, b2 = _scaled_log2(k, w)
-        out = _commit(series + klog2, b1 + b2, -w, p)
-        if out is not None:
-            return out
-        cfg = _escalate(cfg, p)
+        return series + klog2, b1 + b2, -w
+
+    return _correctly_rounded(p, attempt)
 
 
 # ----------------------------------------------------------- sigmoid / silu
@@ -301,7 +297,7 @@ def _smallest_positive(p: int) -> FpNumber:
     return FpNumber(1 << (p - 1), -(1 << p), p)
 
 
-def sigmoid_fp(x: FpNumber, config: TaylorConfig | None = None) -> FpNumber:
+def sigmoid_fp(x: FpNumber) -> FpNumber:
     """Logistic function as the literal float composition ``1/(1+exp(-x))``.
 
     The composition of three correctly-rounded-ish steps keeps the relative
@@ -311,7 +307,7 @@ def sigmoid_fp(x: FpNumber, config: TaylorConfig | None = None) -> FpNumber:
     p = x.p
     one = round_p(1, p)
     try:
-        en = exp_fp(_neg(x), config)
+        en = exp_fp(_neg(x))
     except Overflow:
         # exp(-x) out of range means x is hugely negative: sigmoid ~ exp(x),
         # which itself rounds to zero here; clamp to the smallest positive.
@@ -326,18 +322,17 @@ def sigmoid_fp(x: FpNumber, config: TaylorConfig | None = None) -> FpNumber:
     return out
 
 
-def silu_fp(x: FpNumber, config: TaylorConfig | None = None) -> FpNumber:
+def silu_fp(x: FpNumber) -> FpNumber:
     """``x * sigmoid(x)`` with the literal float multiply."""
-    return fp_mul(x, sigmoid_fp(x, config))
+    return fp_mul(x, sigmoid_fp(x))
 
 
 # ----------------------------------------------------------------- softplus
 
 
-def softplus_fp(x: FpNumber, config: TaylorConfig | None = None) -> FpNumber:
+def softplus_fp(x: FpNumber) -> FpNumber:
     """``log(1 + exp(x))`` in one working-precision pipeline, rounded once."""
     p = x.p
-    cfg = config or TaylorConfig.default(p)
     if x.m != 0 and abs(x.m).bit_length() - 1 + x.e >= p + 2:
         if x.m > 0:
             # softplus(x) = x + log1p(exp(-x)); the correction is far below
@@ -345,9 +340,9 @@ def softplus_fp(x: FpNumber, config: TaylorConfig | None = None) -> FpNumber:
             return x
         # True value ~ exp(x), far below half the smallest normal.
         return FpNumber.zero(p)
-    while True:
-        w = cfg.working_bits
-        t_e, j, b_e = _exp_core(x.m, x.e, w, cfg.exp_terms)
+
+    def attempt(w: int, exp_terms: int, log_terms: int) -> tuple[int, int, int]:
+        t_e, j, b_e = _exp_core(x.m, x.e, w, exp_terms)
         if j <= -2:
             # exp(x) < ~0.36: series log1p(w') directly at scale 2**(j-w),
             # with ratio w' < 1/2 between consecutive terms.
@@ -355,27 +350,25 @@ def softplus_fp(x: FpNumber, config: TaylorConfig | None = None) -> FpNumber:
             total = t_e
             pw = t_e
             i = 2
-            while pw != 0 and i < cfg.log_terms + 8:
+            while pw != 0 and i < log_terms + 8:
                 pw = _fx_mul(pw, t_e, w) >> d
                 total += (pw if i % 2 == 1 else -pw) // i
                 i += 1
-            out = _commit(total, b_e + 4 * i + 8, j - w, p)
-        else:
-            # u = 1 + exp(x) >= 1.13: normalize u to [3/4, 3/2) and reuse
-            # the log split.  Guard bits keep the normalization shift exact.
-            gbits = 4
-            u_fx = (1 << (w + gbits)) + _shift_floor(t_e, j + gbits)
-            wg = w + gbits
-            nb = u_fx.bit_length() - 1 - wg  # floor(log2 u) >= 0
-            if 2 * u_fx > 3 << (nb + wg):
-                nb += 1
-            r_fx = u_fx >> nb if nb >= 0 else u_fx << -nb
-            series, b1 = _log1p_series(r_fx - (1 << wg), wg, cfg.log_terms)
-            klog2, b2 = _scaled_log2(nb, wg)
-            # exp error enters u at scale 2**(j+gbits) units, is divided by
-            # 2**nb (nb within 1 of max(j, 0)), and log1p has derivative <= 1.
-            err_r = ((b_e + 4) << (gbits + 2)) >> max(j - 1, 0)
-            out = _commit(series + klog2, b1 + b2 + err_r + 4, -wg, p)
-        if out is not None:
-            return out
-        cfg = _escalate(cfg, p)
+            return total, b_e + 4 * i + 8, j - w
+        # u = 1 + exp(x) >= 1.13: normalize u to [3/4, 3/2) and reuse
+        # the log split.  Guard bits keep the normalization shift exact.
+        gbits = 4
+        u_fx = (1 << (w + gbits)) + _shift_floor(t_e, j + gbits)
+        wg = w + gbits
+        nb = u_fx.bit_length() - 1 - wg  # floor(log2 u) >= 0
+        if 2 * u_fx > 3 << (nb + wg):
+            nb += 1
+        r_fx = u_fx >> nb if nb >= 0 else u_fx << -nb
+        series, b1 = _log1p_series(r_fx - (1 << wg), wg, log_terms)
+        klog2, b2 = _scaled_log2(nb, wg)
+        # exp error enters u at scale 2**(j+gbits) units, is divided by
+        # 2**nb (nb within 1 of max(j, 0)), and log1p has derivative <= 1.
+        err_r = ((b_e + 4) << (gbits + 2)) >> max(j - 1, 0)
+        return series + klog2, b1 + b2 + err_r + 4, -wg
+
+    return _correctly_rounded(p, attempt)

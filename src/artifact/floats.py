@@ -19,11 +19,12 @@ error).
 Division-flavoured scaling inside the arithmetic ops uses an *approximate*
 quotient: ``a`` over ``b`` equals the exact quotient when that quotient is
 an integer multiple of 1/4, and otherwise the exact quotient plus a fixed
-bias of 1/8 (added regardless of sign).  :func:`approx_div` states this rule
-over ``Fraction`` values and is the specification; the ops apply it in
-integers.  ``m / 2**d`` is a multiple of 1/4 exactly when the low ``d - 2``
-bits of ``m`` are zero, and after scaling both sides by 8 the bias is the
-integer ``2**d``.
+bias of 1/8 (added regardless of sign).  ``oracle_approx_div`` in
+``tests/oracles.py`` states this rule over ``Fraction`` values and is the
+specification the tests hold the ops to; the ops apply it in integers.
+``m / 2**d`` is a multiple of 1/4 exactly when the low ``d - 2`` bits of
+``m`` are zero, and after scaling both sides by 8 the bias is the integer
+``2**d``.
 
 Zero carries no intrinsic exponent (``(0, e)`` denotes the same value for
 every ``e``; the stored form is the canonical ``(0, 0)``).  The exponent
@@ -47,7 +48,6 @@ __all__ = [
     "FpError",
     "FpNumber",
     "Overflow",
-    "approx_div",
     "fp_add",
     "fp_compare",
     "fp_div",
@@ -55,7 +55,6 @@ __all__ = [
     "fp_mul",
     "iter_add",
     "iter_mul",
-    "pow2",
     "round_p",
     "round_ratio",
     "round_scaled",
@@ -80,13 +79,6 @@ class Comparison(Enum):
     LESS = "less"
     EQUAL = "equal"
     GREATER = "greater"
-
-
-def pow2(k: int) -> Fraction:
-    """Exact ``2**k`` as a Fraction for any integer ``k``."""
-    if k >= 0:
-        return Fraction(1 << k)
-    return Fraction(1, 1 << -k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,15 +124,9 @@ class FpNumber:
 
     def to_fraction(self) -> Fraction:
         """Exact rational value ``m * 2**e``."""
-        return Fraction(self.m) * pow2(self.e)
-
-    def to_json_dict(self) -> dict:
-        """JSON form with arbitrary-precision fields as decimal strings."""
-        return {"m": str(self.m), "e": str(self.e), "p": self.p}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "FpNumber":
-        return cls(int(obj["m"]), int(obj["e"]), int(obj["p"]))
+        if self.e >= 0:
+            return Fraction(self.m << self.e)
+        return Fraction(self.m, 1 << -self.e)
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.m}, {self.e}>@p{self.p}"
@@ -239,23 +225,6 @@ def round_p(x: Fraction | int, p: int) -> FpNumber:
     if not isinstance(x, Fraction):
         raise TypeError(f"round_p expects Fraction or int, got {type(x)!r}")
     return round_ratio(x.numerator, x.denominator, p)
-
-
-def approx_div(a: Fraction | int, b: Fraction | int) -> Fraction:
-    """Approximate quotient used throughout the float operations.
-
-    Returns the exact ``a / b`` when it is an integer multiple of 1/4, and
-    otherwise ``a / b + 1/8``.  The 1/8 bias is always added, never
-    subtracted, regardless of the quotient's sign.  The result is an exact
-    rational; callers round separately.
-    """
-    b = Fraction(b)
-    if b == 0:
-        raise DivisionByZero("approximate division by zero")
-    q = Fraction(a) / b
-    if (4 * q).denominator == 1:
-        return q
-    return q + Fraction(1, 8)
 
 
 def _mixed_precision(xs: Sequence[FpNumber]) -> ValueError:

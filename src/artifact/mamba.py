@@ -562,11 +562,10 @@ def random_params(shape: ShapeConfig, seed: int, positive: bool = False) -> Mamb
     return MambaParams.build(shape, leaf)
 
 
-def random_input(shape: ShapeConfig, seed: int, positive: bool = False) -> list[list[Fraction]]:
+def random_input(shape: ShapeConfig, seed: int) -> list[list[Fraction]]:
     rng = random.Random(seed ^ 0x5EED)
-    lo = 1 if positive else -16
     return [
-        [Fraction(rng.randrange(lo, 17), 16) for _ in range(shape.d_model)]
+        [Fraction(rng.randrange(-16, 17), 16) for _ in range(shape.d_model)]
         for _ in range(shape.seq_len)
     ]
 
@@ -579,7 +578,6 @@ def forward_matrix(
     params: MambaParams,
     x: FpMatrix,
     form: str = "recurrent",
-    ref_p: int = 64,
 ) -> FpMatrix:
     """Run the block on an ``FpMatrix`` in its own mode and return one."""
     params.validate(shape)
@@ -588,7 +586,7 @@ def forward_matrix(
     if x.mode == "pbit":
         ctx: ScalarContext = PBitScalars(x.p)
     else:
-        ctx = ExactScalars(ref_p)
+        ctx = ExactScalars()
     pw = wrap_params(ctx, params)
     xin = wrap_values(ctx, x.to_fractions())
     y = mamba_forward(ctx, pw, xin, form)

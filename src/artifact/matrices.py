@@ -8,10 +8,11 @@ rounding (``iter_add`` over ``fp_mul`` terms); exact mode is ordinary
 rational arithmetic, which makes it the reference semantics the pbit mode
 is compared against.
 
-JSON layout (all significands/exponents/numerators as decimal strings):
-``{"rows": R, "cols": C, "mode": "pbit"|"exact", "p": P (pbit only),
-"entries": [row-major entry dicts]}`` with pbit entries
-``{"m": .., "e": .., "p": ..}`` and exact entries ``{"n": .., "d": ..}``.
+``mamba run`` prints a matrix as the JSON object ``{"mode": "pbit" |
+"exact", "p": P (null in exact mode), "rows": R, "cols": C, "entries": [[..],
+..]}`` (``artifact.cli._matrix_json``).  Entries are nested row by row: a
+pbit entry is the integer pair ``[m, e]`` and an exact entry is the string
+``str(Fraction)``, ``"n/d"`` or ``"n"``.
 """
 
 from __future__ import annotations
@@ -95,35 +96,6 @@ class FpMatrix:
         if self.mode == "exact":
             return [list(row) for row in self.data]
         return [[x.to_fraction() for x in row] for row in self.data]
-
-    # ----------------------------------------------------------------- json
-    def to_json_dict(self) -> dict:
-        entries = []
-        for row in self.data:
-            for x in row:
-                if self.mode == "pbit":
-                    entries.append(x.to_json_dict())
-                else:
-                    entries.append({"n": str(x.numerator), "d": str(x.denominator)})
-        out = {"rows": self.rows, "cols": self.cols, "mode": self.mode, "entries": entries}
-        if self.mode == "pbit":
-            out["p"] = self.p
-        return out
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "FpMatrix":
-        rows, cols, mode = obj["rows"], obj["cols"], obj["mode"]
-        raw = obj["entries"]
-        if len(raw) != rows * cols:
-            raise ShapeMismatch("entry count does not match shape")
-        if mode == "pbit":
-            ents = [FpNumber.from_json_dict(d) for d in raw]
-            p = int(obj["p"]) if "p" in obj else (ents[0].p if ents else 1)
-        else:
-            ents = [Fraction(int(d["n"]), int(d["d"])) for d in raw]
-            p = None
-        data = tuple(tuple(ents[i * cols + j] for j in range(cols)) for i in range(rows))
-        return cls(rows, cols, mode, p, data)
 
 
 def _check_modes(a: FpMatrix, b: FpMatrix) -> None:

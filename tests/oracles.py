@@ -11,6 +11,7 @@ genuine two-route check: normalization arithmetic vs. exhaustive search.
 from __future__ import annotations
 
 import bisect
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -181,6 +182,17 @@ def rand_me(rng, p: int, e_lo: int, e_hi: int, allow_zero: bool = True) -> Me:
         return (0, 0)
     m = rng.randrange(lim >> 1, lim) * rng.choice((1, -1))
     return (m, rng.randrange(e_lo, e_hi))
+
+
+def positive_input(shape, seed: int) -> list[list[Fraction]]:
+    """A ``seq_len x d_model`` input with every entry in ``[1/16, 1]``: with
+    ``random_params(positive=True)`` both state-space routes are then
+    cancellation-free."""
+    rng = random.Random(seed ^ 0x5EED)
+    return [
+        [Fraction(rng.randrange(1, 17), 16) for _ in range(shape.d_model)]
+        for _ in range(shape.seq_len)
+    ]
 
 
 def polyfit_max_rel_residual(xs: list[int], ys: list[int], degree: int) -> Fraction:

@@ -64,7 +64,6 @@ from artifact.mamba import (
     conv_kernel,
     discretize,
     forward_matrix,
-    random_input,
     random_params,
     ssm_convolution,
     ssm_recurrent,
@@ -249,7 +248,7 @@ class TestAcceptance:
             assert y_sel_rec == y_sel_conv
             # p-bit mode on a cancellation-free instance obeys the bound.
             pos_params = random_params(shape, seed=2000 + i, positive=True)
-            entries = random_input(shape, seed=3000 + i, positive=True)
+            entries = oracles.positive_input(shape, seed=3000 + i)
             x = FpMatrix.from_fractions(entries, "pbit", p)
             rec = forward_matrix(shape, pos_params, x, form="recurrent")
             conv = forward_matrix(shape, pos_params, x, form="convolution")

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact.contexts import ExactScalars, exact_value
+import oracles
+from artifact.contexts import ExactScalars, PBitScalars, exact_value
 from artifact.elementary import exp_fp, log_fp, sigmoid_fp, silu_fp, softplus_fp, sqrt_fp
-from artifact.floats import DivisionByZero, round_p
+from artifact.floats import DivisionByZero, FpNumber, round_p
 
 F = Fraction
 SETTINGS = settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -134,6 +135,39 @@ class TestGuardSmall:
     def test_matches_fraction(self, ref_p, a):
         threshold = F(1, 1 << (ref_p // 2))
         assert ExactScalars(ref_p).guard_small(a) == (abs(F(*a)) < threshold)
+
+
+class TestPBitGuardSmall:
+    """``PBitScalars.guard_small`` is ``|a| < 2**-(p // 2)``."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_matches_fraction_on_every_legal_float(self, p):
+        c = PBitScalars(p)
+        threshold = F(1, 1 << (p // 2))
+        for m, e in oracles.legal_floats(p):
+            want = abs(oracles.value((m, e))) < threshold
+            assert c.guard_small(FpNumber(m, e, p)) == want, (m, e)
+
+    @pytest.mark.parametrize("p", [16, 17, 24])
+    def test_one_ulp_either_side_of_the_threshold(self, p):
+        c = PBitScalars(p)
+        h = p // 2
+        below = FpNumber((1 << p) - 1, -h - p, p)
+        at = FpNumber(1 << (p - 1), -h - (p - 1), p)
+        above = FpNumber((1 << (p - 1)) + 1, -h - (p - 1), p)
+        assert at.to_fraction() == F(1, 1 << h)
+        assert below.to_fraction() < at.to_fraction() < above.to_fraction()
+        for sign in (1, -1):
+            assert c.guard_small(FpNumber(sign * below.m, below.e, p))
+            assert not c.guard_small(FpNumber(sign * at.m, at.e, p))
+            assert not c.guard_small(FpNumber(sign * above.m, above.e, p))
+        assert c.guard_small(FpNumber.zero(p))
+
+    def test_extreme_exponents_at_p64(self):
+        """Exponents near +-2**64 are decided without building ``2**e``."""
+        c = PBitScalars(64)
+        assert c.guard_small(FpNumber(-(1 << 63), -(1 << 64), 64))
+        assert not c.guard_small(FpNumber(1 << 63, (1 << 64) - 1, 64))
 
 
 _ELEMENTARY = {

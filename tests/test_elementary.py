@@ -9,16 +9,17 @@ sigmoid/silu/softplus within 4 * 2**-p.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from artifact import elementary
 from artifact.elementary import (
     NegativeInput,
     NonPositiveInput,
-    TaylorConfig,
     exp_fp,
     log_fp,
     sigmoid_fp,
@@ -190,25 +191,67 @@ class TestSigmoidFamily:
                 assert rel_err(silu_fp(x), true) <= bound
 
 
-class TestTaylorConfig:
-    def test_defaults(self):
-        cfg = TaylorConfig.default(16)
-        assert cfg.exp_terms == 18
-        assert cfg.working_bits == 40
-        # smallest n with n * 2^n >= 2^40
-        assert cfg.log_terms * (1 << cfg.log_terms) >= 1 << 40
-        n = cfg.log_terms - 1
-        assert n * (1 << n) < 1 << 40
+PIN_PRECISIONS = (5, 8, 12, 16, 24, 53, 64)
+PIN_FUNCTIONS = (exp_fp, log_fp, sqrt_fp, sigmoid_fp, silu_fp, softplus_fp)
+PIN_LINES = 22_218
+PIN_SHA256 = "1a01bb55289af9c8e62ac43e95051bd2363df13dc326abf1e857e68f4da6bc50"
 
-    def test_doubling_terms_changes_nothing(self):
-        # Correct rounding makes the output independent of extra terms.
-        p = 16
-        cfg = TaylorConfig.default(p)
-        cfg2 = TaylorConfig(cfg.exp_terms * 2, cfg.log_terms * 2, cfg.working_bits)
-        rng = random.Random(9)
-        for _ in range(50):
-            x = rand_float(rng, p, -8.0, 8.0)
-            assert exp_fp(x, cfg2) == exp_fp(x)
-            assert softplus_fp(x, cfg2) == softplus_fp(x)
-            if x.m > 0 and x.to_fraction() != 1:
-                assert log_fp(x, cfg2) == log_fp(x)
+
+def pinned_inputs():
+    """Per precision: 400 random rationals, then k/8 for k = -64..64, all
+    drawn from one generator that runs on across precisions."""
+    rng = random.Random(11)
+    for p in PIN_PRECISIONS:
+        xs = [
+            round_p(Fraction(rng.randint(-10**4, 10**4),
+                             rng.choice([1, 7, 1000, 3**9, 2**20])), p)
+            for _ in range(400)
+        ]
+        xs += [round_p(Fraction(k, 8), p) for k in range(-64, 65)]
+        yield p, xs
+
+
+class TestPinnedOutputs:
+    def test_outputs_and_retries_pinned(self, monkeypatch):
+        """Every output bit of the six functions on a fixed sweep, through
+        each path: special cases, saturation, domain errors and retries."""
+        retries = dict.fromkeys((f.__name__ for f in PIN_FUNCTIONS), 0)
+        commit = elementary._commit
+        current = None
+
+        def counting_commit(*args):
+            out = commit(*args)
+            if out is None:
+                retries[current] += 1
+            return out
+
+        monkeypatch.setattr(elementary, "_commit", counting_commit)
+        digest = hashlib.sha256()
+        lines = 0
+        for p, xs in pinned_inputs():
+            for x in xs:
+                for fn in PIN_FUNCTIONS:
+                    current = fn.__name__
+                    try:
+                        y = fn(x)
+                        got = f"{y.m},{y.e}"
+                    except (ArithmeticError, ValueError) as exc:
+                        got = type(exc).__name__
+                    digest.update(f"{p}|{x.m},{x.e}|{fn.__name__}|{got}\n".encode())
+                    lines += 1
+        assert lines == PIN_LINES
+        assert digest.hexdigest() == PIN_SHA256
+        # The sweep reaches the retry path of each function that has one
+        # in reach (12, 1 and 20 retries when the digest was pinned).
+        for name in ("exp_fp", "log_fp", "softplus_fp"):
+            assert retries[name] >= 1, retries
+
+
+class TestSchedule:
+    def test_base_log_terms_is_the_smallest_sufficient(self):
+        """The smallest n with (1/2)**n / n <= 2**-(2p+8); at p = 6 and 31
+        the bound holds with equality."""
+        for p in range(1, 129):
+            n = elementary._base_log_terms(p)
+            assert n * (1 << n) >= 1 << (2 * p + 8)
+            assert (n - 1) * (1 << (n - 1)) < 1 << (2 * p + 8)

@@ -19,7 +19,6 @@ from artifact.floats import (
     DivisionByZero,
     FpNumber,
     Overflow,
-    approx_div,
     fp_add,
     fp_compare,
     fp_div,
@@ -66,10 +65,9 @@ class TestFpNumber:
         with pytest.raises(ValueError):
             FpNumber(0, 1, 3)
 
-    def test_json_round_trip(self):
-        x = FpNumber(-5, -3, 3)
-        assert FpNumber.from_json_dict(x.to_json_dict()) == x
-        assert x.to_json_dict() == {"m": "-5", "e": "-3", "p": 3}
+    def test_to_fraction_matches_oracle(self):
+        for m, e in oracles.legal_floats(3):
+            assert FpNumber(m, e, 3).to_fraction() == oracles.value((m, e))
 
 
 class TestRoundP:
@@ -159,20 +157,23 @@ class TestRoundP:
 
 
 class TestApproxDiv:
+    """The approximate-quotient rule of the module docstring, as the
+    oracle states it; the ops are held to the oracle below."""
+
     def test_exact_when_quarter_multiple(self):
-        assert approx_div(5, 2) == Fraction(5, 2)
-        assert approx_div(3, 4) == Fraction(3, 4)
-        assert approx_div(0, 7) == 0
+        assert oracles.oracle_approx_div(5, 2) == Fraction(5, 2)
+        assert oracles.oracle_approx_div(3, 4) == Fraction(3, 4)
+        assert oracles.oracle_approx_div(0, 7) == 0
 
     def test_biased_otherwise(self):
-        assert approx_div(5, 3) == Fraction(5, 3) + Fraction(1, 8)
-        assert approx_div(5, 3) == Fraction(43, 24)
+        assert oracles.oracle_approx_div(5, 3) == Fraction(5, 3) + Fraction(1, 8)
+        assert oracles.oracle_approx_div(5, 3) == Fraction(43, 24)
         # The bias is added, never subtracted, for negative quotients too.
-        assert approx_div(-5, 3) == Fraction(-5, 3) + Fraction(1, 8)
+        assert oracles.oracle_approx_div(-5, 3) == Fraction(-5, 3) + Fraction(1, 8)
 
     def test_division_by_zero(self):
-        with pytest.raises(DivisionByZero):
-            approx_div(1, 0)
+        with pytest.raises(oracles.OracleDivisionByZero):
+            oracles.oracle_approx_div(1, 0)
 
 
 class TestScalarOps:

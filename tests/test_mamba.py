@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from artifact.contexts import ExactScalars, PBitScalars, exact_value
 from artifact.elementary import exp_fp
 from artifact.floats import FpNumber, fp_add, fp_div, fp_mul, iter_add, round_p
@@ -471,7 +472,7 @@ class TestAlgebraicProperties:
                 "w_delta_scalar": F(0),
             }
         )
-        xs = random_input(shape, seed=6, positive=True)
+        xs = oracles.positive_input(shape, seed=6)
         xa = [[xs[t][d] for d in range(shape.d_inner)] for t in range(shape.seq_len)]
         ctx = PBitScalars(p)
         pw = wrap_params(ctx, params)

@@ -75,17 +75,6 @@ class TestProducts:
 
 
 class TestJsonAndGap:
-    def test_json_round_trip_both_modes(self):
-        rng = random.Random(5)
-        ex = rand_exact(rng, 2, 3)
-        assert FpMatrix.from_json_dict(ex.to_json_dict()) == ex
-        pb = FpMatrix.from_fractions(ex.to_fractions(), "pbit", 8)
-        back = FpMatrix.from_json_dict(pb.to_json_dict())
-        assert back == pb
-        assert pb.to_json_dict()["mode"] == "pbit"
-        assert pb.to_json_dict()["p"] == 8
-        assert all(isinstance(d["m"], str) for d in pb.to_json_dict()["entries"])
-
     def test_max_rel_gap(self):
         a = FpMatrix.exact([[Fraction(1), Fraction(0)]])
         b = FpMatrix.exact([[Fraction(9, 8), Fraction(0)]])
