@@ -44,6 +44,7 @@ from artifact.elementary import (
 )
 from artifact.floats import (
     DivisionByZero,
+    FpError,
     FpNumber,
     fp_add,
     fp_div,
@@ -57,7 +58,7 @@ from artifact.floats import (
 
 V = TypeVar("V")
 
-__all__ = ["ExactScalars", "PBitScalars", "ScalarContext", "exact_value"]
+__all__ = ["ExactDomainError", "ExactScalars", "PBitScalars", "ScalarContext", "exact_value"]
 
 
 class ScalarContext(ABC, Generic[V]):
@@ -217,6 +218,17 @@ def exact_value(v: Pair) -> Fraction:
     return Fraction(*v)
 
 
+#: The exact route's domain: the largest |exponent| an elementary result
+#: may carry.  Its power of two then has at most 2**16 bits.
+EXACT_EXP_BOUND = 1 << 16
+
+
+class ExactDomainError(FpError):
+    """An elementary result on the exact route has an exponent past
+    :data:`EXACT_EXP_BOUND` in magnitude: carrying its power of two exactly
+    would build an integer of that many bits, up to ``2**ref_p``."""
+
+
 class ExactScalars(ScalarContext[Pair]):
     """Exact rational arithmetic on integer pairs ``(n, d)``, ``d > 0``,
     standing for ``n / d``; elementary functions are evaluated at a high
@@ -229,7 +241,9 @@ class ExactScalars(ScalarContext[Pair]):
     ``reinject`` reduce once, so the aggregations that end each stage and
     the carried state are in lowest terms, where equal values are equal
     pairs.  The elementary functions round a pair with
-    :func:`~artifact.floats.round_ratio`, which does not need lowest terms.
+    :func:`~artifact.floats.round_ratio`, which does not need lowest terms,
+    and raise :class:`ExactDomainError` on a result whose exponent is past
+    :data:`EXACT_EXP_BOUND` in magnitude.
     """
 
     def __init__(self, ref_p: int = 64) -> None:
@@ -269,27 +283,32 @@ class ExactScalars(ScalarContext[Pair]):
     def reinject(self, a):
         return _reduced(*a)
 
-    def _elem(self, fn, a: Pair) -> Pair:
+    def _elem(self, name: str, fn, a: Pair) -> Pair:
         y = fn(round_ratio(a[0], a[1], self.ref_p))
+        if abs(y.e) > EXACT_EXP_BOUND:
+            raise ExactDomainError(
+                f"exact {name} result has exponent {y.e}, past the exact route's "
+                f"bound |e| <= {EXACT_EXP_BOUND}"
+            )
         return (y.m << y.e, 1) if y.e >= 0 else (y.m, 1 << -y.e)
 
     def exp(self, a):
-        return self._elem(exp_fp, a)
+        return self._elem("exp", exp_fp, a)
 
     def sqrt(self, a):
-        return self._elem(sqrt_fp, a)
+        return self._elem("sqrt", sqrt_fp, a)
 
     def log(self, a):
-        return self._elem(log_fp, a)
+        return self._elem("log", log_fp, a)
 
     def softplus(self, a):
-        return self._elem(softplus_fp, a)
+        return self._elem("softplus", softplus_fp, a)
 
     def sigmoid(self, a):
-        return self._elem(sigmoid_fp, a)
+        return self._elem("sigmoid", sigmoid_fp, a)
 
     def silu(self, a):
-        return self._elem(silu_fp, a)
+        return self._elem("silu", silu_fp, a)
 
     def guard_small(self, a):
         return abs(a[0]) << (self.ref_p // 2) < a[1]

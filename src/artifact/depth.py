@@ -21,8 +21,10 @@ a Pareto frontier of incomparable path sums (two symbolic sums are
 comparable only coefficient-wise, since the constants may take any
 nonnegative weights).  Path sums have one representation: a coefficient
 vector indexed like ``BASE_CONSTANTS``.  The frontier is computed on bare
-vectors as each node is appended to the trace, and a vector read out of
-it is wrapped as ``DepthExpr(vec)``; ``DepthExpr.of`` also accepts the
+vectors as each node enters the trace, memoized per trace on the node's
+cost and its predecessors' frontiers, so a node whose step the trace has
+met before costs one dictionary lookup.  A vector read out of a frontier
+is wrapped as ``DepthExpr(vec)``; ``DepthExpr.of`` also accepts the
 composite names and writes them out through the registry, so the checker
 compares two expressions directly.  Component traces are built from the
 shape alone: every leaf is a fresh input whose value is never read.
@@ -46,7 +48,7 @@ from enum import Enum
 from fractions import Fraction
 from operator import add, le, sub
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from artifact.contexts import ScalarContext
 from artifact.mamba import (
@@ -217,8 +219,7 @@ class DepthExpr:
         return " + ".join(parts) or "0"
 
 
-@dataclass(frozen=True, slots=True)
-class TraceNode:
+class TraceNode(NamedTuple):
     """One event, leaf or stage barrier in a trace: a label for humans, the
     depth constant it costs (``None`` for leaves and barriers), and
     predecessor ids."""
@@ -241,28 +242,35 @@ class CostTrace:
     """An acyclic event DAG with marked outputs, and the Pareto frontier of
     path sums ending at each node.
 
-    A path sum is a tuple of ints indexed like ``BASE_CONSTANTS``.
-    :meth:`append` is the one way a node enters a trace: it checks the id
-    (dense, in order) and the predecessors (smaller ids, else
-    :class:`CycleDetected`), then computes the node's frontier once.  A
-    node without predecessors starts at zero, one predecessor's frontier is
+    A path sum is a tuple of ints indexed like ``BASE_CONSTANTS``.  A node
+    without predecessors starts at zero, one predecessor's frontier is
     reused as is, several are deduplicated and cut to their Pareto maxima,
-    and a cost-bearing node adds one to its constant's coordinate.  The
+    and a cost-bearing node adds one to its constant's coordinate.  Each
+    node's frontier is computed once, as the node enters the trace, and the
     frontier of the whole trace is kept up to date the same way, so the
     critical depth costs nothing once the last node is in.
 
-    Each distinct frontier is stored once and a node holds its index.
-    Merges and bumps are memoized on those indices, so once a trace has met
-    its few distinct frontiers a node costs a few dictionary lookups.  Path
+    Each distinct frontier is stored once and a node holds its index.  A
+    node's frontier depends only on its cost and on its predecessors'
+    frontiers, so it is memoized on ``(cost, *predecessor frontier
+    indices)``: a trace has a few dozen distinct frontiers at most, and a
+    node whose step the trace has met before costs one dictionary lookup.
+    Only a new step deduplicates, merges and bumps, and those are memoized
+    on frontier indices too.  Nodes are stored as columns, one list per
+    field; :attr:`nodes` builds :class:`TraceNode` rows when read, and path
     sums become :class:`DepthExpr` only when read.  ``size`` counts
     cost-bearing events only.
     """
 
     def __init__(self, nodes: Iterable[TraceNode] = (), outputs: Sequence[int] = ()):
-        self._nodes: list[TraceNode] = []
+        # Node columns; a node's id is its position.
+        self._labels: list[str] = []
+        self._costs: list[str | None] = []
+        self._preds: list[tuple[int, ...]] = []
         self._fronts: list[int] = []  # per node, an index into _frontiers
         self._frontiers: list[tuple[_Sum, ...]] = [_ORIGIN]
         self._index: dict[tuple[_Sum, ...], int] = {_ORIGIN: 0}
+        self._steps: dict[tuple[str | None | int, ...], int] = {}
         self._merged: dict[tuple[int, ...], int] = {}
         self._bumped: dict[tuple[int, str], int] = {}
         self._critical: tuple[_Sum, ...] = _ORIGIN
@@ -281,19 +289,40 @@ class CostTrace:
 
     def append(self, node: TraceNode) -> None:
         """Add ``node``, which must carry the next id, and its frontier."""
-        i = len(self._nodes)
-        if node.id != i:
+        if node.id != len(self._fronts):
             raise ValueError("node ids must be dense and in order")
-        preds = node.preds
-        if preds and max(preds) >= i:
-            raise CycleDetected(f"node {i} depends on a later node")
-        if preds and min(preds) < 0:
-            raise ValueError(f"node {i} has a negative predecessor id")
-        f = self._merge(tuple(dict.fromkeys(map(self._fronts.__getitem__, preds))))
-        if node.cost is not None:
-            f = self._bump(f, node.cost)
-        self._nodes.append(node)
-        self._fronts.append(f)
+        self._add(node.label, node.cost, node.preds)
+
+    def _add(self, label: str, cost: str | None, preds: tuple[int, ...]) -> int:
+        """Add the next node and its frontier; return the node's id.
+
+        Predecessors must be earlier nodes (else :class:`CycleDetected`)
+        with nonnegative ids.  An unknown cost is never memoized, so it
+        raises ``ValueError`` every time it is met.
+        """
+        fronts = self._fronts
+        i = len(fronts)
+        # A loop, not max() and min(): a node has few predecessors, and the
+        # builtins cost more per call than the loop does per item.
+        key = [cost]
+        for q in preds:
+            if not 0 <= q < i:
+                if max(preds) >= i:
+                    raise CycleDetected(f"node {i} depends on a later node")
+                raise ValueError(f"node {i} has a negative predecessor id")
+            key.append(fronts[q])
+        step = tuple(key)
+        f = self._steps.get(step)
+        if f is None:
+            f = self._merge(tuple(dict.fromkeys(key[1:])))
+            if cost is not None:
+                f = self._bump(f, cost)
+            self._steps[step] = f
+        self._labels.append(label)
+        self._costs.append(cost)
+        self._preds.append(preds)
+        fronts.append(f)
+        return i
 
     def _merge(self, key: tuple[int, ...]) -> int:
         """The frontier index of a node whose predecessors' distinct
@@ -320,22 +349,26 @@ class CostTrace:
     def _with_outputs(self, outputs: Sequence[int]) -> "CostTrace":
         """A copy of this trace, frontiers included, with ``outputs`` marked."""
         twin = CostTrace(outputs=outputs)
-        twin._nodes, twin._fronts = self._nodes.copy(), self._fronts.copy()
+        twin._labels, twin._costs = self._labels.copy(), self._costs.copy()
+        twin._preds, twin._fronts = self._preds.copy(), self._fronts.copy()
         twin._frontiers, twin._index = self._frontiers.copy(), self._index.copy()
+        twin._steps = self._steps.copy()
         twin._merged, twin._bumped = self._merged.copy(), self._bumped.copy()
         twin._critical = self._critical
         return twin
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._fronts)
 
     @property
     def nodes(self) -> tuple[TraceNode, ...]:
-        return tuple(self._nodes)
+        return tuple(
+            map(TraceNode, range(len(self._fronts)), self._labels, self._costs, self._preds)
+        )
 
     @property
     def size(self) -> int:
-        return sum(1 for n in self._nodes if n.cost is not None)
+        return len(self._costs) - self._costs.count(None)
 
     def depth_frontiers(self) -> list[tuple[DepthExpr, ...]]:
         """Per-node Pareto frontier of path sums ending at the node."""
@@ -486,9 +519,10 @@ class TracedScalars(ScalarContext[int]):
     A stage barrier (:meth:`seq_point`) is one zero-cost node whose
     predecessors are the stage's members; every later event takes it as a
     predecessor, serializing pipeline phases the way the depth formulas
-    count them.  A new barrier replaces the previous one.  Every node goes
-    through :meth:`CostTrace.append` as it is emitted, so the frontiers are
-    ready when tracing ends.
+    count them.  A new barrier replaces the previous one.  Each node enters
+    the trace as it is emitted, through the same checks and step memo as
+    :meth:`CostTrace.append` but without building a :class:`TraceNode`, so
+    the frontiers are ready when tracing ends.
     """
 
     def __init__(self) -> None:
@@ -497,11 +531,10 @@ class TracedScalars(ScalarContext[int]):
 
     # ------------------------------------------------------ trace plumbing
     def _emit(self, label: str, cost: str | None, preds: Sequence[int]) -> int:
-        i = len(self._trace)
-        self._trace.append(
-            TraceNode(i, label, cost, tuple(dict.fromkeys((*preds, *self._barrier))))
-        )
-        return i
+        ids = (*preds, *self._barrier)
+        if len(set(ids)) < len(ids):  # rare; cheaper to test than to dedupe
+            ids = tuple(dict.fromkeys(ids))
+        return self._trace._add(label, cost, ids)
 
     def trace(self, outputs: Sequence[int] = ()) -> CostTrace:
         return self._trace._with_outputs(outputs)

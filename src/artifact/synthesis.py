@@ -30,7 +30,7 @@ granularity; they remain software-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice, product
 from typing import Sequence
 
@@ -82,32 +82,36 @@ class BitEncoding:
 
     p: int
     exp_bits: int
+    # Derived from the two above once, at construction: ``code`` runs once
+    # per operand of every checked case.
+    sig_bits: int = field(init=False, repr=False, compare=False)
+    width: int = field(init=False, repr=False, compare=False)
+    e_min: int = field(init=False, repr=False, compare=False)
+    e_max: int = field(init=False, repr=False, compare=False)
+    sig_mask: int = field(init=False, repr=False, compare=False)
+    exp_mask: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def sig_bits(self) -> int:
-        return self.p + 1
-
-    @property
-    def width(self) -> int:
-        return self.sig_bits + self.exp_bits
-
-    @property
-    def e_min(self) -> int:
-        return -(1 << (self.exp_bits - 1))
-
-    @property
-    def e_max(self) -> int:
-        return (1 << (self.exp_bits - 1)) - 1
+    def __post_init__(self) -> None:
+        sig_bits, exp_bits = self.p + 1, self.exp_bits
+        half = 1 << (exp_bits - 1)
+        for name, value in (
+            ("sig_bits", sig_bits),
+            ("width", sig_bits + exp_bits),
+            ("e_min", -half),
+            ("e_max", half - 1),
+            ("sig_mask", (1 << sig_bits) - 1),
+            ("exp_mask", (1 << exp_bits) - 1),
+        ):
+            object.__setattr__(self, name, value)
 
     def code(self, x: FpNumber) -> int:
         """The encoding as one integer: bit ``i`` is bit ``i`` of ``encode(x)``."""
         if x.p != self.p:
             raise ValueError(f"value has p={x.p}, encoding has p={self.p}")
-        if not x.is_zero and not self.e_min <= x.e <= self.e_max:
-            raise ValueError(f"exponent {x.e} outside window of {self}")
-        sig_mask = (1 << self.sig_bits) - 1
-        exp_mask = (1 << self.exp_bits) - 1
-        return (x.m & sig_mask) | ((x.e & exp_mask) << self.sig_bits)
+        e = x.e
+        if not self.e_min <= e <= self.e_max and not x.is_zero:
+            raise ValueError(f"exponent {e} outside window of {self}")
+        return (x.m & self.sig_mask) | ((e & self.exp_mask) << self.sig_bits)
 
     def encode(self, x: FpNumber) -> tuple[int, ...]:
         code = self.code(x)
@@ -745,8 +749,8 @@ def _expected_words(op: SynthesizedOp, cases: Sequence[Sequence[FpNumber]]) -> l
         return pack_codes([_VERDICT_CODES[ref(*case)] for case in cases], n_out + 2)
     # BitEncoding.code, inlined: this loop runs once per lane.
     enc = op.output_encoding
-    sig_mask, exp_mask = (1 << enc.sig_bits) - 1, (1 << enc.exp_bits) - 1
-    sig_bits, e_min, e_max = enc.sig_bits, enc.e_min, enc.e_max
+    sig_mask, exp_mask, sig_bits = enc.sig_mask, enc.exp_mask, enc.sig_bits
+    e_min, e_max = enc.e_min, enc.e_max
     overflow = 1 << (n_out - 1) | 1 << n_out
     unencodable = 1 << (n_out + 1)
     codes = []

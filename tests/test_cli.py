@@ -410,6 +410,7 @@ _INPUT_MUTATION = st.tuples(
     st.sampled_from(
         [1.5, 2.0, True, False, None, 0, -7, "x", "1", "-1", "1/2", "-3/8", "0", "", " 5 ",
          "1/0", "0/0", "1e999999", "-2.5e-999999", "1e3", "1_000", "1__0", float("nan"),
+         1e6, -1e6, 1e11, 1e308, -1e308, "1e308",
          float("inf"), [], [1], {}, {"entries": []}]
     ),
 )
@@ -445,6 +446,20 @@ class TestMutatedInputFiles:
             assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         if not mutations:
             assert code == 0
+
+    @pytest.mark.parametrize("entry", [1e6, -1e6, 1e11, 1e308, -1e308])
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_large_finite_entries(self, tmp_path, capsys, command, entry):
+        """Past the exact route's domain an entry exits 1 with one line that
+        names the op and the exponent; the p-bit route takes it."""
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps([["1/2", entry], [0.25, "-7/8"]]))
+        argv = ["mamba", command, "--shape", "2,2,2,2,2", "--input", str(path)]
+        assert main(argv + ["--mode", "exact"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert re.match(r"ExactDomainError: exact \w+ result has exponent -?\d+, ", err)
+        assert main(argv + ["--mode", "pbit"]) == 0
 
 
 # Valid inputs of the text commands, mutated below: corpus lines for

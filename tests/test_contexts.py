@@ -18,7 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from artifact.contexts import ExactScalars, PBitScalars, exact_value
+from artifact.contexts import (
+    EXACT_EXP_BOUND,
+    ExactDomainError,
+    ExactScalars,
+    PBitScalars,
+    exact_value,
+)
 from artifact.elementary import exp_fp, log_fp, sigmoid_fp, silu_fp, softplus_fp, sqrt_fp
 from artifact.floats import DivisionByZero, FpNumber, round_p
 
@@ -194,3 +200,29 @@ class TestElementary:
                 getattr(c, name)(a)
             return
         assert value(getattr(c, name)(a)) == want
+
+
+class TestExactDomain:
+    """The exact route's domain: an elementary result whose exponent is
+    past ``EXACT_EXP_BOUND`` in magnitude raises ``ExactDomainError``,
+    naming the op and the exponent, instead of building its power of two."""
+
+    def test_bound_is_inclusive_on_both_sides(self):
+        c = ExactScalars()  # ref_p = 64: a power of two is 2**63 * 2**e
+        top = EXACT_EXP_BOUND + 63
+        assert c.sqrt((1 << 2 * top, 1)) == (1 << top, 1)
+        with pytest.raises(ExactDomainError, match=f"sqrt result has exponent {EXACT_EXP_BOUND + 1},"):
+            c.sqrt((1 << 2 * top + 2, 1))
+        low = EXACT_EXP_BOUND - 63
+        assert value(c.sqrt((1, 1 << 2 * low))) == F(1, 1 << low)
+        with pytest.raises(ExactDomainError, match=f"sqrt result has exponent -{EXACT_EXP_BOUND + 1},"):
+            c.sqrt((1, 1 << 2 * low + 2))
+
+    @pytest.mark.parametrize(
+        "name,a",
+        [("exp", (10**6, 1)), ("exp", (-(10**6), 1)), ("softplus", (-(10**6), 1)),
+         ("sigmoid", (-(10**6), 1)), ("silu", (-(10**308), 1)), ("sigmoid", (-(10**308), 1))],
+    )
+    def test_large_magnitudes_raise(self, name, a):
+        with pytest.raises(ExactDomainError, match=f"^exact {name} result has exponent -?[0-9]+,"):
+            getattr(ExactScalars(), name)(a)

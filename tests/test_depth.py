@@ -10,12 +10,14 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from operator import le
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artifact import floats
+from artifact.cli import main
 from artifact.depth import (
     BASE_CONSTANTS,
     COMPONENT_REGISTRY_KEYS,
@@ -233,6 +235,22 @@ class TestCostTrace:
         trace.append(TraceNode(1, "exp", "d_exp", (0,)))
         assert len(trace) == 2 and trace.critical_depth() == expr(d_exp=1)
 
+    def test_tracer_checks_preds_and_costs(self):
+        """The tracer's nodes pass the checks of ``append``; an unknown cost
+        raises each time, even when its step key has been met before."""
+        ctx = TracedScalars()
+        a = ctx.input(F(1))
+        for later in (a + 1, a + 5):  # the node's own id, and a later one
+            with pytest.raises(CycleDetected):
+                ctx.add(a, later)
+        with pytest.raises(ValueError, match="negative"):
+            ctx.add(a, -1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown event cost"):
+                ctx._emit("bogus", "d_bogus", (a,))
+        assert len(ctx.trace()) == 1
+        assert ctx.trace([ctx.exp(a)]).critical_depth() == expr(d_exp=1)
+
     def test_snapshot_is_independent_of_the_tracer(self):
         ctx = TracedScalars()
         a = ctx.exp(ctx.input(F(1)))
@@ -326,6 +344,50 @@ _INCOMPARABLE = [
 ]
 
 
+def _frontiers_without_memo(nodes) -> list[tuple[tuple[int, ...], ...]]:
+    """Each node's frontier straight from its predecessors' frontiers, on
+    bare vectors and with no memo: zero for a source, else the Pareto
+    maxima of their entries in first-occurrence order; then one step of
+    the node's cost."""
+    fronts: list[tuple[tuple[int, ...], ...]] = []
+    for node in nodes:
+        sums = list(dict.fromkeys(s for q in node.preds for s in fronts[q]))
+        sums = sums or [(0,) * len(BASE_CONSTANTS)]
+        front = [s for s in sums if not any(s != t and all(map(le, s, t)) for t in sums)]
+        if node.cost is not None:
+            k = BASE_CONSTANTS.index(node.cost)
+            front = [(*s[:k], s[k] + 1, *s[k + 1:]) for s in front]
+        fronts.append(tuple(front))
+    return fronts
+
+
+class TestTracedNodes:
+    """The frontiers the tracer computes through its step memo equal those
+    of the same nodes rebuilt through the public ``CostTrace``, and those of
+    a memo-free recomputation, for every component."""
+
+    SHAPES = [ShapeConfig(3, 2, 3, 2, 2), ShapeConfig(16, 2, 2, 2, 2), ShapeConfig(32, 2, 1, 3, 2)]
+
+    @pytest.mark.parametrize("name", component_names())
+    def test_rebuilt_trace_agrees(self, name):
+        for shape in self.SHAPES:
+            traced = trace_component(name, shape)
+            rebuilt = CostTrace(traced.nodes, traced.outputs)
+            assert rebuilt.nodes == traced.nodes and rebuilt.outputs == traced.outputs
+            assert rebuilt.depth_frontiers() == traced.depth_frontiers()
+            assert rebuilt.critical_frontier() == traced.critical_frontier()
+            want = _frontiers_without_memo(traced.nodes)
+            assert [tuple(e.coeffs for e in f) for f in traced.depth_frontiers()] == want
+            assert set(traced.critical_frontier()) == _pareto(
+                {DepthExpr(s) for f in want for s in f}
+            )
+
+    def test_nodes_are_plain_tuples(self):
+        nodes = trace_component("log", self.SHAPES[0]).nodes
+        assert nodes[0] == (0, "input", None, ()) and isinstance(nodes[0], TraceNode)
+        assert [n.id for n in nodes] == list(range(len(nodes)))
+
+
 class TestFrontierOracle:
     """The per-node and critical frontiers agree with brute force on random
     DAGs, including frontiers with several incomparable entries, which real
@@ -408,6 +470,19 @@ class TestStructureOnlyTracer:
         barriers = {n.id for n in trace.nodes if n.label == "barrier"}
         assert len(barriers) == len(added)
         assert all(sum(q in barriers for q in n.preds) <= 1 for n in trace.nodes)
+
+    def test_preds_are_distinct_in_first_occurrence_order(self):
+        ctx = TracedScalars()
+        a, b = ctx.input(F(1)), ctx.input(F(2))
+        ctx.mul(a, a)
+        ctx.iter_add([b, a, b, a])
+        ctx.seq_point([a, b, a])
+        ctx.add(b, b)
+        ctx.iter_mul([5, a, 5])
+        barrier = 4
+        assert [n.preds for n in ctx.trace().nodes[2:]] == [
+            (a,), (b, a), (a, b), (b, barrier), (5, a, barrier)
+        ]
 
     def test_tracing_does_no_arithmetic(self, monkeypatch):
         shape = ShapeConfig(2, 2, 2, 2, 2)
@@ -513,7 +588,8 @@ class TestDepthReport:
 
 class TestDepthReportPinned:
     """The report bytes, pinned by the sha256 of its sorted-key JSON over
-    the CLI's three default shapes plus a long one."""
+    the CLI's three default shapes plus a long one, and by the sha256 of
+    the CLI's full-grid stdout."""
 
     SHAPES = [(1, 1, 1, 1, 1), (2, 2, 2, 2, 2), (4, 3, 3, 3, 2), (16, 2, 2, 2, 2)]
 
@@ -529,3 +605,9 @@ class TestDepthReportPinned:
     def test_report_digest(self, assignment, digest):
         report = depth_report(shapes=[ShapeConfig(*s) for s in self.SHAPES], assignment=assignment)
         assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
+
+    def test_full_grid_stdout_digest(self, capsys):
+        """`mamba depth --full-grid`: all 108 grid shapes, 18 components each."""
+        assert main(["mamba", "depth", "--full-grid"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "83e8c87e4972a50b3bea0999a4367dd84461d9554a2fbbc47979042b75dc62da"
