@@ -43,6 +43,7 @@ import re
 import sys
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, Overflow, Underflow, localcontext
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Callable, NoReturn, Sequence
 
@@ -560,7 +561,7 @@ def cmd_circuit_rewrite(args: argparse.Namespace) -> int:
 def cmd_circuit_eval(args: argparse.Namespace) -> int:
     circuit = _read_netlist(args.netlist)
     assignments = []
-    for bits in args.bits:
+    for bits in args.bits or ():
         if len(bits) != circuit.n_inputs or any(c not in "01" for c in bits):
             raise CliUsageError(
                 f"--bits needs {circuit.n_inputs} binary digits, got {bits!r}"
@@ -685,7 +686,19 @@ def _precision(text: str) -> int:
     return p
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every command, built once per process.
+
+    The tests and the benchmark call :func:`main` in process, many times;
+    building the tree of parsers took a few milliseconds per call, more
+    than most corpus commands spend on their own work.  Reuse holds no
+    state from one call to the next: each ``parse_args`` starts a fresh
+    ``Namespace`` and takes every default from the tree, and no default is
+    a mutable object: ``--bits`` defaults to ``None``, not ``[]``, so a
+    call without it is not handed a list that the tree keeps.  Help text
+    is formatted when it is printed, at the terminal width of that moment.
+    """
     parser = _Parser(
         prog="artifact",
         description="p-bit float workbench: scalar model, state-space block, "
@@ -794,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
     ceval = circ_sub.add_parser("eval", help="evaluate a netlist")
     ceval.add_argument("netlist")
     ceval.add_argument(
-        "--bits", action="append", default=[],
+        "--bits", action="append",
         help="assignment as 0/1 string, one output line each (repeatable)",
     )
     ceval.set_defaults(func=cmd_circuit_eval)

@@ -12,7 +12,14 @@ over the alphabet {0, 1, AND, OR, NOT, parens}: a fully parenthesized infix
 form and a postfix form in which a binary node is written ``<alpha><beta><op>``
 with the *longer-or-equal* operand first and negation keeps its parentheses
 (``(<alpha>NOT)``).  Permutations are stored as pointwise images and compose
-right to left: the first permutation of a sequence is applied first.
+right to left: the first permutation of a sequence is applied first.  A
+:class:`Permutation` is checked to be a bijection once, when it is built.
+:func:`compose`, :func:`word_problem` and :func:`eval_pbp` then multiply
+the operands' image tuples in one private kernel that checks only that
+the domain sizes agree, and build a :class:`Permutation` only for the
+product; a composition of bijections is a bijection, so no check is lost.
+:func:`parse_permutation_line` builds (and so checks) each distinct token
+of a line once.
 
 ``barrington_transform`` converts a single-output circuit of fan-in-2 AND,
 NOT, INPUT and constant gates into a program over S5 whose instruction
@@ -32,7 +39,8 @@ import random
 import sys
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
-from typing import Callable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .circuits import ArityMismatch, Circuit, Gate
 
@@ -442,10 +450,10 @@ class Permutation:
 
     @classmethod
     def from_string(cls, text: str) -> "Permutation":
-        return cls(tuple(int(ch) for ch in text.strip()))
+        return cls(tuple(map(int, text.strip())))
 
     def to_string(self) -> str:
-        return "".join(str(v) for v in self.image)
+        return "".join(map(str, self.image))
 
     @property
     def n(self) -> int:
@@ -471,14 +479,44 @@ class Permutation:
         return all(v == x for x, v in enumerate(self.image, start=1))
 
 
+def _product(images: Iterable[tuple[int, ...]], n: int) -> tuple[int, ...]:
+    """Image tuple of the right-to-left product of bijections on [n].
+
+    ``images`` are the 1-based image tuples of already validated
+    permutations, the first applied first.  Each size is checked against
+    ``n`` in sequence order, before any is multiplied, so a mismatch raises
+    the :class:`DomainMismatch` of the first operand that differs.  The
+    product is then folded from the last operand back, ``q = q o p``, as
+    one ``itemgetter`` over ``p``'s 0-based images per operand; each
+    distinct image builds its getter once per call.
+    """
+    checked = []
+    for image in images:
+        if len(image) != n:
+            raise DomainMismatch(f"domain sizes differ: {len(image)} vs {n}")
+        checked.append(image)
+    acc = tuple(range(1, n + 1))
+    if n < 2:  # the identity is the only permutation; a getter would return an int
+        return acc
+    getters: dict[tuple[int, ...], itemgetter] = {}
+    for image in reversed(checked):
+        step = getters.get(image)
+        if step is None:
+            step = getters[image] = itemgetter(*[v - 1 for v in image])
+        acc = step(acc)
+    return acc
+
+
 def compose(perms: Sequence[Permutation]) -> Permutation:
-    """Right-to-left product: the first sequence element is applied first."""
+    """Right-to-left product: the first sequence element is applied first.
+
+    The operands were validated when they were built, so only their domain
+    sizes are checked here (against the first operand's, in order); only
+    the product is built, and checked, as a new :class:`Permutation`.
+    """
     if not perms:
         raise ValueError("compose requires at least one permutation")
-    acc = Permutation.identity(perms[0].n)
-    for p in perms:
-        acc = p.after(acc)
-    return acc
+    return Permutation(_product([p.image for p in perms], perms[0].n))
 
 
 def word_problem(perms: Sequence[Permutation]) -> int:
@@ -487,7 +525,16 @@ def word_problem(perms: Sequence[Permutation]) -> int:
 
 
 def parse_permutation_line(line: str) -> list[Permutation]:
-    return [Permutation.from_string(tok) for tok in line.split()]
+    """One permutation per whitespace-separated token, each distinct token
+    parsed and validated once; the first bad token in line order raises."""
+    parsed: dict[str, Permutation] = {}
+    perms = []
+    for tok in line.split():
+        p = parsed.get(tok)
+        if p is None:
+            p = parsed[tok] = Permutation.from_string(tok)
+        perms.append(p)
+    return perms
 
 
 # -------------------------------------------------- branching programs
@@ -524,16 +571,25 @@ class PbpProgram:
 
 
 def eval_pbp(program: PbpProgram, bits: Sequence[int]) -> int:
-    """Compose the selected permutations; 1 iff the accepting cycle."""
-    acc = Permutation.identity(5)
-    for ins in program.instructions:
-        if not 0 <= ins.var < len(bits):
-            raise IndexOutOfRange(
-                f"instruction reads bit {ins.var}, assignment has {len(bits)}"
-            )
-        step = ins.on_true if bits[ins.var] else ins.on_false
-        acc = step.after(acc)
-    return int(acc.image == program.accept.image)
+    """Compose the selected permutations; 1 iff the accepting cycle.
+
+    Each instruction is checked in program order: first that it reads a
+    bit of the assignment (:class:`IndexOutOfRange`), then that its
+    selected permutation acts on [5] (:class:`DomainMismatch`).  The
+    permutations were validated when the program was built, so the
+    product is taken on their image tuples by the same kernel as
+    :func:`compose`.
+    """
+
+    def selected() -> Iterator[tuple[int, ...]]:
+        for ins in program.instructions:
+            if not 0 <= ins.var < len(bits):
+                raise IndexOutOfRange(
+                    f"instruction reads bit {ins.var}, assignment has {len(bits)}"
+                )
+            yield (ins.on_true if bits[ins.var] else ins.on_false).image
+
+    return int(_product(selected(), 5) == program.accept.image)
 
 
 def _all_s5() -> list[Permutation]:

@@ -3,6 +3,7 @@ and the wiring of each subcommand to its module."""
 
 from __future__ import annotations
 
+import argparse
 import copy
 import hashlib
 import json
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from artifact.circuits import serialize_netlist
-from artifact.cli import eval_expression, main
+from artifact.cli import build_parser, eval_expression, main
 from artifact.floats import DivisionByZero, FpNumber, round_p
 from artifact.hardness import enumerate_small_circuits
 from artifact.mamba import ShapeConfig, forward_matrix, random_input, random_params
@@ -727,3 +728,150 @@ class TestHardnessCommands:
     def test_unknown_kind_exits_two(self, capsys):
         assert main(["hardness", "gen", "nosuch", "--size", "5"]) == 2
         capsys.readouterr()
+
+
+# sha256 of `hardness gen perm --size S --seed N` stdout (the instances)
+# and of `hardness eval perm` stdout on those instances (the labels), with
+# -n 100, or -n 4 at size 10000.
+_PERM_CORPUS_SHA256 = {
+    (1, 0): ("ec6f12d993b590e8f27a63af66b9cb9cb91130bb8c8cf2c3e314ded41ad78af2",
+             "56cf0eddf3379f6c97214bd16998261aecab2c19765ec2097cad997d4c54cd2b"),
+    (1, 5): ("df61aeb3a71c7d07bd5edd0c7e776851a761ab5be79b411cd68e0912954b92aa",
+             "f54b312e7e7578b2fb91907bd987bc999aa06af255ef8939fe9008a51fac4abc"),
+    (2, 0): ("a68ceba721b5b8df715a43f618f3663c1e25f9463b7ac364d5cea0d574daf6e5",
+             "372e491ec5ced843e1d63a34e2eb0f6bef06ae3aad3ccb69d43e3a6723523612"),
+    (2, 5): ("e10f9c9376e24810249e6b95fc930e212d16014324fcd94bab54b65221a92141",
+             "b4380bc3ed2365ffbff9dfa8b798d044be1c33b405c023f47ad31f37d8bb5237"),
+    (100, 0): ("d43b58258a31fbc8cc783bdcbd97e03032d97cefcb33cd526e5c987e7921bdb8",
+               "ed1b50f677ac770f95fa71eef550585b7d2b5e567cba1e50e229f3426625abff"),
+    (100, 5): ("fde8660f4f1765eddf194509fa3d7f73aae581b74e1c15d37b9c1e43eacdba8c",
+               "ff268da8835b841247b9a7e7dee6d12b1fe88ee0ffdd4c26055ae300e5def4b0"),
+    (10000, 0): ("16edfd944291bfd59149b21d04fec40906aec0688fd7ca0533f397b61d75a740",
+                 "45cbb2f89bd565e482b8b41e336e7ba20e377fea0c3ba84ebde8c6e54206bc3f"),
+    (10000, 5): ("8462b813c9d78d6d6fd5e91fb1f74d346f9bf25c86248243426cd92df39b2075",
+                 "b692935a446f9a441cdda762e29c12d2d6ab075ee10722609daef6122357a17a"),
+}
+# sha256 of the concatenated `hardness barrington NETLIST --check` stdout
+# over every netlist of `enumerate_small_circuits(3, 3)`, in order.
+_BARRINGTON_CHECK_SHA256 = "1dea039476e2edcc4cf1dfa2928958e8b82de107395bbfac575785ccd7f3e9af"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestCorpusPinned:
+    """Corpus bytes, pinned: how permutations are composed or parsed must
+    not change what `hardness gen|eval|barrington` print."""
+
+    @pytest.mark.parametrize("size,seed", sorted(_PERM_CORPUS_SHA256))
+    def test_perm_gen_and_eval_digests(self, tmp_path, capsys, size, seed):
+        count = "4" if size == 10000 else "100"
+        argv = ["hardness", "gen", "perm", "--size", str(size), "--seed", str(seed)]
+        assert main(argv + ["-n", count]) == 0
+        instances = capsys.readouterr().out
+        corpus = tmp_path / "perm.txt"
+        corpus.write_text(instances, encoding="utf-8")
+        assert main(["hardness", "eval", "perm", str(corpus)]) == 0
+        labels = capsys.readouterr().out
+        assert (_sha256(instances), _sha256(labels)) == _PERM_CORPUS_SHA256[size, seed]
+
+    def test_barrington_check_digest(self, tmp_path, capsys):
+        outputs = []
+        for i, circuit in enumerate(enumerate_small_circuits(3, 3)):
+            path = tmp_path / f"{i}.nl"
+            path.write_text(serialize_netlist(circuit), encoding="utf-8")
+            assert main(["hardness", "barrington", str(path), "--check"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(outputs) == 96
+        assert _sha256("".join(outputs)) == _BARRINGTON_CHECK_SHA256
+
+
+def _call(argv: list[str], capsys) -> tuple[object, str, str]:
+    """Exit code (or ``SystemExit`` code, for ``--help``), stdout and
+    stderr of one in-process ``main`` call."""
+    try:
+        code: object = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _all_actions(parser: argparse.ArgumentParser):
+    for action in parser._actions:
+        yield action
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _all_actions(sub)
+
+
+class TestParserReuse:
+    """`main` reuses one parser per process; no call may see another's
+    arguments, defaults or output through it."""
+
+    def _script(self, tmp_path) -> list[list[str]]:
+        netlist = tmp_path / "and.nl"
+        netlist.write_text("0 INPUT\n1 INPUT\n2 AND 0 1\nOUTPUTS 2\n", encoding="utf-8")
+        corpus = tmp_path / "perm.txt"
+        corpus.write_text("21345 21345\n23451 12345\n", encoding="utf-8")
+        net = str(netlist)
+        return [
+            ["mamba", "run", "--seed", "x"],
+            ["--help"],
+            ["circuit", "eval", "--help"],
+            ["circuit", "eval", net, "--bits", "01", "--bits", "11"],
+            ["circuit", "eval", net, "--bits", "10"],
+            ["circuit", "eval", net],
+            ["mamba", "run", "--shape", "2,1,2,1,1", "--input-seed", "7"],
+            ["mamba", "run", "--shape", "2,1,2,1,1"],
+            ["hardness", "gen", "perm", "--size", "3", "--seed", "4", "-n", "5"],
+            ["hardness", "gen", "bool", "--size", "9", "-n", "3"],
+            ["hardness", "eval", "perm", str(corpus)],
+            ["hardness", "barrington", net, "--check"],
+            ["bogus"],
+        ]
+
+    def test_calls_match_fresh_parsers(self, tmp_path, capsys):
+        script = self._script(tmp_path)
+        build_parser.cache_clear()
+        reused = [_call(argv, capsys) for argv in script]
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(script) - 1)
+        fresh = []
+        for argv in script:
+            build_parser.cache_clear()
+            fresh.append(_call(argv, capsys))
+        assert reused == fresh
+        codes = [code for code, _, _ in reused]
+        assert codes == [2, ("SystemExit", 0), ("SystemExit", 0), 0, 0, 2, 0, 0, 0, 0, 0, 0, 2]
+        assert reused[3][1] == "0\n1\n" and reused[4][1] == "0\n"
+        assert reused[5][2] == "CliUsageError: provide at least one --bits assignment\n"
+        assert reused[6][1] != reused[7][1]  # the input seed did not carry over
+
+    def test_no_default_is_mutable(self):
+        defaults = [action.default for action in _all_actions(build_parser())]
+        assert defaults and not [d for d in defaults if isinstance(d, (list, dict, set, bytearray))]
+
+
+class TestMalformedPermCorpus:
+    """A bad perm line exits 2 with one stderr line, the same message as
+    when every token was parsed and every product step was validated."""
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("21345 " * 10_000 + "11345 12345",
+             "ValueError: (1, 1, 3, 4, 5) is not a bijection on [5]"),
+            ("12345 21345 1234 2134", "DomainMismatch: domain sizes differ: 4 vs 5"),
+            ("12345 12a45 1x", "ValueError: invalid literal for int() with base 10: 'a'"),
+            ("1234 12345 12a45", "ValueError: invalid literal for int() with base 10: 'a'"),
+        ],
+        ids=["bad-token-after-10000", "mixed-lengths", "non-digit", "parse-before-compose"],
+    )
+    def test_exits_two_with_one_line(self, tmp_path, capsys, line, message):
+        corpus = tmp_path / "perm.txt"
+        corpus.write_text("12345 54321\n" + line + "\n", encoding="utf-8")
+        assert main(["hardness", "eval", "perm", str(corpus)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", message + "\n")

@@ -11,8 +11,12 @@ against circuit evaluation on a fixed small-circuit family.
 from __future__ import annotations
 
 import random
+import re
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact.circuits import ArityMismatch, Circuit, Gate, evaluate
 from artifact.hardness import (
@@ -134,6 +138,12 @@ def chase(perms: list[Permutation], x: int) -> int:
     for p in perms:
         x = p.image[x - 1]
     return x
+
+
+def fold_after(perms: list[Permutation]) -> Permutation:
+    """Right-to-left product as a fold of ``Permutation.after``, one
+    validated intermediate per step."""
+    return reduce(lambda acc, p: p.after(acc), perms, Permutation.identity(perms[0].n))
 
 
 def random_perm(rng: random.Random) -> Permutation:
@@ -408,6 +418,89 @@ class TestPermutation:
     def test_parse_permutation_line(self):
         perms = parse_permutation_line("21345 13245")
         assert [p.to_string() for p in perms] == ["21345", "13245"]
+
+
+class TestCompositionKernel:
+    """`compose`, `word_problem`, `parse_permutation_line` and `eval_pbp`
+    share one kernel on image tuples; it must agree with a fold of
+    ``Permutation.after`` on value and on every error."""
+
+    @staticmethod
+    def words(min_size: int = 1):
+        return st.integers(1, 7).flatmap(
+            lambda n: st.lists(
+                st.permutations(range(1, n + 1)).map(lambda im: Permutation(tuple(im))),
+                min_size=min_size, max_size=300,
+            )
+        )
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_matches_after_fold(self, data):
+        word = data.draw(self.words())
+        want = fold_after(word)
+        assert compose(word) == want
+        assert word_problem(word) == int(want.is_identity)
+        line = " ".join(p.to_string() for p in word)
+        assert parse_permutation_line(line) == word
+        assert eval_instance("perm", line) == str(int(want.is_identity))
+
+    def test_empty_word_raises(self):
+        with pytest.raises(ValueError, match="at least one permutation"):
+            compose([])
+        with pytest.raises(ValueError, match="at least one permutation"):
+            word_problem(parse_permutation_line("   "))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_words_on_fewer_than_two_points(self, n):
+        word = [Permutation.identity(n)] * 3
+        assert compose(word) == fold_after(word) == Permutation.identity(n)
+        assert word_problem(word) == 1
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_mixed_sizes_raise_at_first_mismatch(self, data):
+        word = data.draw(self.words(min_size=2))
+        n = word[0].n
+        # Replace one or more operands after the first with other sizes.
+        positions = data.draw(
+            st.lists(st.integers(1, len(word) - 1), min_size=1, max_size=3, unique=True)
+        )
+        for i in positions:
+            m = data.draw(st.integers(1, 8).filter(lambda m: m != n))
+            word[i] = Permutation.identity(m)
+        first = min(positions)
+        with pytest.raises(DomainMismatch) as ref:
+            fold_after(word)
+        message = f"domain sizes differ: {word[first].n} vs {n}"
+        assert str(ref.value) == message
+        with pytest.raises(DomainMismatch, match=f"^{re.escape(message)}$"):
+            compose(word)
+        with pytest.raises(DomainMismatch, match=f"^{re.escape(message)}$"):
+            word_problem(word)
+
+    @pytest.mark.parametrize("include_or", [False, True], ids=["and-not", "lowered-or"])
+    def test_eval_pbp_matches_after_fold(self, include_or):
+        circuits = enumerate_small_circuits(3, 3, include_or=include_or)
+        assert circuits and all(c.n_inputs == 3 for c in circuits)
+        for circuit in circuits:
+            program = barrington_transform(lower_or_gates(circuit))
+            for a in range(8):
+                bits = [(a >> i) & 1 for i in range(3)]
+                chosen = [ins.on_true if bits[ins.var] else ins.on_false
+                          for ins in program.instructions]
+                want = int(fold_after([Permutation.identity(5)] + chosen) == program.accept)
+                assert eval_pbp(program, bits) == want == evaluate(circuit, bits)[0]
+
+    def test_eval_pbp_checks_each_instruction_in_order(self):
+        small = Permutation.identity(4)
+        five = Permutation.identity(5)
+        size_first = PbpProgram((PbpInstruction(0, small, small), PbpInstruction(9, five, five)), 1)
+        with pytest.raises(DomainMismatch, match="^domain sizes differ: 4 vs 5$"):
+            eval_pbp(size_first, [1])
+        index_first = PbpProgram((PbpInstruction(9, five, five), PbpInstruction(0, small, small)), 1)
+        with pytest.raises(IndexOutOfRange):
+            eval_pbp(index_first, [1])
 
 
 class TestBranchingPrograms:
