@@ -49,8 +49,6 @@ from typing import Callable, NoReturn, Sequence
 
 from artifact.circuits import (
     Circuit,
-    CircuitError,
-    ParseError,
     evaluate,
     evaluate_many,
     is_majority_only,
@@ -84,9 +82,6 @@ from artifact.floats import (
     round_p,
 )
 from artifact.hardness import (
-    DomainMismatch,
-    FormulaParseError,
-    UnsupportedGate,
     barrington_transform,
     eval_instance,
     eval_pbp,
@@ -101,13 +96,8 @@ from artifact.mamba import (
     random_input,
     random_params,
 )
-from artifact.matrices import FpMatrix, ShapeMismatch, max_rel_gap
-from artifact.synthesis import (
-    SYNTH_KINDS,
-    UnsupportedPrecision,
-    check_op,
-    synth_primitive,
-)
+from artifact.matrices import FpMatrix, max_rel_gap
+from artifact.synthesis import SYNTH_KINDS, check_op, synth_primitive
 
 
 class CliUsageError(ValueError):
@@ -384,17 +374,19 @@ def _dump(obj: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _run_forward(args: argparse.Namespace, form: str) -> FpMatrix:
+def _load_forward(args: argparse.Namespace) -> tuple[ShapeConfig, MambaParams, FpMatrix]:
+    """The model of ``--model``/``--shape`` and its input matrix, in the
+    mode and precision of ``args``."""
     shape, params = _load_model(args)
     entries = _load_input(args, shape)
     x = FpMatrix.from_fractions(
         entries, args.mode, args.precision if args.mode == "pbit" else None
     )
-    return forward_matrix(shape, params, x, form=form)
+    return shape, params, x
 
 
 def cmd_mamba_run(args: argparse.Namespace) -> int:
-    y = _run_forward(args, args.form)
+    y = forward_matrix(*_load_forward(args), form=args.form)
     _dump(_matrix_json(y), args.out)
     if args.out:
         print(f"wrote {y.rows}x{y.cols} activations to {args.out}")
@@ -402,11 +394,7 @@ def cmd_mamba_run(args: argparse.Namespace) -> int:
 
 
 def cmd_mamba_compare(args: argparse.Namespace) -> int:
-    shape, params = _load_model(args)
-    entries = _load_input(args, shape)
-    x = FpMatrix.from_fractions(
-        entries, args.mode, args.precision if args.mode == "pbit" else None
-    )
+    shape, params, x = _load_forward(args)
     rec = forward_matrix(shape, params, x, form="recurrent")
     conv = forward_matrix(shape, params, x, form="convolution")
     gap = max_rel_gap(rec, conv)
@@ -869,18 +857,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (FpError, NegativeInput, NonPositiveInput) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (
-        CliUsageError,
-        ParseError,
-        CircuitError,
-        FormulaParseError,
-        DomainMismatch,
-        UnsupportedGate,
-        UnsupportedPrecision,
-        ShapeMismatch,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
+        # Every usage and input error class of the program is a ValueError.
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -255,11 +255,10 @@ class CostTrace:
     frontiers, so it is memoized on ``(cost, *predecessor frontier
     indices)``: a trace has a few dozen distinct frontiers at most, and a
     node whose step the trace has met before costs one dictionary lookup.
-    Only a new step deduplicates, merges and bumps, and those are memoized
-    on frontier indices too.  Nodes are stored as columns, one list per
-    field; :attr:`nodes` builds :class:`TraceNode` rows when read, and path
-    sums become :class:`DepthExpr` only when read.  ``size`` counts
-    cost-bearing events only.
+    Only a new step deduplicates, merges and bumps.  Nodes are stored as
+    columns, one list per field; :attr:`nodes` builds :class:`TraceNode`
+    rows when read, and path sums become :class:`DepthExpr` only when read.
+    ``size`` counts cost-bearing events only.
     """
 
     def __init__(self, nodes: Iterable[TraceNode] = (), outputs: Sequence[int] = ()):
@@ -271,8 +270,6 @@ class CostTrace:
         self._frontiers: list[tuple[_Sum, ...]] = [_ORIGIN]
         self._index: dict[tuple[_Sum, ...], int] = {_ORIGIN: 0}
         self._steps: dict[tuple[str | None | int, ...], int] = {}
-        self._merged: dict[tuple[int, ...], int] = {}
-        self._bumped: dict[tuple[int, str], int] = {}
         self._critical: tuple[_Sum, ...] = _ORIGIN
         self.outputs: tuple[int, ...] = tuple(outputs)
         for node in nodes:
@@ -329,22 +326,14 @@ class CostTrace:
         frontiers are ``key``."""
         if len(key) < 2:
             return key[0] if key else 0
-        f = self._merged.get(key)
-        if f is None:
-            sums = [s for g in key for s in self._frontiers[g]]
-            f = self._merged[key] = self._intern(_maxima(sums))
-        return f
+        return self._intern(_maxima([s for g in key for s in self._frontiers[g]]))
 
     def _bump(self, f: int, cost: str) -> int:
         """The frontier index after an event of ``cost`` on frontier ``f``."""
-        g = self._bumped.get((f, cost))
-        if g is None:
-            step = _STEPS.get(cost)
-            if step is None:
-                raise ValueError(f"unknown event cost {cost!r}")
-            front = tuple([tuple(map(add, s, step)) for s in self._frontiers[f]])
-            g = self._bumped[f, cost] = self._intern(front)
-        return g
+        step = _STEPS.get(cost)
+        if step is None:
+            raise ValueError(f"unknown event cost {cost!r}")
+        return self._intern(tuple([tuple(map(add, s, step)) for s in self._frontiers[f]]))
 
     def _with_outputs(self, outputs: Sequence[int]) -> "CostTrace":
         """A copy of this trace, frontiers included, with ``outputs`` marked."""
@@ -353,7 +342,6 @@ class CostTrace:
         twin._preds, twin._fronts = self._preds.copy(), self._fronts.copy()
         twin._frontiers, twin._index = self._frontiers.copy(), self._index.copy()
         twin._steps = self._steps.copy()
-        twin._merged, twin._bumped = self._merged.copy(), self._bumped.copy()
         twin._critical = self._critical
         return twin
 

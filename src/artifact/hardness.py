@@ -13,20 +13,27 @@ form and a postfix form in which a binary node is written ``<alpha><beta><op>``
 with the *longer-or-equal* operand first and negation keeps its parentheses
 (``(<alpha>NOT)``).  Permutations are stored as pointwise images and compose
 right to left: the first permutation of a sequence is applied first.  A
-:class:`Permutation` is checked to be a bijection once, when it is built.
-:func:`compose`, :func:`word_problem` and :func:`eval_pbp` then multiply
-the operands' image tuples in one private kernel that checks only that
-the domain sizes agree, and build a :class:`Permutation` only for the
-product; a composition of bijections is a bijection, so no check is lost.
-:func:`parse_permutation_line` builds (and so checks) each distinct token
-of a line once.
+:class:`Permutation` is checked to be a bijection once, when it is built,
+and only values handed to a caller are built as one.  Inside the module a
+permutation is its image tuple: :func:`compose`, :func:`word_problem` and
+:func:`eval_pbp` multiply the operands' tuples in one private kernel that
+checks only that the domain sizes agree.  A product or an inverse of
+bijections, and a shuffle of [5], is a bijection, so no check is lost:
+:func:`compose` builds a :class:`Permutation` for the product alone,
+:func:`word_problem` compares the product with the identity tuple,
+``gen_instances("perm", ...)`` builds none, and
+:func:`barrington_transform` builds one per distinct image of the program
+it returns.  :func:`parse_permutation_line` builds (and so checks) each
+distinct token of a line once.
 
 ``barrington_transform`` converts a single-output circuit of fan-in-2 AND,
 NOT, INPUT and constant gates into a program over S5 whose instruction
 count is at most ``4**depth`` and whose composed product is a fixed
 5-cycle exactly on accepting assignments (identity otherwise).  AND is the
 commutator of retargeted subprograms; NOT appends the inverse cycle and
-retargets; OR gates must be lowered first (:func:`lower_or_gates`).
+retargets; OR gates must be lowered first (:func:`lower_or_gates`).  Every
+gate's program length is counted first, and a circuit with a gate past
+:data:`MAX_PROGRAM_LENGTH` instructions is refused with ``ValueError``.
 
 ``gen_instances`` emits byte-reproducible labelled corpora for each
 problem: one plain-text instance per line, ground truth computed by the
@@ -38,6 +45,7 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations as iter_permutations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -53,6 +61,7 @@ __all__ = [
     "DomainMismatch",
     "FormulaParseError",
     "IndexOutOfRange",
+    "MAX_PROGRAM_LENGTH",
     "PbpInstruction",
     "PbpProgram",
     "Permutation",
@@ -469,14 +478,19 @@ class Permutation:
         return Permutation(tuple(self.image[v - 1] for v in other.image))
 
     def inverse(self) -> "Permutation":
-        image = [0] * self.n
-        for x, v in enumerate(self.image, start=1):
-            image[v - 1] = x
-        return Permutation(tuple(image))
+        return Permutation(_inverse(self.image))
 
     @property
     def is_identity(self) -> bool:
         return all(v == x for x, v in enumerate(self.image, start=1))
+
+
+def _inverse(image: tuple[int, ...]) -> tuple[int, ...]:
+    """Image tuple of the inverse of the bijection with image ``image``."""
+    inverse = [0] * len(image)
+    for x, v in enumerate(image, start=1):
+        inverse[v - 1] = x
+    return tuple(inverse)
 
 
 def _product(images: Iterable[tuple[int, ...]], n: int) -> tuple[int, ...]:
@@ -507,6 +521,14 @@ def _product(images: Iterable[tuple[int, ...]], n: int) -> tuple[int, ...]:
     return acc
 
 
+def _word_product(perms: Sequence[Permutation]) -> tuple[int, ...]:
+    """Image tuple of the product of a non-empty word, sizes checked
+    against the first operand's, in order."""
+    if not perms:
+        raise ValueError("compose requires at least one permutation")
+    return _product([p.image for p in perms], perms[0].n)
+
+
 def compose(perms: Sequence[Permutation]) -> Permutation:
     """Right-to-left product: the first sequence element is applied first.
 
@@ -514,14 +536,13 @@ def compose(perms: Sequence[Permutation]) -> Permutation:
     sizes are checked here (against the first operand's, in order); only
     the product is built, and checked, as a new :class:`Permutation`.
     """
-    if not perms:
-        raise ValueError("compose requires at least one permutation")
-    return Permutation(_product([p.image for p in perms], perms[0].n))
+    return Permutation(_word_product(perms))
 
 
 def word_problem(perms: Sequence[Permutation]) -> int:
     """1 iff the right-to-left composition is the identity."""
-    return int(compose(perms).is_identity)
+    product = _word_product(perms)
+    return int(product == tuple(range(1, len(product) + 1)))
 
 
 def parse_permutation_line(line: str) -> list[Permutation]:
@@ -592,74 +613,52 @@ def eval_pbp(program: PbpProgram, bits: Sequence[int]) -> int:
     return int(_product(selected(), 5) == program.accept.image)
 
 
-def _all_s5() -> list[Permutation]:
-    return [Permutation(img) for img in iter_permutations(range(1, 6))]
+#: Most instructions :func:`barrington_transform` builds for one gate.  A
+#: gate's program is at most four times as long as its inputs' longest, so
+#: every circuit of depth 8 fits; a 16-input AND chain (98,302) does not.
+MAX_PROGRAM_LENGTH = 1 << 16
 
 
-_S5 = _all_s5()
-_CONJUGATOR_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], Permutation] = {}
-_COMMUTATOR_PAIR: tuple[Permutation, Permutation] | None = None
-
-
-def _find_conjugator(source: Permutation, target: Permutation) -> Permutation:
-    """Some pi with pi * source * pi^-1 = target (5-cycles are conjugate)."""
-    key = (source.image, target.image)
-    hit = _CONJUGATOR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    for pi in _S5:
-        if pi.after(source).after(pi.inverse()).image == target.image:
-            _CONJUGATOR_CACHE[key] = pi
-            return pi
-    raise ValueError(f"{source.image} and {target.image} are not conjugate")
-
-
-def _is_five_cycle(p: Permutation) -> bool:
+def _is_five_cycle(image: tuple[int, ...]) -> bool:
     x, seen = 1, 0
     while True:
-        x = p.apply(x)
+        x = image[x - 1]
         seen += 1
         if x == 1:
             return seen == 5
 
 
-def _commutator_pair() -> tuple[Permutation, Permutation]:
-    """Two 5-cycles whose commutator is itself a 5-cycle (found by search)."""
-    global _COMMUTATOR_PAIR
-    if _COMMUTATOR_PAIR is None:
-        cycles = [p for p in _S5 if _is_five_cycle(p)]
-        for gamma in cycles:
-            for delta in cycles:
-                comm = (
-                    delta.inverse()
-                    .after(gamma.inverse())
-                    .after(delta)
-                    .after(gamma)
-                )
-                if _is_five_cycle(comm):
-                    _COMMUTATOR_PAIR = (gamma, delta)
-                    return _COMMUTATOR_PAIR
-        raise AssertionError("no commutator pair in S5")  # pragma: no cover
-    return _COMMUTATOR_PAIR
+@cache
+def _find_conjugator(source: tuple[int, ...], target: tuple[int, ...]) -> tuple[int, ...]:
+    """Some pi with pi * source * pi^-1 = target (5-cycles are conjugate)."""
+    for pi in iter_permutations(range(1, 6)):
+        if _product((_inverse(pi), source, pi), 5) == target:
+            return pi
+    raise ValueError(f"{source} and {target} are not conjugate")
 
 
-def _retarget(
-    instructions: tuple[PbpInstruction, ...],
-    source: Permutation,
-    target: Permutation,
-) -> tuple[PbpInstruction, ...]:
-    """Conjugate every instruction so a source-computing program becomes a
-    target-computing one (interior conjugators cancel; length unchanged)."""
+@cache
+def _commutator_pair() -> tuple[tuple[int, ...], ...]:
+    """Two 5-cycles gamma, delta whose commutator delta^-1 gamma^-1 delta
+    gamma is itself a 5-cycle (found by search), and that commutator."""
+    cycles = [p for p in iter_permutations(range(1, 6)) if _is_five_cycle(p)]
+    for gamma in cycles:
+        for delta in cycles:
+            commutator = _product((gamma, delta, _inverse(gamma), _inverse(delta)), 5)
+            if _is_five_cycle(commutator):
+                return gamma, delta, commutator
+    raise AssertionError("no commutator pair in S5")  # pragma: no cover
+
+
+def _retarget(instructions: tuple, source: tuple[int, ...], target: tuple[int, ...]) -> tuple:
+    """Conjugate every ``(var, on_true, on_false)`` image triple so a
+    source-computing program becomes a target-computing one (interior
+    conjugators cancel; length unchanged)."""
     pi = _find_conjugator(source, target)
-    pi_inv = pi.inverse()
-    return tuple(
-        PbpInstruction(
-            ins.var,
-            pi.after(ins.on_true).after(pi_inv),
-            pi.after(ins.on_false).after(pi_inv),
-        )
-        for ins in instructions
-    )
+    pi_inv = _inverse(pi)
+    images = {image for _, t, f in instructions for image in (t, f)}
+    conjugate = {x: _product((pi_inv, x, pi), 5) for x in images}
+    return tuple((var, conjugate[t], conjugate[f]) for var, t, f in instructions)
 
 
 def lower_or_gates(circuit: Circuit) -> Circuit:
@@ -706,6 +705,11 @@ def barrington_transform(circuit: Circuit) -> PbpProgram:
     concatenates retargeted copies of its operands in commutator order,
     doubling their combined length — hence length <= 4**depth.
 
+    Every gate's program length is counted before any program is built,
+    and a gate that needs more than :data:`MAX_PROGRAM_LENGTH` instructions
+    raises ``ValueError``.  Programs are built as image-tuple triples; the
+    returned program holds one :class:`Permutation` per distinct image.
+
     The circuit must have exactly one output; OR/THRESHOLD gates raise
     :class:`UnsupportedGate` (lower them first via :func:`lower_or_gates`).
     """
@@ -713,46 +717,65 @@ def barrington_transform(circuit: Circuit) -> PbpProgram:
         raise ValueError("the branching-program transform needs one output")
     if circuit.n_inputs < 1:
         raise ValueError("the transform needs at least one input bit")
-    rho = ACCEPTING_CYCLE
-    rho_inv = rho.inverse()
-    ident = Permutation.identity(5)
-    input_pos = {g.id: pos for pos, g in enumerate(
-        g for g in circuit.gates if g.kind == "INPUT"
-    )}
-    gamma, delta = _commutator_pair()
-    commutator = (
-        delta.inverse().after(gamma.inverse()).after(delta).after(gamma)
-    )
-
-    programs: dict[int, tuple[PbpInstruction, ...]] = {}
+    lengths: dict[int, int] = {}
     for g in circuit.gates:
-        if g.kind == "INPUT":
-            programs[g.id] = (PbpInstruction(input_pos[g.id], rho, ident),)
-        elif g.kind == "CONST0":
-            programs[g.id] = ()
-        elif g.kind == "CONST1":
-            programs[g.id] = (PbpInstruction(0, rho, rho),)
+        if g.kind == "CONST0":
+            length = 0
+        elif g.kind in ("INPUT", "CONST1"):
+            length = 1
         elif g.kind == "NOT":
-            inner = programs[g.inputs[0]]
-            appended = inner + (PbpInstruction(0, rho_inv, rho_inv),)
-            programs[g.id] = _retarget(appended, rho_inv, rho)
+            length = lengths[g.inputs[0]] + 1
         elif g.kind == "AND":
             if len(g.inputs) != 2:
                 raise UnsupportedGate(f"AND gate {g.id} must have fan-in 2")
+            length = 2 * (lengths[g.inputs[0]] + lengths[g.inputs[1]])
+        else:
+            raise UnsupportedGate(
+                f"{g.kind} gate {g.id}: lower to the AND/NOT basis first"
+            )
+        if length > MAX_PROGRAM_LENGTH:
+            raise ValueError(
+                f"gate {g.id}'s program needs {length} instructions, "
+                f"more than the {MAX_PROGRAM_LENGTH} allowed"
+            )
+        lengths[g.id] = length
+
+    rho = ACCEPTING_CYCLE.image
+    rho_inv = _inverse(rho)
+    ident = tuple(range(1, 6))
+    gamma, delta, commutator = _commutator_pair()
+    gamma_inv, delta_inv = _inverse(gamma), _inverse(delta)
+    input_pos = {g.id: pos for pos, g in enumerate(
+        g for g in circuit.gates if g.kind == "INPUT"
+    )}
+    programs: dict[int, tuple] = {}
+    for g in circuit.gates:
+        if g.kind == "INPUT":
+            programs[g.id] = ((input_pos[g.id], rho, ident),)
+        elif g.kind == "CONST0":
+            programs[g.id] = ()
+        elif g.kind == "CONST1":
+            programs[g.id] = ((0, rho, rho),)
+        elif g.kind == "NOT":
+            appended = programs[g.inputs[0]] + ((0, rho_inv, rho_inv),)
+            programs[g.id] = _retarget(appended, rho_inv, rho)
+        else:  # AND: the length pass refused every other kind
             left = programs[g.inputs[0]]
             right = programs[g.inputs[1]]
             combined = (
                 _retarget(left, rho, gamma)
                 + _retarget(right, rho, delta)
-                + _retarget(left, rho, gamma.inverse())
-                + _retarget(right, rho, delta.inverse())
+                + _retarget(left, rho, gamma_inv)
+                + _retarget(right, rho, delta_inv)
             )
             programs[g.id] = _retarget(combined, commutator, rho)
-        else:
-            raise UnsupportedGate(
-                f"{g.kind} gate {g.id}: lower to the AND/NOT basis first"
-            )
-    return PbpProgram(programs[circuit.outputs[0]], circuit.n_inputs)
+    program = programs[circuit.outputs[0]]
+    images = {image for _, t, f in program for image in (t, f)}
+    perms = {image: Permutation(image) for image in images}
+    return PbpProgram(
+        tuple(PbpInstruction(var, perms[t], perms[f]) for var, t, f in program),
+        circuit.n_inputs,
+    )
 
 
 def enumerate_small_circuits(
@@ -764,59 +787,29 @@ def enumerate_small_circuits(
     Built by bottom-up closure over the fan-in-2 basis (AND/NOT, optionally
     OR) with leaves X1..Xn, CONST0, CONST1, keeping the first representative
     found for each class; every Boolean function realizable at each depth
-    is therefore exercised exactly once.
+    is therefore exercised exactly once.  Each tree carries its truth
+    table as an int, bit ``a`` its value on assignment ``a``.
     """
-    n_assign = 1 << n_inputs
+    full = (1 << (1 << n_inputs)) - 1
     Tree = tuple  # ("x", i) | ("c", b) | ("not", t) | ("and"|"or", t, t)
-
-    def table(tree: Tree) -> int:
-        bits = 0
-        for a in range(n_assign):
-            if _eval_tree(tree, a):
-                bits |= 1 << a
-        return bits
-
-    def _eval_tree(tree: Tree, a: int) -> int:
-        tag = tree[0]
-        if tag == "x":
-            return (a >> tree[1]) & 1
-        if tag == "c":
-            return tree[1]
-        if tag == "not":
-            return 1 - _eval_tree(tree[1], a)
-        lhs = _eval_tree(tree[1], a)
-        rhs = _eval_tree(tree[2], a)
-        return (lhs & rhs) if tag == "and" else (lhs | rhs)
-
-    by_depth: list[list[Tree]] = [[]]
-    seen: set[tuple[int, int]] = set()
-    for i in range(n_inputs):
-        by_depth[0].append(("x", i))
-        seen.add((table(("x", i)), 0))
-    for b in (0, 1):
-        by_depth[0].append(("c", b))
-        seen.add((table(("c", b)), 0))
+    leaves = [
+        (("x", i), sum(1 << a for a in range(1 << n_inputs) if a >> i & 1))
+        for i in range(n_inputs)
+    ]
+    by_depth: list[list[tuple[Tree, int]]] = [leaves + [(("c", 0), 0), (("c", 1), full)]]
 
     ops = ["and", "or"] if include_or else ["and"]
     for depth in range(1, max_depth + 1):
-        layer: list[Tree] = []
+        layer: dict[int, Tree] = {}  # the first tree found per truth table
         below = [t for lvl in by_depth for t in lvl]
         tops = by_depth[depth - 1]
-        for t in tops:
-            cand = ("not", t)
-            key = (table(cand), depth)
-            if key not in seen:
-                seen.add(key)
-                layer.append(cand)
+        for tree, table in tops:
+            layer.setdefault(full ^ table, ("not", tree))
         for op in ops:
-            for t1 in tops:
-                for t2 in below:
-                    for cand in ((op, t1, t2), (op, t2, t1)):
-                        key = (table(cand), depth)
-                        if key not in seen:
-                            seen.add(key)
-                            layer.append(cand)
-        by_depth.append(layer)
+            for t1, a in tops:
+                for t2, b in below:
+                    layer.setdefault(a & b if op == "and" else a | b, (op, t1, t2))
+        by_depth.append([(tree, table) for table, tree in layer.items()])
 
     def compile_tree(tree: Tree) -> Circuit:
         gates = [Gate(i, "INPUT") for i in range(n_inputs)]
@@ -839,7 +832,7 @@ def enumerate_small_circuits(
         out = walk(tree)
         return Circuit(gates, [out])
 
-    return [compile_tree(t) for lvl in by_depth for t in lvl]
+    return [compile_tree(t) for lvl in by_depth for t, _ in lvl]
 
 
 # ----------------------------------------------------------------- corpora
@@ -902,10 +895,10 @@ def _random_arith_node(
     return ArithNode("add" if roll < 0.6 else "mul", args=(left, right))
 
 
-def _random_s5(rng: random.Random) -> Permutation:
+def _random_s5(rng: random.Random) -> tuple[int, ...]:
     image = list(range(1, 6))
     rng.shuffle(image)
-    return Permutation(tuple(image))
+    return tuple(image)
 
 
 def _arith_semiring(kind: str) -> Semiring:
@@ -938,15 +931,15 @@ def gen_instances(kind: str, size: int, seed: int, count: int = 100) -> Corpus:
             instances.append(tree.to_postfix())
             labels.append(str(eval_bool(tree)))
     elif kind == "perm":
+        identity = tuple(range(1, 6))
         for _ in range(count):
             if size >= 2 and rng.random() < 0.5:
-                head = [_random_s5(rng) for _ in range(size - 1)]
-                closing = compose(head).inverse() if len(head) else None
-                perms = head + ([closing] if closing else [])
+                word = [_random_s5(rng) for _ in range(size - 1)]
+                word.append(_inverse(_product(word, 5)))
             else:
-                perms = [_random_s5(rng) for _ in range(size)]
-            instances.append(" ".join(p.to_string() for p in perms))
-            labels.append(str(word_problem(perms)))
+                word = [_random_s5(rng) for _ in range(size)]
+            instances.append(" ".join("".join(map(str, image)) for image in word))
+            labels.append(str(int(_product(word, 5) == identity)))
     elif kind == "arith" or kind.startswith("arith-z"):
         ring = _arith_semiring(kind)
         n_vars = 3

@@ -9,6 +9,7 @@ import hashlib
 import json
 import re
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache, reduce
@@ -18,13 +19,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from artifact.circuits import serialize_netlist
-from artifact.cli import build_parser, eval_expression, main
-from artifact.floats import DivisionByZero, FpNumber, round_p
-from artifact.hardness import enumerate_small_circuits
+from artifact.circuits import CircuitError, ParseError, serialize_netlist
+from artifact.cli import CliUsageError, build_parser, eval_expression, main
+from artifact.elementary import NegativeInput, NonPositiveInput
+from artifact.floats import DivisionByZero, FpError, FpNumber, round_p
+from artifact.hardness import (
+    DomainMismatch,
+    FormulaParseError,
+    UnsupportedGate,
+    enumerate_small_circuits,
+)
 from artifact.mamba import ShapeConfig, forward_matrix, random_input, random_params
-from artifact.matrices import FpMatrix
-from artifact.synthesis import synth_primitive
+from artifact.matrices import FpMatrix, ShapeMismatch
+from artifact.synthesis import UnsupportedPrecision, synth_primitive
 
 
 class TestExpressionParser:
@@ -58,8 +65,6 @@ class TestExpressionParser:
             eval_expression("1/0", 16)
 
     def test_syntax_errors(self):
-        from artifact.cli import CliUsageError
-
         for bad in ("", "2+", "log 2", "(1+2", "1 2", "sin(1)", "1..2", "@"):
             with pytest.raises(CliUsageError):
                 eval_expression(bad, 8)
@@ -286,6 +291,15 @@ class TestUsageErrors:
         out, err = capsys.readouterr()
         assert not out
         assert err.startswith("CliUsageError: artifact") and len(err.splitlines()) == 1
+
+    def test_input_errors_are_value_errors(self):
+        """`main` maps ValueError and OSError to exit 2; every error class
+        of the exit-2 contract must stay a ValueError, and none of the
+        exit-1 classes may be caught by the earlier clause by accident."""
+        usage = (CliUsageError, ParseError, CircuitError, FormulaParseError, DomainMismatch,
+                 UnsupportedGate, UnsupportedPrecision, ShapeMismatch)
+        assert all(issubclass(cls, ValueError) for cls in usage)
+        assert not any(issubclass(cls, (FpError, NegativeInput, NonPositiveInput)) for cls in usage)
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -728,6 +742,34 @@ class TestHardnessCommands:
     def test_unknown_kind_exits_two(self, capsys):
         assert main(["hardness", "gen", "nosuch", "--size", "5"]) == 2
         capsys.readouterr()
+
+    @staticmethod
+    def _and_chain(tmp_path, n: int) -> str:
+        """Netlist of ((x0 AND x1) AND x2) ... AND x(n-1)."""
+        lines = [f"{i} INPUT" for i in range(n)]
+        lines += [f"{n} AND 0 1"] + [f"{n + i - 1} AND {n + i - 2} {i}" for i in range(2, n)]
+        path = tmp_path / f"chain{n}.nl"
+        path.write_text("\n".join(lines) + f"\nOUTPUTS {2 * n - 2}\n", encoding="utf-8")
+        return str(path)
+
+    def test_barrington_refuses_program_past_the_bound(self, tmp_path, capsys):
+        """A 20-input AND chain needs 1,572,862 instructions: refused in
+        one line at the first gate past the bound, before any is built."""
+        netlist = self._and_chain(tmp_path, 20)
+        start = time.perf_counter()
+        assert main(["hardness", "barrington", netlist, "--check"]) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert (out, err) == (
+            "",
+            "ValueError: gate 34's program needs 98302 instructions, "
+            "more than the 65536 allowed\n",
+        )
+
+    def test_barrington_builds_program_within_the_bound(self, tmp_path, capsys):
+        assert main(["hardness", "barrington", self._and_chain(tmp_path, 14)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["instructions"], report["length_ok"]) == (24574, True)
 
 
 # sha256 of `hardness gen perm --size S --seed N` stdout (the instances)

@@ -10,6 +10,7 @@ against circuit evaluation on a fixed small-circuit family.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 from functools import reduce
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact.circuits import ArityMismatch, Circuit, Gate, evaluate
+from artifact.circuits import ArityMismatch, Circuit, Gate, evaluate, serialize_netlist
 from artifact.hardness import (
     ACCEPTING_CYCLE,
     ArithFormula,
@@ -27,6 +28,7 @@ from artifact.hardness import (
     DomainMismatch,
     FormulaParseError,
     IndexOutOfRange,
+    MAX_PROGRAM_LENGTH,
     PbpInstruction,
     PbpProgram,
     Permutation,
@@ -650,6 +652,96 @@ class TestBranchingPrograms:
             for a in range(16):
                 bits = [(a >> i) & 1 for i in range(4)]
                 assert eval_pbp(prog, bits) == evaluate(circuit, bits)[0]
+
+
+# sha256 of the concatenated `serialize_netlist` text of every circuit of
+# `enumerate_small_circuits(n_inputs, max_depth, include_or)`, in order.
+_FAMILY_SHA256 = {
+    (3, 3, False): "d80a84af67d5e604e55f70e2f721200a03b850eff7a07ac51d45e0063e6505b2",
+    (3, 3, True): "0f5602cb6d837a6b5a7656fcf554b1c56184f36f86322e6dd076c759e7106b4f",
+    (2, 4, False): "7d7648693e019cdaf2ea46c253287236d29f0c5325bfcd37f33a7a5c4a9aed2c",
+    (4, 2, True): "cb70c42a9170f250e1a8e082c9d6dd6f78608a65c3a5e1684a00228b67d5813c",
+    (3, 4, False): "d3ba53c6f980d135426fa63990df733875f82ba13fb9ee82716c256f20937c43",
+}
+# sha256 of the repr of, per circuit of `enumerate_small_circuits(3, 3,
+# include_or)`, the `(var, on_true.image, on_false.image)` of every
+# instruction of `barrington_transform(lower_or_gates(circuit))`; with the
+# circuit count and the total instruction count.
+_PROGRAM_SHA256 = {
+    False: (96, 878, "eb94dbd65d285ad8178342fafbeeff2c969976f52615e6f8f626a405a829820d"),
+    True: (237, 7464, "30b3a52f174579ce02c4dcc42f30164cbed3757273818eb5d6aa8dfe176b21cb"),
+}
+
+
+def and_chain(n: int) -> Circuit:
+    """((x0 AND x1) AND x2) ... AND x(n-1): its program has 3 * 2**(n-1) - 2
+    instructions."""
+    gates = [Gate(i, "INPUT") for i in range(n)]
+    last = 0
+    for i in range(1, n):
+        gates.append(Gate(len(gates), "AND", (last, i)))
+        last = len(gates) - 1
+    return Circuit(gates, [last])
+
+
+class TestPlainValues:
+    """The small-circuit family, the programs built from it and the perm
+    corpus are pinned; the transform builds one `Permutation` per distinct
+    image it returns, and `gen perm` builds none."""
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        """A one-item list counting `Permutation` constructions."""
+        count = [0]
+        check = Permutation.__post_init__
+
+        def counted(perm):
+            count[0] += 1
+            check(perm)
+
+        monkeypatch.setattr(Permutation, "__post_init__", counted)
+        return count
+
+    @pytest.mark.parametrize("args", sorted(_FAMILY_SHA256))
+    def test_family_netlists_pinned(self, args):
+        text = "".join(serialize_netlist(c) for c in enumerate_small_circuits(*args))
+        assert hashlib.sha256(text.encode()).hexdigest() == _FAMILY_SHA256[args]
+
+    @pytest.mark.parametrize("include_or", [False, True], ids=["and-not", "lowered-or"])
+    def test_program_instructions_pinned(self, include_or):
+        rows = [
+            [(ins.var, ins.on_true.image, ins.on_false.image) for ins in program.instructions]
+            for program in (
+                barrington_transform(lower_or_gates(c))
+                for c in enumerate_small_circuits(3, 3, include_or=include_or)
+            )
+        ]
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert (len(rows), sum(map(len, rows)), digest) == _PROGRAM_SHA256[include_or]
+
+    def test_barrington_builds_one_permutation_per_image(self, constructions):
+        for circuit in enumerate_small_circuits(3, 3) + [and_chain(8)]:
+            constructions[0] = 0
+            program = barrington_transform(circuit)
+            perms = {id(p): p for ins in program.instructions for p in (ins.on_true, ins.on_false)}
+            images = {p.image for p in perms.values()}
+            assert constructions[0] <= len(images) == len(perms)
+
+    def test_gen_perm_builds_no_permutation(self, constructions):
+        corpora = [gen_instances("perm", 20, seed, count=100) for seed in (0, 1)]
+        assert constructions[0] == 0
+        for corpus in corpora:
+            assert [eval_instance("perm", line) for line in corpus.instances] == list(corpus.labels)
+
+    def test_program_length_bound(self):
+        assert MAX_PROGRAM_LENGTH == 1 << 16
+        assert len(barrington_transform(and_chain(15))) == 3 * 2**14 - 2 <= MAX_PROGRAM_LENGTH
+        message = (
+            f"^gate 30's program needs {3 * 2**15 - 2} instructions, "
+            f"more than the {MAX_PROGRAM_LENGTH} allowed$"
+        )
+        with pytest.raises(ValueError, match=message):
+            barrington_transform(and_chain(16))
 
 
 class TestCorpora:
