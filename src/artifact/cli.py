@@ -93,6 +93,7 @@ from artifact.mamba import (
     ShapeConfig,
     _json_int,
     forward_matrix,
+    forward_routes,
     random_input,
     random_params,
 )
@@ -395,8 +396,7 @@ def cmd_mamba_run(args: argparse.Namespace) -> int:
 
 def cmd_mamba_compare(args: argparse.Namespace) -> int:
     shape, params, x = _load_forward(args)
-    rec = forward_matrix(shape, params, x, form="recurrent")
-    conv = forward_matrix(shape, params, x, form="convolution")
+    rec, conv = forward_routes(shape, params, x, ("recurrent", "convolution"))
     gap = max_rel_gap(rec, conv)
     if args.mode == "exact":
         bound = Fraction(0)

@@ -58,6 +58,10 @@ from artifact.floats import (
 
 V = TypeVar("V")
 
+# The types ``input`` takes as they are; any other goes through ``Fraction``,
+# which also turns a subclass (``bool`` included) into a plain value.
+_RATIONAL = (int, Fraction)
+
 __all__ = ["ExactDomainError", "ExactScalars", "PBitScalars", "ScalarContext", "exact_value"]
 
 
@@ -141,7 +145,7 @@ class PBitScalars(ScalarContext[FpNumber]):
         self.p = p
 
     def input(self, q: Fraction) -> FpNumber:
-        return round_p(Fraction(q), self.p)
+        return round_p(q if type(q) in _RATIONAL else Fraction(q), self.p)
 
     const = input
 
@@ -250,7 +254,8 @@ class ExactScalars(ScalarContext[Pair]):
         self.ref_p = ref_p
 
     def input(self, q: Fraction) -> Pair:
-        q = Fraction(q)
+        if type(q) not in _RATIONAL:
+            q = Fraction(q)
         return q.numerator, q.denominator
 
     const = input

@@ -16,6 +16,15 @@ making each step's cost independent of the sequence index; and the
 convolution kernel realizes every power, including the zeroth, as one
 ``iter_mul`` so all kernel slices share one schedule.
 
+The block runs its stages up to and including the discretization once,
+whatever the number of routes asked for: the input projection (read by
+both the state-space branch and a tied gate), ``conv1d``, ``silu``,
+selection and discretization are shared, and each route adds only its
+state-space evaluation, the gating and the output projection
+(:func:`forward_routes`).  Asked for one route, the sequence of context
+calls is that of :func:`mamba_forward` for that route, which the depth
+tracer records; that order is part of the depth contract.
+
 Sequence/feature conventions: the input ``X`` is ``L x D`` (a row per time
 step), the inner activation is ``L x E``, the state is ``n``-dimensional,
 and the depthwise convolution looks back ``K <= L`` steps with zero
@@ -45,6 +54,7 @@ __all__ = [
     "conv_kernel",
     "discretize",
     "forward_matrix",
+    "forward_routes",
     "hidden_recurrence",
     "input_projection",
     "mamba_forward",
@@ -495,49 +505,75 @@ def ssm_convolution(ctx: ScalarContext, kern, x):
     return out
 
 
-def ssm_select(ctx: ScalarContext, pw, x, form: str = "recurrent"):
-    """Selection, discretization, and one of the two evaluations.
+def _check_forms(forms: Sequence[str]) -> None:
+    for form in forms:
+        if form not in ("recurrent", "convolution"):
+            raise ValueError(f"unknown evaluation form {form!r}")
 
-    ``form`` is ``"recurrent"`` or ``"convolution"``; the two are
-    algebraically identical.  A stage barrier separates the discretization
-    from the evaluation so the phases compose serially.
-    """
+
+def _ssm_routes(ctx: ScalarContext, pw, x, forms: Sequence[str]) -> list:
+    """Selection and discretization once, then one evaluation per form."""
+    _check_forms(forms)
     s_b, s_c, delta = select_params(
         ctx, x, pw.w_b, pw.p_b, pw.w_c, pw.p_c, pw.w_delta, pw.p_delta, pw.w_delta_scalar
     )
     disc = discretize(ctx, pw.a_diag, s_b, s_c, delta)
     ctx.seq_point(list(disc.a_bar) + [v for row in disc.b_bar for v in row])
-    if form == "recurrent":
-        return ssm_recurrent(ctx, disc, x)
-    if form == "convolution":
-        kern = conv_kernel(ctx, disc, len(x))
-        return ssm_convolution(ctx, kern, x)
-    raise ValueError(f"unknown evaluation form {form!r}")
+    return [
+        ssm_recurrent(ctx, disc, x)
+        if form == "recurrent"
+        else ssm_convolution(ctx, conv_kernel(ctx, disc, len(x)), x)
+        for form in forms
+    ]
+
+
+def ssm_select(ctx: ScalarContext, pw, x, form: str = "recurrent"):
+    """Selection, discretization, and one of the two evaluations.
+
+    ``form`` is ``"recurrent"`` or ``"convolution"``; the two are
+    algebraically identical.  A stage barrier separates the discretization
+    from the evaluation so the phases compose serially.  An unknown form
+    raises ``ValueError`` before any stage runs.
+    """
+    return _ssm_routes(ctx, pw, x, (form,))[0]
+
+
+def _forward_routes(ctx: ScalarContext, pw, x, forms: Sequence[str], gate_override=None) -> list:
+    """The block up to the discretization once, then the evaluation, the
+    gating and the output projection once per form."""
+    _check_forms(forms)
+    gate = gate_override
+    if gate is None and pw.w_gate is not None:
+        gate = silu_map(ctx, input_projection(ctx, x, pw.w_gate, pw.b_gate))
+    u = input_projection(ctx, x, pw.w_x_in, pw.b_x_in)
+    if gate is None:
+        gate = silu_map(ctx, u)  # tied: the gate shares the input projection
+    a = silu_map(ctx, conv1d(ctx, u, pw.w_conv))
+    return [
+        input_projection(
+            ctx,
+            [[ctx.mul(y[t][j], gate[t][j]) for j in range(len(y[0]))] for t in range(len(y))],
+            pw.w_x_out,
+            pw.b_x_out,
+        )
+        for y in _ssm_routes(ctx, pw, a, forms)
+    ]
 
 
 def mamba_forward(ctx: ScalarContext, pw, x, form: str = "recurrent", gate_override=None):
     """Full block: projections, window convolution, gated state space.
 
     ``out = OutProj( SSM(silu(conv1d(InProj(X)))) ⊙ silu(GateProj(X)) )``.
-    The gate branch is evaluated first (it belongs to the pre-barrier
-    stage of the pipeline); ``gate_override`` — a test hook — replaces the
-    gate activation matrix wholesale, e.g. with all-ones to isolate the
-    state-space branch.
+    The gate branch belongs to the pre-barrier stage of the pipeline: an
+    untied gate is projected first, and a tied one (``pw.w_gate is None``)
+    is ``silu`` of the input projection, computed once and read by both
+    branches.  ``gate_override`` — a test hook — replaces the gate
+    activation matrix wholesale, e.g. with all-ones to isolate the
+    state-space branch.  The order of context calls for one form is part of
+    the depth contract: the tracer's graphs, and so every ``mamba depth``
+    byte, follow from it.
     """
-    w_gate = pw.w_gate if pw.w_gate is not None else pw.w_x_in
-    b_gate = pw.b_gate if pw.b_gate is not None else pw.b_x_in
-    if gate_override is None:
-        gate = silu_map(ctx, input_projection(ctx, x, w_gate, b_gate))
-    else:
-        gate = gate_override
-    u = input_projection(ctx, x, pw.w_x_in, pw.b_x_in)
-    c = conv1d(ctx, u, pw.w_conv)
-    a = silu_map(ctx, c)
-    y = ssm_select(ctx, pw, a, form)
-    gated = [
-        [ctx.mul(y[t][j], gate[t][j]) for j in range(len(y[0]))] for t in range(len(y))
-    ]
-    return input_projection(ctx, gated, pw.w_x_out, pw.b_x_out)
+    return _forward_routes(ctx, pw, x, (form,), gate_override)[0]
 
 
 # ------------------------------------------------------- instance builders
@@ -573,13 +609,16 @@ def random_input(shape: ShapeConfig, seed: int) -> list[list[Fraction]]:
 # --------------------------------------------------------- matrix frontend
 
 
-def forward_matrix(
+def forward_routes(
     shape: ShapeConfig,
     params: MambaParams,
     x: FpMatrix,
-    form: str = "recurrent",
-) -> FpMatrix:
-    """Run the block on an ``FpMatrix`` in its own mode and return one."""
+    forms: Sequence[str],
+) -> tuple[FpMatrix, ...]:
+    """Run the block on an ``FpMatrix`` in its own mode, one result per
+    form in ``forms``.  The projections, ``conv1d``, selection and
+    discretization run once and are shared; each form adds only its
+    state-space evaluation, gating and output projection."""
     params.validate(shape)
     if (x.rows, x.cols) != (shape.seq_len, shape.d_model):
         raise ShapeMismatch("input must be seq_len x d_model")
@@ -589,7 +628,19 @@ def forward_matrix(
         ctx = ExactScalars()
     pw = wrap_params(ctx, params)
     xin = wrap_values(ctx, x.to_fractions())
-    y = mamba_forward(ctx, pw, xin, form)
+    ys = _forward_routes(ctx, pw, xin, forms)
     if x.mode == "pbit":
-        return FpMatrix.pbit([[v for v in row] for row in y], x.p)
-    return FpMatrix.exact([[exact_value(v) for v in row] for row in y])
+        return tuple(FpMatrix.pbit(y, x.p) for y in ys)
+    return tuple(FpMatrix.exact([[exact_value(v) for v in row] for row in y]) for y in ys)
+
+
+def forward_matrix(
+    shape: ShapeConfig,
+    params: MambaParams,
+    x: FpMatrix,
+    form: str = "recurrent",
+) -> FpMatrix:
+    """Run the block on an ``FpMatrix`` in its own mode and return one:
+    :func:`forward_routes` for the one form, so its context calls are
+    those of :func:`mamba_forward`."""
+    return forward_routes(shape, params, x, (form,))[0]

@@ -257,6 +257,39 @@ class TestExactRoutePinned:
         assert digest == _EXACT_STDOUT_SHA256[L, positive, command[0]]
 
 
+# sha256 of stdout, p-bit mode, ``--shape 8,4,8,4,4`` unless the argv says
+# otherwise; taken while ``compare`` still ran each route from its own prefix.
+_PBIT_STDOUT_SHA256 = {
+    "compare -p 12 --positive": "e7dd099a71ed26d78f725af0722ef2f596fcd68261fb096b21a8a4cbc53918df",
+    "compare -p 16 --positive": "603ef6c09b7b232b0b68b1089a6706d2a73d034667d03fab8f51501c1052cf28",
+    "compare -p 24 --positive": "021a742de0282b7e548352a9000b85c00f5b03eba888d0ef9f8af92252ce1190",
+    "compare -p 16": "7498f149527d5f7bf6bd9b971bd839b372e03bb859e3bfc04ef90f3af16084e6",
+    "compare --shape 16,4,8,4,4": "42e7b7ce97d23b2d74585a6c50d6aa05f60ba0063ace6635227a6842dd3f95de",
+    "run --form recurrent": "91f707bebba5f6a4e27d75c95603b44b1e3d3a6a9774bb19d13e037410d4e905",
+    "run --form recurrent --positive":
+        "eda5690c5ee990a8c02e032565e5ec17a1fd8b7c6c4baedcf02164549a670d59",
+    "run --form convolution": "a4b5afa24258c8e8de97d2f2a96d6e87378b8433c1bba41c164f2a83942a6d70",
+    "run --form convolution --positive":
+        "5bd2c2c8993301500b095e7d35c97a718d8d4447aebc34516dbb6505ac739f04",
+}
+
+
+class TestPBitRoutePinned:
+    """The p-bit route's output bytes, pinned: sharing the stages before the
+    route split must not change what either route prints."""
+
+    @pytest.mark.parametrize("command", list(_PBIT_STDOUT_SHA256))
+    def test_pbit_stdout_digest(self, capsys, command):
+        argv = ["mamba", *command.split()]
+        if "--shape" not in argv:
+            argv += ["--shape", "8,4,8,4,4"]
+        if "-p" not in argv:
+            argv += ["-p", "16"]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == _PBIT_STDOUT_SHA256[command]
+
+
 class TestExactLongEntries:
     """Exact entries past the interpreter's 4300-digit int-to-string limit
     print in full, and read back with ``decimal`` to the computed values."""

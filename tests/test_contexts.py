@@ -69,6 +69,53 @@ class TestLeaves:
         assert ctx.input(-3) == (-3, 1)
 
 
+class TestInputWithoutCopy:
+    """``input`` passes an ``int`` or ``Fraction`` through as it is and sends
+    every other type through ``Fraction``: each accepted value gives what
+    ``Fraction(q)`` first gave, and each refused one raises the same error."""
+
+    VALUES = [0, -3, 7, 1 << 70, -(3**50), F(3, 4), F(-5, 12), F(1, 1 << 40), F(10**30, 7),
+              "3/4", "-1.25", 0.75, -2.5, True, False]
+    REFUSED = [None, "abc", "1/0", float("nan"), float("inf"), [1]]
+
+    @staticmethod
+    def outcome(fn, q):
+        """The result and its ``repr`` (so that ``True`` is not ``1``), or
+        the error raised."""
+        try:
+            v = fn(q)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return v, repr(v)
+
+    @pytest.mark.parametrize("p", [2, 4, 8, 16, 24, 53])
+    def test_pbit_matches_fraction_copy(self, p):
+        new = PBitScalars(p)
+        for q in self.VALUES + self.REFUSED:
+            want = self.outcome(lambda v: round_p(F(v), p), q)
+            for leaf in (new.input, new.const):
+                assert self.outcome(leaf, q) == want, q
+
+    def test_exact_matches_fraction_copy(self):
+        for q in self.VALUES + self.REFUSED:
+            want = self.outcome(lambda v: (F(v).numerator, F(v).denominator), q)
+            for leaf in (ctx.input, ctx.const):
+                assert self.outcome(leaf, q) == want, q
+
+    def test_int_and_fraction_are_not_copied(self, monkeypatch):
+        import artifact.contexts as contexts
+
+        def no_copy(q):
+            raise AssertionError(f"Fraction({q!r}) built")
+
+        monkeypatch.setattr(contexts, "Fraction", no_copy)
+        for q in (5, -(1 << 80), F(3, 4), F(-7, 1 << 30)):
+            assert ctx.input(q) == (F(q).numerator, F(q).denominator)
+            assert PBitScalars(16).input(q) == round_p(F(q), 16)
+        with pytest.raises(AssertionError, match="built"):
+            ctx.input("3/4")
+
+
 class TestArithmetic:
     @SETTINGS
     @given(pairs(), pairs())

@@ -18,12 +18,13 @@ from fractions import Fraction
 
 import pytest
 
+import artifact.mamba as mamba
 import oracles
 from artifact.contexts import ExactScalars, PBitScalars, exact_value
 from artifact.elementary import exp_fp
 from artifact.floats import FpNumber, fp_add, fp_div, fp_mul, iter_add, round_p
 from artifact.matrices import FpMatrix, ShapeMismatch, max_rel_gap
-from artifact.cli import _load_model
+from artifact.cli import _load_model, main
 from artifact.mamba import (
     GATE_SCHEMA,
     PARAM_SCHEMA,
@@ -32,6 +33,7 @@ from artifact.mamba import (
     conv1d,
     discretize,
     forward_matrix,
+    forward_routes,
     hidden_recurrence,
     input_projection,
     mamba_forward,
@@ -564,3 +566,104 @@ class TestForward:
         bad = FpMatrix.exact([[F(1)] * (shape.d_model + 1)] * shape.seq_len)
         with pytest.raises(ShapeMismatch):
             forward_matrix(shape, params, bad)
+
+
+BOTH = ("recurrent", "convolution")
+
+
+def _untied(params: MambaParams, seed: int) -> MambaParams:
+    """``params`` with a gate projection of its own."""
+    other = random_params(ShapeConfig(1, len(params.w_x_in), len(params.b_x_in), 1, 1), seed)
+    return dataclasses.replace(params, w_gate=other.w_x_in, b_gate=other.b_x_in)
+
+
+class TestSharedStages:
+    """Both routes come from one prefix (projections, ``conv1d``, selection,
+    discretization) and equal two separate single-route runs."""
+
+    SHAPES = [
+        ShapeConfig(1, 1, 1, 1, 1),  # K = L, n = 1
+        ShapeConfig(3, 2, 2, 1, 3),  # K = L, n = 1
+        ShapeConfig(4, 2, 3, 2, 2),
+        ShapeConfig(6, 3, 2, 3, 4),
+        ShapeConfig(5, 1, 3, 2, 5),  # K = L
+    ]
+
+    @pytest.mark.parametrize("mode", ["exact", "pbit"])
+    @pytest.mark.parametrize(
+        "shape", SHAPES, ids=lambda s: ",".join(map(str, dataclasses.astuple(s)))
+    )
+    def test_both_routes_equal_separate_runs(self, shape, mode):
+        for seed, positive, tied in [(1, False, True), (2, True, True), (3, False, False)]:
+            params = random_params(shape, seed, positive)
+            if not tied:
+                params = _untied(params, seed + 10)
+            p = 16 if mode == "pbit" else None
+            x = FpMatrix.from_fractions(random_input(shape, seed), mode, p)
+            separate = tuple(forward_matrix(shape, params, x, form) for form in BOTH)
+            assert forward_routes(shape, params, x, BOTH) == separate
+            assert forward_routes(shape, params, x, BOTH[::-1]) == separate[::-1]
+            assert forward_routes(shape, params, x, ("convolution",)) == separate[1:]
+
+    STAGES = ("input_projection", "conv1d", "silu_map", "select_params", "discretize",
+              "ssm_recurrent", "conv_kernel", "ssm_convolution")
+
+    @staticmethod
+    def _count(monkeypatch, names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _name=name, _fn=getattr(mamba, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(mamba, name, counted)
+        return calls
+
+    def test_compare_runs_the_prefix_once(self, monkeypatch, capsys):
+        calls = self._count(monkeypatch, self.STAGES)
+        assert main(["mamba", "compare", "--shape", "4,2,3,2,2", "-p", "16"]) == 0
+        capsys.readouterr()
+        # one input projection for both branches, one output projection per
+        # route; silu once for the tied gate and once after conv1d.
+        assert calls == {"input_projection": 3, "conv1d": 1, "silu_map": 2, "select_params": 1,
+                         "discretize": 1, "ssm_recurrent": 1, "conv_kernel": 1,
+                         "ssm_convolution": 1}
+
+    @pytest.mark.parametrize("tied, projections", [(True, 2), (False, 3)], ids=["tied", "untied"])
+    @pytest.mark.parametrize("form", BOTH)
+    def test_forward_projection_count(self, monkeypatch, form, tied, projections):
+        shape = ShapeConfig(4, 2, 3, 2, 2)
+        params = random_params(shape, 4)
+        if not tied:
+            params = _untied(params, 5)
+        x = FpMatrix.from_fractions(random_input(shape, 4), "pbit", 16)
+        calls = self._count(monkeypatch, self.STAGES)
+        forward_matrix(shape, params, x, form)
+        assert calls["input_projection"] == projections
+        assert calls["silu_map"] == 2
+        assert calls["select_params"] == calls["discretize"] == calls["conv1d"] == 1
+
+    @pytest.mark.parametrize(
+        "forms", [("spectral",), ("recurrent", "spectral")], ids=["only", "second"]
+    )
+    def test_unknown_form_refused_before_any_stage(self, monkeypatch, forms):
+        def stage(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        for name in self.STAGES:
+            monkeypatch.setattr(mamba, name, stage)
+        shape = shape_small()
+        params = random_params(shape, 0)
+        x = FpMatrix.from_fractions(random_input(shape, 0), "pbit", 16)
+        ctx = PBitScalars(16)
+        pw = wrap_params(ctx, params)
+        message = "unknown evaluation form 'spectral'"
+        with pytest.raises(ValueError, match=message):
+            forward_routes(shape, params, x, forms)
+        if len(forms) == 1:
+            with pytest.raises(ValueError, match=message):
+                forward_matrix(shape, params, x, forms[0])
+            with pytest.raises(ValueError, match=message):
+                mamba_forward(ctx, pw, wrap_values(ctx, random_input(shape, 0)), forms[0])
+            with pytest.raises(ValueError, match=message):
+                ssm_select(ctx, pw, [[ctx.input(F(1))] * shape.d_inner] * shape.seq_len, forms[0])
