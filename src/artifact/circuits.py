@@ -7,6 +7,10 @@ gate over fan-in ``f`` is ``THRESHOLD(floor(f/2)+1)`` — "more than half".
 Gate ids are dense and topologically ordered (every gate's inputs have
 smaller ids), which makes evaluation a single forward pass.
 
+Gates enter a circuit one way only, through a :class:`CircuitBuilder`,
+which checks each gate once as it is added; the parser, the synthesizer,
+the rewriters and ``Circuit(gates, outputs)`` itself all go through it.
+
 Depth counts gate levels along input-to-output paths: ``INPUT`` and the
 two constant kinds are depth-zero sources (a constant lies on no
 input-to-output path and computes nothing), every other gate is one level
@@ -40,6 +44,7 @@ from typing import NamedTuple, Sequence
 __all__ = [
     "ArityMismatch",
     "Circuit",
+    "CircuitBuilder",
     "CircuitError",
     "Gate",
     "ParseError",
@@ -109,39 +114,64 @@ def _check_gate(g: Gate, i: int) -> None:
         raise CircuitError(f"gate {i}: only THRESHOLD carries k")
 
 
-def _check_gates(gates: Sequence[Gate]) -> None:
-    """:func:`_check_gate` over a whole gate list.
+class CircuitBuilder:
+    """Adds gates one at a time, checking each as it comes, and seals them
+    into a :class:`Circuit` with no second pass."""
 
-    One loop holds every gate to a sufficient form of the same rules;
-    only a gate that fails it goes to :func:`_check_gate`, which raises
-    the message for the rule it breaks.
-    """
-    for i, g in enumerate(gates):
-        gid, kind, inputs, k = g
+    def __init__(self) -> None:
+        self.gates: list[Gate] = []
+
+    def emit(self, kind: str, inputs: tuple[int, ...] = (), k: int | None = None) -> int:
+        """Add a ``kind`` gate under the next id; return that id.  A gate
+        that fails this sufficient form of :func:`_check_gate`'s rules goes
+        to :func:`_check_gate`, which words the rule it breaks."""
+        gates = self.gates
+        i = len(gates)
+        g = tuple.__new__(Gate, (i, kind, inputs, k))  # skips Gate's Python-level __new__
         if inputs:
-            ok = gid == i and min(inputs) >= 0 and max(inputs) < i and (
+            ok = min(inputs) >= 0 and max(inputs) < i and (
                 kind == "AND" or kind == "OR" or (kind == "NOT" and len(inputs) == 1)
                 if k is None
                 else kind == "THRESHOLD" and 1 <= k <= len(inputs)
             )
         else:
-            ok = gid == i and k is None and kind in _SOURCE_KINDS
+            ok = k is None and kind in _SOURCE_KINDS
         if not ok:
             _check_gate(g, i)
+        gates.append(g)
+        return i
+
+    def add(self, gid: int, kind: str, inputs: tuple[int, ...] = (), k: int | None = None) -> int:
+        """:meth:`emit` a gate whose id the caller gives: the next one."""
+        if gid != len(self.gates):
+            _check_gate(Gate(gid, kind, inputs, k), len(self.gates))
+        return self.emit(kind, inputs, k)
+
+    def build(self, outputs: Sequence[int]) -> Circuit:
+        """Check the output ids and return the circuit."""
+        return self._seal(Circuit.__new__(Circuit), outputs)
+
+    def _seal(self, circuit: Circuit, outputs: Sequence[int]) -> Circuit:
+        for o in outputs:
+            if not 0 <= o < len(self.gates):
+                raise CircuitError(f"output id {o} out of range")
+        circuit.gates = tuple(self.gates)
+        circuit.outputs = tuple(outputs)
+        circuit._input_ids = tuple(g.id for g in circuit.gates if g.kind == "INPUT")
+        return circuit
 
 
 class Circuit:
     """A validated gate list plus designated output ids."""
 
+    gates: tuple[Gate, ...]
+    outputs: tuple[int, ...]
+
     def __init__(self, gates: Sequence[Gate], outputs: Sequence[int]):
-        n = len(gates)
-        _check_gates(gates)
-        for o in outputs:
-            if not 0 <= o < n:
-                raise CircuitError(f"output id {o} out of range")
-        self.gates: tuple[Gate, ...] = tuple(gates)
-        self.outputs: tuple[int, ...] = tuple(outputs)
-        self._input_ids = tuple(g.id for g in self.gates if g.kind == "INPUT")
+        builder = CircuitBuilder()
+        for g in gates:
+            builder.add(*g)
+        builder._seal(self, outputs)
 
     # ------------------------------------------------------------- metrics
     @property
@@ -329,35 +359,30 @@ def to_majority_only(circuit: Circuit) -> Circuit:
     monotone majority form; the gate basis after rewriting is
     MAJORITY/NOT/constants).  Outputs are preserved gate-for-gate.
     """
-    gates: list[Gate] = []
+    b = CircuitBuilder()
     remap: dict[int, int] = {}
-
-    def emit(kind: str, inputs: tuple[int, ...] = (), k: int | None = None) -> int:
-        gid = len(gates)
-        gates.append(Gate(gid, kind, inputs, k))
-        return gid
 
     def majority(inputs: tuple[int, ...], k: int) -> int:
         f = len(inputs)
         pads = f - 2 * k + 1
         if pads >= 0:
-            extra = tuple(emit("CONST1") for _ in range(pads))
+            extra = tuple(b.emit("CONST1") for _ in range(pads))
         else:
-            extra = tuple(emit("CONST0") for _ in range(-pads))
+            extra = tuple(b.emit("CONST0") for _ in range(-pads))
         full = inputs + extra
-        return emit("THRESHOLD", full, len(full) // 2 + 1)
+        return b.emit("THRESHOLD", full, len(full) // 2 + 1)
 
     for g in circuit.gates:
         ins = tuple(remap[q] for q in g.inputs)
         if g.kind in ("INPUT", "CONST0", "CONST1", "NOT"):
-            remap[g.id] = emit(g.kind, ins)
+            remap[g.id] = b.emit(g.kind, ins)
         elif g.kind == "AND":
             remap[g.id] = majority(ins, len(ins))
         elif g.kind == "OR":
             remap[g.id] = majority(ins, 1)
         else:  # THRESHOLD
             remap[g.id] = majority(ins, g.k or 1)
-    return Circuit(gates, [remap[o] for o in circuit.outputs])
+    return b.build([remap[o] for o in circuit.outputs])
 
 
 def is_majority_only(circuit: Circuit) -> bool:
@@ -390,7 +415,7 @@ def serialize_netlist(circuit: Circuit) -> str:
 
 
 def parse_netlist(text: str) -> Circuit:
-    gates: list[Gate] = []
+    builder = CircuitBuilder()
     outputs: list[int] | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -427,18 +452,16 @@ def parse_netlist(text: str) -> Circuit:
                 raise ParseError(line_no, f"bad threshold {rest[0]!r}") from None
             rest = rest[1:]
         try:
-            inputs = tuple(int(x) for x in rest)
+            inputs = tuple(map(int, rest))
         except ValueError:
             raise ParseError(line_no, "input ids must be integers") from None
-        gate = Gate(gid, kind, inputs, k)
         try:
-            _check_gate(gate, len(gates))
+            builder.add(gid, kind, inputs, k)
         except CircuitError as exc:
             raise ParseError(line_no, str(exc)) from None
-        gates.append(gate)
     if outputs is None:
         raise ParseError(len(text.splitlines()) or 1, "missing OUTPUTS line")
     try:
-        return Circuit(gates, outputs)
+        return builder.build(outputs)
     except CircuitError as exc:
         raise ParseError(len(text.splitlines()), str(exc)) from None

@@ -264,12 +264,17 @@ def _parse_shape(text: str) -> ShapeConfig:
     return ShapeConfig(l, d, e, n, k)
 
 
-def _load_json(path: str) -> dict:
+def _read_text(path: str) -> str:
+    """The text of an input file; a missing one is a usage error."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise CliUsageError(f"no such file: {path}") from None
+
+
+def _load_json(path: str) -> dict:
+    try:
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise CliUsageError(f"{path}: invalid JSON ({exc})") from None
     except RecursionError:
@@ -469,11 +474,7 @@ def cmd_mamba_depth(args: argparse.Namespace) -> int:
 
 
 def _read_netlist(path: str) -> Circuit:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise CliUsageError(f"no such file: {path}") from None
-    return parse_netlist(text)
+    return parse_netlist(_read_text(path))
 
 
 def _circuit_stats(c: Circuit) -> dict:
@@ -588,11 +589,7 @@ def cmd_hardness_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_hardness_eval(args: argparse.Namespace) -> int:
-    try:
-        lines = Path(args.corpus).read_text(encoding="utf-8").splitlines()
-    except FileNotFoundError:
-        raise CliUsageError(f"no such file: {args.corpus}") from None
-    lines = [ln for ln in lines if ln.strip()]
+    lines = [ln for ln in _read_text(args.corpus).splitlines() if ln.strip()]
     computed = [eval_instance(args.kind, ln) for ln in lines]
     labels_path = args.labels or (
         args.corpus + ".labels"
@@ -603,14 +600,7 @@ def cmd_hardness_eval(args: argparse.Namespace) -> int:
         for label in computed:
             print(label)
         return 0
-    try:
-        want = [
-            ln
-            for ln in Path(labels_path).read_text(encoding="utf-8").splitlines()
-            if ln.strip()
-        ]
-    except FileNotFoundError:
-        raise CliUsageError(f"no such file: {labels_path}") from None
+    want = [ln for ln in _read_text(labels_path).splitlines() if ln.strip()]
     if len(want) != len(computed):
         print(f"labels: FAIL (expected {len(computed)} labels, "
               f"file has {len(want)})")

@@ -225,18 +225,21 @@ def exact_value(v: Pair) -> Fraction:
 #: The exact route's domain: the largest |exponent| an elementary result
 #: may carry.  Its power of two then has at most 2**16 bits.
 EXACT_EXP_BOUND = 1 << 16
+#: The precision an exact operand is rounded to before an elementary
+#: function; ``guard_small`` tests ``|a| < 2**-(EXACT_REF_P // 2)``.
+EXACT_REF_P = 64
 
 
 class ExactDomainError(FpError):
     """An elementary result on the exact route has an exponent past
     :data:`EXACT_EXP_BOUND` in magnitude: carrying its power of two exactly
-    would build an integer of that many bits, up to ``2**ref_p``."""
+    would build an integer of that many bits, up to ``2**EXACT_REF_P``."""
 
 
 class ExactScalars(ScalarContext[Pair]):
     """Exact rational arithmetic on integer pairs ``(n, d)``, ``d > 0``,
-    standing for ``n / d``; elementary functions are evaluated at a high
-    reference precision ``ref_p`` and then carried exactly.
+    standing for ``n / d``; elementary functions are evaluated at the
+    reference precision :data:`EXACT_REF_P` and then carried exactly.
 
     ``input`` and ``const`` take a ``Fraction``; :func:`exact_value` reads a
     value back out as one, and no ``Fraction`` is built in between.  ``mul``
@@ -249,9 +252,6 @@ class ExactScalars(ScalarContext[Pair]):
     and raise :class:`ExactDomainError` on a result whose exponent is past
     :data:`EXACT_EXP_BOUND` in magnitude.
     """
-
-    def __init__(self, ref_p: int = 64) -> None:
-        self.ref_p = ref_p
 
     def input(self, q: Fraction) -> Pair:
         if type(q) not in _RATIONAL:
@@ -289,7 +289,7 @@ class ExactScalars(ScalarContext[Pair]):
         return _reduced(*a)
 
     def _elem(self, name: str, fn, a: Pair) -> Pair:
-        y = fn(round_ratio(a[0], a[1], self.ref_p))
+        y = fn(round_ratio(a[0], a[1], EXACT_REF_P))
         if abs(y.e) > EXACT_EXP_BOUND:
             raise ExactDomainError(
                 f"exact {name} result has exponent {y.e}, past the exact route's "
@@ -316,4 +316,4 @@ class ExactScalars(ScalarContext[Pair]):
         return self._elem("silu", silu_fp, a)
 
     def guard_small(self, a):
-        return abs(a[0]) << (self.ref_p // 2) < a[1]
+        return abs(a[0]) << (EXACT_REF_P // 2) < a[1]

@@ -6,8 +6,9 @@ representation (``w`` fractional bits: the integer ``t`` stands for
 fixed-point units, and commits the final p-bit rounding only when the whole
 uncertainty interval ``[t-b, t+b]`` rounds to a single float.  Otherwise the
 working precision is raised and the evaluation repeats.  Away from the
-handled exact points (``exp 0 = 1``, ``log 1 = 0``, perfect-square roots)
-the true values are irrational, so the escalation loop terminates.
+handled exact points (``exp 0 = 1``, ``log 1 = 0``) and the perfect-square
+roots, which commit on the first attempt with no test of their own, the
+true values are irrational, so the escalation loop terminates.
 
 ``exp_fp``, ``sqrt_fp``, ``log_fp`` and ``softplus_fp`` share that loop,
 :func:`_correctly_rounded`, and one schedule: the first attempt uses
@@ -214,7 +215,9 @@ def sqrt_fp(x: FpNumber) -> FpNumber:
     def attempt(w: int, exp_terms: int, log_terms: int) -> tuple[int, int, int]:
         n = big_m << (2 * w)
         s = isqrt(n)
-        return s, int(s * s != n), half_e - w  # a perfect square commits exactly
+        # No perfect-square test: an exact root is r * 2**w with w >= 2p + 8,
+        # so s - 1 and s + 1 round to it on the first attempt.
+        return s, 1, half_e - w
 
     return _correctly_rounded(p, attempt)
 

@@ -50,7 +50,7 @@ from itertools import permutations as iter_permutations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .circuits import ArityMismatch, Circuit, Gate
+from .circuits import ArityMismatch, Circuit, CircuitBuilder
 
 __all__ = [
     "ACCEPTING_CYCLE",
@@ -667,32 +667,26 @@ def lower_or_gates(circuit: Circuit) -> Circuit:
     The result uses only the basis ``barrington_transform`` accepts; any
     THRESHOLD or wider fan-in raises :class:`UnsupportedGate`.
     """
-    gates: list[Gate] = []
+    b = CircuitBuilder()
     remap: dict[int, int] = {}
-
-    def emit(kind: str, inputs: tuple[int, ...] = ()) -> int:
-        gid = len(gates)
-        gates.append(Gate(gid, kind, inputs))
-        return gid
-
     for g in circuit.gates:
         ins = tuple(remap[q] for q in g.inputs)
         if g.kind in ("INPUT", "CONST0", "CONST1", "NOT"):
-            remap[g.id] = emit(g.kind, ins)
+            remap[g.id] = b.emit(g.kind, ins)
         elif g.kind == "AND":
             if len(ins) != 2:
                 raise UnsupportedGate(f"AND gate {g.id} must have fan-in 2")
-            remap[g.id] = emit("AND", ins)
+            remap[g.id] = b.emit("AND", ins)
         elif g.kind == "OR":
             if len(ins) != 2:
                 raise UnsupportedGate(f"OR gate {g.id} must have fan-in 2")
-            na = emit("NOT", (ins[0],))
-            nb = emit("NOT", (ins[1],))
-            both = emit("AND", (na, nb))
-            remap[g.id] = emit("NOT", (both,))
+            na = b.emit("NOT", (ins[0],))
+            nb = b.emit("NOT", (ins[1],))
+            both = b.emit("AND", (na, nb))
+            remap[g.id] = b.emit("NOT", (both,))
         else:
             raise UnsupportedGate(f"cannot lower {g.kind} gate {g.id}")
-    return Circuit(gates, [remap[o] for o in circuit.outputs])
+    return b.build([remap[o] for o in circuit.outputs])
 
 
 def barrington_transform(circuit: Circuit) -> PbpProgram:
@@ -712,6 +706,7 @@ def barrington_transform(circuit: Circuit) -> PbpProgram:
 
     The circuit must have exactly one output; OR/THRESHOLD gates raise
     :class:`UnsupportedGate` (lower them first via :func:`lower_or_gates`).
+    Both refusals cover every gate, also one that the output does not read.
     """
     if len(circuit.outputs) != 1:
         raise ValueError("the branching-program transform needs one output")
@@ -812,25 +807,21 @@ def enumerate_small_circuits(
         by_depth.append([(tree, table) for table, tree in layer.items()])
 
     def compile_tree(tree: Tree) -> Circuit:
-        gates = [Gate(i, "INPUT") for i in range(n_inputs)]
-
-        def emit(kind: str, inputs: tuple[int, ...] = ()) -> int:
-            gid = len(gates)
-            gates.append(Gate(gid, kind, inputs))
-            return gid
+        b = CircuitBuilder()
+        for _ in range(n_inputs):
+            b.emit("INPUT")
 
         def walk(t: Tree) -> int:
             tag = t[0]
             if tag == "x":
                 return t[1]
             if tag == "c":
-                return emit("CONST1" if t[1] else "CONST0")
+                return b.emit("CONST1" if t[1] else "CONST0")
             if tag == "not":
-                return emit("NOT", (walk(t[1]),))
-            return emit(tag.upper(), (walk(t[1]), walk(t[2])))
+                return b.emit("NOT", (walk(t[1]),))
+            return b.emit(tag.upper(), (walk(t[1]), walk(t[2])))
 
-        out = walk(tree)
-        return Circuit(gates, [out])
+        return b.build([walk(tree)])
 
     return [compile_tree(t) for lvl in by_depth for t, _ in lvl]
 

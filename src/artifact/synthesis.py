@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import islice, product
 from typing import Sequence
 
-from .circuits import BLOCK_LANES, Circuit, Gate, evaluate_words, pack_codes
+from .circuits import BLOCK_LANES, Circuit, CircuitBuilder, evaluate_words, pack_codes
 from .floats import Comparison, FpNumber, Overflow, fp_add, fp_compare, fp_mul, iter_add
 
 __all__ = [
@@ -140,34 +140,27 @@ class BitEncoding:
 # ----------------------------------------------------------------- builder
 
 
-class _Builder:
-    """Gate emitter with light constant/identity folding.
+class _Builder(CircuitBuilder):
+    """A :class:`~artifact.circuits.CircuitBuilder` with light
+    constant/identity folding.
 
     The ``raw_*`` variants bypass folding; the counting stage uses them so
     that degenerate columns keep the same gate levels as full ones.
     """
 
     def __init__(self) -> None:
-        self.gates: list[Gate] = []
+        super().__init__()
         self._c0: int | None = None
         self._c1: int | None = None
 
-    def _emit(self, kind: str, inputs: tuple[int, ...] = (), k: int | None = None) -> int:
-        gid = len(self.gates)
-        self.gates.append(Gate(gid, kind, inputs, k))
-        return gid
-
-    def input(self) -> int:
-        return self._emit("INPUT")
-
     def const0(self) -> int:
         if self._c0 is None:
-            self._c0 = self._emit("CONST0")
+            self._c0 = self.emit("CONST0")
         return self._c0
 
     def const1(self) -> int:
         if self._c1 is None:
-            self._c1 = self._emit("CONST1")
+            self._c1 = self.emit("CONST1")
         return self._c1
 
     # The constants are emitted only by const0/const1, so a gate id is a
@@ -180,7 +173,7 @@ class _Builder:
         g = self.gates[x]
         if g.kind == "NOT":
             return g.inputs[0]
-        return self._emit("NOT", (x,))
+        return self.emit("NOT", (x,))
 
     def and_(self, *xs: int) -> int:
         live = dict.fromkeys(xs)  # first occurrences, in order
@@ -191,7 +184,7 @@ class _Builder:
             return self.const1()
         if len(live) == 1:
             return next(iter(live))
-        return self._emit("AND", tuple(live))
+        return self.emit("AND", tuple(live))
 
     def or_(self, *xs: int) -> int:
         live = dict.fromkeys(xs)
@@ -202,23 +195,20 @@ class _Builder:
             return self.const0()
         if len(live) == 1:
             return next(iter(live))
-        return self._emit("OR", tuple(live))
+        return self.emit("OR", tuple(live))
 
     # Unfolded emitters: fixed gate levels regardless of degenerate inputs.
     def raw_not(self, x: int) -> int:
-        return self._emit("NOT", (x,))
+        return self.emit("NOT", (x,))
 
     def raw_and(self, xs: Sequence[int]) -> int:
-        return self._emit("AND", tuple(xs))
+        return self.emit("AND", tuple(xs))
 
     def raw_or(self, xs: Sequence[int]) -> int:
-        return self._emit("OR", tuple(xs))
+        return self.emit("OR", tuple(xs))
 
     def raw_threshold(self, k: int, xs: Sequence[int]) -> int:
-        return self._emit("THRESHOLD", tuple(xs), k)
-
-    def build(self, outputs: Sequence[int]) -> Circuit:
-        return Circuit(self.gates, outputs)
+        return self.emit("THRESHOLD", tuple(xs), k)
 
 
 # ------------------------------------------------------------ word helpers
@@ -511,8 +501,8 @@ class SynthesizedOp:
 
 
 def _decode_operand(b: _Builder, enc: BitEncoding) -> tuple[list[int], list[int]]:
-    m = [b.input() for _ in range(enc.sig_bits)]
-    e = [b.input() for _ in range(enc.exp_bits)]
+    m = [b.emit("INPUT") for _ in range(enc.sig_bits)]
+    e = [b.emit("INPUT") for _ in range(enc.exp_bits)]
     return m, e
 
 

@@ -11,6 +11,7 @@ from artifact.circuits import (
     BLOCK_LANES,
     ArityMismatch,
     Circuit,
+    CircuitBuilder,
     CircuitError,
     Gate,
     ParseError,
@@ -24,6 +25,7 @@ from artifact.circuits import (
     _check_gate,
     to_majority_only,
 )
+from artifact.hardness import enumerate_small_circuits, lower_or_gates
 from artifact.synthesis import synth_primitive
 
 from oracles import reference_evaluate
@@ -122,6 +124,67 @@ class TestGate:
                 assert str(err.value) == str(exc)
             else:
                 assert Circuit(gates, []).gates == tuple(gates)
+
+
+class TestCircuitBuilder:
+    """The one emitter: ids are assigned in order, each gate is checked
+    once as it enters, and ``build`` makes no second pass."""
+
+    def test_emit_assigns_dense_ids(self):
+        b = CircuitBuilder()
+        assert [b.emit("INPUT"), b.emit("INPUT"), b.emit("CONST1")] == [0, 1, 2]
+        assert b.emit("THRESHOLD", (0, 1, 2), 2) == 3
+        c = b.build([3])
+        assert c.gates[3] == Gate(3, "THRESHOLD", (0, 1, 2), 2)
+        assert (c.n_inputs, c.outputs, c.depth) == (2, (3,), 1)
+
+    def test_emit_refuses_with_check_gate_message(self):
+        b = CircuitBuilder()
+        b.emit("INPUT")
+        bad = [("NOT", (0, 0), None), ("AND", (1,), None), ("OR", (0,), 1),
+               ("THRESHOLD", (0,), 2), ("XOR", (0,), None), ("INPUT", (0,), None)]
+        for kind, inputs, k in bad:
+            with pytest.raises(CircuitError) as want:
+                _check_gate(Gate(1, kind, inputs, k), 1)
+            with pytest.raises(CircuitError) as got:
+                b.emit(kind, inputs, k)
+            assert str(got.value) == str(want.value)
+            assert len(b.gates) == 1
+
+    def test_build_checks_outputs(self):
+        b = CircuitBuilder()
+        b.emit("INPUT")
+        with pytest.raises(CircuitError, match="output id 1 out of range"):
+            b.build([0, 1])
+        with pytest.raises(CircuitError, match="output id -1 out of range"):
+            b.build([-1])
+
+    def test_every_gate_is_checked_once(self, monkeypatch):
+        """However a circuit is made, each of its gates passes through
+        ``CircuitBuilder.emit`` exactly once."""
+        synthesized = synth_primitive("iter_add", 2, m=3).circuit
+        text = serialize_netlist(synthesized)
+        small = enumerate_small_circuits(2, 2, include_or=True)[-1]
+        makers = {
+            "synthesize": lambda: [synth_primitive("add", 2).circuit],
+            "parse": lambda: [parse_netlist(text)],
+            "rewrite": lambda: [to_majority_only(synthesized)],
+            "lower": lambda: [lower_or_gates(small)],
+            "enumerate": lambda: enumerate_small_circuits(2, 2, include_or=True),
+            "construct": lambda: [Circuit(synthesized.gates, synthesized.outputs)],
+        }
+        calls = [0]
+        emit = CircuitBuilder.emit
+
+        def counted(builder, *args):
+            calls[0] += 1
+            return emit(builder, *args)
+
+        monkeypatch.setattr(CircuitBuilder, "emit", counted)
+        for name, make in makers.items():
+            calls[0] = 0
+            made = make()
+            assert calls[0] == sum(len(c.gates) for c in made), name
 
 
 class TestCircuitStructure:

@@ -14,6 +14,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cache, reduce
 from operator import getitem
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -799,10 +800,59 @@ class TestHardnessCommands:
             "more than the 65536 allowed\n",
         )
 
+    def test_barrington_refuses_unused_or_gate(self, tmp_path, capsys):
+        """Every gate is held to the AND/NOT basis, also one that no output
+        reads."""
+        nl = tmp_path / "unused_or.nl"
+        nl.write_text("0 INPUT\n1 INPUT\n2 OR 0 1\n3 NOT 0\nOUTPUTS 3\n")
+        assert main(["hardness", "barrington", str(nl), "--check"]) == 2
+        assert capsys.readouterr() == (
+            "", "UnsupportedGate: OR gate 2: lower to the AND/NOT basis first\n"
+        )
+
+    def test_barrington_refuses_unused_long_chain(self, tmp_path, capsys):
+        """An unused 20-input AND chain is refused by the length bound,
+        though the output is one NOT of an input."""
+        path = self._and_chain(tmp_path, 20)
+        text = open(path, encoding="utf-8").read().replace("OUTPUTS 38", "39 NOT 0\nOUTPUTS 39")
+        nl = tmp_path / "unused_chain.nl"
+        nl.write_text(text, encoding="utf-8")
+        assert main(["hardness", "barrington", str(nl), "--check"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "ValueError: gate 34's program needs 98302 instructions, "
+            "more than the 65536 allowed\n",
+        )
+
     def test_barrington_builds_program_within_the_bound(self, tmp_path, capsys):
         assert main(["hardness", "barrington", self._and_chain(tmp_path, 14)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert (report["instructions"], report["length_ok"]) == (24574, True)
+
+
+class TestReadmeNand:
+    """The README's `nand.nl` and the two command lines it runs on it."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_eval_and_barrington_lines(self, tmp_path, capsys, monkeypatch):
+        readme = self.README.read_text(encoding="utf-8")
+        netlist = re.search(r"is `nand\.nl`.*?```\n(.*?)```", readme, re.S).group(1)
+        assert netlist == "0 INPUT\n1 INPUT\n2 AND 0 1\n3 NOT 2\nOUTPUTS 3\n"
+        (tmp_path / "nand.nl").write_text(netlist, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        runs = re.findall(r"^\$ artifact (.*nand\.nl)[^\n]*\n((?:[^$`\n][^\n]*\n)*)", readme, re.M)
+        assert [argv.split()[:2] for argv, _ in runs] == [["circuit", "eval"], ["hardness", "barrington"]]
+
+        (eval_argv, eval_shown), (barr_argv, barr_shown) = runs
+        assert main(eval_argv.split()) == 0
+        assert capsys.readouterr().out == eval_shown == "0\n1\n"
+
+        assert main(barr_argv.split()) == 0
+        report = json.loads(capsys.readouterr().out)
+        shown = json.loads(barr_shown.replace(", ... }", "}"))
+        assert shown.items() <= report.items()
+        assert (report["circuit_depth"], report["instructions"], report["length_bound"]) == (2, 5, 16)
 
 
 # sha256 of `hardness gen perm --size S --seed N` stdout (the instances)

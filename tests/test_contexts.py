@@ -18,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from artifact import contexts
 from artifact.contexts import (
     EXACT_EXP_BOUND,
+    EXACT_REF_P,
     ExactDomainError,
     ExactScalars,
     PBitScalars,
@@ -172,11 +174,16 @@ class TestAggregations:
 
 
 class TestGuardSmall:
-    @pytest.mark.parametrize("ref_p", [2, 15, 16, 64])
+    """``ExactScalars.guard_small`` is ``|a| < 2**-(EXACT_REF_P // 2)``.  The
+    rule is checked at the shipped constant and, set in place, at a few
+    others, odd ones included."""
+
+    @pytest.mark.parametrize("precision", [2, 15, 16, EXACT_REF_P])
     @pytest.mark.parametrize("k", [1, 3, 1 << 40])
-    def test_threshold_is_exclusive(self, ref_p, k):
-        c = ExactScalars(ref_p)
-        t = 1 << (ref_p // 2)  # the threshold is 1 / t
+    def test_threshold_is_exclusive(self, precision, k, monkeypatch):
+        monkeypatch.setattr(contexts, "EXACT_REF_P", precision)
+        c = ExactScalars()
+        t = 1 << (precision // 2)  # the threshold is 1 / t
         for sign in (1, -1):
             assert not c.guard_small((sign * k, t * k))
             assert c.guard_small((sign * k, t * k + 1))
@@ -184,10 +191,10 @@ class TestGuardSmall:
         assert c.guard_small((0, k))
 
     @SETTINGS
-    @given(st.sampled_from([8, 16, 64]), pairs(bits=48))
-    def test_matches_fraction(self, ref_p, a):
-        threshold = F(1, 1 << (ref_p // 2))
-        assert ExactScalars(ref_p).guard_small(a) == (abs(F(*a)) < threshold)
+    @given(pairs(bits=48))
+    def test_matches_fraction(self, a):
+        threshold = F(1, 1 << (EXACT_REF_P // 2))
+        assert ExactScalars().guard_small(a) == (abs(F(*a)) < threshold)
 
 
 class TestPBitGuardSmall:
@@ -236,12 +243,12 @@ _ELEMENTARY = {
 class TestElementary:
     @pytest.mark.parametrize("name", sorted(_ELEMENTARY))
     @SETTINGS
-    @given(st.sampled_from([16, 64]), pairs(bits=10))
-    def test_equals_round_p_of_the_fraction(self, name, ref_p, a):
-        c = ExactScalars(ref_p)
+    @given(pairs(bits=10))
+    def test_equals_round_p_of_the_fraction(self, name, a):
+        c = ExactScalars()
         fn = _ELEMENTARY[name]
         try:
-            want = fn(round_p(F(*a), ref_p)).to_fraction()
+            want = fn(round_p(F(*a), EXACT_REF_P)).to_fraction()
         except (ArithmeticError, ValueError) as exc:  # Overflow, NegativeInput, ...
             with pytest.raises(type(exc)):
                 getattr(c, name)(a)
@@ -255,7 +262,7 @@ class TestExactDomain:
     naming the op and the exponent, instead of building its power of two."""
 
     def test_bound_is_inclusive_on_both_sides(self):
-        c = ExactScalars()  # ref_p = 64: a power of two is 2**63 * 2**e
+        c = ExactScalars()  # EXACT_REF_P = 64: a power of two is 2**63 * 2**e
         top = EXACT_EXP_BOUND + 63
         assert c.sqrt((1 << 2 * top, 1)) == (1 << top, 1)
         with pytest.raises(ExactDomainError, match=f"sqrt result has exponent {EXACT_EXP_BOUND + 1},"):

@@ -19,7 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact.circuits import ArityMismatch, Circuit, Gate, evaluate, serialize_netlist
+from artifact.circuits import (
+    ArityMismatch,
+    Circuit,
+    Gate,
+    evaluate,
+    serialize_netlist,
+    to_majority_only,
+)
 from artifact.hardness import (
     ACCEPTING_CYCLE,
     ArithFormula,
@@ -49,6 +56,7 @@ from artifact.hardness import (
     parse_permutation_line,
     word_problem,
 )
+from artifact.synthesis import synth_primitive
 
 # --------------------------------------------------------------- oracles
 
@@ -578,6 +586,25 @@ class TestBranchingPrograms:
         with pytest.raises(UnsupportedGate):
             barrington_transform(wide)
 
+    def test_refuses_unsupported_gate_outside_the_output_cone(self):
+        """The documented rule: every gate of the netlist is held to the
+        basis, also one that no output reads."""
+        unused_or = Circuit(
+            [Gate(0, "INPUT"), Gate(1, "INPUT"), Gate(2, "OR", (0, 1)), Gate(3, "NOT", (0,))],
+            [3],
+        )
+        with pytest.raises(UnsupportedGate, match="OR gate 2"):
+            barrington_transform(unused_or)
+
+    def test_refuses_long_program_outside_the_output_cone(self):
+        """An unused 20-input AND chain is refused by the length bound even
+        though the output is one NOT of an input."""
+        chain = and_chain(20)
+        n = len(chain.gates)
+        circuit = Circuit(list(chain.gates) + [Gate(n, "NOT", (0,))], [n])
+        with pytest.raises(ValueError, match="gate 34's program needs 98302 instructions"):
+            barrington_transform(circuit)
+
     def test_rejects_multi_output(self):
         circuit = Circuit([Gate(0, "INPUT"), Gate(1, "NOT", (0,))], [0, 1])
         with pytest.raises(ValueError):
@@ -663,6 +690,16 @@ _FAMILY_SHA256 = {
     (4, 2, True): "cb70c42a9170f250e1a8e082c9d6dd6f78608a65c3a5e1684a00228b67d5813c",
     (3, 4, False): "d3ba53c6f980d135426fa63990df733875f82ba13fb9ee82716c256f20937c43",
 }
+# sha256 of the concatenated `serialize_netlist` text of the rewriters'
+# output: `to_majority_only` and `lower_or_gates` over every circuit of
+# `enumerate_small_circuits(3, 3, include_or=True)`, and `to_majority_only`
+# over the circuits the exhaustive checks sweep, `synth_primitive(kind, p)`
+# for p = 2, 3 and kind = compare, add, mul, in that order.
+_REWRITE_SHA256 = {
+    "majority-family": "83ee09c511a5ef0da2b946270e754d52489153d837c28f262810a0cddb292ef7",
+    "lowered-family": "3a435d4ecbe57ebd7dbcc8c8c4844073ad4d4efeefd32519a7198655bd476098",
+    "majority-synthesized": "d7562213f588c845a9e1120a7dc50494e7c535b0ff99369490fac708d4a29f9a",
+}
 # sha256 of the repr of, per circuit of `enumerate_small_circuits(3, 3,
 # include_or)`, the `(var, on_true.image, on_false.image)` of every
 # instruction of `barrington_transform(lower_or_gates(circuit))`; with the
@@ -706,6 +743,21 @@ class TestPlainValues:
     def test_family_netlists_pinned(self, args):
         text = "".join(serialize_netlist(c) for c in enumerate_small_circuits(*args))
         assert hashlib.sha256(text.encode()).hexdigest() == _FAMILY_SHA256[args]
+
+    @pytest.mark.parametrize("name", sorted(_REWRITE_SHA256))
+    def test_rewritten_netlists_pinned(self, name):
+        family = enumerate_small_circuits(3, 3, include_or=True)
+        circuits = {
+            "majority-family": lambda: map(to_majority_only, family),
+            "lowered-family": lambda: map(lower_or_gates, family),
+            "majority-synthesized": lambda: (
+                to_majority_only(synth_primitive(kind, p).circuit)
+                for p in (2, 3)
+                for kind in ("compare", "add", "mul")
+            ),
+        }[name]()
+        text = "".join(serialize_netlist(c) for c in circuits)
+        assert hashlib.sha256(text.encode()).hexdigest() == _REWRITE_SHA256[name]
 
     @pytest.mark.parametrize("include_or", [False, True], ids=["and-not", "lowered-or"])
     def test_program_instructions_pinned(self, include_or):
