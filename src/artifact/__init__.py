@@ -6,168 +6,31 @@ functions (`elementary`), matrices and evaluation contexts (`matrices`,
 circuit-depth calculus with execution tracing (`depth`), threshold-circuit
 IR and synthesis (`circuits`, `synthesis`), and evaluators for canonical
 NC1-complete problems (`hardness`).
+
+The package exports every name its library modules export: each module's
+``__all__`` is the one list of its public names, and this ``__all__`` is
+their concatenation.
 """
 
-from artifact.circuits import (
-    Circuit,
-    CircuitError,
-    Gate,
-    ParseError,
-    evaluate,
-    evaluate_many,
-    evaluate_words,
-    is_majority_only,
-    parse_netlist,
-    serialize_netlist,
-    to_majority_only,
-)
-from artifact.contexts import (
-    ExactDomainError,
-    ExactScalars,
-    PBitScalars,
-    ScalarContext,
-    exact_value,
-)
-from artifact.depth import (
-    check_depth,
-    critical_depth,
-    depth_report,
-    formula_registry,
-    trace_component,
-    trace_run,
-)
-from artifact.elementary import (
-    exp_fp,
-    log_fp,
-    sigmoid_fp,
-    silu_fp,
-    softplus_fp,
-    sqrt_fp,
-)
-from artifact.floats import (
-    Comparison,
-    DivisionByZero,
-    FpError,
-    FpNumber,
-    Overflow,
-    fp_add,
-    fp_compare,
-    fp_div,
-    fp_floor,
-    fp_mul,
-    iter_add,
-    iter_mul,
-    round_p,
-)
-from artifact.hardness import (
-    ArithFormula,
-    BoolFormula,
-    PbpProgram,
-    Permutation,
-    Semiring,
-    barrington_transform,
-    compose,
-    eval_arith,
-    eval_bool,
-    eval_pbp,
-    gen_instances,
-    parse_arith,
-    parse_bool_infix,
-    parse_bool_postfix,
-    word_problem,
-)
-from artifact.mamba import (
-    MambaParams,
-    ShapeConfig,
-    forward_matrix,
-    forward_routes,
-    mamba_forward,
-    random_input,
-    random_params,
-    ssm_convolution,
-    ssm_recurrent,
-)
-from artifact.matrices import FpMatrix, ShapeMismatch, max_rel_gap
-from artifact.synthesis import (
-    BitEncoding,
-    SynthesizedOp,
-    UnsupportedPrecision,
-    check_op,
-    synth_primitive,
-)
+from artifact.circuits import *
+from artifact.contexts import *
+from artifact.depth import *
+from artifact.elementary import *
+from artifact.floats import *
+from artifact.hardness import *
+from artifact.mamba import *
+from artifact.matrices import *
+from artifact.synthesis import *
 
-__all__ = [
-    "ArithFormula",
-    "BitEncoding",
-    "BoolFormula",
-    "Circuit",
-    "CircuitError",
-    "Comparison",
-    "DivisionByZero",
-    "ExactDomainError",
-    "ExactScalars",
-    "FpError",
-    "FpMatrix",
-    "FpNumber",
-    "Gate",
-    "MambaParams",
-    "Overflow",
-    "ParseError",
-    "PBitScalars",
-    "PbpProgram",
-    "Permutation",
-    "ScalarContext",
-    "Semiring",
-    "ShapeConfig",
-    "ShapeMismatch",
-    "SynthesizedOp",
-    "UnsupportedPrecision",
-    "barrington_transform",
-    "check_depth",
-    "check_op",
-    "compose",
-    "critical_depth",
-    "depth_report",
-    "eval_arith",
-    "eval_bool",
-    "eval_pbp",
-    "evaluate",
-    "evaluate_many",
-    "evaluate_words",
-    "exact_value",
-    "exp_fp",
-    "formula_registry",
-    "forward_matrix",
-    "forward_routes",
-    "fp_add",
-    "fp_compare",
-    "fp_div",
-    "fp_floor",
-    "fp_mul",
-    "gen_instances",
-    "is_majority_only",
-    "iter_add",
-    "iter_mul",
-    "log_fp",
-    "mamba_forward",
-    "max_rel_gap",
-    "parse_arith",
-    "parse_bool_infix",
-    "parse_bool_postfix",
-    "parse_netlist",
-    "random_input",
-    "random_params",
-    "round_p",
-    "serialize_netlist",
-    "sigmoid_fp",
-    "silu_fp",
-    "softplus_fp",
-    "sqrt_fp",
-    "ssm_convolution",
-    "ssm_recurrent",
-    "synth_primitive",
-    "to_majority_only",
-    "trace_component",
-    "trace_run",
-    "word_problem",
-]
+# Importing a submodule binds it in this namespace, so each is in scope here.
+__all__ = (
+    circuits.__all__
+    + contexts.__all__
+    + depth.__all__
+    + elementary.__all__
+    + floats.__all__
+    + hardness.__all__
+    + mamba.__all__
+    + matrices.__all__
+    + synthesis.__all__
+)

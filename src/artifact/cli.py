@@ -458,7 +458,7 @@ def cmd_mamba_depth(args: argparse.Namespace) -> int:
     else:
         shapes = _DEPTH_DEFAULT_SHAPES
     assignment = _parse_assignment(args.assign)
-    report = depth_report(shapes=shapes, assignment=assignment, strict=False)
+    report = depth_report(shapes=shapes, assignment=assignment)
     _dump(report, args.out)
     ok = True
     for comp in report["components"].values():
@@ -503,15 +503,23 @@ def cmd_circuit_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_circuit_check(args: argparse.Namespace) -> int:
+    if args.kind != "iter_add" and (args.cases, args.seed) != (None, None):
+        raise CliUsageError(
+            f"--cases and --seed sample iter_add only; {args.kind} is checked exhaustively"
+        )
+    n_cases = 200 if args.cases is None else args.cases
+    seed = 0 if args.seed is None else args.seed
+    if n_cases < 1:
+        raise CliUsageError(f"--cases must be at least 1, not {n_cases}")
     op = synth_primitive(
         args.kind, args.precision, exp_bits=args.window, m=args.operands
     )
     if args.kind == "iter_add":
-        rng = random.Random(args.seed)
+        rng = random.Random(seed)
         values = op.input_encoding.enumerate_values()
         cases = [
             tuple(rng.choice(values) for _ in range(args.operands))
-            for _ in range(args.cases)
+            for _ in range(n_cases)
         ]
         report = check_op(op, cases)
         label = "sampled"
@@ -769,10 +777,10 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--window", type=int, default=None)
     check.add_argument("-m", "--operands", type=int, default=None)
     check.add_argument(
-        "--cases", type=int, default=200,
-        help="sampled case count for iter_add (default 200)",
+        "--cases", type=int, default=None,
+        help="sampled case count, iter_add only (default 200)",
     )
-    check.add_argument("--seed", type=int, default=0)
+    check.add_argument("--seed", type=int, default=None, help="iter_add only (default 0)")
     check.set_defaults(func=cmd_circuit_check)
 
     rewrite = circ_sub.add_parser(

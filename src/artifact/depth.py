@@ -159,9 +159,9 @@ class DepthExpr:
             raise ValueError("coefficients must be nonnegative")
 
     @classmethod
-    def of(cls, mapping: Mapping[str, int] | None = None, **kw: int) -> "DepthExpr":
+    def of(cls, mapping: Mapping[str, int]) -> "DepthExpr":
         vec = _ZERO
-        for name, c in {**(mapping or {}), **kw}.items():
+        for name, c in mapping.items():
             if not c:
                 continue
             if c < 0:
@@ -440,23 +440,6 @@ def formula_registry() -> Mapping[str, DepthExpr]:
     return _REGISTRY
 
 
-#: Which registry formula each traceable component is checked against.
-COMPONENT_REGISTRY_KEYS: Mapping[str, str] = MappingProxyType(
-    {
-        "log": "d_log",
-        "softplus": "d_sp",
-        "discretize": "d_disc",
-        "hidden_recurrence": "d_h",
-        "conv_kernel": "d_k",
-        "conv1d": "d_1dconv",
-        "select_params": "d_select",
-        "ssm_recurrent": "d_recur",
-        "ssm_convolution": "d_conv",
-        "ssm_select_recurrent": "d_SSM",
-    }
-)
-
-
 # ------------------------------------------------------------- the checker
 
 
@@ -658,7 +641,7 @@ def _leaves(ctx: ScalarContext, *dims: int) -> Any:
     return [_leaves(ctx, *dims[1:]) for _ in range(dims[0])]
 
 
-def _params(ctx: ScalarContext, shape: ShapeConfig) -> Any:
+def _params(ctx: ScalarContext, shape: ShapeConfig) -> MambaParams:
     return wrap_params(ctx, MambaParams.build(shape, lambda name, index: Fraction(0)))
 
 
@@ -667,7 +650,7 @@ def _disc_leaves(ctx: ScalarContext, shape: ShapeConfig) -> SsmDiscrete:
     return SsmDiscrete(_leaves(ctx, n), _leaves(ctx, n, E), _leaves(ctx, E, n), _leaves(ctx))
 
 
-def _component_builders() -> Mapping[str, Callable[[TracedScalars, ShapeConfig], Any]]:
+def _components() -> dict[str, tuple[Callable[[TracedScalars, ShapeConfig], Any], str | None]]:
     def scalar(fn_name):
         def run(ctx: TracedScalars, shape: ShapeConfig):
             return getattr(ctx, fn_name)(_leaves(ctx))
@@ -722,39 +705,47 @@ def _component_builders() -> Mapping[str, Callable[[TracedScalars, ShapeConfig],
 
         return run
 
+    # Each component's builder and the registry formula it is checked
+    # against, or None.  The registered ones come in registry order, the
+    # order COMPONENT_REGISTRY_KEYS keeps.
     return {
-        "log": scalar("log"),
-        "softplus": scalar("softplus"),
-        "silu": scalar("silu"),
-        "sigmoid": scalar("sigmoid"),
-        "exp": scalar("exp"),
-        "sqrt": scalar("sqrt"),
-        "input_projection": b_input_projection,
-        "conv1d": b_conv1d,
-        "select_params": b_select,
-        "discretize": b_discretize,
-        "hidden_recurrence": b_hidden,
-        "ssm_recurrent": b_recurrent,
-        "conv_kernel": b_kernel,
-        "ssm_convolution": b_convolution,
-        "ssm_select_recurrent": b_ssm("recurrent"),
-        "ssm_select_convolution": b_ssm("convolution"),
-        "mamba_forward_recurrent": b_mamba("recurrent"),
-        "mamba_forward_convolution": b_mamba("convolution"),
+        "log": (scalar("log"), "d_log"),
+        "softplus": (scalar("softplus"), "d_sp"),
+        "silu": (scalar("silu"), None),
+        "sigmoid": (scalar("sigmoid"), None),
+        "exp": (scalar("exp"), None),
+        "sqrt": (scalar("sqrt"), None),
+        "discretize": (b_discretize, "d_disc"),
+        "hidden_recurrence": (b_hidden, "d_h"),
+        "conv_kernel": (b_kernel, "d_k"),
+        "input_projection": (b_input_projection, None),
+        "conv1d": (b_conv1d, "d_1dconv"),
+        "select_params": (b_select, "d_select"),
+        "ssm_recurrent": (b_recurrent, "d_recur"),
+        "ssm_convolution": (b_convolution, "d_conv"),
+        "ssm_select_recurrent": (b_ssm("recurrent"), "d_SSM"),
+        "ssm_select_convolution": (b_ssm("convolution"), None),
+        "mamba_forward_recurrent": (b_mamba("recurrent"), None),
+        "mamba_forward_convolution": (b_mamba("convolution"), None),
     }
 
 
-_BUILDERS = _component_builders()
+_COMPONENTS = _components()
+
+#: Which registry formula each traceable component is checked against.
+COMPONENT_REGISTRY_KEYS: Mapping[str, str] = MappingProxyType(
+    {name: key for name, (_, key) in _COMPONENTS.items() if key is not None}
+)
 
 
 def component_names() -> tuple[str, ...]:
-    return tuple(_BUILDERS)
+    return tuple(_COMPONENTS)
 
 
 def trace_component(name: str, shape: ShapeConfig) -> CostTrace:
     """Trace one component at one shape."""
     try:
-        builder = _BUILDERS[name]
+        builder, _ = _COMPONENTS[name]
     except KeyError:
         raise ValueError(f"unknown component {name!r}") from None
     return trace_run(lambda ctx: builder(ctx, shape))
@@ -775,17 +766,15 @@ def default_shape_grid() -> list[ShapeConfig]:
 def depth_report(
     shapes: Sequence[ShapeConfig] | None = None,
     assignment: Mapping[str, int] | None = None,
-    strict: bool = True,
 ) -> dict:
     """Trace every component over a shape grid and check the formulas.
 
-    The report lists, per component: the symbolic depth, its numeric value
-    under the weight assignment, whether the depth was identical across
-    every shape (with ``strict=True`` a mismatch raises ``ValueError`` —
-    the constant-depth property is an assertion, not an observation), and
-    the verdict against the component's registry formula.  The end-to-end
-    block is dual-checked against the literal formula and the recomputed
-    compositional one.
+    The report lists, per component: the symbolic depth at the first shape,
+    its numeric value under the weight assignment, whether the depth was
+    identical across every shape (``identical_across_shapes``: the
+    constant-depth property, which callers check), and the verdict against
+    the component's registry formula.  The end-to-end block is dual-checked
+    against the literal formula and the recomputed compositional one.
     """
     weights = resolve_assignment(assignment)
     grid = list(shapes) if shapes is not None else default_shape_grid()
@@ -796,11 +785,9 @@ def depth_report(
         "components": {},
     }
     traced_mamba: DepthExpr | None = None
-    for name in component_names():
+    for name, (_, key) in _COMPONENTS.items():
         depths = [trace_component(name, shape).critical_depth() for shape in grid]
         identical = all(d == depths[0] for d in depths)
-        if strict and not identical:
-            raise ValueError(f"component {name} depth varies across shapes")
         entry: dict[str, Any] = {
             "depth": depths[0].as_dict(),
             "depth_str": str(depths[0]),
@@ -808,7 +795,6 @@ def depth_report(
             "identical_across_shapes": identical,
             "shapes_checked": len(grid),
         }
-        key = COMPONENT_REGISTRY_KEYS.get(name)
         if key is not None:
             formula = registry[key]
             entry["registry_formula"] = key

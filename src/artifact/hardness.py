@@ -689,6 +689,16 @@ def lower_or_gates(circuit: Circuit) -> Circuit:
     return b.build([remap[o] for o in circuit.outputs])
 
 
+def _bound_length(gid: int, length: int) -> None:
+    """Refuse gate ``gid`` if its program would need ``length`` instructions,
+    more than :data:`MAX_PROGRAM_LENGTH`."""
+    if length > MAX_PROGRAM_LENGTH:
+        raise ValueError(
+            f"gate {gid}'s program needs {length} instructions, "
+            f"more than the {MAX_PROGRAM_LENGTH} allowed"
+        )
+
+
 def barrington_transform(circuit: Circuit) -> PbpProgram:
     """Standard width-5 construction over the fan-in-2 AND/NOT basis.
 
@@ -699,10 +709,12 @@ def barrington_transform(circuit: Circuit) -> PbpProgram:
     concatenates retargeted copies of its operands in commutator order,
     doubling their combined length — hence length <= 4**depth.
 
-    Every gate's program length is counted before any program is built,
+    Gates are built in one pass, in order.  A NOT or AND gate's program
+    length is bounded from its operands' lengths just before it is built,
     and a gate that needs more than :data:`MAX_PROGRAM_LENGTH` instructions
-    raises ``ValueError``.  Programs are built as image-tuple triples; the
-    returned program holds one :class:`Permutation` per distinct image.
+    raises ``ValueError``, so no over-long program is ever built.  Programs
+    are built as image-tuple triples; the returned program holds one
+    :class:`Permutation` per distinct image.
 
     The circuit must have exactly one output; OR/THRESHOLD gates raise
     :class:`UnsupportedGate` (lower them first via :func:`lower_or_gates`).
@@ -712,29 +724,6 @@ def barrington_transform(circuit: Circuit) -> PbpProgram:
         raise ValueError("the branching-program transform needs one output")
     if circuit.n_inputs < 1:
         raise ValueError("the transform needs at least one input bit")
-    lengths: dict[int, int] = {}
-    for g in circuit.gates:
-        if g.kind == "CONST0":
-            length = 0
-        elif g.kind in ("INPUT", "CONST1"):
-            length = 1
-        elif g.kind == "NOT":
-            length = lengths[g.inputs[0]] + 1
-        elif g.kind == "AND":
-            if len(g.inputs) != 2:
-                raise UnsupportedGate(f"AND gate {g.id} must have fan-in 2")
-            length = 2 * (lengths[g.inputs[0]] + lengths[g.inputs[1]])
-        else:
-            raise UnsupportedGate(
-                f"{g.kind} gate {g.id}: lower to the AND/NOT basis first"
-            )
-        if length > MAX_PROGRAM_LENGTH:
-            raise ValueError(
-                f"gate {g.id}'s program needs {length} instructions, "
-                f"more than the {MAX_PROGRAM_LENGTH} allowed"
-            )
-        lengths[g.id] = length
-
     rho = ACCEPTING_CYCLE.image
     rho_inv = _inverse(rho)
     ident = tuple(range(1, 6))
@@ -752,11 +741,15 @@ def barrington_transform(circuit: Circuit) -> PbpProgram:
         elif g.kind == "CONST1":
             programs[g.id] = ((0, rho, rho),)
         elif g.kind == "NOT":
-            appended = programs[g.inputs[0]] + ((0, rho_inv, rho_inv),)
-            programs[g.id] = _retarget(appended, rho_inv, rho)
-        else:  # AND: the length pass refused every other kind
+            inner = programs[g.inputs[0]]
+            _bound_length(g.id, len(inner) + 1)
+            programs[g.id] = _retarget(inner + ((0, rho_inv, rho_inv),), rho_inv, rho)
+        elif g.kind == "AND":
+            if len(g.inputs) != 2:
+                raise UnsupportedGate(f"AND gate {g.id} must have fan-in 2")
             left = programs[g.inputs[0]]
             right = programs[g.inputs[1]]
+            _bound_length(g.id, 2 * (len(left) + len(right)))
             combined = (
                 _retarget(left, rho, gamma)
                 + _retarget(right, rho, delta)
@@ -764,6 +757,10 @@ def barrington_transform(circuit: Circuit) -> PbpProgram:
                 + _retarget(right, rho, delta_inv)
             )
             programs[g.id] = _retarget(combined, commutator, rho)
+        else:
+            raise UnsupportedGate(
+                f"{g.kind} gate {g.id}: lower to the AND/NOT basis first"
+            )
     program = programs[circuit.outputs[0]]
     images = {image for _, t, f in program for image in (t, f)}
     perms = {image: Permutation(image) for image in images}

@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from fractions import Fraction
-from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from artifact.contexts import ExactScalars, PBitScalars, ScalarContext, exact_value
@@ -102,65 +101,47 @@ class ShapeConfig:
         return cls(**{k: _json_int(v) for k, v in obj.items()})
 
 
-# The parameter layout: each field's name and its dimensions as ShapeConfig
-# attribute names, outermost first (``()`` is a scalar), in dataclass field
-# order, which is also the order ``MambaParams.build`` fills them in.
-PARAM_SCHEMA: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("w_x_in", ("d_model", "d_inner")),
-    ("b_x_in", ("d_inner",)),
-    ("w_conv", ("kernel_size", "d_inner", "d_inner")),
-    ("a_diag", ("d_state",)),
-    ("b_base", ("d_state", "d_inner")),
-    ("c_base", ("d_inner", "d_state")),
-    ("w_b", ("d_state", "seq_len")),
-    ("p_b", ("d_inner", "d_inner")),
-    ("w_c", ("d_inner", "seq_len")),
-    ("p_c", ("d_inner", "d_state")),
-    ("w_delta", ("seq_len",)),
-    ("p_delta", ("d_inner",)),
-    ("w_delta_scalar", ()),
-    ("w_x_out", ("d_inner", "d_model")),
-    ("b_x_out", ("d_model",)),
-)
-
-# The optional gate-branch projection: both fields set, or both ``None``
-# (the gate then shares the input projection).
-GATE_SCHEMA: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("w_gate", ("d_model", "d_inner")),
-    ("b_gate", ("d_inner",)),
-)
+def _dims(*dims: str, default=MISSING):
+    """A parameter field with its dimensions as ``ShapeConfig`` attribute
+    names, outermost first (none for a scalar)."""
+    return field(default=default, metadata={"dims": dims})
 
 
 @dataclass(frozen=True, slots=True)
 class MambaParams:
-    """All model parameters as exact rationals, laid out by :data:`PARAM_SCHEMA`.
+    """All model parameters, each field declared once with its dimensions.
+
+    The fields without a default make up :data:`PARAM_SCHEMA`, the two
+    ``None``-default ones :data:`GATE_SCHEMA`; both are read off the field
+    list.  Leaves are exact rationals, or context values once
+    :func:`wrap_params` has run.
 
     ``b_base``/``c_base`` are the direct (non-selective) state-space input
     and output maps, used when the discretization and recurrence run on
     their own; the selective path replaces them with the input-dependent
     ``w_b/p_b`` and ``w_c/p_c`` sandwich products.  The state matrix is
     diagonal and stored as its diagonal ``a_diag``.  ``w_gate``/``b_gate``
-    (:data:`GATE_SCHEMA`) are the gate-branch projection; when ``None`` the
-    gate shares the main input projection (the default tying).
+    are the gate-branch projection: both set, or both ``None``, and then
+    the gate shares the main input projection (the default tying).
     """
 
-    w_x_in: Mat
-    b_x_in: Vec
-    w_conv: tuple[Mat, ...]
-    a_diag: Vec
-    b_base: Mat
-    c_base: Mat
-    w_b: Mat
-    p_b: Mat
-    w_c: Mat
-    p_c: Mat
-    w_delta: Vec
-    p_delta: Vec
-    w_delta_scalar: Fraction
-    w_x_out: Mat
-    b_x_out: Vec
-    w_gate: Mat | None = None
-    b_gate: Vec | None = None
+    w_x_in: Mat = _dims("d_model", "d_inner")
+    b_x_in: Vec = _dims("d_inner")
+    w_conv: tuple[Mat, ...] = _dims("kernel_size", "d_inner", "d_inner")
+    a_diag: Vec = _dims("d_state")
+    b_base: Mat = _dims("d_state", "d_inner")
+    c_base: Mat = _dims("d_inner", "d_state")
+    w_b: Mat = _dims("d_state", "seq_len")
+    p_b: Mat = _dims("d_inner", "d_inner")
+    w_c: Mat = _dims("d_inner", "seq_len")
+    p_c: Mat = _dims("d_inner", "d_state")
+    w_delta: Vec = _dims("seq_len")
+    p_delta: Vec = _dims("d_inner")
+    w_delta_scalar: Fraction = _dims()
+    w_x_out: Mat = _dims("d_inner", "d_model")
+    b_x_out: Vec = _dims("d_model")
+    w_gate: Mat | None = _dims("d_model", "d_inner", default=None)
+    b_gate: Vec | None = _dims("d_inner", default=None)
 
     @classmethod
     def build(cls, shape: ShapeConfig, leaf: Callable[[str, tuple], Fraction]) -> "MambaParams":
@@ -217,6 +198,17 @@ class MambaParams:
         return cls(**decoded)
 
 
+# The parameter layout, read off the fields in order: each field's name
+# and dimensions.  The required fields, in the order ``MambaParams.build``
+# fills them in, then the optional gate pair.
+PARAM_SCHEMA: tuple[tuple[str, tuple[str, ...]], ...] = tuple(
+    (f.name, f.metadata["dims"]) for f in fields(MambaParams) if f.default is MISSING
+)
+GATE_SCHEMA: tuple[tuple[str, tuple[str, ...]], ...] = tuple(
+    (f.name, f.metadata["dims"]) for f in fields(MambaParams) if f.default is None
+)
+
+
 def _has_dims(value, sizes: Sequence[int]) -> bool:
     if not isinstance(value, (tuple, list)):
         return not sizes
@@ -268,13 +260,13 @@ class SsmDiscrete:
 # ----------------------------------------------------------------- wiring
 
 
-def wrap_params(ctx: ScalarContext, params: MambaParams) -> SimpleNamespace:
-    """Convert exact parameters into context leaves, in schema order; a
-    tied gate stays ``None``."""
-    pw = SimpleNamespace(**{name: None for name, _ in GATE_SCHEMA})
-    for name, dims in params._schema():
-        setattr(pw, name, _nested(ctx.input, getattr(params, name), len(dims)))
-    return pw
+def wrap_params(ctx: ScalarContext, params: MambaParams) -> MambaParams:
+    """The parameters with every leaf converted to a context value, in
+    schema order; a tied gate stays ``None``."""
+    return MambaParams(**{
+        name: _nested(ctx.input, getattr(params, name), len(dims))
+        for name, dims in params._schema()
+    })
 
 
 def wrap_values(ctx: ScalarContext, rows: Sequence[Sequence[Fraction]]):
@@ -511,7 +503,7 @@ def _check_forms(forms: Sequence[str]) -> None:
             raise ValueError(f"unknown evaluation form {form!r}")
 
 
-def _ssm_routes(ctx: ScalarContext, pw, x, forms: Sequence[str]) -> list:
+def _ssm_routes(ctx: ScalarContext, pw: MambaParams, x, forms: Sequence[str]) -> list:
     """Selection and discretization once, then one evaluation per form."""
     _check_forms(forms)
     s_b, s_c, delta = select_params(
@@ -527,7 +519,7 @@ def _ssm_routes(ctx: ScalarContext, pw, x, forms: Sequence[str]) -> list:
     ]
 
 
-def ssm_select(ctx: ScalarContext, pw, x, form: str = "recurrent"):
+def ssm_select(ctx: ScalarContext, pw: MambaParams, x, form: str = "recurrent"):
     """Selection, discretization, and one of the two evaluations.
 
     ``form`` is ``"recurrent"`` or ``"convolution"``; the two are
@@ -538,15 +530,14 @@ def ssm_select(ctx: ScalarContext, pw, x, form: str = "recurrent"):
     return _ssm_routes(ctx, pw, x, (form,))[0]
 
 
-def _forward_routes(ctx: ScalarContext, pw, x, forms: Sequence[str], gate_override=None) -> list:
+def _forward_routes(ctx: ScalarContext, pw: MambaParams, x, forms: Sequence[str]) -> list:
     """The block up to the discretization once, then the evaluation, the
     gating and the output projection once per form."""
     _check_forms(forms)
-    gate = gate_override
-    if gate is None and pw.w_gate is not None:
+    if pw.w_gate is not None:
         gate = silu_map(ctx, input_projection(ctx, x, pw.w_gate, pw.b_gate))
     u = input_projection(ctx, x, pw.w_x_in, pw.b_x_in)
-    if gate is None:
+    if pw.w_gate is None:
         gate = silu_map(ctx, u)  # tied: the gate shares the input projection
     a = silu_map(ctx, conv1d(ctx, u, pw.w_conv))
     return [
@@ -560,20 +551,19 @@ def _forward_routes(ctx: ScalarContext, pw, x, forms: Sequence[str], gate_overri
     ]
 
 
-def mamba_forward(ctx: ScalarContext, pw, x, form: str = "recurrent", gate_override=None):
+def mamba_forward(ctx: ScalarContext, pw: MambaParams, x, form: str = "recurrent"):
     """Full block: projections, window convolution, gated state space.
 
-    ``out = OutProj( SSM(silu(conv1d(InProj(X)))) ⊙ silu(GateProj(X)) )``.
+    ``out = OutProj( SSM(silu(conv1d(InProj(X)))) ⊙ silu(GateProj(X)) )``,
+    with ``pw`` the parameters as context values (:func:`wrap_params`).
     The gate branch belongs to the pre-barrier stage of the pipeline: an
     untied gate is projected first, and a tied one (``pw.w_gate is None``)
     is ``silu`` of the input projection, computed once and read by both
-    branches.  ``gate_override`` — a test hook — replaces the gate
-    activation matrix wholesale, e.g. with all-ones to isolate the
-    state-space branch.  The order of context calls for one form is part of
-    the depth contract: the tracer's graphs, and so every ``mamba depth``
-    byte, follow from it.
+    branches.  The order of context calls for one form is part of the depth
+    contract: the tracer's graphs, and so every ``mamba depth`` byte,
+    follow from it.
     """
-    return _forward_routes(ctx, pw, x, (form,), gate_override)[0]
+    return _forward_routes(ctx, pw, x, (form,))[0]
 
 
 # ------------------------------------------------------- instance builders

@@ -648,6 +648,29 @@ class TestCircuitCommands:
         assert code == 0
         assert "sampled: PASS (40 cases" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [["--cases", "5"], ["--seed", "3"]])
+    @pytest.mark.parametrize("kind", ["add", "compare"])
+    def test_exhaustive_check_refuses_sampling_flags(self, capsys, kind, flags):
+        assert main(["circuit", "check", kind, "-p", "2", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"CliUsageError: --cases and --seed sample iter_add only; "
+            f"{kind} is checked exhaustively\n"
+        )
+
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_sampled_check_refuses_cases_below_one(self, capsys, cases):
+        code = main(["circuit", "check", "iter_add", "-p", "2", "-m", "2", "--cases", cases])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"CliUsageError: --cases must be at least 1, not {cases}\n"
+
+    def test_sampled_check_defaults_to_200_cases(self, capsys):
+        assert main(["circuit", "check", "iter_add", "-p", "2", "-m", "2"]) == 0
+        assert capsys.readouterr().out == "sampled: PASS (200 cases, kind=iter_add, p=2)\n"
+
     def test_synth_writes_parseable_netlist(self, tmp_path, capsys):
         out = tmp_path / "add.nl"
         assert main(["circuit", "synth", "add", "-p", "2",
@@ -828,31 +851,6 @@ class TestHardnessCommands:
         assert main(["hardness", "barrington", self._and_chain(tmp_path, 14)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert (report["instructions"], report["length_ok"]) == (24574, True)
-
-
-class TestReadmeNand:
-    """The README's `nand.nl` and the two command lines it runs on it."""
-
-    README = Path(__file__).resolve().parents[1] / "README.md"
-
-    def test_eval_and_barrington_lines(self, tmp_path, capsys, monkeypatch):
-        readme = self.README.read_text(encoding="utf-8")
-        netlist = re.search(r"is `nand\.nl`.*?```\n(.*?)```", readme, re.S).group(1)
-        assert netlist == "0 INPUT\n1 INPUT\n2 AND 0 1\n3 NOT 2\nOUTPUTS 3\n"
-        (tmp_path / "nand.nl").write_text(netlist, encoding="utf-8")
-        monkeypatch.chdir(tmp_path)
-        runs = re.findall(r"^\$ artifact (.*nand\.nl)[^\n]*\n((?:[^$`\n][^\n]*\n)*)", readme, re.M)
-        assert [argv.split()[:2] for argv, _ in runs] == [["circuit", "eval"], ["hardness", "barrington"]]
-
-        (eval_argv, eval_shown), (barr_argv, barr_shown) = runs
-        assert main(eval_argv.split()) == 0
-        assert capsys.readouterr().out == eval_shown == "0\n1\n"
-
-        assert main(barr_argv.split()) == 0
-        report = json.loads(capsys.readouterr().out)
-        shown = json.loads(barr_shown.replace(", ... }", "}"))
-        assert shown.items() <= report.items()
-        assert (report["circuit_depth"], report["instructions"], report["length_bound"]) == (2, 5, 16)
 
 
 # sha256 of `hardness gen perm --size S --seed N` stdout (the instances)

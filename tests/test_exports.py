@@ -29,3 +29,14 @@ def test_all_names_resolve(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+def test_package_exports_are_the_library_modules_exports():
+    """The package's ``__all__`` is the library modules' ``__all__``s
+    concatenated in module-name order, so each export is declared once,
+    in its own module, and none is missing from the package."""
+    library = [importlib.import_module(name) for name in EXPORTING if name.count(".") == 1]
+    assert artifact.__all__ == [n for module in library for n in module.__all__]
+    for module in library:
+        for name in module.__all__:
+            assert getattr(artifact, name) is getattr(module, name)
