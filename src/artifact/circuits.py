@@ -10,6 +10,10 @@ smaller ids), which makes evaluation a single forward pass.
 Gates enter a circuit one way only, through a :class:`CircuitBuilder`,
 which checks each gate once as it is added; the parser, the synthesizer,
 the rewriters and ``Circuit(gates, outputs)`` itself all go through it.
+The rewriters (:func:`to_majority_only` here, ``lower_or_gates`` in
+:mod:`artifact.hardness`) share one copy pass, ``_rewrite``: it copies
+sources and NOT gates and hands each AND, OR and THRESHOLD gate to the
+rewriter's rule.
 
 Depth counts gate levels along input-to-output paths: ``INPUT`` and the
 two constant kinds are depth-zero sources (a constant lies on no
@@ -39,7 +43,7 @@ line number on error.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 __all__ = [
     "ArityMismatch",
@@ -346,6 +350,39 @@ def evaluate(circuit: Circuit, assignment: Sequence[int]) -> tuple[int, ...]:
 # ------------------------------------------------------------ majority form
 
 
+def _rewrite(
+    circuit: Circuit, rule: Callable[[CircuitBuilder, Gate, tuple[int, ...]], int]
+) -> Circuit:
+    """Copy ``circuit`` gate by gate into a fresh builder.
+
+    Sources and NOT gates are copied as they are; each AND, OR and
+    THRESHOLD gate is handed to ``rule(builder, gate, inputs)``, with its
+    inputs already mapped to their new ids, and becomes the id the rule
+    returns.  Outputs map to the new ids of the same gates.
+    """
+    b = CircuitBuilder()
+    remap: list[int] = []  # gate ids are dense, so a list indexed by old id
+    for g in circuit.gates:
+        ins = tuple(remap[q] for q in g.inputs)
+        if g.kind in _SOURCE_KINDS or g.kind == "NOT":
+            remap.append(b.emit(g.kind, ins))
+        else:
+            remap.append(rule(b, g, ins))
+    return b.build([remap[o] for o in circuit.outputs])
+
+
+def _majority(b: CircuitBuilder, g: Gate, ins: tuple[int, ...]) -> int:
+    f = len(ins)
+    k = f if g.kind == "AND" else 1 if g.kind == "OR" else g.k
+    pads = f - 2 * k + 1
+    if pads >= 0:
+        extra = tuple(b.emit("CONST1") for _ in range(pads))
+    else:
+        extra = tuple(b.emit("CONST0") for _ in range(-pads))
+    full = ins + extra
+    return b.emit("THRESHOLD", full, len(full) // 2 + 1)
+
+
 def to_majority_only(circuit: Circuit) -> Circuit:
     """Rewrite every AND/OR/THRESHOLD into a MAJORITY-shaped THRESHOLD.
 
@@ -359,30 +396,7 @@ def to_majority_only(circuit: Circuit) -> Circuit:
     monotone majority form; the gate basis after rewriting is
     MAJORITY/NOT/constants).  Outputs are preserved gate-for-gate.
     """
-    b = CircuitBuilder()
-    remap: dict[int, int] = {}
-
-    def majority(inputs: tuple[int, ...], k: int) -> int:
-        f = len(inputs)
-        pads = f - 2 * k + 1
-        if pads >= 0:
-            extra = tuple(b.emit("CONST1") for _ in range(pads))
-        else:
-            extra = tuple(b.emit("CONST0") for _ in range(-pads))
-        full = inputs + extra
-        return b.emit("THRESHOLD", full, len(full) // 2 + 1)
-
-    for g in circuit.gates:
-        ins = tuple(remap[q] for q in g.inputs)
-        if g.kind in ("INPUT", "CONST0", "CONST1", "NOT"):
-            remap[g.id] = b.emit(g.kind, ins)
-        elif g.kind == "AND":
-            remap[g.id] = majority(ins, len(ins))
-        elif g.kind == "OR":
-            remap[g.id] = majority(ins, 1)
-        else:  # THRESHOLD
-            remap[g.id] = majority(ins, g.k or 1)
-    return b.build([remap[o] for o in circuit.outputs])
+    return _rewrite(circuit, _majority)
 
 
 def is_majority_only(circuit: Circuit) -> bool:

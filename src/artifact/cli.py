@@ -45,7 +45,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Decimal, Overflow, Underflow, localconte
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
-from typing import Callable, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
 from artifact.circuits import (
     Circuit,
@@ -62,25 +62,9 @@ from artifact.depth import (
     depth_report,
     resolve_assignment,
 )
-from artifact.elementary import (
-    NegativeInput,
-    NonPositiveInput,
-    exp_fp,
-    log_fp,
-    sigmoid_fp,
-    silu_fp,
-    softplus_fp,
-    sqrt_fp,
-)
-from artifact.floats import (
-    FpError,
-    FpNumber,
-    fp_add,
-    fp_div,
-    fp_floor,
-    fp_mul,
-    round_p,
-)
+from artifact.contexts import PBitScalars
+from artifact.elementary import NegativeInput, NonPositiveInput
+from artifact.floats import FpError, FpNumber
 from artifact.hardness import (
     barrington_transform,
     eval_instance,
@@ -98,7 +82,7 @@ from artifact.mamba import (
     random_params,
 )
 from artifact.matrices import FpMatrix, max_rel_gap
-from artifact.synthesis import SYNTH_KINDS, check_op, synth_primitive
+from artifact.synthesis import MAX_SWEEP_LANES, SYNTH_KINDS, check_op, synth_primitive
 
 
 class CliUsageError(ValueError):
@@ -117,15 +101,8 @@ class _Parser(argparse.ArgumentParser):
 # ------------------------------------------------------------- fp command
 
 
-_UNARY_FNS: dict[str, Callable[[FpNumber], FpNumber]] = {
-    "floor": fp_floor,
-    "exp": exp_fp,
-    "log": log_fp,
-    "sqrt": sqrt_fp,
-    "sigmoid": sigmoid_fp,
-    "softplus": softplus_fp,
-    "silu": silu_fp,
-}
+# The grammar's function names, each a method of :class:`PBitScalars`.
+_FUNCTIONS = ("floor", "exp", "log", "sqrt", "sigmoid", "softplus", "silu")
 
 
 def _tokenize_expr(text: str) -> list[str]:
@@ -155,7 +132,7 @@ def _tokenize_expr(text: str) -> list[str]:
     return tokens
 
 
-def _literal(tok: str, p: int) -> FpNumber:
+def _literal(tok: str, ctx: PBitScalars) -> FpNumber:
     if not (tok[0].isdigit() or tok[0] == "."):
         raise CliUsageError(f"unexpected token {tok!r}")
     try:
@@ -168,17 +145,21 @@ def _literal(tok: str, p: int) -> FpNumber:
             value = Fraction(int(tok))
     except ValueError:
         raise CliUsageError(f"bad numeric literal {tok!r}") from None
-    return round_p(value, p)
+    return ctx.input(value)
 
 
 def eval_expression(text: str, p: int) -> FpNumber:
     """Evaluate the expression with every operation rounded to p bits.
 
-    Unary minus binds tightest, then ``* /``, then ``+ -``; binary
-    operators associate to the left.  The parse runs on explicit operator
-    and value stacks, so nesting depth is unbounded, and it applies each
-    operation as soon as its right operand is complete.
+    Each literal and operation is the one of ``PBitScalars(p)``: literals
+    enter through ``input``, ``+ - * /`` are ``add``/``mul``/``div``, and
+    a function name is the context method of that name.  Unary minus binds
+    tightest, then ``* /``, then ``+ -``; binary operators associate to
+    the left.  The parse runs on explicit operator and value stacks, so
+    nesting depth is unbounded, and it applies each operation as soon as
+    its right operand is complete.
     """
+    ctx = PBitScalars(p)
     values: list[FpNumber] = []
     ops: list[str] = []  # pending "neg", binary operators, "(" and function names
 
@@ -186,14 +167,14 @@ def eval_expression(text: str, p: int) -> FpNumber:
         x = values.pop()
         if op == "neg":
             values.append(FpNumber(-x.m, x.e, x.p))
-        elif op in _UNARY_FNS:
-            values.append(_UNARY_FNS[op](x))
+        elif op in _FUNCTIONS:
+            values.append(getattr(ctx, op)(x))
         elif op == "*":
-            values[-1] = fp_mul(values[-1], x)
+            values[-1] = ctx.mul(values[-1], x)
         elif op == "/":
-            values[-1] = fp_div(values[-1], x)
+            values[-1] = ctx.div(values[-1], x)
         else:
-            values[-1] = fp_add(values[-1], x if op == "+" else FpNumber(-x.m, x.e, x.p))
+            values[-1] = ctx.add(values[-1], x if op == "+" else FpNumber(-x.m, x.e, x.p))
 
     def operand_done() -> None:
         while ops and ops[-1] == "neg":
@@ -204,12 +185,12 @@ def eval_expression(text: str, p: int) -> FpNumber:
     want_operand = True
     for tok in _tokenize_expr(text):
         if want_operand:
-            if ops and ops[-1] in _UNARY_FNS and tok != "(":
+            if ops and ops[-1] in _FUNCTIONS and tok != "(":
                 raise CliUsageError(f"{ops[-1]} needs parenthesized argument")
-            if tok in ("-", "(") or tok in _UNARY_FNS:
+            if tok in ("-", "(") or tok in _FUNCTIONS:
                 ops.append("neg" if tok == "-" else tok)
             else:
-                values.append(_literal(tok, p))
+                values.append(_literal(tok, ctx))
                 want_operand = False
                 operand_done()
             continue
@@ -220,7 +201,7 @@ def eval_expression(text: str, p: int) -> FpNumber:
             want_operand = True
         elif tok == ")" and ops and ops[-1] == "(":
             ops.pop()
-            if ops and ops[-1] in _UNARY_FNS:
+            if ops and ops[-1] in _FUNCTIONS:
                 apply(ops.pop())
             operand_done()
         else:
@@ -511,6 +492,8 @@ def cmd_circuit_check(args: argparse.Namespace) -> int:
     seed = 0 if args.seed is None else args.seed
     if n_cases < 1:
         raise CliUsageError(f"--cases must be at least 1, not {n_cases}")
+    if n_cases > MAX_SWEEP_LANES:
+        raise CliUsageError(f"--cases must be at most {MAX_SWEEP_LANES}, not {n_cases}")
     op = synth_primitive(
         args.kind, args.precision, exp_bits=args.window, m=args.operands
     )
@@ -755,27 +738,27 @@ def build_parser() -> argparse.ArgumentParser:
     circ = sub.add_parser("circuit", help="threshold-circuit IR and synthesis")
     circ_sub = circ.add_subparsers(dest="subcommand", required=True)
 
+    def add_primitive_args(p: argparse.ArgumentParser) -> None:
+        p.add_argument("kind", choices=sorted(SYNTH_KINDS))
+        add_precision(p, default=3)
+        p.add_argument(
+            "--window", type=int, default=None,
+            help="exponent bits (default: p)",
+        )
+        p.add_argument(
+            "-m", "--operands", type=int, default=None,
+            help="operand count (iter_add only)",
+        )
+
     synth = circ_sub.add_parser("synth", help="synthesize a float primitive")
-    synth.add_argument("kind", choices=sorted(SYNTH_KINDS))
-    add_precision(synth, default=3)
-    synth.add_argument(
-        "--window", type=int, default=None,
-        help="exponent bits (default: p)",
-    )
-    synth.add_argument(
-        "-m", "--operands", type=int, default=None,
-        help="operand count (iter_add only)",
-    )
+    add_primitive_args(synth)
     synth.add_argument("-o", "--out", help="netlist file (default stdout)")
     synth.set_defaults(func=cmd_circuit_synth)
 
     check = circ_sub.add_parser(
         "check", help="synthesize and compare against scalar semantics"
     )
-    check.add_argument("kind", choices=sorted(SYNTH_KINDS))
-    add_precision(check, default=3)
-    check.add_argument("--window", type=int, default=None)
-    check.add_argument("-m", "--operands", type=int, default=None)
+    add_primitive_args(check)
     check.add_argument(
         "--cases", type=int, default=None,
         help="sampled case count, iter_add only (default 200)",

@@ -225,29 +225,37 @@ def sqrt_fp(x: FpNumber) -> FpNumber:
 # --------------------------------------------------------------------- log
 
 
-def _log1p_series(u: int, w: int, n_terms: int) -> tuple[int, int]:
-    """Alternating series ``sum (-1)**(i+1) u**i / i`` at ``w`` bits.
+def _log1p_series(u: int, w: int, n_terms: int, shift: int = 0) -> tuple[int, int]:
+    """Alternating series ``sum (-1)**(i+1) v**i / i`` for ``|v| <= 1/2``.
 
-    ``u`` is a signed fixed-point value with ``|u| <= 2**(w-1)`` (i.e. 1/2).
-    Returns ``(value, error_bound)`` in fixed-point units.
+    ``u`` is ``v`` in fixed point with ``w + shift`` fraction bits, and so
+    is the result: each power is a ``w``-bit fixed-point product shifted
+    right ``shift`` more bits.  Terms up to index ``n_terms - 1`` are
+    summed, stopping once a power floors to zero.  Returns ``(value, i)``,
+    ``i`` one past the index of the last term summed, which an error bound
+    may count.
     """
-    total = u
-    pw = u
-    for i in range(2, n_terms):
-        pw = _fx_mul(pw, u, w)
+    total = pw = u
+    i = 2
+    while pw and i < n_terms:
+        pw = _fx_mul(pw, u, w) >> shift
         total += (pw if i % 2 == 1 else -pw) // i
-        if pw == 0:
-            break
-    return total, 2 * n_terms + 4
+        i += 1
+    return total, i
 
 
-def _scaled_log2(k: int, w: int) -> tuple[int, int]:
-    """``k * log2`` at ``w`` bits, computed at boosted constant precision."""
+def _log_split(r: int, k: int, w: int, n_terms: int) -> tuple[int, int]:
+    """``log(r * 2**-w) + k * log 2`` at ``w`` bits, for ``|r * 2**-w - 1| <= 1/2``.
+
+    Returns ``(value, error_bound)`` in fixed-point units: ``2 * n_terms + 4``
+    for the series and 2 more for ``k * log 2``, which is computed at
+    boosted constant precision.
+    """
+    series, _ = _log1p_series(r - (1 << w), w, n_terms)
     if k == 0:
-        return 0, 0
+        return series, 2 * n_terms + 4
     wc = w + max(abs(k).bit_length(), 1) + 32
-    val = (k * _log2_fx(wc)) >> (wc - w)
-    return val, 2
+    return series + ((k * _log2_fx(wc)) >> (wc - w)), 2 * n_terms + 6
 
 
 def log_fp(x: FpNumber) -> FpNumber:
@@ -277,10 +285,9 @@ def log_fp(x: FpNumber) -> FpNumber:
         k += 1
 
     def attempt(w: int, exp_terms: int, log_terms: int) -> tuple[int, int, int]:
-        u = (r_m << (w - r_bits)) - (1 << w)  # exact: w >= p + 2
-        series, b1 = _log1p_series(u, w, log_terms)
-        klog2, b2 = _scaled_log2(k, w)
-        return series + klog2, b1 + b2, -w
+        r = r_m << (w - r_bits)  # exact: w >= p + 2
+        value, b = _log_split(r, k, w, log_terms)
+        return value, b, -w
 
     return _correctly_rounded(p, attempt)
 
@@ -349,14 +356,7 @@ def softplus_fp(x: FpNumber) -> FpNumber:
         if j <= -2:
             # exp(x) < ~0.36: series log1p(w') directly at scale 2**(j-w),
             # with ratio w' < 1/2 between consecutive terms.
-            d = -j
-            total = t_e
-            pw = t_e
-            i = 2
-            while pw != 0 and i < log_terms + 8:
-                pw = _fx_mul(pw, t_e, w) >> d
-                total += (pw if i % 2 == 1 else -pw) // i
-                i += 1
+            total, i = _log1p_series(t_e, w, log_terms + 8, -j)
             return total, b_e + 4 * i + 8, j - w
         # u = 1 + exp(x) >= 1.13: normalize u to [3/4, 3/2) and reuse
         # the log split.  Guard bits keep the normalization shift exact.
@@ -367,11 +367,10 @@ def softplus_fp(x: FpNumber) -> FpNumber:
         if 2 * u_fx > 3 << (nb + wg):
             nb += 1
         r_fx = u_fx >> nb if nb >= 0 else u_fx << -nb
-        series, b1 = _log1p_series(r_fx - (1 << wg), wg, log_terms)
-        klog2, b2 = _scaled_log2(nb, wg)
+        value, b = _log_split(r_fx, nb, wg, log_terms)
         # exp error enters u at scale 2**(j+gbits) units, is divided by
         # 2**nb (nb within 1 of max(j, 0)), and log1p has derivative <= 1.
         err_r = ((b_e + 4) << (gbits + 2)) >> max(j - 1, 0)
-        return series + klog2, b1 + b2 + err_r + 4, -wg
+        return value, b + err_r + 4, -wg
 
     return _correctly_rounded(p, attempt)

@@ -50,7 +50,7 @@ from itertools import permutations as iter_permutations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .circuits import ArityMismatch, Circuit, CircuitBuilder
+from .circuits import ArityMismatch, Circuit, CircuitBuilder, Gate, _rewrite
 
 __all__ = [
     "ACCEPTING_CYCLE",
@@ -661,32 +661,25 @@ def _retarget(instructions: tuple, source: tuple[int, ...], target: tuple[int, .
     return tuple((var, conjugate[t], conjugate[f]) for var, t, f in instructions)
 
 
+def _de_morgan(b: CircuitBuilder, g: Gate, ins: tuple[int, ...]) -> int:
+    if g.kind == "THRESHOLD":
+        raise UnsupportedGate(f"cannot lower {g.kind} gate {g.id}")
+    if len(ins) != 2:
+        raise UnsupportedGate(f"{g.kind} gate {g.id} must have fan-in 2")
+    if g.kind == "AND":
+        return b.emit("AND", ins)
+    na = b.emit("NOT", (ins[0],))
+    nb = b.emit("NOT", (ins[1],))
+    return b.emit("NOT", (b.emit("AND", (na, nb)),))
+
+
 def lower_or_gates(circuit: Circuit) -> Circuit:
     """Rewrite fan-in-2 OR gates as NOT(AND(NOT, NOT)) (De Morgan).
 
     The result uses only the basis ``barrington_transform`` accepts; any
     THRESHOLD or wider fan-in raises :class:`UnsupportedGate`.
     """
-    b = CircuitBuilder()
-    remap: dict[int, int] = {}
-    for g in circuit.gates:
-        ins = tuple(remap[q] for q in g.inputs)
-        if g.kind in ("INPUT", "CONST0", "CONST1", "NOT"):
-            remap[g.id] = b.emit(g.kind, ins)
-        elif g.kind == "AND":
-            if len(ins) != 2:
-                raise UnsupportedGate(f"AND gate {g.id} must have fan-in 2")
-            remap[g.id] = b.emit("AND", ins)
-        elif g.kind == "OR":
-            if len(ins) != 2:
-                raise UnsupportedGate(f"OR gate {g.id} must have fan-in 2")
-            na = b.emit("NOT", (ins[0],))
-            nb = b.emit("NOT", (ins[1],))
-            both = b.emit("AND", (na, nb))
-            remap[g.id] = b.emit("NOT", (both,))
-        else:
-            raise UnsupportedGate(f"cannot lower {g.kind} gate {g.id}")
-    return b.build([remap[o] for o in circuit.outputs])
+    return _rewrite(circuit, _de_morgan)
 
 
 def _bound_length(gid: int, length: int) -> None:

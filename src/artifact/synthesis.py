@@ -23,6 +23,8 @@ The rounding ops require ``exp_bits <= p``: inside that window a nonzero
 exact result of add/mul/iter-add provably stays at or above the smallest
 normalized magnitude, so the shared rounding block needs no
 below-normal path (wider windows raise :class:`UnsupportedPrecision`).
+``compare`` has no rounding block, but its size grows about fourfold per
+window bit, so its window is capped at ``MAX_PRECISION`` bits as well.
 Elementary functions are not synthesized here: their fixed-point iteration
 counts are value-dependent, which has no constant-depth unrolling at this
 granularity; they remain software-only.
@@ -47,7 +49,6 @@ __all__ = [
 
 MAX_PRECISION = 6
 MAX_ITER_OPERANDS = 64
-SYNTH_KINDS = ("compare", "add", "mul", "iter_add")
 
 
 class UnsupportedPrecision(ValueError):
@@ -144,8 +145,11 @@ class _Builder(CircuitBuilder):
     """A :class:`~artifact.circuits.CircuitBuilder` with light
     constant/identity folding.
 
-    The ``raw_*`` variants bypass folding; the counting stage uses them so
-    that degenerate columns keep the same gate levels as full ones.
+    Its folding helpers are ``not_``, ``and_`` and ``or_``.  Where a gate
+    must stay unfolded, so that degenerate columns and narrow windows keep
+    the same gate levels as full ones, the caller uses :meth:`emit`
+    directly: the counting stage, ``_cla_add``'s uniform carries and the
+    comparator's gated pad.
     """
 
     def __init__(self) -> None:
@@ -196,19 +200,6 @@ class _Builder(CircuitBuilder):
         if len(live) == 1:
             return next(iter(live))
         return self.emit("OR", tuple(live))
-
-    # Unfolded emitters: fixed gate levels regardless of degenerate inputs.
-    def raw_not(self, x: int) -> int:
-        return self.emit("NOT", (x,))
-
-    def raw_and(self, xs: Sequence[int]) -> int:
-        return self.emit("AND", tuple(xs))
-
-    def raw_or(self, xs: Sequence[int]) -> int:
-        return self.emit("OR", tuple(xs))
-
-    def raw_threshold(self, k: int, xs: Sequence[int]) -> int:
-        return self.emit("THRESHOLD", tuple(xs), k)
 
 
 # ------------------------------------------------------------ word helpers
@@ -261,7 +252,7 @@ def _cla_add(
         if not terms:
             carries.append(b.const0())
         elif uniform_carries:
-            carries.append(b.raw_or(terms))
+            carries.append(b.emit("OR", tuple(terms)))
         else:
             carries.append(b.or_(*terms))
     sums = [_xor2(b, half[i], carries[i]) for i in range(width)]
@@ -344,11 +335,13 @@ def _count_bits_uniform(b: _Builder, column: Sequence[int]) -> list[int]:
     """
     f = len(column)
     padded = (*column, b.const0())  # one tuple, shared by every T_v
-    t = {v: b.raw_threshold(v, padded) for v in range(1, f + 2)}
-    exact = {v: b.raw_and([t[v], b.raw_not(t[v + 1])]) for v in range(1, f + 1)}
+    t = {v: b.emit("THRESHOLD", padded, v) for v in range(1, f + 2)}
+    exact = {
+        v: b.emit("AND", (t[v], b.emit("NOT", (t[v + 1],)))) for v in range(1, f + 1)
+    }
     bits: list[int] = []
     for j in range(f.bit_length()):
-        bits.append(b.raw_or([exact[v] for v in range(1, f + 1) if (v >> j) & 1]))
+        bits.append(b.emit("OR", tuple(exact[v] for v in range(1, f + 1) if (v >> j) & 1)))
     return bits
 
 
@@ -600,7 +593,7 @@ def _synth_compare(p: int, exp_bits: int) -> SynthesizedOp:
     # single possible bias position) folds the carry logic two levels
     # shallower and the comparator's depth would vary with the window.
     # The gate hangs off the delta == 0 selector, which every window has.
-    pad_zero = b.raw_and([onehot[0], b.const0()])
+    pad_zero = b.emit("AND", (onehot[0], b.const0()))
     bias = [b.const0()] * 3 + [pad_zero] * (width - 3)
     for v in range(3, dmax + 1):
         bias[v] = b.and_(onehot[v], _quarter_fail(b, m_b, v))
@@ -662,17 +655,30 @@ def _synth_iter_add(p: int, exp_bits: int, m: int) -> SynthesizedOp:
     return SynthesizedOp("iter_add", p, circuit, enc, BitEncoding(p, w_out), m=m)
 
 
+#: Each primitive kind's synthesizer and the software op it is checked
+#: against, called with the operands of one case.
+_PRIMITIVES = {
+    "compare": (_synth_compare, fp_compare),
+    "add": (_synth_add, fp_add),
+    "mul": (_synth_mul, fp_mul),
+    "iter_add": (_synth_iter_add, lambda *xs: iter_add(xs)),
+}
+SYNTH_KINDS = tuple(_PRIMITIVES)
+
+
 def synth_primitive(
     kind: str, p: int, exp_bits: int | None = None, m: int | None = None
 ) -> SynthesizedOp:
     """Synthesize one primitive as a constant-depth threshold circuit.
 
     ``exp_bits`` defaults to ``p`` (the window ``[-2**(p-1), 2**(p-1))``).
-    The rounding ops require ``exp_bits <= p``; ``iter_add`` additionally
-    takes the operand count ``2 <= m <= 64``.  Out-of-range parameters
-    raise :class:`UnsupportedPrecision`.
+    The rounding ops require ``exp_bits <= p``, and ``compare`` takes
+    ``exp_bits <= MAX_PRECISION`` (6): its size grows about fourfold per
+    window bit.  ``iter_add`` additionally takes the operand count
+    ``2 <= m <= 64``.  Out-of-range parameters raise
+    :class:`UnsupportedPrecision`.
     """
-    if kind not in SYNTH_KINDS:
+    if kind not in _PRIMITIVES:
         raise ValueError(f"unknown primitive {kind!r}, expected one of {SYNTH_KINDS}")
     if not 2 <= p <= MAX_PRECISION:
         raise UnsupportedPrecision(f"p={p} outside synthesizable range [2, {MAX_PRECISION}]")
@@ -685,19 +691,20 @@ def synth_primitive(
             f"window exp_bits={exp_bits} > p={p}: rounding ops need the "
             "underflow-free window exp_bits <= p"
         )
+    if exp_bits > MAX_PRECISION:
+        raise UnsupportedPrecision(
+            f"window exp_bits={exp_bits} outside synthesizable range [1, {MAX_PRECISION}]"
+        )
+    synthesize = _PRIMITIVES[kind][0]
     if kind == "iter_add":
         if m is None or not 2 <= m <= MAX_ITER_OPERANDS:
             raise UnsupportedPrecision(
                 f"iter_add operand count must be in [2, {MAX_ITER_OPERANDS}], got {m}"
             )
-        return _synth_iter_add(p, exp_bits, m)
+        return synthesize(p, exp_bits, m)
     if m is not None:
         raise ValueError(f"operand count only applies to iter_add, not {kind}")
-    if kind == "add":
-        return _synth_add(p, exp_bits)
-    if kind == "mul":
-        return _synth_mul(p, exp_bits)
-    return _synth_compare(p, exp_bits)
+    return synthesize(p, exp_bits)
 
 
 # ------------------------------------------------------------- conformance
@@ -713,18 +720,6 @@ _VERDICT_BITS = {
 _VERDICT_CODES = {v: lt | gt << 1 for v, (lt, gt) in _VERDICT_BITS.items()}
 
 
-def _reference(kind: str):
-    """The software op a primitive kind is checked against, called with
-    the operands of one case."""
-    if kind == "add":
-        return fp_add
-    if kind == "mul":
-        return fp_mul
-    if kind == "compare":
-        return fp_compare
-    return lambda *xs: iter_add(xs)
-
-
 def _expected_words(op: SynthesizedOp, cases: Sequence[Sequence[FpNumber]]) -> list[int]:
     """Reference results of every case, packed like the circuit's outputs.
 
@@ -733,7 +728,7 @@ def _expected_words(op: SynthesizedOp, cases: Sequence[Sequence[FpNumber]]) -> l
     whose reference result the output encoding cannot hold (always a
     mismatch, as no output bits can equal it).
     """
-    ref = _reference(op.kind)
+    ref = _PRIMITIVES[op.kind][1]
     n_out = len(op.circuit.outputs)
     if op.kind == "compare":
         return pack_codes([_VERDICT_CODES[ref(*case)] for case in cases], n_out + 2)
@@ -779,13 +774,12 @@ def _mismatch_lanes(outputs: list[int], expected: list[int], limit: int) -> list
 
 
 def _mismatch_report(op: SynthesizedOp, case: Sequence[FpNumber], got: tuple[int, ...]) -> dict:
-    if op.kind == "compare":
-        want = _VERDICT_BITS[fp_compare(*case)]
+    try:
+        want = _PRIMITIVES[op.kind][1](*case)
+    except Overflow:
+        want = "overflow"
     else:
-        try:
-            want = str(_reference(op.kind)(*case))
-        except Overflow:
-            want = "overflow"
+        want = _VERDICT_BITS[want] if op.kind == "compare" else str(want)
     return {"operands": [str(x) for x in case], "want": want, "got": got}
 
 

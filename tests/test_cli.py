@@ -32,7 +32,7 @@ from artifact.hardness import (
 )
 from artifact.mamba import ShapeConfig, forward_matrix, random_input, random_params
 from artifact.matrices import FpMatrix, ShapeMismatch
-from artifact.synthesis import UnsupportedPrecision, synth_primitive
+from artifact.synthesis import MAX_SWEEP_LANES, UnsupportedPrecision, synth_primitive
 
 
 class TestExpressionParser:
@@ -66,7 +66,9 @@ class TestExpressionParser:
             eval_expression("1/0", 16)
 
     def test_syntax_errors(self):
-        for bad in ("", "2+", "log 2", "(1+2", "1 2", "sin(1)", "1..2", "@"):
+        # dup, input, add and guard_small are context methods outside the grammar.
+        for bad in ("", "2+", "log 2", "(1+2", "1 2", "sin(1)", "1..2", "@",
+                    "dup(1)", "input(1)", "add(1)", "guard_small(1)"):
             with pytest.raises(CliUsageError):
                 eval_expression(bad, 8)
 
@@ -666,6 +668,28 @@ class TestCircuitCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"CliUsageError: --cases must be at least 1, not {cases}\n"
+
+    def test_sampled_check_refuses_cases_past_the_sweep_cap(self, capsys):
+        # Refused before any case is drawn: the list is never built.
+        over = MAX_SWEEP_LANES + 1
+        code = main(["circuit", "check", "iter_add", "-p", "2", "-m", "2", "--cases", str(over)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"CliUsageError: --cases must be at most {MAX_SWEEP_LANES}, not {over}\n"
+        )
+
+    @pytest.mark.parametrize("command", ["synth", "check"])
+    def test_compare_window_past_the_cap_is_refused(self, capsys, command):
+        # Refused before synthesis: the circuit grows about 4x per window bit.
+        code = main(["circuit", command, "compare", "-p", "2", "--window", "7"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "UnsupportedPrecision: window exp_bits=7 outside synthesizable range [1, 6]\n"
+        )
 
     def test_sampled_check_defaults_to_200_cases(self, capsys):
         assert main(["circuit", "check", "iter_add", "-p", "2", "-m", "2"]) == 0

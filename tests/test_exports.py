@@ -1,10 +1,13 @@
 """Every name a module lists in ``__all__`` is defined, so a star import
-of the package or of any of its modules succeeds."""
+of the package or of any of its modules succeeds, and every name a module
+imports is used in it."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +43,23 @@ def test_package_exports_are_the_library_modules_exports():
     for module in library:
         for name in module.__all__:
             assert getattr(artifact, name) is getattr(module, name)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(artifact.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_every_imported_name_is_used(path):
+    """A name a module imports is read somewhere in it: as a name, as the
+    base of an attribute, or as a string in its ``__all__``.  Star imports
+    and ``__future__`` imports bind no name of their own and are skipped."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names if a.name != "*")
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    module = importlib.import_module(f"artifact.{path.stem}" if path.stem != "__init__" else "artifact")
+    used.update(getattr(module, "__all__", ()))
+    assert sorted(imported - used) == []

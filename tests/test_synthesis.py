@@ -21,6 +21,7 @@ from artifact.circuits import (
 )
 from artifact.floats import FpNumber, Overflow, fp_add, fp_compare, fp_mul, iter_add
 from artifact.synthesis import (
+    MAX_PRECISION,
     BitEncoding,
     SynthesizedOp,
     UnsupportedPrecision,
@@ -135,6 +136,14 @@ class TestParameterValidation:
     def test_compare_allows_wide_window(self):
         op = synth_primitive("compare", 3, exp_bits=5)
         assert op.circuit.n_inputs == 2 * (4 + 5)
+
+    def test_compare_window_cap(self):
+        # compare grows about fourfold in gates per window bit (p=2: 110,494
+        # gates at 8 bits, 417,849 at 9), so its window stops at MAX_PRECISION.
+        op = synth_primitive("compare", 2, exp_bits=MAX_PRECISION)
+        assert op.circuit.n_inputs == 2 * (3 + MAX_PRECISION)
+        with pytest.raises(UnsupportedPrecision, match=r"outside synthesizable range \[1, 6\]"):
+            synth_primitive("compare", 2, exp_bits=MAX_PRECISION + 1)
 
     def test_iter_add_operand_bounds(self):
         with pytest.raises(UnsupportedPrecision):
