@@ -82,6 +82,7 @@ from artifact.mamba import (
     random_params,
 )
 from artifact.matrices import FpMatrix, max_rel_gap
+from artifact.synthesis import MAX_PRECISION as SYNTH_MAX_PRECISION
 from artifact.synthesis import MAX_SWEEP_LANES, SYNTH_KINDS, check_op, synth_primitive
 
 
@@ -675,10 +676,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_precision(p: argparse.ArgumentParser, default: int = 16) -> None:
+    def add_precision(
+        p: argparse.ArgumentParser, default: int = 16, span: str = f"1 to {MAX_PRECISION}"
+    ) -> None:
         p.add_argument(
             "-p", "--precision", type=_precision, default=default,
-            help=f"significand bits, 1 to {MAX_PRECISION} (default {default})",
+            help=f"significand bits, {span} (default {default})",
         )
 
     fp = sub.add_parser("fp", help="evaluate an expression in p-bit floats")
@@ -740,10 +743,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_primitive_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("kind", choices=sorted(SYNTH_KINDS))
-        add_precision(p, default=3)
+        add_precision(p, default=3, span=f"2 to {SYNTH_MAX_PRECISION}")
         p.add_argument(
             "--window", type=int, default=None,
-            help="exponent bits (default: p)",
+            help=f"exponent bits, 1 to p; compare takes 1 to {SYNTH_MAX_PRECISION} "
+            "(default: p)",
         )
         p.add_argument(
             "-m", "--operands", type=int, default=None,

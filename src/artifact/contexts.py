@@ -3,8 +3,9 @@
 Model code (projections, convolutions, the state-space recurrence) is
 written once against a small scalar vocabulary and executed under any of
 three contexts: :class:`PBitScalars` rounds every operation to ``p`` bits,
-:class:`ExactScalars` computes exact rationals on integer pairs ``(n, d)``
-(the reference semantics the p-bit route is measured against;
+:class:`ExactScalars` computes exact rationals on dyadic triples
+``(n, k, d)`` standing for ``n * 2**k / d`` with an odd ``d`` (the
+reference semantics the p-bit route is measured against;
 :func:`exact_value` reads a value out as a ``Fraction``), and the tracer in
 :mod:`artifact.depth` replays the same code on node ids, recording a
 cost-annotated dataflow graph and computing no values.
@@ -30,8 +31,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from typing import Generic, Sequence, TypeVar
 
 from artifact.elementary import (
@@ -46,6 +46,7 @@ from artifact.floats import (
     DivisionByZero,
     FpError,
     FpNumber,
+    _round_quotient,
     fp_add,
     fp_div,
     fp_floor,
@@ -53,7 +54,7 @@ from artifact.floats import (
     iter_add,
     iter_mul,
     round_p,
-    round_ratio,
+    round_scaled,
 )
 
 V = TypeVar("V")
@@ -191,39 +192,45 @@ class PBitScalars(ScalarContext[FpNumber]):
         return not a.m or abs(a.m).bit_length() <= -(self.p // 2) - a.e
 
 
-Pair = tuple[int, int]
+Triple = tuple[int, int, int]
+
+#: Zero in the canonical form of :class:`ExactScalars`.
+_ZERO: Triple = (0, 0, 1)
 
 
-def _add(a: Pair, b: Pair) -> Pair:
-    """Exact ``a + b`` on pairs, not reduced: the operands' denominators
-    are combined through their gcd, as :class:`~fractions.Fraction` does."""
-    an, ad = a
-    bn, bd = b
-    if ad == bd:
-        return an + bn, ad
-    g = gcd(ad, bd)
-    if g == 1:
-        return an * bd + bn * ad, ad * bd
-    s = ad // g
-    return an * (bd // g) + bn * s, s * bd
+def _reduced(n: int, k: int, d: int) -> Triple:
+    """``(n, k, d)`` in canonical form: ``n``'s trailing zero bits move
+    into ``k``, and the gcd left to take is that of ``n`` and the odd ``d``,
+    which is small."""
+    if not n:
+        return _ZERO
+    z = (n & -n).bit_length() - 1
+    if z:
+        n >>= z
+        k += z
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+    return n, k, d
 
 
-def _reduced(n: int, d: int) -> Pair:
-    g = gcd(n, d)
-    return n // g, d // g
-
-
-def exact_value(v: Pair) -> Fraction:
+def exact_value(v: Triple) -> Fraction:
     """The rational that an :class:`ExactScalars` value stands for.
 
-    A module function rather than a method: the benchmark's op counters
-    wrap every public method of a context, and reading a value is not an op.
+    The ``Fraction`` holds the power of two ``2**k`` in its numerator or
+    denominator, where the route keeps the exponent ``k``.  A module
+    function rather than a method: the benchmark's op counters wrap every
+    public method of a context, and reading a value is not an op.
     """
-    return Fraction(*v)
+    n, k, d = v
+    return Fraction(n << k, d) if k >= 0 else Fraction(n, d << -k)
 
 
 #: The exact route's domain: the largest |exponent| an elementary result
-#: may carry.  Its power of two then has at most 2**16 bits.
+#: may carry.  :func:`exact_value` then builds a power of two of at most
+#: 2**16 bits for it; the route itself carries the exponent as ``k``.
 EXACT_EXP_BOUND = 1 << 16
 #: The precision an exact operand is rounded to before an elementary
 #: function; ``guard_small`` tests ``|a| < 2**-(EXACT_REF_P // 2)``.
@@ -232,70 +239,122 @@ EXACT_REF_P = 64
 
 class ExactDomainError(FpError):
     """An elementary result on the exact route has an exponent past
-    :data:`EXACT_EXP_BOUND` in magnitude: carrying its power of two exactly
-    would build an integer of that many bits, up to ``2**EXACT_REF_P``."""
+    :data:`EXACT_EXP_BOUND` in magnitude: reading it out with
+    :func:`exact_value` would build an integer of that many bits, up to
+    ``2**EXACT_REF_P``."""
 
 
-class ExactScalars(ScalarContext[Pair]):
-    """Exact rational arithmetic on integer pairs ``(n, d)``, ``d > 0``,
-    standing for ``n / d``; elementary functions are evaluated at the
-    reference precision :data:`EXACT_REF_P` and then carried exactly.
+class ExactScalars(ScalarContext[Triple]):
+    """Exact rational arithmetic on dyadic triples ``(n, k, d)`` standing
+    for ``n * 2**k / d``, with ``d`` odd and positive; elementary functions
+    are evaluated at the reference precision :data:`EXACT_REF_P` and then
+    carried exactly.
 
-    ``input`` and ``const`` take a ``Fraction``; :func:`exact_value` reads a
-    value back out as one, and no ``Fraction`` is built in between.  ``mul``
-    and ``add`` leave their results unreduced: a gcd per op costs more than
-    the wider integers it saves.  ``iter_add``, ``iter_mul`` and
-    ``reinject`` reduce once, so the aggregations that end each stage and
-    the carried state are in lowest terms, where equal values are equal
-    pairs.  The elementary functions round a pair with
-    :func:`~artifact.floats.round_ratio`, which does not need lowest terms,
+    Nearly every value on the route is a small odd ratio times a large
+    power of two; the triple keeps that power as the exponent ``k``, so no
+    op multiplies powers of two or takes a gcd of one.  ``input`` and
+    ``const`` take a ``Fraction``; :func:`exact_value` reads a value back
+    out as one, and no ``Fraction`` is built in between.
+
+    ``mul``, ``add`` and ``div`` leave ``n`` unreduced.  ``iter_add``,
+    ``iter_mul``, ``floor``, ``reinject`` and the leaves return the
+    canonical form:
+    ``n`` odd or zero, ``gcd(n, d) == 1``, zero as ``(0, 0, 1)``, where
+    equal values are equal triples.  The elementary functions round a
+    triple in integers, return their result ``<m, e>`` as ``(m, e, 1)``,
     and raise :class:`ExactDomainError` on a result whose exponent is past
     :data:`EXACT_EXP_BOUND` in magnitude.
     """
 
-    def input(self, q: Fraction) -> Pair:
+    def input(self, q: Fraction) -> Triple:
         if type(q) not in _RATIONAL:
             q = Fraction(q)
-        return q.numerator, q.denominator
+        d = q.denominator
+        z = (d & -d).bit_length() - 1
+        return _reduced(q.numerator, -z, d >> z)
 
     const = input
 
     def add(self, a, b):
-        return _add(a, b)
+        an, ak, ad = a
+        bn, bk, bd = b
+        if not an:
+            return b
+        if not bn:
+            return a
+        # Align at the smaller exponent, so only left shifts are taken.
+        if ak < bk:
+            bn <<= bk - ak
+        elif bk < ak:
+            an <<= ak - bk
+            ak = bk
+        if ad == bd:
+            return an + bn, ak, ad
+        g = gcd(ad, bd)
+        if g == 1:
+            return an * bd + bn * ad, ak, ad * bd
+        s = ad // g
+        return an * (bd // g) + bn * s, ak, s * bd
 
     def mul(self, a, b):
-        return a[0] * b[0], a[1] * b[1]
+        return a[0] * b[0], a[1] + b[1], a[2] * b[2]
+
+    const_mul = mul
 
     def div(self, a, b):
-        if not b[0]:
+        bn, bk, bd = b
+        if not bn:
             raise DivisionByZero("exact division by zero")
-        n, d = a[0] * b[1], a[1] * b[0]
-        return (-n, -d) if d < 0 else (n, d)
+        z = (bn & -bn).bit_length() - 1
+        bn >>= z
+        n = a[0] * bd
+        return (-n if bn < 0 else n), a[1] - bk - z, a[2] * abs(bn)
 
     def floor(self, a):
-        return a[0] // a[1], 1
+        n, k, d = a
+        # floor(floor(x) / d) == floor(x / d) for a positive integer d.
+        return _reduced((n << k if k >= 0 else n >> -k) // d, 0, 1)
 
     def iter_add(self, xs):
-        return _reduced(*reduce(_add, xs, (0, 1)))
+        # One pass finds the smallest exponent and the lcm of the odd parts
+        # of the nonzero terms; a zero term sets neither.
+        k = None
+        den = 1
+        for n, xk, d in xs:
+            if n:
+                if k is None or xk < k:
+                    k = xk
+                if den % d:
+                    den = lcm(den, d)
+        if k is None:
+            return _ZERO
+        return _reduced(sum((n * (den // d)) << (xk - k) for n, xk, d in xs if n), k, den)
 
     def iter_mul(self, xs):
         n = d = 1
-        for xn, xd in xs:
+        k = 0
+        for xn, xk, xd in xs:
             n *= xn
+            k += xk
             d *= xd
-        return _reduced(n, d)
+        return _reduced(n, k, d)
 
     def reinject(self, a):
         return _reduced(*a)
 
-    def _elem(self, name: str, fn, a: Pair) -> Pair:
-        y = fn(round_ratio(a[0], a[1], EXACT_REF_P))
+    def _elem(self, name: str, fn, a: Triple) -> Triple:
+        n, k, d = a
+        if d == 1:
+            x = round_scaled(n, k, EXACT_REF_P)
+        else:
+            x = _round_quotient(n, d, k, EXACT_REF_P)
+        y = fn(x)
         if abs(y.e) > EXACT_EXP_BOUND:
             raise ExactDomainError(
                 f"exact {name} result has exponent {y.e}, past the exact route's "
                 f"bound |e| <= {EXACT_EXP_BOUND}"
             )
-        return (y.m << y.e, 1) if y.e >= 0 else (y.m, 1 << -y.e)
+        return y.m, y.e, 1
 
     def exp(self, a):
         return self._elem("exp", exp_fp, a)
@@ -316,4 +375,16 @@ class ExactScalars(ScalarContext[Pair]):
         return self._elem("silu", silu_fp, a)
 
     def guard_small(self, a):
-        return abs(a[0]) << (EXACT_REF_P // 2) < a[1]
+        # |n| * 2**s < d with s = k + EXACT_REF_P // 2, decided on bit
+        # lengths; only when they tie is a shift of that length taken.
+        n, k, d = a
+        if not n:
+            return True
+        n = abs(n)
+        s = k + EXACT_REF_P // 2
+        gap = n.bit_length() + s - d.bit_length()
+        if gap:
+            return gap < 0
+        if s >= 0:
+            return n << s < d
+        return n < d << -s

@@ -343,11 +343,13 @@ def silu_fp(x: FpNumber) -> FpNumber:
 def softplus_fp(x: FpNumber) -> FpNumber:
     """``log(1 + exp(x))`` in one working-precision pipeline, rounded once."""
     p = x.p
-    if x.m != 0 and abs(x.m).bit_length() - 1 + x.e >= p + 2:
-        if x.m > 0:
-            # softplus(x) = x + log1p(exp(-x)); the correction is far below
-            # half an ulp of x, so the correctly rounded result is x itself.
-            return x
+    if x.m > 0 and x.m.bit_length() - 1 + x.e >= p.bit_length() + 1:
+        # softplus(x) = x + log1p(exp(-x)).  From x >= 2**(bit_length(p) + 1)
+        # > p + 1 the correction is below exp(-x) < 2**-(p+1), under half an
+        # ulp of x, so the correctly rounded result is x itself.  The
+        # pipeline below would build exp(x), about 1.44 * x bits wide.
+        return x
+    if x.m < 0 and (-x.m).bit_length() - 1 + x.e >= p + 2:
         # True value ~ exp(x), far below half the smallest normal.
         return FpNumber.zero(p)
 

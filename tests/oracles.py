@@ -11,6 +11,7 @@ genuine two-route check: normalization arithmetic vs. exhaustive search.
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -253,3 +254,70 @@ def reference_evaluate(circuit, assignment) -> tuple[int, ...]:
         else:
             values[g.id] = int(sum(values[q] for q in g.inputs) >= g.k)
     return tuple(values[o] for o in circuit.outputs)
+
+
+class FractionScalars:
+    """The exact route's semantics on plain ``Fraction`` values, for a
+    differential check of the exact context's integer representation.
+
+    It offers the scalar vocabulary the model code calls, by duck typing.
+    The elementary functions are not re-derived: ``elementary(name, q)``
+    gives each result, and ``guard_small`` compares with ``small``."""
+
+    def __init__(self, elementary, small: Fraction) -> None:
+        self.elementary = elementary
+        self.small = small
+
+    def input(self, q) -> Fraction:
+        return Fraction(q)
+
+    const = input
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+    const_mul = mul
+
+    def div(self, a, b):
+        return a / b
+
+    def floor(self, a):
+        return Fraction(math.floor(a))
+
+    def iter_add(self, xs):
+        return sum(xs, Fraction(0))
+
+    def iter_mul(self, xs):
+        return math.prod(xs, start=Fraction(1))
+
+    def index(self, a):
+        return a
+
+    dup = reinject = index
+
+    def seq_point(self, xs) -> None:
+        pass
+
+    def guard_small(self, a) -> bool:
+        return abs(a) < self.small
+
+    def exp(self, a):
+        return self.elementary("exp", a)
+
+    def sqrt(self, a):
+        return self.elementary("sqrt", a)
+
+    def log(self, a):
+        return self.elementary("log", a)
+
+    def softplus(self, a):
+        return self.elementary("softplus", a)
+
+    def sigmoid(self, a):
+        return self.elementary("sigmoid", a)
+
+    def silu(self, a):
+        return self.elementary("silu", a)

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from artifact import cli, synthesis
 from artifact.circuits import CircuitError, ParseError, serialize_netlist
 from artifact.cli import CliUsageError, build_parser, eval_expression, main
 from artifact.elementary import NegativeInput, NonPositiveInput
@@ -258,6 +259,16 @@ class TestExactRoutePinned:
         assert main(argv + ["--positive"] * positive) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == _EXACT_STDOUT_SHA256[L, positive, command[0]]
+
+    def test_positive_recurrent_at_32(self, capsys):
+        """Positive parameters at ``32,4,8,8,4`` carry powers of two of
+        tens of thousands of bits; digest taken while exact values were
+        still integer pairs ``(n, d)``."""
+        argv = ["mamba", "run", "--mode", "exact", "--shape", "32,4,8,8,4", "--seed", "0",
+                "--positive", "--form", "recurrent"]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "aacf7218a984abe68fdcdda95f7d0085f4f3308e677f2af27412e342edff7edb"
 
 
 # sha256 of stdout, p-bit mode, ``--shape 8,4,8,4,4`` unless the argv says
@@ -951,6 +962,39 @@ def _all_actions(parser: argparse.ArgumentParser):
         if isinstance(action, argparse._SubParsersAction):
             for sub in action.choices.values():
                 yield from _all_actions(sub)
+
+
+class TestPrecisionHelp:
+    """Each ``-p`` and ``--window`` help states the range its command
+    accepts: synthesis's for ``circuit synth|check``, the p-bit cap for
+    the rest."""
+
+    @staticmethod
+    def _help(path: list[str], dest: str) -> str:
+        parser = build_parser()
+        for name in path:
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            parser = sub.choices[name]
+        return next(a.help for a in parser._actions if a.dest == dest)
+
+    @pytest.mark.parametrize("command", ["synth", "check"])
+    def test_synthesis_ranges(self, command, capsys):
+        path = ["circuit", command]
+        assert self._help(path, "precision") == (
+            f"significand bits, 2 to {synthesis.MAX_PRECISION} (default 3)"
+        )
+        assert self._help(path, "window") == (
+            f"exponent bits, 1 to p; compare takes 1 to {synthesis.MAX_PRECISION} (default: p)"
+        )
+        top = synthesis.MAX_PRECISION
+        for p, code in [(1, 2), (2, 0), (top + 1, 2)]:
+            assert main([*path, "compare", "-p", str(p), "--window", "1"]) == code
+        assert main([*path, "compare", "-p", "2", "--window", str(top + 1)]) == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("path", [["fp"], ["mamba", "run"], ["mamba", "compare"]])
+    def test_pbit_range(self, path):
+        assert self._help(path, "precision").startswith(f"significand bits, 1 to {cli.MAX_PRECISION} ")
 
 
 class TestParserReuse:

@@ -178,6 +178,16 @@ class TestSigmoidFamily:
         x = round_p(1 << (p + 3), p)
         assert softplus_fp(x) == x
 
+    @pytest.mark.parametrize("p", [16, 32, 64])
+    def test_softplus_saturates_without_building_exp(self, p):
+        """Up to ``2**(p + 2)``, where ``exp(x)`` is about ``1.44 * x`` bits
+        wide, a large positive input returns itself; below the cutoff
+        ``2**(bit_length(p) + 1)`` the pipeline still gives ``x``."""
+        for x in (FpNumber((1 << p) - 1, 2, p), FpNumber(1 << (p - 1), 29 - (p - 1), p),
+                  FpNumber(1 << (p - 1), p.bit_length() + 1 - (p - 1), p),
+                  FpNumber((1 << p) - 1, p.bit_length() - (p - 1), p)):
+            assert softplus_fp(x) == x
+
     @pytest.mark.parametrize("p", [8, 16])
     def test_relative_error_sweep(self, p):
         rng = random.Random(600 + p)
