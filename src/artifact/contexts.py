@@ -156,6 +156,8 @@ class PBitScalars(ScalarContext[FpNumber]):
     def mul(self, a, b):
         return fp_mul(a, b)
 
+    const_mul = mul
+
     def div(self, a, b):
         return fp_div(a, b)
 

@@ -27,7 +27,11 @@ met before costs one dictionary lookup.  A vector read out of a frontier
 is wrapped as ``DepthExpr(vec)``; ``DepthExpr.of`` also accepts the
 composite names and writes them out through the registry, so the checker
 compares two expressions directly.  Component traces are built from the
-shape alone: every leaf is a fresh input whose value is never read.
+shape alone: every leaf is a fresh input whose value is never read.  A node
+may name a predecessor more than once as it enters the trace (``mul(a,
+a)``, or a member of the stage barrier it also takes); the frontier does
+not change, and every node read back from a trace names each predecessor
+once, in first-occurrence order.
 
 The elementary functions are traced on their *reference schedules*: the
 logarithm as two parallel standard levels (shift and scale), an iterated
@@ -222,7 +226,8 @@ class DepthExpr:
 class TraceNode(NamedTuple):
     """One event, leaf or stage barrier in a trace: a label for humans, the
     depth constant it costs (``None`` for leaves and barriers), and
-    predecessor ids."""
+    predecessor ids.  A node read back from a :class:`CostTrace` names each
+    predecessor once, in first-occurrence order."""
 
     id: int
     label: str
@@ -233,9 +238,18 @@ class TraceNode(NamedTuple):
 def _maxima(sums: Iterable[_Sum]) -> tuple[_Sum, ...]:
     """Pareto maxima of path sums, deduplicated, in first-occurrence order."""
     uniq = list(dict.fromkeys(sums))
-    return tuple(
-        s for s in uniq if not any(s is not t and all(map(le, s, t)) for t in uniq)
-    )
+    if len(uniq) < 2:
+        return tuple(uniq)
+    # Plain loops: a frontier holds a handful of sums, and nested
+    # generators cost more per call than they save per item.
+    front = []
+    for s in uniq:
+        for t in uniq:
+            if s is not t and all(map(le, s, t)):
+                break
+        else:
+            front.append(s)
+    return tuple(front)
 
 
 class CostTrace:
@@ -256,8 +270,10 @@ class CostTrace:
     indices)``: a trace has a few dozen distinct frontiers at most, and a
     node whose step the trace has met before costs one dictionary lookup.
     Only a new step deduplicates, merges and bumps.  Nodes are stored as
-    columns, one list per field; :attr:`nodes` builds :class:`TraceNode`
-    rows when read, and path sums become :class:`DepthExpr` only when read.
+    columns, one list per field, with predecessors as given, repeats
+    included; :attr:`nodes` builds :class:`TraceNode` rows when read and
+    folds each row's predecessors to distinct ids in first-occurrence
+    order, and path sums become :class:`DepthExpr` only when read.
     ``size`` counts cost-bearing events only.
     """
 
@@ -350,8 +366,12 @@ class CostTrace:
 
     @property
     def nodes(self) -> tuple[TraceNode, ...]:
+        """The nodes as :class:`TraceNode` rows, each with its predecessors
+        distinct, in first-occurrence order."""
+        # Builtins only, so the fold costs no Python frame per row.
+        distinct = map(tuple, map(dict.fromkeys, self._preds))
         return tuple(
-            map(TraceNode, range(len(self._fronts)), self._labels, self._costs, self._preds)
+            map(TraceNode, range(len(self._fronts)), self._labels, self._costs, distinct)
         )
 
     @property
@@ -493,7 +513,9 @@ class TracedScalars(ScalarContext[int]):
     count them.  A new barrier replaces the previous one.  Each node enters
     the trace as it is emitted, through the same checks and step memo as
     :meth:`CostTrace.append` but without building a :class:`TraceNode`, so
-    the frontiers are ready when tracing ends.
+    the frontiers are ready when tracing ends.  Predecessors go in as the
+    operation names them, barrier last, repeats included: the trace folds
+    them when its nodes are read.
     """
 
     def __init__(self) -> None:
@@ -501,11 +523,8 @@ class TracedScalars(ScalarContext[int]):
         self._barrier: tuple[int, ...] = ()
 
     # ------------------------------------------------------ trace plumbing
-    def _emit(self, label: str, cost: str | None, preds: Sequence[int]) -> int:
-        ids = (*preds, *self._barrier)
-        if len(set(ids)) < len(ids):  # rare; cheaper to test than to dedupe
-            ids = tuple(dict.fromkeys(ids))
-        return self._trace._add(label, cost, ids)
+    def _emit(self, label: str, cost: str | None, preds: tuple[int, ...]) -> int:
+        return self._trace._add(label, cost, preds + self._barrier)
 
     def trace(self, outputs: Sequence[int] = ()) -> CostTrace:
         return self._trace._with_outputs(outputs)
@@ -545,10 +564,10 @@ class TracedScalars(ScalarContext[int]):
         return self._emit("dup", "d_dup", (a,))
 
     def iter_add(self, xs: Sequence[int]) -> int:
-        return self._emit("iter_add", "d_oplus", xs)
+        return self._emit("iter_add", "d_oplus", tuple(xs))
 
     def iter_mul(self, xs: Sequence[int]) -> int:
-        return self._emit("iter_mul", "d_otimes", xs)
+        return self._emit("iter_mul", "d_otimes", tuple(xs))
 
     def exp(self, a: int) -> int:
         return self._emit("exp", "d_exp", (a,))
@@ -573,14 +592,14 @@ class TracedScalars(ScalarContext[int]):
             self._emit("log_series_term", "d_otimes", (u,))
             for _ in range(self._SERIES_TERMS)
         ]
-        series = self._emit("log_series_sum", "d_oplus", terms)
+        series = self._emit("log_series_sum", "d_oplus", tuple(terms))
         # The constant series is scheduled strictly after the argument
         # series (stage barrier), keeping the phases serial.
         cterms = [
             self._emit("log_const_term", "d_otimes", (series,))
             for _ in range(self._SERIES_TERMS)
         ]
-        cseries = self._emit("log_const_sum", "d_oplus", cterms)
+        cseries = self._emit("log_const_sum", "d_oplus", tuple(cterms))
         scaled = self._emit("log_scale_mul", "d_std", (k, cseries))
         return self._emit("log_combine", "d_std", (series, scaled))
 
@@ -602,7 +621,7 @@ class TracedScalars(ScalarContext[int]):
     def seq_point(self, xs: Sequence[int]) -> None:
         # The barrier's preds are exactly the members, not the last barrier.
         self._barrier = ()
-        self._barrier = (self._emit("barrier", None, xs),)
+        self._barrier = (self._emit("barrier", None, tuple(xs)),)
 
     def guard_small(self, a: int) -> bool:
         # Structure only: always the general branch.
@@ -637,12 +656,12 @@ def _leaves(ctx: ScalarContext, *dims: int) -> Any:
     """A ``dims``-shaped nesting of fresh input leaves, emitted row-major;
     no dims gives one leaf.  The tracer ignores values, so every leaf is 0."""
     if not dims:
-        return ctx.input(Fraction(0))
+        return ctx.input(0)
     return [_leaves(ctx, *dims[1:]) for _ in range(dims[0])]
 
 
 def _params(ctx: ScalarContext, shape: ShapeConfig) -> MambaParams:
-    return wrap_params(ctx, MambaParams.build(shape, lambda name, index: Fraction(0)))
+    return wrap_params(ctx, MambaParams.build(shape, lambda name, index: 0))
 
 
 def _disc_leaves(ctx: ScalarContext, shape: ShapeConfig) -> SsmDiscrete:

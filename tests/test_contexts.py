@@ -326,6 +326,14 @@ class TestPBitGuardSmall:
         assert not c.guard_small(FpNumber(1 << 63, (1 << 64) - 1, 64))
 
 
+class TestPBitConstMul:
+    """A parameter-parameter product is ``mul`` itself, so a counter that
+    wraps each public method counts it once."""
+
+    def test_is_an_alias_of_mul(self):
+        assert PBitScalars.const_mul is PBitScalars.mul
+
+
 _ELEMENTARY = {
     "exp": exp_fp,
     "sqrt": sqrt_fp,

@@ -28,6 +28,7 @@ from artifact.depth import (
     TraceNode,
     TracedScalars,
     Verdict,
+    _maxima,
     check_depth,
     component_names,
     critical_depth,
@@ -388,6 +389,55 @@ class TestTracedNodes:
         assert [n.id for n in nodes] == list(range(len(nodes)))
 
 
+class TestPredecessorFolding:
+    """The tracer hands repeated predecessors to the trace as they come, and
+    ``nodes`` folds them when it builds its rows: every node read back
+    names each predecessor once, in first-occurrence order.  The tracer's
+    own repeats are checked in ``TestStructureOnlyTracer``, and the
+    round trip through ``CostTrace(trace.nodes, trace.outputs)`` in
+    ``TestTracedNodes``."""
+
+    def test_appended_repeats_read_back_once(self):
+        trace = CostTrace([TraceNode(0, "input", None, ()), TraceNode(1, "add", "d_std", (0, 0))])
+        assert trace.nodes[1].preds == (0,)
+        assert trace.critical_depth() == expr(d_std=1)
+
+    def test_long_shape_counts(self):
+        """Node and distinct-edge counts at the widest barrier fan-in the
+        benchmark traces."""
+        nodes = trace_component("mamba_forward_convolution", ShapeConfig(32, 2, 2, 2, 2)).nodes
+        assert len(nodes) == 6808
+        assert sum(len(n.preds) for n in nodes) == 18348
+
+
+_VECTORS = st.tuples(*[st.integers(0, 2)] * len(BASE_CONSTANTS))
+
+
+@st.composite
+def _sum_lists(draw):
+    """Path sums drawn from a small pool, so lists repeat entries; small
+    coordinates give both dominated and incomparable pairs."""
+    pool = draw(st.lists(_VECTORS, min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), max_size=12))
+
+
+class TestMaxima:
+    """``_maxima`` against the brute-force ``_pareto`` on bare vectors."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(_sum_lists())
+    @example([])
+    @example([(0,) * 6, (0,) * 6])
+    @example([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)])
+    @example([(0, 0, 1, 0, 0, 0), (1, 0, 1, 0, 0, 0), (0, 0, 1, 0, 0, 0)])
+    def test_matches_brute_force(self, sums):
+        got = _maxima(sums)
+        assert len(got) == len(set(got))
+        assert {DepthExpr(s) for s in got} == _pareto({DepthExpr(s) for s in sums})
+        kept = set(got)
+        assert list(got) == [s for s in dict.fromkeys(sums) if s in kept]
+
+
 class TestFrontierOracle:
     """The per-node and critical frontiers agree with brute force on random
     DAGs, including frontiers with several incomparable entries, which real
@@ -480,8 +530,10 @@ class TestStructureOnlyTracer:
         ctx.add(b, b)
         ctx.iter_mul([5, a, 5])
         barrier = 4
+        ctx.iter_mul([a, a, a])
+        ctx.add(a, barrier)  # names the barrier that every event also takes
         assert [n.preds for n in ctx.trace().nodes[2:]] == [
-            (a,), (b, a), (a, b), (b, barrier), (5, a, barrier)
+            (a,), (b, a), (a, b), (b, barrier), (5, a, barrier), (a, barrier), (a, barrier)
         ]
 
     def test_tracing_does_no_arithmetic(self, monkeypatch):
@@ -588,8 +640,9 @@ class TestDepthReport:
 
 class TestDepthReportPinned:
     """The report bytes, pinned by the sha256 of its sorted-key JSON over
-    the CLI's three default shapes plus a long one, and by the sha256 of
-    the CLI's full-grid stdout."""
+    the CLI's three default shapes plus a long one, by the sha256 of the
+    CLI's stdout at three long shapes, and by that of its full-grid
+    stdout."""
 
     SHAPES = [(1, 1, 1, 1, 1), (2, 2, 2, 2, 2), (4, 3, 3, 3, 2), (16, 2, 2, 2, 2)]
 
@@ -605,6 +658,20 @@ class TestDepthReportPinned:
     def test_report_digest(self, assignment, digest):
         report = depth_report(shapes=[ShapeConfig(*s) for s in self.SHAPES], assignment=assignment)
         assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "shape,digest",
+        [
+            ("32,2,2,2,2", "127ba20deaa88bc7290f5be10eb12543e2900224ae7652fcc3a594f064088a29"),
+            ("16,2,2,2,4", "ba71169f56b7a99b3168763e838bde2860f158023a971c3fc9be2b7206e89d0c"),
+            ("16,1,1,1,2", "1f18d1e760bb521f40a791de320c6b8aaedfbe156b7c3e2be4bd6985284454d2"),
+        ],
+    )
+    def test_long_shape_stdout_digest(self, capsys, shape, digest):
+        """`mamba depth --shape S` at long shapes, where barrier fan-in is
+        widest; the full grid stops at L = 8."""
+        assert main(["mamba", "depth", "--shape", shape]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_full_grid_stdout_digest(self, capsys):
         """`mamba depth --full-grid`: all 108 grid shapes, 18 components each."""
