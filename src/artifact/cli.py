@@ -611,11 +611,14 @@ def cmd_hardness_barrington(args: argparse.Namespace) -> int:
     if args.lower:
         circuit = lower_or_gates(circuit)
     program = barrington_transform(circuit)
-    bound = 4**circuit.depth
+    depth = circuit.depth
+    bound = 4**depth
     report = {
         "instructions": len(program),
-        "circuit_depth": circuit.depth,
-        "length_bound": bound,
+        "circuit_depth": depth,
+        # Past 4300 digits, the interpreter's default int-to-string limit
+        # (depth 7143 on), the bound prints as the string "4**<depth>".
+        "length_bound": bound if bound < 10**4300 else f"4**{depth}",
         "length_ok": len(program) <= bound,
     }
     if args.check:

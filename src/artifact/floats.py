@@ -6,9 +6,8 @@ significand is normalized, ``2**(p-1) <= |m| <= 2**p - 1``, and the exponent
 lies in the two's-complement window ``-2**p <= e < 2**p``.  Every operation
 works on the integer pairs: it forms its exact result as an integer ``n``
 times ``2**k`` and rounds that once with :func:`round_scaled`, the single
-rounding kernel, so results are bit-reproducible.  :func:`round_ratio`
-adapts an integer ratio ``n / d`` to the same kernel, and :func:`round_p`
-an ``int`` or ``Fraction``.
+rounding kernel, so results are bit-reproducible.  :func:`round_p` adapts
+an ``int`` or ``Fraction`` to the same kernel.
 
 Rounding is round-to-nearest with ties resolved toward the even
 significand.  A result whose nearest representable would need an exponent
@@ -56,7 +55,6 @@ __all__ = [
     "iter_add",
     "iter_mul",
     "round_p",
-    "round_ratio",
     "round_scaled",
 ]
 
@@ -204,27 +202,19 @@ def _round_quotient(num: int, den: int, k: int, p: int) -> FpNumber:
     return round_scaled(-w if (num < 0) != (den < 0) else w, k - s - 1, p)
 
 
-def round_ratio(n: int, d: int, p: int) -> FpNumber:
-    """Round the rational ``n / d`` (``d > 0``, in any terms) to ``p`` bits.
+def round_p(x: Fraction | int, p: int) -> FpNumber:
+    """Round an exact rational to the nearest p-bit float.
 
-    The rounding rule is that of :func:`round_scaled`: a power-of-two ``d``
-    goes to it as a scale, and any other ``d`` through an integer quotient
-    with a sticky bit.  The result depends on the value alone, not on
-    whether ``n / d`` is in lowest terms.
+    The rounding rule is that of :func:`round_scaled`: an ``int`` or a
+    power-of-two denominator goes to it as a scale, and any other
+    denominator through an integer quotient with a sticky bit.
     """
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"round_p expects Fraction or int, got {type(x)!r}")
+    n, d = x.numerator, x.denominator
     if d & (d - 1):
         return _round_quotient(n, d, 0, p)
     return round_scaled(n, 1 - d.bit_length(), p)
-
-
-def round_p(x: Fraction | int, p: int) -> FpNumber:
-    """Round an exact rational to the nearest p-bit float, through
-    :func:`round_ratio`."""
-    if isinstance(x, int):
-        return round_scaled(x, 0, p)
-    if not isinstance(x, Fraction):
-        raise TypeError(f"round_p expects Fraction or int, got {type(x)!r}")
-    return round_ratio(x.numerator, x.denominator, p)
 
 
 def _mixed_precision(xs: Sequence[FpNumber]) -> ValueError:

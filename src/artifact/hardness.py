@@ -30,10 +30,11 @@ distinct token of a line once.
 NOT, INPUT and constant gates into a program over S5 whose instruction
 count is at most ``4**depth`` and whose composed product is a fixed
 5-cycle exactly on accepting assignments (identity otherwise).  AND is the
-commutator of retargeted subprograms; NOT appends the inverse cycle and
-retargets; OR gates must be lowered first (:func:`lower_or_gates`).  Every
-gate's program length is counted first, and a circuit with a gate past
-:data:`MAX_PROGRAM_LENGTH` instructions is refused with ``ValueError``.
+commutator of conjugated operand programs; NOT appends the inverse cycle
+and conjugates; OR gates must be lowered first (:func:`lower_or_gates`).
+Every gate's program length is counted first, and a circuit with a gate
+past :data:`MAX_PROGRAM_LENGTH` instructions is refused with
+``ValueError``; then one walk from the output emits only its program.
 
 ``gen_instances`` emits byte-reproducible labelled corpora for each
 problem: one plain-text instance per line, ground truth computed by the
@@ -650,17 +651,6 @@ def _commutator_pair() -> tuple[tuple[int, ...], ...]:
     raise AssertionError("no commutator pair in S5")  # pragma: no cover
 
 
-def _retarget(instructions: tuple, source: tuple[int, ...], target: tuple[int, ...]) -> tuple:
-    """Conjugate every ``(var, on_true, on_false)`` image triple so a
-    source-computing program becomes a target-computing one (interior
-    conjugators cancel; length unchanged)."""
-    pi = _find_conjugator(source, target)
-    pi_inv = _inverse(pi)
-    images = {image for _, t, f in instructions for image in (t, f)}
-    conjugate = {x: _product((pi_inv, x, pi), 5) for x in images}
-    return tuple((var, conjugate[t], conjugate[f]) for var, t, f in instructions)
-
-
 def _de_morgan(b: CircuitBuilder, g: Gate, ins: tuple[int, ...]) -> int:
     if g.kind == "THRESHOLD":
         raise UnsupportedGate(f"cannot lower {g.kind} gate {g.id}")
@@ -682,31 +672,34 @@ def lower_or_gates(circuit: Circuit) -> Circuit:
     return _rewrite(circuit, _de_morgan)
 
 
-def _bound_length(gid: int, length: int) -> None:
-    """Refuse gate ``gid`` if its program would need ``length`` instructions,
-    more than :data:`MAX_PROGRAM_LENGTH`."""
-    if length > MAX_PROGRAM_LENGTH:
-        raise ValueError(
-            f"gate {gid}'s program needs {length} instructions, "
-            f"more than the {MAX_PROGRAM_LENGTH} allowed"
-        )
+@cache
+def _then(a: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, ...]:
+    """The conjugator equal to conjugating by ``a`` and then by ``c``."""
+    return _product((a, c), 5)
+
+
+@cache
+def _conjugate(image: tuple[int, ...], pi: tuple[int, ...]) -> tuple[int, ...]:
+    return _product((_inverse(pi), image, pi), 5)
 
 
 def barrington_transform(circuit: Circuit) -> PbpProgram:
     """Standard width-5 construction over the fan-in-2 AND/NOT basis.
 
-    Each gate's subprogram multiplies out to the accepting 5-cycle on
+    Each gate's program multiplies out to the accepting 5-cycle on
     assignments where the gate is 1 and to the identity otherwise.  An
     input is one instruction; CONST0 is the empty program; CONST1 is one
-    constant instruction; NOT appends the inverse cycle and retargets; AND
-    concatenates retargeted copies of its operands in commutator order,
-    doubling their combined length — hence length <= 4**depth.
+    constant instruction; NOT appends the inverse cycle and conjugates;
+    AND concatenates conjugated copies of its operands in commutator order
+    and conjugates that, doubling their combined length — hence length
+    <= 4**depth.
 
-    Gates are built in one pass, in order.  A NOT or AND gate's program
-    length is bounded from its operands' lengths just before it is built,
-    and a gate that needs more than :data:`MAX_PROGRAM_LENGTH` instructions
-    raises ``ValueError``, so no over-long program is ever built.  Programs
-    are built as image-tuple triples; the returned program holds one
+    One pass in gate order counts each gate's program length, and a gate
+    that needs more than :data:`MAX_PROGRAM_LENGTH` instructions raises
+    ``ValueError``.  Then one walk from the output emits its program in
+    order, carrying the product of the conjugators above each gate: every
+    instruction is conjugated once, no gate's own program is built, and
+    gates of length 0 are not entered.  The returned program holds one
     :class:`Permutation` per distinct image.
 
     The circuit must have exactly one output; OR/THRESHOLD gates raise
@@ -717,44 +710,56 @@ def barrington_transform(circuit: Circuit) -> PbpProgram:
         raise ValueError("the branching-program transform needs one output")
     if circuit.n_inputs < 1:
         raise ValueError("the transform needs at least one input bit")
-    rho = ACCEPTING_CYCLE.image
-    rho_inv = _inverse(rho)
-    ident = tuple(range(1, 6))
-    gamma, delta, commutator = _commutator_pair()
-    gamma_inv, delta_inv = _inverse(gamma), _inverse(delta)
-    input_pos = {g.id: pos for pos, g in enumerate(
-        g for g in circuit.gates if g.kind == "INPUT"
-    )}
-    programs: dict[int, tuple] = {}
+    lengths = [0] * len(circuit.gates)
     for g in circuit.gates:
-        if g.kind == "INPUT":
-            programs[g.id] = ((input_pos[g.id], rho, ident),)
-        elif g.kind == "CONST0":
-            programs[g.id] = ()
-        elif g.kind == "CONST1":
-            programs[g.id] = ((0, rho, rho),)
+        if g.kind == "CONST0":
+            length = 0
+        elif g.kind in ("INPUT", "CONST1"):
+            length = 1
         elif g.kind == "NOT":
-            inner = programs[g.inputs[0]]
-            _bound_length(g.id, len(inner) + 1)
-            programs[g.id] = _retarget(inner + ((0, rho_inv, rho_inv),), rho_inv, rho)
+            length = lengths[g.inputs[0]] + 1
         elif g.kind == "AND":
             if len(g.inputs) != 2:
                 raise UnsupportedGate(f"AND gate {g.id} must have fan-in 2")
-            left = programs[g.inputs[0]]
-            right = programs[g.inputs[1]]
-            _bound_length(g.id, 2 * (len(left) + len(right)))
-            combined = (
-                _retarget(left, rho, gamma)
-                + _retarget(right, rho, delta)
-                + _retarget(left, rho, gamma_inv)
-                + _retarget(right, rho, delta_inv)
-            )
-            programs[g.id] = _retarget(combined, commutator, rho)
+            length = 2 * (lengths[g.inputs[0]] + lengths[g.inputs[1]])
         else:
             raise UnsupportedGate(
                 f"{g.kind} gate {g.id}: lower to the AND/NOT basis first"
             )
-    program = programs[circuit.outputs[0]]
+        if length > MAX_PROGRAM_LENGTH:
+            raise ValueError(
+                f"gate {g.id}'s program needs {length} instructions, "
+                f"more than the {MAX_PROGRAM_LENGTH} allowed"
+            )
+        lengths[g.id] = length
+    rho = ACCEPTING_CYCLE.image
+    ident = tuple(range(1, 6))
+    gamma, delta, commutator = _commutator_pair()
+    # NOT conjugates rho^-1 to rho and pushes its own instruction as gate
+    # None.  AND's operand copies go from rho to gamma, delta, gamma^-1,
+    # delta^-1, then from the commutator to rho; listed last first, as pushed.
+    not_pi = _find_conjugator(_inverse(rho), rho)
+    to_rho = _find_conjugator(commutator, rho)
+    and_pis = [
+        _then(_find_conjugator(rho, target), to_rho)
+        for target in (_inverse(delta), _inverse(gamma), delta, gamma)
+    ]
+    input_pos = {gid: pos for pos, gid in enumerate(circuit._input_ids)}
+    program = []
+    stack = [(circuit.outputs[0], ident)]
+    while stack:
+        gid, pi = stack.pop()
+        g = None if gid is None else circuit.gates[gid]
+        if g is None or g.kind == "CONST1":
+            on = _conjugate(rho, pi)
+            program.append((0, on, on))
+        elif g.kind == "INPUT":
+            program.append((input_pos[gid], _conjugate(rho, pi), ident))
+        elif g.kind == "NOT":
+            stack += [(None, pi), (g.inputs[0], _then(not_pi, pi))]
+        elif g.kind == "AND" and lengths[gid]:
+            left, right = g.inputs
+            stack += [(q, _then(a, pi)) for q, a in zip((right, left, right, left), and_pis)]
     images = {image for _, t, f in program for image in (t, f)}
     perms = {image: Permutation(image) for image in images}
     return PbpProgram(

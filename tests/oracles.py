@@ -11,6 +11,7 @@ genuine two-route check: normalization arithmetic vs. exhaustive search.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -254,6 +255,110 @@ def reference_evaluate(circuit, assignment) -> tuple[int, ...]:
         else:
             values[g.id] = int(sum(values[q] for q in g.inputs) >= g.k)
     return tuple(values[o] for o in circuit.outputs)
+
+
+class OracleUnsupportedGate(Exception):
+    """A gate outside the fan-in-2 AND/NOT basis."""
+
+
+S5_IDENTITY = (1, 2, 3, 4, 5)
+
+
+def _s5_product(*images: tuple[int, ...]) -> tuple[int, ...]:
+    """Image tuple of the product on [5], the first operand applied first."""
+    acc = S5_IDENTITY
+    for image in images:
+        acc = tuple(image[x - 1] for x in acc)
+    return acc
+
+
+def _s5_inverse(image: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(image.index(x) + 1 for x in S5_IDENTITY)
+
+
+def _s5_is_five_cycle(image: tuple[int, ...]) -> bool:
+    x, orbit = image[0], 1
+    while x != 1:
+        x, orbit = image[x - 1], orbit + 1
+    return orbit == 5
+
+
+def oracle_barrington(circuit, max_length: int = 1 << 16) -> tuple:
+    """Barrington's width-5 construction, one whole program per gate.
+
+    Builds, in netlist order, every gate's program as a tuple of ``(var,
+    on_true image, on_false image)`` triples whose product is the
+    5-cycle (2, 3, 4, 5, 1) where the gate is 1 and the identity where it
+    is 0, and returns the output gate's.  A NOT appends the inverse cycle
+    to its operand's program and conjugates the result; an AND concatenates
+    conjugated copies of its operands in commutator order and conjugates
+    that.  Conjugators are the first found in ``itertools.permutations``
+    order, so the instructions are fixed.  Refusals, in gate order: an AND
+    of fan-in other than 2 and any kind outside the basis raise
+    :class:`OracleUnsupportedGate`; a gate whose program would pass
+    ``max_length`` instructions raises ``ValueError`` before it is built.
+    """
+    if len(circuit.outputs) != 1:
+        raise ValueError("the branching-program transform needs one output")
+    input_ids = [g.id for g in circuit.gates if g.kind == "INPUT"]
+    if not input_ids:
+        raise ValueError("the transform needs at least one input bit")
+    s5 = list(itertools.permutations(S5_IDENTITY))
+    rho = (2, 3, 4, 5, 1)
+    rho_inv = _s5_inverse(rho)
+    cycles = [p for p in s5 if _s5_is_five_cycle(p)]
+    gamma, delta, commutator = next(
+        (g, d, c)
+        for g in cycles
+        for d in cycles
+        if _s5_is_five_cycle(c := _s5_product(g, d, _s5_inverse(g), _s5_inverse(d)))
+    )
+
+    def retarget(program: tuple, source: tuple, target: tuple) -> tuple:
+        pi = next(p for p in s5 if _s5_product(_s5_inverse(p), source, p) == target)
+        pi_inv = _s5_inverse(pi)
+        return tuple(
+            (var, _s5_product(pi_inv, t, pi), _s5_product(pi_inv, f, pi))
+            for var, t, f in program
+        )
+
+    def bounded(gid: int, length: int) -> int:
+        if length > max_length:
+            raise ValueError(
+                f"gate {gid}'s program needs {length} instructions, "
+                f"more than the {max_length} allowed"
+            )
+        return length
+
+    programs: dict[int, tuple] = {}
+    for g in circuit.gates:
+        if g.kind == "INPUT":
+            programs[g.id] = ((input_ids.index(g.id), rho, S5_IDENTITY),)
+        elif g.kind == "CONST0":
+            programs[g.id] = ()
+        elif g.kind == "CONST1":
+            programs[g.id] = ((0, rho, rho),)
+        elif g.kind == "NOT":
+            inner = programs[g.inputs[0]]
+            bounded(g.id, len(inner) + 1)
+            programs[g.id] = retarget(inner + ((0, rho_inv, rho_inv),), rho_inv, rho)
+        elif g.kind == "AND":
+            if len(g.inputs) != 2:
+                raise OracleUnsupportedGate(f"AND gate {g.id} must have fan-in 2")
+            left, right = programs[g.inputs[0]], programs[g.inputs[1]]
+            bounded(g.id, 2 * (len(left) + len(right)))
+            combined = (
+                retarget(left, rho, gamma)
+                + retarget(right, rho, delta)
+                + retarget(left, rho, _s5_inverse(gamma))
+                + retarget(right, rho, _s5_inverse(delta))
+            )
+            programs[g.id] = retarget(combined, commutator, rho)
+        else:
+            raise OracleUnsupportedGate(
+                f"{g.kind} gate {g.id}: lower to the AND/NOT basis first"
+            )
+    return programs[circuit.outputs[0]]
 
 
 class FractionScalars:

@@ -887,6 +887,63 @@ class TestHardnessCommands:
         report = json.loads(capsys.readouterr().out)
         assert (report["instructions"], report["length_ok"]) == (24574, True)
 
+    def test_barrington_bound_past_the_digit_limit(self, tmp_path, capsys):
+        """4**7142 has 4300 digits and prints as an integer; from depth 7143
+        the bound prints as the string "4**<depth>"."""
+        reports = []
+        for n in (7142, 7143):
+            assert main(["hardness", "barrington", _not_chain(tmp_path, n)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert [r["length_bound"] for r in reports] == [4**7142, "4**7143"]
+        assert [(r["instructions"], r["length_ok"]) for r in reports] == [(7143, True), (7144, True)]
+
+
+def _not_chain(tmp_path, n: int) -> str:
+    """Netlist of n NOT gates in a chain over one input."""
+    path = tmp_path / f"not{n}.nl"
+    body = "".join(f"{i} NOT {i - 1}\n" for i in range(1, n + 1))
+    path.write_text(f"0 INPUT\n{body}OUTPUTS {n}\n", encoding="utf-8")
+    return str(path)
+
+
+class TestDeepInputs:
+    """Inputs as deep as the hardness problems: a 10^5-gate NOT chain
+    through `circuit depth|eval|rewrite`, NOT chains at, past and far below
+    the program cap through `hardness barrington --check`, and 50,000
+    nested parentheses through `fp`.  Each exits 0, or 2 with one stderr
+    line, and all of them together take under 10 s."""
+
+    def test_deep_inputs_within_budget(self, tmp_path, capsys):
+        deep, at_cap, long = (_not_chain(tmp_path, n) for n in (100_000, 65_535, 16_000))
+        nested = "(" * 50_000 + "1.5" + ")" * 50_000
+        start = time.perf_counter()
+        results = [_call(argv, capsys) for argv in [
+            ["circuit", "depth", deep],
+            ["circuit", "eval", deep, "--bits", "1"],
+            ["circuit", "rewrite", deep],
+            ["hardness", "barrington", at_cap, "--check"],
+            ["hardness", "barrington", deep, "--check"],
+            ["hardness", "barrington", long, "--check"],
+            ["fp", nested],
+        ]]
+        assert time.perf_counter() - start < 10.0
+        assert [code for code, _, _ in results] == [0, 0, 0, 0, 2, 0, 0]
+        assert all(not err for code, _, err in results if code == 0)
+        assert json.loads(results[0][1])["depth"] == 100_000
+        assert results[1][1] == "1\n"
+        assert results[2][1].count(" NOT ") == 100_000
+        assert results[4][1:] == (
+            "",
+            "ValueError: gate 65536's program needs 65537 instructions, "
+            "more than the 65536 allowed\n",
+        )
+        for (_, out, _), depth in [(results[3], 65_535), (results[5], 16_000)]:
+            report = json.loads(out)
+            assert report["instructions"] == depth + 1
+            assert report["length_bound"] == f"4**{depth}"
+            assert (report["length_ok"], report["equivalence"]) == (True, "pass")
+        assert results[6][1] == _call(["fp", "1.5"], capsys)[1]
+
 
 # sha256 of `hardness gen perm --size S --seed N` stdout (the instances)
 # and of `hardness eval perm` stdout on those instances (the labels), with

@@ -13,12 +13,14 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+import time
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artifact import hardness
 from artifact.circuits import (
     ArityMismatch,
     Circuit,
@@ -57,6 +59,7 @@ from artifact.hardness import (
     word_problem,
 )
 from artifact.synthesis import synth_primitive
+from oracles import OracleUnsupportedGate, oracle_barrington
 
 # --------------------------------------------------------------- oracles
 
@@ -794,6 +797,74 @@ class TestPlainValues:
         )
         with pytest.raises(ValueError, match=message):
             barrington_transform(and_chain(16))
+
+
+@st.composite
+def and_not_dags(draw) -> Circuit:
+    """A random DAG over 1-4 inputs of shared AND, NOT, CONST0 and CONST1
+    gates with one output, then gates past the output that no output
+    reads: maybe an OR gate, and maybe a tower of AND(g, g) gates, each
+    four times as long as the one below."""
+    gates = [Gate(i, "INPUT") for i in range(draw(st.integers(1, 4)))]
+
+    def operand() -> int:
+        return draw(st.integers(0, len(gates) - 1))
+
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["AND", "AND", "NOT", "CONST0", "CONST1"]))
+        arity = {"AND": 2, "NOT": 1}.get(kind, 0)
+        gates.append(Gate(len(gates), kind, tuple(operand() for _ in range(arity))))
+    output = operand()
+    if draw(st.booleans()):
+        gates.append(Gate(len(gates), "OR", (operand(), operand())))
+    top = operand()
+    for _ in range(draw(st.integers(0, 4))):
+        gates.append(Gate(len(gates), "AND", (top, top)))
+        top = len(gates) - 1
+    return Circuit(gates, [output])
+
+
+def _transform_outcome(transform, circuit: Circuit) -> tuple:
+    """The ``(var, on_true image, on_false image)`` rows of a program, or
+    the kind and message of its refusal."""
+    try:
+        program = transform(circuit)
+    except (UnsupportedGate, OracleUnsupportedGate) as exc:
+        return "unsupported", str(exc)
+    except ValueError as exc:
+        return "too long", str(exc)
+    if isinstance(program, PbpProgram):
+        return tuple((i.var, i.on_true.image, i.on_false.image) for i in program.instructions)
+    return program
+
+
+class TestBarringtonOracle:
+    """The transform emits, instruction for instruction, the program that
+    the per-gate construction of ``oracle_barrington`` builds, and refuses
+    what it refuses, with the same message."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(circuit=and_not_dags(), cap=st.integers(1, 64) | st.just(MAX_PROGRAM_LENGTH))
+    def test_matches_oracle(self, circuit, cap):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hardness, "MAX_PROGRAM_LENGTH", cap)
+            got = _transform_outcome(barrington_transform, circuit)
+        want = _transform_outcome(lambda c: oracle_barrington(c, max_length=cap), circuit)
+        assert got == want
+
+    def test_zero_length_tower_is_not_entered(self):
+        """NOT(AND(tower, x)) over a 200-level AND(g, g) tower on CONST0:
+        walking the tower would visit 4**200 gates."""
+        gates = [Gate(0, "INPUT"), Gate(1, "CONST0")]
+        for _ in range(200):
+            gates.append(Gate(len(gates), "AND", (len(gates) - 1, len(gates) - 1)))
+        gates.append(Gate(len(gates), "AND", (len(gates) - 1, 0)))
+        gates.append(Gate(len(gates), "NOT", (len(gates) - 1,)))
+        circuit = Circuit(gates, [len(gates) - 1])
+        start = time.perf_counter()
+        rows = _transform_outcome(barrington_transform, circuit)
+        assert time.perf_counter() - start < 1.0
+        assert len(rows) == 3 and rows == oracle_barrington(circuit)
 
 
 class TestCorpora:
