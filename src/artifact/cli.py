@@ -227,6 +227,8 @@ def _decimal_approx(x: FpNumber, digits: int = 12) -> str:
 
 
 def cmd_fp(args: argparse.Namespace) -> int:
+    if args.expr is None:
+        raise CliUsageError("artifact fp: the following arguments are required: expr")
     value = eval_expression(args.expr, args.precision)
     print(f"(m={value.m}, e={value.e}, p={value.p}) ~ {_decimal_approx(value)}")
     return 0
@@ -613,12 +615,13 @@ def cmd_hardness_barrington(args: argparse.Namespace) -> int:
     program = barrington_transform(circuit)
     depth = circuit.depth
     bound = 4**depth
+    # Past the interpreter's int-to-string limit (4300 digits by default,
+    # so depth 7143 on; 0 is no limit), the bound prints as "4**<depth>".
+    limit = sys.get_int_max_str_digits()
     report = {
         "instructions": len(program),
         "circuit_depth": depth,
-        # Past 4300 digits, the interpreter's default int-to-string limit
-        # (depth 7143 on), the bound prints as the string "4**<depth>".
-        "length_bound": bound if bound < 10**4300 else f"4**{depth}",
+        "length_bound": bound if not limit or bound < 10**limit else f"4**{depth}",
         "length_ok": len(program) <= bound,
     }
     if args.check:
@@ -688,7 +691,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     fp = sub.add_parser("fp", help="evaluate an expression in p-bit floats")
-    fp.add_argument("expr", help="e.g. 'log(2)' or '(1+3)*silu(2)'")
+    # Optional to argparse, which takes an expression with a leading minus,
+    # such as "-(1)", for an unknown option; ``main`` hands that one over.
+    fp.add_argument("expr", nargs="?", help="e.g. 'log(2)', '(1+3)*silu(2)' or '-(1)'")
     add_precision(fp)
     fp.set_defaults(func=cmd_fp)
 
@@ -840,7 +845,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args, extra = parser.parse_known_args(argv)
+        if extra and args.func is cmd_fp and args.expr is None:
+            args.expr = extra.pop(0)
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except (FpError, NegativeInput, NonPositiveInput) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

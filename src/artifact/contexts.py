@@ -54,7 +54,6 @@ from artifact.floats import (
     iter_add,
     iter_mul,
     round_p,
-    round_scaled,
 )
 
 V = TypeVar("V")
@@ -263,8 +262,10 @@ class ExactScalars(ScalarContext[Triple]):
     canonical form:
     ``n`` odd or zero, ``gcd(n, d) == 1``, zero as ``(0, 0, 1)``, where
     equal values are equal triples.  The elementary functions round a
-    triple in integers, return their result ``<m, e>`` as ``(m, e, 1)``,
-    and raise :class:`ExactDomainError` on a result whose exponent is past
+    triple as the rational ``n / d * 2**k``, through the same adapter as
+    ``round_p`` (a triple with ``d == 1`` takes its scale path), return
+    their result ``<m, e>`` as ``(m, e, 1)``, and raise
+    :class:`ExactDomainError` on a result whose exponent is past
     :data:`EXACT_EXP_BOUND` in magnitude.
     """
 
@@ -346,11 +347,7 @@ class ExactScalars(ScalarContext[Triple]):
 
     def _elem(self, name: str, fn, a: Triple) -> Triple:
         n, k, d = a
-        if d == 1:
-            x = round_scaled(n, k, EXACT_REF_P)
-        else:
-            x = _round_quotient(n, d, k, EXACT_REF_P)
-        y = fn(x)
+        y = fn(_round_quotient(n, d, k, EXACT_REF_P))
         if abs(y.e) > EXACT_EXP_BOUND:
             raise ExactDomainError(
                 f"exact {name} result has exponent {y.e}, past the exact route's "

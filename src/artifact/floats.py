@@ -6,8 +6,10 @@ significand is normalized, ``2**(p-1) <= |m| <= 2**p - 1``, and the exponent
 lies in the two's-complement window ``-2**p <= e < 2**p``.  Every operation
 works on the integer pairs: it forms its exact result as an integer ``n``
 times ``2**k`` and rounds that once with :func:`round_scaled`, the single
-rounding kernel, so results are bit-reproducible.  :func:`round_p` adapts
-an ``int`` or ``Fraction`` to the same kernel.
+rounding kernel, so results are bit-reproducible.  A rational ``num / den
+* 2**k`` reaches the same kernel through one adapter, ``_round_quotient``:
+:func:`fp_div`, :func:`round_p` and the exact route of
+:mod:`artifact.contexts` all round through it.
 
 Rounding is round-to-nearest with ties resolved toward the even
 significand.  A result whose nearest representable would need an exponent
@@ -188,13 +190,17 @@ def round_scaled(n: int, k: int, p: int) -> FpNumber:
 
 
 def _round_quotient(num: int, den: int, k: int, p: int) -> FpNumber:
-    """Round ``num / den * 2**k`` for any nonzero ``den``.
+    """Round ``num / den * 2**k`` for any nonzero ``den``: the one adapter
+    from a rational to :func:`round_scaled`.
 
-    The magnitude is reduced to an integer quotient ``q`` of at least
-    ``p + 2`` bits and the sticky word ``2q | (remainder != 0)``: a
-    non-dyadic quotient is never a rounding tie, so one bit below ``q``
-    settles the rounding as the exact rational would.
+    A positive power-of-two denominator ``2**j`` is a scale, ``num *
+    2**(k - j)``.  Any other has its magnitude reduced to an integer
+    quotient ``q`` of at least ``p + 2`` bits and the sticky word ``2q |
+    (remainder != 0)``: a non-dyadic quotient is never a rounding tie, so
+    one bit below ``q`` settles the rounding as the exact rational would.
     """
+    if den > 0 and not den & (den - 1):
+        return round_scaled(num, k + 1 - den.bit_length(), p)
     a, d = abs(num), abs(den)
     s = max(0, p + 2 + d.bit_length() - a.bit_length())
     q, r = divmod(a << s, d)
@@ -205,16 +211,12 @@ def _round_quotient(num: int, den: int, k: int, p: int) -> FpNumber:
 def round_p(x: Fraction | int, p: int) -> FpNumber:
     """Round an exact rational to the nearest p-bit float.
 
-    The rounding rule is that of :func:`round_scaled`: an ``int`` or a
-    power-of-two denominator goes to it as a scale, and any other
-    denominator through an integer quotient with a sticky bit.
+    The value goes to :func:`_round_quotient` as its numerator and
+    denominator, so the rounding rule is that of :func:`round_scaled`.
     """
     if not isinstance(x, (int, Fraction)):
         raise TypeError(f"round_p expects Fraction or int, got {type(x)!r}")
-    n, d = x.numerator, x.denominator
-    if d & (d - 1):
-        return _round_quotient(n, d, 0, p)
-    return round_scaled(n, 1 - d.bit_length(), p)
+    return _round_quotient(x.numerator, x.denominator, 0, p)
 
 
 def _mixed_precision(xs: Sequence[FpNumber]) -> ValueError:

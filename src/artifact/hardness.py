@@ -223,9 +223,6 @@ class Semiring:
             return (-a) % (self.modulus or 1)
         return -a
 
-    def name(self) -> str:
-        return f"z{self.modulus}" if self.kind == "zmod" else self.kind
-
 
 @dataclass(frozen=True, slots=True)
 class ArithNode:
@@ -474,9 +471,7 @@ class Permutation:
 
     def after(self, other: "Permutation") -> "Permutation":
         """Function composition self(other(x)): ``other`` acts first."""
-        if self.n != other.n:
-            raise DomainMismatch(f"domain sizes differ: {self.n} vs {other.n}")
-        return Permutation(tuple(self.image[v - 1] for v in other.image))
+        return Permutation(_product((other.image, self.image), other.n))
 
     def inverse(self) -> "Permutation":
         return Permutation(_inverse(self.image))
@@ -862,22 +857,21 @@ def _random_bool_tree(rng: random.Random, budget: int) -> BoolFormula:
 
 
 def _random_arith_node(
-    rng: random.Random, budget: int, ring: Semiring, n_vars: int
+    rng: random.Random, budget: int, ring: Semiring, n_vars: int, lo: int, hi: int
 ) -> ArithNode:
+    """A random tree with constants drawn from ``[lo, hi]``."""
     if budget <= 1 or rng.random() < 0.25:
         if n_vars and rng.random() < 0.5:
             return ArithNode("var", index=rng.randint(1, n_vars))
-        hi = (ring.modulus - 1) if ring.kind == "zmod" else 9
-        lo = 0 if ring.kind != "integers" else -9
         return ArithNode("const", value=ring.coerce(rng.randint(lo, hi)))
     roll = rng.random()
     if roll < 0.2 and ring.kind != "booleans":
         return ArithNode(
-            "neg", args=(_random_arith_node(rng, budget - 1, ring, n_vars),)
+            "neg", args=(_random_arith_node(rng, budget - 1, ring, n_vars, lo, hi),)
         )
     split = rng.randint(1, max(budget - 2, 1))
-    left = _random_arith_node(rng, split, ring, n_vars)
-    right = _random_arith_node(rng, budget - 1 - split, ring, n_vars)
+    left = _random_arith_node(rng, split, ring, n_vars, lo, hi)
+    right = _random_arith_node(rng, budget - 1 - split, ring, n_vars, lo, hi)
     return ArithNode("add" if roll < 0.6 else "mul", args=(left, right))
 
 
@@ -929,11 +923,11 @@ def gen_instances(kind: str, size: int, seed: int, count: int = 100) -> Corpus:
     elif kind == "arith" or kind.startswith("arith-z"):
         ring = _arith_semiring(kind)
         n_vars = 3
+        # Constants and assignment values share one range per ring.
+        lo, hi = (-9, 9) if ring.kind == "integers" else (0, ring.modulus - 1)
         for _ in range(count):
-            node = _random_arith_node(rng, size, ring, n_vars)
+            node = _random_arith_node(rng, size, ring, n_vars, lo, hi)
             formula = ArithFormula(ring, node, n_vars)
-            hi = (ring.modulus - 1) if ring.kind == "zmod" else 9
-            lo = -9 if ring.kind == "integers" else 0
             assignment = [rng.randint(lo, hi) for _ in range(n_vars)]
             instances.append(
                 formula.to_sexpr() + " ; " + ",".join(str(c) for c in assignment)
@@ -960,7 +954,8 @@ def eval_instance(kind: str, line: str) -> str:
         assignment = (
             [int(tok) for tok in assign_text.split(",")] if assign_text else []
         )
-        # Pad to the declared arity: corpus formulas may not use every X_i.
+        # Cut the assignment to the formula's arity, its largest X_i: a
+        # corpus line may list values for indeterminates it never reads.
         value = eval_arith(formula, assignment[: formula.n_indeterminates])
         try:
             return str(value)

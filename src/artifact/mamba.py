@@ -6,9 +6,10 @@ under p-bit floats, exact rationals, and the depth tracer.  The scheduling
 of operations is deliberate and is part of the contract: each output entry
 of a projection is one ``iter_add`` whose operands are the products *plus
 the bias leaf* (one rounding, depth one multiply-level plus one
-aggregation); the two selection sandwiches ``W·X·P`` are evaluated in
-Kronecker form, folding the parameter-parameter products into precomputed
-constants so each selected entry is again a single product family plus one
+aggregation); the selection's sandwiches ``W·X·P`` (for B, for C, and the
+1x1 one for the step size) are evaluated in Kronecker form by one helper,
+folding the parameter-parameter products into precomputed constants so
+each selected entry is again a single product family plus one
 aggregation; the discretization stages its exponentials serially (the
 ``exp`` feeding the ratio factor is genuinely recomputed rather than
 reused); the recurrence consumes its carried state through ``reinject``,
@@ -24,6 +25,9 @@ state-space evaluation, the gating and the output projection
 (:func:`forward_routes`).  Asked for one route, the sequence of context
 calls is that of :func:`mamba_forward` for that route, which the depth
 tracer records; that order is part of the depth contract.
+:func:`forward_routes` converts values only at its ends: a p-bit input
+matrix enters the context as it is, an exact one through ``input``, and
+each result leaves as an ``FpMatrix``.
 
 Sequence/feature conventions: the input ``X`` is ``L x D`` (a row per time
 step), the inner activation is ``L x E``, the state is ``n``-dimensional,
@@ -322,52 +326,39 @@ def silu_map(ctx: ScalarContext, x):
     return [[ctx.silu(v) for v in row] for row in x]
 
 
+def _sandwich(ctx: ScalarContext, W, P, x):
+    """``W·X·P`` in Kronecker form: entry ``(i, k)`` is one ``iter_add``
+    over ``(t, d)``, ``t`` outer, of ``mul(const_mul(W[i][t], P[d][k]),
+    x[t][d])``."""
+    cols = list(zip(*P))
+    return [
+        [
+            ctx.iter_add([
+                ctx.mul(ctx.const_mul(w, p), v)
+                for w, row in zip(w_row, x)
+                for p, v in zip(col, row)
+            ])
+            for col in cols
+        ]
+        for w_row in W
+    ]
+
+
 def select_params(ctx: ScalarContext, x, w_b, p_b, w_c, p_c, w_delta, p_delta, w_delta_scalar):
     """Input-dependent state-space parameters.
 
-    The two sandwiches ``W_B X P_B`` and ``W_C X P_C`` and the step-size row
-    are evaluated in Kronecker form: the parameter-parameter coefficient
+    The two sandwiches ``W_B X P_B`` and ``W_C X P_C`` and the raw step
+    size ``w_delta^T X p_delta`` (a 1x1 sandwich) are evaluated in
+    Kronecker form by one helper: the parameter-parameter coefficient
     ``W[i,t] * P[d,k]`` is a precomputed constant (``const_mul``), so each
     output entry is one product family over the input entries plus one
     aggregation.  The raw step size is broadcast (``dup``), a stage barrier
     closes the linear phase, and the positive step size
     ``softplus(w_delta_scalar) * raw`` is formed after it.
     """
-    L, E = len(x), len(x[0])
-    n = len(w_b)
-    s_b = [
-        [
-            ctx.iter_add(
-                [
-                    ctx.mul(ctx.const_mul(w_b[i][t], p_b[d][k]), x[t][d])
-                    for t in range(L)
-                    for d in range(E)
-                ]
-            )
-            for k in range(E)
-        ]
-        for i in range(n)
-    ]
-    s_c = [
-        [
-            ctx.iter_add(
-                [
-                    ctx.mul(ctx.const_mul(w_c[d][t], p_c[k][j]), x[t][k])
-                    for t in range(L)
-                    for k in range(E)
-                ]
-            )
-            for j in range(n)
-        ]
-        for d in range(E)
-    ]
-    raw = ctx.iter_add(
-        [
-            ctx.mul(ctx.const_mul(w_delta[t], p_delta[d]), x[t][d])
-            for t in range(L)
-            for d in range(E)
-        ]
-    )
+    s_b = _sandwich(ctx, w_b, p_b, x)
+    s_c = _sandwich(ctx, w_c, p_c, x)
+    raw = _sandwich(ctx, [w_delta], [[v] for v in p_delta], x)[0][0]
     raw_b = ctx.dup(raw)
     ctx.seq_point([v for row in s_b for v in row] + [v for row in s_c for v in row] + [raw_b])
     delta = ctx.mul(ctx.softplus(w_delta_scalar), raw_b)
@@ -617,7 +608,8 @@ def forward_routes(
     else:
         ctx = ExactScalars()
     pw = wrap_params(ctx, params)
-    xin = wrap_values(ctx, x.to_fractions())
+    # p-bit entries are already values of the context, at its precision.
+    xin = x.data if x.mode == "pbit" else wrap_values(ctx, x.data)
     ys = _forward_routes(ctx, pw, xin, forms)
     if x.mode == "pbit":
         return tuple(FpMatrix.pbit(y, x.p) for y in ys)

@@ -7,7 +7,9 @@ import argparse
 import copy
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from decimal import Decimal
@@ -108,6 +110,26 @@ class TestFpCommand:
         assert capsys.readouterr().out == want
         assert main(["fp", "--", "-" * 9_999 + "1.5"]) == 0
         assert capsys.readouterr().out == want.replace("m=", "m=-").replace("~ ", "~ -")
+
+    def test_leading_minus_needs_no_separator(self, capsys):
+        """An expression that starts with '-' is the expression, not an
+        unknown option, with ``-p`` before or after it; a second argument
+        is still refused, and so is a missing expression."""
+        for expr in ("-(1)", "-1.5*2"):
+            assert main(["fp", "-p", "12", "--", expr]) == 0
+            want = capsys.readouterr().out
+            for argv in (["fp", expr, "-p", "12"], ["fp", "-p", "12", expr],
+                         ["fp", expr, "--precision", "12"]):
+                assert main(argv) == 0
+                assert capsys.readouterr().out == want
+        assert main(["fp", "-(1)"]) == 0
+        assert capsys.readouterr().out.startswith("(m=-32768, e=-15, p=16) ~ -1.0")
+        assert main(["fp", "1", "-(2)"]) == 2
+        assert capsys.readouterr() == ("", "CliUsageError: artifact: unrecognized arguments: -(2)\n")
+        assert main(["fp"]) == 2
+        assert capsys.readouterr() == (
+            "", "CliUsageError: artifact fp: the following arguments are required: expr\n"
+        )
 
     def test_precision_range_exits_two(self, capsys):
         assert main(["fp", "-p", "100000", "1"]) == 2
@@ -897,6 +919,21 @@ class TestHardnessCommands:
         assert [r["length_bound"] for r in reports] == [4**7142, "4**7143"]
         assert [(r["instructions"], r["length_ok"]) for r in reports] == [(7143, True), (7144, True)]
 
+    def test_barrington_bound_under_a_lower_digit_limit(self, tmp_path):
+        """The cut-off is the interpreter's limit, not a fixed 4300 digits:
+        under a 640-digit limit, 4**2000 (1,205 digits) prints as a string."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        run = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=640", "-m", "artifact.cli",
+             "hardness", "barrington", _not_chain(tmp_path, 2000)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        report = json.loads(run.stdout)
+        assert (report["length_bound"], report["instructions"]) == ("4**2000", 2001)
+
 
 def _not_chain(tmp_path, n: int) -> str:
     """Netlist of n NOT gates in a chain over one input."""
@@ -909,13 +946,19 @@ def _not_chain(tmp_path, n: int) -> str:
 class TestDeepInputs:
     """Inputs as deep as the hardness problems: a 10^5-gate NOT chain
     through `circuit depth|eval|rewrite`, NOT chains at, past and far below
-    the program cap through `hardness barrington --check`, and 50,000
-    nested parentheses through `fp`.  Each exits 0, or 2 with one stderr
-    line, and all of them together take under 10 s."""
+    the program cap through `hardness barrington --check`, 50,000 nested
+    parentheses through `fp`, and corpus lines 50,000 levels deep through
+    `hardness eval`.  Each exits 0, or 2 with one stderr line, and all of
+    them together take under 10 s."""
 
     def test_deep_inputs_within_budget(self, tmp_path, capsys):
         deep, at_cap, long = (_not_chain(tmp_path, n) for n in (100_000, 65_535, 16_000))
         nested = "(" * 50_000 + "1.5" + ")" * 50_000
+        # A postfix left comb whose label is its innermost leaf ("0∨" and
+        # "1∧" are identities), and a Z_7 comb: (1 + 3 * 50,000) mod 7 = 5.
+        bool_comb, z7_comb = tmp_path / "bool.txt", tmp_path / "z7.txt"
+        bool_comb.write_text("1" + "0∨1∧" * 25_000 + "\n", encoding="utf-8")
+        z7_comb.write_text("(+ " * 50_000 + "X1" + " 3)" * 50_000 + " ; 1,2,3\n", encoding="utf-8")
         start = time.perf_counter()
         results = [_call(argv, capsys) for argv in [
             ["circuit", "depth", deep],
@@ -925,9 +968,11 @@ class TestDeepInputs:
             ["hardness", "barrington", deep, "--check"],
             ["hardness", "barrington", long, "--check"],
             ["fp", nested],
+            ["hardness", "eval", "bool", str(bool_comb)],
+            ["hardness", "eval", "arith-z7", str(z7_comb)],
         ]]
         assert time.perf_counter() - start < 10.0
-        assert [code for code, _, _ in results] == [0, 0, 0, 0, 2, 0, 0]
+        assert [code for code, _, _ in results] == [0, 0, 0, 0, 2, 0, 0, 0, 0]
         assert all(not err for code, _, err in results if code == 0)
         assert json.loads(results[0][1])["depth"] == 100_000
         assert results[1][1] == "1\n"
@@ -943,6 +988,7 @@ class TestDeepInputs:
             assert report["length_bound"] == f"4**{depth}"
             assert (report["length_ok"], report["equivalence"]) == (True, "pass")
         assert results[6][1] == _call(["fp", "1.5"], capsys)[1]
+        assert (results[7][1], results[8][1]) == ("1\n", "5\n")
 
 
 # sha256 of `hardness gen perm --size S --seed N` stdout (the instances)

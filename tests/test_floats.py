@@ -19,6 +19,7 @@ from artifact.floats import (
     DivisionByZero,
     FpNumber,
     Overflow,
+    _round_quotient,
     fp_add,
     fp_compare,
     fp_div,
@@ -27,6 +28,7 @@ from artifact.floats import (
     iter_add,
     iter_mul,
     round_p,
+    round_scaled,
 )
 
 
@@ -154,6 +156,25 @@ class TestRoundP:
         for m, e in oracles.legal_floats(3):
             x = Fraction(m) * oracles.pow2(e)
             assert me(round_p(x, 3)) == (m, e)
+
+    def test_power_of_two_denominator_is_a_scale(self):
+        """``_round_quotient(num, 2**j, k, p)`` is ``round_scaled(num, k - j,
+        p)``, ``Overflow`` included, with ``k`` at both ends of the exponent
+        range and in its middle: 360,300 cases."""
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except Overflow:
+                return Overflow
+
+        for p in (1, 2, 3, 5, 8):
+            lim = 1 << p
+            for k in (-lim - 12, -lim, 0, lim - 12, lim):
+                for j in range(12):
+                    for num in range(-600, 601):
+                        want = outcome(round_scaled, num, k - j, p)
+                        assert outcome(_round_quotient, num, 1 << j, k, p) == want, (num, j, k, p)
 
 
 class TestApproxDiv:
