@@ -62,9 +62,9 @@ from artifact.depth import (
     depth_report,
     resolve_assignment,
 )
-from artifact.contexts import PBitScalars
 from artifact.elementary import NegativeInput, NonPositiveInput
-from artifact.floats import FpError, FpNumber
+from artifact.elementary import exp_fp, log_fp, sigmoid_fp, silu_fp, softplus_fp, sqrt_fp
+from artifact.floats import FpError, FpNumber, fp_add, fp_div, fp_floor, fp_mul, round_p
 from artifact.hardness import (
     barrington_transform,
     eval_instance,
@@ -102,7 +102,7 @@ class _Parser(argparse.ArgumentParser):
 # ------------------------------------------------------------- fp command
 
 
-# The grammar's function names, each a method of :class:`PBitScalars`.
+# The grammar's function names, each a key of ``eval_expression``'s table.
 _FUNCTIONS = ("floor", "exp", "log", "sqrt", "sigmoid", "softplus", "silu")
 
 
@@ -133,7 +133,7 @@ def _tokenize_expr(text: str) -> list[str]:
     return tokens
 
 
-def _literal(tok: str, ctx: PBitScalars) -> FpNumber:
+def _literal(tok: str, p: int) -> FpNumber:
     if not (tok[0].isdigit() or tok[0] == "."):
         raise CliUsageError(f"unexpected token {tok!r}")
     try:
@@ -146,36 +146,37 @@ def _literal(tok: str, ctx: PBitScalars) -> FpNumber:
             value = Fraction(int(tok))
     except ValueError:
         raise CliUsageError(f"bad numeric literal {tok!r}") from None
-    return ctx.input(value)
+    return round_p(value, p)
 
 
 def eval_expression(text: str, p: int) -> FpNumber:
     """Evaluate the expression with every operation rounded to p bits.
 
-    Each literal and operation is the one of ``PBitScalars(p)``: literals
-    enter through ``input``, ``+ - * /`` are ``add``/``mul``/``div``, and
-    a function name is the context method of that name.  Unary minus binds
-    tightest, then ``* /``, then ``+ -``; binary operators associate to
-    the left.  The parse runs on explicit operator and value stacks, so
-    nesting depth is unbounded, and it applies each operation as soon as
-    its right operand is complete.
+    Literals are ``round_p``, ``+ - * /`` are ``fp_add``/``fp_mul``/
+    ``fp_div`` (``a - b`` adds ``-b``), ``floor`` is ``fp_floor`` and any
+    other function ``name`` is ``name_fp``, all on ``FpNumber``.  Unary
+    minus binds tightest, then ``* /``, then ``+ -``; binary operators
+    associate to the left.  The parse runs on explicit operator and value
+    stacks, so nesting depth is unbounded, and it applies each operation
+    as soon as its right operand is complete.
     """
-    ctx = PBitScalars(p)
+    # Built per call from the current bindings, which a profiler may wrap.
+    table = {"+": fp_add, "*": fp_mul, "/": fp_div, "floor": fp_floor, "exp": exp_fp,
+             "log": log_fp, "sqrt": sqrt_fp, "sigmoid": sigmoid_fp,
+             "softplus": softplus_fp, "silu": silu_fp}
     values: list[FpNumber] = []
     ops: list[str] = []  # pending "neg", binary operators, "(" and function names
 
     def apply(op: str) -> None:
         x = values.pop()
+        if op in ("neg", "-"):
+            x = FpNumber(-x.m, x.e, x.p)
         if op == "neg":
-            values.append(FpNumber(-x.m, x.e, x.p))
+            values.append(x)
         elif op in _FUNCTIONS:
-            values.append(getattr(ctx, op)(x))
-        elif op == "*":
-            values[-1] = ctx.mul(values[-1], x)
-        elif op == "/":
-            values[-1] = ctx.div(values[-1], x)
+            values.append(table[op](x))
         else:
-            values[-1] = ctx.add(values[-1], x if op == "+" else FpNumber(-x.m, x.e, x.p))
+            values[-1] = table["+" if op == "-" else op](values[-1], x)
 
     def operand_done() -> None:
         while ops and ops[-1] == "neg":
@@ -191,7 +192,7 @@ def eval_expression(text: str, p: int) -> FpNumber:
             if tok in ("-", "(") or tok in _FUNCTIONS:
                 ops.append("neg" if tok == "-" else tok)
             else:
-                values.append(_literal(tok, ctx))
+                values.append(_literal(tok, p))
                 want_operand = False
                 operand_done()
             continue

@@ -2,12 +2,13 @@
 
 Model code (projections, convolutions, the state-space recurrence) is
 written once against a small scalar vocabulary and executed under any of
-three contexts: :class:`PBitScalars` rounds every operation to ``p`` bits,
-:class:`ExactScalars` computes exact rationals on dyadic triples
-``(n, k, d)`` standing for ``n * 2**k / d`` with an odd ``d`` (the
-reference semantics the p-bit route is measured against;
-:func:`exact_value` reads a value out as a ``Fraction``), and the tracer in
-:mod:`artifact.depth` replays the same code on node ids, recording a
+three contexts: :class:`PBitScalars` rounds every operation to ``p`` bits
+on ``(m, e)`` pairs, each op one call of the integer kernel of
+:mod:`artifact.floats`; :class:`ExactScalars` computes exact rationals on
+dyadic triples ``(n, k, d)`` standing for ``n * 2**k / d`` with an odd
+``d`` (the reference semantics the p-bit route is measured against;
+:func:`exact_value` reads a value out as a ``Fraction``); and the tracer
+in :mod:`artifact.depth` replays the same code on node ids, recording a
 cost-annotated dataflow graph and computing no values.
 
 The vocabulary distinguishes flavours that plain value semantics don't care
@@ -34,27 +35,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Generic, Sequence, TypeVar
 
-from artifact.elementary import (
-    exp_fp,
-    log_fp,
-    sigmoid_fp,
-    silu_fp,
-    softplus_fp,
-    sqrt_fp,
-)
-from artifact.floats import (
-    DivisionByZero,
-    FpError,
-    FpNumber,
-    _round_quotient,
-    fp_add,
-    fp_div,
-    fp_floor,
-    fp_mul,
-    iter_add,
-    iter_mul,
-    round_p,
-)
+from artifact.elementary import exp_fp, log_fp, sigmoid_fp, silu_fp, softplus_fp, sqrt_fp
+from artifact.floats import DivisionByZero, FpError, Pair, _normal, _require_p, _round_quotient
+from artifact.floats import _add, _div, _floor, _iter_add, _iter_mul, _round
 
 V = TypeVar("V")
 
@@ -97,23 +80,28 @@ class ScalarContext(ABC, Generic[V]):
     def iter_mul(self, xs: Sequence[V]) -> V: ...
 
     # -------------------------------------------------------- elementary
-    @abstractmethod
-    def exp(self, a: V) -> V: ...
+    # Each is the p-bit function of its name, applied by the value
+    # contexts' ``_elem``; the tracer overrides all six.
+    def _elem(self, name: str, fn, a: V) -> V:
+        raise NotImplementedError(name)
 
-    @abstractmethod
-    def sqrt(self, a: V) -> V: ...
+    def exp(self, a: V) -> V:
+        return self._elem("exp", exp_fp, a)
 
-    @abstractmethod
-    def log(self, a: V) -> V: ...
+    def sqrt(self, a: V) -> V:
+        return self._elem("sqrt", sqrt_fp, a)
 
-    @abstractmethod
-    def softplus(self, a: V) -> V: ...
+    def log(self, a: V) -> V:
+        return self._elem("log", log_fp, a)
 
-    @abstractmethod
-    def sigmoid(self, a: V) -> V: ...
+    def softplus(self, a: V) -> V:
+        return self._elem("softplus", softplus_fp, a)
 
-    @abstractmethod
-    def silu(self, a: V) -> V: ...
+    def sigmoid(self, a: V) -> V:
+        return self._elem("sigmoid", sigmoid_fp, a)
+
+    def silu(self, a: V) -> V:
+        return self._elem("silu", silu_fp, a)
 
     # ---------------------------------------------------------- structure
     def index(self, a: V) -> V:
@@ -138,59 +126,53 @@ class ScalarContext(ABC, Generic[V]):
         discretization takes its small branch; never a traced event."""
 
 
-class PBitScalars(ScalarContext[FpNumber]):
-    """Every operation is the p-bit float op: one rounding per event."""
+class PBitScalars(ScalarContext[Pair]):
+    """Every operation is the p-bit float op: one rounding per event.
+
+    Values are ``(m, e)`` pairs and each arithmetic method is one op of
+    the kernel in :mod:`artifact.floats`; the elementary methods convert
+    to and from ``FpNumber`` at their boundary."""
 
     def __init__(self, p: int) -> None:
+        _require_p(p)
         self.p = p
 
-    def input(self, q: Fraction) -> FpNumber:
-        return round_p(q if type(q) in _RATIONAL else Fraction(q), self.p)
+    def input(self, q: Fraction) -> Pair:
+        if type(q) not in _RATIONAL:
+            q = Fraction(q)
+        return _round_quotient(q.numerator, q.denominator, 0, self.p)
 
     const = input
 
     def add(self, a, b):
-        return fp_add(a, b)
+        return _add(a, b, self.p)
 
     def mul(self, a, b):
-        return fp_mul(a, b)
+        return _round(a[0] * b[0], a[1] + b[1], self.p)
 
     const_mul = mul
 
     def div(self, a, b):
-        return fp_div(a, b)
+        return _div(a, b, self.p)
 
     def floor(self, a):
-        return fp_floor(a)
+        return _floor(a, self.p)
 
     def iter_add(self, xs):
-        return iter_add(list(xs))
+        return _iter_add(xs, self.p)
 
     def iter_mul(self, xs):
-        return iter_mul(list(xs))
+        return _iter_mul(xs, self.p)
 
-    def exp(self, a):
-        return exp_fp(a)
-
-    def sqrt(self, a):
-        return sqrt_fp(a)
-
-    def log(self, a):
-        return log_fp(a)
-
-    def softplus(self, a):
-        return softplus_fp(a)
-
-    def sigmoid(self, a):
-        return sigmoid_fp(a)
-
-    def silu(self, a):
-        return silu_fp(a)
+    def _elem(self, name: str, fn, a: Pair) -> Pair:
+        y = fn(_normal(a[0], a[1], self.p))
+        return y.m, y.e
 
     def guard_small(self, a):
         # |m| * 2**e < 2**-(p // 2) in integers, with no power of two built:
         # the exponent can be near -2**p.
-        return not a.m or abs(a.m).bit_length() <= -(self.p // 2) - a.e
+        m, e = a
+        return not m or abs(m).bit_length() <= -(self.p // 2) - e
 
 
 Triple = tuple[int, int, int]
@@ -347,31 +329,13 @@ class ExactScalars(ScalarContext[Triple]):
 
     def _elem(self, name: str, fn, a: Triple) -> Triple:
         n, k, d = a
-        y = fn(_round_quotient(n, d, k, EXACT_REF_P))
+        y = fn(_normal(*_round_quotient(n, d, k, EXACT_REF_P), EXACT_REF_P))
         if abs(y.e) > EXACT_EXP_BOUND:
             raise ExactDomainError(
                 f"exact {name} result has exponent {y.e}, past the exact route's "
                 f"bound |e| <= {EXACT_EXP_BOUND}"
             )
         return y.m, y.e, 1
-
-    def exp(self, a):
-        return self._elem("exp", exp_fp, a)
-
-    def sqrt(self, a):
-        return self._elem("sqrt", sqrt_fp, a)
-
-    def log(self, a):
-        return self._elem("log", log_fp, a)
-
-    def softplus(self, a):
-        return self._elem("softplus", softplus_fp, a)
-
-    def sigmoid(self, a):
-        return self._elem("sigmoid", sigmoid_fp, a)
-
-    def silu(self, a):
-        return self._elem("silu", silu_fp, a)
 
     def guard_small(self, a):
         # |n| * 2**s < d with s = k + EXACT_REF_P // 2, decided on bit

@@ -42,15 +42,7 @@ from collections.abc import Callable
 from functools import cache, lru_cache
 from math import isqrt
 
-from artifact.floats import (
-    FpNumber,
-    Overflow,
-    fp_add,
-    fp_div,
-    fp_mul,
-    round_p,
-    round_scaled,
-)
+from artifact.floats import FpNumber, Overflow, _normal, _round, fp_add, fp_div, fp_mul, round_p
 
 __all__ = [
     "NegativeInput",
@@ -108,17 +100,17 @@ def _correctly_rounded(p: int, attempt: Attempt) -> FpNumber:
 def _commit(t: int, b: int, scale: int, p: int) -> FpNumber | None:
     """Round ``(t ± b) * 2**scale``; None when the interval straddles."""
     try:
-        lo = round_scaled(t - b, scale, p)
+        lo = _round(t - b, scale, p)
     except Overflow:
         lo = None
     try:
-        hi = round_scaled(t + b, scale, p)
+        hi = _round(t + b, scale, p)
     except Overflow:
         hi = None
     if lo == hi:
         if lo is None:
             raise Overflow(f"result exceeds the exponent range at p={p}")
-        return lo
+        return _normal(*lo, p)
     return None
 
 

@@ -5,11 +5,18 @@ value ``m * 2**e``.  Zero is canonically ``(0, 0)``; otherwise the
 significand is normalized, ``2**(p-1) <= |m| <= 2**p - 1``, and the exponent
 lies in the two's-complement window ``-2**p <= e < 2**p``.  Every operation
 works on the integer pairs: it forms its exact result as an integer ``n``
-times ``2**k`` and rounds that once with :func:`round_scaled`, the single
-rounding kernel, so results are bit-reproducible.  A rational ``num / den
-* 2**k`` reaches the same kernel through one adapter, ``_round_quotient``:
-:func:`fp_div`, :func:`round_p` and the exact route of
+times ``2**k`` and rounds that once with ``_round(n, k, p) -> (m, e)``, the
+single rounding kernel, so results are bit-reproducible.  A rational ``num
+/ den * 2**k`` reaches the same kernel through one adapter,
+``_round_quotient``: :func:`fp_div`, :func:`round_p` and the exact route of
 :mod:`artifact.contexts` all round through it.
+
+The kernel and its ops (``_add``, ``_div``, ``_compare``, ``_floor``,
+``_iter_add``, ``_iter_mul``; a product is ``_round(m1 * m2, e1 + e2, p)``)
+take plain ``(m, e)`` pairs and ``p``, check nothing and build no
+:class:`FpNumber`; :mod:`artifact.contexts` and :mod:`artifact.synthesis`
+call them directly.  Each public function is its precision check, one
+kernel op and one ``FpNumber`` built from the result.
 
 Rounding is round-to-nearest with ties resolved toward the even
 significand.  A result whose nearest representable would need an exponent
@@ -41,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 __all__ = [
@@ -95,8 +103,7 @@ class FpNumber:
     p: int
 
     def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError(f"precision must be >= 1, got {self.p}")
+        _require_p(self.p)
         if not isinstance(self.m, int) or not isinstance(self.e, int):
             raise ValueError("significand and exponent must be int")
         lim = 1 << self.p
@@ -139,8 +146,8 @@ _set_p = FpNumber.p.__set__
 
 
 def _normal(m: int, e: int, p: int) -> FpNumber:
-    """An FpNumber whose fields :func:`round_scaled` has already put in
-    normal form, built without repeating the ``__post_init__`` checks."""
+    """An FpNumber whose fields the kernel has already put in normal form,
+    built without repeating the ``__post_init__`` checks."""
     x = _new(FpNumber)
     _set_m(x, m)
     _set_e(x, e)
@@ -148,8 +155,16 @@ def _normal(m: int, e: int, p: int) -> FpNumber:
     return x
 
 
-def round_scaled(n: int, k: int, p: int) -> FpNumber:
-    """Round ``n * 2**k`` to the nearest p-bit float in integer arithmetic.
+def _require_p(p: int) -> None:
+    if p < 1:
+        raise ValueError(f"precision must be >= 1, got {p}")
+
+
+Pair = tuple[int, int]
+
+
+def _round(n: int, k: int, p: int) -> Pair:
+    """Round ``n * 2**k`` to the nearest p-bit ``(m, e)``.
 
     Ties go to the even significand.  If the nearest representable would
     need an exponent ``>= 2**p`` (this includes the tie at the very top of
@@ -159,10 +174,8 @@ def round_scaled(n: int, k: int, p: int) -> FpNumber:
     both candidate significands are even, so the tie rule is mute and the
     result is zero (the magnitude-smaller candidate).
     """
-    if p < 1:
-        raise ValueError(f"precision must be >= 1, got {p}")
     if not n:
-        return _normal(0, 0, p)
+        return 0, 0
     a = -n if n < 0 else n
     lim = 1 << p
     shift = a.bit_length() - p
@@ -173,8 +186,8 @@ def round_scaled(n: int, k: int, p: int) -> FpNumber:
         t = p - 2 - lim - k
         bl = a.bit_length() - 1
         if bl < t or (bl == t and a == 1 << t):
-            return _normal(0, 0, p)
-        return _normal(-(lim >> 1) if n < 0 else lim >> 1, -lim, p)
+            return 0, 0
+        return (-(lim >> 1) if n < 0 else lim >> 1), -lim
     if shift <= 0:
         m = a << -shift
     else:
@@ -186,12 +199,12 @@ def round_scaled(n: int, k: int, p: int) -> FpNumber:
             e += 1
     if e >= lim:
         raise Overflow(f"exponent {e} out of range for p={p}")
-    return _normal(-m if n < 0 else m, e, p)
+    return (-m if n < 0 else m), e
 
 
-def _round_quotient(num: int, den: int, k: int, p: int) -> FpNumber:
+def _round_quotient(num: int, den: int, k: int, p: int) -> Pair:
     """Round ``num / den * 2**k`` for any nonzero ``den``: the one adapter
-    from a rational to :func:`round_scaled`.
+    from a rational to :func:`_round`.
 
     A positive power-of-two denominator ``2**j`` is a scale, ``num *
     2**(k - j)``.  Any other has its magnitude reduced to an integer
@@ -200,36 +213,12 @@ def _round_quotient(num: int, den: int, k: int, p: int) -> FpNumber:
     one bit below ``q`` settles the rounding as the exact rational would.
     """
     if den > 0 and not den & (den - 1):
-        return round_scaled(num, k + 1 - den.bit_length(), p)
+        return _round(num, k + 1 - den.bit_length(), p)
     a, d = abs(num), abs(den)
     s = max(0, p + 2 + d.bit_length() - a.bit_length())
     q, r = divmod(a << s, d)
     w = (q << 1) | (r != 0)
-    return round_scaled(-w if (num < 0) != (den < 0) else w, k - s - 1, p)
-
-
-def round_p(x: Fraction | int, p: int) -> FpNumber:
-    """Round an exact rational to the nearest p-bit float.
-
-    The value goes to :func:`_round_quotient` as its numerator and
-    denominator, so the rounding rule is that of :func:`round_scaled`.
-    """
-    if not isinstance(x, (int, Fraction)):
-        raise TypeError(f"round_p expects Fraction or int, got {type(x)!r}")
-    return _round_quotient(x.numerator, x.denominator, 0, p)
-
-
-def _mixed_precision(xs: Sequence[FpNumber]) -> ValueError:
-    ps = sorted({x.p for x in xs})
-    return ValueError(f"operands must share one precision, got {ps}")
-
-
-def _require_same_p(xs: Sequence[FpNumber]) -> int:
-    p = xs[0].p
-    for x in xs:
-        if x.p != p:
-            raise _mixed_precision(xs)
-    return p
+    return _round(-w if (num < 0) != (den < 0) else w, k - s - 1, p)
 
 
 def _align(hi_m: int, lo_m: int, d: int) -> tuple[int, int, int]:
@@ -245,6 +234,104 @@ def _align(hi_m: int, lo_m: int, d: int) -> tuple[int, int, int]:
     return hi_m << (d + 3), (lo_m << 3) + (1 << d), d + 3
 
 
+def _add(a: Pair, b: Pair, p: int) -> Pair:
+    (am, ae), (bm, be) = a, b
+    if not am:
+        return b
+    if not bm:
+        return a
+    if ae < be:
+        a, am, ae, bm, be = b, bm, be, am, ae
+    d = ae - be
+    if d >= p + 4:
+        # b's quotient lies strictly between 1/16 and 3/16, under half an
+        # ulp of a even at a binade edge: the sum rounds back to a.
+        return a
+    x, y, s = _align(am, bm, d)
+    return _round(x + y, ae - s, p)
+
+
+def _div(a: Pair, b: Pair, p: int) -> Pair:
+    if not b[0]:
+        raise DivisionByZero("float division by zero")
+    n, d = a[0] << (p - 1), b[0]
+    if (n << 2) % d:
+        n, d = (n << 3) + d, d << 3
+    return _round_quotient(n, d, a[1] - b[1] - p + 1, p)
+
+
+def _compare(a: Pair, b: Pair, p: int) -> Comparison:
+    x, y = a[0], b[0]
+    if x and y:
+        d = a[1] - b[1]
+        if d >= p + 4:  # b's quotient is under 1/4: a's sign decides
+            y = 0
+        elif d <= -(p + 4):  # a is under 2**-4 of b's magnitude: b's sign decides
+            x = 0
+        elif d < 0:
+            y <<= -d
+        else:
+            x, y, _ = _align(x, y, d)
+    if x == y:
+        return Comparison.EQUAL
+    return Comparison.LESS if x < y else Comparison.GREATER
+
+
+def _floor(a: Pair, p: int) -> Pair:
+    m, e = a
+    return _round(m, e, p) if e >= 0 else _round(m >> -e, 0, p)
+
+
+def _iter_add(xs: Sequence[Pair], p: int) -> Pair:
+    if not xs:
+        raise ValueError("iter_add requires at least one operand")
+    e0 = None
+    for m, e in xs:
+        if m and (e0 is None or e < e0):
+            e0 = e
+    if e0 is None:
+        return 0, 0
+    return _round(sum(m << (e - e0) for m, e in xs if m), e0, p)
+
+
+def _iter_mul(xs: Sequence[Pair], p: int) -> Pair:
+    if not xs:
+        raise ValueError("iter_mul requires at least one operand")
+    return _round(prod(m for m, _ in xs), sum(e for _, e in xs), p)
+
+
+def round_scaled(n: int, k: int, p: int) -> FpNumber:
+    """Round ``n * 2**k`` to the nearest p-bit float in integer arithmetic,
+    by the rule of the kernel ``_round``."""
+    _require_p(p)
+    return _normal(*_round(n, k, p), p)
+
+
+def round_p(x: Fraction | int, p: int) -> FpNumber:
+    """Round an exact rational to the nearest p-bit float.
+
+    The value goes to :func:`_round_quotient` as its numerator and
+    denominator, so the rounding rule is that of :func:`round_scaled`.
+    """
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"round_p expects Fraction or int, got {type(x)!r}")
+    _require_p(p)
+    return _normal(*_round_quotient(x.numerator, x.denominator, 0, p), p)
+
+
+def _mixed_precision(xs: Sequence[FpNumber]) -> ValueError:
+    ps = sorted({x.p for x in xs})
+    return ValueError(f"operands must share one precision, got {ps}")
+
+
+def _require_same_p(xs: Sequence[FpNumber]) -> int:
+    p = xs[0].p if xs else 1  # an empty family goes on to the op, which refuses it
+    for x in xs:
+        if x.p != p:
+            raise _mixed_precision(xs)
+    return p
+
+
 def fp_add(a: FpNumber, b: FpNumber) -> FpNumber:
     """Add: align the smaller exponent via the approximate quotient, round.
 
@@ -257,39 +344,21 @@ def fp_add(a: FpNumber, b: FpNumber) -> FpNumber:
     """
     if a.p != b.p:
         raise _mixed_precision((a, b))
-    if not a.m:
-        return b
-    if not b.m:
-        return a
-    if a.e < b.e:
-        a, b = b, a
-    d = a.e - b.e
-    if d >= a.p + 4:
-        # b's quotient lies strictly between 1/16 and 3/16, under half an
-        # ulp of a even at a binade edge: the sum rounds back to a.
-        return a
-    x, y, s = _align(a.m, b.m, d)
-    return round_scaled(x + y, a.e - s, a.p)
+    return _normal(*_add((a.m, a.e), (b.m, b.e), a.p), a.p)
 
 
 def fp_mul(a: FpNumber, b: FpNumber) -> FpNumber:
     """Multiply: significands multiply exactly, exponents add, then round."""
     if a.p != b.p:
         raise _mixed_precision((a, b))
-    return round_scaled(a.m * b.m, a.e + b.e, a.p)
+    return _normal(*_round(a.m * b.m, a.e + b.e, a.p), a.p)
 
 
 def fp_div(a: FpNumber, b: FpNumber) -> FpNumber:
     """Divide: ``round_p((m1 * 2**(p-1) /~ m2) * 2**(e1 - e2 - p + 1))``."""
     if a.p != b.p:
         raise _mixed_precision((a, b))
-    if b.is_zero:
-        raise DivisionByZero("float division by zero")
-    p = a.p
-    n, d = a.m << (p - 1), b.m
-    if (n << 2) % d:
-        n, d = (n << 3) + d, d << 3
-    return _round_quotient(n, d, a.e - b.e - p + 1, p)
+    return _normal(*_div((a.m, a.e), (b.m, b.e), a.p), a.p)
 
 
 def fp_compare(a: FpNumber, b: FpNumber) -> Comparison:
@@ -305,20 +374,7 @@ def fp_compare(a: FpNumber, b: FpNumber) -> Comparison:
     """
     if a.p != b.p:
         raise _mixed_precision((a, b))
-    x, y = a.m, b.m
-    if x and y:
-        d = a.e - b.e
-        if d >= a.p + 4:  # b's quotient is under 1/4: a's sign decides
-            y = 0
-        elif d <= -(a.p + 4):  # a is under 2**-4 of b's magnitude: b's sign decides
-            x = 0
-        elif d < 0:
-            y <<= -d
-        else:
-            x, y, _ = _align(x, y, d)
-    if x == y:
-        return Comparison.EQUAL
-    return Comparison.LESS if x < y else Comparison.GREATER
+    return _compare((a.m, a.e), (b.m, b.e), a.p)
 
 
 def fp_floor(a: FpNumber) -> FpNumber:
@@ -329,9 +385,7 @@ def fp_floor(a: FpNumber) -> FpNumber:
     shifted right by ``-e`` (toward minus infinity) and the integer result
     rounded.
     """
-    if a.e >= 0:
-        return round_scaled(a.m, a.e, a.p)
-    return round_scaled(a.m >> -a.e, 0, a.p)
+    return _normal(*_floor((a.m, a.e), a.p), a.p)
 
 
 def iter_add(xs: Sequence[FpNumber]) -> FpNumber:
@@ -342,20 +396,11 @@ def iter_add(xs: Sequence[FpNumber]) -> FpNumber:
     under permutation of the operands and is *not* a fold of binary adds.
     A singleton returns its element unchanged.
     """
-    if not xs:
-        raise ValueError("iter_add requires at least one operand")
     p = _require_same_p(xs)
-    e0 = min((x.e for x in xs if x.m), default=0)
-    return round_scaled(sum(x.m << (x.e - e0) for x in xs if x.m), e0, p)
+    return _normal(*_iter_add([(x.m, x.e) for x in xs], p), p)
 
 
 def iter_mul(xs: Sequence[FpNumber]) -> FpNumber:
     """Multiply a non-empty family exactly, then round once."""
-    if not xs:
-        raise ValueError("iter_mul requires at least one operand")
     p = _require_same_p(xs)
-    m, e = 1, 0
-    for x in xs:
-        m *= x.m
-        e += x.e
-    return round_scaled(m, e, p)
+    return _normal(*_iter_mul([(x.m, x.e) for x in xs], p), p)

@@ -865,7 +865,7 @@ def _random_arith_node(
             return ArithNode("var", index=rng.randint(1, n_vars))
         return ArithNode("const", value=ring.coerce(rng.randint(lo, hi)))
     roll = rng.random()
-    if roll < 0.2 and ring.kind != "booleans":
+    if roll < 0.2:
         return ArithNode(
             "neg", args=(_random_arith_node(rng, budget - 1, ring, n_vars, lo, hi),)
         )

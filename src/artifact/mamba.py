@@ -26,8 +26,8 @@ state-space evaluation, the gating and the output projection
 calls is that of :func:`mamba_forward` for that route, which the depth
 tracer records; that order is part of the depth contract.
 :func:`forward_routes` converts values only at its ends: a p-bit input
-matrix enters the context as it is, an exact one through ``input``, and
-each result leaves as an ``FpMatrix``.
+matrix enters as its entries' ``(m, e)`` pairs, an exact one through
+``input``, and each result leaves as an ``FpMatrix``.
 
 Sequence/feature conventions: the input ``X`` is ``L x D`` (a row per time
 step), the inner activation is ``L x E``, the state is ``n``-dimensional,
@@ -45,6 +45,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from artifact.contexts import ExactScalars, PBitScalars, ScalarContext, exact_value
+from artifact.floats import _normal
 from artifact.matrices import FpMatrix, ShapeMismatch
 
 __all__ = [
@@ -605,14 +606,15 @@ def forward_routes(
         raise ShapeMismatch("input must be seq_len x d_model")
     if x.mode == "pbit":
         ctx: ScalarContext = PBitScalars(x.p)
+        # The entries are already at the context's precision.
+        xin = [[(v.m, v.e) for v in row] for row in x.data]
     else:
         ctx = ExactScalars()
-    pw = wrap_params(ctx, params)
-    # p-bit entries are already values of the context, at its precision.
-    xin = x.data if x.mode == "pbit" else wrap_values(ctx, x.data)
-    ys = _forward_routes(ctx, pw, xin, forms)
+        xin = wrap_values(ctx, x.data)
+    ys = _forward_routes(ctx, wrap_params(ctx, params), xin, forms)
     if x.mode == "pbit":
-        return tuple(FpMatrix.pbit(y, x.p) for y in ys)
+        return tuple(FpMatrix.pbit([[_normal(m, e, x.p) for m, e in row] for row in y], x.p)
+                     for y in ys)
     return tuple(FpMatrix.exact([[exact_value(v) for v in row] for row in y]) for y in ys)
 
 

@@ -37,7 +37,8 @@ from itertools import islice, product
 from typing import Sequence
 
 from .circuits import BLOCK_LANES, Circuit, CircuitBuilder, evaluate_words, pack_codes
-from .floats import Comparison, FpNumber, Overflow, fp_add, fp_compare, fp_mul, iter_add
+from .floats import Comparison, FpNumber, Overflow, Pair
+from .floats import _add, _compare, _iter_add, _normal, _round
 
 __all__ = [
     "BitEncoding",
@@ -656,12 +657,13 @@ def _synth_iter_add(p: int, exp_bits: int, m: int) -> SynthesizedOp:
 
 
 #: Each primitive kind's synthesizer and the software op it is checked
-#: against, called with the operands of one case.
+#: against: the kernel op of ``fp_compare``, ``fp_add``, ``fp_mul`` or
+#: ``iter_add``, called with the ``(m, e)`` pairs of one case and then ``p``.
 _PRIMITIVES = {
-    "compare": (_synth_compare, fp_compare),
-    "add": (_synth_add, fp_add),
-    "mul": (_synth_mul, fp_mul),
-    "iter_add": (_synth_iter_add, lambda *xs: iter_add(xs)),
+    "compare": (_synth_compare, _compare),
+    "add": (_synth_add, _add),
+    "mul": (_synth_mul, lambda a, b, p: _round(a[0] * b[0], a[1] + b[1], p)),
+    "iter_add": (_synth_iter_add, lambda *c: _iter_add(c[:-1], c[-1])),
 }
 SYNTH_KINDS = tuple(_PRIMITIVES)
 
@@ -720,7 +722,7 @@ _VERDICT_BITS = {
 _VERDICT_CODES = {v: lt | gt << 1 for v, (lt, gt) in _VERDICT_BITS.items()}
 
 
-def _expected_words(op: SynthesizedOp, cases: Sequence[Sequence[FpNumber]]) -> list[int]:
+def _expected_words(op: SynthesizedOp, cases: Sequence[Sequence[Pair]]) -> list[int]:
     """Reference results of every case, packed like the circuit's outputs.
 
     Two bit-plane words follow the expected outputs: lanes where the
@@ -728,10 +730,10 @@ def _expected_words(op: SynthesizedOp, cases: Sequence[Sequence[FpNumber]]) -> l
     whose reference result the output encoding cannot hold (always a
     mismatch, as no output bits can equal it).
     """
-    ref = _PRIMITIVES[op.kind][1]
+    ref, p = _PRIMITIVES[op.kind][1], op.p
     n_out = len(op.circuit.outputs)
     if op.kind == "compare":
-        return pack_codes([_VERDICT_CODES[ref(*case)] for case in cases], n_out + 2)
+        return pack_codes([_VERDICT_CODES[ref(*case, p)] for case in cases], n_out + 2)
     # BitEncoding.code, inlined: this loop runs once per lane.
     enc = op.output_encoding
     sig_mask, exp_mask, sig_bits = enc.sig_mask, enc.exp_mask, enc.sig_bits
@@ -741,13 +743,12 @@ def _expected_words(op: SynthesizedOp, cases: Sequence[Sequence[FpNumber]]) -> l
     codes = []
     for case in cases:
         try:
-            r = ref(*case)
+            m, e = ref(*case, p)
         except Overflow:
             codes.append(overflow)
             continue
-        e = r.e
         if e_min <= e <= e_max:
-            codes.append((r.m & sig_mask) | (e & exp_mask) << sig_bits)
+            codes.append((m & sig_mask) | (e & exp_mask) << sig_bits)
         else:
             codes.append(unencodable)
     return pack_codes(codes, n_out + 2)
@@ -773,14 +774,14 @@ def _mismatch_lanes(outputs: list[int], expected: list[int], limit: int) -> list
     return lanes
 
 
-def _mismatch_report(op: SynthesizedOp, case: Sequence[FpNumber], got: tuple[int, ...]) -> dict:
+def _mismatch_report(op: SynthesizedOp, case: Sequence[Pair], got: tuple[int, ...]) -> dict:
     try:
-        want = _PRIMITIVES[op.kind][1](*case)
+        want = _PRIMITIVES[op.kind][1](*case, op.p)
     except Overflow:
         want = "overflow"
     else:
-        want = _VERDICT_BITS[want] if op.kind == "compare" else str(want)
-    return {"operands": [str(x) for x in case], "want": want, "got": got}
+        want = _VERDICT_BITS[want] if op.kind == "compare" else str(_normal(*want, op.p))
+    return {"operands": [str(_normal(*x, op.p)) for x in case], "want": want, "got": got}
 
 
 class _SweepCases:
@@ -788,7 +789,7 @@ class _SweepCases:
     head ``h`` followed by ``values[j]``.  No list of cases is built, so
     a block's cases never sit in memory beside the circuit's wires."""
 
-    def __init__(self, values: list[FpNumber], heads: list[tuple[int, ...]]):
+    def __init__(self, values: list[Pair], heads: list[tuple[int, ...]]):
         self.values = values
         self.heads = heads
 
@@ -799,7 +800,7 @@ class _SweepCases:
         for h in self.heads:
             yield from product(*[(self.values[i],) for i in h], self.values)
 
-    def __getitem__(self, lane: int) -> tuple[FpNumber, ...]:
+    def __getitem__(self, lane: int) -> tuple[Pair, ...]:
         h, j = divmod(lane, len(self.values))
         return (*[self.values[i] for i in self.heads[h]], self.values[j])
 
@@ -807,7 +808,7 @@ class _SweepCases:
 def _sweep_blocks(op: SynthesizedOp, values: list[FpNumber]):
     """The exhaustive sweep as ``(cases, input words)`` blocks of at most
     ``BLOCK_LANES`` lanes (and at least one head), the cases a
-    :class:`_SweepCases`.
+    :class:`_SweepCases` over the values' ``(m, e)`` pairs.
 
     Lanes run in mixed radix over the value list, the first operand most
     significant: for two operands lane ``i*V + j`` is ``(values[i],
@@ -820,6 +821,7 @@ def _sweep_blocks(op: SynthesizedOp, values: list[FpNumber]):
     enc = op.input_encoding
     n_values = len(values)
     codes = [enc.code(x) for x in values]
+    pairs = [(x.m, x.e) for x in values]
     ones, zeros = "1" * n_values, "0" * n_values
     bit_runs = [[ones if (c >> k) & 1 else zeros for c in codes] for k in range(enc.width)]
     last_patterns = [
@@ -834,16 +836,30 @@ def _sweep_blocks(op: SynthesizedOp, values: list[FpNumber]):
             for runs in bit_runs:
                 words.append(int("".join([runs[h[t]] for h in reversed(block)]), 2))
         words.extend(int(pattern * len(block), 2) for pattern in last_patterns)
-        yield _SweepCases(values, block), words
+        yield _SweepCases(pairs, block), words
+
+
+class _CasePairs:
+    """Explicit cases seen as their operands' ``(m, e)`` pairs, made on
+    demand: no second copy of a block's cases is built."""
+
+    def __init__(self, cases: Sequence[Sequence[FpNumber]]):
+        self.cases = cases
+
+    def __len__(self) -> int:
+        return len(self.cases)
+
+    def __getitem__(self, lane: int) -> tuple[Pair, ...]:
+        return tuple([(x.m, x.e) for x in self.cases[lane]])
 
 
 def _case_blocks(op: SynthesizedOp, cases: Sequence[Sequence[FpNumber]]):
-    """Explicit cases in blocks of ``BLOCK_LANES``, inputs packed by
-    transposing each case's input code."""
+    """Explicit cases in blocks of ``BLOCK_LANES``, a :class:`_CasePairs`
+    each, inputs packed by transposing each case's input code."""
     for start in range(0, len(cases), BLOCK_LANES):
         block = cases[start : start + BLOCK_LANES]
         codes = [op.input_code(case) for case in block]
-        yield block, pack_codes(codes, op.circuit.n_inputs)
+        yield _CasePairs(block), pack_codes(codes, op.circuit.n_inputs)
 
 
 def check_op(

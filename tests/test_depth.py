@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from artifact import floats
+from artifact import contexts, elementary, floats
 from artifact.cli import main
 from artifact.depth import (
     BASE_CONSTANTS,
@@ -543,7 +543,9 @@ class TestStructureOnlyTracer:
         def refuse(*args):
             raise AssertionError("the tracer rounded a value")
 
-        monkeypatch.setattr(floats, "round_scaled", refuse)
+        # The rounding kernel, at the binding each of its callers reads.
+        for module in (floats, contexts, elementary):
+            monkeypatch.setattr(module, "_round", refuse)
         got = trace_component("mamba_forward_convolution", shape)
         assert got.nodes == want.nodes and got.outputs == want.outputs
 
