@@ -27,7 +27,10 @@ met before costs one dictionary lookup.  A vector read out of a frontier
 is wrapped as ``DepthExpr(vec)``; ``DepthExpr.of`` also accepts the
 composite names and writes them out through the registry, so the checker
 compares two expressions directly.  Component traces are built from the
-shape alone: every leaf is a fresh input whose value is never read.  A node
+shape alone: every leaf is a fresh input whose value is never read.
+:func:`depth_report` traces each route pair (``ssm_select_*``,
+``mamba_forward_*``) once per shape, both routes after one shared prefix,
+and reads every component's depth at its own outputs.  A node
 may name a predecessor more than once as it enters the trace (``mul(a,
 a)``, or a member of the stage barrier it also takes); the frontier does
 not change, and every node read back from a trace names each predecessor
@@ -59,16 +62,16 @@ from artifact.mamba import (
     MambaParams,
     ShapeConfig,
     SsmDiscrete,
+    _forward_routes,
+    _ssm_routes,
     conv1d,
     conv_kernel,
     discretize,
     hidden_recurrence,
     input_projection,
-    mamba_forward,
     select_params,
     ssm_convolution,
     ssm_recurrent,
-    ssm_select,
     wrap_params,
 )
 
@@ -361,6 +364,13 @@ class CostTrace:
         twin._critical = self._critical
         return twin
 
+    def _frontier_at(self, outputs: Iterable[int]) -> tuple[_Sum, ...]:
+        """Pareto maxima of the path sums ending at ``outputs``.  Each
+        distinct frontier is read once, and a trace has few of them."""
+        frontiers = self._frontiers
+        distinct = dict.fromkeys(map(self._fronts.__getitem__, outputs))
+        return _maxima([s for f in distinct for s in frontiers[f]])
+
     def __len__(self) -> int:
         return len(self._fronts)
 
@@ -393,12 +403,16 @@ class CostTrace:
         Raises ``ValueError`` when the trace's deepest paths are mutually
         incomparable (no single symbolic maximum exists).
         """
-        front = self.critical_frontier()
-        if len(front) != 1:
-            raise ValueError(
-                "critical depth is not unique: " + ", ".join(str(e) for e in front)
-            )
-        return front[0]
+        return _unique(self._critical)
+
+
+def _unique(front: tuple[_Sum, ...]) -> DepthExpr:
+    """The one sum of a frontier, or ``ValueError`` naming them all."""
+    if len(front) != 1:
+        raise ValueError(
+            "critical depth is not unique: " + ", ".join(str(DepthExpr(s)) for s in front)
+        )
+    return DepthExpr(front[0])
 
 
 def critical_depth(trace: CostTrace) -> DepthExpr:
@@ -628,25 +642,24 @@ class TracedScalars(ScalarContext[int]):
         return False
 
 
-def _collect_values(obj: Any, into: list[int]) -> None:
+def _outputs(obj: Any) -> list[int]:
+    """Every node id in ``obj``, in nesting order."""
     if isinstance(obj, int):
-        into.append(obj)
-    elif isinstance(obj, SsmDiscrete):
-        for part in (obj.a_bar, obj.b_bar, obj.c_bar, obj.delta):
-            _collect_values(part, into)
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            _collect_values(item, into)
+        return [obj]
+    if isinstance(obj, SsmDiscrete):
+        obj = (obj.a_bar, obj.b_bar, obj.c_bar, obj.delta)
+    if isinstance(obj, (list, tuple)):
+        return [v for item in obj for v in _outputs(item)]
+    return []
 
 
 def trace_run(fn: Callable[[TracedScalars], Any]) -> CostTrace:
     """Run ``fn`` under a fresh tracing context and return its trace, with
     every node id in the function's result marked as an output."""
     ctx = TracedScalars()
-    result = fn(ctx)
-    outs: list[int] = []
-    _collect_values(result, outs)
-    return ctx.trace(outs)
+    # The context ends here, so its own trace is marked, not a copy.
+    ctx._trace.outputs = tuple(_outputs(fn(ctx)))
+    return ctx._trace
 
 
 # ----------------------------------------------------- component instances
@@ -669,7 +682,7 @@ def _disc_leaves(ctx: ScalarContext, shape: ShapeConfig) -> SsmDiscrete:
     return SsmDiscrete(_leaves(ctx, n), _leaves(ctx, n, E), _leaves(ctx, E, n), _leaves(ctx))
 
 
-def _components() -> dict[str, tuple[Callable[[TracedScalars, ShapeConfig], Any], str | None]]:
+def _components() -> dict[str, tuple[Callable[..., Any], str | None, str | None]]:
     def scalar(fn_name):
         def run(ctx: TracedScalars, shape: ShapeConfig):
             return getattr(ctx, fn_name)(_leaves(ctx))
@@ -710,42 +723,39 @@ def _components() -> dict[str, tuple[Callable[[TracedScalars, ShapeConfig], Any]
         E, L = shape.d_inner, shape.seq_len
         return ssm_convolution(ctx, _leaves(ctx, E, E, L), _leaves(ctx, L, E))
 
-    def b_ssm(form):
-        def run(ctx, shape):
-            pw = _params(ctx, shape)
-            return ssm_select(ctx, pw, _leaves(ctx, shape.seq_len, shape.d_inner), form)
+    # A route builder takes the forms to trace and returns one result per
+    # form, each route after the shared prefix.
+    def b_ssm(ctx, shape, forms):
+        pw = _params(ctx, shape)
+        return _ssm_routes(ctx, pw, _leaves(ctx, shape.seq_len, shape.d_inner), forms)
 
-        return run
+    def b_mamba(ctx, shape, forms):
+        pw = _params(ctx, shape)
+        return _forward_routes(ctx, pw, _leaves(ctx, shape.seq_len, shape.d_model), forms)
 
-    def b_mamba(form):
-        def run(ctx, shape):
-            pw = _params(ctx, shape)
-            return mamba_forward(ctx, pw, _leaves(ctx, shape.seq_len, shape.d_model), form)
-
-        return run
-
-    # Each component's builder and the registry formula it is checked
-    # against, or None.  The registered ones come in registry order, the
-    # order COMPONENT_REGISTRY_KEYS keeps.
+    # Each component's builder, the form it reads of a route builder (None
+    # for a plain one), and the registry formula it is checked against, or
+    # None.  The registered ones come in registry order, the order
+    # COMPONENT_REGISTRY_KEYS keeps.
     return {
-        "log": (scalar("log"), "d_log"),
-        "softplus": (scalar("softplus"), "d_sp"),
-        "silu": (scalar("silu"), None),
-        "sigmoid": (scalar("sigmoid"), None),
-        "exp": (scalar("exp"), None),
-        "sqrt": (scalar("sqrt"), None),
-        "discretize": (b_discretize, "d_disc"),
-        "hidden_recurrence": (b_hidden, "d_h"),
-        "conv_kernel": (b_kernel, "d_k"),
-        "input_projection": (b_input_projection, None),
-        "conv1d": (b_conv1d, "d_1dconv"),
-        "select_params": (b_select, "d_select"),
-        "ssm_recurrent": (b_recurrent, "d_recur"),
-        "ssm_convolution": (b_convolution, "d_conv"),
-        "ssm_select_recurrent": (b_ssm("recurrent"), "d_SSM"),
-        "ssm_select_convolution": (b_ssm("convolution"), None),
-        "mamba_forward_recurrent": (b_mamba("recurrent"), None),
-        "mamba_forward_convolution": (b_mamba("convolution"), None),
+        "log": (scalar("log"), None, "d_log"),
+        "softplus": (scalar("softplus"), None, "d_sp"),
+        "silu": (scalar("silu"), None, None),
+        "sigmoid": (scalar("sigmoid"), None, None),
+        "exp": (scalar("exp"), None, None),
+        "sqrt": (scalar("sqrt"), None, None),
+        "discretize": (b_discretize, None, "d_disc"),
+        "hidden_recurrence": (b_hidden, None, "d_h"),
+        "conv_kernel": (b_kernel, None, "d_k"),
+        "input_projection": (b_input_projection, None, None),
+        "conv1d": (b_conv1d, None, "d_1dconv"),
+        "select_params": (b_select, None, "d_select"),
+        "ssm_recurrent": (b_recurrent, None, "d_recur"),
+        "ssm_convolution": (b_convolution, None, "d_conv"),
+        "ssm_select_recurrent": (b_ssm, "recurrent", "d_SSM"),
+        "ssm_select_convolution": (b_ssm, "convolution", None),
+        "mamba_forward_recurrent": (b_mamba, "recurrent", None),
+        "mamba_forward_convolution": (b_mamba, "convolution", None),
     }
 
 
@@ -753,7 +763,7 @@ _COMPONENTS = _components()
 
 #: Which registry formula each traceable component is checked against.
 COMPONENT_REGISTRY_KEYS: Mapping[str, str] = MappingProxyType(
-    {name: key for name, (_, key) in _COMPONENTS.items() if key is not None}
+    {name: key for name, (_, _, key) in _COMPONENTS.items() if key is not None}
 )
 
 
@@ -762,12 +772,32 @@ def component_names() -> tuple[str, ...]:
 
 
 def trace_component(name: str, shape: ShapeConfig) -> CostTrace:
-    """Trace one component at one shape."""
+    """Trace one component at one shape; a route is traced alone."""
     try:
-        builder, _ = _COMPONENTS[name]
+        build, form, _ = _COMPONENTS[name]
     except KeyError:
         raise ValueError(f"unknown component {name!r}") from None
-    return trace_run(lambda ctx: builder(ctx, shape))
+    if form is None:
+        return trace_run(lambda ctx: build(ctx, shape))
+    return trace_run(lambda ctx: build(ctx, shape, (form,))[0])
+
+
+def _shape_depths(shape: ShapeConfig) -> dict[str, DepthExpr]:
+    """Every component's critical depth at ``shape``, read at its own
+    outputs; a route builder is traced once, with every form read of it."""
+    depths = {}
+    routes: dict[Callable[..., Any], dict[str, str]] = {}
+    for name, (build, form, _) in _COMPONENTS.items():
+        if form is None:
+            trace = trace_component(name, shape)
+            depths[name] = _unique(trace._frontier_at(trace.outputs))
+        else:
+            routes.setdefault(build, {})[name] = form
+    for build, forms in routes.items():
+        ctx = TracedScalars()
+        for name, result in zip(forms, build(ctx, shape, tuple(forms.values()))):
+            depths[name] = _unique(ctx._trace._frontier_at(_outputs(result)))
+    return depths
 
 
 def default_shape_grid() -> list[ShapeConfig]:
@@ -788,6 +818,12 @@ def depth_report(
 ) -> dict:
     """Trace every component over a shape grid and check the formulas.
 
+    Each route pair shares one trace per shape: the prefix up to the
+    discretization is traced once and both routes follow from its last
+    stage barrier, which no route replaces.  Every component's depth is
+    read at its own outputs, as the Pareto maxima of their frontiers;
+    :func:`trace_component` gives the same depth for a route traced alone.
+
     The report lists, per component: the symbolic depth at the first shape,
     its numeric value under the weight assignment, whether the depth was
     identical across every shape (``identical_across_shapes``: the
@@ -803,9 +839,10 @@ def depth_report(
         "assignment": weights,
         "components": {},
     }
+    per_shape = [_shape_depths(shape) for shape in grid]
     traced_mamba: DepthExpr | None = None
-    for name, (_, key) in _COMPONENTS.items():
-        depths = [trace_component(name, shape).critical_depth() for shape in grid]
+    for name, (_, _, key) in _COMPONENTS.items():
+        depths = [d[name] for d in per_shape]
         identical = all(d == depths[0] for d in depths)
         entry: dict[str, Any] = {
             "depth": depths[0].as_dict(),

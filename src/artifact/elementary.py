@@ -307,7 +307,7 @@ def sigmoid_fp(x: FpNumber) -> FpNumber:
     clamped into the open interval (0, 1) (see the module docstring).
     """
     p = x.p
-    one = round_p(1, p)
+    one = _normal(1 << (p - 1), 1 - p, p)  # 1 in normal form, without rounding
     try:
         en = exp_fp(_neg(x))
     except Overflow:

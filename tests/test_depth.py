@@ -640,6 +640,38 @@ class TestDepthReport:
         assert len(grid) == 4 * 27
 
 
+class TestSharedRouteTraces:
+    """``depth_report`` traces each route pair once per shape and reads every
+    component at its own outputs.  Both rest on premises checked here: no
+    route sets a stage barrier after the fork, so a route read off the
+    shared trace has the depth of its own trace; and every deepest path of
+    a component ends at one of its outputs."""
+
+    SHAPES = TestComponentTraces.SHAPES + TestTracedNodes.SHAPES
+    ROUTES = (
+        "ssm_select_recurrent",
+        "ssm_select_convolution",
+        "mamba_forward_recurrent",
+        "mamba_forward_convolution",
+    )
+
+    @pytest.mark.parametrize(
+        "shape", SHAPES, ids=lambda s: ",".join(map(str, s.to_json_dict().values()))
+    )
+    def test_shared_route_depth_equals_separate_trace(self, shape):
+        components = depth_report(shapes=[shape])["components"]
+        for name in self.ROUTES:
+            alone = trace_component(name, shape).critical_depth()
+            assert DepthExpr.of(components[name]["depth"]) == alone, name
+
+    @pytest.mark.parametrize("name", component_names())
+    def test_frontier_at_outputs_is_the_critical_frontier(self, name):
+        for shape in self.SHAPES:
+            trace = trace_component(name, shape)
+            at_outputs = {DepthExpr(s) for s in trace._frontier_at(trace.outputs)}
+            assert at_outputs == set(trace.critical_frontier()), shape
+
+
 class TestDepthReportPinned:
     """The report bytes, pinned by the sha256 of its sorted-key JSON over
     the CLI's three default shapes plus a long one, by the sha256 of the
