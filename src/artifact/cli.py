@@ -269,6 +269,10 @@ def _load_json(path: str) -> dict:
 def _load_model(args: argparse.Namespace) -> tuple[ShapeConfig, MambaParams]:
     if args.model:
         obj = _load_json(args.model)
+        if not isinstance(obj, dict):
+            raise CliUsageError(f"{args.model}: model must be a JSON object")
+        if "shape" not in obj:
+            raise CliUsageError(f"{args.model}: model needs \"shape\"")
         try:
             shape = ShapeConfig.from_json_dict(obj["shape"])
             params_field = obj.get("params", "random")

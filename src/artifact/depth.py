@@ -23,7 +23,9 @@ nonnegative weights).  Path sums have one representation: a coefficient
 vector indexed like ``BASE_CONSTANTS``.  The frontier is computed on bare
 vectors as each node enters the trace, memoized per trace on the node's
 cost and its predecessors' frontiers, so a node whose step the trace has
-met before costs one dictionary lookup.  A vector read out of a frontier
+met before costs one dictionary lookup.  The critical frontier is read
+on demand, as the Pareto maxima over the trace's table of distinct
+frontiers.  A vector read out of a frontier
 is wrapped as ``DepthExpr(vec)``; ``DepthExpr.of`` also accepts the
 composite names and writes them out through the registry, so the checker
 compares two expressions directly.  Component traces are built from the
@@ -263,9 +265,10 @@ class CostTrace:
     without predecessors starts at zero, one predecessor's frontier is
     reused as is, several are deduplicated and cut to their Pareto maxima,
     and a cost-bearing node adds one to its constant's coordinate.  Each
-    node's frontier is computed once, as the node enters the trace, and the
-    frontier of the whole trace is kept up to date the same way, so the
-    critical depth costs nothing once the last node is in.
+    node's frontier is computed once, as the node enters the trace.  The
+    frontier of the whole trace, and the frontier at a set of outputs, are
+    read on demand: the Pareto maxima over the distinct frontiers they
+    reach, through one read of the frontier table.
 
     Each distinct frontier is stored once and a node holds its index.  A
     node's frontier depends only on its cost and on its predecessors'
@@ -289,7 +292,6 @@ class CostTrace:
         self._frontiers: list[tuple[_Sum, ...]] = [_ORIGIN]
         self._index: dict[tuple[_Sum, ...], int] = {_ORIGIN: 0}
         self._steps: dict[tuple[str | None | int, ...], int] = {}
-        self._critical: tuple[_Sum, ...] = _ORIGIN
         self.outputs: tuple[int, ...] = tuple(outputs)
         for node in nodes:
             self.append(node)
@@ -297,10 +299,7 @@ class CostTrace:
     def _intern(self, front: tuple[_Sum, ...]) -> int:
         f = self._index.setdefault(front, len(self._frontiers))
         if f == len(self._frontiers):
-            # Every frontier a node can have is in the table, so only a new
-            # entry can move the critical frontier.
             self._frontiers.append(front)
-            self._critical = _maxima([*self._critical, *front])
         return f
 
     def append(self, node: TraceNode) -> None:
@@ -345,7 +344,7 @@ class CostTrace:
         frontiers are ``key``."""
         if len(key) < 2:
             return key[0] if key else 0
-        return self._intern(_maxima([s for g in key for s in self._frontiers[g]]))
+        return self._intern(self._maxima_of(key))
 
     def _bump(self, f: int, cost: str) -> int:
         """The frontier index after an event of ``cost`` on frontier ``f``."""
@@ -354,22 +353,16 @@ class CostTrace:
             raise ValueError(f"unknown event cost {cost!r}")
         return self._intern(tuple([tuple(map(add, s, step)) for s in self._frontiers[f]]))
 
-    def _with_outputs(self, outputs: Sequence[int]) -> "CostTrace":
-        """A copy of this trace, frontiers included, with ``outputs`` marked."""
-        twin = CostTrace(outputs=outputs)
-        twin._labels, twin._costs = self._labels.copy(), self._costs.copy()
-        twin._preds, twin._fronts = self._preds.copy(), self._fronts.copy()
-        twin._frontiers, twin._index = self._frontiers.copy(), self._index.copy()
-        twin._steps = self._steps.copy()
-        twin._critical = self._critical
-        return twin
+    def _maxima_of(self, indices: Iterable[int]) -> tuple[_Sum, ...]:
+        """Pareto maxima of the path sums in the frontiers at ``indices``,
+        in first-occurrence order."""
+        frontiers = self._frontiers
+        return _maxima([s for f in indices for s in frontiers[f]])
 
     def _frontier_at(self, outputs: Iterable[int]) -> tuple[_Sum, ...]:
         """Pareto maxima of the path sums ending at ``outputs``.  Each
         distinct frontier is read once, and a trace has few of them."""
-        frontiers = self._frontiers
-        distinct = dict.fromkeys(map(self._fronts.__getitem__, outputs))
-        return _maxima([s for f in distinct for s in frontiers[f]])
+        return self._maxima_of(dict.fromkeys(map(self._fronts.__getitem__, outputs)))
 
     def __len__(self) -> int:
         return len(self._fronts)
@@ -395,7 +388,7 @@ class CostTrace:
 
     def critical_frontier(self) -> tuple[DepthExpr, ...]:
         """Pareto frontier of every path sum in the trace."""
-        return tuple(map(DepthExpr, self._critical))
+        return tuple(map(DepthExpr, self._maxima_of(range(len(self._frontiers)))))
 
     def critical_depth(self) -> DepthExpr:
         """The unique maximal path sum.
@@ -403,7 +396,7 @@ class CostTrace:
         Raises ``ValueError`` when the trace's deepest paths are mutually
         incomparable (no single symbolic maximum exists).
         """
-        return _unique(self._critical)
+        return _unique(self._maxima_of(range(len(self._frontiers))))
 
 
 def _unique(front: tuple[_Sum, ...]) -> DepthExpr:
@@ -541,7 +534,7 @@ class TracedScalars(ScalarContext[int]):
         return self._trace._add(label, cost, preds + self._barrier)
 
     def trace(self, outputs: Sequence[int] = ()) -> CostTrace:
-        return self._trace._with_outputs(outputs)
+        return CostTrace(self._trace.nodes, outputs)
 
     # --------------------------------------------------------------- leaves
     def input(self, q: Fraction) -> int:
@@ -840,7 +833,6 @@ def depth_report(
         "components": {},
     }
     per_shape = [_shape_depths(shape) for shape in grid]
-    traced_mamba: DepthExpr | None = None
     for name, (_, _, key) in _COMPONENTS.items():
         depths = [d[name] for d in per_shape]
         identical = all(d == depths[0] for d in depths)
@@ -857,9 +849,7 @@ def depth_report(
             entry["matches_registry_exactly"] = depths[0] == formula
             entry["check"] = check_depth(depths[0], formula).to_json_dict()
         report["components"][name] = entry
-        if name == "mamba_forward_recurrent":
-            traced_mamba = depths[0]
-    assert traced_mamba is not None
+    traced_mamba = per_shape[0]["mamba_forward_recurrent"]
     report["mamba"] = {
         "traced": traced_mamba.as_dict(),
         "traced_str": str(traced_mamba),

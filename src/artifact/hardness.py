@@ -260,16 +260,27 @@ class ArithFormula:
 _SEXPR_FORMS = {"+..": "add", "*..": "mul", "-.": "neg"}
 
 
+def _ascii_int(text: str) -> int | None:
+    """``int(text)`` when ``text`` is an ASCII decimal integer, with an
+    optional sign and surrounding whitespace; ``None`` otherwise.  Bare
+    ``int`` would also read non-ASCII digits and ``_`` separators."""
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return None
+
+
 def parse_arith(text: str, semiring: Semiring) -> ArithFormula:
     """Parse an S-expression: atoms are integers or ``Xk``; forms are
     ``(+ a b)``, ``(* a b)``, and ``(- a)``."""
 
     def leaf(tok: str) -> ArithNode:
         var = tok.startswith("X")
-        try:
-            number = int(tok[1:] if var else tok)
-        except ValueError:
-            raise FormulaParseError(f"bad atom {tok!r}") from None
+        number = _ascii_int(tok[1:] if var else tok)
+        if number is None:
+            raise FormulaParseError(f"bad atom {tok!r}")
         if not var:
             return ArithNode("const", value=semiring.coerce(number))
         if number < 1:
@@ -457,7 +468,10 @@ class Permutation:
 
     @classmethod
     def from_string(cls, text: str) -> "Permutation":
-        return cls(tuple(map(int, text.strip())))
+        digits = text.strip()
+        if digits.strip("0123456789"):
+            raise ValueError(f"permutation {digits!r} is not a string of decimal digits")
+        return cls(tuple(map(int, digits)))
 
     def to_string(self) -> str:
         return "".join(map(str, self.image))
@@ -884,9 +898,10 @@ def _random_s5(rng: random.Random) -> tuple[int, ...]:
 def _arith_semiring(kind: str) -> Semiring:
     if kind == "arith":
         return Semiring.integers()
-    if kind.startswith("arith-z"):
-        return Semiring.zmod(int(kind[len("arith-z") :]))
-    raise ValueError(f"unknown arithmetic corpus kind {kind!r}")
+    modulus = _ascii_int(kind[len("arith-z") :]) if kind.startswith("arith-z") else None
+    if modulus is None:
+        raise ValueError(f"unknown arithmetic corpus kind {kind!r}")
+    return Semiring.zmod(modulus)
 
 
 def gen_instances(kind: str, size: int, seed: int, count: int = 100) -> Corpus:
@@ -951,9 +966,12 @@ def eval_instance(kind: str, line: str) -> str:
         expr, _, assign_text = line.partition(";")
         formula = parse_arith(expr.strip(), ring)
         assign_text = assign_text.strip()
-        assignment = (
-            [int(tok) for tok in assign_text.split(",")] if assign_text else []
-        )
+        assignment = []
+        for tok in assign_text.split(",") if assign_text else ():
+            c = _ascii_int(tok)
+            if c is None:
+                raise FormulaParseError(f"bad assignment value {tok.strip()!r}")
+            assignment.append(c)
         # Cut the assignment to the formula's arity, its largest X_i: a
         # corpus line may list values for indeterminates it never reads.
         value = eval_arith(formula, assignment[: formula.n_indeterminates])

@@ -103,6 +103,13 @@ class ShapeConfig:
     def from_json_dict(cls, obj: dict) -> "ShapeConfig":
         if not isinstance(obj, dict):
             raise ValueError(f"shape must be an object, not {obj!r}")
+        names = [f.name for f in fields(cls)]
+        for name in obj:
+            if name not in names:
+                raise ValueError(f"unknown shape field {name!r}")
+        for name in names:
+            if name not in obj:
+                raise ValueError(f"missing shape field {name!r}")
         return cls(**{k: _json_int(v) for k, v in obj.items()})
 
 
@@ -187,8 +194,8 @@ class MambaParams:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MambaParams":
-        """Decode :meth:`to_json_dict` output.  A malformed entry or an
-        unknown field raises ``ValueError``, a missing field ``TypeError``."""
+        """Decode :meth:`to_json_dict` output.  A malformed entry, an
+        unknown field or a missing one raises ``ValueError``."""
         if not isinstance(obj, dict):
             raise ValueError(f"params must be an object, not {obj!r}")
         schema = dict(PARAM_SCHEMA + GATE_SCHEMA)
@@ -200,6 +207,9 @@ class MambaParams:
                 decoded[name] = _nested(_fr_parse, value, len(schema[name]))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{name}: {exc}") from None
+        for name, _ in PARAM_SCHEMA:
+            if name not in decoded:
+                raise ValueError(f"missing params field {name!r}")
         return cls(**decoded)
 
 

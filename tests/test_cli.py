@@ -456,6 +456,27 @@ class TestModelFiles:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: "shape", "model must be a JSON object"),
+            (lambda m: [m], "model must be a JSON object"),
+            (lambda m: {"params": "random"}, 'model needs "shape"'),
+            (lambda m: {**m, "shape": {**m["shape"], "foo": 1}},
+             "bad model (unknown shape field 'foo')"),
+            (lambda m: {**m, "shape": {k: v for k, v in m["shape"].items() if k != "kernel_size"}},
+             "bad model (missing shape field 'kernel_size')"),
+            (lambda m: {**m, "params": {k: v for k, v in m["params"].items() if k != "a_diag"}},
+             "bad model (missing params field 'a_diag')"),
+        ],
+        ids=["string", "list", "no-shape", "extra-shape-field", "missing-shape-field",
+             "missing-params-field"],
+    )
+    def test_malformed_model_is_named(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "m.json"
+        assert _run_model(path, edit(_explicit_model())) == 2
+        assert capsys.readouterr().err == f"CliUsageError: {path}: {message}\n"
+
     def test_decimal_integer_strings_accepted(self, tmp_path, capsys):
         model = _explicit_model()
         model["shape"]["seq_len"] = "1"
@@ -857,6 +878,56 @@ class TestHardnessCommands:
         assert main(["hardness", "gen", "nosuch", "--size", "5"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "modulus",
+        ["1_1", "\u0667", "foo", "", "7.0"],
+        ids=["underscore", "arabic-indic", "letters", "empty", "decimal-point"],
+    )
+    def test_modulus_must_be_an_ascii_integer(self, capsys, modulus):
+        """``int`` alone reads ``1_1`` as 11 and an Arabic-Indic seven as
+        7; the kind is refused instead, by name."""
+        kind = f"arith-z{modulus}"
+        assert main(["hardness", "gen", kind, "--size", "2", "-n", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"ValueError: unknown arithmetic corpus kind {kind!r}\n"
+
+    @pytest.mark.parametrize("kind", ["arith-z7", "arith-z+7", "arith-z 7"])
+    def test_modulus_keeps_sign_and_whitespace(self, tmp_path, capsys, kind):
+        corpus = tmp_path / "z.txt"
+        corpus.write_text("(+ X1 5) ; 4\n")
+        assert main(["hardness", "eval", kind, str(corpus)]) == 0
+        assert capsys.readouterr().out == "2\n"
+
+    @pytest.mark.parametrize(
+        "kind, line, message",
+        [
+            ("arith", "(+ 1_0 X1) ; 1", "FormulaParseError: bad atom '1_0'"),
+            ("arith", "(+ X\u0661 1) ; 1", "FormulaParseError: bad atom 'X\u0661'"),
+            ("arith", "(+ X1 1) ; 1_0", "FormulaParseError: bad assignment value '1_0'"),
+            ("arith", "(+ X1 1) ; \uff11", "FormulaParseError: bad assignment value '\uff11'"),
+            ("arith-z7", "(+ X1 1) ; 1, x", "FormulaParseError: bad assignment value 'x'"),
+        ],
+        ids=["atom-underscore", "index-arabic-indic", "value-underscore", "value-fullwidth",
+             "value-letter"],
+    )
+    def test_arith_integers_are_ascii(self, tmp_path, capsys, kind, line, message):
+        """Arithmetic corpus integers are ASCII decimals: ``int`` alone
+        would read non-ASCII digits and ``_`` separators.  A refusal names
+        the token."""
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(line + "\n", encoding="utf-8")
+        assert main(["hardness", "eval", kind, str(corpus)]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == message + "\n"
+
+    def test_corpus_integers_keep_signs_and_spaces(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("(+ -1 (* +2 X1)) ; +3 , -4 \n(+ X1 X2) ; 2,\t5\n")
+        assert main(["hardness", "eval", "arith", str(corpus)]) == 0
+        assert capsys.readouterr().out == "5\n7\n"
+
     @staticmethod
     def _and_chain(tmp_path, n: int) -> str:
         """Netlist of ((x0 AND x1) AND x2) ... AND x(n-1)."""
@@ -1158,10 +1229,18 @@ class TestMalformedPermCorpus:
             ("21345 " * 10_000 + "11345 12345",
              "ValueError: (1, 1, 3, 4, 5) is not a bijection on [5]"),
             ("12345 21345 1234 2134", "DomainMismatch: domain sizes differ: 4 vs 5"),
-            ("12345 12a45 1x", "ValueError: invalid literal for int() with base 10: 'a'"),
-            ("1234 12345 12a45", "ValueError: invalid literal for int() with base 10: 'a'"),
+            ("12345 12a45 1x",
+             "ValueError: permutation '12a45' is not a string of decimal digits"),
+            ("1234 12345 12a45",
+             "ValueError: permutation '12a45' is not a string of decimal digits"),
+            ("\u0661\u0662\u0663\u0664\u0665 12345",
+             "ValueError: permutation '\u0661\u0662\u0663\u0664\u0665' "
+             "is not a string of decimal digits"),
+            ("12345 +2345",
+             "ValueError: permutation '+2345' is not a string of decimal digits"),
         ],
-        ids=["bad-token-after-10000", "mixed-lengths", "non-digit", "parse-before-compose"],
+        ids=["bad-token-after-10000", "mixed-lengths", "non-digit", "parse-before-compose",
+             "arabic-indic-digits", "signed-token"],
     )
     def test_exits_two_with_one_line(self, tmp_path, capsys, line, message):
         corpus = tmp_path / "perm.txt"

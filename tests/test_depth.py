@@ -284,16 +284,27 @@ class TestCostTrace:
         assert serial.critical_depth() == expr(d_exp=1, d_oplus=1)
 
     def test_incomparable_frontier_is_reported(self):
+        """The message names the critical frontier in the order its sums
+        first entered the trace's frontier table: the add after the
+        iter_mul comes before the sqrt after the exp."""
         trace = CostTrace(
             [
                 TraceNode(0, "input", None, ()),
                 TraceNode(1, "exp", "d_exp", (0,)),
                 TraceNode(2, "iter_mul", "d_otimes", (0,)),
+                TraceNode(3, "add", "d_std", (2,)),
+                TraceNode(4, "sqrt", "d_sqrt", (1,)),
             ]
         )
-        assert len(trace.critical_frontier()) == 2
-        with pytest.raises(ValueError):
-            trace.critical_depth()
+        message = "critical depth is not unique: d_std + d_otimes, d_exp + d_sqrt"
+        assert trace.critical_frontier() == (
+            expr(d_std=1, d_otimes=1),
+            expr(d_exp=1, d_sqrt=1),
+        )
+        for read in (trace.critical_depth, lambda: critical_depth(trace)):
+            with pytest.raises(ValueError) as err:
+                read()
+            assert str(err.value) == message
 
     def test_barrier_serializes_stages(self):
         def run(ctx):

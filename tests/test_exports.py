@@ -63,3 +63,44 @@ def test_every_imported_name_is_used(path):
     module = importlib.import_module(f"artifact.{path.stem}" if path.stem != "__init__" else "artifact")
     used.update(getattr(module, "__all__", ()))
     assert sorted(imported - used) == []
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """The private names a module binds at its top level: functions,
+    classes and assigned constants whose names start with ``_`` (dunders
+    such as ``__all__`` excluded)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def test_every_private_definition_is_read():
+    """A private module-level function, class or constant is read somewhere
+    in the package: as a name, as an attribute, or as a name another module
+    imports (which that module must then use).  A helper nothing reads is
+    dead code."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(artifact.__file__).parent.glob("*.py"))
+    }
+    read: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    unread = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in read
+    ]
+    assert unread == []
