@@ -66,6 +66,7 @@ from artifact.elementary import NegativeInput, NonPositiveInput
 from artifact.elementary import exp_fp, log_fp, sigmoid_fp, silu_fp, softplus_fp, sqrt_fp
 from artifact.floats import FpError, FpNumber, fp_add, fp_div, fp_floor, fp_mul, round_p
 from artifact.hardness import (
+    _ascii_int,
     barrington_transform,
     eval_instance,
     eval_pbp,
@@ -106,6 +107,10 @@ class _Parser(argparse.ArgumentParser):
 _FUNCTIONS = ("floor", "exp", "log", "sqrt", "sigmoid", "softplus", "silu")
 
 
+# ASCII only: ``str.isdigit`` would also take other scripts' digits.
+_LITERAL_CHARS = frozenset("0123456789.")
+
+
 def _tokenize_expr(text: str) -> list[str]:
     tokens: list[str] = []
     i = 0
@@ -116,9 +121,9 @@ def _tokenize_expr(text: str) -> list[str]:
         elif ch in "+-*/()":
             tokens.append(ch)
             i += 1
-        elif ch.isdigit() or ch == ".":
+        elif ch in _LITERAL_CHARS:
             j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "."):
+            while j < len(text) and text[j] in _LITERAL_CHARS:
                 j += 1
             tokens.append(text[i:j])
             i = j
@@ -134,7 +139,7 @@ def _tokenize_expr(text: str) -> list[str]:
 
 
 def _literal(tok: str, p: int) -> FpNumber:
-    if not (tok[0].isdigit() or tok[0] == "."):
+    if tok[0] not in _LITERAL_CHARS:
         raise CliUsageError(f"unexpected token {tok!r}")
     try:
         if "." in tok:
@@ -242,11 +247,10 @@ def _parse_shape(text: str) -> ShapeConfig:
     parts = text.split(",")
     if len(parts) != 5:
         raise CliUsageError("--shape needs five integers L,D,E,n,K")
-    try:
-        l, d, e, n, k = (int(x) for x in parts)
-    except ValueError:
-        raise CliUsageError(f"bad --shape {text!r}") from None
-    return ShapeConfig(l, d, e, n, k)
+    dims = [_ascii_int(x) for x in parts]
+    if None in dims:
+        raise CliUsageError(f"bad --shape {text!r}")
+    return ShapeConfig(*dims)
 
 
 def _read_text(path: str) -> str:
@@ -416,10 +420,9 @@ def _parse_assignment(text: str | None) -> dict[str, int]:
     for item in text.split(","):
         name, _, raw = item.partition("=")
         name = name.strip()
-        try:
-            value = int(raw)
-        except ValueError:
-            raise CliUsageError(f"bad --assign entry {item!r}") from None
+        value = _ascii_int(raw)
+        if value is None:
+            raise CliUsageError(f"bad --assign entry {item!r}")
         if name == "all":
             assignment = {key: value for key in assignment}
         elif name in assignment:
@@ -655,11 +658,17 @@ def cmd_hardness_barrington(args: argparse.Namespace) -> int:
 MAX_PRECISION = 4096
 
 
+def _integer(text: str) -> int:
+    """The ``type`` of every integer option: an ASCII decimal, read as
+    corpus integers are (``hardness._ascii_int``)."""
+    value = _ascii_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"not an ASCII decimal integer: {text!r}")
+    return value
+
+
 def _precision(text: str) -> int:
-    try:
-        p = int(text)
-    except ValueError:
-        p = 0
+    p = _ascii_int(text) or 0
     if not 1 <= p <= MAX_PRECISION:
         raise argparse.ArgumentTypeError(
             f"precision must be an integer from 1 to {MAX_PRECISION}, got {text!r}"
@@ -708,14 +717,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_model_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--model", help="model JSON file")
         p.add_argument("--shape", help="synthesize a model: L,D,E,n,K")
-        p.add_argument("--seed", type=int, default=0, help="parameter seed")
+        p.add_argument("--seed", type=_integer, default=0, help="parameter seed")
         p.add_argument(
             "--positive", action="store_true",
             help="draw positive (cancellation-free) parameters",
         )
         p.add_argument("--input", help="input JSON file (entries L x D)")
         p.add_argument(
-            "--input-seed", type=int, default=None,
+            "--input-seed", type=_integer, default=None,
             help="input seed (default: --seed + 1)",
         )
         p.add_argument(
@@ -758,12 +767,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("kind", choices=sorted(SYNTH_KINDS))
         add_precision(p, default=3, span=f"2 to {SYNTH_MAX_PRECISION}")
         p.add_argument(
-            "--window", type=int, default=None,
+            "--window", type=_integer, default=None,
             help=f"exponent bits, 1 to p; compare takes 1 to {SYNTH_MAX_PRECISION} "
             "(default: p)",
         )
         p.add_argument(
-            "-m", "--operands", type=int, default=None,
+            "-m", "--operands", type=_integer, default=None,
             help="operand count (iter_add only)",
         )
 
@@ -777,10 +786,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_primitive_args(check)
     check.add_argument(
-        "--cases", type=int, default=None,
+        "--cases", type=_integer, default=None,
         help="sampled case count, iter_add only (default 200)",
     )
-    check.add_argument("--seed", type=int, default=None, help="iter_add only (default 0)")
+    check.add_argument("--seed", type=_integer, default=None, help="iter_add only (default 0)")
     check.set_defaults(func=cmd_circuit_check)
 
     rewrite = circ_sub.add_parser(
@@ -810,9 +819,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "kind", help="bool | perm | arith | arith-zM (e.g. arith-z7)"
     )
-    gen.add_argument("--size", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("-n", "--count", type=int, default=100)
+    gen.add_argument("--size", type=_integer, required=True)
+    gen.add_argument("--seed", type=_integer, default=0)
+    gen.add_argument("-n", "--count", type=_integer, default=100)
     gen.add_argument(
         "-o", "--out",
         help="instances file; labels go to OUT.labels (default: stdout, "

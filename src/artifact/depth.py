@@ -21,11 +21,12 @@ a Pareto frontier of incomparable path sums (two symbolic sums are
 comparable only coefficient-wise, since the constants may take any
 nonnegative weights).  Path sums have one representation: a coefficient
 vector indexed like ``BASE_CONSTANTS``.  The frontier is computed on bare
-vectors as each node enters the trace, memoized per trace on the node's
-cost and its predecessors' frontiers, so a node whose step the trace has
-met before costs one dictionary lookup.  The critical frontier is read
-on demand, as the Pareto maxima over the trace's table of distinct
-frontiers.  A vector read out of a frontier
+vectors as each node enters the trace, memoized on the node's cost and
+its predecessors' frontiers, so a node whose step the trace has met
+before costs one dictionary lookup.  The model's component traces share
+one table of distinct frontiers and steps for the life of the process.
+The critical frontier is read on demand, as the Pareto maxima over the
+distinct frontiers of the trace's own nodes.  A vector read out of a frontier
 is wrapped as ``DepthExpr(vec)``; ``DepthExpr.of`` also accepts the
 composite names and writes them out through the registry, so the checker
 compares two expressions directly.  Component traces are built from the
@@ -257,6 +258,71 @@ def _maxima(sums: Iterable[_Sum]) -> tuple[_Sum, ...]:
     return tuple(front)
 
 
+class _FrontierTable:
+    """Distinct frontiers, each stored once and named by its index, and the
+    memo of frontier steps that produced them.
+
+    A step is keyed on ``(cost, *distinct predecessor frontier indices)``:
+    a node's frontier depends on nothing else, so one table can serve any
+    number of traces, and its answers are those of a private table.  The
+    table is append-only, so an index, once given out, keeps its meaning.
+    """
+
+    __slots__ = ("frontiers", "index", "steps")
+
+    def __init__(self) -> None:
+        self.frontiers: list[tuple[_Sum, ...]] = [_ORIGIN]
+        self.index: dict[tuple[_Sum, ...], int] = {_ORIGIN: 0}
+        self.steps: dict[tuple[str | None | int, ...], int] = {}
+
+    def step(self, key: tuple[str | None | int, ...]) -> int:
+        """The frontier index of a node whose cost and predecessors'
+        distinct frontiers are ``key``.  An unknown cost is never memoized,
+        so it raises ``ValueError`` every time it is met."""
+        f = self.steps.get(key)
+        if f is None:
+            cost, *preds = key
+            f = self._merge(preds)
+            if cost is not None:
+                f = self._bump(f, cost)
+            self.steps[key] = f
+        return f
+
+    def _intern(self, front: tuple[_Sum, ...]) -> int:
+        f = self.index.setdefault(front, len(self.frontiers))
+        if f == len(self.frontiers):
+            self.frontiers.append(front)
+        return f
+
+    def _merge(self, preds: list[int]) -> int:
+        """The frontier index of a node whose predecessors' distinct
+        frontiers are ``preds``."""
+        if len(preds) < 2:
+            return preds[0] if preds else 0
+        return self._intern(self.maxima_of(preds))
+
+    def _bump(self, f: int, cost: str) -> int:
+        """The frontier index after an event of ``cost`` on frontier ``f``."""
+        step = _STEPS.get(cost)
+        if step is None:
+            raise ValueError(f"unknown event cost {cost!r}")
+        return self._intern(tuple([tuple(map(add, s, step)) for s in self.frontiers[f]]))
+
+    def maxima_of(self, indices: Iterable[int]) -> tuple[_Sum, ...]:
+        """Pareto maxima of the path sums in the frontiers at ``indices``,
+        in first-occurrence order."""
+        frontiers = self.frontiers
+        return _maxima([s for f in indices for s in frontiers[f]])
+
+
+#: The frontier table of the model's own components.  Every trace that
+#: :func:`trace_component` and :func:`depth_report` build interns into it,
+#: so the frontier algebra of the Mamba stages (110 frontiers and 137
+#: steps over the default grid, and no more at any longer shape tried) is
+#: worked out once per process.  Not safe to share between threads.
+_MODEL_TABLE = _FrontierTable()
+
+
 class CostTrace:
     """An acyclic event DAG with marked outputs, and the Pareto frontier of
     path sums ending at each node.
@@ -267,20 +333,29 @@ class CostTrace:
     and a cost-bearing node adds one to its constant's coordinate.  Each
     node's frontier is computed once, as the node enters the trace.  The
     frontier of the whole trace, and the frontier at a set of outputs, are
-    read on demand: the Pareto maxima over the distinct frontiers they
-    reach, through one read of the frontier table.
+    read on demand: the Pareto maxima over the distinct frontiers of the
+    trace's own nodes.
 
-    Each distinct frontier is stored once and a node holds its index.  A
-    node's frontier depends only on its cost and on its predecessors'
-    frontiers, so it is memoized on ``(cost, *predecessor frontier
-    indices)``: a trace has a few dozen distinct frontiers at most, and a
-    node whose step the trace has met before costs one dictionary lookup.
-    Only a new step deduplicates, merges and bumps.  Nodes are stored as
-    columns, one list per field, with predecessors as given, repeats
-    included; :attr:`nodes` builds :class:`TraceNode` rows when read and
-    folds each row's predecessors to distinct ids in first-occurrence
-    order, and path sums become :class:`DepthExpr` only when read.
-    ``size`` counts cost-bearing events only.
+    Frontiers live in a frontier table, each stored once, and a node holds
+    its index.  A node's frontier depends only on its cost and on its
+    predecessors' frontiers, so the table memoizes each step on ``(cost,
+    *distinct predecessor frontier indices)``.  A trace built here, from
+    explicit nodes, has a table of its own.  The traces of the model's
+    components (:func:`trace_component`, :func:`depth_report`) share one
+    table, ``_MODEL_TABLE``, for the life of the process: across the
+    default grid and every longer shape tried, the Mamba stages have 110
+    distinct frontiers and 137 distinct steps, so after the first traces
+    no step is worked out again.  The shared table is not locked: trace
+    from one thread at a time.  Each trace also memoizes on ``(cost,
+    *predecessor frontier indices)`` as given, repeats included, so a node
+    whose step the trace has met before costs one dictionary lookup, and
+    only a step new to the trace deduplicates its key for the table.
+
+    Nodes are stored as columns, one list per field, with predecessors as
+    given, repeats included; :attr:`nodes` builds :class:`TraceNode` rows
+    when read and folds each row's predecessors to distinct ids in
+    first-occurrence order, and path sums become :class:`DepthExpr` only
+    when read.  ``size`` counts cost-bearing events only.
     """
 
     def __init__(self, nodes: Iterable[TraceNode] = (), outputs: Sequence[int] = ()):
@@ -288,19 +363,12 @@ class CostTrace:
         self._labels: list[str] = []
         self._costs: list[str | None] = []
         self._preds: list[tuple[int, ...]] = []
-        self._fronts: list[int] = []  # per node, an index into _frontiers
-        self._frontiers: list[tuple[_Sum, ...]] = [_ORIGIN]
-        self._index: dict[tuple[_Sum, ...], int] = {_ORIGIN: 0}
+        self._fronts: list[int] = []  # per node, an index into the table
+        self._table = _FrontierTable()
         self._steps: dict[tuple[str | None | int, ...], int] = {}
         self.outputs: tuple[int, ...] = tuple(outputs)
         for node in nodes:
             self.append(node)
-
-    def _intern(self, front: tuple[_Sum, ...]) -> int:
-        f = self._index.setdefault(front, len(self._frontiers))
-        if f == len(self._frontiers):
-            self._frontiers.append(front)
-        return f
 
     def append(self, node: TraceNode) -> None:
         """Add ``node``, which must carry the next id, and its frontier."""
@@ -329,40 +397,24 @@ class CostTrace:
         step = tuple(key)
         f = self._steps.get(step)
         if f is None:
-            f = self._merge(tuple(dict.fromkeys(key[1:])))
-            if cost is not None:
-                f = self._bump(f, cost)
-            self._steps[step] = f
+            # The cost is a name or None, never an index, so one fold keeps
+            # it first and leaves the distinct frontier indices after it.
+            f = self._steps[step] = self._table.step(tuple(dict.fromkeys(key)))
         self._labels.append(label)
         self._costs.append(cost)
         self._preds.append(preds)
         fronts.append(f)
         return i
 
-    def _merge(self, key: tuple[int, ...]) -> int:
-        """The frontier index of a node whose predecessors' distinct
-        frontiers are ``key``."""
-        if len(key) < 2:
-            return key[0] if key else 0
-        return self._intern(self._maxima_of(key))
-
-    def _bump(self, f: int, cost: str) -> int:
-        """The frontier index after an event of ``cost`` on frontier ``f``."""
-        step = _STEPS.get(cost)
-        if step is None:
-            raise ValueError(f"unknown event cost {cost!r}")
-        return self._intern(tuple([tuple(map(add, s, step)) for s in self._frontiers[f]]))
-
-    def _maxima_of(self, indices: Iterable[int]) -> tuple[_Sum, ...]:
-        """Pareto maxima of the path sums in the frontiers at ``indices``,
-        in first-occurrence order."""
-        frontiers = self._frontiers
-        return _maxima([s for f in indices for s in frontiers[f]])
+    def _distinct_fronts(self) -> Iterable[int]:
+        """The table indices of the nodes' frontiers, each once, in node
+        order; the origin alone for a trace with no nodes."""
+        return dict.fromkeys(self._fronts) or (0,)
 
     def _frontier_at(self, outputs: Iterable[int]) -> tuple[_Sum, ...]:
         """Pareto maxima of the path sums ending at ``outputs``.  Each
         distinct frontier is read once, and a trace has few of them."""
-        return self._maxima_of(dict.fromkeys(map(self._fronts.__getitem__, outputs)))
+        return self._table.maxima_of(dict.fromkeys(map(self._fronts.__getitem__, outputs)))
 
     def __len__(self) -> int:
         return len(self._fronts)
@@ -383,12 +435,13 @@ class CostTrace:
 
     def depth_frontiers(self) -> list[tuple[DepthExpr, ...]]:
         """Per-node Pareto frontier of path sums ending at the node."""
-        exprs = [tuple(map(DepthExpr, front)) for front in self._frontiers]
+        frontiers = self._table.frontiers
+        exprs = {f: tuple(map(DepthExpr, frontiers[f])) for f in self._distinct_fronts()}
         return [exprs[f] for f in self._fronts]
 
     def critical_frontier(self) -> tuple[DepthExpr, ...]:
         """Pareto frontier of every path sum in the trace."""
-        return tuple(map(DepthExpr, self._maxima_of(range(len(self._frontiers)))))
+        return tuple(map(DepthExpr, self._table.maxima_of(self._distinct_fronts())))
 
     def critical_depth(self) -> DepthExpr:
         """The unique maximal path sum.
@@ -396,7 +449,7 @@ class CostTrace:
         Raises ``ValueError`` when the trace's deepest paths are mutually
         incomparable (no single symbolic maximum exists).
         """
-        return _unique(self._maxima_of(range(len(self._frontiers))))
+        return _unique(self._table.maxima_of(self._distinct_fronts()))
 
 
 def _unique(front: tuple[_Sum, ...]) -> DepthExpr:
@@ -649,10 +702,22 @@ def _outputs(obj: Any) -> list[int]:
 def trace_run(fn: Callable[[TracedScalars], Any]) -> CostTrace:
     """Run ``fn`` under a fresh tracing context and return its trace, with
     every node id in the function's result marked as an output."""
-    ctx = TracedScalars()
+    return _run(TracedScalars(), fn)
+
+
+def _run(ctx: TracedScalars, fn: Callable[[TracedScalars], Any]) -> CostTrace:
     # The context ends here, so its own trace is marked, not a copy.
     ctx._trace.outputs = tuple(_outputs(fn(ctx)))
     return ctx._trace
+
+
+def _model_context() -> TracedScalars:
+    """A tracing context whose trace interns into ``_MODEL_TABLE``: only
+    the model's own components are traced this way, so the shared table
+    holds their frontier algebra and nothing a caller's function adds."""
+    ctx = TracedScalars()
+    ctx._trace._table = _MODEL_TABLE
+    return ctx
 
 
 # ----------------------------------------------------- component instances
@@ -771,8 +836,8 @@ def trace_component(name: str, shape: ShapeConfig) -> CostTrace:
     except KeyError:
         raise ValueError(f"unknown component {name!r}") from None
     if form is None:
-        return trace_run(lambda ctx: build(ctx, shape))
-    return trace_run(lambda ctx: build(ctx, shape, (form,))[0])
+        return _run(_model_context(), lambda ctx: build(ctx, shape))
+    return _run(_model_context(), lambda ctx: build(ctx, shape, (form,))[0])
 
 
 def _shape_depths(shape: ShapeConfig) -> dict[str, DepthExpr]:
@@ -787,7 +852,7 @@ def _shape_depths(shape: ShapeConfig) -> dict[str, DepthExpr]:
         else:
             routes.setdefault(build, {})[name] = form
     for build, forms in routes.items():
-        ctx = TracedScalars()
+        ctx = _model_context()
         for name, result in zip(forms, build(ctx, shape, tuple(forms.values()))):
             depths[name] = _unique(ctx._trace._frontier_at(_outputs(result)))
     return depths

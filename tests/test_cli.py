@@ -377,6 +377,79 @@ class TestUsageErrors:
         assert capsys.readouterr().out.startswith("usage: artifact mamba depth")
 
 
+def _integer_options(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):
+    """(subcommand path, action) of every option in every subparser whose
+    ``type`` reads ``"7"`` as the integer 7."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _integer_options(sub, (*path, name))
+        elif action.type is not None and action.type("7") == 7:
+            yield path, action
+
+
+_INTEGER_OPTIONS = list(_integer_options(build_parser()))
+_INTEGER_IDS = [" ".join((*path, a.option_strings[-1])) for path, a in _INTEGER_OPTIONS]
+_ODD_DIGITS = {"underscore": "1_0", "arabic-indic": "\u0661", "fullwidth": "\uff13"}
+
+
+class TestAsciiIntegers:
+    """Every integer the command line reads is an ASCII decimal, read as
+    corpus integers are: an optional sign and surrounding whitespace, no
+    ``_`` and no other script's digits.  The options are found by walking
+    the parser, so one added later is covered too."""
+
+    def test_every_integer_option_is_found(self):
+        assert {"fp --precision", "mamba run --seed", "mamba compare --input-seed",
+                "circuit check --cases", "hardness gen --count"} <= set(_INTEGER_IDS)
+        assert len(_INTEGER_OPTIONS) == 18
+
+    @pytest.mark.parametrize("token", list(_ODD_DIGITS.values()), ids=list(_ODD_DIGITS))
+    @pytest.mark.parametrize("path,action", _INTEGER_OPTIONS, ids=_INTEGER_IDS)
+    def test_option_refuses_odd_digits(self, capsys, path, action, token):
+        assert main([*path, action.option_strings[-1], token]) == 2
+        out, err = capsys.readouterr()
+        assert not out and len(err.splitlines()) == 1
+        assert err.startswith(f"CliUsageError: artifact {' '.join(path)}: argument ")
+        assert f"{'/'.join(action.option_strings)}:" in err and repr(token) in err
+
+    @pytest.mark.parametrize("path,action", _INTEGER_OPTIONS, ids=_INTEGER_IDS)
+    def test_option_keeps_sign_and_whitespace(self, path, action):
+        assert action.type(" +12 ") == 12
+
+    @pytest.mark.parametrize("token", list(_ODD_DIGITS.values()), ids=list(_ODD_DIGITS))
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["mamba", "depth", "--shape", "{},1,1,1,1"], "bad --shape '{},1,1,1,1'"),
+            (["mamba", "run", "--shape", "1,1,1,1,{}"], "bad --shape '1,1,1,1,{}'"),
+            (["mamba", "depth", "--shape", "1,1,1,1,1", "--assign", "all={}"],
+             "bad --assign entry 'all={}'"),
+            (["mamba", "depth", "--shape", "1,1,1,1,1", "--assign", "d_exp=2,d_std={}"],
+             "bad --assign entry 'd_std={}'"),
+        ],
+        ids=["depth-shape", "run-shape", "assign-all", "assign-one"],
+    )
+    def test_shapes_and_weights_refuse_odd_digits(self, capsys, argv, message, token):
+        assert main([a.format(token) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == f"CliUsageError: {message.format(token)}\n"
+
+    def test_shapes_and_weights_keep_sign_and_whitespace(self, capsys):
+        runs = [
+            (main(["mamba", "depth", "--shape", shape, "--assign", weights]), capsys.readouterr())
+            for shape, weights in [("2,1,1,1,1", "all=2"), (" 2,+1,1 ,1,1", "all= +2")]
+        ]
+        assert runs[0] == runs[1] and runs[0][0] == 0
+
+    @pytest.mark.parametrize("token", ["\u0661+1", "\uff13"], ids=["arabic-indic", "fullwidth"])
+    def test_expression_literals_are_ascii(self, capsys, token):
+        assert main(["fp", token]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"CliUsageError: unexpected character {token[0]!r} in expression\n"
+
+
 def _explicit_model() -> dict:
     """A valid 1,1,1,1,1 model file with every parameter spelled out."""
     shape = ShapeConfig(1, 1, 1, 1, 1)

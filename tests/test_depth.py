@@ -28,6 +28,7 @@ from artifact.depth import (
     TraceNode,
     TracedScalars,
     Verdict,
+    _MODEL_TABLE,
     _maxima,
     check_depth,
     component_names,
@@ -285,7 +286,7 @@ class TestCostTrace:
 
     def test_incomparable_frontier_is_reported(self):
         """The message names the critical frontier in the order its sums
-        first entered the trace's frontier table: the add after the
+        first appear among the nodes' frontiers: the add after the
         iter_mul comes before the sqrt after the exp."""
         trace = CostTrace(
             [
@@ -681,6 +682,70 @@ class TestSharedRouteTraces:
             trace = trace_component(name, shape)
             at_outputs = {DepthExpr(s) for s in trace._frontier_at(trace.outputs)}
             assert at_outputs == set(trace.critical_frontier()), shape
+
+
+class TestSharedFrontierTable:
+    """The model's component traces intern into one frontier table, which
+    the default grid fills and no longer shape grows.  Sharing changes no
+    answer, each trace still reads only its own nodes' frontiers, and a
+    trace of explicit nodes or of a caller's function has a table of its
+    own."""
+
+    SHAPES = [ShapeConfig(1, 1, 1, 1, 1), ShapeConfig(4, 2, 2, 2, 2), ShapeConfig(32, 2, 2, 2, 2)]
+
+    @pytest.fixture(scope="class")
+    def filled(self):
+        depth_report()
+        return _MODEL_TABLE
+
+    @staticmethod
+    def _sizes(table) -> tuple[int, int]:
+        return len(table.frontiers), len(table.steps)
+
+    def test_default_grid_bounds_the_table(self, filled):
+        assert self._sizes(filled) == (110, 137)
+        depth_report(shapes=[self.SHAPES[2]])
+        for name in component_names():
+            trace_component(name, self.SHAPES[2])
+        assert self._sizes(filled) == (110, 137)
+
+    @pytest.mark.parametrize("name", component_names())
+    def test_private_table_agrees(self, filled, name):
+        for shape in self.SHAPES:
+            shared = trace_component(name, shape)
+            private = CostTrace(shared.nodes, shared.outputs)
+            assert shared._table is filled and private._table is not filled
+            assert private.depth_frontiers() == shared.depth_frontiers()
+            assert private.critical_frontier() == shared.critical_frontier()
+            assert private.critical_depth() == shared.critical_depth()
+            assert private._frontier_at(private.outputs) == shared._frontier_at(shared.outputs)
+
+    @pytest.mark.parametrize("name", component_names())
+    def test_frontiers_without_memo_on_a_filled_table(self, filled, name):
+        for shape in TestTracedNodes.SHAPES[:2]:
+            trace = trace_component(name, shape)
+            want = _frontiers_without_memo(trace.nodes)
+            assert [tuple(e.coeffs for e in f) for f in trace.depth_frontiers()] == want
+
+    def test_small_trace_reads_only_its_own_nodes(self, filled):
+        deep = trace_component("mamba_forward_recurrent", self.SHAPES[1])
+        small = trace_component("exp", self.SHAPES[1])
+        assert small._table is deep._table is filled
+        assert small.critical_frontier() == (expr(d_exp=1),)
+        assert small.critical_depth() == expr(d_exp=1)
+        assert small.depth_frontiers() == [(DepthExpr.zero(),), (expr(d_exp=1),)]
+
+    def test_traces_outside_the_model_keep_their_own_table(self, filled):
+        sizes = self._sizes(filled)
+        chain = CostTrace(
+            TraceNode(i, "n", "d_std", (i - 1,) if i else ()) for i in range(1000)
+        )
+        assert chain.critical_depth() == expr(d_std=1000)
+        assert len(chain._table.frontiers) == 1001
+        run = trace_run(lambda ctx: [ctx.sqrt(ctx.sqrt(ctx.input(F(1))))])
+        assert run._table is not filled and run.critical_depth() == expr(d_sqrt=2)
+        assert CostTrace().critical_frontier() == (DepthExpr.zero(),)
+        assert self._sizes(filled) == sizes
 
 
 class TestDepthReportPinned:
