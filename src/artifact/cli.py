@@ -299,22 +299,22 @@ def _load_model(args: argparse.Namespace) -> tuple[ShapeConfig, MambaParams]:
     raise CliUsageError("provide --model FILE or --shape L,D,E,n,K")
 
 
-_DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+_DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([0-9]+)\s*\Z")
 
 
 def _entry_fraction(x: object) -> Fraction:
-    """An input entry: a JSON integer, or a number or string that
-    ``Fraction`` reads.  A decimal exponent past the interpreter's
+    """An input entry: a JSON integer, or a number or an ASCII string
+    without ``_`` that ``Fraction`` reads; a decimal exponent past the
     int-to-string limit is refused before its power of ten is built."""
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, float):
         x = str(x)
-    if not isinstance(x, str):
+    if not isinstance(x, str) or not x.isascii() or "_" in x:
         raise CliUsageError(f"bad matrix entry {x!r}")
     exponent = _DECIMAL_EXPONENT.search(x)
     if exponent:
-        digits = exponent[1].replace("_", "").lstrip("0")
+        digits = exponent[1].lstrip("0")
         limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
         if len(digits) > len(str(limit)) or digits and int(digits) > limit:
             raise CliUsageError(f"matrix entry {x!r} has a decimal exponent past {limit}")

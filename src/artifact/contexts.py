@@ -4,12 +4,12 @@ Model code (projections, convolutions, the state-space recurrence) is
 written once against a small scalar vocabulary and executed under any of
 three contexts: :class:`PBitScalars` rounds every operation to ``p`` bits
 on ``(m, e)`` pairs, each op one call of the integer kernel of
-:mod:`artifact.floats`; :class:`ExactScalars` computes exact rationals on
-dyadic triples ``(n, k, d)`` standing for ``n * 2**k / d`` with an odd
-``d`` (the reference semantics the p-bit route is measured against;
-:func:`exact_value` reads a value out as a ``Fraction``); and the tracer
-in :mod:`artifact.depth` replays the same code on node ids, recording a
-cost-annotated dataflow graph and computing no values.
+:mod:`artifact.floats` or of an elementary body; :class:`ExactScalars`
+computes exact rationals on dyadic triples ``(n, k, d)`` standing for
+``n * 2**k / d`` with an odd ``d`` (the reference semantics the p-bit
+route is measured against; :func:`exact_value` reads a value out as a
+``Fraction``); and the tracer in :mod:`artifact.depth` replays the same code
+on node ids, recording a cost-annotated dataflow graph and computing no values.
 
 The vocabulary distinguishes flavours that plain value semantics don't care
 about but the cost model does:
@@ -35,8 +35,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Generic, Sequence, TypeVar
 
-from artifact.elementary import exp_fp, log_fp, sigmoid_fp, silu_fp, softplus_fp, sqrt_fp
-from artifact.floats import DivisionByZero, FpError, Pair, _normal, _require_p, _round_quotient
+from artifact.elementary import _exp, _log, _sigmoid, _silu, _softplus, _sqrt
+from artifact.floats import DivisionByZero, FpError, Pair, _require_p, _round_quotient
 from artifact.floats import _add, _div, _floor, _iter_add, _iter_mul, _round
 
 V = TypeVar("V")
@@ -80,28 +80,28 @@ class ScalarContext(ABC, Generic[V]):
     def iter_mul(self, xs: Sequence[V]) -> V: ...
 
     # -------------------------------------------------------- elementary
-    # Each is the p-bit function of its name, applied by the value
-    # contexts' ``_elem``; the tracer overrides all six.
+    # Each is the pair body of its name in :mod:`artifact.elementary`, applied
+    # by the value contexts' ``_elem``; the tracer overrides all six.
     def _elem(self, name: str, fn, a: V) -> V:
         raise NotImplementedError(name)
 
     def exp(self, a: V) -> V:
-        return self._elem("exp", exp_fp, a)
+        return self._elem("exp", _exp, a)
 
     def sqrt(self, a: V) -> V:
-        return self._elem("sqrt", sqrt_fp, a)
+        return self._elem("sqrt", _sqrt, a)
 
     def log(self, a: V) -> V:
-        return self._elem("log", log_fp, a)
+        return self._elem("log", _log, a)
 
     def softplus(self, a: V) -> V:
-        return self._elem("softplus", softplus_fp, a)
+        return self._elem("softplus", _softplus, a)
 
     def sigmoid(self, a: V) -> V:
-        return self._elem("sigmoid", sigmoid_fp, a)
+        return self._elem("sigmoid", _sigmoid, a)
 
     def silu(self, a: V) -> V:
-        return self._elem("silu", silu_fp, a)
+        return self._elem("silu", _silu, a)
 
     # ---------------------------------------------------------- structure
     def index(self, a: V) -> V:
@@ -129,9 +129,9 @@ class ScalarContext(ABC, Generic[V]):
 class PBitScalars(ScalarContext[Pair]):
     """Every operation is the p-bit float op: one rounding per event.
 
-    Values are ``(m, e)`` pairs and each arithmetic method is one op of
-    the kernel in :mod:`artifact.floats`; the elementary methods convert
-    to and from ``FpNumber`` at their boundary."""
+    Values are ``(m, e)`` pairs.  Each arithmetic method is one op of the
+    kernel in :mod:`artifact.floats`, and each elementary method one call
+    of its body in :mod:`artifact.elementary`; no ``FpNumber`` is built."""
 
     def __init__(self, p: int) -> None:
         _require_p(p)
@@ -165,8 +165,7 @@ class PBitScalars(ScalarContext[Pair]):
         return _iter_mul(xs, self.p)
 
     def _elem(self, name: str, fn, a: Pair) -> Pair:
-        y = fn(_normal(a[0], a[1], self.p))
-        return y.m, y.e
+        return fn(a, self.p)
 
     def guard_small(self, a):
         # |m| * 2**e < 2**-(p // 2) in integers, with no power of two built:
@@ -245,9 +244,9 @@ class ExactScalars(ScalarContext[Triple]):
     ``n`` odd or zero, ``gcd(n, d) == 1``, zero as ``(0, 0, 1)``, where
     equal values are equal triples.  The elementary functions round a
     triple as the rational ``n / d * 2**k``, through the same adapter as
-    ``round_p`` (a triple with ``d == 1`` takes its scale path), return
-    their result ``<m, e>`` as ``(m, e, 1)``, and raise
-    :class:`ExactDomainError` on a result whose exponent is past
+    ``round_p`` (a triple with ``d == 1`` takes its scale path), apply the
+    p-bit body to that pair, return its result ``<m, e>`` as ``(m, e, 1)``,
+    and raise :class:`ExactDomainError` on a result whose exponent is past
     :data:`EXACT_EXP_BOUND` in magnitude.
     """
 
@@ -329,13 +328,13 @@ class ExactScalars(ScalarContext[Triple]):
 
     def _elem(self, name: str, fn, a: Triple) -> Triple:
         n, k, d = a
-        y = fn(_normal(*_round_quotient(n, d, k, EXACT_REF_P), EXACT_REF_P))
-        if abs(y.e) > EXACT_EXP_BOUND:
+        m, e = fn(_round_quotient(n, d, k, EXACT_REF_P), EXACT_REF_P)
+        if abs(e) > EXACT_EXP_BOUND:
             raise ExactDomainError(
-                f"exact {name} result has exponent {y.e}, past the exact route's "
+                f"exact {name} result has exponent {e}, past the exact route's "
                 f"bound |e| <= {EXACT_EXP_BOUND}"
             )
-        return y.m, y.e, 1
+        return m, e, 1
 
     def guard_small(self, a):
         # |n| * 2**s < d with s = k + EXACT_REF_P // 2, decided on bit

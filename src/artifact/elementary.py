@@ -1,6 +1,10 @@
 """Correctly rounded elementary functions over p-bit floats.
 
-Each function evaluates its target in an integer fixed-point working
+Each function is a body on a plain ``(m, e)`` pair and ``p`` (``_exp``,
+``_sqrt``, ``_log``, ``_sigmoid``, ``_silu``, ``_softplus``), which the
+contexts call, and a public ``*_fp`` wrapper: one body call, one ``FpNumber``.
+
+Each body evaluates its target in an integer fixed-point working
 representation (``w`` fractional bits: the integer ``t`` stands for
 ``t * 2**-w``), tracks a conservative rigorous error bound ``b`` in
 fixed-point units, and commits the final p-bit rounding only when the whole
@@ -42,7 +46,7 @@ from collections.abc import Callable
 from functools import cache, lru_cache
 from math import isqrt
 
-from artifact.floats import FpNumber, Overflow, _normal, _round, fp_add, fp_div, fp_mul, round_p
+from artifact.floats import FpNumber, Overflow, Pair, _add, _div, _normal, _round
 
 __all__ = [
     "NegativeInput",
@@ -82,7 +86,7 @@ def _base_log_terms(p: int) -> int:
 Attempt = Callable[[int, int, int], tuple[int, int, int]]
 
 
-def _correctly_rounded(p: int, attempt: Attempt) -> FpNumber:
+def _correctly_rounded(p: int, attempt: Attempt) -> Pair:
     """Run ``attempt(w, exp_terms, log_terms) -> (t, b, scale)`` on the
     escalation schedule until ``(t ± b) * 2**scale`` commits to one p-bit
     float (see the module docstring)."""
@@ -97,7 +101,7 @@ def _correctly_rounded(p: int, attempt: Attempt) -> FpNumber:
         log_terms += 16
 
 
-def _commit(t: int, b: int, scale: int, p: int) -> FpNumber | None:
+def _commit(t: int, b: int, scale: int, p: int) -> Pair | None:
     """Round ``(t ± b) * 2**scale``; None when the interval straddles."""
     try:
         lo = _round(t - b, scale, p)
@@ -110,7 +114,7 @@ def _commit(t: int, b: int, scale: int, p: int) -> FpNumber | None:
     if lo == hi:
         if lo is None:
             raise Overflow(f"result exceeds the exponent range at p={p}")
-        return _normal(*lo, p)
+        return lo
     return None
 
 
@@ -172,18 +176,22 @@ def exp_fp(x: FpNumber) -> FpNumber:
     overflow outright; at or below ``-2**(p+2)`` the true value is far below
     half the smallest normal and rounds to zero.
     """
-    p = x.p
-    if x.m == 0:
-        return round_p(1, p)
+    return _normal(*_exp((x.m, x.e), x.p), x.p)
+
+
+def _exp(a: Pair, p: int) -> Pair:
+    m, e = a
+    if not m:
+        return 1 << (p - 1), 1 - p
     # floor(log2 |x|) >= p+2 puts exp(x) decisively past the exponent range
     # (positive x) or far below half the smallest normal (negative x).
-    if abs(x.m).bit_length() - 1 + x.e >= p + 2:
-        if x.m > 0:
-            raise Overflow(f"exp of {x} exceeds the exponent range at p={p}")
-        return FpNumber.zero(p)
+    if abs(m).bit_length() - 1 + e >= p + 2:
+        if m > 0:
+            raise Overflow(f"exp of <{m}, {e}>@p{p} exceeds the exponent range at p={p}")
+        return 0, 0
 
     def attempt(w: int, exp_terms: int, log_terms: int) -> tuple[int, int, int]:
-        t, j, b = _exp_core(x.m, x.e, w, exp_terms)
+        t, j, b = _exp_core(m, e, w, exp_terms)
         return t, b, j - w
 
     return _correctly_rounded(p, attempt)
@@ -194,15 +202,19 @@ def exp_fp(x: FpNumber) -> FpNumber:
 
 def sqrt_fp(x: FpNumber) -> FpNumber:
     """Square root, correctly rounded; exact perfect squares stay exact."""
-    p = x.p
-    if x.m < 0:
-        raise NegativeInput(f"sqrt of negative float {x}")
-    if x.m == 0:
-        return FpNumber.zero(p)
+    return _normal(*_sqrt((x.m, x.e), x.p), x.p)
+
+
+def _sqrt(a: Pair, p: int) -> Pair:
+    m, e = a
+    if m < 0:
+        raise NegativeInput(f"sqrt of negative float <{m}, {e}>@p{p}")
+    if not m:
+        return 0, 0
     # Split an even power of two: x = (m * 2**t) * 2**(e - t), e - t even.
-    t_odd = x.e & 1
-    big_m = x.m << t_odd
-    half_e = (x.e - t_odd) >> 1
+    t_odd = e & 1
+    big_m = m << t_odd
+    half_e = (e - t_odd) >> 1
 
     def attempt(w: int, exp_terms: int, log_terms: int) -> tuple[int, int, int]:
         n = big_m << (2 * w)
@@ -262,15 +274,19 @@ def log_fp(x: FpNumber) -> FpNumber:
     is special-cased rather than asking the commit loop to separate an
     interval that legitimately straddles zero.
     """
-    p = x.p
-    if x.m <= 0:
-        raise NonPositiveInput(f"log of non-positive float {x}")
-    if x.m == 1 << (p - 1) and x.e == -(p - 1):
-        return FpNumber.zero(p)
-    if x.e % 2 == 0:
-        r_m, r_bits, k = x.m, p, x.e + p
+    return _normal(*_log((x.m, x.e), x.p), x.p)
+
+
+def _log(a: Pair, p: int) -> Pair:
+    r_m, e = a
+    if r_m <= 0:
+        raise NonPositiveInput(f"log of non-positive float <{r_m}, {e}>@p{p}")
+    if r_m == 1 << (p - 1) and e == 1 - p:
+        return 0, 0
+    if e % 2 == 0:
+        r_bits, k = p, e + p
     else:
-        r_m, r_bits, k = x.m, p - 1, x.e + p - 1
+        r_bits, k = p - 1, e + p - 1
     # Fold r in (3/2, 2) down one binade so |r - 1| <= 1/2.
     if 2 * r_m > 3 * (1 << r_bits):
         r_bits += 1
@@ -287,18 +303,6 @@ def log_fp(x: FpNumber) -> FpNumber:
 # ----------------------------------------------------------- sigmoid / silu
 
 
-def _neg(x: FpNumber) -> FpNumber:
-    return FpNumber(-x.m, x.e, x.p) if x.m != 0 else x
-
-
-def _largest_below_one(p: int) -> FpNumber:
-    return FpNumber((1 << p) - 1, -p, p)
-
-
-def _smallest_positive(p: int) -> FpNumber:
-    return FpNumber(1 << (p - 1), -(1 << p), p)
-
-
 def sigmoid_fp(x: FpNumber) -> FpNumber:
     """Logistic function as the literal float composition ``1/(1+exp(-x))``.
 
@@ -306,27 +310,36 @@ def sigmoid_fp(x: FpNumber) -> FpNumber:
     error within ``4 * 2**-p`` on the measured domain.  The result is
     clamped into the open interval (0, 1) (see the module docstring).
     """
-    p = x.p
-    one = _normal(1 << (p - 1), 1 - p, p)  # 1 in normal form, without rounding
+    return _normal(*_sigmoid((x.m, x.e), x.p), x.p)
+
+
+def _sigmoid(a: Pair, p: int) -> Pair:
+    tiny, below_one = (1 << (p - 1), -(1 << p)), ((1 << p) - 1, -p)
     try:
-        en = exp_fp(_neg(x))
+        en = _exp((-a[0], a[1]), p)
     except Overflow:
         # exp(-x) out of range means x is hugely negative: sigmoid ~ exp(x),
         # which itself rounds to zero here; clamp to the smallest positive.
-        return _smallest_positive(p)
-    if en.is_zero:
-        return _largest_below_one(p)
-    out = fp_div(one, fp_add(one, en))
-    if out.m <= 0:
-        return _smallest_positive(p)
-    if out.m.bit_length() + out.e > 0:  # out >= 1
-        return _largest_below_one(p)
+        return tiny
+    if not en[0]:
+        return below_one
+    one = 1 << (p - 1), 1 - p
+    out = _div(one, _add(one, en, p), p)
+    if out[0] <= 0:
+        return tiny
+    if out[0].bit_length() + out[1] > 0:  # out >= 1
+        return below_one
     return out
 
 
 def silu_fp(x: FpNumber) -> FpNumber:
     """``x * sigmoid(x)`` with the literal float multiply."""
-    return fp_mul(x, sigmoid_fp(x))
+    return _normal(*_silu((x.m, x.e), x.p), x.p)
+
+
+def _silu(a: Pair, p: int) -> Pair:
+    s = _sigmoid(a, p)
+    return _round(a[0] * s[0], a[1] + s[1], p)
 
 
 # ----------------------------------------------------------------- softplus
@@ -334,19 +347,23 @@ def silu_fp(x: FpNumber) -> FpNumber:
 
 def softplus_fp(x: FpNumber) -> FpNumber:
     """``log(1 + exp(x))`` in one working-precision pipeline, rounded once."""
-    p = x.p
-    if x.m > 0 and x.m.bit_length() - 1 + x.e >= p.bit_length() + 1:
+    return _normal(*_softplus((x.m, x.e), x.p), x.p)
+
+
+def _softplus(a: Pair, p: int) -> Pair:
+    m, e = a
+    if m > 0 and m.bit_length() - 1 + e >= p.bit_length() + 1:
         # softplus(x) = x + log1p(exp(-x)).  From x >= 2**(bit_length(p) + 1)
         # > p + 1 the correction is below exp(-x) < 2**-(p+1), under half an
         # ulp of x, so the correctly rounded result is x itself.  The
         # pipeline below would build exp(x), about 1.44 * x bits wide.
-        return x
-    if x.m < 0 and (-x.m).bit_length() - 1 + x.e >= p + 2:
+        return a
+    if m < 0 and (-m).bit_length() - 1 + e >= p + 2:
         # True value ~ exp(x), far below half the smallest normal.
-        return FpNumber.zero(p)
+        return 0, 0
 
     def attempt(w: int, exp_terms: int, log_terms: int) -> tuple[int, int, int]:
-        t_e, j, b_e = _exp_core(x.m, x.e, w, exp_terms)
+        t_e, j, b_e = _exp_core(m, e, w, exp_terms)
         if j <= -2:
             # exp(x) < ~0.36: series log1p(w') directly at scale 2**(j-w),
             # with ratio w' < 1/2 between consecutive terms.

@@ -39,13 +39,13 @@ algebraically identical; in exact arithmetic they agree entry for entry.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from artifact.contexts import ExactScalars, PBitScalars, ScalarContext, exact_value
 from artifact.floats import _normal
+from artifact.hardness import _ascii_int
 from artifact.matrices import FpMatrix, ShapeMismatch
 
 __all__ = [
@@ -239,14 +239,13 @@ def _nested(fn, value, depth: int, seq=tuple):
     return seq([_nested(fn, v, depth - 1, seq) for v in value])
 
 
-_DECIMAL_INT = re.compile(r"[+-]?[0-9]+")
-
-
 def _json_int(x: object) -> int:
-    """A JSON integer or decimal-integer string; booleans and floats are refused."""
-    if type(x) is int or isinstance(x, str) and _DECIMAL_INT.fullmatch(x):
-        return int(x)
-    raise ValueError(f"not an integer: {x!r}")
+    """A JSON integer, or a string by the command line's integer rule
+    (``hardness._ascii_int``); booleans and floats are refused."""
+    n = x if type(x) is int else _ascii_int(x) if isinstance(x, str) else None
+    if n is None:
+        raise ValueError(f"not an integer: {x!r}")
+    return n
 
 
 def _fr_json(x: Fraction) -> dict:

@@ -556,6 +556,31 @@ class TestModelFiles:
         model["params"]["w_delta_scalar"] = {"n": "-3", "d": 4}
         assert _run_model(tmp_path / "m.json", model) == 0
 
+    def test_integer_strings_keep_sign_and_whitespace(self, tmp_path, capsys):
+        """A model file reads an integer string as the command line reads
+        ``--shape " 2,+1,1,1,1"``."""
+        outputs = []
+        for seq_len, n, d in [(1, -3, 4), (" 1", " -3 ", "+4")]:
+            model = _explicit_model()
+            model["shape"]["seq_len"] = seq_len
+            model["params"]["w_delta_scalar"] = {"n": n, "d": d}
+            outputs.append((_run_model(tmp_path / "m.json", model), capsys.readouterr()))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+    @pytest.mark.parametrize("token", list(_ODD_DIGITS.values()), ids=list(_ODD_DIGITS))
+    @pytest.mark.parametrize("where", ["shape", "numerator", "denominator"])
+    def test_integer_strings_refuse_odd_digits(self, tmp_path, capsys, where, token):
+        model = _explicit_model()
+        if where == "shape":
+            model["shape"]["seq_len"] = token
+        else:
+            model["params"]["w_delta_scalar"][where[0]] = token
+        path = tmp_path / "m.json"
+        assert _run_model(path, model) == 2
+        out, err = capsys.readouterr()
+        assert not out and len(err.splitlines()) == 1
+        assert err.startswith(f"CliUsageError: {path}: ") and repr(token) in err
+
     @settings(max_examples=150, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(_MUTATION, min_size=1, max_size=3))
@@ -624,6 +649,27 @@ class TestMutatedInputFiles:
             assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         if not mutations:
             assert code == 0
+
+    @pytest.mark.parametrize("mode", ["pbit", "exact"])
+    @pytest.mark.parametrize("entry", ["\u0661", "1_0", "\uff11", "1e1_0"],
+                             ids=["arabic-indic", "underscore", "fullwidth", "exponent-underscore"])
+    def test_entries_are_ascii(self, tmp_path, capsys, entry, mode):
+        """A string entry is ASCII without ``_``; the refusal names it."""
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps([[entry]]))
+        argv = ["mamba", "run", "--shape", "1,1,1,1,1", "--mode", mode, "--input", str(path)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == f"CliUsageError: bad matrix entry {entry!r}\n"
+
+    @pytest.mark.parametrize("mode", ["pbit", "exact"])
+    @pytest.mark.parametrize("entry", ["1/3", "-0.25", "1e3", " 5 "])
+    def test_ascii_entries_accepted(self, tmp_path, capsys, entry, mode):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps([[entry]]))
+        argv = ["mamba", "run", "--shape", "1,1,1,1,1", "--mode", mode, "--input", str(path)]
+        assert main(argv) == 0
+        assert not capsys.readouterr().err
 
     @pytest.mark.parametrize("entry", [1e6, -1e6, 1e11, 1e308, -1e308])
     @pytest.mark.parametrize("command", ["run", "compare"])

@@ -108,6 +108,24 @@ class TestSqrt:
                 continue
             assert rel_err(sqrt_fp(x), mpmath.sqrt(mp_of(x))) <= bound
 
+    @pytest.mark.parametrize("p", [8, 12])
+    def test_correctly_rounded_exhaustive(self, p):
+        """Every p-bit float in [2**-12, 2**12]: ``r`` is the correctly
+        rounded root of ``x`` exactly when ``x`` lies strictly between the
+        squares of the midpoints next to ``r`` (no square of a midpoint is a
+        p-bit float, so there are no ties).  Checked in integers, with the
+        midpoints as multiples of ``2**(e_r - 2)``."""
+        xs = [(m, b - p + 1) for b in range(-12, 12) for m in range(1 << (p - 1), 1 << p)]
+        xs.append((1 << (p - 1), 13 - p))  # 2**12
+        for m, e in xs:
+            r = sqrt_fp(FpNumber(m, e, p))
+            # Below r's binade edge the floats are twice as dense.
+            lo = 4 * r.m - (1 if r.m == 1 << (p - 1) else 2)
+            hi = 4 * r.m + 2
+            s = min(2 * r.e - 4, e)  # compare lo**2 * 2**(2 e_r - 4) with m * 2**e
+            scale, x = 2 * r.e - 4 - s, m << (e - s)
+            assert lo * lo << scale < x < hi * hi << scale, (m, e)
+
 
 class TestLog:
     def test_domain(self):

@@ -8,16 +8,25 @@ over all 129 legal floats at p=3 (and, there, to the enumerative oracle
 of ``tests/oracles.py`` as well, so a change to the shared rounding rule
 fails here too), and on drawn operands at p = 8 to 64 with exponents at
 both ends of the range and exponent gaps around the ``p + 4`` shortcut.
-A result must be the same pair, or the same error.
+A result must be the same pair, or the same error.  The elementary ops
+are drawn across the exponent range, through ``exp`` overflow, the
+``log``/``sqrt`` domain errors and ``softplus`` saturation.  Last, a p-bit
+forward pass is counted: between its input and its output it builds no
+``FpNumber`` and calls no public elementary function.
 """
 
 from __future__ import annotations
+
+import importlib
+import pkgutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import artifact
 import oracles
+from artifact import elementary, floats
 from artifact.contexts import PBitScalars
 from artifact.elementary import exp_fp, log_fp, sigmoid_fp, silu_fp, softplus_fp, sqrt_fp
 from artifact.floats import (
@@ -31,6 +40,8 @@ from artifact.floats import (
     iter_add,
     iter_mul,
 )
+from artifact.mamba import ShapeConfig, forward_routes, random_input, random_params
+from artifact.matrices import FpMatrix
 
 SETTINGS = settings(max_examples=80, derandomize=True, database=None, deadline=None)
 P3 = oracles.legal_floats(3)
@@ -176,3 +187,75 @@ class TestDrawnOperands:
         xs = data.draw(operands(p, data.draw(st.integers(1, 8))))
         for name, (fp_op, _) in FAMILY.items():
             assert outcome(getattr(ctx, name), xs) == outcome(public(fp_op, p), xs), name
+
+    @pytest.mark.parametrize("p", PRECISIONS)
+    @SETTINGS
+    @given(data=st.data())
+    def test_elementary(self, p, data):
+        ctx = PBitScalars(p)
+        a = data.draw(elementary_operands(p))
+        for name, fn in ELEMENTARY.items():
+            got = outcome(getattr(ctx, name), a)
+            assert got == outcome(public(fn, p), a), name
+            if name in MESSAGES and isinstance(got[0], type):
+                x = FpNumber(*a, p)
+                assert got[1] in (MESSAGES[name].format(x=x, p=p), COMMIT_OVERFLOW.format(p=p))
+
+
+#: The refusal of each function that names its operand, in the operand's
+#: ``FpNumber`` form; ``exp`` may also overflow at the final rounding.
+MESSAGES = {
+    "exp": "exp of {x} exceeds the exponent range at p={p}",
+    "sqrt": "sqrt of negative float {x}",
+    "log": "log of non-positive float {x}",
+}
+COMMIT_OVERFLOW = "result exceeds the exponent range at p={p}"
+
+
+@st.composite
+def elementary_operands(draw, p: int):
+    """One operand ``(m, e)`` of either sign, or zero: its binade
+    ``floor(log2 |x|)`` lies within ``p + 8`` of zero, where the functions
+    evaluate, straddles the ``exp`` overflow and ``softplus`` saturation
+    cut-offs, or sits at either end of the exponent range."""
+    lim = 1 << p
+    if not draw(st.integers(0, 11)):
+        return 0, 0
+    m = draw(st.integers(lim >> 1, lim - 1))
+    binade = draw(
+        st.integers(-p - 8, p + 8)
+        | st.sampled_from([p.bit_length() + d for d in (0, 1, 2)] + [p + d for d in (1, 2, 3)])
+        | st.integers(-lim + p - 1, -lim + 2 * p)
+        | st.integers(lim - p - 8, lim - 1)
+    )
+    e = min(max(binade - (p - 1), -lim), lim - 1)
+    return (m if draw(st.booleans()) else -m), e
+
+
+class TestRouteBuildsNoFpNumber:
+    """A p-bit forward pass holds ``(m, e)`` pairs from its input to its
+    output: between those ends no public elementary function runs and no
+    ``FpNumber`` is built."""
+
+    NAMES = ("exp_fp", "log_fp", "sqrt_fp", "sigmoid_fp", "silu_fp", "softplus_fp")
+
+    def test_forward_routes(self, monkeypatch):
+        shape = ShapeConfig(4, 2, 3, 2, 2)
+        params = random_params(shape, 0)
+        x = FpMatrix.from_fractions(random_input(shape, 0), "pbit", 16)
+        calls = dict.fromkeys(("_normal",) + self.NAMES, 0)
+        originals = {"_normal": floats._normal}
+        originals.update((name, getattr(elementary, name)) for name in self.NAMES)
+        modules = [importlib.import_module(f"artifact.{info.name}")
+                   for info in pkgutil.iter_modules(artifact.__path__)]
+        for name, fn in originals.items():
+            def counted(*args, _name=name, _fn=fn):
+                calls[_name] += 1
+                return _fn(*args)
+
+            for module in modules:
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted)
+        ys = forward_routes(shape, params, x, ("recurrent", "convolution"))
+        assert len(ys) == 2
+        assert calls == dict.fromkeys(calls, 0) | {"_normal": 2 * shape.seq_len * shape.d_model}
