@@ -37,8 +37,9 @@ Callers that can build input words directly, such as the exhaustive sweep
 of ``synthesis.check_op``, skip packing altogether.
 
 The textual netlist format is one gate per line, ``id KIND [k] inputs...``,
-followed by a final ``OUTPUTS id...`` line; parsing reports the offending
-line number on error.
+followed by a final ``OUTPUTS id...`` line; every integer is an ASCII
+decimal (:func:`_ascii_int`), and parsing reports the offending line
+number, and a bad integer's token, on error.
 """
 
 from __future__ import annotations
@@ -428,7 +429,27 @@ def serialize_netlist(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ascii_int(text: str) -> int | None:
+    """``int(text)`` when ``text`` is an ASCII decimal integer, with an
+    optional sign and surrounding whitespace; ``None`` otherwise.  Bare
+    ``int`` would also read non-ASCII digits and ``_`` separators.  Every
+    integer read from text goes through it: netlists, corpora, model files
+    and options."""
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return None
+
+
 def parse_netlist(text: str) -> Circuit:
+    def number(line_no: int, what: str, token: str) -> int:
+        value = _ascii_int(token)
+        if value is None:
+            raise ParseError(line_no, f"bad {what} {token!r}")
+        return value
+
     builder = CircuitBuilder()
     outputs: list[int] | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -439,17 +460,11 @@ def parse_netlist(text: str) -> Circuit:
         if parts[0] == "OUTPUTS":
             if outputs is not None:
                 raise ParseError(line_no, "duplicate OUTPUTS line")
-            try:
-                outputs = [int(x) for x in parts[1:]]
-            except ValueError:
-                raise ParseError(line_no, "output ids must be integers") from None
+            outputs = [number(line_no, "output id", x) for x in parts[1:]]
             continue
         if outputs is not None:
             raise ParseError(line_no, "gate line after OUTPUTS")
-        try:
-            gid = int(parts[0])
-        except ValueError:
-            raise ParseError(line_no, f"bad gate id {parts[0]!r}") from None
+        gid = number(line_no, "gate id", parts[0])
         if len(parts) < 2:
             raise ParseError(line_no, "missing gate kind")
         kind = parts[1]
@@ -460,15 +475,9 @@ def parse_netlist(text: str) -> Circuit:
         if kind == "THRESHOLD":
             if not rest:
                 raise ParseError(line_no, "THRESHOLD needs k")
-            try:
-                k = int(rest[0])
-            except ValueError:
-                raise ParseError(line_no, f"bad threshold {rest[0]!r}") from None
+            k = number(line_no, "threshold", rest[0])
             rest = rest[1:]
-        try:
-            inputs = tuple(map(int, rest))
-        except ValueError:
-            raise ParseError(line_no, "input ids must be integers") from None
+        inputs = tuple(number(line_no, "input id", x) for x in rest)
         try:
             builder.add(gid, kind, inputs, k)
         except CircuitError as exc:

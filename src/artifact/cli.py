@@ -49,6 +49,7 @@ from typing import NoReturn, Sequence
 
 from artifact.circuits import (
     Circuit,
+    _ascii_int,
     evaluate,
     evaluate_many,
     is_majority_only,
@@ -66,7 +67,6 @@ from artifact.elementary import NegativeInput, NonPositiveInput
 from artifact.elementary import exp_fp, log_fp, sigmoid_fp, silu_fp, softplus_fp, sqrt_fp
 from artifact.floats import FpError, FpNumber, fp_add, fp_div, fp_floor, fp_mul, round_p
 from artifact.hardness import (
-    _ascii_int,
     barrington_transform,
     eval_instance,
     eval_pbp,
@@ -660,7 +660,7 @@ MAX_PRECISION = 4096
 
 def _integer(text: str) -> int:
     """The ``type`` of every integer option: an ASCII decimal, read as
-    corpus integers are (``hardness._ascii_int``)."""
+    netlist and corpus integers are (``circuits._ascii_int``)."""
     value = _ascii_int(text)
     if value is None:
         raise argparse.ArgumentTypeError(f"not an ASCII decimal integer: {text!r}")

@@ -65,16 +65,16 @@ from artifact.mamba import (
     MambaParams,
     ShapeConfig,
     SsmDiscrete,
-    _forward_routes,
-    _ssm_routes,
     conv1d,
     conv_kernel,
     discretize,
     hidden_recurrence,
     input_projection,
+    mamba_forward,
     select_params,
     ssm_convolution,
     ssm_recurrent,
+    ssm_select,
     wrap_params,
 )
 
@@ -586,9 +586,6 @@ class TracedScalars(ScalarContext[int]):
     def _emit(self, label: str, cost: str | None, preds: tuple[int, ...]) -> int:
         return self._trace._add(label, cost, preds + self._barrier)
 
-    def trace(self, outputs: Sequence[int] = ()) -> CostTrace:
-        return CostTrace(self._trace.nodes, outputs)
-
     # --------------------------------------------------------------- leaves
     def input(self, q: Fraction) -> int:
         return self._emit("input", None, ())
@@ -785,11 +782,11 @@ def _components() -> dict[str, tuple[Callable[..., Any], str | None, str | None]
     # form, each route after the shared prefix.
     def b_ssm(ctx, shape, forms):
         pw = _params(ctx, shape)
-        return _ssm_routes(ctx, pw, _leaves(ctx, shape.seq_len, shape.d_inner), forms)
+        return ssm_select(ctx, pw, _leaves(ctx, shape.seq_len, shape.d_inner), forms)
 
     def b_mamba(ctx, shape, forms):
         pw = _params(ctx, shape)
-        return _forward_routes(ctx, pw, _leaves(ctx, shape.seq_len, shape.d_model), forms)
+        return mamba_forward(ctx, pw, _leaves(ctx, shape.seq_len, shape.d_model), forms)
 
     # Each component's builder, the form it reads of a route builder (None
     # for a plain one), and the registry formula it is checked against, or

@@ -65,7 +65,6 @@ __all__ = [
     "iter_add",
     "iter_mul",
     "round_p",
-    "round_scaled",
 ]
 
 
@@ -300,18 +299,12 @@ def _iter_mul(xs: Sequence[Pair], p: int) -> Pair:
     return _round(prod(m for m, _ in xs), sum(e for _, e in xs), p)
 
 
-def round_scaled(n: int, k: int, p: int) -> FpNumber:
-    """Round ``n * 2**k`` to the nearest p-bit float in integer arithmetic,
-    by the rule of the kernel ``_round``."""
-    _require_p(p)
-    return _normal(*_round(n, k, p), p)
-
-
 def round_p(x: Fraction | int, p: int) -> FpNumber:
     """Round an exact rational to the nearest p-bit float.
 
     The value goes to :func:`_round_quotient` as its numerator and
-    denominator, so the rounding rule is that of :func:`round_scaled`.
+    denominator, so the rounding rule is that of the kernel ``_round``.
+    This is the one public rounding call.
     """
     if not isinstance(x, (int, Fraction)):
         raise TypeError(f"round_p expects Fraction or int, got {type(x)!r}")

@@ -51,7 +51,7 @@ from itertools import permutations as iter_permutations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .circuits import ArityMismatch, Circuit, CircuitBuilder, Gate, _rewrite
+from .circuits import ArityMismatch, Circuit, CircuitBuilder, Gate, _ascii_int, _rewrite
 
 __all__ = [
     "ACCEPTING_CYCLE",
@@ -258,18 +258,6 @@ class ArithFormula:
 
 
 _SEXPR_FORMS = {"+..": "add", "*..": "mul", "-.": "neg"}
-
-
-def _ascii_int(text: str) -> int | None:
-    """``int(text)`` when ``text`` is an ASCII decimal integer, with an
-    optional sign and surrounding whitespace; ``None`` otherwise.  Bare
-    ``int`` would also read non-ASCII digits and ``_`` separators."""
-    if text.isascii() and "_" not in text:
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    return None
 
 
 def parse_arith(text: str, semiring: Semiring) -> ArithFormula:

@@ -22,9 +22,9 @@ whatever the number of routes asked for: the input projection (read by
 both the state-space branch and a tied gate), ``conv1d``, ``silu``,
 selection and discretization are shared, and each route adds only its
 state-space evaluation, the gating and the output projection
-(:func:`forward_routes`).  Asked for one route, the sequence of context
-calls is that of :func:`mamba_forward` for that route, which the depth
-tracer records; that order is part of the depth contract.
+(:func:`mamba_forward`).  Asked for one form, its sequence of context
+calls is what the depth tracer records; that order is part of the depth
+contract.
 :func:`forward_routes` converts values only at its ends: a p-bit input
 matrix enters as its entries' ``(m, e)`` pairs, an exact one through
 ``input``, and each result leaves as an ``FpMatrix``.
@@ -43,9 +43,9 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from artifact.circuits import _ascii_int
 from artifact.contexts import ExactScalars, PBitScalars, ScalarContext, exact_value
 from artifact.floats import _normal
-from artifact.hardness import _ascii_int
 from artifact.matrices import FpMatrix, ShapeMismatch
 
 __all__ = [
@@ -241,7 +241,7 @@ def _nested(fn, value, depth: int, seq=tuple):
 
 def _json_int(x: object) -> int:
     """A JSON integer, or a string by the command line's integer rule
-    (``hardness._ascii_int``); booleans and floats are refused."""
+    (``circuits._ascii_int``); booleans and floats are refused."""
     n = x if type(x) is int else _ascii_int(x) if isinstance(x, str) else None
     if n is None:
         raise ValueError(f"not an integer: {x!r}")
@@ -499,13 +499,22 @@ def ssm_convolution(ctx: ScalarContext, kern, x):
 
 
 def _check_forms(forms: Sequence[str]) -> None:
+    if isinstance(forms, str):
+        raise TypeError(f"forms must be a sequence of form names, not the string {forms!r}")
     for form in forms:
         if form not in ("recurrent", "convolution"):
             raise ValueError(f"unknown evaluation form {form!r}")
 
 
-def _ssm_routes(ctx: ScalarContext, pw: MambaParams, x, forms: Sequence[str]) -> list:
-    """Selection and discretization once, then one evaluation per form."""
+def ssm_select(ctx: ScalarContext, pw: MambaParams, x, forms: Sequence[str]) -> list:
+    """Selection and discretization once, then one state-space evaluation
+    per form in ``forms``, one result each.
+
+    Each form is ``"recurrent"`` or ``"convolution"``; the two are
+    algebraically identical.  A stage barrier separates the discretization
+    from the evaluations so the phases compose serially.  An unknown form,
+    or a bare string for ``forms``, is refused before any stage runs.
+    """
     _check_forms(forms)
     s_b, s_c, delta = select_params(
         ctx, x, pw.w_b, pw.p_b, pw.w_c, pw.p_c, pw.w_delta, pw.p_delta, pw.w_delta_scalar
@@ -520,20 +529,22 @@ def _ssm_routes(ctx: ScalarContext, pw: MambaParams, x, forms: Sequence[str]) ->
     ]
 
 
-def ssm_select(ctx: ScalarContext, pw: MambaParams, x, form: str = "recurrent"):
-    """Selection, discretization, and one of the two evaluations.
+def mamba_forward(ctx: ScalarContext, pw: MambaParams, x, forms: Sequence[str]) -> list:
+    """Full block, one output per form in ``forms``: projections, window
+    convolution, gated state space.
 
-    ``form`` is ``"recurrent"`` or ``"convolution"``; the two are
-    algebraically identical.  A stage barrier separates the discretization
-    from the evaluation so the phases compose serially.  An unknown form
-    raises ``ValueError`` before any stage runs.
+    ``out = OutProj( SSM(silu(conv1d(InProj(X)))) ⊙ silu(GateProj(X)) )``,
+    with ``pw`` the parameters as context values (:func:`wrap_params`).
+    The block up to the discretization runs once; each form adds its
+    evaluation, the gating and the output projection.  The gate branch
+    belongs to the pre-barrier stage of the pipeline: an untied gate is
+    projected first, and a tied one (``pw.w_gate is None``) is ``silu`` of
+    the input projection, computed once and read by both branches.  An
+    unknown form, or a bare string for ``forms``, is refused before any
+    stage runs.  The order of context calls for one form is part of the
+    depth contract: the tracer's graphs, and so every ``mamba depth`` byte,
+    follow from it.
     """
-    return _ssm_routes(ctx, pw, x, (form,))[0]
-
-
-def _forward_routes(ctx: ScalarContext, pw: MambaParams, x, forms: Sequence[str]) -> list:
-    """The block up to the discretization once, then the evaluation, the
-    gating and the output projection once per form."""
     _check_forms(forms)
     if pw.w_gate is not None:
         gate = silu_map(ctx, input_projection(ctx, x, pw.w_gate, pw.b_gate))
@@ -548,23 +559,8 @@ def _forward_routes(ctx: ScalarContext, pw: MambaParams, x, forms: Sequence[str]
             pw.w_x_out,
             pw.b_x_out,
         )
-        for y in _ssm_routes(ctx, pw, a, forms)
+        for y in ssm_select(ctx, pw, a, forms)
     ]
-
-
-def mamba_forward(ctx: ScalarContext, pw: MambaParams, x, form: str = "recurrent"):
-    """Full block: projections, window convolution, gated state space.
-
-    ``out = OutProj( SSM(silu(conv1d(InProj(X)))) ⊙ silu(GateProj(X)) )``,
-    with ``pw`` the parameters as context values (:func:`wrap_params`).
-    The gate branch belongs to the pre-barrier stage of the pipeline: an
-    untied gate is projected first, and a tied one (``pw.w_gate is None``)
-    is ``silu`` of the input projection, computed once and read by both
-    branches.  The order of context calls for one form is part of the depth
-    contract: the tracer's graphs, and so every ``mamba depth`` byte,
-    follow from it.
-    """
-    return _forward_routes(ctx, pw, x, (form,))[0]
 
 
 # ------------------------------------------------------- instance builders
@@ -620,7 +616,7 @@ def forward_routes(
     else:
         ctx = ExactScalars()
         xin = wrap_values(ctx, x.data)
-    ys = _forward_routes(ctx, wrap_params(ctx, params), xin, forms)
+    ys = mamba_forward(ctx, wrap_params(ctx, params), xin, forms)
     if x.mode == "pbit":
         return tuple(FpMatrix.pbit([[_normal(m, e, x.p) for m, e in row] for row in y], x.p)
                      for y in ys)
@@ -634,6 +630,5 @@ def forward_matrix(
     form: str = "recurrent",
 ) -> FpMatrix:
     """Run the block on an ``FpMatrix`` in its own mode and return one:
-    :func:`forward_routes` for the one form, so its context calls are
-    those of :func:`mamba_forward`."""
+    :func:`forward_routes` for the one form."""
     return forward_routes(shape, params, x, (form,))[0]

@@ -243,8 +243,7 @@ class TestAcceptance:
             y_conv = ssm_convolution(ctx, kern, x_inner)
             assert y_rec == y_conv
             # Exact selective pipeline and full block agree exactly too.
-            y_sel_rec = ssm_select(ctx, pw, x_inner, "recurrent")
-            y_sel_conv = ssm_select(ctx, pw, x_inner, "convolution")
+            y_sel_rec, y_sel_conv = ssm_select(ctx, pw, x_inner, ("recurrent", "convolution"))
             assert y_sel_rec == y_sel_conv
             # p-bit mode on a cancellation-free instance obeys the bound.
             pos_params = random_params(shape, seed=2000 + i, positive=True)

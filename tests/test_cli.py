@@ -442,6 +442,32 @@ class TestAsciiIntegers:
         ]
         assert runs[0] == runs[1] and runs[0][0] == 0
 
+    # Each netlist field with a token in it, the line that holds it, and
+    # the field's name in the refusal.
+    _NETLIST_FIELDS = {
+        "gate-id": ("0 INPUT\n{} NOT 0\nOUTPUTS 1\n", 2, "gate id"),
+        "threshold": ("0 INPUT\n1 THRESHOLD {} 0\nOUTPUTS 1\n", 2, "threshold"),
+        "input": ("0 INPUT\n1 NOT {}\nOUTPUTS 1\n", 2, "input id"),
+        "outputs": ("0 INPUT\n1 NOT 0\nOUTPUTS {}\n", 3, "output id"),
+    }
+
+    @pytest.mark.parametrize("token", list(_ODD_DIGITS.values()), ids=list(_ODD_DIGITS))
+    @pytest.mark.parametrize("field", list(_NETLIST_FIELDS))
+    @pytest.mark.parametrize(
+        "command",
+        [["circuit", "depth"], ["circuit", "eval"], ["circuit", "rewrite"],
+         ["hardness", "barrington"]],
+        ids=lambda c: " ".join(c),
+    )
+    def test_netlists_refuse_odd_digits(self, tmp_path, capsys, command, field, token):
+        template, line, what = self._NETLIST_FIELDS[field]
+        path = tmp_path / "c.nl"
+        path.write_text(template.format(token), encoding="utf-8")
+        extra = ["--bits", "1"] if command[1] == "eval" else []
+        assert main([*command, str(path), *extra]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == f"ParseError: line {line}: bad {what} {token!r}\n"
+
     @pytest.mark.parametrize("token", ["\u0661+1", "\uff13"], ids=["arabic-indic", "fullwidth"])
     def test_expression_literals_are_ascii(self, capsys, token):
         assert main(["fp", token]) == 2

@@ -34,7 +34,7 @@ from artifact.elementary import exp_fp, log_fp, sigmoid_fp, silu_fp, softplus_fp
 from artifact.floats import DivisionByZero, FpNumber, round_p
 from artifact.mamba import (
     ShapeConfig,
-    _forward_routes,
+    mamba_forward,
     random_input,
     random_params,
     wrap_params,
@@ -423,6 +423,6 @@ class TestForwardDifferential:
         x = random_input(shape, seed + 1)
         forms = ("recurrent", "convolution")
         oracle = oracles.FractionScalars(_reference_elementary, F(1, 1 << (EXACT_REF_P // 2)))
-        want = _forward_routes(oracle, wrap_params(oracle, params), wrap_values(oracle, x), forms)
-        got = _forward_routes(ctx, wrap_params(ctx, params), wrap_values(ctx, x), forms)
+        want = mamba_forward(oracle, wrap_params(oracle, params), wrap_values(oracle, x), forms)
+        got = mamba_forward(ctx, wrap_params(ctx, params), wrap_values(ctx, x), forms)
         assert [[[exact_value(v) for v in row] for row in y] for y in got] == want

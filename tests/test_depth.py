@@ -239,30 +239,24 @@ class TestCostTrace:
 
     def test_tracer_checks_preds_and_costs(self):
         """The tracer's nodes pass the checks of ``append``; an unknown cost
-        raises each time, even when its step key has been met before."""
-        ctx = TracedScalars()
-        a = ctx.input(F(1))
-        for later in (a + 1, a + 5):  # the node's own id, and a later one
-            with pytest.raises(CycleDetected):
-                ctx.add(a, later)
-        with pytest.raises(ValueError, match="negative"):
-            ctx.add(a, -1)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="unknown event cost"):
-                ctx._emit("bogus", "d_bogus", (a,))
-        assert len(ctx.trace()) == 1
-        assert ctx.trace([ctx.exp(a)]).critical_depth() == expr(d_exp=1)
+        raises each time, even when its step key has been met before.  A
+        refused node does not enter the trace."""
 
-    def test_snapshot_is_independent_of_the_tracer(self):
-        ctx = TracedScalars()
-        a = ctx.exp(ctx.input(F(1)))
-        early = ctx.trace([a])
-        ctx.sqrt(ctx.add(a, a))
-        # The tracer has met this frontier already; the snapshot has not.
-        early.append(TraceNode(len(early), "add", "d_std", (a,)))
-        assert early.outputs == (a,) and len(early) == 3
-        assert early.critical_depth() == expr(d_exp=1, d_std=1)
-        assert ctx.trace().critical_depth() == expr(d_exp=1, d_std=1, d_sqrt=1)
+        def run(ctx):
+            a = ctx.input(F(1))
+            for later in (a + 1, a + 5):  # the node's own id, and a later one
+                with pytest.raises(CycleDetected):
+                    ctx.add(a, later)
+            with pytest.raises(ValueError, match="negative"):
+                ctx.add(a, -1)
+            for _ in range(2):
+                with pytest.raises(ValueError, match="unknown event cost"):
+                    ctx._emit("bogus", "d_bogus", (a,))
+            return ctx.exp(a)
+
+        trace = trace_run(run)
+        assert [n.label for n in trace.nodes] == ["input", "exp"]
+        assert trace.critical_depth() == expr(d_exp=1)
 
     def test_monotone_under_added_dependency(self):
         """Serializing two events never decreases the critical depth."""
@@ -518,14 +512,15 @@ class TestStructureOnlyTracer:
         seq_point = TracedScalars.seq_point
 
         def recording(ctx, xs):
-            before = len(ctx.trace().nodes)
+            before = len(ctx._trace)
             seq_point(ctx, xs)
-            added.append((list(xs), ctx.trace().nodes[before:]))
+            added.append((list(xs), before, len(ctx._trace)))
 
         monkeypatch.setattr(TracedScalars, "seq_point", recording)
         trace = trace_component("mamba_forward_convolution", ShapeConfig(4, 2, 2, 2, 2))
         assert added
-        for members, new in added:
+        for members, before, after in added:
+            new = trace.nodes[before:after]
             assert [(n.label, n.cost) for n in new] == [("barrier", None)]
             # Exactly the members: the barrier replaces, not chains, the last one.
             assert new[0].preds == tuple(dict.fromkeys(members))
@@ -534,17 +529,19 @@ class TestStructureOnlyTracer:
         assert all(sum(q in barriers for q in n.preds) <= 1 for n in trace.nodes)
 
     def test_preds_are_distinct_in_first_occurrence_order(self):
-        ctx = TracedScalars()
-        a, b = ctx.input(F(1)), ctx.input(F(2))
-        ctx.mul(a, a)
-        ctx.iter_add([b, a, b, a])
-        ctx.seq_point([a, b, a])
-        ctx.add(b, b)
-        ctx.iter_mul([5, a, 5])
-        barrier = 4
-        ctx.iter_mul([a, a, a])
-        ctx.add(a, barrier)  # names the barrier that every event also takes
-        assert [n.preds for n in ctx.trace().nodes[2:]] == [
+        a, b, barrier = 0, 1, 4
+
+        def run(ctx):
+            assert (ctx.input(F(1)), ctx.input(F(2))) == (a, b)
+            ctx.mul(a, a)
+            ctx.iter_add([b, a, b, a])
+            ctx.seq_point([a, b, a])
+            ctx.add(b, b)
+            ctx.iter_mul([5, a, 5])
+            ctx.iter_mul([a, a, a])
+            ctx.add(a, barrier)  # names the barrier that every event also takes
+
+        assert [n.preds for n in trace_run(run).nodes[2:]] == [
             (a,), (b, a), (a, b), (b, barrier), (5, a, barrier), (a, barrier), (a, barrier)
         ]
 
@@ -575,7 +572,7 @@ class TestStructureOnlyTracer:
                     ctx,
                     wrap_params(ctx, random_params(shape, seed)),
                     wrap_values(ctx, random_input(shape, seed)),
-                    form,
+                    (form,),
                 )
             )
             assert [(n.id, n.label, n.cost, n.preds) for n in got.nodes] == [

@@ -1,12 +1,16 @@
 """Every name a module lists in ``__all__`` is defined, so a star import
 of the package or of any of its modules succeeds, and every name a module
-imports is used in it."""
+imports is used in it.  The package loads nothing outside the standard
+library."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import pkgutil
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +108,40 @@ def test_every_private_definition_is_read():
         if name not in read
     ]
     assert unread == []
+
+
+# One command per group, each exiting 0.
+_ONE_COMMAND_PER_GROUP = [
+    ["fp", "1+2"],
+    ["mamba", "run", "--shape", "1,1,1,1,1"],
+    ["circuit", "check", "compare", "-p", "2"],
+    ["hardness", "gen", "bool", "--size", "3", "-n", "1"],
+]
+
+
+def test_no_runtime_dependency():
+    """Importing the package and running one command of each group loads
+    only standard-library modules and the package's own, though installed
+    packages stay importable (so an optional import counts too); and
+    ``pyproject.toml`` declares no dependency."""
+    root = Path(__file__).resolve().parents[1]
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "before = set(sys.modules)",
+        f"sys.path.insert(0, {str(root / 'src')!r})",
+        "import artifact",
+        "from artifact import cli",
+        f"for argv in {_ONE_COMMAND_PER_GROUP!r}:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert cli.main(argv) == 0, argv",
+        "print(*sorted(set(sys.modules) - before))",
+    ])
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    loaded = {name.partition(".")[0] for name in run.stdout.split()}
+    assert "artifact" in loaded
+    assert sorted(loaded - set(sys.stdlib_module_names) - {"artifact"}) == []
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r"^dependencies = \[\]$", pyproject, re.M)

@@ -19,6 +19,7 @@ from artifact.floats import (
     DivisionByZero,
     FpNumber,
     Overflow,
+    _round,
     _round_quotient,
     fp_add,
     fp_compare,
@@ -28,7 +29,6 @@ from artifact.floats import (
     iter_add,
     iter_mul,
     round_p,
-    round_scaled,
 )
 
 
@@ -158,10 +158,9 @@ class TestRoundP:
             assert me(round_p(x, 3)) == (m, e)
 
     def test_power_of_two_denominator_is_a_scale(self):
-        """``_round_quotient(num, 2**j, k, p)`` is the ``(m, e)`` of
-        ``round_scaled(num, k - j, p)``, ``Overflow`` included, with ``k``
-        at both ends of the exponent range and in its middle: 360,300
-        cases."""
+        """``_round_quotient(num, 2**j, k, p)`` is the kernel's
+        ``_round(num, k - j, p)``, ``Overflow`` included, with ``k`` at both
+        ends of the exponent range and in its middle: 360,300 cases."""
 
         def outcome(fn, *args):
             try:
@@ -174,7 +173,7 @@ class TestRoundP:
             for k in (-lim - 12, -lim, 0, lim - 12, lim):
                 for j in range(12):
                     for num in range(-600, 601):
-                        want = outcome(lambda *a: me(round_scaled(*a)), num, k - j, p)
+                        want = outcome(_round, num, k - j, p)
                         assert outcome(_round_quotient, num, 1 << j, k, p) == want, (num, j, k, p)
 
 

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -319,8 +320,7 @@ class TestRouteEquality:
                 for t in range(shape.seq_len)
             ]
             xw = wrap_values(ctx, xs)
-            y_rec = ssm_select(ctx, pw, xw, "recurrent")
-            y_conv = ssm_select(ctx, pw, xw, "convolution")
+            y_rec, y_conv = ssm_select(ctx, pw, xw, BOTH)
             assert y_rec == y_conv
 
     def test_pbit_routes_close_on_positive_instance(self):
@@ -334,8 +334,7 @@ class TestRouteEquality:
             for t in range(shape.seq_len)
         ]
         xw = wrap_values(ctx, xs)
-        y_rec = ssm_select(ctx, pw, xw, "recurrent")
-        y_conv = ssm_select(ctx, pw, xw, "convolution")
+        y_rec, y_conv = ssm_select(ctx, pw, xw, BOTH)
         a = FpMatrix.pbit([[fp(v, p) for v in row] for row in y_rec], p)
         b = FpMatrix.pbit([[fp(v, p) for v in row] for row in y_conv], p)
         assert max_rel_gap(a, b) <= F(64 * shape.seq_len, 1 << p)
@@ -346,7 +345,7 @@ class TestRouteEquality:
         pw = wrap_params(ctx, random_params(shape, seed=0))
         xw = wrap_values(ctx, [[F(1)] * shape.d_inner] * shape.seq_len)
         with pytest.raises(ValueError):
-            ssm_select(ctx, pw, xw, "spectral")
+            ssm_select(ctx, pw, xw, ("spectral",))
 
 
 class TestAlgebraicProperties:
@@ -417,7 +416,7 @@ class TestAlgebraicProperties:
         assert all(exact_value(v) == 0 for row in s_b for v in row)
         assert all(exact_value(v) == 0 for row in s_c for v in row)
         assert exact_value(delta) == 0
-        y = ssm_select(ctx, pw, zeros, "recurrent")
+        [y] = ssm_select(ctx, pw, zeros, ("recurrent",))
         assert all(exact_value(v) == 0 for row in y for v in row)
 
     def test_two_step_recurrence_algebra(self):
@@ -511,11 +510,11 @@ class TestForward:
         ctx = ExactScalars()
         pw = wrap_params(ctx, params)
         xw = wrap_values(ctx, random_input(shape, seed=9))
-        y = mamba_forward(ctx, pw, xw, "recurrent")
+        [y] = mamba_forward(ctx, pw, xw, ("recurrent",))
         # A tied gate is silu of the input projection, so the block is
         # OutProj(SSM(silu(conv1d(u))) ⊙ silu(u)) with u = InProj(X).
         u = input_projection(ctx, xw, pw.w_x_in, pw.b_x_in)
-        ya = ssm_select(ctx, pw, silu_map(ctx, conv1d(ctx, u, pw.w_conv)), "recurrent")
+        [ya] = ssm_select(ctx, pw, silu_map(ctx, conv1d(ctx, u, pw.w_conv)), ("recurrent",))
         gate = silu_map(ctx, u)
         gated = [[ctx.mul(a, g) for a, g in zip(ra, rg)] for ra, rg in zip(ya, gate)]
         ref = input_projection(ctx, gated, pw.w_x_out, pw.b_x_out)
@@ -538,7 +537,7 @@ class TestForward:
         ctx = ExactScalars()
         pw = wrap_params(ctx, params)
         xw = wrap_values(ctx, random_input(shape, seed=1))
-        y = mamba_forward(ctx, pw, xw, "recurrent")
+        [y] = mamba_forward(ctx, pw, xw, ("recurrent",))
         # silu(0) = 0 gates everything off; only the output bias remains.
         for row in y:
             assert [exact_value(v) for v in row] == list(params.b_x_out)
@@ -555,8 +554,8 @@ class TestForward:
         )
         ctx = ExactScalars()
         xs = random_input(shape, seed=2)
-        y1 = mamba_forward(ctx, wrap_params(ctx, base), wrap_values(ctx, xs))
-        y2 = mamba_forward(ctx, wrap_params(ctx, tied), wrap_values(ctx, xs))
+        y1 = mamba_forward(ctx, wrap_params(ctx, base), wrap_values(ctx, xs), BOTH)
+        y2 = mamba_forward(ctx, wrap_params(ctx, tied), wrap_values(ctx, xs), BOTH)
         assert y1 == y2
 
     def test_forward_matrix_modes(self):
@@ -656,10 +655,10 @@ class TestSharedStages:
         assert calls["silu_map"] == 2
         assert calls["select_params"] == calls["discretize"] == calls["conv1d"] == 1
 
-    @pytest.mark.parametrize(
-        "forms", [("spectral",), ("recurrent", "spectral")], ids=["only", "second"]
-    )
-    def test_unknown_form_refused_before_any_stage(self, monkeypatch, forms):
+    def _refused_before_any_stage(self, monkeypatch, forms, error, message):
+        """``forward_routes``, ``mamba_forward`` and ``ssm_select`` each
+        refuse ``forms`` with ``error`` before a stage runs."""
+
         def stage(*args, **kwargs):
             raise AssertionError("a stage ran")
 
@@ -670,13 +669,27 @@ class TestSharedStages:
         x = FpMatrix.from_fractions(random_input(shape, 0), "pbit", 16)
         ctx = PBitScalars(16)
         pw = wrap_params(ctx, params)
-        message = "unknown evaluation form 'spectral'"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(error, match=re.escape(message)):
             forward_routes(shape, params, x, forms)
+        with pytest.raises(error, match=re.escape(message)):
+            mamba_forward(ctx, pw, wrap_values(ctx, random_input(shape, 0)), forms)
+        with pytest.raises(error, match=re.escape(message)):
+            ssm_select(ctx, pw, [[ctx.input(F(1))] * shape.d_inner] * shape.seq_len, forms)
+        return shape, params, x
+
+    @pytest.mark.parametrize(
+        "forms", [("spectral",), ("recurrent", "spectral")], ids=["only", "second"]
+    )
+    def test_unknown_form_refused_before_any_stage(self, monkeypatch, forms):
+        message = "unknown evaluation form 'spectral'"
+        shape, params, x = self._refused_before_any_stage(monkeypatch, forms, ValueError, message)
         if len(forms) == 1:
             with pytest.raises(ValueError, match=message):
                 forward_matrix(shape, params, x, forms[0])
-            with pytest.raises(ValueError, match=message):
-                mamba_forward(ctx, pw, wrap_values(ctx, random_input(shape, 0)), forms[0])
-            with pytest.raises(ValueError, match=message):
-                ssm_select(ctx, pw, [[ctx.input(F(1))] * shape.d_inner] * shape.seq_len, forms[0])
+
+    @pytest.mark.parametrize("forms", ["recurrent", "convolution", "spectral"])
+    def test_bare_string_refused_by_name(self, monkeypatch, forms):
+        """A string is a sequence of one-letter forms; it is refused as a
+        string, not letter by letter."""
+        message = f"forms must be a sequence of form names, not the string {forms!r}"
+        self._refused_before_any_stage(monkeypatch, forms, TypeError, message)
