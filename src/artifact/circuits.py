@@ -28,7 +28,11 @@ A threshold counts its inputs with a ripple popcount over bit planes and
 then compares the count with ``k`` lane-wise.  A THRESHOLD gate whose input
 tuple equals that of the threshold evaluated just before it reuses that
 count, so the ``T_1 ... T_{f+1}`` run that synthesis emits per counting
-column counts the column once; no count outlives one call.
+column counts the column once; no count outlives one call.  A wire's word
+is dropped once the last gate that reads it has been evaluated (outputs
+stay), so the live words at any point are those still to be read, not the
+whole circuit; which wires die after which gate is worked out once per
+circuit, on its first evaluation, and kept with it.
 :func:`evaluate_many` packs assignments into such words ``BLOCK_LANES``
 lanes at a time (:func:`pack_codes` transposes per-lane integer codes into
 bit planes) and unpacks the output words; :func:`evaluate` hands one
@@ -38,12 +42,15 @@ of ``synthesis.check_op``, skip packing altogether.
 
 The textual netlist format is one gate per line, ``id KIND [k] inputs...``,
 followed by a final ``OUTPUTS id...`` line; every integer is an ASCII
-decimal (:func:`_ascii_int`), and parsing reports the offending line
-number, and a bad integer's token, on error.
+decimal (:func:`_ascii_int`), lines break and tokens split at ASCII
+characters only (:func:`_ascii_split`), and parsing reports the offending
+line number, and a bad token, on error.
 """
 
 from __future__ import annotations
 
+import re
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 __all__ = [
@@ -167,7 +174,12 @@ class CircuitBuilder:
 
 
 class Circuit:
-    """A validated gate list plus designated output ids."""
+    """A validated gate list plus designated output ids.
+
+    Immutable by contract: nothing changes a circuit once it is built, so
+    one circuit may be shared by any number of holders (synthesis returns
+    the same op to every caller with the same parameters).
+    """
 
     gates: tuple[Gate, ...]
     outputs: tuple[int, ...]
@@ -202,6 +214,27 @@ class Circuit:
             else:
                 level[g.id] = 1 + max((level[q] for q in g.inputs), default=0)
         return max((level[o] for o in self.outputs), default=0)
+
+    @cached_property
+    def _dead_after(self) -> list[tuple[int, ...]]:
+        """Entry ``i`` lists the wires that no gate after gate ``i`` reads:
+        those whose last reader is gate ``i`` (or, if nothing reads them,
+        gate ``i`` itself), outputs excepted.  Built on the first
+        evaluation and kept for the circuit's life."""
+        last = list(range(len(self.gates)))
+        for g in self.gates:
+            for q in g.inputs:
+                last[q] = g.id
+        for o in self.outputs:
+            last[o] = -1
+        frees: dict[int, list[int]] = {}
+        for q, reader in enumerate(last):
+            if reader >= 0:
+                frees.setdefault(reader, []).append(q)
+        dead: list[tuple[int, ...]] = [()] * len(self.gates)
+        for reader, qs in frees.items():
+            dead[reader] = tuple(qs)
+        return dead
 
 
 def _popcount_planes(lanes: list[int]) -> list[int]:
@@ -245,7 +278,9 @@ def evaluate_words(
     Bit ``i`` of ``input_words[j]`` is input ``j`` on lane ``i``; every
     word is below ``2**lanes``.  Returns one word per output in the same
     layout, so many assignments cost one forward pass of word-wide
-    bitwise operations.
+    bitwise operations.  A wire's word is dropped as soon as its last
+    reader has been evaluated, so only the words still to be read, and
+    the outputs, are alive at once.
     """
     if len(input_words) != circuit.n_inputs:
         raise ArityMismatch(
@@ -258,7 +293,7 @@ def evaluate_words(
     # run of thresholds over one column counts it once.
     counted: tuple[int, ...] | None = None
     planes: list[int] = []
-    for gid, kind, inputs, k in circuit.gates:
+    for (gid, kind, inputs, k), dead in zip(circuit.gates, circuit._dead_after):
         if kind == "INPUT":
             wires[gid] = next(next_input)
         elif kind == "CONST0":
@@ -282,6 +317,8 @@ def evaluate_words(
                 planes = _popcount_planes([wires[q] for q in inputs])
                 counted = inputs
             wires[gid] = _ge_const(planes, k, mask)
+        for q in dead:
+            wires[q] = None
     return [wires[o] for o in circuit.outputs]
 
 
@@ -443,7 +480,30 @@ def _ascii_int(text: str) -> int | None:
     return None
 
 
+# The line breaks of ``str.splitlines`` and the separators of ``str.split``
+# that are ASCII.
+_ASCII_BREAKS = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e]")
+_ASCII_SPACE = re.compile(r"[\t\n\v\f\r\x1c-\x1f ]+")
+
+
+def _ascii_split(text: str) -> list[str]:
+    """``text.split()``, but splitting at ASCII whitespace only: other
+    scripts' spaces (U+3000, U+00A0, ...) stay inside the tokens, where the
+    token's own check refuses them.  One ``isascii`` per call, so ASCII
+    text, deep corpus lines included, costs one plain ``split``."""
+    if text.isascii():
+        return text.split()
+    return [t for t in _ASCII_SPACE.split(text) if t]
+
+
 def parse_netlist(text: str) -> Circuit:
+    """Read the netlist format (see the module docstring).
+
+    Lines break and tokens split at ASCII characters only, so a non-ASCII
+    character outside a comment (``#`` first) lands in a token, which the
+    token's check refuses by name; a comment may hold any text.
+    """
+
     def number(line_no: int, what: str, token: str) -> int:
         value = _ascii_int(token)
         if value is None:
@@ -452,11 +512,16 @@ def parse_netlist(text: str) -> Circuit:
 
     builder = CircuitBuilder()
     outputs: list[int] | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    if text.isascii():
+        lines = text.splitlines()
+    else:
+        lines = _ASCII_BREAKS.split(text)
+        if not lines[-1]:
+            lines.pop()  # a final line break ends the last line, as in splitlines
+    for line_no, raw in enumerate(lines, start=1):
+        parts = _ascii_split(raw)
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if parts[0] == "OUTPUTS":
             if outputs is not None:
                 raise ParseError(line_no, "duplicate OUTPUTS line")
@@ -483,8 +548,8 @@ def parse_netlist(text: str) -> Circuit:
         except CircuitError as exc:
             raise ParseError(line_no, str(exc)) from None
     if outputs is None:
-        raise ParseError(len(text.splitlines()) or 1, "missing OUTPUTS line")
+        raise ParseError(len(lines) or 1, "missing OUTPUTS line")
     try:
         return builder.build(outputs)
     except CircuitError as exc:
-        raise ParseError(len(text.splitlines()), str(exc)) from None
+        raise ParseError(len(lines), str(exc)) from None

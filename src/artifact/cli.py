@@ -50,7 +50,6 @@ from typing import NoReturn, Sequence
 from artifact.circuits import (
     Circuit,
     _ascii_int,
-    evaluate,
     evaluate_many,
     is_majority_only,
     parse_netlist,
@@ -637,11 +636,11 @@ def cmd_hardness_barrington(args: argparse.Namespace) -> int:
             report["equivalence"] = "skipped"
         else:
             n = circuit.n_inputs
-            failures = 0
-            for a in range(1 << n):
-                bits = [(a >> i) & 1 for i in range(n)]
-                if eval_pbp(program, bits) != evaluate(circuit, bits)[0]:
-                    failures += 1
+            assignments = [[(a >> i) & 1 for i in range(n)] for a in range(1 << n)]
+            outputs = evaluate_many(circuit, assignments)
+            failures = sum(
+                eval_pbp(program, bits) != out[0] for bits, out in zip(assignments, outputs)
+            )
             report["equivalence"] = "pass" if failures == 0 else "fail"
             report["assignments"] = 1 << n
             report["failures"] = failures

@@ -51,7 +51,15 @@ from itertools import permutations as iter_permutations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .circuits import ArityMismatch, Circuit, CircuitBuilder, Gate, _ascii_int, _rewrite
+from .circuits import (
+    ArityMismatch,
+    Circuit,
+    CircuitBuilder,
+    Gate,
+    _ascii_int,
+    _ascii_split,
+    _rewrite,
+)
 
 __all__ = [
     "ACCEPTING_CYCLE",
@@ -262,7 +270,9 @@ _SEXPR_FORMS = {"+..": "add", "*..": "mul", "-.": "neg"}
 
 def parse_arith(text: str, semiring: Semiring) -> ArithFormula:
     """Parse an S-expression: atoms are integers or ``Xk``; forms are
-    ``(+ a b)``, ``(* a b)``, and ``(- a)``."""
+    ``(+ a b)``, ``(* a b)``, and ``(- a)``.  Tokens split only at ASCII
+    whitespace (:func:`~artifact.circuits._ascii_split`), so a non-ASCII
+    character lands in a token, which is refused by name."""
 
     def leaf(tok: str) -> ArithNode:
         var = tok.startswith("X")
@@ -275,7 +285,7 @@ def parse_arith(text: str, semiring: Semiring) -> ArithFormula:
             raise FormulaParseError("indeterminate indices are 1-based")
         return ArithNode("var", index=number)
 
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    tokens = _ascii_split(text.replace("(", " ( ").replace(")", " ) "))
     root = _parse_brackets(tokens, leaf, _SEXPR_FORMS, ArithNode)
     n = max((v.index for v in _postorder(root) if v.op == "var"), default=0)
     return ArithFormula(semiring, root, n)
@@ -544,11 +554,12 @@ def word_problem(perms: Sequence[Permutation]) -> int:
 
 
 def parse_permutation_line(line: str) -> list[Permutation]:
-    """One permutation per whitespace-separated token, each distinct token
-    parsed and validated once; the first bad token in line order raises."""
+    """One permutation per token, the tokens split at ASCII whitespace
+    only, each distinct token parsed and validated once; the first bad
+    token in line order raises."""
     parsed: dict[str, Permutation] = {}
     perms = []
-    for tok in line.split():
+    for tok in _ascii_split(line):
         p = parsed.get(tok)
         if p is None:
             p = parsed[tok] = Permutation.from_string(tok)

@@ -501,6 +501,8 @@ def ssm_convolution(ctx: ScalarContext, kern, x):
 def _check_forms(forms: Sequence[str]) -> None:
     if isinstance(forms, str):
         raise TypeError(f"forms must be a sequence of form names, not the string {forms!r}")
+    if not forms:
+        raise ValueError("forms is empty: name at least one evaluation form")
     for form in forms:
         if form not in ("recurrent", "convolution"):
             raise ValueError(f"unknown evaluation form {form!r}")
@@ -513,7 +515,8 @@ def ssm_select(ctx: ScalarContext, pw: MambaParams, x, forms: Sequence[str]) -> 
     Each form is ``"recurrent"`` or ``"convolution"``; the two are
     algebraically identical.  A stage barrier separates the discretization
     from the evaluations so the phases compose serially.  An unknown form,
-    or a bare string for ``forms``, is refused before any stage runs.
+    an empty ``forms``, or a bare string for it, is refused before any
+    stage runs.
     """
     _check_forms(forms)
     s_b, s_c, delta = select_params(
@@ -540,10 +543,10 @@ def mamba_forward(ctx: ScalarContext, pw: MambaParams, x, forms: Sequence[str]) 
     belongs to the pre-barrier stage of the pipeline: an untied gate is
     projected first, and a tied one (``pw.w_gate is None``) is ``silu`` of
     the input projection, computed once and read by both branches.  An
-    unknown form, or a bare string for ``forms``, is refused before any
-    stage runs.  The order of context calls for one form is part of the
-    depth contract: the tracer's graphs, and so every ``mamba depth`` byte,
-    follow from it.
+    unknown form, an empty ``forms``, or a bare string for it, is refused
+    before any stage runs.  The order of context calls for one form is
+    part of the depth contract: the tracer's graphs, and so every ``mamba
+    depth`` byte, follow from it.
     """
     _check_forms(forms)
     if pw.w_gate is not None:

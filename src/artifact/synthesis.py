@@ -28,10 +28,22 @@ window bit, so its window is capped at ``MAX_PRECISION`` bits as well.
 Elementary functions are not synthesized here: their fixed-point iteration
 counts are value-dependent, which has no constant-depth unrolling at this
 granularity; they remain software-only.
+
+Synthesis is a pure function of ``(kind, p, exp_bits, m)``, so
+:func:`synth_primitive` keeps what it builds in a least-recently-used
+memo and returns the same immutable :class:`SynthesizedOp` to every later
+caller with the same parameters (``exp_bits=None`` and ``exp_bits=p`` are
+one key).  The memo is bounded by the gates it holds, not by a count of
+ops: circuit sizes span four orders of magnitude across the synthesizable
+range (``iter_add`` at p=6, m=64 alone is 239,553 gates, about 41 MB), so
+the whole range does not fit in memory, and a count bound would either
+evict the small ops a sweep reuses or let a handful of the largest fill
+memory.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import islice, product
 from typing import Sequence
@@ -466,6 +478,9 @@ class SynthesizedOp:
     exactly when the software op raises Overflow; the value outputs are
     zeroed in that case).  ``compare`` outputs two bits ``(lt, gt)`` with
     equality encoded as ``00``.
+
+    Immutable, circuit included: :func:`synth_primitive` hands the same op
+    to every caller that asks for the same parameters.
     """
 
     kind: str
@@ -668,6 +683,42 @@ _PRIMITIVES = {
 SYNTH_KINDS = tuple(_PRIMITIVES)
 
 
+class _OpMemo:
+    """Synthesized ops by ``(kind, p, exp_bits, m)``, least recently used
+    first, holding at most ``budget`` gates in all (see the module
+    docstring for why gates).  :meth:`get` builds an op on a miss, and an
+    op larger than the whole budget is returned without being kept.  Not
+    safe to share between threads.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.held = 0
+        self.ops: OrderedDict[tuple, SynthesizedOp] = OrderedDict()
+
+    def get(self, key: tuple) -> SynthesizedOp:
+        op = self.ops.get(key)
+        if op is not None:
+            self.ops.move_to_end(key)
+            return op
+        kind, p, exp_bits, m = key
+        synthesize = _PRIMITIVES[kind][0]
+        op = synthesize(p, exp_bits) if m is None else synthesize(p, exp_bits, m)
+        size = len(op.circuit.gates)
+        if size <= self.budget:
+            self.ops[key] = op
+            self.held += size
+            while self.held > self.budget:
+                self.held -= len(self.ops.popitem(last=False)[1].circuit.gates)
+        return op
+
+
+#: Gates the process keeps synthesized: the 31 distinct ops of a sweep over
+#: add/mul/compare at p 2-4 and iter_add at p=3 (50,599 gates) five times over.
+_MEMO_GATES = 1 << 18
+_MEMO = _OpMemo(_MEMO_GATES)
+
+
 def synth_primitive(
     kind: str, p: int, exp_bits: int | None = None, m: int | None = None
 ) -> SynthesizedOp:
@@ -679,6 +730,10 @@ def synth_primitive(
     window bit.  ``iter_add`` additionally takes the operand count
     ``2 <= m <= 64``.  Out-of-range parameters raise
     :class:`UnsupportedPrecision`.
+
+    Every call is validated; a valid one is synthesized only if the
+    process has not already built it and kept it (:class:`_OpMemo`), so
+    callers with equal parameters share one op.
     """
     if kind not in _PRIMITIVES:
         raise ValueError(f"unknown primitive {kind!r}, expected one of {SYNTH_KINDS}")
@@ -697,16 +752,14 @@ def synth_primitive(
         raise UnsupportedPrecision(
             f"window exp_bits={exp_bits} outside synthesizable range [1, {MAX_PRECISION}]"
         )
-    synthesize = _PRIMITIVES[kind][0]
     if kind == "iter_add":
         if m is None or not 2 <= m <= MAX_ITER_OPERANDS:
             raise UnsupportedPrecision(
                 f"iter_add operand count must be in [2, {MAX_ITER_OPERANDS}], got {m}"
             )
-        return synthesize(p, exp_bits, m)
-    if m is not None:
+    elif m is not None:
         raise ValueError(f"operand count only applies to iter_add, not {kind}")
-    return synthesize(p, exp_bits)
+    return _MEMO.get((kind, p, exp_bits, m))
 
 
 # ------------------------------------------------------------- conformance

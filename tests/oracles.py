@@ -257,6 +257,40 @@ def reference_evaluate(circuit, assignment) -> tuple[int, ...]:
     return tuple(values[o] for o in circuit.outputs)
 
 
+def keep_all_evaluate_words(circuit, input_words, lanes: int) -> list[int]:
+    """Bit-sliced evaluation that keeps every wire's word until the end and
+    counts each THRESHOLD gate's inputs lane by lane on its own: the
+    reference for an evaluator that drops words after their last reader and
+    shares one column's count across a run of thresholds."""
+    mask = (1 << lanes) - 1
+    wires: list[int] = []
+    inputs = iter(input_words)
+    for g in circuit.gates:
+        if g.kind == "INPUT":
+            word = next(inputs)
+        elif g.kind == "CONST0":
+            word = 0
+        elif g.kind == "CONST1":
+            word = mask
+        elif g.kind == "NOT":
+            word = wires[g.inputs[0]] ^ mask
+        elif g.kind == "AND":
+            word = mask
+            for q in g.inputs:
+                word &= wires[q]
+        elif g.kind == "OR":
+            word = 0
+            for q in g.inputs:
+                word |= wires[q]
+        else:
+            word = 0
+            for lane in range(lanes):
+                if sum((wires[q] >> lane) & 1 for q in g.inputs) >= g.k:
+                    word |= 1 << lane
+        wires.append(word)
+    return [wires[o] for o in circuit.outputs]
+
+
 class OracleUnsupportedGate(Exception):
     """A gate outside the fan-in-2 AND/NOT basis."""
 

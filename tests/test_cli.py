@@ -476,6 +476,78 @@ class TestAsciiIntegers:
         assert err == f"CliUsageError: unexpected character {token[0]!r} in expression\n"
 
 
+_ODD_SPACES = {"ideographic": "\u3000", "no-break": "\u00a0"}
+
+
+class TestAsciiSeparators:
+    """Netlist, arithmetic and permutation lines split at ASCII whitespace
+    and break at ASCII line ends only.  Another script's space stays in its
+    token, which is refused by name with exit 2; a comment keeps any text."""
+
+    @pytest.mark.parametrize("space", list(_ODD_SPACES.values()), ids=list(_ODD_SPACES))
+    @pytest.mark.parametrize(
+        "template,line,what,token",
+        [
+            ("0{}INPUT\n1 NOT 0\nOUTPUTS 1\n", 1, "bad gate id", "0{}INPUT"),
+            ("0 INPUT\n1 NOT{}0\nOUTPUTS 1\n", 2, "unknown gate kind", "NOT{}0"),
+            ("0 INPUT\n1 NOT 0{}\nOUTPUTS 1\n", 2, "bad input id", "0{}"),
+            ("0 INPUT\n1 NOT 0\nOUTPUTS{}1\n", 3, "bad gate id", "OUTPUTS{}1"),
+            ("0 INPUT\n1 NOT 0\n{}\nOUTPUTS 1\n", 3, "bad gate id", "{}"),
+        ],
+        ids=["after-id", "after-kind", "trailing", "outputs", "blank"],
+    )
+    def test_netlist_refuses_other_spaces(self, tmp_path, capsys, template, line, what,
+                                          token, space):
+        path = tmp_path / "c.nl"
+        path.write_text(template.format(space), encoding="utf-8")
+        assert main(["circuit", "depth", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == f"ParseError: line {line}: {what} {token.format(space)!r}\n"
+
+    @pytest.mark.parametrize("brk", ["\u2028", "\u0085"], ids=["line-sep", "next-line"])
+    def test_netlist_breaks_lines_at_ascii_only(self, tmp_path, capsys, brk):
+        path = tmp_path / "c.nl"
+        path.write_text(f"0 INPUT\n1 NOT 0{brk}2 NOT 1\nOUTPUTS 1\n", encoding="utf-8")
+        assert main(["circuit", "depth", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == f"ParseError: line 2: bad input id {'0' + brk + '2'!r}\n"
+
+    def test_netlist_comments_keep_any_text(self, tmp_path, capsys):
+        plain = tmp_path / "plain.nl"
+        plain.write_text("0 INPUT\n1 NOT 0\nOUTPUTS 1\n", encoding="utf-8")
+        commented = tmp_path / "commented.nl"
+        commented.write_text(
+            "# caf\u00e9\u3000\u2028 \u00a0notes\n0 INPUT\n  # \u0085\n1 NOT 0\nOUTPUTS 1\n",
+            encoding="utf-8",
+        )
+        assert main(["circuit", "depth", str(plain)]) == 0
+        want = capsys.readouterr()
+        assert main(["circuit", "depth", str(commented)]) == 0
+        assert capsys.readouterr() == want
+
+    @pytest.mark.parametrize("space", list(_ODD_SPACES.values()), ids=list(_ODD_SPACES))
+    @pytest.mark.parametrize(
+        "template,token",
+        [("(+ 1{}2) ; \n", "1{}2"), ("(+{}1 2) ; \n", "+{}1"), ("(* X1 2{}) ; 3\n", "2{}")],
+        ids=["between-atoms", "after-op", "trailing"],
+    )
+    def test_arith_refuses_other_spaces(self, tmp_path, capsys, template, token, space):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(template.format(space), encoding="utf-8")
+        assert main(["hardness", "eval", "arith", str(corpus)]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == f"FormulaParseError: bad atom {token.format(space)!r}\n"
+
+    @pytest.mark.parametrize("space", list(_ODD_SPACES.values()), ids=list(_ODD_SPACES))
+    def test_perm_refuses_other_spaces(self, tmp_path, capsys, space):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(f"23451{space}12345\n", encoding="utf-8")
+        assert main(["hardness", "eval", "perm", str(corpus)]) == 2
+        out, err = capsys.readouterr()
+        token = f"23451{space}12345"
+        assert not out and err == f"ValueError: permutation {token!r} is not a string of decimal digits\n"
+
+
 def _explicit_model() -> dict:
     """A valid 1,1,1,1,1 model file with every parameter spelled out."""
     shape = ShapeConfig(1, 1, 1, 1, 1)

@@ -687,6 +687,26 @@ class TestSharedStages:
             with pytest.raises(ValueError, match=message):
                 forward_matrix(shape, params, x, forms[0])
 
+    @pytest.mark.parametrize("forms", [(), []], ids=["tuple", "list"])
+    def test_empty_forms_refused_before_any_stage(self, monkeypatch, forms):
+        """No form asks for no result: the shared prefix does not run, so
+        ``discretize`` is called 0 times on each of the three entries."""
+        calls = self._count(monkeypatch, self.STAGES)
+        shape = shape_small()
+        params = random_params(shape, 0)
+        x = FpMatrix.from_fractions(random_input(shape, 0), "pbit", 16)
+        ctx = PBitScalars(16)
+        pw = wrap_params(ctx, params)
+        message = "forms is empty: name at least one evaluation form"
+        with pytest.raises(ValueError, match=message):
+            forward_routes(shape, params, x, forms)
+        with pytest.raises(ValueError, match=message):
+            mamba_forward(ctx, pw, wrap_values(ctx, random_input(shape, 0)), forms)
+        with pytest.raises(ValueError, match=message):
+            ssm_select(ctx, pw, [[ctx.input(F(1))] * shape.d_inner] * shape.seq_len, forms)
+        assert calls["discretize"] == 0
+        assert not any(calls.values())
+
     @pytest.mark.parametrize("forms", ["recurrent", "convolution", "spectral"])
     def test_bare_string_refused_by_name(self, monkeypatch, forms):
         """A string is a sequence of one-letter forms; it is refused as a

@@ -19,6 +19,7 @@ from artifact.circuits import (
     parse_netlist,
     serialize_netlist,
 )
+from artifact import synthesis
 from artifact.floats import FpNumber, Overflow, fp_add, fp_compare, fp_mul, iter_add
 from artifact.synthesis import (
     MAX_PRECISION,
@@ -160,6 +161,87 @@ class TestParameterValidation:
     def test_operand_count_only_for_iter_add(self):
         with pytest.raises(ValueError):
             synth_primitive("add", 3, m=4)
+
+
+# Each refusal of TestParameterValidation, after the call it neighbours:
+# the valid parameters nearest to it.
+_REFUSALS = [
+    (("add", 6), ("add", 7), {}, UnsupportedPrecision),
+    (("compare", 2), ("compare", 1), {}, UnsupportedPrecision),
+    (("add", 3), ("add", 3), {"exp_bits": 4}, UnsupportedPrecision),
+    (("mul", 3), ("mul", 3), {"exp_bits": 5}, UnsupportedPrecision),
+    (("compare", 2, MAX_PRECISION), ("compare", 2), {"exp_bits": MAX_PRECISION + 1},
+     UnsupportedPrecision),
+    (("iter_add", 3, None, 2), ("iter_add", 3), {"m": 1}, UnsupportedPrecision),
+    (("iter_add", 3, None, 64), ("iter_add", 3), {"m": 65}, UnsupportedPrecision),
+    (("iter_add", 3, None, 2), ("iter_add", 3), {}, UnsupportedPrecision),
+    (("add", 3), ("div", 3), {}, ValueError),
+    (("add", 3), ("add", 3), {"m": 4}, ValueError),
+]
+
+
+class TestSynthesisMemo:
+    """``synth_primitive`` validates every call, then builds each
+    ``(kind, p, exp_bits, m)`` once and returns the same op after."""
+
+    def test_default_window_is_one_key(self):
+        assert synth_primitive("add", 3) is synth_primitive("add", 3, exp_bits=3)
+        assert synth_primitive("iter_add", 2, m=5) is synth_primitive("iter_add", 2, 2, 5)
+
+    @pytest.mark.parametrize(
+        "valid,refused,kwargs,error",
+        _REFUSALS,
+        ids=["p-cap", "p-floor", "add-window", "mul-window", "compare-window", "m-floor",
+             "m-cap", "m-missing", "unknown-kind", "m-not-iter-add"],
+    )
+    def test_refusals_hold_after_a_neighbour_is_kept(self, valid, refused, kwargs, error):
+        op = synth_primitive(*valid)
+        assert synth_primitive(*valid) is op
+        with pytest.raises(error):
+            synth_primitive(*refused, **kwargs)
+
+    @pytest.mark.parametrize("kind", ["add", "mul", "compare", "iter_add"])
+    def test_kept_ops_equal_fresh_builds(self, kind):
+        build = synthesis._PRIMITIVES[kind][0]
+        for p in range(2, 5):
+            for window in range(1, p + 1):
+                extra = (3,) if kind == "iter_add" else ()
+                op = synth_primitive(kind, p, window, *extra)
+                assert synth_primitive(kind, p, window, *extra) is op
+                fresh = build(p, window, *extra)
+                assert serialize_netlist(op.circuit) == serialize_netlist(fresh.circuit)
+                assert (op.input_encoding, op.output_encoding, op.m) == (
+                    fresh.input_encoding, fresh.output_encoding, fresh.m
+                )
+
+    def test_least_recently_used_evicted_within_budget(self, monkeypatch):
+        sizes = {p: len(synthesis._synth_mul(p, 1).circuit.gates) for p in (2, 3)}
+        budget = sizes[2] + sizes[3] + 1
+        memo = synthesis._OpMemo(budget)
+        monkeypatch.setattr(synthesis, "_MEMO", memo)
+
+        def held() -> list[int]:
+            assert memo.held == sum(len(op.circuit.gates) for op in memo.ops.values())
+            assert memo.held <= budget
+            return [op.p for op in memo.ops.values()]
+
+        mul2 = synth_primitive("mul", 2, 1)
+        mul3 = synth_primitive("mul", 3, 1)
+        assert held() == [2, 3]
+        assert synth_primitive("mul", 2, 1) is mul2  # now the most recent
+        assert held() == [3, 2]
+        synth_primitive("add", 2, 1)  # evicts mul p=3, the least recent
+        assert [op.kind for op in memo.ops.values()] == ["mul", "add"]
+        held()
+        assert synth_primitive("mul", 3, 1) is not mul3
+        held()
+        # An op over the whole budget is returned and not kept.
+        before = list(memo.ops)
+        big = synth_primitive("add", 4)
+        assert len(big.circuit.gates) > budget
+        assert list(memo.ops) == before
+        assert synth_primitive("add", 4) is not big
+        held()
 
 
 class TestCompareCircuit:
