@@ -714,8 +714,9 @@ def build_parser() -> argparse.ArgumentParser:
     mamba_sub = mamba.add_subparsers(dest="subcommand", required=True)
 
     def add_model_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--model", help="model JSON file")
-        p.add_argument("--shape", help="synthesize a model: L,D,E,n,K")
+        model = p.add_mutually_exclusive_group()
+        model.add_argument("--model", help="model JSON file")
+        model.add_argument("--shape", help="synthesize a model: L,D,E,n,K")
         p.add_argument("--seed", type=_integer, default=0, help="parameter seed")
         p.add_argument(
             "--positive", action="store_true",
@@ -751,8 +752,9 @@ def build_parser() -> argparse.ArgumentParser:
     dep.add_argument(
         "--assign", help="depth constants, e.g. all=1 or d_exp=2,d_dup=0"
     )
-    dep.add_argument("--shape", help="single shape L,D,E,n,K")
-    dep.add_argument(
+    grid = dep.add_mutually_exclusive_group()
+    grid.add_argument("--shape", help="single shape L,D,E,n,K")
+    grid.add_argument(
         "--full-grid", action="store_true",
         help="use the full L x D x E x n shape grid (slower)",
     )

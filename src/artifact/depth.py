@@ -33,7 +33,8 @@ compares two expressions directly.  Component traces are built from the
 shape alone: every leaf is a fresh input whose value is never read.
 :func:`depth_report` traces each route pair (``ssm_select_*``,
 ``mamba_forward_*``) once per shape, both routes after one shared prefix,
-and reads every component's depth at its own outputs.  A node
+and reads every component's depth at its own outputs, off traces that
+keep each node's frontier and nothing else.  A node
 may name a predecessor more than once as it enters the trace (``mul(a,
 a)``, or a member of the stage barrier it also takes); the frontier does
 not change, and every node read back from a trace names each predecessor
@@ -58,7 +59,7 @@ from enum import Enum
 from fractions import Fraction
 from operator import add, le, sub
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from artifact.contexts import ScalarContext
 from artifact.mamba import (
@@ -356,10 +357,21 @@ class CostTrace:
     when read and folds each row's predecessors to distinct ids in
     first-occurrence order, and path sums become :class:`DepthExpr` only
     when read.  ``size`` counts cost-bearing events only.
+
+    A trace that :func:`depth_report` builds keeps frontiers only: per
+    node, the one frontier index, and the step memo; no label, cost or
+    predecessor column.  Its frontiers come from the same step, so every
+    frontier read (``critical_*``, :meth:`depth_frontiers`) answers as on
+    a trace that keeps rows, while :attr:`nodes` and ``size`` raise
+    ``ValueError``.  Every other trace (a trace built here,
+    :func:`trace_run`, :func:`trace_component`) keeps its rows.
     """
 
     def __init__(self, nodes: Iterable[TraceNode] = (), outputs: Sequence[int] = ()):
-        # Node columns; a node's id is its position.
+        # Node columns; a node's id is its position.  Only the frontier
+        # column is kept when ``_rows`` is false, which is set, before any
+        # node is added, for the traces of ``depth_report`` only.
+        self._rows = True
         self._labels: list[str] = []
         self._costs: list[str | None] = []
         self._preds: list[tuple[int, ...]] = []
@@ -376,12 +388,16 @@ class CostTrace:
             raise ValueError("node ids must be dense and in order")
         self._add(node.label, node.cost, node.preds)
 
-    def _add(self, label: str, cost: str | None, preds: tuple[int, ...]) -> int:
+    def _add(
+        self, label: str, cost: str | None, preds: tuple[int, ...], barrier: int | None = None
+    ) -> int:
         """Add the next node and its frontier; return the node's id.
 
         Predecessors must be earlier nodes (else :class:`CycleDetected`)
         with nonnegative ids.  An unknown cost is never memoized, so it
-        raises ``ValueError`` every time it is met.
+        raises ``ValueError`` every time it is met.  ``barrier``, the id of
+        a stage barrier this trace already holds, is one more predecessor,
+        taken after ``preds``; a trace that keeps rows stores it last.
         """
         fronts = self._fronts
         i = len(fronts)
@@ -394,17 +410,24 @@ class CostTrace:
                     raise CycleDetected(f"node {i} depends on a later node")
                 raise ValueError(f"node {i} has a negative predecessor id")
             key.append(fronts[q])
+        if barrier is not None:
+            key.append(fronts[barrier])
         step = tuple(key)
         f = self._steps.get(step)
         if f is None:
             # The cost is a name or None, never an index, so one fold keeps
             # it first and leaves the distinct frontier indices after it.
             f = self._steps[step] = self._table.step(tuple(dict.fromkeys(key)))
-        self._labels.append(label)
-        self._costs.append(cost)
-        self._preds.append(preds)
+        if self._rows:
+            self._labels.append(label)
+            self._costs.append(cost)
+            self._preds.append(preds if barrier is None else preds + (barrier,))
         fronts.append(f)
         return i
+
+    def _check_rows(self) -> None:
+        if not self._rows:
+            raise ValueError("this trace keeps frontiers only: it has no nodes to read")
 
     def _distinct_fronts(self) -> Iterable[int]:
         """The table indices of the nodes' frontiers, each once, in node
@@ -422,7 +445,9 @@ class CostTrace:
     @property
     def nodes(self) -> tuple[TraceNode, ...]:
         """The nodes as :class:`TraceNode` rows, each with its predecessors
-        distinct, in first-occurrence order."""
+        distinct, in first-occurrence order.  A trace that keeps frontiers
+        only raises ``ValueError``."""
+        self._check_rows()
         # Builtins only, so the fold costs no Python frame per row.
         distinct = map(tuple, map(dict.fromkeys, self._preds))
         return tuple(
@@ -431,6 +456,7 @@ class CostTrace:
 
     @property
     def size(self) -> int:
+        self._check_rows()
         return len(self._costs) - self._costs.count(None)
 
     def depth_frontiers(self) -> list[tuple[DepthExpr, ...]]:
@@ -574,17 +600,20 @@ class TracedScalars(ScalarContext[int]):
     the trace as it is emitted, through the same checks and step memo as
     :meth:`CostTrace.append` but without building a :class:`TraceNode`, so
     the frontiers are ready when tracing ends.  Predecessors go in as the
-    operation names them, barrier last, repeats included: the trace folds
-    them when its nodes are read.
+    operation names them, repeats included, and the barrier apart from
+    them: its frontier is taken after theirs, and a trace that keeps rows
+    stores it as the last predecessor, so a trace that keeps frontiers
+    only builds no predecessor tuple.  The trace folds repeats when its
+    nodes are read.
     """
 
     def __init__(self) -> None:
         self._trace = CostTrace()
-        self._barrier: tuple[int, ...] = ()
+        self._barrier: int | None = None
 
     # ------------------------------------------------------ trace plumbing
     def _emit(self, label: str, cost: str | None, preds: tuple[int, ...]) -> int:
-        return self._trace._add(label, cost, preds + self._barrier)
+        return self._trace._add(label, cost, preds, self._barrier)
 
     # --------------------------------------------------------------- leaves
     def input(self, q: Fraction) -> int:
@@ -677,8 +706,8 @@ class TracedScalars(ScalarContext[int]):
     # ----------------------------------------------------- control features
     def seq_point(self, xs: Sequence[int]) -> None:
         # The barrier's preds are exactly the members, not the last barrier.
-        self._barrier = ()
-        self._barrier = (self._emit("barrier", None, tuple(xs)),)
+        self._barrier = None
+        self._barrier = self._emit("barrier", None, tuple(xs))
 
     def guard_small(self, a: int) -> bool:
         # Structure only: always the general branch.
@@ -708,12 +737,14 @@ def _run(ctx: TracedScalars, fn: Callable[[TracedScalars], Any]) -> CostTrace:
     return ctx._trace
 
 
-def _model_context() -> TracedScalars:
+def _model_context(rows: bool = True) -> TracedScalars:
     """A tracing context whose trace interns into ``_MODEL_TABLE``: only
     the model's own components are traced this way, so the shared table
-    holds their frontier algebra and nothing a caller's function adds."""
+    holds their frontier algebra and nothing a caller's function adds.
+    Without ``rows`` the trace keeps frontiers only."""
     ctx = TracedScalars()
     ctx._trace._table = _MODEL_TABLE
+    ctx._trace._rows = rows
     return ctx
 
 
@@ -837,21 +868,35 @@ def trace_component(name: str, shape: ShapeConfig) -> CostTrace:
     return _run(_model_context(), lambda ctx: build(ctx, shape, (form,))[0])
 
 
-def _shape_depths(shape: ShapeConfig) -> dict[str, DepthExpr]:
-    """Every component's critical depth at ``shape``, read at its own
-    outputs; a route builder is traced once, with every form read of it."""
-    depths = {}
+def _shape_traces(
+    shape: ShapeConfig, rows: bool = False
+) -> Iterator[tuple[str, CostTrace, list[int]]]:
+    """Each component at ``shape``: its name, the trace it was read off and
+    its outputs there.  A plain component has a trace of its own; a route
+    builder is traced once, with every form read of it.  Without ``rows``
+    each trace keeps frontiers only."""
     routes: dict[Callable[..., Any], dict[str, str]] = {}
     for name, (build, form, _) in _COMPONENTS.items():
         if form is None:
-            trace = trace_component(name, shape)
-            depths[name] = _unique(trace._frontier_at(trace.outputs))
+            ctx = _model_context(rows)
+            yield name, ctx._trace, _outputs(build(ctx, shape))
         else:
             routes.setdefault(build, {})[name] = form
     for build, forms in routes.items():
-        ctx = _model_context()
+        ctx = _model_context(rows)
         for name, result in zip(forms, build(ctx, shape, tuple(forms.values()))):
-            depths[name] = _unique(ctx._trace._frontier_at(_outputs(result)))
+            yield name, ctx._trace, _outputs(result)
+
+
+def _shape_depths(shape: ShapeConfig) -> dict[str, DepthExpr]:
+    """Every component's critical depth at ``shape``, read at its own
+    outputs off traces that keep frontiers only."""
+    depths = {}
+    for name, trace, outputs in _shape_traces(shape):
+        depths[name] = _unique(trace._frontier_at(outputs))
+        # Drop the trace before the next one is built, so that at most one
+        # is alive at a time.
+        del trace
     return depths
 
 
@@ -878,6 +923,9 @@ def depth_report(
     stage barrier, which no route replaces.  Every component's depth is
     read at its own outputs, as the Pareto maxima of their frontiers;
     :func:`trace_component` gives the same depth for a route traced alone.
+    The traces keep frontiers only (see :class:`CostTrace`): per node, the
+    index of its frontier in the shared table, so memory grows by about
+    one pointer per node, and one trace is alive at a time.
 
     The report lists, per component: the symbolic depth at the first shape,
     its numeric value under the weight assignment, whether the depth was

@@ -352,14 +352,33 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "argv",
-        [["mamba", "depth", "-p", "8"], ["mamba", "run", "--seed", "x"], ["bogus"], ["mamba"]],
-        ids=["unknown-option", "bad-int", "unknown-subcommand", "missing-subcommand"],
+        [
+            ["mamba", "depth", "-p", "8"],
+            ["mamba", "run", "--seed", "x"],
+            ["bogus"],
+            ["mamba"],
+            ["mamba", "depth", "--shape", "2,2,2,2,2", "--full-grid"],
+            ["mamba", "run", "--model", "m.json", "--shape", "2,2,2,2,2"],
+            ["mamba", "compare", "--shape", "2,2,2,2,2", "--model", "m.json"],
+        ],
+        ids=[
+            "unknown-option",
+            "bad-int",
+            "unknown-subcommand",
+            "missing-subcommand",
+            "shape-with-full-grid",
+            "run-model-with-shape",
+            "compare-shape-with-model",
+        ],
     )
     def test_usage_error_returns_two(self, capsys, argv):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert not out
         assert err.startswith("CliUsageError: artifact") and len(err.splitlines()) == 1
+        if {"--model", "--full-grid"} & set(argv):
+            # Refused for the pair, before any model file is read.
+            assert "not allowed with argument" in err
 
     def test_input_errors_are_value_errors(self):
         """`main` maps ValueError and OSError to exit 2; every error class
@@ -698,7 +717,9 @@ class TestModelFiles:
     def test_deeply_nested_json_exits_two(self, tmp_path, capsys, flag):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000)
-        assert main(["mamba", "run", "--shape", "2,2,2,2,2", flag, str(path)]) == 2
+        # A model file gives the shape itself, and --shape may not join it.
+        shape = [] if flag == "--model" else ["--shape", "2,2,2,2,2"]
+        assert main(["mamba", "run", *shape, flag, str(path)]) == 2
         out, err = capsys.readouterr()
         assert not out
         assert err.startswith("CliUsageError: ") and len(err.splitlines()) == 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 from operator import le
 
@@ -30,6 +31,7 @@ from artifact.depth import (
     Verdict,
     _MODEL_TABLE,
     _maxima,
+    _shape_traces,
     check_depth,
     component_names,
     critical_depth,
@@ -732,6 +734,23 @@ class TestSharedFrontierTable:
         assert small.critical_depth() == expr(d_exp=1)
         assert small.depth_frontiers() == [(DepthExpr.zero(),), (expr(d_exp=1),)]
 
+    def test_long_shape_adds_nothing_to_the_table(self, filled):
+        depth_report(shapes=[ShapeConfig(128, 4, 8, 8, 4)])
+        assert self._sizes(filled) == (110, 137)
+
+    def test_report_memory_on_a_filled_table(self, filled):
+        """With frontiers only, one report at (32,2,2,2,2) peaks well under
+        the 1.2 MB that keeping every node's row takes."""
+        shapes = [self.SHAPES[2]]
+        depth_report(shapes=shapes)
+        tracemalloc.start()
+        try:
+            depth_report(shapes=shapes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20
+
     def test_traces_outside_the_model_keep_their_own_table(self, filled):
         sizes = self._sizes(filled)
         chain = CostTrace(
@@ -745,10 +764,42 @@ class TestSharedFrontierTable:
         assert self._sizes(filled) == sizes
 
 
+class TestFrontierOnlyTraces:
+    """``depth_report`` reads its depths off traces that keep frontiers
+    only.  They take the same step as traces that keep rows, so every
+    frontier agrees, and they refuse to read back rows they never kept."""
+
+    SHAPES = TestSharedFrontierTable.SHAPES
+
+    @pytest.mark.parametrize(
+        "shape", SHAPES, ids=lambda s: ",".join(map(str, s.to_json_dict().values()))
+    )
+    def test_same_frontiers_as_a_trace_with_rows(self, shape):
+        kept = list(_shape_traces(shape, rows=True))
+        only = list(_shape_traces(shape))
+        assert [name for name, _, _ in only] == [name for name, _, _ in kept]
+        assert {name for name, _, _ in only} == set(component_names())
+        for (name, full, outputs), (_, lean, lean_outputs) in zip(kept, only):
+            assert lean_outputs == outputs, name
+            assert lean._fronts == full._fronts, name
+            assert lean._frontier_at(outputs) == full._frontier_at(outputs), name
+            assert lean.depth_frontiers() == full.depth_frontiers(), name
+            assert lean.critical_frontier() == full.critical_frontier(), name
+            assert len(full.nodes) == len(lean) and not lean._preds, name
+
+    def test_nodes_and_size_refused(self):
+        for name, trace, _ in _shape_traces(self.SHAPES[1]):
+            for field in ("nodes", "size"):
+                with pytest.raises(ValueError, match="keeps frontiers only") as exc:
+                    getattr(trace, field)
+                assert len(str(exc.value).splitlines()) == 1, (name, field)
+            assert len(trace) > 0 and trace.critical_frontier()
+
+
 class TestDepthReportPinned:
     """The report bytes, pinned by the sha256 of its sorted-key JSON over
     the CLI's three default shapes plus a long one, by the sha256 of the
-    CLI's stdout at three long shapes, and by that of its full-grid
+    CLI's stdout at four long shapes, and by that of its full-grid
     stdout."""
 
     SHAPES = [(1, 1, 1, 1, 1), (2, 2, 2, 2, 2), (4, 3, 3, 3, 2), (16, 2, 2, 2, 2)]
@@ -772,6 +823,7 @@ class TestDepthReportPinned:
             ("32,2,2,2,2", "127ba20deaa88bc7290f5be10eb12543e2900224ae7652fcc3a594f064088a29"),
             ("16,2,2,2,4", "ba71169f56b7a99b3168763e838bde2860f158023a971c3fc9be2b7206e89d0c"),
             ("16,1,1,1,2", "1f18d1e760bb521f40a791de320c6b8aaedfbe156b7c3e2be4bd6985284454d2"),
+            ("128,4,8,8,4", "992d48b0c0c15b3699d095e6375576687087ca00c792f2ea42c8174c2d0ec5e1"),
         ],
     )
     def test_long_shape_stdout_digest(self, capsys, shape, digest):
