@@ -31,8 +31,11 @@ count, so the ``T_1 ... T_{f+1}`` run that synthesis emits per counting
 column counts the column once; no count outlives one call.  A wire's word
 is dropped once the last gate that reads it has been evaluated (outputs
 stay), so the live words at any point are those still to be read, not the
-whole circuit; which wires die after which gate is worked out once per
-circuit, on its first evaluation, and kept with it.
+whole circuit.  The loop dispatches on one small opcode per gate, kept in
+a ``bytes`` table: two-input AND and OR skip the n-ary loop, and a
+THRESHOLD that starts a column is told apart from one that reuses the
+last count.  That table and which wires die after which gate are worked
+out in one pass per circuit, on its first evaluation, and kept with it.
 :func:`evaluate_many` packs assignments into such words ``BLOCK_LANES``
 lanes at a time (:func:`pack_codes` transposes per-lane integer codes into
 bit planes) and unpacks the output words; :func:`evaluate` hands one
@@ -216,15 +219,25 @@ class Circuit:
         return max((level[o] for o in self.outputs), default=0)
 
     @cached_property
-    def _dead_after(self) -> list[tuple[int, ...]]:
-        """Entry ``i`` lists the wires that no gate after gate ``i`` reads:
-        those whose last reader is gate ``i`` (or, if nothing reads them,
-        gate ``i`` itself), outputs excepted.  Built on the first
+    def _plan(self) -> tuple[bytes, list[tuple[int, ...]]]:
+        """How :func:`evaluate_words` runs this circuit: one opcode per
+        gate (see ``_OPCODES``), and per gate the wires that no gate after
+        it reads: those whose last reader it is (or, if nothing reads them,
+        the gate itself), outputs excepted.  Built in one pass on the first
         evaluation and kept for the circuit's life."""
+        ops = bytearray()
         last = list(range(len(self.gates)))
-        for g in self.gates:
-            for q in g.inputs:
-                last[q] = g.id
+        counted: tuple[int, ...] | None = None
+        for gid, kind, inputs, _ in self.gates:
+            for q in inputs:
+                last[q] = gid
+            if kind == "THRESHOLD":
+                ops.append(_RECOUNT if inputs == counted else _COUNT)
+                counted = inputs
+            elif len(inputs) == 2 and kind in _BINARY_OPCODES:
+                ops.append(_BINARY_OPCODES[kind])
+            else:
+                ops.append(_OPCODES[kind])
         for o in self.outputs:
             last[o] = -1
         frees: dict[int, list[int]] = {}
@@ -234,7 +247,17 @@ class Circuit:
         dead: list[tuple[int, ...]] = [()] * len(self.gates)
         for reader, qs in frees.items():
             dead[reader] = tuple(qs)
-        return dead
+        return bytes(ops), dead
+
+
+# The opcodes of ``Circuit._plan``, most frequent first as evaluate_words
+# tests them.  A THRESHOLD gate is _COUNT when it counts its inputs afresh
+# and _RECOUNT when its input tuple equals that of the THRESHOLD gate just
+# before it, whose count it reuses.
+_AND2, _NOT, _RECOUNT, _OR, _AND, _OR2, _COUNT, _INPUT, _CONST0, _CONST1 = range(10)
+_OPCODES = {"INPUT": _INPUT, "CONST0": _CONST0, "CONST1": _CONST1, "NOT": _NOT,
+            "AND": _AND, "OR": _OR}
+_BINARY_OPCODES = {"AND": _AND2, "OR": _OR2}
 
 
 def _popcount_planes(lanes: list[int]) -> list[int]:
@@ -257,17 +280,16 @@ def _ge_const(planes: list[int], k: int, mask: int) -> int:
     """Lane-wise test: does the plane-encoded count reach constant k?"""
     if k <= 0:
         return mask
-    width = max(len(planes), k.bit_length())
-    padded = planes + [0] * (width - len(planes))
+    if k.bit_length() > len(planes):
+        return 0  # k exceeds every count the planes can hold
     gt = 0
     eq = mask
-    for bit in range(width - 1, -1, -1):
-        kb = (k >> bit) & 1
-        if kb == 0:
-            gt |= eq & padded[bit]
+    for bit in range(len(planes) - 1, -1, -1):
+        if (k >> bit) & 1:
+            eq &= planes[bit]
         else:
-            eq &= padded[bit]
-    return (gt | eq) & mask
+            gt |= eq & planes[bit]
+    return gt | eq
 
 
 def evaluate_words(
@@ -287,38 +309,47 @@ def evaluate_words(
             f"assignment length {len(input_words)} != input count {circuit.n_inputs}"
         )
     mask = (1 << lanes) - 1
-    wires = [0] * len(circuit.gates)
+    wires: list[int | None] = [0] * len(circuit.gates)
     next_input = iter(input_words)
-    # The input tuple and popcount planes of the last THRESHOLD gate: a
-    # run of thresholds over one column counts it once.
-    counted: tuple[int, ...] | None = None
+    ops, dead_after = circuit._plan
+    # The popcount planes of the last _COUNT gate, which each _RECOUNT
+    # gate after it reuses: a run of thresholds over one column counts it
+    # once.  The opcodes are tested most frequent first, and as literals:
+    # comparing with a constant is cheaper than looking up a global.
     planes: list[int] = []
-    for (gid, kind, inputs, k), dead in zip(circuit.gates, circuit._dead_after):
-        if kind == "INPUT":
-            wires[gid] = next(next_input)
-        elif kind == "CONST0":
-            wires[gid] = 0
-        elif kind == "CONST1":
-            wires[gid] = mask
-        elif kind == "NOT":
+    for (gid, _, inputs, k), op, dead in zip(circuit.gates, ops, dead_after):
+        if op == 0:  # _AND2
+            a, b = inputs
+            wires[gid] = wires[a] & wires[b]
+        elif op == 1:  # _NOT
             wires[gid] = wires[inputs[0]] ^ mask
-        elif kind == "AND":
-            acc = mask
-            for q in inputs:
-                acc &= wires[q]
-            wires[gid] = acc
-        elif kind == "OR":
+        elif op == 2:  # _RECOUNT
+            wires[gid] = _ge_const(planes, k, mask)
+        elif op == 3:  # _OR
             acc = 0
             for q in inputs:
                 acc |= wires[q]
             wires[gid] = acc
-        else:  # THRESHOLD
-            if inputs != counted:
-                planes = _popcount_planes([wires[q] for q in inputs])
-                counted = inputs
+        elif op == 4:  # _AND
+            acc = mask
+            for q in inputs:
+                acc &= wires[q]
+            wires[gid] = acc
+        elif op == 5:  # _OR2
+            a, b = inputs
+            wires[gid] = wires[a] | wires[b]
+        elif op == 6:  # _COUNT
+            planes = _popcount_planes([wires[q] for q in inputs])
             wires[gid] = _ge_const(planes, k, mask)
-        for q in dead:
-            wires[q] = None
+        elif op == 7:  # _INPUT
+            wires[gid] = next(next_input)
+        elif op == 8:  # _CONST0
+            wires[gid] = 0
+        else:  # _CONST1
+            wires[gid] = mask
+        if dead:
+            for q in dead:
+                wires[q] = None
     return [wires[o] for o in circuit.outputs]
 
 

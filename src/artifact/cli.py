@@ -84,6 +84,7 @@ from artifact.mamba import (
 from artifact.matrices import FpMatrix, max_rel_gap
 from artifact.synthesis import MAX_PRECISION as SYNTH_MAX_PRECISION
 from artifact.synthesis import MAX_SWEEP_LANES, SYNTH_KINDS, check_op, synth_primitive
+from artifact.synthesis import _check_indices, _op_key
 
 
 class CliUsageError(ValueError):
@@ -493,6 +494,22 @@ def cmd_circuit_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _draw_indices(rng: random.Random, n: int, count: int) -> list[int]:
+    """``count`` draws of ``rng.choice(range(n))``, drawn the way CPython
+    3.10-3.13 draws them: ``choice(seq)`` is ``seq[_randbelow(len(seq))]``,
+    and ``_randbelow(n)`` calls ``getrandbits(n.bit_length())`` until the
+    result is below ``n``.  The tests check the two agree call for call."""
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    out: list[int] = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
 def cmd_circuit_check(args: argparse.Namespace) -> int:
     if args.kind != "iter_add" and (args.cases, args.seed) != (None, None):
         raise CliUsageError(
@@ -504,17 +521,20 @@ def cmd_circuit_check(args: argparse.Namespace) -> int:
         raise CliUsageError(f"--cases must be at least 1, not {n_cases}")
     if n_cases > MAX_SWEEP_LANES:
         raise CliUsageError(f"--cases must be at most {MAX_SWEEP_LANES}, not {n_cases}")
-    op = synth_primitive(
-        args.kind, args.precision, exp_bits=args.window, m=args.operands
-    )
-    if args.kind == "iter_add":
-        rng = random.Random(seed)
+    kind, p, window, m = _op_key(args.kind, args.precision, args.window, args.operands)
+    if window > p + 1:
+        # Synthesis takes it (compare only), but no p-bit float has such an exponent.
+        raise CliUsageError(
+            f"--window {window} is wider than p+1 = {p + 1}: check enumerates p={p} "
+            f"floats, whose exponents lie in [{-(1 << p)}, {1 << p})"
+        )
+    op = synth_primitive(kind, p, window, m)
+    if kind == "iter_add":
+        # Cases as value indices, drawn operand by operand as rng.choice
+        # would draw the values themselves.
         values = op.input_encoding.enumerate_values()
-        cases = [
-            tuple(rng.choice(values) for _ in range(args.operands))
-            for _ in range(n_cases)
-        ]
-        report = check_op(op, cases)
+        indices = _draw_indices(random.Random(seed), len(values), n_cases * m)
+        report = _check_indices(op, values, indices)
         label = "sampled"
     else:
         report = check_op(op)

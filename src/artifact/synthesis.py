@@ -17,14 +17,19 @@ the operand count ``m``.  Column counts use THRESHOLD gates per output bit
 (each bit of a column's population count is a symmetric function); a
 constant-0 sentinel input keeps every counting column structurally
 identical so degenerate small-``m`` pipelines do not fold to a shallower
-shape.  Sizes stay polynomial (the tests fit degree <= 3).
+shape.  In the operand count ``m`` sizes stay polynomial: the tests fit a
+cubic to ``iter_add``'s size over m = 2 to 64 at a fixed window.  In the
+window they do not: ``compare`` and ``add`` shift by every exponent gap
+the window holds, and ``iter_add`` by every exponent, into words as wide
+as that range, so their size grows about fourfold per window bit,
+exponentially in the exponent's width (``mul`` stays flat).
 
 The rounding ops require ``exp_bits <= p``: inside that window a nonzero
 exact result of add/mul/iter-add provably stays at or above the smallest
 normalized magnitude, so the shared rounding block needs no
 below-normal path (wider windows raise :class:`UnsupportedPrecision`).
-``compare`` has no rounding block, but its size grows about fourfold per
-window bit, so its window is capped at ``MAX_PRECISION`` bits as well.
+``compare`` has no rounding block, but for that fourfold growth its
+window is capped at ``MAX_PRECISION`` bits as well.
 Elementary functions are not synthesized here: their fixed-point iteration
 counts are value-dependent, which has no constant-depth unrolling at this
 granularity; they remain software-only.
@@ -97,7 +102,7 @@ class BitEncoding:
     p: int
     exp_bits: int
     # Derived from the two above once, at construction: ``code`` runs once
-    # per operand of every checked case.
+    # per distinct operand of every check, and per operand in ``input_code``.
     sig_bits: int = field(init=False, repr=False, compare=False)
     width: int = field(init=False, repr=False, compare=False)
     e_min: int = field(init=False, repr=False, compare=False)
@@ -735,6 +740,13 @@ def synth_primitive(
     process has not already built it and kept it (:class:`_OpMemo`), so
     callers with equal parameters share one op.
     """
+    return _MEMO.get(_op_key(kind, p, exp_bits, m))
+
+
+def _op_key(kind: str, p: int, exp_bits: int | None, m: int | None) -> tuple:
+    """The memo key ``(kind, p, exp_bits, m)`` of valid parameters, with
+    ``exp_bits=None`` read as ``p``; invalid ones raise as
+    :func:`synth_primitive` documents.  Builds nothing."""
     if kind not in _PRIMITIVES:
         raise ValueError(f"unknown primitive {kind!r}, expected one of {SYNTH_KINDS}")
     if not 2 <= p <= MAX_PRECISION:
@@ -759,7 +771,7 @@ def synth_primitive(
             )
     elif m is not None:
         raise ValueError(f"operand count only applies to iter_add, not {kind}")
-    return _MEMO.get((kind, p, exp_bits, m))
+    return kind, p, exp_bits, m
 
 
 # ------------------------------------------------------------- conformance
@@ -892,27 +904,100 @@ def _sweep_blocks(op: SynthesizedOp, values: list[FpNumber]):
         yield _SweepCases(pairs, block), words
 
 
-class _CasePairs:
-    """Explicit cases seen as their operands' ``(m, e)`` pairs, made on
-    demand: no second copy of a block's cases is built."""
+class _IndexCases:
+    """Cases given as value indices, seen as their operands' ``(m, e)``
+    pairs on demand: ``flat`` holds ``n`` indices into ``pairs`` per case,
+    case after case."""
 
-    def __init__(self, cases: Sequence[Sequence[FpNumber]]):
-        self.cases = cases
+    def __init__(self, pairs: list[Pair], flat: list[int], n: int):
+        self.pairs = pairs
+        self.flat = flat
+        self.n = n
 
     def __len__(self) -> int:
-        return len(self.cases)
+        return len(self.flat) // self.n
+
+    def __iter__(self):
+        pairs, flat, n = self.pairs, self.flat, self.n
+        for start in range(0, len(flat), n):
+            yield [pairs[i] for i in flat[start : start + n]]
 
     def __getitem__(self, lane: int) -> tuple[Pair, ...]:
-        return tuple([(x.m, x.e) for x in self.cases[lane]])
+        n = self.n
+        return tuple([self.pairs[i] for i in self.flat[lane * n : lane * n + n]])
+
+
+def _index_blocks(op: SynthesizedOp, codes: list[int], pairs: list[Pair], flat: list[int]):
+    """Cases given as value indices (``flat`` as in :class:`_IndexCases`)
+    in blocks of at most ``BLOCK_LANES``, an :class:`_IndexCases` each.
+    Value ``j`` has the input code ``codes[j]`` and the pair ``pairs[j]``.
+    A block's input words are packed operand by operand: the codes of one
+    operand's column of indices, transposed by :func:`pack_codes`."""
+    n, width = op.n_operands, op.input_encoding.width
+    step = BLOCK_LANES * n
+    for start in range(0, len(flat), step):
+        block = flat[start : start + step]
+        words: list[int] = []
+        for t in range(n):
+            words += pack_codes([codes[i] for i in block[t::n]], width)
+        yield _IndexCases(pairs, block, n), words
 
 
 def _case_blocks(op: SynthesizedOp, cases: Sequence[Sequence[FpNumber]]):
-    """Explicit cases in blocks of ``BLOCK_LANES``, a :class:`_CasePairs`
-    each, inputs packed by transposing each case's input code."""
+    """Explicit cases as :func:`_index_blocks`, mapped to indices one block
+    at a time.  A value gets its index, and its code from
+    :meth:`BitEncoding.code`, where it first occurs, so a case of the wrong
+    length or an operand outside the window raises as ``input_code``
+    would."""
+    enc, n = op.input_encoding, op.n_operands
+    index: dict[FpNumber, int] = {}
+    codes: list[int] = []
+    pairs: list[Pair] = []
     for start in range(0, len(cases), BLOCK_LANES):
-        block = cases[start : start + BLOCK_LANES]
-        codes = [op.input_code(case) for case in block]
-        yield _CasePairs(block), pack_codes(codes, op.circuit.n_inputs)
+        flat: list[int] = []
+        for case in cases[start : start + BLOCK_LANES]:
+            if len(case) != n:
+                raise ValueError(f"{op.kind} takes {n} operands")
+            for x in case:
+                i = index.get(x)
+                if i is None:
+                    codes.append(enc.code(x))
+                    pairs.append((x.m, x.e))
+                    i = index[x] = len(pairs) - 1
+                flat.append(i)
+        yield from _index_blocks(op, codes, pairs, flat)
+
+
+def _check_indices(op: SynthesizedOp, values: list[FpNumber], flat: list[int]) -> dict:
+    """:func:`check_op` on cases given as indices into ``values``, ``n``
+    per case, case after case (``n`` the op's operand count): the sampled
+    path, which builds no case of :class:`~artifact.floats.FpNumber`."""
+    enc = op.input_encoding
+    codes = [enc.code(x) for x in values]
+    pairs = [(x.m, x.e) for x in values]
+    blocks = _index_blocks(op, codes, pairs, flat)
+    return _check_blocks(op, len(flat) // op.n_operands, blocks)
+
+
+def _check_blocks(op: SynthesizedOp, total: int, blocks) -> dict:
+    """Run ``(cases, input words)`` blocks through the circuit and the
+    reference; the report of :func:`check_op`."""
+    mismatches: list[dict] = []
+    for block, words in blocks:
+        outputs = evaluate_words(op.circuit, words, len(block))
+        expected = _expected_words(op, block)
+        for lane in _mismatch_lanes(outputs, expected, MAX_MISMATCHES - len(mismatches)):
+            got = tuple((w >> lane) & 1 for w in outputs)
+            mismatches.append(_mismatch_report(op, block[lane], got))
+        if len(mismatches) >= MAX_MISMATCHES:
+            break
+    return {
+        "kind": op.kind,
+        "p": op.p,
+        "cases": total,
+        "mismatches": mismatches,
+        "ok": not mismatches,
+    }
 
 
 def check_op(
@@ -923,8 +1008,13 @@ def check_op(
     ``cases=None`` runs the exhaustive sweep over every tuple of encodable
     operands (``V**2`` lanes for the binary kinds, ``V**m`` for
     ``iter_add``, with ``V`` encodable values); its input words are built
-    directly from the value list.  Explicit cases are packed by transposing
-    their input codes.  Either way the circuit runs through
+    directly from the value list.  Explicit cases are mapped to value
+    indices, each distinct value encoded once (so a value outside the
+    window, or a case of the wrong length, raises as
+    :meth:`SynthesizedOp.input_code` would), and take the path the CLI's
+    sampled check takes: input words packed operand by operand from the
+    values' codes, the reference run on their ``(m, e)`` pairs.  Either
+    way the circuit runs through
     :func:`~artifact.circuits.evaluate_words` ``BLOCK_LANES`` lanes at a
     time, the reference results are packed into expected output words, and
     one XOR per output finds the mismatching lanes.  Where the reference
@@ -948,19 +1038,4 @@ def check_op(
     else:
         total = len(cases)
         blocks = _case_blocks(op, cases)
-    mismatches: list[dict] = []
-    for block, words in blocks:
-        outputs = evaluate_words(op.circuit, words, len(block))
-        expected = _expected_words(op, block)
-        for lane in _mismatch_lanes(outputs, expected, MAX_MISMATCHES - len(mismatches)):
-            got = tuple((w >> lane) & 1 for w in outputs)
-            mismatches.append(_mismatch_report(op, block[lane], got))
-        if len(mismatches) >= MAX_MISMATCHES:
-            break
-    return {
-        "kind": op.kind,
-        "p": op.p,
-        "cases": total,
-        "mismatches": mismatches,
-        "ok": not mismatches,
-    }
+    return _check_blocks(op, total, blocks)

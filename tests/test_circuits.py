@@ -27,7 +27,7 @@ from artifact.circuits import (
     to_majority_only,
 )
 from artifact.hardness import enumerate_small_circuits, lower_or_gates
-from artifact import synthesis
+from artifact import circuits, synthesis
 from artifact.synthesis import check_op, synth_primitive
 
 from oracles import keep_all_evaluate_words, reference_evaluate
@@ -440,20 +440,52 @@ class TestWireLifetime:
         for c in circuits:
             last = {q: max([g.id for g in c.gates if q in g.inputs], default=q)
                     for q in range(len(c.gates))}
-            freed = [(q, at) for at, qs in enumerate(c._dead_after) for q in qs]
+            freed = [(q, at) for at, qs in enumerate(c._plan[1]) for q in qs]
             assert sorted(q for q, _ in freed) == sorted(set(last) - set(c.outputs))
             assert all(at == last[q] for q, at in freed)
 
     def test_table_built_on_first_evaluation_only(self):
-        """Parsing, rewriting and depth do not build the last-use table;
-        the first evaluation builds it and later ones reuse it."""
+        """Parsing, rewriting and depth do not build the opcode and
+        last-use tables; the first evaluation builds both and later ones
+        reuse them."""
         c = parse_netlist(serialize_netlist(synth_primitive("mul", 3).circuit))
         assert c.depth > 0 and to_majority_only(c).depth > 0
-        assert "_dead_after" not in vars(c)
+        assert "_plan" not in vars(c)
         evaluate(c, [0] * c.n_inputs)
-        table = vars(c)["_dead_after"]
+        plan = vars(c)["_plan"]
+        ops, dead = plan
+        assert type(ops) is bytes and len(ops) == len(dead) == len(c.gates)
         evaluate_many(c, [[1] * c.n_inputs] * 3)
-        assert vars(c)["_dead_after"] is table
+        evaluate_words(c, [0] * c.n_inputs, 5)
+        assert vars(c)["_plan"] is plan
+        assert plan[0] is ops and plan[1] is dead
+
+    def test_opcodes(self):
+        """Two-input AND and OR have opcodes of their own, and a THRESHOLD
+        reuses a count only right after a THRESHOLD over the same tuple."""
+        gates = [Gate(0, "INPUT"), Gate(1, "INPUT"), Gate(2, "CONST0"), Gate(3, "CONST1"),
+                 Gate(4, "AND", (0, 1)), Gate(5, "AND", (0, 1, 2)), Gate(6, "AND", (0,)),
+                 Gate(7, "OR", (0, 1)), Gate(8, "OR", (1, 0, 1)), Gate(9, "NOT", (8,)),
+                 Gate(10, "THRESHOLD", (0, 1), 1), Gate(11, "THRESHOLD", (0, 1), 2),
+                 Gate(12, "THRESHOLD", (1, 0), 1), Gate(13, "NOT", (12,)),
+                 Gate(14, "THRESHOLD", (1, 0), 2)]
+        c = Circuit(gates, [14])
+        names = {getattr(circuits, name): name for name in (
+            "_AND2", "_NOT", "_RECOUNT", "_OR", "_AND", "_OR2", "_COUNT",
+            "_INPUT", "_CONST0", "_CONST1")}
+        assert sorted(names) == list(range(10))
+        assert [names[op] for op in c._plan[0]] == [
+            "_INPUT", "_INPUT", "_CONST0", "_CONST1", "_AND2", "_AND", "_AND",
+            "_OR2", "_OR", "_NOT", "_COUNT", "_RECOUNT", "_COUNT", "_NOT", "_RECOUNT"]
+
+    @pytest.mark.parametrize("lanes", [1, 200, BLOCK_LANES + 1])
+    def test_random_circuits_at_lane_counts(self, lanes):
+        rng = random.Random(7012)
+        for _ in range(40 if lanes <= 200 else 1):
+            c = random_circuit(rng, rng.randint(1, 6), rng.randint(1, 30))
+            self._agrees(c, rng, lanes)
+        c = threshold_run_circuit(rng, 4, 3 if lanes > 200 else 8)
+        self._agrees(c, rng, lanes)
 
     def test_sweep_peak_memory(self):
         """Freed wires bound the live words of an exhaustive p=4 ``add``

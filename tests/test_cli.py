@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -23,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from artifact import cli, synthesis
-from artifact.circuits import CircuitError, ParseError, serialize_netlist
+from artifact.circuits import Circuit, CircuitError, ParseError, serialize_netlist
 from artifact.cli import CliUsageError, build_parser, eval_expression, main
 from artifact.elementary import NegativeInput, NonPositiveInput
 from artifact.floats import DivisionByZero, FpError, FpNumber, round_p
@@ -35,7 +37,7 @@ from artifact.hardness import (
 )
 from artifact.mamba import ShapeConfig, forward_matrix, random_input, random_params
 from artifact.matrices import FpMatrix, ShapeMismatch
-from artifact.synthesis import MAX_SWEEP_LANES, UnsupportedPrecision, synth_primitive
+from artifact.synthesis import MAX_SWEEP_LANES, UnsupportedPrecision, check_op, synth_primitive
 
 
 class TestExpressionParser:
@@ -983,6 +985,35 @@ class TestCircuitCommands:
             "UnsupportedPrecision: window exp_bits=7 outside synthesizable range [1, 6]\n"
         )
 
+    @pytest.mark.parametrize("kind", ["compare", "add"])
+    def test_check_window_past_p_plus_one_is_refused(self, capsys, monkeypatch, kind):
+        # Refused before synthesis, in terms of the option: no p-bit float
+        # has an exponent outside [-2**p, 2**p).
+        monkeypatch.setattr(synthesis._MEMO, "get", lambda key: pytest.fail("synthesized"))
+        code = main(["circuit", "check", kind, "-p", "3", "--window", "5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if kind == "compare":
+            assert captured.err == (
+                "CliUsageError: --window 5 is wider than p+1 = 4: check enumerates "
+                "p=3 floats, whose exponents lie in [-8, 8)\n"
+            )
+        else:  # synthesis's own range check comes first, as before
+            assert captured.err.startswith("UnsupportedPrecision: window exp_bits=5 > p=3")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_check_window_of_p_plus_one_is_taken(self, tmp_path, capsys):
+        assert main(["circuit", "check", "compare", "-p", "2", "--window", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "exhaustive: PASS (1089 cases, kind=compare, p=2)\n"
+        )
+        # synth keeps its own range: a window past p+1 still synthesizes.
+        out = tmp_path / "wide.nl"
+        assert main(["circuit", "synth", "compare", "-p", "3", "--window", "5",
+                     "-o", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["n_inputs"] == 2 * (3 + 1 + 5)
+
     def test_sampled_check_defaults_to_200_cases(self, capsys):
         assert main(["circuit", "check", "iter_add", "-p", "2", "-m", "2"]) == 0
         assert capsys.readouterr().out == "sampled: PASS (200 cases, kind=iter_add, p=2)\n"
@@ -1038,6 +1069,83 @@ class TestCircuitCommands:
     def test_unsupported_precision_exits_two(self, capsys):
         assert main(["circuit", "synth", "add", "-p", "9"]) == 2
         capsys.readouterr()
+
+
+class TestSampledCheck:
+    """``circuit check iter_add`` draws its cases as value indices and
+    checks them without a case of ``FpNumber``.  The draw equals
+    ``random.Random(seed).choice`` over the value list, and the report
+    equals that of ``check_op`` on the same cases as values."""
+
+    # sha256 of the drawn cases as JSON ``[[[m, e], ...], ...]``, taken when
+    # the command drew each operand with ``rng.choice(values)``.
+    PINS = {
+        (2, 0): "7d057d1fe7b3915e1e9dbad4b3f1e4586d3b7d463aa2f75ca398b5049acf9566",
+        (2, 1): "8b80d70f5ae19bf32174076526edad0e3f4acb0fff8cd64a861c296cf5602a76",
+        (2, 2**31 - 1): "3f01157a2a6235fe808736ca75af6710d4f372be8968674956fe74fcfb539ad4",
+        (8, 0): "aed71c25fc22703abdb36994a649087c410f224f0d921ddfd92cdaae9c48ddcf",
+        (8, 1): "401ebd382d9fde15633b46153385cda487cf0e74a55e0c80a8fb4c5a065e3e1f",
+        (8, 2**31 - 1): "cfd05940e43e8e573f7a513890d3c82dd2a1ddacdf1b446fb58ef50911e8e603",
+        (64, 0): "7fe5963c3df34bab70aa71d1d3bc51e4b2f5f5769207736a8aebcb59886f7440",
+        (64, 1): "83f0a334fe2df217d9055af1ff25769548ece59972099f347380c272b0f67a17",
+        (64, 2**31 - 1): "8b2e83abebc171fe86900a70cb2befc3a896e3a1752a8d8f721429fd35dd93cc",
+    }
+
+    @staticmethod
+    def _argv(m: int, seed: int) -> list[str]:
+        return ["circuit", "check", "iter_add", "-p", "3", "-m", str(m),
+                "--cases", "200", "--seed", str(seed)]
+
+    @pytest.mark.parametrize("m,seed", sorted(PINS))
+    def test_drawn_cases_pinned(self, monkeypatch, capsys, m, seed):
+        drawn = []
+        real = cli._check_indices
+
+        def spy(op, values, flat):
+            drawn.append([[values[i].m, values[i].e] for i in flat])
+            return real(op, values, flat)
+
+        monkeypatch.setattr(cli, "_check_indices", spy)
+        assert main(self._argv(m, seed)) == 0
+        assert capsys.readouterr().out == "sampled: PASS (200 cases, kind=iter_add, p=3)\n"
+        [pairs] = drawn
+        cases = [pairs[i : i + m] for i in range(0, len(pairs), m)]
+        assert len(cases) == 200
+        digest = hashlib.sha256(json.dumps(cases).encode()).hexdigest()
+        assert digest == self.PINS[m, seed]
+
+    @pytest.mark.parametrize("n", [9, 64, 65, 257, 4096, 4097])
+    def test_index_draw_is_rng_choice(self, n):
+        """Call for call, and leaving the generator in the same state."""
+        for seed in (0, 1, 12345, 2**31 - 1, 2**64 + 3):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            got = cli._draw_indices(ours, n, 1000)
+            assert got == [theirs.choice(range(n)) for _ in range(1000)]
+            assert ours.getstate() == theirs.getstate()
+        assert cli._draw_indices(random.Random(0), n, 0) == []
+
+    @pytest.mark.parametrize("m", [2, 8, 64])
+    def test_fail_report_equals_check_op(self, monkeypatch, capsys, m):
+        """With two output wires swapped, the command's report and
+        ``check_op``'s on the same cases as values agree: ten mismatches,
+        the same operand lists."""
+        op = synth_primitive("iter_add", 3, m=m)
+        outputs = list(op.circuit.outputs)
+        outputs[0], outputs[1] = outputs[1], outputs[0]
+        broken = dataclasses.replace(op, circuit=Circuit(op.circuit.gates, outputs))
+        monkeypatch.setattr(cli, "synth_primitive", lambda *args: broken)
+        assert main(self._argv(m, 7)) == 1
+        head, body = capsys.readouterr().out.split("\n", 1)
+        assert head == "sampled: FAIL (200 cases, kind=iter_add, p=3)"
+        shown = json.loads(body)["mismatches"]
+
+        values = op.input_encoding.enumerate_values()
+        flat = cli._draw_indices(random.Random(7), len(values), 200 * m)
+        cases = [tuple(values[i] for i in flat[j : j + m]) for j in range(0, len(flat), m)]
+        report = check_op(broken, cases)
+        assert report["cases"] == 200 and not report["ok"]
+        assert len(shown) == 10
+        assert shown == json.loads(json.dumps(report["mismatches"]))
 
 
 class TestHardnessCommands:

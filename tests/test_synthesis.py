@@ -589,6 +589,35 @@ class TestConformanceReports:
         silenced = SynthesizedOp("mul", 3, silent, op.input_encoding, narrow)
         assert len(check_op(silenced, outside)["mismatches"]) == 10
 
+    def test_explicit_cases_encode_each_distinct_value_once(self, monkeypatch):
+        op = synth_primitive("iter_add", 3, m=4)
+        rng = random.Random(8330)
+        values = op.input_encoding.enumerate_values()
+        cases = [tuple(rng.choice(values[:9]) for _ in range(4)) for _ in range(300)]
+        want = check_op(op, cases)
+        calls = []
+        real = BitEncoding.code
+        monkeypatch.setattr(BitEncoding, "code", lambda enc, x: calls.append(x) or real(enc, x))
+        assert check_op(op, cases) == want and want["ok"]
+        assert sorted(calls, key=values.index) == sorted(set(calls), key=values.index)
+        assert set(calls) == {x for case in cases for x in case}
+
+    @pytest.mark.parametrize("at", [0, 250])
+    def test_explicit_cases_refused_as_input_code_refuses(self, at):
+        """A value outside the window, or a case of the wrong length, raises
+        the error ``input_code`` raises for it, wherever it sits."""
+        op = synth_primitive("iter_add", 3, m=4)
+        values = op.input_encoding.enumerate_values()
+        good = [tuple(values[i % 60 : i % 60 + 4]) for i in range(300)]
+        outside = FpNumber(4, 7, 3)  # the window holds exponents -4 to 3
+        for bad in [(values[1], outside, values[2], values[3]), tuple(values[:3])]:
+            with pytest.raises(ValueError) as want:
+                op.input_code(bad)
+            cases = good[:at] + [bad] + good[at:]
+            with pytest.raises(ValueError) as got:
+                check_op(op, cases)
+            assert str(got.value) == str(want.value)
+
     def test_oversized_sweep_refused(self):
         with pytest.raises(ValueError):
             check_op(synth_primitive("iter_add", 3, m=8))
