@@ -53,6 +53,8 @@ line number, and a bad token, on error.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
@@ -357,20 +359,35 @@ def evaluate_words(
 # _DIGIT_BITS maps the digits b"0" and b"1" back to the bytes 0 and 1.
 _BIT_DIGITS = [bytes(0x31 if v >> b & 1 else 0x30 for v in range(256)) for b in range(8)]
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+# For codes of 1 to 8 bytes, the typecode of the smallest native unsigned
+# ``array`` item that holds one.
+_ARRAY_TYPES = {
+    size: min((array(t).itemsize, t) for t in "BHILQ" if array(t).itemsize >= size)[1]
+    for size in range(1, 9)
+}
 
 
 def pack_codes(codes: Sequence[int], width: int) -> list[int]:
     """Transpose per-lane integer codes into ``width`` bit-plane words.
 
     Bit ``i`` of word ``j`` is bit ``j`` of ``codes[i]``; every code is
-    below ``2**width``.  The codes are laid out as fixed-width byte
-    strings, so each plane is one strided slice of them, translated to
-    binary digits and read back by ``int``.
+    below ``2**width``.  The codes are laid out as fixed-width little-endian
+    byte strings, so each plane is one strided slice of them, translated to
+    binary digits and read back by ``int``.  Codes of up to 64 bits are
+    laid out by one C call, as an ``array`` of the smallest native unsigned
+    item that holds them (byte-swapped on a big-endian machine); wider
+    codes take one ``int.to_bytes`` each.
     """
     if not codes:
         return [0] * width
     stride = (width + 7) // 8
-    data = b"".join([c.to_bytes(stride, "little") for c in codes])
+    if stride in _ARRAY_TYPES:
+        lanes = array(_ARRAY_TYPES[stride], codes)
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        data, stride = lanes.tobytes(), lanes.itemsize
+    else:
+        data = b"".join([c.to_bytes(stride, "little") for c in codes])
     return [
         int(data[j >> 3 :: stride].translate(_BIT_DIGITS[j & 7])[::-1], 2)
         for j in range(width)

@@ -284,7 +284,10 @@ def _load_model(args: argparse.Namespace) -> tuple[ShapeConfig, MambaParams]:
                 positive = obj.get("positive", False)
                 if not isinstance(positive, bool):
                     raise ValueError(f"positive must be true or false, not {positive!r}")
-                params = random_params(shape, _json_int(obj.get("seed", args.seed)), positive)
+                seed = _json_int(obj.get("seed", args.seed))
+                if seed < 0:
+                    raise ValueError(f"seed must be at least 0, not {seed}")
+                params = random_params(shape, seed, positive)
             elif params_field == "zero":
                 params = MambaParams.build(shape, lambda name, index: Fraction(0))
             else:
@@ -686,6 +689,16 @@ def _integer(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """The ``type`` of a seed option: a non-negative :func:`_integer`.
+    ``random.Random`` seeds with an int's absolute value, so a negative
+    seed would draw what its positive draws."""
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a seed must be at least 0, not {value}")
+    return value
+
+
 def _precision(text: str) -> int:
     p = _ascii_int(text) or 0
     if not 1 <= p <= MAX_PRECISION:
@@ -737,14 +750,14 @@ def build_parser() -> argparse.ArgumentParser:
         model = p.add_mutually_exclusive_group()
         model.add_argument("--model", help="model JSON file")
         model.add_argument("--shape", help="synthesize a model: L,D,E,n,K")
-        p.add_argument("--seed", type=_integer, default=0, help="parameter seed")
+        p.add_argument("--seed", type=_seed, default=0, help="parameter seed")
         p.add_argument(
             "--positive", action="store_true",
             help="draw positive (cancellation-free) parameters",
         )
         p.add_argument("--input", help="input JSON file (entries L x D)")
         p.add_argument(
-            "--input-seed", type=_integer, default=None,
+            "--input-seed", type=_seed, default=None,
             help="input seed (default: --seed + 1)",
         )
         p.add_argument(
@@ -810,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cases", type=_integer, default=None,
         help="sampled case count, iter_add only (default 200)",
     )
-    check.add_argument("--seed", type=_integer, default=None, help="iter_add only (default 0)")
+    check.add_argument("--seed", type=_seed, default=None, help="iter_add only (default 0)")
     check.set_defaults(func=cmd_circuit_check)
 
     rewrite = circ_sub.add_parser(

@@ -50,8 +50,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import islice, product
-from typing import Sequence
+from itertools import chain, islice, product
+from typing import Iterable, Iterator, Sequence
 
 from .circuits import BLOCK_LANES, Circuit, CircuitBuilder, evaluate_words, pack_codes
 from .floats import Comparison, FpNumber, Overflow, Pair
@@ -676,14 +676,20 @@ def _synth_iter_add(p: int, exp_bits: int, m: int) -> SynthesizedOp:
     return SynthesizedOp("iter_add", p, circuit, enc, BitEncoding(p, w_out), m=m)
 
 
+def _mul(a: Pair, b: Pair, p: int) -> Pair:
+    """The p-bit product of two ``(m, e)`` pairs, as ``fp_mul`` rounds it."""
+    return _round(a[0] * b[0], a[1] + b[1], p)
+
+
 #: Each primitive kind's synthesizer and the software op it is checked
 #: against: the kernel op of ``fp_compare``, ``fp_add``, ``fp_mul`` or
-#: ``iter_add``, called with the ``(m, e)`` pairs of one case and then ``p``.
+#: ``iter_add`` on ``(m, e)`` pairs.  The binary ops take ``(a, b, p)``,
+#: ``iter_add`` takes ``(xs, p)``.
 _PRIMITIVES = {
     "compare": (_synth_compare, _compare),
     "add": (_synth_add, _add),
-    "mul": (_synth_mul, lambda a, b, p: _round(a[0] * b[0], a[1] + b[1], p)),
-    "iter_add": (_synth_iter_add, lambda *c: _iter_add(c[:-1], c[-1])),
+    "mul": (_synth_mul, _mul),
+    "iter_add": (_synth_iter_add, _iter_add),
 }
 SYNTH_KINDS = tuple(_PRIMITIVES)
 
@@ -784,11 +790,16 @@ _VERDICT_BITS = {
     Comparison.GREATER: (0, 1),
     Comparison.EQUAL: (0, 0),
 }
-_VERDICT_CODES = {v: lt | gt << 1 for v, (lt, gt) in _VERDICT_BITS.items()}
 
 
-def _expected_words(op: SynthesizedOp, cases: Sequence[Sequence[Pair]]) -> list[int]:
+def _expected_words(op: SynthesizedOp, cases: Iterable[tuple[Pair, ...]]) -> list[int]:
     """Reference results of every case, packed like the circuit's outputs.
+
+    Each case costs one call of the kernel op on its ``(m, e)`` pairs, with
+    its own ``Overflow`` handling, and no other Python-level call: the
+    cases come from C iterators, the op is called by name with positional
+    arguments, a verdict is coded by identity (an ``Enum`` hashes in
+    Python) and a result by inlined :meth:`BitEncoding.code`.
 
     Two bit-plane words follow the expected outputs: lanes where the
     reference overflows (only the flag output is checked there) and lanes
@@ -797,25 +808,48 @@ def _expected_words(op: SynthesizedOp, cases: Sequence[Sequence[Pair]]) -> list[
     """
     ref, p = _PRIMITIVES[op.kind][1], op.p
     n_out = len(op.circuit.outputs)
+    codes: list[int] = []
+    append = codes.append
     if op.kind == "compare":
-        return pack_codes([_VERDICT_CODES[ref(*case, p)] for case in cases], n_out + 2)
-    # BitEncoding.code, inlined: this loop runs once per lane.
+        less, greater, equal = Comparison.LESS, Comparison.GREATER, Comparison.EQUAL
+        for a, b in cases:
+            verdict = ref(a, b, p)
+            if verdict is less:
+                append(1)  # lt
+            elif verdict is greater:
+                append(2)  # gt
+            elif verdict is equal:
+                append(0)
+            else:
+                raise TypeError(f"compare returned {verdict!r}, not a Comparison")
+        return pack_codes(codes, n_out + 2)
     enc = op.output_encoding
     sig_mask, exp_mask, sig_bits = enc.sig_mask, enc.exp_mask, enc.sig_bits
     e_min, e_max = enc.e_min, enc.e_max
     overflow = 1 << (n_out - 1) | 1 << n_out
     unencodable = 1 << (n_out + 1)
-    codes = []
-    for case in cases:
-        try:
-            m, e = ref(*case, p)
-        except Overflow:
-            codes.append(overflow)
-            continue
-        if e_min <= e <= e_max:
-            codes.append((m & sig_mask) | (e & exp_mask) << sig_bits)
-        else:
-            codes.append(unencodable)
+    if op.kind == "iter_add":
+        for xs in cases:
+            try:
+                m, e = ref(xs, p)
+            except Overflow:
+                append(overflow)
+                continue
+            if e_min <= e <= e_max:
+                append((m & sig_mask) | (e & exp_mask) << sig_bits)
+            else:
+                append(unencodable)
+    else:
+        for a, b in cases:
+            try:
+                m, e = ref(a, b, p)
+            except Overflow:
+                append(overflow)
+                continue
+            if e_min <= e <= e_max:
+                append((m & sig_mask) | (e & exp_mask) << sig_bits)
+            else:
+                append(unencodable)
     return pack_codes(codes, n_out + 2)
 
 
@@ -840,8 +874,9 @@ def _mismatch_lanes(outputs: list[int], expected: list[int], limit: int) -> list
 
 
 def _mismatch_report(op: SynthesizedOp, case: Sequence[Pair], got: tuple[int, ...]) -> dict:
+    ref = _PRIMITIVES[op.kind][1]
     try:
-        want = _PRIMITIVES[op.kind][1](*case, op.p)
+        want = ref(case, op.p) if op.kind == "iter_add" else ref(*case, op.p)
     except Overflow:
         want = "overflow"
     else:
@@ -852,7 +887,8 @@ def _mismatch_report(op: SynthesizedOp, case: Sequence[Pair], got: tuple[int, ..
 class _SweepCases:
     """The cases of one sweep block, made on demand: lane ``h*V + j`` is
     head ``h`` followed by ``values[j]``.  No list of cases is built, so
-    a block's cases never sit in memory beside the circuit's wires."""
+    a block's cases never sit in memory beside the circuit's wires, and
+    iteration runs in C iterators, with Python code once per head."""
 
     def __init__(self, values: list[Pair], heads: list[tuple[int, ...]]):
         self.values = values
@@ -861,9 +897,11 @@ class _SweepCases:
     def __len__(self) -> int:
         return len(self.heads) * len(self.values)
 
-    def __iter__(self):
-        for h in self.heads:
-            yield from product(*[(self.values[i],) for i in h], self.values)
+    def __iter__(self) -> Iterator[tuple[Pair, ...]]:
+        values = self.values
+        return chain.from_iterable(
+            product(*[(values[i],) for i in h], values) for h in self.heads
+        )
 
     def __getitem__(self, lane: int) -> tuple[Pair, ...]:
         h, j = divmod(lane, len(self.values))
@@ -917,10 +955,9 @@ class _IndexCases:
     def __len__(self) -> int:
         return len(self.flat) // self.n
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[tuple[Pair, ...]]:
         pairs, flat, n = self.pairs, self.flat, self.n
-        for start in range(0, len(flat), n):
-            yield [pairs[i] for i in flat[start : start + n]]
+        return zip(*[map(pairs.__getitem__, flat[t::n]) for t in range(n)])
 
     def __getitem__(self, lane: int) -> tuple[Pair, ...]:
         n = self.n
@@ -1016,10 +1053,15 @@ def check_op(
     values' codes, the reference run on their ``(m, e)`` pairs.  Either
     way the circuit runs through
     :func:`~artifact.circuits.evaluate_words` ``BLOCK_LANES`` lanes at a
-    time, the reference results are packed into expected output words, and
-    one XOR per output finds the mismatching lanes.  Where the reference
-    overflows only the flag output is checked; a reference result outside
-    the output encoding's window always mismatches.
+    time.  The reference is the kernel op, called once per lane on pairs
+    handed over by C iterators, each lane with its own ``Overflow``
+    handling; nothing is cached or skipped.  Its results are coded and
+    packed into expected output words by
+    :func:`~artifact.circuits.pack_codes`, one ``bytes`` or ``array`` call
+    for the codes of a block, and one XOR per output finds the mismatching
+    lanes.  Where the reference overflows only the flag output is checked;
+    a reference result outside the output encoding's window always
+    mismatches.
 
     Returns a report dict with the case count and the first
     ``MAX_MISMATCHES`` (10) mismatches in case order, each with the

@@ -257,6 +257,50 @@ def reference_evaluate(circuit, assignment) -> tuple[int, ...]:
     return tuple(values[o] for o in circuit.outputs)
 
 
+# Each byte's bit b as the ASCII digit "0" or "1", for b in 0..7.
+_BYTE_BIT_DIGITS = [bytes(0x31 if v >> b & 1 else 0x30 for v in range(256)) for b in range(8)]
+
+
+def per_lane_expected_words(op, cases, ref, overflow) -> list[int]:
+    """The words a conformance check expects from ``op``'s circuit, built
+    one lane at a time: the reference for an engine that builds them with
+    fewer calls per lane.
+
+    ``ref(*case, p)`` is the software op on one case of ``(m, e)`` pairs,
+    raising ``overflow`` where it overflows.  Each result is coded as the
+    circuit's outputs, with two more bits: one set where the reference
+    overflows (with the flag output), one where the output encoding cannot
+    hold the result.  ``compare`` codes its verdict as ``(lt, gt)`` bits.
+    The codes are laid out with one ``int.to_bytes`` each and transposed
+    into one word per bit, lane ``i`` at bit ``i``.
+    """
+    n_out = len(op.circuit.outputs)
+    width = n_out + 2
+    codes = []
+    for case in cases:
+        if op.kind == "compare":
+            codes.append({"less": 1, "greater": 2, "equal": 0}[ref(*case, op.p).value])
+            continue
+        try:
+            m, e = ref(*case, op.p)
+        except overflow:
+            codes.append(1 << (n_out - 1) | 1 << n_out)
+            continue
+        enc = op.output_encoding
+        if enc.e_min <= e <= enc.e_max:
+            codes.append(m % (1 << enc.sig_bits) | e % (1 << enc.exp_bits) << enc.sig_bits)
+        else:
+            codes.append(1 << (n_out + 1))
+    if not codes:
+        return [0] * width
+    stride = (width + 7) // 8
+    data = b"".join([c.to_bytes(stride, "little") for c in codes])
+    return [
+        int(data[j >> 3 :: stride].translate(_BYTE_BIT_DIGITS[j & 7])[::-1], 2)
+        for j in range(width)
+    ]
+
+
 def keep_all_evaluate_words(circuit, input_words, lanes: int) -> list[int]:
     """Bit-sliced evaluation that keeps every wire's word until the end and
     counts each THRESHOLD gate's inputs lane by lane on its own: the

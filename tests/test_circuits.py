@@ -383,14 +383,20 @@ class TestEvaluate:
         got = evaluate_many(c, [[(code >> j) & 1 for j in range(4)] for code in codes])
         assert got == [want[code] for code in codes]
 
-    @pytest.mark.parametrize("width", [1, 7, 8, 9, 20, 70])
+    @pytest.mark.parametrize(
+        "width", [1, 7, 8, 9, 16, 17, 20, 24, 25, 32, 33, 64, 65, 70]
+    )
     def test_pack_codes_transposes(self, width):
+        """Every width on either side of a byte count that a native item
+        size holds, or the next one up, at 1, 300 and ``BLOCK_LANES + 1``
+        lanes; random codes, with the all-ones code in the last lane."""
         rng = random.Random(7006 + width)
-        codes = [rng.randrange(1 << width) for _ in range(300)]
-        words = pack_codes(codes, width)
-        assert words == [
-            sum(((c >> j) & 1) << i for i, c in enumerate(codes)) for j in range(width)
-        ]
+        for lanes in (1, 300, BLOCK_LANES + 1):
+            codes = [rng.getrandbits(width) for _ in range(lanes - 1)]
+            codes.append((1 << width) - 1)
+            # Column k of the binary strings, last lane first, is bit width-1-k.
+            columns = zip(*[format(c, f"0{width}b") for c in reversed(codes)])
+            assert pack_codes(codes, width) == [int("".join(col), 2) for col in columns][::-1]
         assert pack_codes([], width) == [0] * width
 
 

@@ -740,6 +740,54 @@ _INPUT_MUTATION = st.tuples(
 )
 
 
+class TestNegativeSeeds:
+    """``random.Random`` seeds with an int's absolute value, so a negative
+    seed would draw what its positive draws.  Every int seed the command
+    line takes refuses one, in one line that names it, and still takes 0."""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["mamba", "run", "--shape", "4,2,2,2,2", "--seed", "{}"], "--seed"),
+            (["mamba", "run", "--shape", "4,2,2,2,2", "--input-seed", "{}"], "--input-seed"),
+            (["mamba", "compare", "--shape", "2,2,2,2,2", "--seed", "{}"], "--seed"),
+            (["mamba", "compare", "--shape", "2,2,2,2,2", "--input-seed", "{}"], "--input-seed"),
+            (["circuit", "check", "iter_add", "-p", "3", "-m", "2", "--cases", "20",
+              "--seed", "{}"], "--seed"),
+        ],
+        ids=["run-seed", "run-input-seed", "compare-seed", "compare-input-seed", "check-seed"],
+    )
+    def test_negative_seed_refused(self, capsys, argv, option):
+        assert main([a.format(-5) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == (
+            f"CliUsageError: artifact {argv[0]} {argv[1]}: argument {option}: "
+            "a seed must be at least 0, not -5\n"
+        )
+        assert main([a.format(0) for a in argv]) == 0
+        capsys.readouterr()
+
+    def test_negative_model_seed_refused(self, tmp_path, capsys):
+        model = {"shape": ShapeConfig(1, 1, 1, 1, 1).to_json_dict(), "params": "random",
+                 "seed": -5}
+        path = tmp_path / "m.json"
+        assert _run_model(path, model) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"CliUsageError: {path}: bad model (seed must be at least 0, not -5)\n"
+        model["seed"] = 0
+        assert _run_model(path, model) == 0
+
+    def test_hardness_gen_takes_negative_seeds(self, capsys):
+        """``hardness gen`` seeds with a string, in which -5 and 5 differ."""
+        outputs = []
+        for seed in ("-5", "5"):
+            assert main(["hardness", "gen", "bool", "--size", "7", "--seed", seed, "-n", "5"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] != outputs[1]
+
+
 class TestMutatedInputFiles:
     """The exit-2 contract for ``--input`` files of ``mamba run`` and
     ``mamba compare``: whatever a mutation does to the JSON, ``main``

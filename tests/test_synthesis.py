@@ -13,13 +13,14 @@ from itertools import product
 import pytest
 
 from artifact.circuits import (
+    BLOCK_LANES,
     Circuit,
     evaluate,
     evaluate_many,
     parse_netlist,
     serialize_netlist,
 )
-from artifact import synthesis
+from artifact import floats, synthesis
 from artifact.floats import FpNumber, Overflow, fp_add, fp_compare, fp_mul, iter_add
 from artifact.synthesis import (
     MAX_PRECISION,
@@ -30,7 +31,7 @@ from artifact.synthesis import (
     synth_primitive,
 )
 
-from oracles import polyfit_max_rel_residual
+from oracles import per_lane_expected_words, polyfit_max_rel_residual
 
 
 def random_value(rng: random.Random, enc: BitEncoding, zero_rate: float = 0.1) -> FpNumber:
@@ -453,6 +454,112 @@ class TestNetlistIntegration:
             for b in values[:9]:
                 bits = op.encode_inputs([a, b])
                 assert evaluate(back, bits) == evaluate(op.circuit, bits)
+
+
+# The kernel op each kind is checked against, called as ``ref(*case, p)``.
+KERNEL_REFS = {
+    "compare": floats._compare,
+    "add": floats._add,
+    "mul": lambda a, b, p: floats._round(a[0] * b[0], a[1] + b[1], p),
+    "iter_add": lambda *case: floats._iter_add(case[:-1], case[-1]),
+}
+
+
+def narrowed(op: SynthesizedOp, exp_bits: int) -> SynthesizedOp:
+    """``op`` with its output window cut to ``exp_bits`` exponent bits."""
+    narrow = BitEncoding(op.p, exp_bits)
+    outs = op.circuit.outputs
+    circuit = Circuit(op.circuit.gates, outs[: narrow.width] + outs[-1:])
+    return SynthesizedOp(op.kind, op.p, circuit, op.input_encoding, narrow, op.m)
+
+
+class TestExpectedWords:
+    """The engine's expected output words equal, block for block, those of
+    ``oracles.per_lane_expected_words``, which calls the kernel op once per
+    case, codes each result on its own and packs with ``int.to_bytes``."""
+
+    @staticmethod
+    def assert_blocks_match(op: SynthesizedOp, blocks) -> int:
+        lanes = 0
+        for block, _ in blocks:
+            cases = [block[i] for i in range(len(block))]
+            want = per_lane_expected_words(op, cases, KERNEL_REFS[op.kind], Overflow)
+            assert synthesis._expected_words(op, block) == want
+            lanes += len(cases)
+        return lanes
+
+    def sweep(self, op: SynthesizedOp) -> None:
+        values = op.input_encoding.enumerate_values()
+        lanes = self.assert_blocks_match(op, synthesis._sweep_blocks(op, values))
+        assert lanes == len(values) ** op.n_operands
+
+    @pytest.mark.parametrize(
+        "p, window",
+        [(p, w) for p in (2, 3, 4) for w in range(1, p + 1)] + [(5, 1), (5, 2), (5, 3)],
+    )
+    @pytest.mark.parametrize("kind", ["add", "mul", "compare"])
+    def test_binary_sweeps(self, kind, p, window):
+        self.sweep(synth_primitive(kind, p, window))
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_compare_sweep_at_window_p_plus_one(self, p):
+        """The widest window ``circuit check compare`` takes."""
+        self.sweep(synth_primitive("compare", p, p + 1))
+
+    def test_iter_add_sweep(self):
+        self.sweep(synth_primitive("iter_add", 2, m=3))
+
+    @pytest.mark.parametrize("m, n_cases", [(2, 500), (8, 300), (64, 200), (2, BLOCK_LANES + 1)])
+    def test_sampled_index_blocks(self, m, n_cases):
+        op = synth_primitive("iter_add", 3, m=m)
+        values = op.input_encoding.enumerate_values()
+        rng = random.Random(8340 + m)
+        flat = [rng.randrange(len(values)) for _ in range(n_cases * m)]
+        codes = [op.input_encoding.code(x) for x in values]
+        pairs = [(x.m, x.e) for x in values]
+        lanes = self.assert_blocks_match(op, synthesis._index_blocks(op, codes, pairs, flat))
+        assert lanes == n_cases
+
+    @pytest.mark.parametrize("kind", ["add", "mul", "compare"])
+    def test_explicit_cases_overflowing_and_outside_the_output_window(self, kind):
+        """At p=3 mul overflows on some lanes; with the output window cut
+        to two exponent bits, add and mul results fall outside it on
+        others.  Compare has no output window and is checked as is."""
+        op = synth_primitive(kind, 3)
+        if kind != "compare":
+            op = narrowed(op, 2)
+        values = op.input_encoding.enumerate_values()
+        cases = list(product(values, repeat=2))
+        rng = random.Random(8350)
+        rng.shuffle(cases)
+        if kind == "mul":
+            results = [fp_mul(*case) for case in cases if not self.overflows(case)]
+            assert len(results) < len(cases)
+            assert any(not -2 <= x.e <= 1 for x in results)
+        self.assert_blocks_match(op, synthesis._case_blocks(op, cases))
+
+    def test_explicit_iter_add_cases_outside_the_output_window(self):
+        op = narrowed(synth_primitive("iter_add", 3, m=8), 3)
+        rng = random.Random(8360)
+        cases = [tuple(random_value(rng, op.input_encoding) for _ in range(8)) for _ in range(400)]
+        assert any(not -4 <= iter_add(case).e <= 3 for case in cases)
+        self.assert_blocks_match(op, synthesis._case_blocks(op, cases))
+
+    def test_verdict_other_than_a_comparison_raises(self, monkeypatch):
+        """Verdicts are coded by identity; anything else raises, not 0."""
+        op = synth_primitive("compare", 2)
+        synthesize = synthesis._PRIMITIVES["compare"][0]
+        monkeypatch.setitem(synthesis._PRIMITIVES, "compare", (synthesize, lambda a, b, p: "equal"))
+        with pytest.raises(TypeError, match="not a Comparison"):
+            synthesis._expected_words(op, [((2, 0), (2, 0))])
+
+    @staticmethod
+    def overflows(case) -> bool:
+        try:
+            fp_mul(*case)
+        except Overflow:
+            return True
+        return False
 
 
 class TestConformanceReports:
