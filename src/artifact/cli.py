@@ -285,8 +285,6 @@ def _load_model(args: argparse.Namespace) -> tuple[ShapeConfig, MambaParams]:
                 if not isinstance(positive, bool):
                     raise ValueError(f"positive must be true or false, not {positive!r}")
                 seed = _json_int(obj.get("seed", args.seed))
-                if seed < 0:
-                    raise ValueError(f"seed must be at least 0, not {seed}")
                 params = random_params(shape, seed, positive)
             elif params_field == "zero":
                 params = MambaParams.build(shape, lambda name, index: Fraction(0))

@@ -18,13 +18,17 @@ and only values handed to a caller are built as one.  Inside the module a
 permutation is its image tuple: :func:`compose`, :func:`word_problem` and
 :func:`eval_pbp` multiply the operands' tuples in one private kernel that
 checks only that the domain sizes agree.  A product or an inverse of
-bijections, and a shuffle of [5], is a bijection, so no check is lost:
-:func:`compose` builds a :class:`Permutation` for the product alone,
-:func:`word_problem` compares the product with the identity tuple,
-``gen_instances("perm", ...)`` builds none, and
-:func:`barrington_transform` builds one per distinct image of the program
-it returns.  :func:`parse_permutation_line` builds (and so checks) each
-distinct token of a line once.
+bijections, so no check is lost: :func:`compose` builds a
+:class:`Permutation` for the product alone, :func:`word_problem` compares
+the product with the identity tuple, and :func:`barrington_transform`
+builds one per distinct image of the program it returns.
+``gen_instances("perm", ...)`` builds none: it draws each element of S5
+with a shuffle of [5] and works on indices 0-119 into tables built once
+per process from the same kernel (product, inverse and text of each
+element).  :func:`parse_permutation_line` and ``eval_instance("perm",
+...)`` read each token through one bounded, process-wide memo from token
+text to its validated :class:`Permutation` and its kernel step, so a
+token is parsed and checked once per process, not once per line.
 
 ``barrington_transform`` converts a single-output circuit of fan-in-2 AND,
 NOT, INPUT and constant gates into a program over S5 whose instruction
@@ -501,16 +505,28 @@ def _inverse(image: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inverse)
 
 
-def _product(images: Iterable[tuple[int, ...]], n: int) -> tuple[int, ...]:
+def _step(image: tuple[int, ...]) -> itemgetter | None:
+    """The kernel's step for the permutation with image ``image``: the
+    getter that maps a product's image tuple ``q`` to ``q o p``.  On fewer
+    than two points :func:`_product` takes no step, and the step is None."""
+    return itemgetter(*[v - 1 for v in image]) if len(image) > 1 else None
+
+
+def _product(
+    images: Iterable[tuple[int, ...]],
+    n: int,
+    steps: Sequence[itemgetter] | None = None,
+) -> tuple[int, ...]:
     """Image tuple of the right-to-left product of bijections on [n].
 
     ``images`` are the 1-based image tuples of already validated
     permutations, the first applied first.  Each size is checked against
     ``n`` in sequence order, before any is multiplied, so a mismatch raises
     the :class:`DomainMismatch` of the first operand that differs.  The
-    product is then folded from the last operand back, ``q = q o p``, as
-    one ``itemgetter`` over ``p``'s 0-based images per operand; each
-    distinct image builds its getter once per call.
+    product is then folded from the last operand back, ``q = q o p``, one
+    :func:`_step` per operand: ``steps[i]`` for operand ``i`` when the
+    caller holds them (the token memo of :func:`_read_tokens` does), else
+    each distinct image builds its step once per call.
     """
     checked = []
     for image in images:
@@ -520,21 +536,26 @@ def _product(images: Iterable[tuple[int, ...]], n: int) -> tuple[int, ...]:
     acc = tuple(range(1, n + 1))
     if n < 2:  # the identity is the only permutation; a getter would return an int
         return acc
-    getters: dict[tuple[int, ...], itemgetter] = {}
-    for image in reversed(checked):
-        step = getters.get(image)
-        if step is None:
-            step = getters[image] = itemgetter(*[v - 1 for v in image])
+    if steps is None:
+        built: dict[tuple[int, ...], itemgetter] = {}
+        steps = [built.get(image) or built.setdefault(image, _step(image)) for image in checked]
+    for step in reversed(steps):
         acc = step(acc)
     return acc
 
 
-def _word_product(perms: Sequence[Permutation]) -> tuple[int, ...]:
+def _is_identity(image: tuple[int, ...]) -> int:
+    return int(image == tuple(range(1, len(image) + 1)))
+
+
+def _word_product(
+    perms: Sequence[Permutation], steps: Sequence[itemgetter] | None = None
+) -> tuple[int, ...]:
     """Image tuple of the product of a non-empty word, sizes checked
     against the first operand's, in order."""
     if not perms:
         raise ValueError("compose requires at least one permutation")
-    return _product([p.image for p in perms], perms[0].n)
+    return _product([p.image for p in perms], perms[0].n, steps)
 
 
 def compose(perms: Sequence[Permutation]) -> Permutation:
@@ -549,22 +570,49 @@ def compose(perms: Sequence[Permutation]) -> Permutation:
 
 def word_problem(perms: Sequence[Permutation]) -> int:
     """1 iff the right-to-left composition is the identity."""
-    product = _word_product(perms)
-    return int(product == tuple(range(1, len(product) + 1)))
+    return _is_identity(_word_product(perms))
+
+
+#: Most tokens the memo of :func:`_read_tokens` holds at once.
+_TOKEN_MEMO_SIZE = 4096
+_token_memo: dict[str, tuple[Permutation, itemgetter]] = {}
+
+
+def _read_tokens(line: str) -> tuple[list[Permutation], list[itemgetter]]:
+    """The permutation and the :func:`_step` of each token of ``line``, in
+    line order, the tokens split at ASCII whitespace only.
+
+    Tokens are read through one process-wide memo from token text to both.
+    A token missing from it is built by :meth:`Permutation.from_string`,
+    so the first bad token in line order raises, and it enters the memo
+    only once it has passed.  The memo holds at most
+    :data:`_TOKEN_MEMO_SIZE` entries, and is emptied when full; no key is
+    longer than nine characters, the longest valid token (a longer one,
+    which ``from_string`` accepts only around other scripts' spaces, is
+    built on every read).
+    """
+    memo = _token_memo
+    perms, steps = [], []
+    for tok in _ascii_split(line):
+        entry = memo.get(tok)
+        if entry is None:
+            perm = Permutation.from_string(tok)
+            entry = (perm, _step(perm.image))
+            if len(tok) <= 9:
+                if len(memo) >= _TOKEN_MEMO_SIZE:
+                    memo.clear()
+                memo[tok] = entry
+        perms.append(entry[0])
+        steps.append(entry[1])
+    return perms, steps
 
 
 def parse_permutation_line(line: str) -> list[Permutation]:
     """One permutation per token, the tokens split at ASCII whitespace
-    only, each distinct token parsed and validated once; the first bad
-    token in line order raises."""
-    parsed: dict[str, Permutation] = {}
-    perms = []
-    for tok in _ascii_split(line):
-        p = parsed.get(tok)
-        if p is None:
-            p = parsed[tok] = Permutation.from_string(tok)
-        perms.append(p)
-    return perms
+    only, read through the token memo (:func:`_read_tokens`): a token is
+    parsed and validated once per process, and the first bad token in line
+    order raises."""
+    return _read_tokens(line)[0]
 
 
 # -------------------------------------------------- branching programs
@@ -888,10 +936,23 @@ def _random_arith_node(
     return ArithNode("add" if roll < 0.6 else "mul", args=(left, right))
 
 
-def _random_s5(rng: random.Random) -> tuple[int, ...]:
-    image = list(range(1, 6))
-    rng.shuffle(image)
-    return tuple(image)
+@cache
+def _s5_tables() -> tuple[
+    dict[tuple[int, ...], int], tuple[str, ...], tuple[tuple[int, ...], ...], tuple[int, ...]
+]:
+    """S5 by index, for ``gen_instances("perm", ...)``: each image's index
+    (0-119, the images in lexicographic order), each index's text, the
+    product table (``products[a][b]`` is the index of ``a`` then ``b``) and
+    each index's inverse (by :func:`_inverse`).  A product is the kernel's
+    one step, ``_product((a, b), 5) == _step(a)(b)``, taken without the
+    per-call cost of :func:`_product`.  Built on first use, so that
+    importing the module does not pay for it."""
+    images = list(iter_permutations(range(1, 6)))
+    index = {image: i for i, image in enumerate(images)}
+    texts = tuple("".join(map(str, image)) for image in images)
+    products = tuple(tuple(index[step(b)] for b in images) for step in map(_step, images))
+    inverses = tuple(index[_inverse(a)] for a in images)
+    return index, texts, products, inverses
 
 
 def _arith_semiring(kind: str) -> Semiring:
@@ -908,7 +969,10 @@ def gen_instances(kind: str, size: int, seed: int, count: int = 100) -> Corpus:
 
     Kinds: ``bool`` (postfix formulas of at most ``size`` symbols),
     ``perm`` (lines of ``size`` space-separated S5 image strings, roughly
-    half engineered to compose to the identity), ``arith`` (integer
+    half engineered to compose to the identity: the last element is the
+    inverse of the product of the others; each element is a shuffle of
+    [5], composed by index in :func:`_s5_tables`, and the label is the
+    product of the whole word), ``arith`` (integer
     S-expressions with at most ``size`` operators plus a three-constant
     assignment after ``;``), and ``arith-zM`` (the same over Z_M).
     """
@@ -925,15 +989,24 @@ def gen_instances(kind: str, size: int, seed: int, count: int = 100) -> Corpus:
             instances.append(tree.to_postfix())
             labels.append(str(eval_bool(tree)))
     elif kind == "perm":
-        identity = tuple(range(1, 6))
+        index, texts, products, inverses = _s5_tables()
+        identity = index[tuple(range(1, 6))]
+        shuffle = rng.shuffle
         for _ in range(count):
-            if size >= 2 and rng.random() < 0.5:
-                word = [_random_s5(rng) for _ in range(size - 1)]
-                word.append(_inverse(_product(word, 5)))
-            else:
-                word = [_random_s5(rng) for _ in range(size)]
-            instances.append(" ".join("".join(map(str, image)) for image in word))
-            labels.append(str(int(_product(word, 5) == identity)))
+            closed = size >= 2 and rng.random() < 0.5
+            word, q = [], identity  # q: the product of the word so far
+            for _ in range(size - 1 if closed else size):
+                image = [1, 2, 3, 4, 5]
+                shuffle(image)
+                p = index[tuple(image)]
+                word.append(p)
+                q = products[q][p]
+            if closed:
+                p = inverses[q]
+                word.append(p)
+                q = products[q][p]
+            instances.append(" ".join([texts[p] for p in word]))
+            labels.append(str(int(q == identity)))
     elif kind == "arith" or kind.startswith("arith-z"):
         ring = _arith_semiring(kind)
         n_vars = 3
@@ -957,7 +1030,7 @@ def eval_instance(kind: str, line: str) -> str:
     if kind == "bool":
         return str(eval_bool(parse_bool_postfix(line)))
     if kind == "perm":
-        return str(word_problem(parse_permutation_line(line)))
+        return str(_is_identity(_word_product(*_read_tokens(line))))
     if kind == "arith" or kind.startswith("arith-z"):
         ring = _arith_semiring(kind)
         if ";" not in line:

@@ -569,15 +569,23 @@ def mamba_forward(ctx: ScalarContext, pw: MambaParams, x, forms: Sequence[str]) 
 # ------------------------------------------------------- instance builders
 
 
+def _seed(seed: int) -> int:
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, not {seed}")
+    return seed
+
+
 def random_params(shape: ShapeConfig, seed: int, positive: bool = False) -> MambaParams:
     """Deterministic random parameters.
 
     With ``positive=True`` every weight is drawn from ``[1/16, 1]`` (and the
     state diagonal from ``[-2, -1/4]``), which makes both state-space
     evaluation routes cancellation-free: the transition stays in ``(0, 1)``
-    and every product and sum keeps one sign.
+    and every product and sum keeps one sign.  A negative ``seed`` raises
+    ``ValueError``: ``random.Random`` seeds with an int's absolute value,
+    so it would draw what its positive draws.
     """
-    rng = random.Random(seed)
+    rng = random.Random(_seed(seed))
     lo = 1 if positive else -16
 
     def leaf(name: str, index: tuple[int, ...]) -> Fraction:
@@ -589,7 +597,9 @@ def random_params(shape: ShapeConfig, seed: int, positive: bool = False) -> Mamb
 
 
 def random_input(shape: ShapeConfig, seed: int) -> list[list[Fraction]]:
-    rng = random.Random(seed ^ 0x5EED)
+    """Deterministic random input rows; a negative ``seed`` raises
+    ``ValueError``, as in :func:`random_params`."""
+    rng = random.Random(_seed(seed) ^ 0x5EED)
     return [
         [Fraction(rng.randrange(-16, 17), 16) for _ in range(shape.d_model)]
         for _ in range(shape.seq_len)

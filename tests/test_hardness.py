@@ -11,10 +11,14 @@ against circuit evaluation on a fixed small-circuit family.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import re
+import subprocess
+import sys
 import time
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -514,6 +518,135 @@ class TestCompositionKernel:
         index_first = PbpProgram((PbpInstruction(9, five, five), PbpInstruction(0, small, small)), 1)
         with pytest.raises(IndexOutOfRange):
             eval_pbp(index_first, [1])
+
+
+class TestS5Tables:
+    """``gen_instances("perm", ...)`` composes S5 by index: its tables
+    agree with the kernel on every pair, and are built on first use only."""
+
+    def test_tables_match_the_kernel(self):
+        index, texts, products, inverses = hardness._s5_tables()
+        images = sorted(index, key=index.get)
+        assert sorted(index.values()) == list(range(120))
+        assert sorted(images) == sorted(itertools.permutations(range(1, 6)))
+        assert len(products) == len(inverses) == len(texts) == 120
+        for i, a in enumerate(images):
+            assert texts[i] == Permutation(a).to_string()
+            assert images[inverses[i]] == hardness._inverse(a)
+            assert len(products[i]) == 120
+            for j, b in enumerate(images):
+                assert images[products[i][j]] == hardness._product((a, b), 5)
+
+    def test_import_leaves_tables_unbuilt(self):
+        """Importing the command line builds nothing that only ``gen perm``
+        reads; the first perm corpus builds the tables once."""
+        root = Path(__file__).resolve().parents[1]
+        code = "\n".join([
+            "import sys",
+            f"sys.path.insert(0, {str(root / 'src')!r})",
+            "import artifact.cli",
+            "from artifact import hardness",
+            "print(hardness._s5_tables.cache_info())",
+            "hardness.gen_instances('perm', 3, 0, count=2)",
+            "hardness.gen_instances('perm', 4, 1, count=2)",
+            "print(hardness._s5_tables.cache_info())",
+        ])
+        run = subprocess.run(
+            [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == [
+            "CacheInfo(hits=0, misses=0, maxsize=None, currsize=0)",
+            "CacheInfo(hits=1, misses=1, maxsize=None, currsize=1)",
+        ]
+
+
+class TestTokenMemo:
+    """The eval path reads tokens through one bounded, process-wide memo
+    from token text to its validated permutation and kernel step."""
+
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        """An empty memo, for this test alone."""
+        fresh: dict = {}
+        monkeypatch.setattr(hardness, "_token_memo", fresh)
+        return fresh
+
+    @staticmethod
+    def check_entries(memo):
+        for tok, (perm, step) in memo.items():
+            assert len(tok) <= 9
+            assert perm == Permutation.from_string(tok)
+            assert step(Permutation.identity(perm.n).image) == perm.image
+
+    def test_all_of_s7(self, memo):
+        tokens = ["".join(map(str, im)) for im in itertools.permutations(range(1, 8))]
+        assert len(tokens) == 5040 > hardness._TOKEN_MEMO_SIZE
+        peak = 0
+        for tok in tokens:
+            assert parse_permutation_line(tok) == [Permutation.from_string(tok)]
+            assert len(memo) <= hardness._TOKEN_MEMO_SIZE
+            peak = max(peak, len(memo))
+        assert peak == hardness._TOKEN_MEMO_SIZE
+        self.check_entries(memo)
+        rng = random.Random(834)
+        rng.shuffle(tokens)
+        for start in range(0, len(tokens), 90):
+            word = [Permutation.from_string(t) for t in tokens[start:start + 90]]
+            for word in (word, word + [fold_after(word).inverse()]):
+                want = fold_after(word)
+                line = " ".join(p.to_string() for p in word)
+                assert eval_instance("perm", line) == str(int(want.is_identity))
+                assert parse_permutation_line(line) == word
+                assert len(memo) <= hardness._TOKEN_MEMO_SIZE
+        self.check_entries(memo)
+
+    @pytest.mark.parametrize(
+        "bad", ["12a4567", "1134567", "0123456", "+234567", "\u0661234567", "1234567x"]
+    )
+    def test_bad_token_never_enters(self, memo, bad):
+        line = f"1234567 7654321 {bad} 2134567"
+        with pytest.raises(ValueError) as want:
+            Permutation.from_string(bad)
+        for warm in (False, True):
+            if warm:
+                eval_instance("perm", "1234567 7654321 2134567")
+                assert {"1234567", "7654321", "2134567"} <= set(memo)
+            for read in (parse_permutation_line, lambda ln: eval_instance("perm", ln)):
+                with pytest.raises(ValueError) as got:
+                    read(line)
+                assert type(got.value) is type(want.value)
+                assert str(got.value) == str(want.value)
+                assert bad not in memo
+        self.check_entries(memo)
+
+    def test_long_valid_token_is_not_kept(self, memo):
+        """``from_string`` strips other scripts' spaces, so a valid token can
+        be longer than nine digits; it is read, but never kept."""
+        padded = "\u00a0" * 8 + "21345"
+        assert eval_instance("perm", f"{padded} 21345") == "1"
+        assert set(memo) == {"21345"}
+
+    @pytest.mark.parametrize("line", ["1 1", "\u00a0", "\u00a0 \u00a0", "1 1 1 1 1"])
+    def test_words_on_fewer_than_two_points(self, memo, line):
+        """A token of other scripts' spaces alone is the permutation of [0]."""
+        word = [Permutation.from_string(t) for t in line.split(" ")]
+        assert parse_permutation_line(line) == word
+        for _ in range(2):
+            assert eval_instance("perm", line) == "1" == str(int(fold_after(word).is_identity))
+
+    @pytest.mark.parametrize(
+        "line", ["1234567 21 7654321 123", "21 12 1", "123 12345 21 1234", "1 \u00a0"]
+    )
+    def test_mixed_sizes_raise_as_compose(self, memo, line):
+        word = [Permutation.from_string(t) for t in line.split(" ")]
+        with pytest.raises(DomainMismatch) as want:
+            compose(word)
+        for _ in range(2):  # cold, then with every token memoized
+            with pytest.raises(DomainMismatch) as got:
+                eval_instance("perm", line)
+            assert str(got.value) == str(want.value)
+        assert set(memo) == set(line.split(" "))
 
 
 class TestBranchingPrograms:

@@ -120,6 +120,37 @@ class TestShapesAndParams:
         assert random_params(shape, seed=3) != random_params(shape, seed=4)
         assert random_input(shape, seed=3) == random_input(shape, seed=3)
 
+    @pytest.mark.parametrize("seed", [-1, -7])
+    def test_negative_seed_refused(self, seed):
+        """``random.Random`` seeds with an int's absolute value: unrefused,
+        ``random_params(shape, -7)`` drew ``random_params(shape, 7)`` and
+        ``random_input(shape, -7)`` drew ``random_input(shape, 1)``."""
+        shape = ShapeConfig(4, 2, 2, 2, 2)
+        message = f"^seed must be at least 0, not {seed}$"
+        for build in (
+            lambda: random_params(shape, seed),
+            lambda: random_params(shape, seed, positive=True),
+            lambda: random_input(shape, seed),
+        ):
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    def test_seed_zero_unchanged(self):
+        """sha256 of the seed-0 draws, taken before negative seeds were refused."""
+        shape = ShapeConfig(4, 2, 2, 2, 2)
+        digests = [
+            hashlib.sha256(json.dumps(random_params(shape, 0).to_json_dict()).encode()),
+            hashlib.sha256(
+                json.dumps(random_params(shape, 0, positive=True).to_json_dict()).encode()
+            ),
+            hashlib.sha256(repr(random_input(shape, 0)).encode()),
+        ]
+        assert [d.hexdigest() for d in digests] == [
+            "563d1286e5d22a1d4eb32ae9e76d7da8637aaa74aee7db2a6e020c15b4bbd9bc",
+            "ecb241e8c8604fc7ce6729b6107f65cacf6a00951d12270f615478717d0fa250",
+            "d3ea85ee645cc794c4d5f1d0bef2df96419c688bffe4f5eea420d709871e6c47",
+        ]
+
 
 def _zero_model(tmp_path, shape: ShapeConfig) -> MambaParams:
     path = tmp_path / f"zero_{shape.seq_len}_{shape.d_model}_{shape.d_inner}.json"
