@@ -14,21 +14,22 @@ with the *longer-or-equal* operand first and negation keeps its parentheses
 (``(<alpha>NOT)``).  Permutations are stored as pointwise images and compose
 right to left: the first permutation of a sequence is applied first.  A
 :class:`Permutation` is checked to be a bijection once, when it is built,
-and only values handed to a caller are built as one.  Inside the module a
-permutation is its image tuple: :func:`compose`, :func:`word_problem` and
-:func:`eval_pbp` multiply the operands' tuples in one private kernel that
-checks only that the domain sizes agree.  A product or an inverse of
-bijections, so no check is lost: :func:`compose` builds a
-:class:`Permutation` for the product alone, :func:`word_problem` compares
-the product with the identity tuple, and :func:`barrington_transform`
-builds one per distinct image of the program it returns.
-``gen_instances("perm", ...)`` builds none: it draws each element of S5
-with a shuffle of [5] and works on indices 0-119 into tables built once
-per process from the same kernel (product, inverse and text of each
-element).  :func:`parse_permutation_line` and ``eval_instance("perm",
-...)`` read each token through one bounded, process-wide memo from token
-text to its validated :class:`Permutation` and its kernel step, so a
-token is parsed and checked once per process, not once per line.
+and then carries its kernel step: the getter that composes a product's
+image tuple with it.  :func:`compose`, :func:`word_problem` and
+:func:`eval_pbp` fold their operands' steps in one private kernel that
+checks only that the domain sizes agree.  A product of bijections is one,
+so no check is lost: :func:`compose` builds a :class:`Permutation` for
+the product alone, and :func:`word_problem` compares the product with the
+identity tuple.  :func:`barrington_transform` works on image tuples,
+composed by the same steps, and builds one :class:`Permutation` per
+distinct image of the program it returns.  ``gen_instances("perm",
+...)`` builds none: it draws each element of S5 with a shuffle of [5] and
+works on indices 0-119 into tables built once per process (product,
+inverse and text of each element).  ``eval_instance("perm", ...)`` is
+:func:`word_problem` of :func:`parse_permutation_line`, which reads each
+token through one bounded, process-wide memo from token text to its
+:class:`Permutation`, so a token is parsed and checked once per process,
+not once per line.
 
 ``barrington_transform`` converts a single-output circuit of fan-in-2 AND,
 NOT, INPUT and constant gates into a program over S5 whose instruction
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations as iter_permutations
 from operator import itemgetter
@@ -451,11 +452,15 @@ class Permutation:
     """Bijection on [n], stored as the image tuple (1-based values)."""
 
     image: tuple[int, ...]
+    # Derived from the image once, at construction: every product folds
+    # its operands' steps (see :func:`_step`).
+    step: itemgetter | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.image)
         if sorted(self.image) != list(range(1, n + 1)):
             raise ValueError(f"{self.image} is not a bijection on [{n}]")
+        object.__setattr__(self, "step", _step(self.image))
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -470,7 +475,8 @@ class Permutation:
 
     @classmethod
     def from_string(cls, text: str) -> "Permutation":
-        digits = text.strip()
+        # Only ASCII text is stripped: another script's space is refused.
+        digits = text.strip() if text.isascii() else text
         if digits.strip("0123456789"):
             raise ValueError(f"permutation {digits!r} is not a string of decimal digits")
         return cls(tuple(map(int, digits)))
@@ -487,14 +493,14 @@ class Permutation:
 
     def after(self, other: "Permutation") -> "Permutation":
         """Function composition self(other(x)): ``other`` acts first."""
-        return Permutation(_product((other.image, self.image), other.n))
+        return Permutation(_product((other, self), other.n))
 
     def inverse(self) -> "Permutation":
         return Permutation(_inverse(self.image))
 
     @property
     def is_identity(self) -> bool:
-        return all(v == x for x, v in enumerate(self.image, start=1))
+        return bool(_is_identity(self.image))
 
 
 def _inverse(image: tuple[int, ...]) -> tuple[int, ...]:
@@ -507,38 +513,29 @@ def _inverse(image: tuple[int, ...]) -> tuple[int, ...]:
 
 def _step(image: tuple[int, ...]) -> itemgetter | None:
     """The kernel's step for the permutation with image ``image``: the
-    getter that maps a product's image tuple ``q`` to ``q o p``.  On fewer
-    than two points :func:`_product` takes no step, and the step is None."""
+    getter that maps a product's image tuple ``q`` to ``q o p``, so
+    ``_step(a)(b)`` is the image of ``a`` then ``b``.  On fewer than two
+    points :func:`_product` takes no step, and the step is None."""
     return itemgetter(*[v - 1 for v in image]) if len(image) > 1 else None
 
 
-def _product(
-    images: Iterable[tuple[int, ...]],
-    n: int,
-    steps: Sequence[itemgetter] | None = None,
-) -> tuple[int, ...]:
-    """Image tuple of the right-to-left product of bijections on [n].
+def _product(perms: Iterable[Permutation], n: int) -> tuple[int, ...]:
+    """Image tuple of the right-to-left product of permutations on [n],
+    the first applied first.
 
-    ``images`` are the 1-based image tuples of already validated
-    permutations, the first applied first.  Each size is checked against
-    ``n`` in sequence order, before any is multiplied, so a mismatch raises
-    the :class:`DomainMismatch` of the first operand that differs.  The
-    product is then folded from the last operand back, ``q = q o p``, one
-    :func:`_step` per operand: ``steps[i]`` for operand ``i`` when the
-    caller holds them (the token memo of :func:`_read_tokens` does), else
-    each distinct image builds its step once per call.
+    Each size is checked against ``n`` in sequence order, before any is
+    multiplied, so a mismatch raises the :class:`DomainMismatch` of the
+    first operand that differs.  The product is then folded from the last
+    operand back, ``q = q o p``, by each operand's :attr:`Permutation.step`.
     """
-    checked = []
-    for image in images:
-        if len(image) != n:
-            raise DomainMismatch(f"domain sizes differ: {len(image)} vs {n}")
-        checked.append(image)
+    steps = []
+    for p in perms:
+        if len(p.image) != n:
+            raise DomainMismatch(f"domain sizes differ: {len(p.image)} vs {n}")
+        steps.append(p.step)
     acc = tuple(range(1, n + 1))
     if n < 2:  # the identity is the only permutation; a getter would return an int
         return acc
-    if steps is None:
-        built: dict[tuple[int, ...], itemgetter] = {}
-        steps = [built.get(image) or built.setdefault(image, _step(image)) for image in checked]
     for step in reversed(steps):
         acc = step(acc)
     return acc
@@ -548,14 +545,12 @@ def _is_identity(image: tuple[int, ...]) -> int:
     return int(image == tuple(range(1, len(image) + 1)))
 
 
-def _word_product(
-    perms: Sequence[Permutation], steps: Sequence[itemgetter] | None = None
-) -> tuple[int, ...]:
+def _word_product(perms: Sequence[Permutation]) -> tuple[int, ...]:
     """Image tuple of the product of a non-empty word, sizes checked
     against the first operand's, in order."""
     if not perms:
         raise ValueError("compose requires at least one permutation")
-    return _product([p.image for p in perms], perms[0].n, steps)
+    return _product(perms, perms[0].n)
 
 
 def compose(perms: Sequence[Permutation]) -> Permutation:
@@ -573,46 +568,34 @@ def word_problem(perms: Sequence[Permutation]) -> int:
     return _is_identity(_word_product(perms))
 
 
-#: Most tokens the memo of :func:`_read_tokens` holds at once.
+#: Most tokens the memo of :func:`parse_permutation_line` holds at once.
 _TOKEN_MEMO_SIZE = 4096
-_token_memo: dict[str, tuple[Permutation, itemgetter]] = {}
-
-
-def _read_tokens(line: str) -> tuple[list[Permutation], list[itemgetter]]:
-    """The permutation and the :func:`_step` of each token of ``line``, in
-    line order, the tokens split at ASCII whitespace only.
-
-    Tokens are read through one process-wide memo from token text to both.
-    A token missing from it is built by :meth:`Permutation.from_string`,
-    so the first bad token in line order raises, and it enters the memo
-    only once it has passed.  The memo holds at most
-    :data:`_TOKEN_MEMO_SIZE` entries, and is emptied when full; no key is
-    longer than nine characters, the longest valid token (a longer one,
-    which ``from_string`` accepts only around other scripts' spaces, is
-    built on every read).
-    """
-    memo = _token_memo
-    perms, steps = [], []
-    for tok in _ascii_split(line):
-        entry = memo.get(tok)
-        if entry is None:
-            perm = Permutation.from_string(tok)
-            entry = (perm, _step(perm.image))
-            if len(tok) <= 9:
-                if len(memo) >= _TOKEN_MEMO_SIZE:
-                    memo.clear()
-                memo[tok] = entry
-        perms.append(entry[0])
-        steps.append(entry[1])
-    return perms, steps
+_token_memo: dict[str, Permutation] = {}
 
 
 def parse_permutation_line(line: str) -> list[Permutation]:
-    """One permutation per token, the tokens split at ASCII whitespace
-    only, read through the token memo (:func:`_read_tokens`): a token is
-    parsed and validated once per process, and the first bad token in line
-    order raises."""
-    return _read_tokens(line)[0]
+    """One permutation per token, in line order, the tokens split at ASCII
+    whitespace only.
+
+    Tokens are read through one process-wide memo from token text to its
+    :class:`Permutation`, so a token is parsed and validated once per
+    process.  A token missing from it is built by
+    :meth:`Permutation.from_string`, so the first bad token in line order
+    raises, and it enters the memo only once it has passed.  The memo
+    holds at most :data:`_TOKEN_MEMO_SIZE` entries, and is emptied when
+    full.
+    """
+    memo = _token_memo
+    perms = []
+    for tok in _ascii_split(line):
+        perm = memo.get(tok)
+        if perm is None:
+            perm = Permutation.from_string(tok)
+            if len(memo) >= _TOKEN_MEMO_SIZE:
+                memo.clear()
+            memo[tok] = perm
+        perms.append(perm)
+    return perms
 
 
 # -------------------------------------------------- branching programs
@@ -655,17 +638,17 @@ def eval_pbp(program: PbpProgram, bits: Sequence[int]) -> int:
     bit of the assignment (:class:`IndexOutOfRange`), then that its
     selected permutation acts on [5] (:class:`DomainMismatch`).  The
     permutations were validated when the program was built, so the
-    product is taken on their image tuples by the same kernel as
+    product is folded from their steps by the same kernel as
     :func:`compose`.
     """
 
-    def selected() -> Iterator[tuple[int, ...]]:
+    def selected() -> Iterator[Permutation]:
         for ins in program.instructions:
             if not 0 <= ins.var < len(bits):
                 raise IndexOutOfRange(
                     f"instruction reads bit {ins.var}, assignment has {len(bits)}"
                 )
-            yield (ins.on_true if bits[ins.var] else ins.on_false).image
+            yield ins.on_true if bits[ins.var] else ins.on_false
 
     return int(_product(selected(), 5) == program.accept.image)
 
@@ -689,7 +672,7 @@ def _is_five_cycle(image: tuple[int, ...]) -> bool:
 def _find_conjugator(source: tuple[int, ...], target: tuple[int, ...]) -> tuple[int, ...]:
     """Some pi with pi * source * pi^-1 = target (5-cycles are conjugate)."""
     for pi in iter_permutations(range(1, 6)):
-        if _product((_inverse(pi), source, pi), 5) == target:
+        if _conjugate(source, pi) == target:
             return pi
     raise ValueError(f"{source} and {target} are not conjugate")
 
@@ -701,7 +684,7 @@ def _commutator_pair() -> tuple[tuple[int, ...], ...]:
     cycles = [p for p in iter_permutations(range(1, 6)) if _is_five_cycle(p)]
     for gamma in cycles:
         for delta in cycles:
-            commutator = _product((gamma, delta, _inverse(gamma), _inverse(delta)), 5)
+            commutator = _step(gamma)(_step(delta)(_step(_inverse(gamma))(_inverse(delta))))
             if _is_five_cycle(commutator):
                 return gamma, delta, commutator
     raise AssertionError("no commutator pair in S5")  # pragma: no cover
@@ -731,12 +714,13 @@ def lower_or_gates(circuit: Circuit) -> Circuit:
 @cache
 def _then(a: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, ...]:
     """The conjugator equal to conjugating by ``a`` and then by ``c``."""
-    return _product((a, c), 5)
+    return _step(a)(c)
 
 
 @cache
 def _conjugate(image: tuple[int, ...], pi: tuple[int, ...]) -> tuple[int, ...]:
-    return _product((_inverse(pi), image, pi), 5)
+    """pi * image * pi^-1: ``pi^-1``, then ``image``, then ``pi``."""
+    return _step(_inverse(pi))(_step(image)(pi))
 
 
 def barrington_transform(circuit: Circuit) -> PbpProgram:
@@ -944,8 +928,7 @@ def _s5_tables() -> tuple[
     (0-119, the images in lexicographic order), each index's text, the
     product table (``products[a][b]`` is the index of ``a`` then ``b``) and
     each index's inverse (by :func:`_inverse`).  A product is the kernel's
-    one step, ``_product((a, b), 5) == _step(a)(b)``, taken without the
-    per-call cost of :func:`_product`.  Built on first use, so that
+    one step, ``_step(a)(b)``.  Built on first use, so that
     importing the module does not pay for it."""
     images = list(iter_permutations(range(1, 6)))
     index = {image: i for i, image in enumerate(images)}
@@ -1030,7 +1013,7 @@ def eval_instance(kind: str, line: str) -> str:
     if kind == "bool":
         return str(eval_bool(parse_bool_postfix(line)))
     if kind == "perm":
-        return str(_is_identity(_word_product(*_read_tokens(line))))
+        return str(word_problem(parse_permutation_line(line)))
     if kind == "arith" or kind.startswith("arith-z"):
         ring = _arith_semiring(kind)
         if ";" not in line:

@@ -980,31 +980,6 @@ def _index_blocks(op: SynthesizedOp, codes: list[int], pairs: list[Pair], flat: 
         yield _IndexCases(pairs, block, n), words
 
 
-def _case_blocks(op: SynthesizedOp, cases: Sequence[Sequence[FpNumber]]):
-    """Explicit cases as :func:`_index_blocks`, mapped to indices one block
-    at a time.  A value gets its index, and its code from
-    :meth:`BitEncoding.code`, where it first occurs, so a case of the wrong
-    length or an operand outside the window raises as ``input_code``
-    would."""
-    enc, n = op.input_encoding, op.n_operands
-    index: dict[FpNumber, int] = {}
-    codes: list[int] = []
-    pairs: list[Pair] = []
-    for start in range(0, len(cases), BLOCK_LANES):
-        flat: list[int] = []
-        for case in cases[start : start + BLOCK_LANES]:
-            if len(case) != n:
-                raise ValueError(f"{op.kind} takes {n} operands")
-            for x in case:
-                i = index.get(x)
-                if i is None:
-                    codes.append(enc.code(x))
-                    pairs.append((x.m, x.e))
-                    i = index[x] = len(pairs) - 1
-                flat.append(i)
-        yield from _index_blocks(op, codes, pairs, flat)
-
-
 def _check_indices(op: SynthesizedOp, values: list[FpNumber], flat: list[int]) -> dict:
     """:func:`check_op` on cases given as indices into ``values``, ``n``
     per case, case after case (``n`` the op's operand count): the sampled
@@ -1045,13 +1020,14 @@ def check_op(
     ``cases=None`` runs the exhaustive sweep over every tuple of encodable
     operands (``V**2`` lanes for the binary kinds, ``V**m`` for
     ``iter_add``, with ``V`` encodable values); its input words are built
-    directly from the value list.  Explicit cases are mapped to value
-    indices, each distinct value encoded once (so a value outside the
-    window, or a case of the wrong length, raises as
-    :meth:`SynthesizedOp.input_code` would), and take the path the CLI's
-    sampled check takes: input words packed operand by operand from the
-    values' codes, the reference run on their ``(m, e)`` pairs.  Either
-    way the circuit runs through
+    directly from the value list.  Explicit cases are mapped to indices
+    into their distinct values in one pass, which checks each case's
+    length, and take the path the CLI's sampled check takes
+    (:func:`_check_indices`): each distinct value encoded once, input
+    words packed operand by operand from the values' codes, the reference
+    run on their ``(m, e)`` pairs.  A case of the wrong length, or a value
+    outside the window, raises as :meth:`SynthesizedOp.input_code` would.
+    Either way the circuit runs through
     :func:`~artifact.circuits.evaluate_words` ``BLOCK_LANES`` lanes at a
     time.  The reference is the kernel op, called once per lane on pairs
     handed over by C iterators, each lane with its own ``Overflow``
@@ -1076,8 +1052,13 @@ def check_op(
                 f"exhaustive sweep of {total} cases exceeds {MAX_SWEEP_LANES}; "
                 "pass explicit cases"
             )
-        blocks = _sweep_blocks(op, values)
-    else:
-        total = len(cases)
-        blocks = _case_blocks(op, cases)
-    return _check_blocks(op, total, blocks)
+        return _check_blocks(op, total, _sweep_blocks(op, values))
+    n = op.n_operands
+    index: dict[FpNumber, int] = {}
+    flat: list[int] = []
+    for case in cases:
+        if len(case) != n:
+            raise ValueError(f"{op.kind} takes {n} operands")
+        for x in case:
+            flat.append(index.setdefault(x, len(index)))
+    return _check_indices(op, list(index), flat)

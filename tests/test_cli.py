@@ -561,12 +561,16 @@ class TestAsciiSeparators:
 
     @pytest.mark.parametrize("space", list(_ODD_SPACES.values()), ids=list(_ODD_SPACES))
     def test_perm_refuses_other_spaces(self, tmp_path, capsys, space):
+        """Inside a token or padding it: a padded token is refused as read."""
         corpus = tmp_path / "c.txt"
-        corpus.write_text(f"23451{space}12345\n", encoding="utf-8")
-        assert main(["hardness", "eval", "perm", str(corpus)]) == 2
-        out, err = capsys.readouterr()
-        token = f"23451{space}12345"
-        assert not out and err == f"ValueError: permutation {token!r} is not a string of decimal digits\n"
+        for text, token in [
+            (f"23451{space}12345\n", f"23451{space}12345"),
+            (f"{space}21345 21345\n", f"{space}21345"),
+        ]:
+            corpus.write_text(text, encoding="utf-8")
+            assert main(["hardness", "eval", "perm", str(corpus)]) == 2
+            out, err = capsys.readouterr()
+            assert not out and err == f"ValueError: permutation {token!r} is not a string of decimal digits\n"
 
 
 def _explicit_model() -> dict:

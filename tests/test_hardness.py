@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import pickle
 import random
 import re
 import subprocess
@@ -535,7 +536,7 @@ class TestS5Tables:
             assert images[inverses[i]] == hardness._inverse(a)
             assert len(products[i]) == 120
             for j, b in enumerate(images):
-                assert images[products[i][j]] == hardness._product((a, b), 5)
+                assert images[products[i][j]] == compose([Permutation(a), Permutation(b)]).image
 
     def test_import_leaves_tables_unbuilt(self):
         """Importing the command line builds nothing that only ``gen perm``
@@ -563,7 +564,7 @@ class TestS5Tables:
 
 class TestTokenMemo:
     """The eval path reads tokens through one bounded, process-wide memo
-    from token text to its validated permutation and kernel step."""
+    from token text to its validated permutation."""
 
     @pytest.fixture
     def memo(self, monkeypatch):
@@ -574,10 +575,11 @@ class TestTokenMemo:
 
     @staticmethod
     def check_entries(memo):
-        for tok, (perm, step) in memo.items():
+        for tok, perm in memo.items():
+            assert type(perm) is Permutation
             assert len(tok) <= 9
             assert perm == Permutation.from_string(tok)
-            assert step(Permutation.identity(perm.n).image) == perm.image
+            assert perm.step(Permutation.identity(perm.n).image) == perm.image
 
     def test_all_of_s7(self, memo):
         tokens = ["".join(map(str, im)) for im in itertools.permutations(range(1, 8))]
@@ -620,16 +622,43 @@ class TestTokenMemo:
                 assert bad not in memo
         self.check_entries(memo)
 
-    def test_long_valid_token_is_not_kept(self, memo):
-        """``from_string`` strips other scripts' spaces, so a valid token can
-        be longer than nine digits; it is read, but never kept."""
+    @staticmethod
+    def assert_refused(line, token):
+        """Both readers refuse ``line`` at ``token`` with the ``ValueError``
+        that ``hardness eval perm`` prints before it exits 2."""
+        message = f"permutation {token!r} is not a string of decimal digits"
+        for read in (parse_permutation_line, lambda ln: eval_instance("perm", ln)):
+            with pytest.raises(ValueError) as got:
+                read(line)
+            assert type(got.value) is ValueError
+            assert str(got.value) == message
+
+    def test_long_valid_token_is_not_kept(self, memo, tmp_path, capsys):
+        """Digits padded with other scripts' spaces are refused as read, so
+        every valid token is at most nine ASCII digits; the padded token
+        never enters the memo."""
+        from artifact.cli import main
+
         padded = "\u00a0" * 8 + "21345"
-        assert eval_instance("perm", f"{padded} 21345") == "1"
+        self.assert_refused(f"21345 {padded}", padded)
+        assert set(memo) == {"21345"}
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(f"21345 {padded}\n", encoding="utf-8")
+        assert main(["hardness", "eval", "perm", str(corpus)]) == 2
+        out, err = capsys.readouterr()
+        message = f"permutation {padded!r} is not a string of decimal digits"
+        assert not out and err == f"ValueError: {message}\n"
         assert set(memo) == {"21345"}
 
     @pytest.mark.parametrize("line", ["1 1", "\u00a0", "\u00a0 \u00a0", "1 1 1 1 1"])
     def test_words_on_fewer_than_two_points(self, memo, line):
-        """A token of other scripts' spaces alone is the permutation of [0]."""
+        """Words on [1] fold no step.  A token of other scripts' spaces
+        alone is refused, not read as the permutation of [0]."""
+        if not line.isascii():
+            for _ in range(2):
+                self.assert_refused(line, "\u00a0")
+            assert not memo
+            return
         word = [Permutation.from_string(t) for t in line.split(" ")]
         assert parse_permutation_line(line) == word
         for _ in range(2):
@@ -639,6 +668,14 @@ class TestTokenMemo:
         "line", ["1234567 21 7654321 123", "21 12 1", "123 12345 21 1234", "1 \u00a0"]
     )
     def test_mixed_sizes_raise_as_compose(self, memo, line):
+        """Sizes are checked once every token has been read, so a refused
+        token raises first: a space of another script after ``1`` is
+        refused, not compared as a permutation of [0]."""
+        if not line.isascii():
+            for _ in range(2):
+                self.assert_refused(line, "\u00a0")
+            assert set(memo) == {"1"}
+            return
         word = [Permutation.from_string(t) for t in line.split(" ")]
         with pytest.raises(DomainMismatch) as want:
             compose(word)
@@ -647,6 +684,53 @@ class TestTokenMemo:
                 eval_instance("perm", line)
             assert str(got.value) == str(want.value)
         assert set(memo) == set(line.split(" "))
+
+
+class TestPermutationStep:
+    """A permutation carries its kernel step, built once with it, and
+    every product folds the operands' steps."""
+
+    @pytest.mark.parametrize(
+        "image", [(), (1,), (2, 1), (2, 3, 4, 5, 1), (3, 1, 2, 7, 6, 5, 4)], ids=str
+    )
+    def test_step_is_derived_and_left_out(self, image):
+        perm, want = Permutation(image), hardness._step(image)
+        q = tuple(random.Random(8340).sample(range(1, len(image) + 1), len(image)))
+        back = pickle.loads(pickle.dumps(perm))
+        for p in (perm, back):
+            assert p.step is None if want is None else p.step(q) == want(q)
+            assert p == Permutation(image) and hash(p) == hash((image,))
+            assert repr(p) == f"Permutation(image={image!r})"
+        if len(image) > 1:
+            assert perm != Permutation(tuple(reversed(image)))
+
+    def test_eval_reads_through_the_public_names(self, monkeypatch):
+        """The perm label is :func:`word_problem` of
+        :func:`parse_permutation_line`, looked up on the module, so a
+        wrapper there (a profiler's span, say) sees every line."""
+        calls = []
+        for name in ("parse_permutation_line", "word_problem"):
+            real = getattr(hardness, name)
+            monkeypatch.setattr(
+                hardness, name, lambda arg, real=real, name=name: calls.append(name) or real(arg)
+            )
+        assert eval_instance("perm", "23451 51234") == "1"
+        assert eval_instance("perm", "23451 23451") == "0"
+        assert calls == ["parse_permutation_line", "word_problem"] * 2
+
+    def test_products_build_no_operand_step(self, monkeypatch):
+        rng = random.Random(8341)
+        word = [random_perm(rng) for _ in range(60)]
+        program = barrington_transform(enumerate_small_circuits(3, 3)[-1])
+        assignments = [[(a >> i) & 1 for i in range(3)] for a in range(8)]
+        want = word_problem(word), [eval_pbp(program, bits) for bits in assignments]
+        product = compose(word)
+        built = []
+        real = hardness._step
+        monkeypatch.setattr(hardness, "_step", lambda image: built.append(image) or real(image))
+        assert (word_problem(word), [eval_pbp(program, bits) for bits in assignments]) == want
+        assert built == []
+        assert compose(word) == product and built == [product.image]  # the product's own step
 
 
 class TestBranchingPrograms:

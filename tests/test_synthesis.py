@@ -488,6 +488,17 @@ class TestExpectedWords:
             lanes += len(cases)
         return lanes
 
+    @staticmethod
+    def explicit_blocks(op: SynthesizedOp, cases):
+        """``_index_blocks`` over explicit cases, each distinct value an
+        index where it first occurs, as ``check_op`` maps them."""
+        values = list(dict.fromkeys(x for case in cases for x in case))
+        index = {x: i for i, x in enumerate(values)}
+        flat = [index[x] for case in cases for x in case]
+        codes = [op.input_encoding.code(x) for x in values]
+        pairs = [(x.m, x.e) for x in values]
+        return synthesis._index_blocks(op, codes, pairs, flat)
+
     def sweep(self, op: SynthesizedOp) -> None:
         values = op.input_encoding.enumerate_values()
         lanes = self.assert_blocks_match(op, synthesis._sweep_blocks(op, values))
@@ -536,14 +547,14 @@ class TestExpectedWords:
             results = [fp_mul(*case) for case in cases if not self.overflows(case)]
             assert len(results) < len(cases)
             assert any(not -2 <= x.e <= 1 for x in results)
-        self.assert_blocks_match(op, synthesis._case_blocks(op, cases))
+        self.assert_blocks_match(op, self.explicit_blocks(op, cases))
 
     def test_explicit_iter_add_cases_outside_the_output_window(self):
         op = narrowed(synth_primitive("iter_add", 3, m=8), 3)
         rng = random.Random(8360)
         cases = [tuple(random_value(rng, op.input_encoding) for _ in range(8)) for _ in range(400)]
         assert any(not -4 <= iter_add(case).e <= 3 for case in cases)
-        self.assert_blocks_match(op, synthesis._case_blocks(op, cases))
+        self.assert_blocks_match(op, self.explicit_blocks(op, cases))
 
     def test_verdict_other_than_a_comparison_raises(self, monkeypatch):
         """Verdicts are coded by identity; anything else raises, not 0."""
