@@ -46,8 +46,8 @@ of ``synthesis.check_op``, skip packing altogether.
 The textual netlist format is one gate per line, ``id KIND [k] inputs...``,
 followed by a final ``OUTPUTS id...`` line; every integer is an ASCII
 decimal (:func:`_ascii_int`), lines break and tokens split at ASCII
-characters only (:func:`_ascii_split`), and parsing reports the offending
-line number, and a bad token, on error.
+characters only (:func:`_ascii_lines`, :func:`_ascii_split`), and parsing
+reports the offending line number, and a bad token, on error.
 """
 
 from __future__ import annotations
@@ -544,6 +544,18 @@ def _ascii_split(text: str) -> list[str]:
     return [t for t in _ASCII_SPACE.split(text) if t]
 
 
+def _ascii_lines(text: str) -> list[str]:
+    """``text.splitlines()``, but breaking at ASCII line breaks only: other
+    scripts' breaks (U+2028, U+0085, ...) stay inside a line, where its
+    tokens are refused.  ASCII text costs one plain ``splitlines``."""
+    if text.isascii():
+        return text.splitlines()
+    lines = _ASCII_BREAKS.split(text)
+    if not lines[-1]:
+        lines.pop()  # a final line break ends the last line, as in splitlines
+    return lines
+
+
 def parse_netlist(text: str) -> Circuit:
     """Read the netlist format (see the module docstring).
 
@@ -560,12 +572,7 @@ def parse_netlist(text: str) -> Circuit:
 
     builder = CircuitBuilder()
     outputs: list[int] | None = None
-    if text.isascii():
-        lines = text.splitlines()
-    else:
-        lines = _ASCII_BREAKS.split(text)
-        if not lines[-1]:
-            lines.pop()  # a final line break ends the last line, as in splitlines
+    lines = _ascii_lines(text)
     for line_no, raw in enumerate(lines, start=1):
         parts = _ascii_split(raw)
         if not parts or parts[0].startswith("#"):

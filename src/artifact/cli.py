@@ -50,6 +50,8 @@ from typing import NoReturn, Sequence
 from artifact.circuits import (
     Circuit,
     _ascii_int,
+    _ascii_lines,
+    _ascii_split,
     evaluate_many,
     is_majority_only,
     parse_netlist,
@@ -270,11 +272,17 @@ def _load_json(path: str) -> dict:
         raise CliUsageError(f"{path}: JSON nested too deeply") from None
 
 
+_MODEL_KEYS = ("shape", "params", "seed", "positive")
+
+
 def _load_model(args: argparse.Namespace) -> tuple[ShapeConfig, MambaParams]:
     if args.model:
         obj = _load_json(args.model)
         if not isinstance(obj, dict):
             raise CliUsageError(f"{args.model}: model must be a JSON object")
+        for key in obj:
+            if key not in _MODEL_KEYS:
+                raise CliUsageError(f"{args.model}: bad model (unknown key {key!r})")
         if "shape" not in obj:
             raise CliUsageError(f"{args.model}: model needs \"shape\"")
         try:
@@ -287,7 +295,7 @@ def _load_model(args: argparse.Namespace) -> tuple[ShapeConfig, MambaParams]:
                 seed = _json_int(obj.get("seed", args.seed))
                 params = random_params(shape, seed, positive)
             elif params_field == "zero":
-                params = MambaParams.build(shape, lambda name, index: Fraction(0))
+                params = MambaParams.build(shape, lambda name, count: [Fraction(0)] * count)
             else:
                 params = MambaParams.from_json_dict(params_field)
         except (KeyError, TypeError, ValueError) as exc:
@@ -610,8 +618,20 @@ def cmd_hardness_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _token_lines(path: str) -> list[str]:
+    """The lines of a corpus or labels file that hold a token.  Lines break,
+    and blank lines are told, at ASCII characters only
+    (``circuits._ascii_lines`` and ``_ascii_split``): a line of other
+    scripts' spaces is read, and its token refused by name.  An ASCII
+    line is told by ``strip``, which splits no deep corpus line."""
+    return [
+        ln for ln in _ascii_lines(_read_text(path))
+        if (ln.strip() if ln.isascii() else _ascii_split(ln))
+    ]
+
+
 def cmd_hardness_eval(args: argparse.Namespace) -> int:
-    lines = [ln for ln in _read_text(args.corpus).splitlines() if ln.strip()]
+    lines = _token_lines(args.corpus)
     computed = [eval_instance(args.kind, ln) for ln in lines]
     labels_path = args.labels or (
         args.corpus + ".labels"
@@ -622,7 +642,7 @@ def cmd_hardness_eval(args: argparse.Namespace) -> int:
         for label in computed:
             print(label)
         return 0
-    want = [ln for ln in _read_text(labels_path).splitlines() if ln.strip()]
+    want = _token_lines(labels_path)
     if len(want) != len(computed):
         print(f"labels: FAIL (expected {len(computed)} labels, "
               f"file has {len(want)})")

@@ -760,7 +760,7 @@ def _leaves(ctx: ScalarContext, *dims: int) -> Any:
 
 
 def _params(ctx: ScalarContext, shape: ShapeConfig) -> MambaParams:
-    return wrap_params(ctx, MambaParams.build(shape, lambda name, index: 0))
+    return wrap_params(ctx, MambaParams.build(shape, lambda name, count: [0] * count))
 
 
 def _disc_leaves(ctx: ScalarContext, shape: ShapeConfig) -> SsmDiscrete:

@@ -38,6 +38,7 @@ algebraically identical; in exact arithmetic they agree entry for entry.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from fractions import Fraction
@@ -156,19 +157,15 @@ class MambaParams:
     b_gate: Vec | None = _dims("d_inner", default=None)
 
     @classmethod
-    def build(cls, shape: ShapeConfig, leaf: Callable[[str, tuple], Fraction]) -> "MambaParams":
-        """Fill every :data:`PARAM_SCHEMA` field with ``leaf(name, index)``,
-        in schema order and row-major; the gate stays tied."""
-
-        def fill(name, sizes, index):
-            if not sizes:
-                return leaf(name, index)
-            return tuple([fill(name, sizes[1:], index + (i,)) for i in range(sizes[0])])
-
-        return cls(**{
-            name: fill(name, [getattr(shape, d) for d in dims], ())
-            for name, dims in PARAM_SCHEMA
-        })
+    def build(cls, shape: ShapeConfig, leaves: Callable[[str, int], Sequence]) -> "MambaParams":
+        """Fill every :data:`PARAM_SCHEMA` field, in schema order, from
+        ``leaves(name, count)``: the field's ``count`` leaves as one
+        row-major sequence.  The gate stays tied."""
+        values = {}
+        for name, dims in PARAM_SCHEMA:
+            sizes = [getattr(shape, d) for d in dims]
+            values[name] = _reshape(leaves(name, math.prod(sizes)), sizes)
+        return cls(**values)
 
     def _schema(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
         """The schema entries this instance sets: a tied gate is left out."""
@@ -230,6 +227,17 @@ def _has_dims(value, sizes: Sequence[int]) -> bool:
     if not sizes or len(value) != sizes[0]:
         return False
     return len(sizes) == 1 or all(_has_dims(v, sizes[1:]) for v in value)
+
+
+def _reshape(flat: Sequence, sizes: Sequence[int]):
+    """A row-major sequence of leaves as nested tuples of ``sizes``,
+    outermost first; no sizes gives its one leaf."""
+    if not sizes:
+        return flat[0]
+    rows = tuple(flat)
+    for size in reversed(sizes[1:]):
+        rows = tuple([rows[i:i + size] for i in range(0, len(rows), size)])
+    return rows
 
 
 def _nested(fn, value, depth: int, seq=tuple):
@@ -575,6 +583,11 @@ def _seed(seed: int) -> int:
     return seed
 
 
+# Every value the random builders draw, ``n/16`` for ``n`` in [-32, 16],
+# at index ``n + 32``: a draw indexes a shared leaf, not a new Fraction.
+_SIXTEENTHS = tuple(Fraction(n, 16) for n in range(-32, 17))
+
+
 def random_params(shape: ShapeConfig, seed: int, positive: bool = False) -> MambaParams:
     """Deterministic random parameters.
 
@@ -585,15 +598,15 @@ def random_params(shape: ShapeConfig, seed: int, positive: bool = False) -> Mamb
     ``ValueError``: ``random.Random`` seeds with an int's absolute value,
     so it would draw what its positive draws.
     """
-    rng = random.Random(_seed(seed))
+    randrange = random.Random(_seed(seed)).randrange
     lo = 1 if positive else -16
 
-    def leaf(name: str, index: tuple[int, ...]) -> Fraction:
+    def leaves(name: str, count: int) -> list[Fraction]:
         if name == "a_diag":
-            return Fraction(-rng.randrange(4, 33), 16)
-        return Fraction(rng.randrange(lo, 17), 16)
+            return [_SIXTEENTHS[32 - randrange(4, 33)] for _ in range(count)]
+        return [_SIXTEENTHS[randrange(lo, 17) + 32] for _ in range(count)]
 
-    return MambaParams.build(shape, leaf)
+    return MambaParams.build(shape, leaves)
 
 
 def random_input(shape: ShapeConfig, seed: int) -> list[list[Fraction]]:
@@ -601,7 +614,7 @@ def random_input(shape: ShapeConfig, seed: int) -> list[list[Fraction]]:
     ``ValueError``, as in :func:`random_params`."""
     rng = random.Random(_seed(seed) ^ 0x5EED)
     return [
-        [Fraction(rng.randrange(-16, 17), 16) for _ in range(shape.d_model)]
+        [_SIXTEENTHS[rng.randrange(-16, 17) + 32] for _ in range(shape.d_model)]
         for _ in range(shape.seq_len)
     ]
 

@@ -573,6 +573,58 @@ class TestAsciiSeparators:
             assert not out and err == f"ValueError: permutation {token!r} is not a string of decimal digits\n"
 
 
+class TestCorpusLines:
+    """``hardness eval`` breaks corpus and labels lines at ASCII line ends
+    and skips a line as blank only when it holds no token."""
+
+    @pytest.mark.parametrize(
+        "kind,message",
+        [
+            ("perm", "ValueError: permutation '\\xa0' is not a string of decimal digits"),
+            ("bool", "FormulaParseError: formula does not reduce to a single value"),
+            ("arith", "FormulaParseError: arithmetic instance needs '; assignment'"),
+        ],
+        ids=["perm", "bool", "arith"],
+    )
+    def test_no_break_space_line_is_read(self, tmp_path, capsys, kind, message):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("\u00a0\n", encoding="utf-8")
+        assert main(["hardness", "eval", kind, str(corpus)]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == message + "\n"
+
+    @pytest.mark.parametrize("kind,line", [
+        ("perm", "23451 51234"), ("bool", "0 1∧"), ("arith", "(+ X1 2) ; 3"),
+    ], ids=["perm", "bool", "arith"])
+    def test_ascii_blank_lines_are_skipped(self, tmp_path, capsys, kind, line):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(f"{line}\n", encoding="utf-8")
+        assert main(["hardness", "eval", kind, str(corpus)]) == 0
+        want = capsys.readouterr()
+        corpus.write_text(f"\n \t\n{line}\r\n\x0c\n\n", encoding="utf-8")
+        assert main(["hardness", "eval", kind, str(corpus)]) == 0
+        assert capsys.readouterr() == want
+
+    def test_other_line_breaks_stay_in_the_line(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("12345\u202812345\n", encoding="utf-8")
+        assert main(["hardness", "eval", "perm", str(corpus)]) == 2
+        assert capsys.readouterr().err == (
+            "ValueError: permutation '12345\\u202812345' is not a string of decimal digits\n"
+        )
+
+    def test_no_break_space_label_line_is_counted(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("12345\n", encoding="utf-8")
+        labels = tmp_path / "c.txt.labels"
+        labels.write_text("1\n\n", encoding="utf-8")
+        assert main(["hardness", "eval", "perm", str(corpus)]) == 0
+        assert capsys.readouterr().out == "labels: PASS (1/1)\n"
+        labels.write_text("1\n\u00a0\n", encoding="utf-8")
+        assert main(["hardness", "eval", "perm", str(corpus)]) == 1
+        assert capsys.readouterr().out == "labels: FAIL (expected 1 labels, file has 2)\n"
+
+
 def _explicit_model() -> dict:
     """A valid 1,1,1,1,1 model file with every parameter spelled out."""
     shape = ShapeConfig(1, 1, 1, 1, 1)
@@ -664,14 +716,22 @@ class TestModelFiles:
              "bad model (missing shape field 'kernel_size')"),
             (lambda m: {**m, "params": {k: v for k, v in m["params"].items() if k != "a_diag"}},
              "bad model (missing params field 'a_diag')"),
+            (lambda m: {"shape": m["shape"], "sead": 5}, "bad model (unknown key 'sead')"),
+            (lambda m: {**m, "seed": 1, "Positive": True}, "bad model (unknown key 'Positive')"),
         ],
         ids=["string", "list", "no-shape", "extra-shape-field", "missing-shape-field",
-             "missing-params-field"],
+             "missing-params-field", "misspelt-seed", "misspelt-positive"],
     )
     def test_malformed_model_is_named(self, tmp_path, capsys, edit, message):
         path = tmp_path / "m.json"
         assert _run_model(path, edit(_explicit_model())) == 2
         assert capsys.readouterr().err == f"CliUsageError: {path}: {message}\n"
+
+    def test_every_model_key_is_read(self, tmp_path, capsys):
+        """The four keys the README lists are taken together."""
+        model = {"shape": ShapeConfig(1, 1, 1, 1, 1).to_json_dict(), "params": "random",
+                 "seed": 3, "positive": True}
+        assert _run_model(tmp_path / "m.json", model) == 0
 
     def test_decimal_integer_strings_accepted(self, tmp_path, capsys):
         model = _explicit_model()

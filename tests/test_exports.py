@@ -83,15 +83,17 @@ def _private_definitions(tree: ast.Module) -> list[str]:
     return [n for n in names if n.startswith("_") and not n.endswith("__")]
 
 
-def test_every_private_definition_is_read():
-    """A private module-level function, class or constant is read somewhere
-    in the package: as a name, as an attribute, or as a name another module
-    imports (which that module must then use).  A helper nothing reads is
-    dead code."""
-    trees = {
+def _package_trees() -> dict[str, ast.Module]:
+    return {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(Path(artifact.__file__).parent.glob("*.py"))
     }
+
+
+def _names_read(trees: dict[str, ast.Module]) -> set[str]:
+    """Every name the package reads: as a name, as an attribute, or as a
+    name a module imports (which that module must then use).  A star
+    import reads no name of its own."""
     read: set[str] = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -101,6 +103,15 @@ def test_every_private_definition_is_read():
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(a.name for a in node.names)
+    return read
+
+
+def test_every_private_definition_is_read():
+    """A private module-level function, class or constant is read somewhere
+    in the package (:func:`_names_read`).  A helper nothing reads is dead
+    code."""
+    trees = _package_trees()
+    read = _names_read(trees)
     unread = [
         f"{module}:{name}"
         for module, tree in trees.items()
@@ -108,6 +119,41 @@ def test_every_private_definition_is_read():
         if name not in read
     ]
     assert unread == []
+
+
+# The exports that nothing in the package reads and README does not name,
+# each with what keeps it.  A new export that nothing reads fails
+# ``test_every_export_is_read``; so does an entry here that is read again.
+_UNREAD_EXPORTS = {
+    "depth:COMPONENT_REGISTRY_KEYS": "which registry formula each traced component is "
+                                     "checked against; the depth tests read it",
+    "depth:component_names": "the traceable components, the depth tests' parameter list",
+    "floats:fp_compare": "the scalar comparison op; perfbench spans it and the "
+                         "comparator circuit is checked against it",
+    "hardness:enumerate_small_circuits": "the small circuits perfbench's barrington ops "
+                                         "and the Barrington tests sweep",
+    "hardness:parse_bool_infix": "the infix grammar README says the library parsers "
+                                 "accept; perfbench spans it",
+    "matrices:hadamard": "the entrywise matrix product; perfbench spans it",
+    "matrices:matmul": "the matrix product; perfbench spans it",
+}
+
+
+def test_every_export_is_read():
+    """A name in a module's ``__all__`` is read inside the package
+    (:func:`_names_read`; the package's own star imports read nothing) or
+    named in README as a whole word.  The exceptions are pinned, each with
+    its reason, in ``_UNREAD_EXPORTS``."""
+    read = _names_read(_package_trees())
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    unread = [
+        f"{name.removeprefix('artifact.')}:{export}"
+        for name in EXPORTING
+        if name != "artifact"
+        for export in importlib.import_module(name).__all__
+        if export not in read and not re.search(rf"\b{re.escape(export)}\b", readme)
+    ]
+    assert sorted(unread) == sorted(_UNREAD_EXPORTS)
 
 
 # One command per group, each exiting 0.

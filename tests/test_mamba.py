@@ -151,6 +151,57 @@ class TestShapesAndParams:
             "d3ea85ee645cc794c4d5f1d0bef2df96419c688bffe4f5eea420d709871e6c47",
         ]
 
+    @pytest.mark.parametrize(
+        "dims,seed,digest",
+        [
+            ((5, 3, 2, 4, 5), 1,
+             "ecc8b811f9ad3523a7a76b3fa3e8d96f9bf2409cbadf66fa2bdb601998698dfb"),
+            ((16, 4, 8, 4, 4), 7,
+             "1d04de30a5151068e10c9afbe49d2cc71cfc6dc89fa97617d0c784512a42893f"),
+        ],
+    )
+    def test_random_input_unchanged(self, dims, seed, digest):
+        """sha256 of the input rows, taken while each entry was its own
+        ``Fraction(n, 16)``."""
+        rows = random_input(ShapeConfig(*dims), seed)
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+class TestBuildContract:
+    """``MambaParams.build`` asks ``leaves(name, count)`` once per schema
+    field and reads the answer row-major."""
+
+    SHAPE = ShapeConfig(5, 3, 2, 4, 5)  # L, D, E, n, K
+
+    def test_one_call_per_field_in_schema_order(self):
+        calls = []
+
+        def leaves(name, count):
+            calls.append((name, count))
+            return [Fraction(0)] * count
+
+        MambaParams.build(self.SHAPE, leaves)
+        assert [name for name, _ in calls] == [name for name, _ in PARAM_SCHEMA]
+        assert dict(calls) == {
+            "w_x_in": 6, "b_x_in": 2, "w_conv": 20, "a_diag": 4, "b_base": 8,
+            "c_base": 8, "w_b": 20, "p_b": 4, "w_c": 10, "p_c": 8, "w_delta": 5,
+            "p_delta": 2, "w_delta_scalar": 1, "w_x_out": 6, "b_x_out": 3,
+        }
+
+    def test_fields_are_row_major(self):
+        L, D, E, n, K = 5, 3, 2, 4, 5
+        params = MambaParams.build(self.SHAPE, lambda name, count: list(range(count)))
+        params.validate(self.SHAPE)
+        assert params.w_conv == tuple(
+            tuple(tuple((k * E + d) * E + j for j in range(E)) for d in range(E))
+            for k in range(K)
+        )
+        assert params.w_x_in == tuple(tuple(d * E + j for j in range(E)) for d in range(D))
+        assert params.w_b == tuple(tuple(i * L + t for t in range(L)) for i in range(n))
+        assert params.a_diag == (0, 1, 2, 3)
+        assert params.w_delta_scalar == 0
+        assert params.w_gate is None and params.b_gate is None
+
 
 def _zero_model(tmp_path, shape: ShapeConfig) -> MambaParams:
     path = tmp_path / f"zero_{shape.seq_len}_{shape.d_model}_{shape.d_inner}.json"
