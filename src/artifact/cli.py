@@ -49,9 +49,9 @@ from typing import NoReturn, Sequence
 
 from artifact.circuits import (
     Circuit,
+    _ASCII_SPACE,
     _ascii_int,
     _ascii_lines,
-    _ascii_split,
     evaluate_many,
     is_majority_only,
     parse_netlist,
@@ -285,9 +285,16 @@ def _load_model(args: argparse.Namespace) -> tuple[ShapeConfig, MambaParams]:
                 raise CliUsageError(f"{args.model}: bad model (unknown key {key!r})")
         if "shape" not in obj:
             raise CliUsageError(f"{args.model}: model needs \"shape\"")
+        params_field = obj.get("params", "random")
+        if params_field != "random":
+            for key in ("seed", "positive"):
+                if key in obj:
+                    raise CliUsageError(
+                        f"{args.model}: bad model ({key!r} is read only with "
+                        f"\"params\": \"random\")"
+                    )
         try:
             shape = ShapeConfig.from_json_dict(obj["shape"])
-            params_field = obj.get("params", "random")
             if params_field == "random":
                 positive = obj.get("positive", False)
                 if not isinstance(positive, bool):
@@ -621,12 +628,11 @@ def cmd_hardness_gen(args: argparse.Namespace) -> int:
 def _token_lines(path: str) -> list[str]:
     """The lines of a corpus or labels file that hold a token.  Lines break,
     and blank lines are told, at ASCII characters only
-    (``circuits._ascii_lines`` and ``_ascii_split``): a line of other
-    scripts' spaces is read, and its token refused by name.  An ASCII
-    line is told by ``strip``, which splits no deep corpus line."""
+    (``circuits._ascii_lines`` and ``_ASCII_SPACE``): a line of other
+    scripts' spaces is read, and its token refused by name."""
     return [
         ln for ln in _ascii_lines(_read_text(path))
-        if (ln.strip() if ln.isascii() else _ascii_split(ln))
+        if ln and not _ASCII_SPACE.fullmatch(ln)
     ]
 
 

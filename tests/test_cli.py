@@ -718,9 +718,14 @@ class TestModelFiles:
              "bad model (missing params field 'a_diag')"),
             (lambda m: {"shape": m["shape"], "sead": 5}, "bad model (unknown key 'sead')"),
             (lambda m: {**m, "seed": 1, "Positive": True}, "bad model (unknown key 'Positive')"),
+            (lambda m: {"shape": m["shape"], "params": "zero", "seed": 5},
+             "bad model ('seed' is read only with \"params\": \"random\")"),
+            (lambda m: {**m, "positive": True},
+             "bad model ('positive' is read only with \"params\": \"random\")"),
         ],
         ids=["string", "list", "no-shape", "extra-shape-field", "missing-shape-field",
-             "missing-params-field", "misspelt-seed", "misspelt-positive"],
+             "missing-params-field", "misspelt-seed", "misspelt-positive",
+             "seed-with-zero-params", "positive-with-explicit-params"],
     )
     def test_malformed_model_is_named(self, tmp_path, capsys, edit, message):
         path = tmp_path / "m.json"
