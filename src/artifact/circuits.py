@@ -531,7 +531,8 @@ def _ascii_int(text: str) -> int | None:
 # The line breaks of ``str.splitlines`` and the separators of ``str.split``
 # that are ASCII.
 _ASCII_BREAKS = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e]")
-_ASCII_SPACE = re.compile(r"[\t\n\v\f\r\x1c-\x1f ]+")
+_ASCII_WHITESPACE = "\t\n\v\f\r\x1c\x1d\x1e\x1f "
+_ASCII_SPACE = re.compile(f"[{_ASCII_WHITESPACE}]+")
 
 
 def _ascii_split(text: str) -> list[str]:

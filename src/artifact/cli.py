@@ -50,6 +50,7 @@ from typing import NoReturn, Sequence
 from artifact.circuits import (
     Circuit,
     _ASCII_SPACE,
+    _ASCII_WHITESPACE,
     _ascii_int,
     _ascii_lines,
     evaluate_many,
@@ -309,7 +310,7 @@ def _load_model(args: argparse.Namespace) -> tuple[ShapeConfig, MambaParams]:
             raise CliUsageError(f"{args.model}: bad model ({exc})") from None
         params.validate(shape)
         return shape, params
-    if args.shape:
+    if args.shape is not None:
         shape = _parse_shape(args.shape)
         return shape, random_params(shape, args.seed, args.positive)
     raise CliUsageError("provide --model FILE or --shape L,D,E,n,K")
@@ -435,7 +436,7 @@ def _parse_assignment(text: str | None) -> dict[str, int]:
         return assignment
     for item in text.split(","):
         name, _, raw = item.partition("=")
-        name = name.strip()
+        name = name.strip(_ASCII_WHITESPACE)
         value = _ascii_int(raw)
         if value is None:
             raise CliUsageError(f"bad --assign entry {item!r}")
@@ -459,7 +460,7 @@ _DEPTH_DEFAULT_SHAPES = (
 
 
 def cmd_mamba_depth(args: argparse.Namespace) -> int:
-    if args.shape:
+    if args.shape is not None:
         shapes: Sequence[ShapeConfig] = [_parse_shape(args.shape)]
     elif args.full_grid:
         shapes = default_shape_grid()

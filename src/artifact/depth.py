@@ -31,14 +31,13 @@ is wrapped as ``DepthExpr(vec)``; ``DepthExpr.of`` also accepts the
 composite names and writes them out through the registry, so the checker
 compares two expressions directly.  Component traces are built from the
 shape alone: every leaf is a fresh input whose value is never read.
-:func:`depth_report` traces each route pair (``ssm_select_*``,
-``mamba_forward_*``) once per shape, both routes after one shared prefix,
-and reads every component's depth at its own outputs, off traces that
-keep each node's frontier and nothing else.  A node
-may name a predecessor more than once as it enters the trace (``mul(a,
-a)``, or a member of the stage barrier it also takes); the frontier does
-not change, and every node read back from a trace names each predecessor
-once, in first-occurrence order.
+:func:`depth_report` builds no trace: it runs the model on frontier
+indices, each route pair (``ssm_select_*``, ``mamba_forward_*``) once per
+shape with both routes after one shared prefix, and reads every
+component's depth at its own outputs.  A node may name a predecessor more
+than once as it enters the trace (``mul(a, a)``, or a member of the stage
+barrier it also takes); the frontier does not change, and every node read
+back from a trace names each predecessor once, in first-occurrence order.
 
 The elementary functions are traced on their *reference schedules*: the
 logarithm as two parallel standard levels (shift and scale), an iterated
@@ -59,7 +58,7 @@ from enum import Enum
 from fractions import Fraction
 from operator import add, le, sub
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from artifact.contexts import ScalarContext
 from artifact.mamba import (
@@ -333,17 +332,16 @@ class CostTrace:
     reused as is, several are deduplicated and cut to their Pareto maxima,
     and a cost-bearing node adds one to its constant's coordinate.  Each
     node's frontier is computed once, as the node enters the trace.  The
-    frontier of the whole trace, and the frontier at a set of outputs, are
-    read on demand: the Pareto maxima over the distinct frontiers of the
-    trace's own nodes.
+    frontier of the whole trace is read on demand: the Pareto maxima over
+    the distinct frontiers of the trace's own nodes.
 
     Frontiers live in a frontier table, each stored once, and a node holds
     its index.  A node's frontier depends only on its cost and on its
     predecessors' frontiers, so the table memoizes each step on ``(cost,
     *distinct predecessor frontier indices)``.  A trace built here, from
     explicit nodes, has a table of its own.  The traces of the model's
-    components (:func:`trace_component`, :func:`depth_report`) share one
-    table, ``_MODEL_TABLE``, for the life of the process: across the
+    components (:func:`trace_component`) share one table, ``_MODEL_TABLE``,
+    with :func:`depth_report` for the life of the process: across the
     default grid and every longer shape tried, the Mamba stages have 110
     distinct frontiers and 137 distinct steps, so after the first traces
     no step is worked out again.  The shared table is not locked: trace
@@ -357,21 +355,10 @@ class CostTrace:
     when read and folds each row's predecessors to distinct ids in
     first-occurrence order, and path sums become :class:`DepthExpr` only
     when read.  ``size`` counts cost-bearing events only.
-
-    A trace that :func:`depth_report` builds keeps frontiers only: per
-    node, the one frontier index, and the step memo; no label, cost or
-    predecessor column.  Its frontiers come from the same step, so every
-    frontier read (``critical_*``, :meth:`depth_frontiers`) answers as on
-    a trace that keeps rows, while :attr:`nodes` and ``size`` raise
-    ``ValueError``.  Every other trace (a trace built here,
-    :func:`trace_run`, :func:`trace_component`) keeps its rows.
     """
 
     def __init__(self, nodes: Iterable[TraceNode] = (), outputs: Sequence[int] = ()):
-        # Node columns; a node's id is its position.  Only the frontier
-        # column is kept when ``_rows`` is false, which is set, before any
-        # node is added, for the traces of ``depth_report`` only.
-        self._rows = True
+        # Node columns; a node's id is its position.
         self._labels: list[str] = []
         self._costs: list[str | None] = []
         self._preds: list[tuple[int, ...]] = []
@@ -388,16 +375,12 @@ class CostTrace:
             raise ValueError("node ids must be dense and in order")
         self._add(node.label, node.cost, node.preds)
 
-    def _add(
-        self, label: str, cost: str | None, preds: tuple[int, ...], barrier: int | None = None
-    ) -> int:
+    def _add(self, label: str, cost: str | None, preds: tuple[int, ...]) -> int:
         """Add the next node and its frontier; return the node's id.
 
         Predecessors must be earlier nodes (else :class:`CycleDetected`)
         with nonnegative ids.  An unknown cost is never memoized, so it
-        raises ``ValueError`` every time it is met.  ``barrier``, the id of
-        a stage barrier this trace already holds, is one more predecessor,
-        taken after ``preds``; a trace that keeps rows stores it last.
+        raises ``ValueError`` every time it is met.
         """
         fronts = self._fronts
         i = len(fronts)
@@ -410,34 +393,22 @@ class CostTrace:
                     raise CycleDetected(f"node {i} depends on a later node")
                 raise ValueError(f"node {i} has a negative predecessor id")
             key.append(fronts[q])
-        if barrier is not None:
-            key.append(fronts[barrier])
         step = tuple(key)
         f = self._steps.get(step)
         if f is None:
             # The cost is a name or None, never an index, so one fold keeps
             # it first and leaves the distinct frontier indices after it.
             f = self._steps[step] = self._table.step(tuple(dict.fromkeys(key)))
-        if self._rows:
-            self._labels.append(label)
-            self._costs.append(cost)
-            self._preds.append(preds if barrier is None else preds + (barrier,))
+        self._labels.append(label)
+        self._costs.append(cost)
+        self._preds.append(preds)
         fronts.append(f)
         return i
-
-    def _check_rows(self) -> None:
-        if not self._rows:
-            raise ValueError("this trace keeps frontiers only: it has no nodes to read")
 
     def _distinct_fronts(self) -> Iterable[int]:
         """The table indices of the nodes' frontiers, each once, in node
         order; the origin alone for a trace with no nodes."""
         return dict.fromkeys(self._fronts) or (0,)
-
-    def _frontier_at(self, outputs: Iterable[int]) -> tuple[_Sum, ...]:
-        """Pareto maxima of the path sums ending at ``outputs``.  Each
-        distinct frontier is read once, and a trace has few of them."""
-        return self._table.maxima_of(dict.fromkeys(map(self._fronts.__getitem__, outputs)))
 
     def __len__(self) -> int:
         return len(self._fronts)
@@ -445,9 +416,7 @@ class CostTrace:
     @property
     def nodes(self) -> tuple[TraceNode, ...]:
         """The nodes as :class:`TraceNode` rows, each with its predecessors
-        distinct, in first-occurrence order.  A trace that keeps frontiers
-        only raises ``ValueError``."""
-        self._check_rows()
+        distinct, in first-occurrence order."""
         # Builtins only, so the fold costs no Python frame per row.
         distinct = map(tuple, map(dict.fromkeys, self._preds))
         return tuple(
@@ -456,7 +425,6 @@ class CostTrace:
 
     @property
     def size(self) -> int:
-        self._check_rows()
         return len(self._costs) - self._costs.count(None)
 
     def depth_frontiers(self) -> list[tuple[DepthExpr, ...]]:
@@ -600,11 +568,8 @@ class TracedScalars(ScalarContext[int]):
     the trace as it is emitted, through the same checks and step memo as
     :meth:`CostTrace.append` but without building a :class:`TraceNode`, so
     the frontiers are ready when tracing ends.  Predecessors go in as the
-    operation names them, repeats included, and the barrier apart from
-    them: its frontier is taken after theirs, and a trace that keeps rows
-    stores it as the last predecessor, so a trace that keeps frontiers
-    only builds no predecessor tuple.  The trace folds repeats when its
-    nodes are read.
+    operation names them, repeats included, with the barrier last; the
+    trace folds repeats when its nodes are read.
     """
 
     def __init__(self) -> None:
@@ -613,7 +578,9 @@ class TracedScalars(ScalarContext[int]):
 
     # ------------------------------------------------------ trace plumbing
     def _emit(self, label: str, cost: str | None, preds: tuple[int, ...]) -> int:
-        return self._trace._add(label, cost, preds, self._barrier)
+        if self._barrier is not None:
+            preds += (self._barrier,)
+        return self._trace._add(label, cost, preds)
 
     # --------------------------------------------------------------- leaves
     def input(self, q: Fraction) -> int:
@@ -737,15 +704,32 @@ def _run(ctx: TracedScalars, fn: Callable[[TracedScalars], Any]) -> CostTrace:
     return ctx._trace
 
 
-def _model_context(rows: bool = True) -> TracedScalars:
+def _model_context() -> TracedScalars:
     """A tracing context whose trace interns into ``_MODEL_TABLE``: only
     the model's own components are traced this way, so the shared table
-    holds their frontier algebra and nothing a caller's function adds.
-    Without ``rows`` the trace keeps frontiers only."""
+    holds their frontier algebra and nothing a caller's function adds."""
     ctx = TracedScalars()
     ctx._trace._table = _MODEL_TABLE
-    ctx._trace._rows = rows
     return ctx
+
+
+class _FrontScalars(TracedScalars):
+    """Runs the model on frontier indices into ``_MODEL_TABLE``: a value is
+    the index of the frontier of path sums ending at it, so each operation
+    is one lookup in a step memo of its own, on ``(cost, *predecessor
+    frontiers)`` as given, and no per-node state is kept.  The memo lives
+    as long as the context, as a trace's does."""
+
+    def __init__(self) -> None:
+        self._barrier: int | None = None
+        self._steps: dict[tuple[str | None | int, ...], int] = {}
+
+    def _emit(self, label: str, cost: str | None, preds: tuple[int, ...]) -> int:
+        key = (cost, *preds) if self._barrier is None else (cost, *preds, self._barrier)
+        f = self._steps.get(key)
+        if f is None:
+            f = self._steps[key] = _MODEL_TABLE.step(tuple(dict.fromkeys(key)))
+        return f
 
 
 # ----------------------------------------------------- component instances
@@ -868,35 +852,25 @@ def trace_component(name: str, shape: ShapeConfig) -> CostTrace:
     return _run(_model_context(), lambda ctx: build(ctx, shape, (form,))[0])
 
 
-def _shape_traces(
-    shape: ShapeConfig, rows: bool = False
-) -> Iterator[tuple[str, CostTrace, list[int]]]:
-    """Each component at ``shape``: its name, the trace it was read off and
-    its outputs there.  A plain component has a trace of its own; a route
-    builder is traced once, with every form read of it.  Without ``rows``
-    each trace keeps frontiers only."""
+def _shape_depths(shape: ShapeConfig) -> dict[str, DepthExpr]:
+    """Every component's critical depth at ``shape``, the Pareto maxima of
+    its outputs' frontiers.  Each builder runs once on fresh
+    :class:`_FrontScalars`; a route builder runs with every form read of
+    it."""
+
+    def depth(result: Any) -> DepthExpr:
+        return _unique(_MODEL_TABLE.maxima_of(dict.fromkeys(_outputs(result))))
+
+    depths = {}
     routes: dict[Callable[..., Any], dict[str, str]] = {}
     for name, (build, form, _) in _COMPONENTS.items():
         if form is None:
-            ctx = _model_context(rows)
-            yield name, ctx._trace, _outputs(build(ctx, shape))
+            depths[name] = depth(build(_FrontScalars(), shape))
         else:
             routes.setdefault(build, {})[name] = form
     for build, forms in routes.items():
-        ctx = _model_context(rows)
-        for name, result in zip(forms, build(ctx, shape, tuple(forms.values()))):
-            yield name, ctx._trace, _outputs(result)
-
-
-def _shape_depths(shape: ShapeConfig) -> dict[str, DepthExpr]:
-    """Every component's critical depth at ``shape``, read at its own
-    outputs off traces that keep frontiers only."""
-    depths = {}
-    for name, trace, outputs in _shape_traces(shape):
-        depths[name] = _unique(trace._frontier_at(outputs))
-        # Drop the trace before the next one is built, so that at most one
-        # is alive at a time.
-        del trace
+        for name, result in zip(forms, build(_FrontScalars(), shape, tuple(forms.values()))):
+            depths[name] = depth(result)
     return depths
 
 
@@ -916,16 +890,15 @@ def depth_report(
     shapes: Sequence[ShapeConfig] | None = None,
     assignment: Mapping[str, int] | None = None,
 ) -> dict:
-    """Trace every component over a shape grid and check the formulas.
+    """Run every component over a shape grid and check the formulas.
 
-    Each route pair shares one trace per shape: the prefix up to the
-    discretization is traced once and both routes follow from its last
-    stage barrier, which no route replaces.  Every component's depth is
-    read at its own outputs, as the Pareto maxima of their frontiers;
-    :func:`trace_component` gives the same depth for a route traced alone.
-    The traces keep frontiers only (see :class:`CostTrace`): per node, the
-    index of its frontier in the shared table, so memory grows by about
-    one pointer per node, and one trace is alive at a time.
+    The model runs on frontier indices, not node ids, so no trace is kept.
+    Each route pair runs once per shape: the prefix up to the
+    discretization runs once and both routes follow from its last stage
+    barrier, which no route replaces.  Every component's depth is read at
+    its own outputs, as the Pareto maxima of their frontiers;
+    :func:`trace_component` gives the same depth.  An empty grid raises
+    ``ValueError`` before any work.
 
     The report lists, per component: the symbolic depth at the first shape,
     its numeric value under the weight assignment, whether the depth was
@@ -936,6 +909,8 @@ def depth_report(
     """
     weights = resolve_assignment(assignment)
     grid = list(shapes) if shapes is not None else default_shape_grid()
+    if not grid:
+        raise ValueError("shapes is empty: name at least one shape")
     registry = formula_registry()
     report: dict[str, Any] = {
         "shapes": [s.to_json_dict() for s in grid],

@@ -219,6 +219,11 @@ class TestMambaCommands:
         assert main(["mamba", "run"]) == 2
         assert capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["depth", "run"])
+    def test_empty_shape_exits_two(self, capsys, command):
+        assert main(["mamba", command, "--shape", ""]) == 2
+        assert capsys.readouterr() == ("", "CliUsageError: --shape needs five integers L,D,E,n,K\n")
+
     def test_bad_assign_exits_two(self, capsys):
         assert main(["mamba", "depth", "--assign", "d_bogus=1"]) == 2
         capsys.readouterr()
@@ -459,9 +464,11 @@ class TestAsciiIntegers:
     def test_shapes_and_weights_keep_sign_and_whitespace(self, capsys):
         runs = [
             (main(["mamba", "depth", "--shape", shape, "--assign", weights]), capsys.readouterr())
-            for shape, weights in [("2,1,1,1,1", "all=2"), (" 2,+1,1 ,1,1", "all= +2")]
+            for shape, weights in [
+                ("2,1,1,1,1", "all=2"), (" 2,+1,1 ,1,1", "all= +2"), ("2,1,1,1,1", "\tall\x1f = 2")
+            ]
         ]
-        assert runs[0] == runs[1] and runs[0][0] == 0
+        assert runs[0] == runs[1] == runs[2] and runs[0][0] == 0
 
     # Each netlist field with a token in it, the line that holds it, and
     # the field's name in the refusal.
@@ -502,8 +509,9 @@ _ODD_SPACES = {"ideographic": "\u3000", "no-break": "\u00a0"}
 
 class TestAsciiSeparators:
     """Netlist, arithmetic and permutation lines split at ASCII whitespace
-    and break at ASCII line ends only.  Another script's space stays in its
-    token, which is refused by name with exit 2; a comment keeps any text."""
+    and break at ASCII line ends only, and an ``--assign`` name is stripped
+    of ASCII whitespace only.  Another script's space stays in its token,
+    which is refused by name with exit 2; a comment keeps any text."""
 
     @pytest.mark.parametrize("space", list(_ODD_SPACES.values()), ids=list(_ODD_SPACES))
     @pytest.mark.parametrize(
@@ -571,6 +579,17 @@ class TestAsciiSeparators:
             assert main(["hardness", "eval", "perm", str(corpus)]) == 2
             out, err = capsys.readouterr()
             assert not out and err == f"ValueError: permutation {token!r} is not a string of decimal digits\n"
+
+    @pytest.mark.parametrize("space", list(_ODD_SPACES.values()), ids=list(_ODD_SPACES))
+    @pytest.mark.parametrize("name", ["{}d_exp", "d_exp{}"], ids=["before", "after"])
+    def test_assign_names_refuse_other_spaces(self, capsys, space, name):
+        """An ``--assign`` name is stripped of ASCII whitespace only, as its
+        weight is: another script's space stays in the name, which is then
+        unknown."""
+        name = name.format(space)
+        assert main(["mamba", "depth", "--shape", "1,1,1,1,1", "--assign", f"{name}=2"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == f"CliUsageError: unknown depth constant {name!r}\n"
 
 
 class TestCorpusLines:

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artifact import contexts, elementary, floats
+from artifact import depth as depth_mod
 from artifact.cli import main
 from artifact.depth import (
     BASE_CONSTANTS,
@@ -33,7 +34,7 @@ from artifact.depth import (
     Verdict,
     _MODEL_TABLE,
     _maxima,
-    _shape_traces,
+    _shape_depths,
     check_depth,
     component_names,
     critical_depth,
@@ -644,6 +645,16 @@ class TestDepthReport:
         assert report["mamba"]["compositional"]["verdict"] == "within_bound"
         assert "verdict" in report["mamba"]["headline"]
 
+    def test_empty_grid_refused_before_any_work(self, monkeypatch):
+        """An empty grid has no first shape to report: it is refused by
+        name, and no component runs."""
+        calls = []
+        monkeypatch.setattr(depth_mod, "_shape_depths", calls.append)
+        for shapes in ([], ()):
+            with pytest.raises(ValueError, match="shapes is empty"):
+                depth_report(shapes=shapes)
+        assert calls == []
+
     def test_default_grid_covers_full_range(self):
         grid = default_shape_grid()
         assert {s.seq_len for s in grid} == {1, 2, 4, 8}
@@ -654,7 +665,7 @@ class TestDepthReport:
 
 
 class TestSharedRouteTraces:
-    """``depth_report`` traces each route pair once per shape and reads every
+    """``depth_report`` runs each route pair once per shape and reads every
     component at its own outputs.  Both rest on premises checked here: no
     route sets a stage barrier after the fork, so a route read off the
     shared trace has the depth of its own trace; and every deepest path of
@@ -681,8 +692,15 @@ class TestSharedRouteTraces:
     def test_frontier_at_outputs_is_the_critical_frontier(self, name):
         for shape in self.SHAPES:
             trace = trace_component(name, shape)
-            at_outputs = {DepthExpr(s) for s in trace._frontier_at(trace.outputs)}
-            assert at_outputs == set(trace.critical_frontier()), shape
+            assert set(_frontier_at_outputs(trace)) == set(trace.critical_frontier()), shape
+
+
+def _frontier_at_outputs(trace: CostTrace) -> tuple[DepthExpr, ...]:
+    """Pareto maxima of the path sums ending at the trace's outputs, read
+    off its per-node frontiers."""
+    fronts = trace.depth_frontiers()
+    sums = _maxima(e.coeffs for o in trace.outputs for e in fronts[o])
+    return tuple(map(DepthExpr, sums))
 
 
 LONG_SHAPE = "128,4,8,8,4"
@@ -733,7 +751,8 @@ class TestSharedFrontierTable:
             assert private.depth_frontiers() == shared.depth_frontiers()
             assert private.critical_frontier() == shared.critical_frontier()
             assert private.critical_depth() == shared.critical_depth()
-            assert private._frontier_at(private.outputs) == shared._frontier_at(shared.outputs)
+            assert private.outputs == shared.outputs
+            assert _frontier_at_outputs(private) == _frontier_at_outputs(shared)
 
     @pytest.mark.parametrize("name", component_names())
     def test_frontiers_without_memo_on_a_filled_table(self, filled, name):
@@ -757,8 +776,8 @@ class TestSharedFrontierTable:
         assert self._sizes(filled) == (110, 137)
 
     def test_report_memory_on_a_filled_table(self, filled):
-        """With frontiers only, one report at (32,2,2,2,2) peaks well under
-        the 1.2 MB that keeping every node's row takes."""
+        """Run on frontier indices, one report at (32,2,2,2,2) peaks well
+        under the 1.2 MB that keeping every node's row takes."""
         shapes = [self.SHAPES[2]]
         depth_report(shapes=shapes)
         tracemalloc.start()
@@ -783,9 +802,9 @@ class TestSharedFrontierTable:
 
 
 class TestFrontierOnlyTraces:
-    """``depth_report`` reads its depths off traces that keep frontiers
-    only.  They take the same step as traces that keep rows, so every
-    frontier agrees, and they refuse to read back rows they never kept."""
+    """``depth_report`` reads its depths off a run that keeps frontiers
+    only, on frontier indices with no rows.  Each component's depth there
+    is the one maximum of the frontier that a trace keeping rows reads."""
 
     SHAPES = TestSharedFrontierTable.SHAPES
 
@@ -793,25 +812,25 @@ class TestFrontierOnlyTraces:
         "shape", SHAPES, ids=lambda s: ",".join(map(str, s.to_json_dict().values()))
     )
     def test_same_frontiers_as_a_trace_with_rows(self, shape):
-        kept = list(_shape_traces(shape, rows=True))
-        only = list(_shape_traces(shape))
-        assert [name for name, _, _ in only] == [name for name, _, _ in kept]
-        assert {name for name, _, _ in only} == set(component_names())
-        for (name, full, outputs), (_, lean, lean_outputs) in zip(kept, only):
-            assert lean_outputs == outputs, name
-            assert lean._fronts == full._fronts, name
-            assert lean._frontier_at(outputs) == full._frontier_at(outputs), name
-            assert lean.depth_frontiers() == full.depth_frontiers(), name
-            assert lean.critical_frontier() == full.critical_frontier(), name
-            assert len(full.nodes) == len(lean) and not lean._preds, name
+        depths = _shape_depths(shape)
+        assert set(depths) == set(component_names())
+        for name in component_names():
+            full = trace_component(name, shape)
+            assert (depths[name],) == full.critical_frontier(), name
+            assert (depths[name],) == _frontier_at_outputs(full), name
 
-    def test_nodes_and_size_refused(self):
-        for name, trace, _ in _shape_traces(self.SHAPES[1]):
-            for field in ("nodes", "size"):
-                with pytest.raises(ValueError, match="keeps frontiers only") as exc:
-                    getattr(trace, field)
-                assert len(str(exc.value).splitlines()) == 1, (name, field)
-            assert len(trace) > 0 and trace.critical_frontier()
+
+class TestFrontierValuedReport:
+    """``depth_report`` runs the model on frontier indices instead of
+    tracing it; every component's depth there is its traced depth."""
+
+    def test_depths_equal_traced_depths(self):
+        for shape in default_shape_grid():
+            depths = _shape_depths(shape)
+            assert set(depths) == set(component_names()), shape
+            for name in component_names():
+                traced = trace_component(name, shape).critical_depth()
+                assert depths[name] == traced, (name, shape)
 
 
 class TestDepthReportPinned:

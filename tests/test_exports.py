@@ -9,6 +9,7 @@ import ast
 import importlib
 import pkgutil
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -183,7 +184,7 @@ def test_no_runtime_dependency():
         "print(*sorted(set(sys.modules) - before))",
     ])
     run = subprocess.run(
-        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=120
+        [sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, timeout=120
     )
     assert run.returncode == 0, run.stderr
     loaded = {name.partition(".")[0] for name in run.stdout.split()}
@@ -191,3 +192,22 @@ def test_no_runtime_dependency():
     assert sorted(loaded - set(sys.stdlib_module_names) - {"artifact"}) == []
     pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", pyproject, re.M)
+
+
+def test_isolated_import_writes_no_bytecode(tmp_path):
+    """``-I`` ignores ``PYTHONDONTWRITEBYTECODE``, so a test that starts
+    ``python -I`` passes ``-B`` too, or it leaves ``__pycache__`` in the
+    checkout under test.  Run on a copy of ``src/``: without ``-B`` the
+    import writes bytecode there, and with it none."""
+    src = tmp_path / "src"
+    shutil.copytree(
+        Path(__file__).resolve().parents[1] / "src", src,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); import artifact.cli"
+    for flags, written in ((["-I", "-B"], False), (["-I"], True)):
+        run = subprocess.run(
+            [sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        assert any(src.rglob("__pycache__")) is written, flags

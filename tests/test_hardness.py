@@ -553,7 +553,7 @@ class TestS5Tables:
             "print(hardness._s5_tables.cache_info())",
         ])
         run = subprocess.run(
-            [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=120
+            [sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, timeout=120
         )
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines() == [
