@@ -119,7 +119,7 @@ def _tokenize_expr(text: str) -> list[str]:
     i = 0
     while i < len(text):
         ch = text[i]
-        if ch.isspace():
+        if ch in _ASCII_WHITESPACE:
             i += 1
         elif ch in "+-*/()":
             tokens.append(ch)

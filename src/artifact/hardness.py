@@ -61,6 +61,7 @@ from .circuits import (
     Circuit,
     CircuitBuilder,
     Gate,
+    _ASCII_WHITESPACE,
     _ascii_int,
     _ascii_split,
     _rewrite,
@@ -323,7 +324,12 @@ def eval_arith(formula: ArithFormula, assignment: Sequence[int]) -> int:
 # ----------------------------------------------------------- Boolean form
 
 _NOT, _AND, _OR = "¬", "∧", "∨"
-_ALIASES = str.maketrans({"!": _NOT, "~": _NOT, "&": _AND, "|": _OR})
+# The ASCII aliases of the connectives, and the ASCII whitespace that
+# ``str.split`` drops, which a formula may hold between its symbols.
+# Another script's space is kept, for the parser to refuse by name.
+_ALIASES = str.maketrans(
+    {"!": _NOT, "~": _NOT, "&": _AND, "|": _OR, **dict.fromkeys(_ASCII_WHITESPACE)}
+)
 _INFIX_FORMS = {f"{_NOT}.": "not", f".{_AND}.": "and", f".{_OR}.": "or"}
 
 
@@ -368,8 +374,8 @@ class BoolFormula:
 
 
 def _canon(text: str) -> str:
-    """Aliases replaced by the connectives, whitespace dropped."""
-    return "".join(text.translate(_ALIASES).split())
+    """Aliases replaced by the connectives, ASCII whitespace dropped."""
+    return text.translate(_ALIASES)
 
 
 def parse_bool_infix(text: str) -> BoolFormula:

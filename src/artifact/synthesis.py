@@ -39,11 +39,11 @@ Synthesis is a pure function of ``(kind, p, exp_bits, m)``, so
 memo and returns the same immutable :class:`SynthesizedOp` to every later
 caller with the same parameters (``exp_bits=None`` and ``exp_bits=p`` are
 one key).  The memo is bounded by the gates it holds, not by a count of
-ops: circuit sizes span four orders of magnitude across the synthesizable
-range (``iter_add`` at p=6, m=64 alone is 239,553 gates, about 41 MB), so
-the whole range does not fit in memory, and a count bound would either
-evict the small ops a sweep reuses or let a handful of the largest fill
-memory.
+ops: circuit sizes span more than two orders of magnitude across the
+synthesizable range (``iter_add`` at p=6, m=64 alone is 63,275 gates, about
+15 MB), so the whole range does not fit in memory, and a count bound would
+either evict the small ops a sweep reuses or let a handful of the largest
+fill memory.
 """
 
 from __future__ import annotations
@@ -160,8 +160,17 @@ class BitEncoding:
 
 
 class _Builder(CircuitBuilder):
-    """A :class:`~artifact.circuits.CircuitBuilder` with light
-    constant/identity folding.
+    """A :class:`~artifact.circuits.CircuitBuilder` that shares
+    structurally equal gates, with light constant/identity folding.
+
+    Every gate but a source is interned as it is emitted (the structural
+    hashing of AND-inverter graphs, ABC's ``strash``): it is keyed on its
+    kind, inputs and ``k``, with AND and OR inputs sorted and deduplicated
+    and THRESHOLD inputs sorted, and is emitted once, with those canonical
+    inputs; a later equal gate is the earlier id.  So a synthesized
+    circuit's gates are its distinct gates.  Interning folds nothing, and
+    a shared gate stands at the level of each of its copies, so depth does
+    not change.
 
     Its folding helpers are ``not_``, ``and_`` and ``or_``.  Where a gate
     must stay unfolded, so that degenerate columns and narrow windows keep
@@ -174,6 +183,26 @@ class _Builder(CircuitBuilder):
         super().__init__()
         self._c0: int | None = None
         self._c1: int | None = None
+        self._ids: dict[tuple, int] = {}
+
+    def emit(self, kind: str, inputs: tuple[int, ...] = (), k: int | None = None) -> int:
+        if kind == "AND" or kind == "OR":
+            inputs = tuple(sorted(set(inputs)))
+        elif kind == "THRESHOLD":
+            inputs = tuple(sorted(inputs))
+        elif not inputs:  # a source: never interned
+            return CircuitBuilder.emit(self, kind, inputs, k)
+        return self._intern(kind, inputs, k)
+
+    def _intern(self, kind: str, inputs: tuple[int, ...], k: int | None = None) -> int:
+        """The id of the gate ``(kind, inputs, k)``, inputs already in
+        canonical order; only a gate not seen before reaches
+        :meth:`CircuitBuilder.emit`, and so its check."""
+        key = (kind, inputs, k)
+        gid = self._ids.get(key)
+        if gid is None:
+            gid = self._ids[key] = CircuitBuilder.emit(self, kind, inputs, k)
+        return gid
 
     def const0(self) -> int:
         if self._c0 is None:
@@ -195,29 +224,29 @@ class _Builder(CircuitBuilder):
         g = self.gates[x]
         if g.kind == "NOT":
             return g.inputs[0]
-        return self.emit("NOT", (x,))
+        return self._intern("NOT", (x,))
 
     def and_(self, *xs: int) -> int:
-        live = dict.fromkeys(xs)  # first occurrences, in order
+        live = set(xs)
         if self._c0 in live:
             return self.const0()
-        live.pop(self._c1, None)
+        live.discard(self._c1)
         if not live:
             return self.const1()
         if len(live) == 1:
-            return next(iter(live))
-        return self.emit("AND", tuple(live))
+            return live.pop()
+        return self._intern("AND", tuple(sorted(live)))
 
     def or_(self, *xs: int) -> int:
-        live = dict.fromkeys(xs)
+        live = set(xs)
         if self._c1 in live:
             return self.const1()
-        live.pop(self._c0, None)
+        live.discard(self._c0)
         if not live:
             return self.const0()
         if len(live) == 1:
-            return next(iter(live))
-        return self.emit("OR", tuple(live))
+            return live.pop()
+        return self._intern("OR", tuple(sorted(live)))
 
 
 # ------------------------------------------------------------ word helpers
@@ -725,7 +754,7 @@ class _OpMemo:
 
 
 #: Gates the process keeps synthesized: the 31 distinct ops of a sweep over
-#: add/mul/compare at p 2-4 and iter_add at p=3 (50,599 gates) five times over.
+#: add/mul/compare at p 2-4 and iter_add at p=3 (32,592 gates) eight times over.
 _MEMO_GATES = 1 << 18
 _MEMO = _OpMemo(_MEMO_GATES)
 

@@ -601,6 +601,14 @@ class TestNetlist:
         assert back.outputs == c.outputs
         assert serialize_netlist(back) == text
 
+    def test_parse_keeps_equal_gates_as_written(self):
+        """Only synthesis shares equal gates: a parsed netlist keeps every
+        gate, its id and its input order."""
+        text = "0 INPUT\n1 INPUT\n2 AND 1 0\n3 AND 1 0\n4 THRESHOLD 1 1 0 1\n5 OR 3 2 2\nOUTPUTS 4 5\n"
+        c = parse_netlist(text)
+        assert [g.inputs for g in c.gates] == [(), (), (1, 0), (1, 0), (1, 0, 1), (3, 2, 2)]
+        assert serialize_netlist(c) == text
+
     def test_round_trip_random(self):
         rng = random.Random(7200)
         for _ in range(25):

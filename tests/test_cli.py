@@ -509,9 +509,11 @@ _ODD_SPACES = {"ideographic": "\u3000", "no-break": "\u00a0"}
 
 class TestAsciiSeparators:
     """Netlist, arithmetic and permutation lines split at ASCII whitespace
-    and break at ASCII line ends only, and an ``--assign`` name is stripped
-    of ASCII whitespace only.  Another script's space stays in its token,
-    which is refused by name with exit 2; a comment keeps any text."""
+    and break at ASCII line ends only, ``fp`` expressions and bool
+    formulas skip ASCII whitespace only, and an ``--assign`` name is
+    stripped of ASCII whitespace only.  Another script's space stays in
+    its token, which is refused by name with exit 2; a comment keeps any
+    text."""
 
     @pytest.mark.parametrize("space", list(_ODD_SPACES.values()), ids=list(_ODD_SPACES))
     @pytest.mark.parametrize(
@@ -568,6 +570,36 @@ class TestAsciiSeparators:
         assert not out and err == f"FormulaParseError: bad atom {token.format(space)!r}\n"
 
     @pytest.mark.parametrize("space", list(_ODD_SPACES.values()), ids=list(_ODD_SPACES))
+    @pytest.mark.parametrize(
+        "template", ["{}1 + 2", "1 +{}2", "1{}+ 2", "1 + 2{}"],
+        ids=["before", "after-op", "before-op", "after"],
+    )
+    def test_fp_refuses_other_spaces(self, capsys, template, space):
+        assert main(["fp", "1\x1c+\t2\x1f", "-p", "8"]) == 0
+        assert capsys.readouterr().out == "(m=192, e=-6, p=8) ~ 3.000000\n"
+        assert main(["fp", template.format(space), "-p", "8"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == f"CliUsageError: unexpected character {space!r} in expression\n"
+
+    @pytest.mark.parametrize("space", list(_ODD_SPACES.values()), ids=list(_ODD_SPACES))
+    @pytest.mark.parametrize(
+        "template,at", [("{}0 1∧", 0), ("0{}1∧", 1), ("0 1{}∧", 2), ("0 1∧{}", 3)],
+        ids=["before", "between", "before-op", "after"],
+    )
+    def test_bool_refuses_other_spaces(self, tmp_path, capsys, template, at, space):
+        """A bool formula drops ASCII whitespace only (``\\x1f`` too, as
+        ``str.split`` does): another script's space reaches the parser,
+        which refuses it by name."""
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("0\t1\x1f∧\n", encoding="utf-8")
+        assert main(["hardness", "eval", "bool", str(corpus)]) == 0
+        assert capsys.readouterr().out == "0\n"
+        corpus.write_text(template.format(space) + "\n", encoding="utf-8")
+        assert main(["hardness", "eval", "bool", str(corpus)]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == f"FormulaParseError: unexpected symbol {space!r} at {at}\n"
+
+    @pytest.mark.parametrize("space", list(_ODD_SPACES.values()), ids=list(_ODD_SPACES))
     def test_perm_refuses_other_spaces(self, tmp_path, capsys, space):
         """Inside a token or padding it: a padded token is refused as read."""
         corpus = tmp_path / "c.txt"
@@ -600,7 +632,7 @@ class TestCorpusLines:
         "kind,message",
         [
             ("perm", "ValueError: permutation '\\xa0' is not a string of decimal digits"),
-            ("bool", "FormulaParseError: formula does not reduce to a single value"),
+            ("bool", "FormulaParseError: unexpected symbol '\\xa0' at 0"),
             ("arith", "FormulaParseError: arithmetic instance needs '; assignment'"),
         ],
         ids=["perm", "bool", "arith"],

@@ -310,6 +310,18 @@ class TestBoolFormula:
     def test_ascii_aliases(self):
         assert eval_bool(parse_bool_infix("((0&1)|(!0))")) == 1
 
+    def test_whitespace_dropped_is_ascii_only(self):
+        """Every ASCII character ``str.split`` drops is dropped between
+        symbols; another script's space is an unexpected symbol."""
+        spaced = "\t\n\v\f\r\x1c\x1d\x1e\x1f ".join("(0¬)01∧∨") + " "
+        assert parse_bool_postfix(spaced) == parse_bool_postfix("(0¬)01∧∨")
+        assert parse_bool_infix("(0 ∧\x1f1)") == parse_bool_infix("(0∧1)")
+        for space in ("\u00a0", "\u3000"):
+            with pytest.raises(FormulaParseError, match="unexpected symbol"):
+                parse_bool_postfix(f"0{space}1∧")
+            with pytest.raises(FormulaParseError, match="unexpected symbol"):
+                parse_bool_infix(f"(0∧{space}1)")
+
     def test_postfix_hand_values(self):
         assert eval_bool(parse_bool_postfix("01∧")) == 0
         assert eval_bool(parse_bool_postfix("(0¬)01∧∨")) == 1
@@ -918,7 +930,7 @@ _FAMILY_SHA256 = {
 _REWRITE_SHA256 = {
     "majority-family": "83ee09c511a5ef0da2b946270e754d52489153d837c28f262810a0cddb292ef7",
     "lowered-family": "3a435d4ecbe57ebd7dbcc8c8c4844073ad4d4efeefd32519a7198655bd476098",
-    "majority-synthesized": "d7562213f588c845a9e1120a7dc50494e7c535b0ff99369490fac708d4a29f9a",
+    "majority-synthesized": "8b6781c9531aa6a3c8c887a3ec380c06099a234a69448ef95691156fadad2044",
 }
 # sha256 of the repr of, per circuit of `enumerate_small_circuits(3, 3,
 # include_or)`, the `(var, on_true.image, on_false.image)` of every

@@ -13,6 +13,8 @@ from itertools import product
 import pytest
 
 from artifact.circuits import (
+    _COUNT,
+    _SOURCE_KINDS,
     BLOCK_LANES,
     Circuit,
     evaluate,
@@ -140,8 +142,8 @@ class TestParameterValidation:
         assert op.circuit.n_inputs == 2 * (4 + 5)
 
     def test_compare_window_cap(self):
-        # compare grows about fourfold in gates per window bit (p=2: 110,494
-        # gates at 8 bits, 417,849 at 9), so its window stops at MAX_PRECISION.
+        # compare grows about fourfold in gates per window bit (p=2: 40,837
+        # gates at 8 bits, 146,977 at 9), so its window stops at MAX_PRECISION.
         op = synth_primitive("compare", 2, exp_bits=MAX_PRECISION)
         assert op.circuit.n_inputs == 2 * (3 + MAX_PRECISION)
         with pytest.raises(UnsupportedPrecision, match=r"outside synthesizable range \[1, 6\]"):
@@ -416,23 +418,38 @@ class TestIterAddCircuit:
         assert residual <= Fraction(1, 20), (sizes, float(residual))
 
 
+# Each depth of the pinned sweep, by kind, p and window 1..p; iter_add at
+# p=3 has depth 49 for every operand count.
+_SWEEP_DEPTHS = {
+    "add": {2: (55, 64), 3: (55, 64, 66), 4: (56, 65, 67, 67), 5: (56, 65, 67, 67, 67)},
+    "mul": {2: (48, 48), 3: (48, 48, 48), 4: (49, 49, 49, 49), 5: (49, 49, 49, 49, 49)},
+    "compare": {p: (29,) * p for p in range(2, 6)},
+}
+
+
+def pinned_sweep():
+    """``(op, depth)`` over the pinned sweep: add, mul and compare at p
+    2..5 and every window 1..p, then iter_add at p=3 for five operand
+    counts, in that order."""
+    for kind, depths in _SWEEP_DEPTHS.items():
+        for p, by_window in depths.items():
+            for window, depth in enumerate(by_window, start=1):
+                yield synth_primitive(kind, p, window), depth
+    for m in (2, 3, 8, 32, 64):
+        yield synth_primitive("iter_add", 3, m=m), 49
+
+
 class TestNetlistIntegration:
     """Synthesized circuits survive the text round trip bit-for-bit."""
 
     def test_synthesized_netlists_pinned(self):
-        """The gate lists synthesis emits, pinned byte for byte: add, mul
-        and compare at p 2..5 and every window 1..p, then iter_add at p=3
-        for five operand counts, hashed in that order."""
+        """The gate lists synthesis emits over the pinned sweep, pinned
+        byte for byte, hashed in the sweep's order."""
         h = hashlib.sha256()
-        for kind in ("add", "mul", "compare"):
-            for p in range(2, 6):
-                for window in range(1, p + 1):
-                    h.update(serialize_netlist(synth_primitive(kind, p, window).circuit).encode())
-        for m in (2, 3, 8, 32, 64):
-            op = synth_primitive("iter_add", 3, m=m)
+        for op, _ in pinned_sweep():
             h.update(serialize_netlist(op.circuit).encode())
         assert h.hexdigest() == (
-            "64ebf167b96aebde6937b386c1aac057ef7ffeabec515863ba8aecf29861fccc"
+            "756e1608e1cc2ee42a108ee196c95f8b2d83e83eea3a0c838232a7249f9ac593"
         )
         assert op.circuit.depth == 49
 
@@ -454,6 +471,56 @@ class TestNetlistIntegration:
             for b in values[:9]:
                 bits = op.encode_inputs([a, b])
                 assert evaluate(back, bits) == evaluate(op.circuit, bits)
+
+
+class TestInterning:
+    """Synthesis builds each distinct gate once, with its inputs in
+    canonical order, and sharing changes no gate level."""
+
+    def test_no_two_gates_share_a_key(self):
+        for op, _ in pinned_sweep():
+            keys = [(g.kind, g.inputs, g.k) for g in op.circuit.gates if g.kind not in _SOURCE_KINDS]
+            assert len(set(keys)) == len(keys), (op.kind, op.p, op.input_encoding, op.m)
+
+    def test_inputs_in_canonical_order(self):
+        """AND and OR inputs strictly increase; THRESHOLD inputs do not
+        decrease, since a column may hold one wire more than once."""
+        for op, _ in pinned_sweep():
+            for g in op.circuit.gates:
+                pairs = list(zip(g.inputs, g.inputs[1:]))
+                if g.kind in ("AND", "OR"):
+                    assert all(a < b for a, b in pairs), g
+                elif g.kind == "THRESHOLD":
+                    assert all(a <= b for a, b in pairs), g
+
+    def test_each_threshold_column_counted_once(self):
+        """The evaluator counts each distinct THRESHOLD input tuple once:
+        a column's thresholds still stand in one run."""
+        for op, _ in pinned_sweep():
+            ops, _ = op.circuit._plan
+            columns = {g.inputs for g in op.circuit.gates if g.kind == "THRESHOLD"}
+            assert ops.count(_COUNT) == len(columns), (op.kind, op.p, op.m)
+        assert len(columns) == 47  # iter_add at m=64
+
+    def test_depths_pinned(self):
+        for op, depth in pinned_sweep():
+            assert op.circuit.depth == depth, (op.kind, op.p, op.input_encoding, op.m)
+
+    @pytest.mark.parametrize(
+        "key,size,depth",
+        [
+            (("compare", 6, 6), 5056, 29),
+            (("add", 6, 6), 11215, 67),
+            (("mul", 6, 6), 1467, 49),
+            (("iter_add", 3, 3, 64), 7296, 49),
+            (("iter_add", 6, 6, 8), 16407, 49),
+        ],
+        ids=["compare-p6", "add-p6", "mul-p6", "iter_add-p3-m64", "iter_add-p6-m8"],
+    )
+    def test_interned_sizes_pinned(self, key, size, depth):
+        """Non-input gates and depth of the largest ops the tests build."""
+        circuit = synth_primitive(*key).circuit
+        assert (circuit.size, circuit.depth) == (size, depth)
 
 
 # The kernel op each kind is checked against, called as ``ref(*case, p)``.
