@@ -11,8 +11,15 @@ minus where additive inverses exist), serialized as S-expressions such as
 over the alphabet {0, 1, AND, OR, NOT, parens}: a fully parenthesized infix
 form and a postfix form in which a binary node is written ``<alpha><beta><op>``
 with the *longer-or-equal* operand first and negation keeps its parentheses
-(``(<alpha>NOT)``).  Permutations are stored as pointwise images and compose
-right to left: the first permutation of a sequence is applied first.  A
+(``(<alpha>NOT)``).  The public constructors of :class:`ArithNode`,
+:class:`BoolFormula` and :class:`Semiring` check what they build.  The
+parsers and corpus generators build nodes they have already checked
+without repeating those checks, and share leaves: nodes are immutable, so
+the Boolean constants are two module-level nodes, and :func:`parse_arith`
+reads each distinct atom once per call.
+
+Permutations are stored as pointwise images and compose right to left:
+the first permutation of a sequence is applied first.  A
 :class:`Permutation` is checked to be a bijection once, when it is built,
 and then carries its kernel step: the getter that composes a product's
 image tuple with it.  :func:`compose`, :func:`word_problem` and
@@ -144,12 +151,12 @@ def _flatten(rope: str | tuple) -> str:
     return "".join(out)
 
 
-def _parse_brackets(tokens: Sequence[str], leaf: Callable, forms: dict, cls: type):
+def _parse_brackets(tokens: Sequence[str], leaf: Callable, forms: dict, make: Callable):
     """Shift-reduce parse of a fully parenthesized grammar.  A group's shape
     spells its operators (the symbols in ``forms``' keys) in place and each
     operand as ``.``; any other token is an operand, ``leaf(token)``.  At
     ``)`` the shape must be a key of ``forms``, and the group becomes the
-    operand ``cls(forms[shape], args=operands)``."""
+    operand ``make(forms[shape], operands)``."""
     ops = set("".join(forms)) - {"."}
     shape, args, outer = "", [], []  # the open group, and the groups around it
     for i, tok in enumerate(tokens):
@@ -162,7 +169,7 @@ def _parse_brackets(tokens: Sequence[str], leaf: Callable, forms: dict, cls: typ
             op = forms.get(shape)
             if op is None:
                 raise FormulaParseError(f"malformed group closed at {i}")
-            node = cls(op, args=tuple(args))
+            node = make(op, tuple(args))
             shape, args = outer.pop()
             shape += "."
             args.append(node)
@@ -178,6 +185,25 @@ def _parse_brackets(tokens: Sequence[str], leaf: Callable, forms: dict, cls: typ
     return args[0]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_args(node: ArithNode | BoolFormula, arity: dict[str, int]) -> None:
+    """Refuse a node whose op is not a key of ``arity``, or whose ``args``
+    is not a tuple of that many nodes of its own class."""
+    cls = type(node)
+    n = arity.get(node.op) if isinstance(node.op, str) else None
+    if n is None:
+        raise ValueError(f"unknown {cls.__name__} op {node.op!r}")
+    args = node.args
+    if type(args) is not tuple or len(args) != n or not all(isinstance(a, cls) for a in args):
+        raise ValueError(f"{node.op!r} takes a tuple of {n} {cls.__name__} args")
+
+
+_new = object.__new__
+
+
 # ------------------------------------------------------------- arithmetic
 
 
@@ -190,6 +216,16 @@ class Semiring:
     kind: str
     modulus: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("integers", "booleans", "zmod"):
+            raise ValueError(f"unknown semiring kind {self.kind!r}")
+        m = self.modulus
+        if self.kind == "zmod":
+            if not _is_int(m) or m < 2:
+                raise ValueError(f"modulus must be >= 2, got {m}")
+        elif m is not None:
+            raise ValueError(f"the {self.kind} semiring takes no modulus, got {m!r}")
+
     @classmethod
     def integers(cls) -> "Semiring":
         return cls("integers")
@@ -200,52 +236,77 @@ class Semiring:
 
     @classmethod
     def zmod(cls, m: int) -> "Semiring":
-        if m < 2:
-            raise ValueError(f"modulus must be >= 2, got {m}")
         return cls("zmod", m)
 
     def coerce(self, value: int) -> int:
         """Bring a constant into the carrier (Z_m reduces, never errors)."""
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             raise DomainMismatch(f"{value!r} is not a semiring constant")
         if self.kind == "booleans":
             if value not in (0, 1):
                 raise DomainMismatch(f"{value} is not a Boolean constant")
             return value
         if self.kind == "zmod":
-            return value % (self.modulus or 1)
+            return value % self.modulus
         return value
 
     def add(self, a: int, b: int) -> int:
         if self.kind == "booleans":
             return a | b
         if self.kind == "zmod":
-            return (a + b) % (self.modulus or 1)
+            return (a + b) % self.modulus
         return a + b
 
     def mul(self, a: int, b: int) -> int:
         if self.kind == "booleans":
             return a & b
         if self.kind == "zmod":
-            return (a * b) % (self.modulus or 1)
+            return (a * b) % self.modulus
         return a * b
 
     def neg(self, a: int) -> int:
         if self.kind == "booleans":
             raise DomainMismatch("the Boolean semiring has no additive inverse")
         if self.kind == "zmod":
-            return (-a) % (self.modulus or 1)
+            return (-a) % self.modulus
         return -a
 
 
 @dataclass(frozen=True, slots=True)
 class ArithNode:
-    """Expression-tree node: const / var / neg / add / mul."""
+    """Expression-tree node: const / var / neg / add / mul.  Built here,
+    it is checked: a known op, ``args`` a tuple of as many ArithNodes as
+    the op takes, an int ``value`` for const and an int ``index`` >= 1 for
+    var."""
 
     op: str
     value: int | None = None  # const
     index: int | None = None  # var, 1-based
     args: tuple["ArithNode", ...] = ()
+
+    def __post_init__(self) -> None:
+        _check_args(self, _ARITH_ARITY)
+        if self.op == "const" and not _is_int(self.value):
+            raise ValueError(f"a const node holds an int, got {self.value!r}")
+        if self.op == "var" and not (_is_int(self.index) and self.index >= 1):
+            raise ValueError(f"a var node holds an int index >= 1, got {self.index!r}")
+
+
+_ARITH_ARITY = {"const": 0, "var": 0, "neg": 1, "add": 2, "mul": 2}
+_set_op, _set_value, _set_index, _set_args = (
+    ArithNode.op.__set__, ArithNode.value.__set__, ArithNode.index.__set__, ArithNode.args.__set__
+)
+
+
+def _arith_node(op: str, value: int | None, index: int | None, args: tuple) -> ArithNode:
+    """An ArithNode whose fields the caller has already checked, built
+    without repeating the ``__post_init__`` checks."""
+    node = _new(ArithNode)
+    _set_op(node, op)
+    _set_value(node, value)
+    _set_index(node, index)
+    _set_args(node, args)
+    return node
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,22 +339,31 @@ def parse_arith(text: str, semiring: Semiring) -> ArithFormula:
     """Parse an S-expression: atoms are integers or ``Xk``; forms are
     ``(+ a b)``, ``(* a b)``, and ``(- a)``.  Tokens split only at ASCII
     whitespace (:func:`~artifact.circuits._ascii_split`), so a non-ASCII
-    character lands in a token, which is refused by name."""
+    character lands in a token, which is refused by name.  Atoms are read
+    once per call: every occurrence of a token shares one leaf."""
+    atoms: dict[str, ArithNode] = {}  # token text -> its leaf
 
     def leaf(tok: str) -> ArithNode:
-        var = tok.startswith("X")
-        number = _ascii_int(tok[1:] if var else tok)
-        if number is None:
-            raise FormulaParseError(f"bad atom {tok!r}")
-        if not var:
-            return ArithNode("const", value=semiring.coerce(number))
-        if number < 1:
-            raise FormulaParseError("indeterminate indices are 1-based")
-        return ArithNode("var", index=number)
+        node = atoms.get(tok)
+        if node is None:
+            var = tok.startswith("X")
+            number = _ascii_int(tok[1:] if var else tok)
+            if number is None:
+                raise FormulaParseError(f"bad atom {tok!r}")
+            if not var:
+                node = _arith_node("const", semiring.coerce(number), None, ())
+            elif number < 1:
+                raise FormulaParseError("indeterminate indices are 1-based")
+            else:
+                node = _arith_node("var", None, number, ())
+            atoms[tok] = node
+        return node
 
     tokens = _ascii_split(text.replace("(", " ( ").replace(")", " ) "))
-    root = _parse_brackets(tokens, leaf, _SEXPR_FORMS, ArithNode)
-    n = max((v.index for v in _postorder(root) if v.op == "var"), default=0)
+    root = _parse_brackets(
+        tokens, leaf, _SEXPR_FORMS, lambda op, args: _arith_node(op, None, None, args)
+    )
+    n = max((v.index for v in atoms.values() if v.op == "var"), default=0)
     return ArithFormula(semiring, root, n)
 
 
@@ -310,9 +380,9 @@ def eval_arith(formula: ArithFormula, assignment: Sequence[int]) -> int:
     for node in _postorder(formula.root):
         op = node.op
         if op == "const":
-            stack.append(ring.coerce(node.value or 0))
+            stack.append(ring.coerce(node.value))
         elif op == "var":
-            stack.append(values[(node.index or 1) - 1])
+            stack.append(values[node.index - 1])
         elif op == "neg":
             stack.append(ring.neg(stack.pop()))
         else:
@@ -335,11 +405,18 @@ _INFIX_FORMS = {f"{_NOT}.": "not", f".{_AND}.": "and", f".{_OR}.": "or"}
 
 @dataclass(frozen=True, slots=True)
 class BoolFormula:
-    """Closed Boolean formula tree: const / not / and / or."""
+    """Closed Boolean formula tree: const / not / and / or.  Built here, it
+    is checked: a known op, ``args`` a tuple of as many BoolFormulas as the
+    op takes, and ``value`` 0 or 1 for const."""
 
     op: str
     value: int | None = None
     args: tuple["BoolFormula", ...] = ()
+
+    def __post_init__(self) -> None:
+        _check_args(self, _BOOL_ARITY)
+        if self.op == "const" and not (_is_int(self.value) and self.value in (0, 1)):
+            raise ValueError(f"a Boolean const is 0 or 1, got {self.value!r}")
 
     def to_infix(self) -> str:
         ropes: list = []
@@ -373,6 +450,28 @@ class BoolFormula:
         return _flatten(ropes.pop()[0])
 
 
+_BOOL_ARITY = {"const": 0, "not": 1, "and": 2, "or": 2}
+_set_bool_op, _set_bool_value, _set_bool_args = (
+    BoolFormula.op.__set__, BoolFormula.value.__set__, BoolFormula.args.__set__
+)
+
+
+def _bool_node(op: str, value: int | None, args: tuple) -> BoolFormula:
+    """A BoolFormula whose fields the caller has already checked, built
+    without repeating the ``__post_init__`` checks."""
+    node = _new(BoolFormula)
+    _set_bool_op(node, op)
+    _set_bool_value(node, value)
+    _set_bool_args(node, args)
+    return node
+
+
+#: The two constants, indexed by value.  Nodes are immutable, so every
+#: parsed or generated formula shares these leaves.
+_BOOL_CONSTS = (_bool_node("const", 0, ()), _bool_node("const", 1, ()))
+_BOOL_LEAVES = {"0": _BOOL_CONSTS[0], "1": _BOOL_CONSTS[1]}
+
+
 def _canon(text: str) -> str:
     """Aliases replaced by the connectives, ASCII whitespace dropped."""
     return text.translate(_ALIASES)
@@ -382,24 +481,28 @@ def parse_bool_infix(text: str) -> BoolFormula:
     """Fully parenthesized infix: 0, 1, (NOT f), (f AND g), (f OR g)."""
 
     def leaf(ch: str) -> BoolFormula:
-        if ch not in ("0", "1"):
+        node = _BOOL_LEAVES.get(ch)
+        if node is None:
             raise FormulaParseError(f"unexpected symbol {ch!r}")
-        return BoolFormula("const", value=int(ch))
+        return node
 
-    return _parse_brackets(_canon(text), leaf, _INFIX_FORMS, BoolFormula)
+    return _parse_brackets(
+        _canon(text), leaf, _INFIX_FORMS, lambda op, args: _bool_node(op, None, args)
+    )
 
 
 def parse_bool_postfix(text: str) -> BoolFormula:
     """Postfix form: ``<alpha><beta><op>`` with ``len(alpha) >= len(beta)``
     (enforced), negation written ``(<alpha>NOT)`` with its parentheses."""
     s = _canon(text)
+    leaves = _BOOL_LEAVES
     marker = object()
     stack: list = []  # (formula, symbol_length) pairs or open-paren markers
     i = 0
     while i < len(s):
         ch = s[i]
         if ch in "01":
-            stack.append((BoolFormula("const", value=int(ch)), 1))
+            stack.append((leaves[ch], 1))
         elif ch == "(":
             stack.append(marker)
         elif ch == _NOT:
@@ -412,7 +515,7 @@ def parse_bool_postfix(text: str) -> BoolFormula:
             if i + 1 >= len(s) or s[i + 1] != ")":
                 raise FormulaParseError(f"negation missing ')' at {i}")
             i += 1
-            stack.append((BoolFormula("not", args=(inner,)), length + 3))
+            stack.append((_bool_node("not", None, (inner,)), length + 3))
         elif ch in (_AND, _OR):
             if len(stack) < 2 or stack[-1] is marker or stack[-2] is marker:
                 raise FormulaParseError(f"connective lacks operands at {i}")
@@ -424,9 +527,7 @@ def parse_bool_postfix(text: str) -> BoolFormula:
                     f"{len_alpha} < {len_beta}"
                 )
             op = "and" if ch == _AND else "or"
-            stack.append(
-                (BoolFormula(op, args=(alpha, beta)), len_alpha + len_beta + 1)
-            )
+            stack.append((_bool_node(op, None, (alpha, beta)), len_alpha + len_beta + 1))
         elif ch == ")":
             raise FormulaParseError(f"unmatched ')' at {i}")
         else:
@@ -441,7 +542,7 @@ def eval_bool(formula: BoolFormula) -> int:
     stack: list[int] = []
     for node in _postorder(formula):
         if node.op == "const":
-            stack.append(node.value or 0)
+            stack.append(node.value)
         elif node.op == "not":
             stack.append(1 - stack.pop())
         else:
@@ -896,15 +997,15 @@ def _rng_for(kind: str, size: int, seed: int) -> random.Random:
 def _random_bool_tree(rng: random.Random, budget: int) -> BoolFormula:
     """A random closed formula whose postfix form fits in ``budget`` symbols."""
     if budget < 4 or rng.random() < 0.2:
-        return BoolFormula("const", value=rng.randint(0, 1))
+        return _BOOL_CONSTS[rng.randint(0, 1)]
     choice = rng.random()
     if choice < 0.3:
-        return BoolFormula("not", args=(_random_bool_tree(rng, budget - 3),))
+        return _bool_node("not", None, (_random_bool_tree(rng, budget - 3),))
     left_budget = rng.randint(1, budget - 2)
     left = _random_bool_tree(rng, left_budget)
     right = _random_bool_tree(rng, budget - 1 - left_budget)
     op = "and" if choice < 0.65 else "or"
-    return BoolFormula(op, args=(left, right))
+    return _bool_node(op, None, (left, right))
 
 
 def _random_arith_node(
@@ -913,17 +1014,17 @@ def _random_arith_node(
     """A random tree with constants drawn from ``[lo, hi]``."""
     if budget <= 1 or rng.random() < 0.25:
         if n_vars and rng.random() < 0.5:
-            return ArithNode("var", index=rng.randint(1, n_vars))
-        return ArithNode("const", value=ring.coerce(rng.randint(lo, hi)))
+            return _arith_node("var", None, rng.randint(1, n_vars), ())
+        return _arith_node("const", ring.coerce(rng.randint(lo, hi)), None, ())
     roll = rng.random()
     if roll < 0.2:
-        return ArithNode(
-            "neg", args=(_random_arith_node(rng, budget - 1, ring, n_vars, lo, hi),)
+        return _arith_node(
+            "neg", None, None, (_random_arith_node(rng, budget - 1, ring, n_vars, lo, hi),)
         )
     split = rng.randint(1, max(budget - 2, 1))
     left = _random_arith_node(rng, split, ring, n_vars, lo, hi)
     right = _random_arith_node(rng, budget - 1 - split, ring, n_vars, lo, hi)
-    return ArithNode("add" if roll < 0.6 else "mul", args=(left, right))
+    return _arith_node("add" if roll < 0.6 else "mul", None, None, (left, right))
 
 
 @cache
@@ -1024,14 +1125,18 @@ def eval_instance(kind: str, line: str) -> str:
         ring = _arith_semiring(kind)
         if ";" not in line:
             raise FormulaParseError("arithmetic instance needs '; assignment'")
+        # Only ASCII whitespace is stripped: another script's space stays
+        # in its token, which is refused by name.
         expr, _, assign_text = line.partition(";")
-        formula = parse_arith(expr.strip(), ring)
-        assign_text = assign_text.strip()
+        formula = parse_arith(expr, ring)
+        assign_text = assign_text.strip(_ASCII_WHITESPACE)
         assignment = []
         for tok in assign_text.split(",") if assign_text else ():
             c = _ascii_int(tok)
             if c is None:
-                raise FormulaParseError(f"bad assignment value {tok.strip()!r}")
+                raise FormulaParseError(
+                    f"bad assignment value {tok.strip(_ASCII_WHITESPACE)!r}"
+                )
             assignment.append(c)
         # Cut the assignment to the formula's arity, its largest X_i: a
         # corpus line may list values for indeterminates it never reads.

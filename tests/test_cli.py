@@ -571,6 +571,34 @@ class TestAsciiSeparators:
 
     @pytest.mark.parametrize("space", list(_ODD_SPACES.values()), ids=list(_ODD_SPACES))
     @pytest.mark.parametrize(
+        "template,what,token",
+        [
+            ("{}(+ X1 2) ; 1", "bad atom", "{}"),
+            ("(+ X1 2){} ; 1", "bad atom", "{}"),
+            ("(+ X1 2) ;{}1", "bad assignment value", "{}1"),
+            ("(+ X1 2) ; 1{}", "bad assignment value", "1{}"),
+            ("(+ X1 2) ; 1,{}3", "bad assignment value", "{}3"),
+            ("(+ 1 2) ;{}", "bad assignment value", "{}"),
+        ],
+        ids=["before-expr", "before-semicolon", "after-semicolon", "after-value",
+             "after-comma", "only-space"],
+    )
+    def test_arith_line_strips_ascii_only(self, tmp_path, capsys, template, what, token,
+                                          space):
+        """An arithmetic line is stripped of ASCII whitespace only, around
+        its expression and its values: another script's space is refused,
+        named in the token as read."""
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("\t(+ X1\t2)\x1f;\t1\t, 3\t\n", encoding="utf-8")
+        assert main(["hardness", "eval", "arith", str(corpus)]) == 0
+        assert capsys.readouterr().out == "3\n"
+        corpus.write_text(template.format(space) + "\n", encoding="utf-8")
+        assert main(["hardness", "eval", "arith", str(corpus)]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == f"FormulaParseError: {what} {token.format(space)!r}\n"
+
+    @pytest.mark.parametrize("space", list(_ODD_SPACES.values()), ids=list(_ODD_SPACES))
+    @pytest.mark.parametrize(
         "template", ["{}1 + 2", "1 +{}2", "1{}+ 2", "1 + 2{}"],
         ids=["before", "after-op", "before-op", "after"],
     )

@@ -10,6 +10,7 @@ against circuit evaluation on a fixed small-circuit family.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import pickle
@@ -204,6 +205,32 @@ class TestSemiring:
         with pytest.raises(ValueError):
             Semiring.zmod(1)
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("zmod",), "modulus must be >= 2, got None"),
+            (("zmod", 1), "modulus must be >= 2, got 1"),
+            (("zmod", 7.0), "modulus must be >= 2, got 7.0"),
+            (("zmod", True), "modulus must be >= 2, got True"),
+            (("ints",), "unknown semiring kind 'ints'"),
+            (("integers", 5), "the integers semiring takes no modulus, got 5"),
+            (("booleans", 2), "the booleans semiring takes no modulus, got 2"),
+        ],
+        ids=["zmod-none", "zmod-1", "zmod-float", "zmod-bool", "unknown-kind",
+             "integers-modulus", "booleans-modulus"],
+    )
+    def test_constructor_checks_kind_and_modulus(self, args, message):
+        """Built directly, a semiring is checked as the named constructors
+        check it: no ring evaluates every formula to 0, and no unknown
+        kind acts as the integers."""
+        with pytest.raises(ValueError) as err:
+            Semiring(*args)
+        assert str(err.value) == message
+        with pytest.raises(ValueError, match="^modulus must be >= 2, got 1$"):
+            Semiring.zmod(1)
+        assert Semiring("zmod", 7) == Semiring.zmod(7)
+        assert Semiring("integers") == Semiring.integers()
+
 
 class TestArithFormula:
     """S-expression parsing, printing, and evaluation."""
@@ -382,6 +409,54 @@ class TestBoolFormula:
         for _ in range(300):
             tree = random_bool_tree(rng, 23)
             assert parse_bool_infix(tree.to_infix()) == tree
+
+
+_C3, _C4 = ArithNode("const", value=3), ArithNode("const", value=4)
+_T, _F = BoolFormula("const", value=1), BoolFormula("const", value=0)
+
+
+class TestNodeChecks:
+    """The public node constructors refuse a node the evaluators and
+    printers would misread, with a one-line ``ValueError``."""
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: ArithNode("sub", args=(_C3, _C4)), "unknown ArithNode op 'sub'"),
+            (lambda: ArithNode("add", args=(_C3, _C4, _C3)),
+             "'add' takes a tuple of 2 ArithNode args"),
+            (lambda: ArithNode("mul", args=(_C3,)), "'mul' takes a tuple of 2 ArithNode args"),
+            (lambda: ArithNode("neg", args=[_C3]), "'neg' takes a tuple of 1 ArithNode args"),
+            (lambda: ArithNode("neg", args=(_T,)), "'neg' takes a tuple of 1 ArithNode args"),
+            (lambda: ArithNode("const", value=3, args=(_C4,)),
+             "'const' takes a tuple of 0 ArithNode args"),
+            (lambda: ArithNode("const"), "a const node holds an int, got None"),
+            (lambda: ArithNode("const", value="3"), "a const node holds an int, got '3'"),
+            (lambda: ArithNode("const", value=True), "a const node holds an int, got True"),
+            (lambda: ArithNode("var"), "a var node holds an int index >= 1, got None"),
+            (lambda: ArithNode("var", index=0), "a var node holds an int index >= 1, got 0"),
+            (lambda: ArithNode("var", index=1.0),
+             "a var node holds an int index >= 1, got 1.0"),
+            (lambda: BoolFormula("xor", args=(_T, _F)), "unknown BoolFormula op 'xor'"),
+            (lambda: BoolFormula("not", args=(_T, _F)),
+             "'not' takes a tuple of 1 BoolFormula args"),
+            (lambda: BoolFormula("and", args=(_T, _C3)),
+             "'and' takes a tuple of 2 BoolFormula args"),
+            (lambda: BoolFormula("const", value=7), "a Boolean const is 0 or 1, got 7"),
+            (lambda: BoolFormula("const"), "a Boolean const is 0 or 1, got None"),
+            (lambda: BoolFormula("const", value=True), "a Boolean const is 0 or 1, got True"),
+            (lambda: BoolFormula(["or"]), "unknown BoolFormula op ['or']"),
+        ],
+        ids=["arith-unknown-op", "arith-wide", "arith-narrow", "arith-list-args",
+             "arith-bool-arg", "const-with-args", "const-none", "const-str", "const-bool",
+             "var-none", "var-zero", "var-float", "bool-unknown-op", "bool-wide",
+             "bool-arith-arg", "bool-const-7", "bool-const-none", "bool-const-bool",
+             "bool-list-op"],
+    )
+    def test_refused(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
 
 
 class TestPermutation:
@@ -1203,3 +1278,186 @@ class TestDeepFormulas:
     def test_integer_negation_chain_instance(self):
         line = "(- " * DEEP + "(+ X1 2)" + ")" * DEEP + " ; 5"
         assert eval_instance("arith", line) == "7"  # DEEP is even
+
+
+# sha256 of `instances_text()` and of `labels_text()` of
+# `gen_instances(kind, size, seed)` at the default count of 100, recorded
+# while the generators built every node through the public constructors.
+_CORPUS_SHA256 = {
+    ("bool", 15, 0): ("42f4f7a5a378f9c34213860f2f68155e9a95462b67dc19fb4c27335f95d6e609", "8f3dc929a529806a72ef3ee1f1781d12b19bbca9d6a8e106f9dcd1a9fb80e434"),
+    ("bool", 31, 7): ("9e478451db969823bc9d8068d4de646e915c628e9ccb73a8f25c04331577d4f1", "09b4222727bc16de94c989084c093e3a3b82bbfc357421ee49b655ed4763e3b6"),
+    ("bool", 200, 1): ("c5067920b2e4237f664926f86683621f6a89dd1c5990a13f47e07d825e3e2d34", "16e6be3d2943c0e71e41d31f60e301bfdaef79738782d5d041c16f82fa82fa51"),
+    ("perm", 5, 0): ("5e8bbcd6b9ed158c6e08e52a8be99f3776b5d28e2e9a572d95b350edc6cd21c5", "7e2ac233d931aaa59a550e7c3c0648f46f3d0be01de0af77b4c44fb50b508d5c"),
+    ("perm", 20, 3): ("613785d63b83cccb9bc7a38f00464f8cfa778a97d0eed970340bde8583b6bc8d", "7b085c794f4c988a030e7ccbf42a5732aa3fb9d8d957f16901abd86b62402132"),
+    ("arith", 9, 0): ("a297e7df173a87fb6de4195322872a895ba69e2bbf74c112effc5ace07f33882", "29875868715398fb74018013b2546a8aa6fea1c5e1c29ddaf1722539b6ad4e4b"),
+    ("arith", 40, 5): ("94d278d9f442290ddbb21280697f96d1efbc42a9dcb2f1b6529d834dfd0b8b0e", "426d3a3b6ae8a9784fa925848a587f6ba10987ae4b9bd437875bb9f1ba55cfdb"),
+    ("arith-z7", 9, 0): ("0e2ee6d73b51a05e0a0da0418eefab262838ec42c71e73707ce1644ded5c3a17", "f0cbd7175619679ade0ad727cc7d10258bc5f5bf67d812d0d9feea41d5bf062e"),
+    ("arith-z7", 40, 5): ("bd6a9e0f7a5e94e45081f1ee83b0dd1409222dedc703eceb7cff2bcee89e2385", "bf9ccc64f72023097e5f3399baea03ab80a4bae07f7d3b95230d7ab22ed537b0"),
+    ("arith-z2", 12, 3): ("7670d6c0591744dfbd0e6d3f5ab1fa6d3b0406a316196b60c6b28d49e3d653a7", "04136d31a081db305c7915d153b2bc7bb77b736dfade2a92ced806591634def5"),
+}
+
+
+class TestGeneratedCorpusPins:
+    """Generated corpora are byte-identical to the pinned ones, each kind
+    at a few sizes and seeds."""
+
+    @pytest.mark.parametrize("key", sorted(_CORPUS_SHA256), ids=lambda k: "-".join(map(str, k)))
+    def test_pinned(self, key):
+        corpus = gen_instances(*key)
+        digests = tuple(
+            hashlib.sha256(text.encode()).hexdigest()
+            for text in (corpus.instances_text(), corpus.labels_text())
+        )
+        assert digests == _CORPUS_SHA256[key]
+
+
+def rebuild(node: ArithNode | BoolFormula) -> ArithNode | BoolFormula:
+    """The same tree, every node built (and checked) by the public
+    constructor."""
+    args = tuple(rebuild(a) for a in node.args)
+    if isinstance(node, ArithNode):
+        return ArithNode(node.op, node.value, node.index, args)
+    return BoolFormula(node.op, node.value, args)
+
+
+def max_index(node: ArithNode) -> int:
+    """The largest indeterminate index under ``node``, by a tree walk."""
+    best, stack = 0, [node]
+    while stack:
+        node = stack.pop()
+        if node.op == "var":
+            best = max(best, node.index)
+        stack += node.args
+    return best
+
+
+class TestNodeConstruction:
+    """Parsers and generators build nodes without the public constructor,
+    sharing leaves; the trees they build equal the public ones."""
+
+    @pytest.fixture
+    def public_nodes(self, monkeypatch):
+        """A counter of nodes built through the public constructors."""
+        count = [0]
+        for cls in (ArithNode, BoolFormula):
+
+            def counted(node, check=cls.__post_init__):
+                count[0] += 1
+                check(node)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        return count
+
+    @staticmethod
+    def parsed_trees(kind: str, corpus) -> list:
+        if kind == "bool":
+            trees = [parse_bool_postfix(line) for line in corpus.instances]
+            return trees + [parse_bool_infix(tree.to_infix()) for tree in trees]
+        ring = hardness._arith_semiring(kind)
+        return [parse_arith(line.partition(";")[0], ring).root for line in corpus.instances]
+
+    @pytest.mark.parametrize("kind", ["bool", "arith", "arith-z7"])
+    def test_parsers_and_generators_build_no_public_node(self, public_nodes, kind):
+        corpus = gen_instances(kind, 40, 5)
+        trees = self.parsed_trees(kind, corpus)
+        assert [eval_instance(kind, line) for line in corpus.instances] == list(corpus.labels)
+        assert len(trees) >= 100 and public_nodes[0] == 0
+        rebuild(trees[0])
+        assert public_nodes[0] > 0  # the counter sees the public constructor
+
+    def test_deep_parses_build_no_public_node(self, public_nodes):
+        parse_bool_postfix("0" + "1∧" * DEEP)
+        parse_bool_infix("(¬" * DEEP + "1" + ")" * DEEP)
+        parse_arith("(- " * DEEP + "X1" + ")" * DEEP, Semiring.zmod(7))
+        assert public_nodes[0] == 0
+
+    @pytest.mark.parametrize("kind", ["bool", "arith", "arith-z7"])
+    def test_parsed_trees_equal_public_ones(self, kind):
+        for tree in self.parsed_trees(kind, gen_instances(kind, 40, 9)):
+            public = rebuild(tree)
+            assert tree == public
+            assert hash(tree) == hash(public)
+            assert repr(tree) == repr(public)
+
+    def test_generated_trees_equal_public_ones(self):
+        rng = random.Random(841)
+        for _ in range(200):
+            for tree in (
+                hardness._random_bool_tree(rng, 40),
+                hardness._random_arith_node(rng, 20, Semiring.zmod(7), 3, 0, 6),
+            ):
+                public = rebuild(tree)
+                assert tree == public and hash(tree) == hash(public)
+
+    def test_deep_combs_print_as_public_ones(self):
+        """Dataclass ``==`` recurses, so the depth-10^5 combs are compared
+        by their printed form."""
+        rng = random.Random(842)
+        bits = [rng.randint(0, 1) for _ in range(DEEP + 1)]
+        ops = [rng.choice(["and", "or"]) for _ in range(DEEP)]
+        tree = BoolFormula("const", value=bits[0])
+        for bit, op in zip(bits[1:], ops):
+            tree = BoolFormula(op, args=(tree, BoolFormula("const", value=bit)))
+        postfix = tree.to_postfix()
+        assert parse_bool_postfix(postfix).to_postfix() == postfix
+        assert parse_bool_infix(tree.to_infix()).to_infix() == tree.to_infix()
+        atoms = {"X1": ArithNode("var", index=1), "5": ArithNode("const", value=5)}
+        leaves = [rng.choice(sorted(atoms)) for _ in range(DEEP)]
+        node = atoms["X1"]
+        for op, leaf in zip(ops, leaves):
+            node = ArithNode("add" if op == "and" else "mul", args=(node, atoms[leaf]))
+        text = ArithFormula(Semiring.zmod(7), node, 1).to_sexpr()
+        assert parse_arith(text, Semiring.zmod(7)).to_sexpr() == text
+
+    def test_repeated_atoms_share_one_leaf(self):
+        ring = Semiring.integers()
+        root = parse_arith("(+ (* X1 3) (+ X1 3))", ring).root
+        (x1, three), (x1_again, three_again) = (arg.args for arg in root.args)
+        assert x1 is x1_again and three is three_again
+        # Tokens are memoized by their text, for one call only.
+        assert parse_arith("(+ 03 3)", ring).root.args[0] is not three
+        assert parse_arith("X1", ring).root is not parse_arith("X1", ring).root
+        leaves = [
+            parse_bool_postfix("(0¬)01∧∨"),
+            parse_bool_infix("((0∧1)∨(¬0))"),
+        ]
+        zeros = {id(tree.args[0].args[0]) for tree in leaves}
+        zeros |= {id(tree.args[1].args[0]) for tree in leaves}
+        assert len(zeros) == 1
+
+    def test_bad_atom_refused_at_first_occurrence(self):
+        ring = Semiring.integers()
+        for text, message in [
+            ("(+ (* 2 Xa) Xb)", "bad atom 'Xa'"),
+            ("(+ X0 Xa)", "indeterminate indices are 1-based"),
+            ("(+ Xa X0)", "bad atom 'Xa'"),
+            ("(+ 1 (+ 1 1x))", "bad atom '1x'"),
+        ]:
+            with pytest.raises(FormulaParseError, match=f"^{re.escape(message)}$"):
+                parse_arith(text, ring)
+        with pytest.raises(DomainMismatch, match="^2 is not a Boolean constant$"):
+            parse_arith("(+ 1 (* 1 2))", Semiring.booleans())
+
+    def test_n_indeterminates_is_the_largest_index(self):
+        ring = Semiring.integers()
+        assert parse_arith("X3", ring).n_indeterminates == 3
+        assert parse_arith("(+ X5 (* X2 X5))", ring).n_indeterminates == 5
+        assert parse_arith("(+ 1 2)", ring).n_indeterminates == 0
+        for line in gen_instances("arith", 12, 11).instances:
+            formula = parse_arith(line.partition(";")[0], ring)
+            assert formula.n_indeterminates == max_index(formula.root)
+
+    def test_nodes_stay_frozen(self):
+        ring = Semiring.integers()
+        for node in (
+            parse_arith("(+ X1 2)", ring).root,
+            parse_arith("X1", ring).root,
+            parse_bool_postfix("01∧"),
+            parse_bool_postfix("0"),
+            parse_bool_infix("1"),
+        ):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                node.op = "mul"
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                node.value = 1
+        assert parse_bool_postfix("0").value == 0
