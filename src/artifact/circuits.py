@@ -516,13 +516,14 @@ def serialize_netlist(circuit: Circuit) -> str:
 
 def _ascii_int(text: str) -> int | None:
     """``int(text)`` when ``text`` is an ASCII decimal integer, with an
-    optional sign and surrounding whitespace; ``None`` otherwise.  Bare
-    ``int`` would also read non-ASCII digits and ``_`` separators.  Every
-    integer read from text goes through it: netlists, corpora, model files
-    and options."""
+    optional sign and surrounding ASCII whitespace; ``None`` otherwise.
+    Bare ``int`` would also read non-ASCII digits and ``_`` separators, and
+    would refuse ``\x1c``-``\x1f``, which :func:`_ascii_split` splits at.
+    Every integer read from text goes through it: netlists, corpora, model
+    files and options."""
     if text.isascii() and "_" not in text:
         try:
-            return int(text)
+            return int(text.strip(_ASCII_WHITESPACE))
         except ValueError:
             pass
     return None

@@ -515,7 +515,8 @@ def _draw_indices(rng: random.Random, n: int, count: int) -> list[int]:
     """``count`` draws of ``rng.choice(range(n))``, drawn the way CPython
     3.10-3.13 draws them: ``choice(seq)`` is ``seq[_randbelow(len(seq))]``,
     and ``_randbelow(n)`` calls ``getrandbits(n.bit_length())`` until the
-    result is below ``n``.  The tests check the two agree call for call."""
+    result is below ``n``.  The tests check the two agree call for call.
+    ``hardness._draw_s5`` follows the same rule for ``shuffle``."""
     k = n.bit_length()
     getrandbits = rng.getrandbits
     out: list[int] = []

@@ -30,8 +30,10 @@ the product alone, and :func:`word_problem` compares the product with the
 identity tuple.  :func:`barrington_transform` works on image tuples,
 composed by the same steps, and builds one :class:`Permutation` per
 distinct image of the program it returns.  ``gen_instances("perm",
-...)`` builds none: it draws each element of S5 with a shuffle of [5] and
-works on indices 0-119 into tables built once per process (product,
+...)`` builds none: it draws each element of S5 as four raw
+``getrandbits`` draws looked up in a table (:func:`_draw_s5`), byte for
+byte the element ``random.shuffle`` of [5] gives on CPython 3.10-3.13,
+and works on indices 0-119 into tables built once per process (product,
 inverse and text of each element).  ``eval_instance("perm", ...)`` is
 :func:`word_problem` of :func:`parse_permutation_line`, which reads each
 token through one bounded, process-wide memo from token text to its
@@ -58,8 +60,8 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import permutations as iter_permutations
+from functools import cache, lru_cache
+from itertools import permutations as iter_permutations, product as iter_product
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -1029,22 +1031,65 @@ def _random_arith_node(
 
 @cache
 def _s5_tables() -> tuple[
-    dict[tuple[int, ...], int], tuple[str, ...], tuple[tuple[int, ...], ...], tuple[int, ...]
+    dict[tuple[int, ...], int],
+    tuple[str, ...],
+    tuple[tuple[int, ...], ...],
+    tuple[int, ...],
+    tuple[int, ...],
 ]:
     """S5 by index, for ``gen_instances("perm", ...)``: each image's index
     (0-119, the images in lexicographic order), each index's text, the
-    product table (``products[a][b]`` is the index of ``a`` then ``b``) and
-    each index's inverse (by :func:`_inverse`).  A product is the kernel's
-    one step, ``_step(a)(b)``.  Built on first use, so that
-    importing the module does not pay for it."""
+    product table (``products[a][b]`` is the index of ``a`` then ``b``),
+    each index's inverse (by :func:`_inverse`) and the draw table.  A
+    product is the kernel's one step, ``_step(a)(b)``.  ``draws[d]`` is the
+    index of the image that ``random.shuffle`` makes of ``[1, 2, 3, 4, 5]``
+    when its swap positions are ``j4, j3, j2, j1`` (each ``j_i`` in
+    ``0..i``, swapped with position ``i``) and ``d = ((j4*4 + j3)*3 + j2)*2
+    + j1``.  Built on first use, so that importing the module does not pay
+    for it."""
     images = list(iter_permutations(range(1, 6)))
     index = {image: i for i, image in enumerate(images)}
     texts = tuple("".join(map(str, image)) for image in images)
     products = tuple(tuple(index[step(b)] for b in images) for step in map(_step, images))
     inverses = tuple(index[_inverse(a)] for a in images)
-    return index, texts, products, inverses
+    draws = []
+    for js in iter_product(range(5), range(4), range(3), range(2)):  # in order of d
+        x = [1, 2, 3, 4, 5]
+        for i, j in zip((4, 3, 2, 1), js):
+            x[i], x[j] = x[j], x[i]
+        draws.append(index[tuple(x)])
+    return index, texts, products, inverses, tuple(draws)
 
 
+def _draw_s5(rng: random.Random, draws: Sequence[int], count: int) -> list[int]:
+    """``count`` S5 indices, each that of the image ``rng.shuffle`` makes of
+    ``[1, 2, 3, 4, 5]``, drawn the way CPython 3.10-3.13 draws it:
+    ``shuffle`` swaps position ``i`` with ``_randbelow(i + 1)`` for ``i =
+    4, 3, 2, 1``, and ``_randbelow(n)`` calls ``getrandbits(n.bit_length())``
+    until the result is below ``n``, the rule ``cli._draw_indices`` follows
+    too.  ``draws`` is :func:`_s5_tables`' draw table, which maps the four
+    positions to the index.  The tests check this against ``shuffle`` call
+    for call."""
+    getrandbits = rng.getrandbits
+    out: list[int] = []
+    for _ in range(count):
+        j4 = getrandbits(3)
+        while j4 >= 5:
+            j4 = getrandbits(3)
+        j3 = getrandbits(3)
+        while j3 >= 4:
+            j3 = getrandbits(3)
+        j2 = getrandbits(2)
+        while j2 >= 3:
+            j2 = getrandbits(2)
+        j1 = getrandbits(2)
+        while j1 >= 2:
+            j1 = getrandbits(2)
+        out.append(draws[((j4 * 4 + j3) * 3 + j2) * 2 + j1])
+    return out
+
+
+@lru_cache(maxsize=16)  # one shared frozen ring per kind; arith-zM kinds are unbounded
 def _arith_semiring(kind: str) -> Semiring:
     if kind == "arith":
         return Semiring.integers()
@@ -1060,11 +1105,12 @@ def gen_instances(kind: str, size: int, seed: int, count: int = 100) -> Corpus:
     Kinds: ``bool`` (postfix formulas of at most ``size`` symbols),
     ``perm`` (lines of ``size`` space-separated S5 image strings, roughly
     half engineered to compose to the identity: the last element is the
-    inverse of the product of the others; each element is a shuffle of
-    [5], composed by index in :func:`_s5_tables`, and the label is the
-    product of the whole word), ``arith`` (integer
-    S-expressions with at most ``size`` operators plus a three-constant
-    assignment after ``;``), and ``arith-zM`` (the same over Z_M).
+    inverse of the product of the others; each element is drawn by
+    :func:`_draw_s5`, as ``random.shuffle`` of [5] draws it on CPython
+    3.10-3.13, and composed by index in :func:`_s5_tables`, and the label
+    is the product of the whole word), ``arith`` (integer S-expressions
+    with at most ``size`` operators plus a three-constant assignment after
+    ``;``), and ``arith-zM`` (the same over Z_M).
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
@@ -1079,17 +1125,13 @@ def gen_instances(kind: str, size: int, seed: int, count: int = 100) -> Corpus:
             instances.append(tree.to_postfix())
             labels.append(str(eval_bool(tree)))
     elif kind == "perm":
-        index, texts, products, inverses = _s5_tables()
+        index, texts, products, inverses, draws = _s5_tables()
         identity = index[tuple(range(1, 6))]
-        shuffle = rng.shuffle
         for _ in range(count):
             closed = size >= 2 and rng.random() < 0.5
-            word, q = [], identity  # q: the product of the word so far
-            for _ in range(size - 1 if closed else size):
-                image = [1, 2, 3, 4, 5]
-                shuffle(image)
-                p = index[tuple(image)]
-                word.append(p)
+            word = _draw_s5(rng, draws, size - 1 if closed else size)
+            q = identity  # the product of the word so far
+            for p in word:
                 q = products[q][p]
             if closed:
                 p = inverses[q]

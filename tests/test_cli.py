@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from artifact import cli, synthesis
+from artifact import cli, hardness, synthesis
 from artifact.circuits import Circuit, CircuitError, ParseError, serialize_netlist
 from artifact.cli import CliUsageError, build_parser, eval_expression, main
 from artifact.elementary import NegativeInput, NonPositiveInput
@@ -32,6 +32,7 @@ from artifact.floats import DivisionByZero, FpError, FpNumber, round_p
 from artifact.hardness import (
     DomainMismatch,
     FormulaParseError,
+    Semiring,
     UnsupportedGate,
     enumerate_small_circuits,
 )
@@ -465,10 +466,11 @@ class TestAsciiIntegers:
         runs = [
             (main(["mamba", "depth", "--shape", shape, "--assign", weights]), capsys.readouterr())
             for shape, weights in [
-                ("2,1,1,1,1", "all=2"), (" 2,+1,1 ,1,1", "all= +2"), ("2,1,1,1,1", "\tall\x1f = 2")
+                ("2,1,1,1,1", "all=2"), (" 2,+1,1 ,1,1", "all= +2"), ("2,1,1,1,1", "\tall\x1f = 2"),
+                ("\x1c2,1\x1c,1,1,1", "all=\x1c2\x1f"),
             ]
         ]
-        assert runs[0] == runs[1] == runs[2] and runs[0][0] == 0
+        assert runs[0] == runs[1] == runs[2] == runs[3] and runs[0][0] == 0
 
     # Each netlist field with a token in it, the line that holds it, and
     # the field's name in the refusal.
@@ -596,6 +598,18 @@ class TestAsciiSeparators:
         assert main(["hardness", "eval", "arith", str(corpus)]) == 2
         out, err = capsys.readouterr()
         assert not out and err == f"FormulaParseError: {what} {token.format(space)!r}\n"
+
+    def test_arith_values_strip_every_ascii_space(self, tmp_path, capsys):
+        """A value is stripped of any ASCII whitespace, as the line and the
+        expression are: ``\\x1c``-``\\x1f``, which ``int`` alone would
+        refuse, too.  In a file, ``\\x1c``-``\\x1e``, ``\\v`` and
+        ``\\f`` end the line, so only ``\\x1f`` reaches a value there."""
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("(+ X1 X2) ; 1,\x1f3\x1f\n", encoding="utf-8")
+        assert main(["hardness", "eval", "arith", str(corpus)]) == 0
+        assert capsys.readouterr().out == "4\n"
+        for space in "\x1c\x1d\x1e\x1f\v\f":
+            assert hardness.eval_instance("arith", f"(+ X1 X2) ;{space}1,{space}3{space}") == "4"
 
     @pytest.mark.parametrize("space", list(_ODD_SPACES.values()), ids=list(_ODD_SPACES))
     @pytest.mark.parametrize(
@@ -1367,6 +1381,26 @@ class TestHardnessCommands:
         assert main(["hardness", "eval", "perm", str(corpus)]) == 0
         assert "labels: PASS (40/40)" in capsys.readouterr().out
 
+    def test_eval_builds_one_semiring_per_file(self, tmp_path, capsys, monkeypatch):
+        """Every line of an arithmetic corpus is read over one shared
+        ``Semiring``, not a new one per line."""
+        corpus = tmp_path / "z7.txt"
+        assert main(["hardness", "gen", "arith-z7", "--size", "20", "--seed", "1",
+                     "-n", "20", "-o", str(corpus)]) == 0
+        capsys.readouterr()
+        built = []
+        real = Semiring.__post_init__
+
+        def counting(self):
+            built.append((self.kind, self.modulus))
+            real(self)
+
+        monkeypatch.setattr(Semiring, "__post_init__", counting)
+        hardness._arith_semiring.cache_clear()
+        assert main(["hardness", "eval", "arith-z7", str(corpus)]) == 0
+        assert "labels: PASS (20/20)" in capsys.readouterr().out
+        assert built == [("zmod", 7)]
+
     def test_eval_detects_corrupted_label(self, tmp_path, capsys):
         corpus = tmp_path / "bool.txt"
         assert main(["hardness", "gen", "bool", "--size", "9", "--seed", "3",
@@ -1649,6 +1683,23 @@ class TestCorpusPinned:
         assert main(["hardness", "eval", "perm", str(corpus)]) == 0
         labels = capsys.readouterr().out
         assert (_sha256(instances), _sha256(labels)) == _PERM_CORPUS_SHA256[size, seed]
+
+    def test_perm_gen_out_files_pinned(self, tmp_path, capsys):
+        """The corpus and labels files ``gen perm --out`` writes, at the
+        perfbench corpus workload's long op shape; recorded while each
+        element was drawn with ``random.shuffle``."""
+        out = tmp_path / "perm.txt"
+        argv = ["hardness", "gen", "perm", "--size", "10000", "-n", "2", "--seed", "11"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 2 instances to {out} (+ labels sidecar)\n"
+        digests = tuple(
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (out, tmp_path / "perm.txt.labels")
+        )
+        assert digests == (
+            "927155cf4b5541f66584303849299098ba66ded1fea3a3fe317d67c78d6cb514",
+            "52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262",
+        )
 
     def test_barrington_check_digest(self, tmp_path, capsys):
         outputs = []

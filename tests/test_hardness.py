@@ -610,10 +610,11 @@ class TestCompositionKernel:
 
 class TestS5Tables:
     """``gen_instances("perm", ...)`` composes S5 by index: its tables
-    agree with the kernel on every pair, and are built on first use only."""
+    agree with the kernel on every pair, its draws agree with
+    ``random.shuffle``, and the tables are built on first use only."""
 
     def test_tables_match_the_kernel(self):
-        index, texts, products, inverses = hardness._s5_tables()
+        index, texts, products, inverses, draws = hardness._s5_tables()
         images = sorted(index, key=index.get)
         assert sorted(index.values()) == list(range(120))
         assert sorted(images) == sorted(itertools.permutations(range(1, 6)))
@@ -624,6 +625,31 @@ class TestS5Tables:
             assert len(products[i]) == 120
             for j, b in enumerate(images):
                 assert images[products[i][j]] == compose([Permutation(a), Permutation(b)]).image
+        assert len(draws) == 120 and sorted(draws) == list(range(120))
+        for d, (j4, j3, j2, j1) in enumerate(
+            itertools.product(range(5), range(4), range(3), range(2))
+        ):
+            x = [1, 2, 3, 4, 5]
+            x[4], x[j4] = x[j4], x[4]
+            x[3], x[j3] = x[j3], x[3]
+            x[2], x[j2] = x[j2], x[2]
+            x[1], x[j1] = x[j1], x[1]
+            assert images[draws[d]] == tuple(x)
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**31 - 1, 2**64 + 3, "perm|1000|7"])
+    def test_draw_is_rng_shuffle(self, seed):
+        """Call for call, and leaving the generator in the same state."""
+        index, *_, draws = hardness._s5_tables()
+        ours, theirs = random.Random(seed), random.Random(seed)
+        got = hardness._draw_s5(ours, draws, 5000)
+        want = []
+        for _ in range(5000):
+            x = [1, 2, 3, 4, 5]
+            theirs.shuffle(x)
+            want.append(index[tuple(x)])
+        assert got == want
+        assert ours.getstate() == theirs.getstate()
+        assert hardness._draw_s5(random.Random(seed), draws, 0) == []
 
     def test_import_leaves_tables_unbuilt(self):
         """Importing the command line builds nothing that only ``gen perm``
@@ -1282,12 +1308,14 @@ class TestDeepFormulas:
 
 # sha256 of `instances_text()` and of `labels_text()` of
 # `gen_instances(kind, size, seed)` at the default count of 100, recorded
-# while the generators built every node through the public constructors.
+# while the generators built every node through the public constructors
+# and drew each permutation with `random.shuffle`.
 _CORPUS_SHA256 = {
     ("bool", 15, 0): ("42f4f7a5a378f9c34213860f2f68155e9a95462b67dc19fb4c27335f95d6e609", "8f3dc929a529806a72ef3ee1f1781d12b19bbca9d6a8e106f9dcd1a9fb80e434"),
     ("bool", 31, 7): ("9e478451db969823bc9d8068d4de646e915c628e9ccb73a8f25c04331577d4f1", "09b4222727bc16de94c989084c093e3a3b82bbfc357421ee49b655ed4763e3b6"),
     ("bool", 200, 1): ("c5067920b2e4237f664926f86683621f6a89dd1c5990a13f47e07d825e3e2d34", "16e6be3d2943c0e71e41d31f60e301bfdaef79738782d5d041c16f82fa82fa51"),
     ("perm", 5, 0): ("5e8bbcd6b9ed158c6e08e52a8be99f3776b5d28e2e9a572d95b350edc6cd21c5", "7e2ac233d931aaa59a550e7c3c0648f46f3d0be01de0af77b4c44fb50b508d5c"),
+    ("perm", 1000, 7): ("96de2dc7e384fba97389052c00eb5206969eb2891f4448b2ef09a4f682ccacf1", "5e9858047bd54b88918d8f139152d5d639e2801b6e3ed037226d55db504cacc5"),
     ("perm", 20, 3): ("613785d63b83cccb9bc7a38f00464f8cfa778a97d0eed970340bde8583b6bc8d", "7b085c794f4c988a030e7ccbf42a5732aa3fb9d8d957f16901abd86b62402132"),
     ("arith", 9, 0): ("a297e7df173a87fb6de4195322872a895ba69e2bbf74c112effc5ace07f33882", "29875868715398fb74018013b2546a8aa6fea1c5e1c29ddaf1722539b6ad4e4b"),
     ("arith", 40, 5): ("94d278d9f442290ddbb21280697f96d1efbc42a9dcb2f1b6529d834dfd0b8b0e", "426d3a3b6ae8a9784fa925848a587f6ba10987ae4b9bd437875bb9f1ba55cfdb"),
