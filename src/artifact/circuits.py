@@ -388,6 +388,14 @@ def pack_codes(codes: Sequence[int], width: int) -> list[int]:
         data, stride = lanes.tobytes(), lanes.itemsize
     else:
         data = b"".join([c.to_bytes(stride, "little") for c in codes])
+    return _pack_fields(data, stride, width)
+
+
+def _pack_fields(data: bytes, stride: int, width: int) -> list[int]:
+    """The ``width`` bit-plane words of codes laid out as consecutive
+    ``stride``-byte little-endian fields, lane ``i`` the ``i``-th field
+    (``data`` not empty): the transpose of :func:`pack_codes`, for callers
+    that lay the fields out themselves."""
     return [
         int(data[j >> 3 :: stride].translate(_BIT_DIGITS[j & 7])[::-1], 2)
         for j in range(width)

@@ -48,12 +48,14 @@ fill memory.
 
 from __future__ import annotations
 
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, islice, product
 from typing import Iterable, Iterator, Sequence
 
-from .circuits import BLOCK_LANES, Circuit, CircuitBuilder, evaluate_words, pack_codes
+from .circuits import BLOCK_LANES, Circuit, CircuitBuilder, _pack_fields, evaluate_words, pack_codes
 from .floats import Comparison, FpNumber, Overflow, Pair
 from .floats import _add, _compare, _iter_add, _normal, _round
 
@@ -821,37 +823,45 @@ _VERDICT_BITS = {
 }
 
 
-def _expected_words(op: SynthesizedOp, cases: Iterable[tuple[Pair, ...]]) -> list[int]:
-    """Reference results of every case, packed like the circuit's outputs.
+def _verdict_codes(ref, cases: Iterable[tuple[Pair, Pair]], p: int) -> list[int]:
+    """The verdict ``ref(a, b, p)`` of each case, coded as ``compare``'s
+    ``(lt, gt)`` output bits; by identity, as an ``Enum`` hashes in Python.
+    A verdict other than a :class:`~artifact.floats.Comparison` raises."""
+    less, greater, equal = Comparison.LESS, Comparison.GREATER, Comparison.EQUAL
+    codes: list[int] = []
+    append = codes.append
+    for a, b in cases:
+        verdict = ref(a, b, p)
+        if verdict is less:
+            append(1)  # lt
+        elif verdict is greater:
+            append(2)  # gt
+        elif verdict is equal:
+            append(0)
+        else:
+            raise TypeError(f"compare returned {verdict!r}, not a Comparison")
+    return codes
+
+
+def _lane_codes(op: SynthesizedOp, cases: Iterable[tuple[Pair, ...]]) -> list[int]:
+    """Reference results of every case, each coded like the circuit's
+    outputs, two more bits above them: one set where the reference
+    overflows (with the flag output; only the flag is checked there), one
+    where the output encoding cannot hold the reference result (always a
+    mismatch, as no output bits can equal it).
 
     Each case costs one call of the kernel op on its ``(m, e)`` pairs, with
     its own ``Overflow`` handling, and no other Python-level call: the
     cases come from C iterators, the op is called by name with positional
     arguments, a verdict is coded by identity (an ``Enum`` hashes in
     Python) and a result by inlined :meth:`BitEncoding.code`.
-
-    Two bit-plane words follow the expected outputs: lanes where the
-    reference overflows (only the flag output is checked there) and lanes
-    whose reference result the output encoding cannot hold (always a
-    mismatch, as no output bits can equal it).
     """
     ref, p = _PRIMITIVES[op.kind][1], op.p
+    if op.kind == "compare":
+        return _verdict_codes(ref, cases, p)
     n_out = len(op.circuit.outputs)
     codes: list[int] = []
     append = codes.append
-    if op.kind == "compare":
-        less, greater, equal = Comparison.LESS, Comparison.GREATER, Comparison.EQUAL
-        for a, b in cases:
-            verdict = ref(a, b, p)
-            if verdict is less:
-                append(1)  # lt
-            elif verdict is greater:
-                append(2)  # gt
-            elif verdict is equal:
-                append(0)
-            else:
-                raise TypeError(f"compare returned {verdict!r}, not a Comparison")
-        return pack_codes(codes, n_out + 2)
     enc = op.output_encoding
     sig_mask, exp_mask, sig_bits = enc.sig_mask, enc.exp_mask, enc.sig_bits
     e_min, e_max = enc.e_min, enc.e_max
@@ -879,7 +889,201 @@ def _expected_words(op: SynthesizedOp, cases: Iterable[tuple[Pair, ...]]) -> lis
                 append((m & sig_mask) | (e & exp_mask) << sig_bits)
             else:
                 append(unencodable)
-    return pack_codes(codes, n_out + 2)
+    return codes
+
+
+def _expected_words(op: SynthesizedOp, cases: Iterable[tuple[Pair, ...]]) -> list[int]:
+    """Reference results of every case, packed like the circuit's outputs:
+    :func:`_lane_codes`, one kernel call per case, transposed by
+    :func:`~artifact.circuits.pack_codes` into one word per output, then
+    the overflow and unencodable bit planes.  The reference of the
+    exhaustive ``iter_add`` sweep and of explicit and sampled cases; the
+    exhaustive binary sweeps derive theirs from scale classes
+    (:class:`_ScaleClasses`)."""
+    return pack_codes(_lane_codes(op, cases), len(op.circuit.outputs) + 2)
+
+
+class _ScaleClasses:
+    """The expected words of an exhaustive ``add``, ``mul`` or ``compare``
+    sweep (:func:`_sweep_blocks`), one kernel call per scale class rather
+    than one per lane.
+
+    Inside the kernel's exponent range, ``floats._round(n, k, p)`` takes
+    its significand from ``n`` alone and adds ``k`` to the exponent: a
+    result ``(m, e)`` with ``-2**p < e < 2**p`` at ``k`` is ``(m, e + t)``
+    at ``k + t`` whenever ``-2**p < e + t < 2**p``.  So for nonzero
+    operands ``(am, ae)`` and ``(bm, be)``, ``compare``'s verdict is a
+    function of ``(am, bm, be - ae)``; ``add``'s result is that of
+    ``(am, 0) + (bm, be - ae)`` shifted by ``ae``; ``mul``'s is that of
+    ``am * bm`` at exponent 0, shifted by ``ae + be``.
+
+    In ``enumerate_values``' order a head ``(am, ae)``'s row of lanes is
+    the zero lane, then one run of ``2 * 2**exp_bits`` lanes per magnitude
+    of ``b``: its exponents in order, both signs of each.  For each signed
+    head significand, a *template* per magnitude of ``b`` holds the codes
+    of that run for every relative exponent, ``2 * 2**exp_bits - 1`` of
+    them, both signs interleaved: indexed by ``be - ae`` for ``compare``
+    and ``add``, by ``ae + be`` for ``mul``.  A row is the ``bytes`` join
+    of its templates' slices at ``ae``'s offset.  ``compare``'s entries
+    are kernel calls, exact for every lane of the class; ``mul``'s are
+    its one ``(am, bm)`` call shifted to each ``ae + be``, each final.
+    ``add``'s entries hold the class result with a biased exponent in
+    32-bit fields, so each row gets ``ae`` by one replicated integer add
+    and drops the bias by one AND.
+
+    Every lane still gets a reference value; those that break the pattern
+    take the kernel one by one, as :func:`_lane_codes` codes them: lanes
+    with a zero operand, and lanes whose class result is zero, overflowed,
+    has an exponent at or below ``-2**p`` (it may come from the underflow
+    branch) or shifts to one there or at or above ``2**p``, or leaves the
+    output window.  Each template lists its own such lanes, row by row;
+    for ``mul`` a breaking entry is one kernel call at its ``ae + be``,
+    as every lane of that entry makes the same one.  Templates are built
+    on a head significand's first row and kept for the sweep; rows are
+    built block by block, as :func:`_check_blocks` asks for them.
+    """
+
+    def __init__(self, op: SynthesizedOp, pairs: list[Pair]):
+        enc, out = op.input_encoding, op.output_encoding
+        self.op = op
+        self.pairs = pairs
+        self.ref = _PRIMITIVES[op.kind][1]
+        self.span = 1 << enc.exp_bits
+        self.e_min = enc.e_min
+        self.stride = 1 if out is None else 4
+        self.width = len(op.circuit.outputs) + 2
+        # Template bytes and the lanes to take one by one, by head significand.
+        self.templates: dict[int, tuple[list[bytes], dict[int, list[int]]]] = {}
+        if out is None:
+            return
+        lim = 1 << op.p
+        # The exponents a shifted result may have and keep the pattern.
+        self.lo = max(1 - lim, out.e_min)
+        self.hi = min(lim - 1, out.e_max)
+        if op.kind == "add":
+            # A power of two at least 2**out.exp_bits, above any |e + ae|.
+            self.bias = 1 << (max(out.exp_bits, op.p, enc.exp_bits) + 2)
+            ones = int.from_bytes(b"\1\0\0\0" * (len(pairs) - 1), "little")
+            self.ae_unit = ones << out.sig_bits
+            self.mask = ones * (out.sig_mask | out.exp_mask << out.sig_bits)
+
+    def _start(self, ae: int) -> int:
+        """The byte offset, in each template, of the row of heads with exponent ``ae``."""
+        j = ae - self.e_min
+        entry = 2 * self.stride
+        return entry * (j if self.op.kind == "mul" else self.span - 1 - j)
+
+    def _classes(self, a: Pair, bs: list[Pair]) -> list[Pair]:
+        """The class result ``ref(a, b)`` for each ``b`` in turn, ``(0, 0)``
+        where it cannot be shifted: a zero result, an overflow, or an
+        exponent at or below ``-2**p``."""
+        ref, p, floor = self.ref, self.op.p, -(1 << self.op.p)
+        results = []
+        for b in bs:
+            try:
+                m, e = ref(a, b, p)
+            except Overflow:
+                m = e = 0
+            results.append((m, e) if e > floor else (0, 0))
+        return results
+
+    def _templates(self, am: int) -> tuple[list[bytes], dict[int, list[int]]]:
+        """The templates of head significand ``am``, one per magnitude of
+        ``b``, and the lanes of its rows to take one by one, keyed by the
+        head's exponent."""
+        found = self.templates.get(am)
+        if found is None:
+            build = getattr(self, f"_{self.op.kind}_template")
+            templates: list[bytes] = []
+            fixes: dict[int, list[int]] = {}
+            for bm in range(1 << (self.op.p - 1), 1 << self.op.p):
+                offset = 1 + 2 * self.span * len(templates)  # the run's first lane in a row
+                template, breaks = build(am, bm)
+                templates.append(template)
+                for ae, lane in breaks:
+                    fixes.setdefault(ae, []).append(offset + lane)
+            found = self.templates[am] = (templates, fixes)
+        return found
+
+    # A template builder returns the template of ``am`` against ``bm`` and
+    # the lanes of its run to take one by one, as ``(ae, lane)`` pairs.
+
+    def _compare_template(self, am: int, bm: int) -> tuple[bytes, list]:
+        cases = [((am, 0), (b, d)) for d in range(1 - self.span, self.span) for b in (bm, -bm)]
+        return bytes(_verdict_codes(self.ref, cases, self.op.p)), []
+
+    def _mul_template(self, am: int, bm: int) -> tuple[bytes, list]:
+        out, lo, hi = self.op.output_encoding, self.lo, self.hi
+        sig_mask, exp_mask, sig_bits = out.sig_mask, out.exp_mask, out.sig_bits
+        signed = (bm, -bm)
+        classes = self._classes((am, 0), [(b, 0) for b in signed])
+        codes, broken = [], []
+        for s in range(2 * self.e_min, 2 * (self.e_min + self.span) - 1):
+            for b, (m, e) in zip(signed, classes):
+                if m and lo <= e + s <= hi:
+                    codes.append((m & sig_mask) | ((e + s) & exp_mask) << sig_bits)
+                else:
+                    broken.append((len(codes), ((am, s), (b, 0))))
+                    codes.append(0)
+        if broken:
+            for (k, _), code in zip(broken, _lane_codes(self.op, [case for _, case in broken])):
+                codes[k] = code
+        return struct.pack(f"<{len(codes)}I", *codes), []
+
+    def _add_template(self, am: int, bm: int) -> tuple[bytes, list[tuple[int, int]]]:
+        out, lo, hi = self.op.output_encoding, self.lo, self.hi
+        sig_mask, sig_bits = out.sig_mask, out.sig_bits
+        bias, span, e_min = self.bias, self.span, self.e_min
+        e_max = e_min + span - 1
+        rels = range(1 - span, span)
+        classes = self._classes((am, 0), [(b, d) for d in rels for b in (bm, -bm)])
+        fields, breaks = [], []
+        for k, (m, e) in enumerate(classes):
+            d = rels[k >> 1]
+            # The head exponents of the rows that hold this entry.
+            first = e_min - d if d < 0 else e_min
+            last = e_max - d if d > 0 else e_max
+            if m:
+                fields.append((m & sig_mask) | (e + bias) << sig_bits)
+                if lo <= e + first and e + last <= hi:
+                    continue
+            else:
+                fields.append(bias << sig_bits)
+            # Lane ``2 * (be - e_min) + sign`` of the run, at ``be = ae + d``.
+            lane = 2 * (d - e_min) + (k & 1)
+            for ae in range(first, last + 1):
+                if not (m and lo <= e + ae <= hi):
+                    breaks.append((ae, lane + 2 * ae))
+        return struct.pack(f"<{len(fields)}I", *fields), breaks
+
+    def expected_words(self, block: _SweepCases) -> list[int]:
+        """The expected output words of one sweep block, as
+        :func:`_expected_words` gives them."""
+        pairs, stride, n_values = self.pairs, self.stride, len(self.pairs)
+        size = 2 * stride * self.span
+        add = self.op.kind == "add"
+        pieces: list[bytes] = []
+        lanes: list[int] = []  # the lanes that take the kernel one by one
+        for k, (h,) in enumerate(block.heads):
+            base = k * n_values
+            am, ae = pairs[h]
+            if not am:
+                pieces.append(bytes(n_values * stride))
+                lanes.extend(range(base, base + n_values))
+                continue
+            templates, fixes = self._templates(am)
+            start = self._start(ae)
+            row = b"".join([t[start : start + size] for t in templates])
+            if add:
+                row = int.from_bytes(row, "little") + self.ae_unit * ae
+                row = (row & self.mask).to_bytes(size * len(templates), "little")
+            pieces += (bytes(stride), row)
+            lanes.append(base)
+            lanes.extend([base + lane for lane in fixes.get(ae, ())])
+        data = bytearray(b"".join(pieces))
+        for lane, code in zip(lanes, _lane_codes(self.op, [block[lane] for lane in lanes])):
+            data[lane * stride : lane * stride + stride] = code.to_bytes(stride, "little")
+        return _pack_fields(data, stride, self.width)
 
 
 def _mismatch_lanes(outputs: list[int], expected: list[int], limit: int) -> list[int]:
@@ -1017,16 +1221,17 @@ def _check_indices(op: SynthesizedOp, values: list[FpNumber], flat: list[int]) -
     codes = [enc.code(x) for x in values]
     pairs = [(x.m, x.e) for x in values]
     blocks = _index_blocks(op, codes, pairs, flat)
-    return _check_blocks(op, len(flat) // op.n_operands, blocks)
+    return _check_blocks(op, len(flat) // op.n_operands, blocks, partial(_expected_words, op))
 
 
-def _check_blocks(op: SynthesizedOp, total: int, blocks) -> dict:
-    """Run ``(cases, input words)`` blocks through the circuit and the
-    reference; the report of :func:`check_op`."""
+def _check_blocks(op: SynthesizedOp, total: int, blocks, reference) -> dict:
+    """Run ``(cases, input words)`` blocks through the circuit and
+    ``reference``, which gives a block's expected words; the report of
+    :func:`check_op`."""
     mismatches: list[dict] = []
     for block, words in blocks:
         outputs = evaluate_words(op.circuit, words, len(block))
-        expected = _expected_words(op, block)
+        expected = reference(block)
         for lane in _mismatch_lanes(outputs, expected, MAX_MISMATCHES - len(mismatches)):
             got = tuple((w >> lane) & 1 for w in outputs)
             mismatches.append(_mismatch_report(op, block[lane], got))
@@ -1058,15 +1263,21 @@ def check_op(
     outside the window, raises as :meth:`SynthesizedOp.input_code` would.
     Either way the circuit runs through
     :func:`~artifact.circuits.evaluate_words` ``BLOCK_LANES`` lanes at a
-    time.  The reference is the kernel op, called once per lane on pairs
+    time, and every lane gets a reference value from the kernel op.  For
+    explicit and sampled cases and the exhaustive ``iter_add`` sweep
+    (:func:`_expected_words`), the kernel is called once per lane on pairs
     handed over by C iterators, each lane with its own ``Overflow``
-    handling; nothing is cached or skipped.  Its results are coded and
-    packed into expected output words by
-    :func:`~artifact.circuits.pack_codes`, one ``bytes`` or ``array`` call
-    for the codes of a block, and one XOR per output finds the mismatching
-    lanes.  Where the reference overflows only the flag output is checked;
-    a reference result outside the output encoding's window always
-    mismatches.
+    handling.  The exhaustive ``add``, ``mul`` and ``compare`` sweeps
+    derive each lane's value from its scale class's one kernel call, a
+    class being the lanes whose result is one result shifted in exponent
+    (:class:`_ScaleClasses`); the lanes that break that pattern, those
+    with a zero operand and those whose result is zero, overflows, or lies
+    at the edge of the kernel's exponent range or outside the output
+    window, are called one by one as above.  The coded results are
+    transposed into expected output words block by block, and one XOR per
+    output finds the mismatching lanes.  Where the reference overflows only
+    the flag output is checked; a reference result outside the output
+    encoding's window always mismatches.
 
     Returns a report dict with the case count and the first
     ``MAX_MISMATCHES`` (10) mismatches in case order, each with the
@@ -1081,7 +1292,11 @@ def check_op(
                 f"exhaustive sweep of {total} cases exceeds {MAX_SWEEP_LANES}; "
                 "pass explicit cases"
             )
-        return _check_blocks(op, total, _sweep_blocks(op, values))
+        if op.kind == "iter_add":
+            reference = partial(_expected_words, op)
+        else:
+            reference = _ScaleClasses(op, [(x.m, x.e) for x in values]).expected_words
+        return _check_blocks(op, total, _sweep_blocks(op, values), reference)
     n = op.n_operands
     index: dict[FpNumber, int] = {}
     flat: list[int] = []

@@ -176,6 +176,29 @@ class TestRoundP:
                         want = outcome(_round, num, k - j, p)
                         assert outcome(_round_quotient, num, 1 << j, k, p) == want, (num, j, k, p)
 
+    def test_exponent_shift_is_a_scale(self):
+        """Inside the exponent range ``_round`` takes its significand from
+        ``n`` alone and adds ``k`` to the exponent.  For every nonzero
+        ``|n| < 2**(2p+1)`` at p = 2 to 6, ``(m, e) = _round(n, k, p)`` at
+        the ``k`` that puts ``e`` at 0 or 1, and ``_round(n, k + t, p)`` is
+        ``(m, e + t)`` for every shift ``t`` that keeps ``e + t`` in
+        ``[-2**p, 2**p)``: 2,396,176 cases.  ``synthesis.check_op``'s
+        exhaustive sweeps derive their reference from this."""
+        cases = 0
+        for p in range(2, 7):
+            lim = 1 << p
+            bound = 1 << (2 * p + 1)
+            for n in range(1 - bound, bound):
+                if not n:
+                    continue
+                k = p - abs(n).bit_length()
+                m, e = _round(n, k, p)
+                assert e in (0, 1), (n, p)
+                shifts = range(-lim - e, lim - e)
+                assert [_round(n, k + t, p) for t in shifts] == [(m, e + t) for t in shifts], (n, p)
+                cases += len(shifts)
+        assert cases == 2_396_176
+
 
 class TestApproxDiv:
     """The approximate-quotient rule of the module docstring, as the

@@ -8,6 +8,7 @@ import hashlib
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -540,18 +541,41 @@ def narrowed(op: SynthesizedOp, exp_bits: int) -> SynthesizedOp:
     return SynthesizedOp(op.kind, op.p, circuit, op.input_encoding, narrow, op.m)
 
 
+def scale_classes(op: SynthesizedOp) -> synthesis._ScaleClasses:
+    """The reference of ``op``'s exhaustive binary sweep, as ``check_op``
+    builds it."""
+    values = op.input_encoding.enumerate_values()
+    return synthesis._ScaleClasses(op, [(x.m, x.e) for x in values])
+
+
+def sweep_mismatches(op: SynthesizedOp, reference) -> int:
+    """The blocks of ``op``'s exhaustive sweep whose expected words from
+    ``reference`` differ from ``oracles.per_lane_expected_words``."""
+    values = op.input_encoding.enumerate_values()
+    bad = 0
+    for block, _ in synthesis._sweep_blocks(op, values):
+        cases = [block[i] for i in range(len(block))]
+        bad += reference(block) != per_lane_expected_words(op, cases, KERNEL_REFS[op.kind], Overflow)
+    return bad
+
+
 class TestExpectedWords:
     """The engine's expected output words equal, block for block, those of
     ``oracles.per_lane_expected_words``, which calls the kernel op once per
-    case, codes each result on its own and packs with ``int.to_bytes``."""
+    case, codes each result on its own and packs with ``int.to_bytes``.
+    The exhaustive ``add``, ``mul`` and ``compare`` sweeps take their words
+    from scale classes (``_ScaleClasses``); every other path, the
+    exhaustive ``iter_add`` sweep included, from ``_expected_words``."""
 
     @staticmethod
-    def assert_blocks_match(op: SynthesizedOp, blocks) -> int:
+    def assert_blocks_match(op: SynthesizedOp, blocks, reference=None) -> int:
+        """Lanes checked; ``reference`` defaults to ``_expected_words``."""
+        reference = reference or partial(synthesis._expected_words, op)
         lanes = 0
         for block, _ in blocks:
             cases = [block[i] for i in range(len(block))]
             want = per_lane_expected_words(op, cases, KERNEL_REFS[op.kind], Overflow)
-            assert synthesis._expected_words(op, block) == want
+            assert reference(block) == want
             lanes += len(cases)
         return lanes
 
@@ -567,22 +591,41 @@ class TestExpectedWords:
         return synthesis._index_blocks(op, codes, pairs, flat)
 
     def sweep(self, op: SynthesizedOp) -> None:
+        """The sweep's reference as ``check_op`` takes it: scale classes for
+        the binary kinds, ``_expected_words`` for ``iter_add``."""
         values = op.input_encoding.enumerate_values()
-        lanes = self.assert_blocks_match(op, synthesis._sweep_blocks(op, values))
+        reference = None if op.kind == "iter_add" else scale_classes(op).expected_words
+        lanes = self.assert_blocks_match(op, synthesis._sweep_blocks(op, values), reference)
         assert lanes == len(values) ** op.n_operands
 
-    @pytest.mark.parametrize(
-        "p, window",
-        [(p, w) for p in (2, 3, 4) for w in range(1, p + 1)] + [(5, 1), (5, 2), (5, 3)],
-    )
+    @pytest.mark.parametrize("p, window", [(p, w) for p in (2, 3, 4, 5) for w in range(1, p + 1)])
     @pytest.mark.parametrize("kind", ["add", "mul", "compare"])
     def test_binary_sweeps(self, kind, p, window):
         self.sweep(synth_primitive(kind, p, window))
 
-    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
     def test_compare_sweep_at_window_p_plus_one(self, p):
         """The widest window ``circuit check compare`` takes."""
         self.sweep(synth_primitive("compare", p, p + 1))
+
+    @pytest.mark.parametrize("narrow", [1, 2, "p"])
+    @pytest.mark.parametrize("p, window", [(p, w) for p in (2, 3, 4) for w in range(1, p + 1)])
+    @pytest.mark.parametrize("kind", ["add", "mul"])
+    def test_binary_sweeps_on_narrowed_output_windows(self, kind, p, window, narrow):
+        """Output windows of 1, 2 and p exponent bits leave results outside
+        them, and for ``add`` results inside them for some head exponents
+        and outside for others: those lanes go through the one-by-one
+        path of the scale-class reference."""
+        op = narrowed(synth_primitive(kind, p, window), p if narrow == "p" else narrow)
+        self.sweep(op)
+
+    def test_narrowed_sweeps_have_unencodable_lanes(self):
+        """The narrowed sweeps above do reach lanes outside the window."""
+        for kind in ("add", "mul"):
+            op = narrowed(synth_primitive(kind, 3), 2)
+            values = op.input_encoding.enumerate_values()
+            words = [scale_classes(op).expected_words(b) for b, _ in synthesis._sweep_blocks(op, values)]
+            assert any(w[-1] for w in words), kind
 
     def test_iter_add_sweep(self):
         self.sweep(synth_primitive("iter_add", 2, m=3))
@@ -638,6 +681,96 @@ class TestExpectedWords:
         except Overflow:
             return True
         return False
+
+    @pytest.mark.parametrize("kind, window, narrow", [
+        ("add", 3, 2), ("mul", 3, 2), ("compare", 3, None), ("compare", 4, None),
+    ])
+    def test_check_op_on_permuted_outputs_matches_per_lane_mismatches(self, kind, window, narrow):
+        """``check_op``'s exhaustive sweep at p=3 reports exactly the
+        mismatches the per-lane rules find, in case order, on permuted
+        outputs: of ``add`` and ``mul`` with the output window cut to two
+        exponent bits, and of ``compare`` at windows 3 and 4."""
+        op = synth_primitive(kind, 3, window)
+        if narrow is not None:
+            op = narrowed(op, narrow)
+        values = op.input_encoding.enumerate_values()
+        cases = list(product(values, repeat=2))
+        rng = random.Random(8370 + window)
+        for _ in range(3):
+            outputs = list(op.circuit.outputs)
+            while outputs == list(op.circuit.outputs):
+                rng.shuffle(outputs)
+            broken = with_outputs(op, outputs)
+            report = check_op(broken)
+            assert report["mismatches"] == per_lane_mismatches(broken, cases)
+            assert not report["ok"]
+
+    @pytest.mark.parametrize("kind", ["add", "mul", "compare"])
+    def test_planted_slice_start_fault_is_caught(self, kind, monkeypatch):
+        """Each row sliced one head exponent too high (the top row as it
+        was): the p=3 sweep no longer equals the per-lane reference."""
+        op = synth_primitive(kind, 3)
+        real = synthesis._ScaleClasses._start
+        e_max = op.input_encoding.e_max
+        monkeypatch.setattr(
+            synthesis._ScaleClasses, "_start", lambda self, ae: real(self, min(ae + 1, e_max))
+        )
+        assert sweep_mismatches(op, scale_classes(op).expected_words)
+
+    @pytest.mark.parametrize("kind", ["add", "mul", "compare"])
+    def test_planted_class_exponent_fault_is_caught(self, kind, monkeypatch):
+        """Each class call made with ``b``'s exponent one too high, so
+        every class stands for its neighbour: the p=3 sweep no longer
+        equals the per-lane reference, though lanes taken one by one are
+        still right."""
+        op = synth_primitive(kind, 3)
+        classes = scale_classes(op)
+        real = classes.ref
+        monkeypatch.setattr(classes, "ref", lambda a, b, p: real(a, (b[0], b[1] + 1), p))
+        assert sweep_mismatches(op, classes.expected_words)
+        assert not sweep_mismatches(op, scale_classes(op).expected_words)
+
+    @pytest.mark.parametrize("kind", ["add", "mul", "compare"])
+    def test_kernel_calls_stay_within_the_classes(self, kind, monkeypatch):
+        """An exhaustive p=4, window-4 sweep (66,049 lanes) calls the
+        kernel op at most once per scale class plus once per lane that
+        breaks the pattern: a zero operand; a result that is zero,
+        overflows, has an exponent at or below ``-2**p`` or outside the
+        output window; for ``add``, a class result that does."""
+        op = synth_primitive(kind, 4, 4)
+        p, lim, out = op.p, 1 << op.p, op.output_encoding
+        synthesize, kernel = synthesis._PRIMITIVES[kind]
+        calls = [0]
+
+        def counted(a, b, p):
+            calls[0] += 1
+            return kernel(a, b, p)
+
+        monkeypatch.setitem(synthesis._PRIMITIVES, kind, (synthesize, counted))
+        assert check_op(op)["ok"]
+
+        def breaks(ref, a, b) -> bool:
+            try:
+                m, e = ref(a, b, p)
+            except Overflow:
+                return True
+            return not m or e <= -lim or not out.e_min <= e <= out.e_max
+
+        values = op.input_encoding.enumerate_values()
+        pairs = [(x.m, x.e) for x in values]
+        breaking = 0
+        for a, b in product(pairs, repeat=2):
+            if not a[0] or not b[0]:
+                breaking += 1
+            elif kind != "compare":
+                ref = KERNEL_REFS[kind]
+                breaking += breaks(ref, a, b) or (
+                    kind == "add" and breaks(ref, (a[0], 0), (b[0], b[1] - a[1]))
+                )
+        signed = 2 ** p  # signed significands
+        classes = signed * signed * (1 if kind == "mul" else 2 * 16 - 1)
+        assert len(pairs) ** 2 == 66_049
+        assert calls[0] <= classes + breaking < 66_049 // 6, (calls[0], classes, breaking)
 
 
 class TestConformanceReports:
@@ -704,6 +837,17 @@ class TestConformanceReports:
         report = check_op(synth_primitive(kind, 5))
         elapsed = time.perf_counter() - start
         assert report["cases"] == 1025**2
+        assert report["ok"], report["mismatches"][:3]
+        assert elapsed <= 60, elapsed
+
+    def test_exhaustive_mul_p6(self):
+        """All 4097**2 operand pairs at p=6, the largest sweep ``check_op``
+        takes; ``add`` and ``compare`` there evaluate bigger circuits and
+        stay out of the suite."""
+        start = time.perf_counter()
+        report = check_op(synth_primitive("mul", 6))
+        elapsed = time.perf_counter() - start
+        assert report["cases"] == 4097**2 == 16_785_409
         assert report["ok"], report["mismatches"][:3]
         assert elapsed <= 60, elapsed
 
