@@ -44,19 +44,19 @@ Callers that can build input words directly, such as the exhaustive sweep
 of ``synthesis.check_op``, skip packing altogether.
 
 The textual netlist format is one gate per line, ``id KIND [k] inputs...``,
-followed by a final ``OUTPUTS id...`` line; every integer is an ASCII
-decimal (:func:`_ascii_int`), lines break and tokens split at ASCII
-characters only (:func:`_ascii_lines`, :func:`_ascii_split`), and parsing
-reports the offending line number, and a bad token, on error.
+followed by a final ``OUTPUTS id...`` line; it is read by the text rule
+of :mod:`artifact._text`, and parsing reports the offending line number,
+and a bad token, on error.
 """
 
 from __future__ import annotations
 
-import re
 import sys
 from array import array
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
+
+from artifact._text import _ascii_int, _ascii_split, _token_lines
 
 __all__ = [
     "ArityMismatch",
@@ -522,56 +522,11 @@ def serialize_netlist(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ascii_int(text: str) -> int | None:
-    """``int(text)`` when ``text`` is an ASCII decimal integer, with an
-    optional sign and surrounding ASCII whitespace; ``None`` otherwise.
-    Bare ``int`` would also read non-ASCII digits and ``_`` separators, and
-    would refuse ``\x1c``-``\x1f``, which :func:`_ascii_split` splits at.
-    Every integer read from text goes through it: netlists, corpora, model
-    files and options."""
-    if text.isascii() and "_" not in text:
-        try:
-            return int(text.strip(_ASCII_WHITESPACE))
-        except ValueError:
-            pass
-    return None
-
-
-# The line breaks of ``str.splitlines`` and the separators of ``str.split``
-# that are ASCII.
-_ASCII_BREAKS = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e]")
-_ASCII_WHITESPACE = "\t\n\v\f\r\x1c\x1d\x1e\x1f "
-_ASCII_SPACE = re.compile(f"[{_ASCII_WHITESPACE}]+")
-
-
-def _ascii_split(text: str) -> list[str]:
-    """``text.split()``, but splitting at ASCII whitespace only: other
-    scripts' spaces (U+3000, U+00A0, ...) stay inside the tokens, where the
-    token's own check refuses them.  One ``isascii`` per call, so ASCII
-    text, deep corpus lines included, costs one plain ``split``."""
-    if text.isascii():
-        return text.split()
-    return [t for t in _ASCII_SPACE.split(text) if t]
-
-
-def _ascii_lines(text: str) -> list[str]:
-    """``text.splitlines()``, but breaking at ASCII line breaks only: other
-    scripts' breaks (U+2028, U+0085, ...) stay inside a line, where its
-    tokens are refused.  ASCII text costs one plain ``splitlines``."""
-    if text.isascii():
-        return text.splitlines()
-    lines = _ASCII_BREAKS.split(text)
-    if not lines[-1]:
-        lines.pop()  # a final line break ends the last line, as in splitlines
-    return lines
-
-
 def parse_netlist(text: str) -> Circuit:
     """Read the netlist format (see the module docstring).
 
-    Lines break and tokens split at ASCII characters only, so a non-ASCII
-    character outside a comment (``#`` first) lands in a token, which the
-    token's check refuses by name; a comment may hold any text.
+    A non-ASCII character outside a comment (``#`` first) lands in a token,
+    which the token's check refuses by name; a comment may hold any text.
     """
 
     def number(line_no: int, what: str, token: str) -> int:
@@ -582,10 +537,10 @@ def parse_netlist(text: str) -> Circuit:
 
     builder = CircuitBuilder()
     outputs: list[int] | None = None
-    lines = _ascii_lines(text)
-    for line_no, raw in enumerate(lines, start=1):
+    lines, last = _token_lines(text)
+    for line_no, raw in lines:
         parts = _ascii_split(raw)
-        if not parts or parts[0].startswith("#"):
+        if parts[0].startswith("#"):
             continue
         if parts[0] == "OUTPUTS":
             if outputs is not None:
@@ -613,8 +568,8 @@ def parse_netlist(text: str) -> Circuit:
         except CircuitError as exc:
             raise ParseError(line_no, str(exc)) from None
     if outputs is None:
-        raise ParseError(len(lines) or 1, "missing OUTPUTS line")
+        raise ParseError(last or 1, "missing OUTPUTS line")
     try:
         return builder.build(outputs)
     except CircuitError as exc:
-        raise ParseError(len(lines), str(exc)) from None
+        raise ParseError(last, str(exc)) from None

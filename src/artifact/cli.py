@@ -47,12 +47,15 @@ from functools import cache
 from pathlib import Path
 from typing import NoReturn, Sequence
 
-from artifact.circuits import (
-    Circuit,
-    _ASCII_SPACE,
+from artifact._text import (
+    _ASCII_DIGITS,
     _ASCII_WHITESPACE,
     _ascii_int,
-    _ascii_lines,
+    _ascii_number,
+    _token_lines,
+)
+from artifact.circuits import (
+    Circuit,
     evaluate_many,
     is_majority_only,
     parse_netlist,
@@ -111,7 +114,7 @@ _FUNCTIONS = ("floor", "exp", "log", "sqrt", "sigmoid", "softplus", "silu")
 
 
 # ASCII only: ``str.isdigit`` would also take other scripts' digits.
-_LITERAL_CHARS = frozenset("0123456789.")
+_LITERAL_CHARS = frozenset(_ASCII_DIGITS + ".")
 
 
 def _tokenize_expr(text: str) -> list[str]:
@@ -145,13 +148,7 @@ def _literal(tok: str, p: int) -> FpNumber:
     if tok[0] not in _LITERAL_CHARS:
         raise CliUsageError(f"unexpected token {tok!r}")
     try:
-        if "." in tok:
-            whole, _, frac = tok.partition(".")
-            if "." in frac:
-                raise ValueError
-            value = Fraction(int((whole or "0") + (frac or "0")), 10 ** len(frac))
-        else:
-            value = Fraction(int(tok))
+        value = Fraction(tok)
     except ValueError:
         raise CliUsageError(f"bad numeric literal {tok!r}") from None
     return round_p(value, p)
@@ -327,7 +324,7 @@ def _entry_fraction(x: object) -> Fraction:
         return Fraction(x)
     if isinstance(x, float):
         x = str(x)
-    if not isinstance(x, str) or not x.isascii() or "_" in x:
+    if not isinstance(x, str) or not _ascii_number(x):
         raise CliUsageError(f"bad matrix entry {x!r}")
     exponent = _DECIMAL_EXPONENT.search(x)
     if exponent:
@@ -627,20 +624,14 @@ def cmd_hardness_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _token_lines(path: str) -> list[str]:
-    """The lines of a corpus or labels file that hold a token.  Lines break,
-    and blank lines are told, at ASCII characters only
-    (``circuits._ascii_lines`` and ``_ASCII_SPACE``): a line of other
-    scripts' spaces is read, and its token refused by name."""
-    return [
-        ln for ln in _ascii_lines(_read_text(path))
-        if ln and not _ASCII_SPACE.fullmatch(ln)
-    ]
-
-
 def cmd_hardness_eval(args: argparse.Namespace) -> int:
-    lines = _token_lines(args.corpus)
-    computed = [eval_instance(args.kind, ln) for ln in lines]
+    computed = []
+    for line_no, line in _token_lines(_read_text(args.corpus))[0]:
+        try:
+            computed.append(eval_instance(args.kind, line))
+        except ValueError as exc:
+            # A refusal names its line in the file, as a netlist's does.
+            raise type(exc)(f"line {line_no}: {exc}") from None
     labels_path = args.labels or (
         args.corpus + ".labels"
         if Path(args.corpus + ".labels").exists()
@@ -650,7 +641,7 @@ def cmd_hardness_eval(args: argparse.Namespace) -> int:
         for label in computed:
             print(label)
         return 0
-    want = _token_lines(labels_path)
+    want = [line for _, line in _token_lines(_read_text(labels_path))[0]]
     if len(want) != len(computed):
         print(f"labels: FAIL (expected {len(computed)} labels, "
               f"file has {len(want)})")
@@ -708,7 +699,7 @@ MAX_PRECISION = 4096
 
 def _integer(text: str) -> int:
     """The ``type`` of every integer option: an ASCII decimal, read as
-    netlist and corpus integers are (``circuits._ascii_int``)."""
+    netlist and corpus integers are (``_text._ascii_int``)."""
     value = _ascii_int(text)
     if value is None:
         raise argparse.ArgumentTypeError(f"not an ASCII decimal integer: {text!r}")

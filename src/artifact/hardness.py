@@ -65,16 +65,8 @@ from itertools import permutations as iter_permutations, product as iter_product
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .circuits import (
-    ArityMismatch,
-    Circuit,
-    CircuitBuilder,
-    Gate,
-    _ASCII_WHITESPACE,
-    _ascii_int,
-    _ascii_split,
-    _rewrite,
-)
+from ._text import _ASCII_DIGITS, _ASCII_WHITESPACE, _ascii_int, _ascii_split
+from .circuits import ArityMismatch, Circuit, CircuitBuilder, Gate, _rewrite
 
 __all__ = [
     "ACCEPTING_CYCLE",
@@ -340,7 +332,7 @@ _SEXPR_FORMS = {"+..": "add", "*..": "mul", "-.": "neg"}
 def parse_arith(text: str, semiring: Semiring) -> ArithFormula:
     """Parse an S-expression: atoms are integers or ``Xk``; forms are
     ``(+ a b)``, ``(* a b)``, and ``(- a)``.  Tokens split only at ASCII
-    whitespace (:func:`~artifact.circuits._ascii_split`), so a non-ASCII
+    whitespace (:func:`~artifact._text._ascii_split`), so a non-ASCII
     character lands in a token, which is refused by name.  Atoms are read
     once per call: every occurrence of a token shares one leaf."""
     atoms: dict[str, ArithNode] = {}  # token text -> its leaf
@@ -584,9 +576,9 @@ class Permutation:
 
     @classmethod
     def from_string(cls, text: str) -> "Permutation":
-        # Only ASCII text is stripped: another script's space is refused.
-        digits = text.strip() if text.isascii() else text
-        if digits.strip("0123456789"):
+        # Only ASCII whitespace is stripped: another script's space is refused.
+        digits = text.strip(_ASCII_WHITESPACE)
+        if digits.strip(_ASCII_DIGITS):
             raise ValueError(f"permutation {digits!r} is not a string of decimal digits")
         return cls(tuple(map(int, digits)))
 

@@ -44,7 +44,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from artifact.circuits import _ascii_int
+from artifact._text import _ascii_int
 from artifact.contexts import ExactScalars, PBitScalars, ScalarContext, exact_value
 from artifact.floats import _normal
 from artifact.matrices import FpMatrix, ShapeMismatch
@@ -249,7 +249,7 @@ def _nested(fn, value, depth: int, seq=tuple):
 
 def _json_int(x: object) -> int:
     """A JSON integer, or a string by the command line's integer rule
-    (``circuits._ascii_int``); booleans and floats are refused."""
+    (``_text._ascii_int``); booleans and floats are refused."""
     n = x if type(x) is int else _ascii_int(x) if isinstance(x, str) else None
     if n is None:
         raise ValueError(f"not an integer: {x!r}")

@@ -7,6 +7,7 @@ import argparse
 import copy
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -19,6 +20,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from operator import getitem
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -59,6 +61,31 @@ class TestExpressionParser:
         assert eval_expression("0.5", 8) == round_p(Fraction(1, 2), 8)
         got = eval_expression("0.1", 16)
         assert got == round_p(Fraction(1, 10), 16)
+
+    @pytest.mark.parametrize(
+        "tok,value", [("1.", 1), ("2.", 2), ("10.", 10), (".5", Fraction(1, 2))]
+    )
+    def test_literal_may_omit_either_side_of_the_point(self, tok, value):
+        assert eval_expression(tok, 8) == round_p(Fraction(value), 8)
+
+    def test_lone_point_is_refused(self, capsys):
+        assert main(["fp", "."]) == 2
+        assert capsys.readouterr() == ("", "CliUsageError: bad numeric literal '.'\n")
+
+    def test_literals_match_a_decimal_oracle(self):
+        """Every token of up to four ASCII digits and points: one with a
+        digit and at most one point is its decimal value rounded to p bits,
+        and any other is refused."""
+        for n in range(1, 5):
+            for chars in itertools.product("0123456789.", repeat=n):
+                tok = "".join(chars)
+                whole, _, frac = tok.partition(".")
+                if "." in frac or not (whole + frac):
+                    with pytest.raises(CliUsageError, match="bad numeric literal"):
+                        eval_expression(tok, 6)
+                    continue
+                value = Fraction(int(whole + frac or "0"), 10 ** len(frac))
+                assert eval_expression(tok, 6) == round_p(value, 6), tok
 
     def test_functions_compose(self):
         v = eval_expression("exp(log(2))", 16)
@@ -506,7 +533,141 @@ class TestAsciiIntegers:
         assert err == f"CliUsageError: unexpected character {token[0]!r} in expression\n"
 
 
+# Separators of other scripts, and the ASCII line ends that ``str.split``
+# also drops as spaces.
 _ODD_SPACES = {"ideographic": "\u3000", "no-break": "\u00a0"}
+_ODD_BREAKS = {"line-sep": "\u2028", "next-line": "\u0085"}
+_SPACE_BREAKS = {"fs": "\x1c", "gs": "\x1d", "rs": "\x1e", "vt": "\v", "ff": "\f"}
+
+
+class _Refusal(NamedTuple):
+    """A row of :data:`_SEPARATORS`: ``text`` with ``{}`` where a
+    character of ``chars`` goes, and the exact stderr line with ``{}``
+    where that character goes as ``repr`` escapes it."""
+
+    test: str
+    reader: str
+    position: str
+    chars: dict
+    text: str
+    stderr: str
+
+
+# Every separator refusal: each reader, each position, each character.
+_SEPARATORS = [
+    _Refusal("netlist", "netlist", "after-id", _ODD_SPACES,
+             "0{}INPUT\n1 NOT 0\nOUTPUTS 1\n", "ParseError: line 1: bad gate id '0{}INPUT'"),
+    _Refusal("netlist", "netlist", "after-kind", _ODD_SPACES,
+             "0 INPUT\n1 NOT{}0\nOUTPUTS 1\n", "ParseError: line 2: unknown gate kind 'NOT{}0'"),
+    _Refusal("netlist", "netlist", "trailing", _ODD_SPACES,
+             "0 INPUT\n1 NOT 0{}\nOUTPUTS 1\n", "ParseError: line 2: bad input id '0{}'"),
+    _Refusal("netlist", "netlist", "outputs", _ODD_SPACES,
+             "0 INPUT\n1 NOT 0\nOUTPUTS{}1\n", "ParseError: line 3: bad gate id 'OUTPUTS{}1'"),
+    _Refusal("netlist", "netlist", "blank", _ODD_SPACES,
+             "0 INPUT\n1 NOT 0\n{}\nOUTPUTS 1\n", "ParseError: line 3: bad gate id '{}'"),
+    _Refusal("netlist-breaks", "netlist", "", _ODD_BREAKS,
+             "0 INPUT\n1 NOT 0{}2 NOT 1\nOUTPUTS 1\n", "ParseError: line 2: bad input id '0{}2'"),
+    _Refusal("arith", "arith", "between-atoms", _ODD_SPACES,
+             "(+ 1{}2) ; \n", "FormulaParseError: line 1: bad atom '1{}2'"),
+    _Refusal("arith", "arith", "after-op", _ODD_SPACES,
+             "(+{}1 2) ; \n", "FormulaParseError: line 1: bad atom '+{}1'"),
+    _Refusal("arith", "arith", "trailing", _ODD_SPACES,
+             "(* X1 2{}) ; 3\n", "FormulaParseError: line 1: bad atom '2{}'"),
+    _Refusal("arith-line", "arith", "before-expr", _ODD_SPACES,
+             "{}(+ X1 2) ; 1\n", "FormulaParseError: line 1: bad atom '{}'"),
+    _Refusal("arith-line", "arith", "before-semicolon", _ODD_SPACES,
+             "(+ X1 2){} ; 1\n", "FormulaParseError: line 1: bad atom '{}'"),
+    _Refusal("arith-line", "arith", "after-semicolon", _ODD_SPACES,
+             "(+ X1 2) ;{}1\n", "FormulaParseError: line 1: bad assignment value '{}1'"),
+    _Refusal("arith-line", "arith", "after-value", _ODD_SPACES,
+             "(+ X1 2) ; 1{}\n", "FormulaParseError: line 1: bad assignment value '1{}'"),
+    _Refusal("arith-line", "arith", "after-comma", _ODD_SPACES,
+             "(+ X1 2) ; 1,{}3\n", "FormulaParseError: line 1: bad assignment value '{}3'"),
+    _Refusal("arith-line", "arith", "only-space", _ODD_SPACES,
+             "(+ 1 2) ;{}\n", "FormulaParseError: line 1: bad assignment value '{}'"),
+    _Refusal("fp", "fp", "before", _ODD_SPACES,
+             "{}1 + 2", "CliUsageError: unexpected character '{}' in expression"),
+    _Refusal("fp", "fp", "after-op", _ODD_SPACES,
+             "1 +{}2", "CliUsageError: unexpected character '{}' in expression"),
+    _Refusal("fp", "fp", "before-op", _ODD_SPACES,
+             "1{}+ 2", "CliUsageError: unexpected character '{}' in expression"),
+    _Refusal("fp", "fp", "after", _ODD_SPACES,
+             "1 + 2{}", "CliUsageError: unexpected character '{}' in expression"),
+    _Refusal("bool", "bool", "before", _ODD_SPACES,
+             "{}0 1∧\n", "FormulaParseError: line 1: unexpected symbol '{}' at 0"),
+    _Refusal("bool", "bool", "between", _ODD_SPACES,
+             "0{}1∧\n", "FormulaParseError: line 1: unexpected symbol '{}' at 1"),
+    _Refusal("bool", "bool", "before-op", _ODD_SPACES,
+             "0 1{}∧\n", "FormulaParseError: line 1: unexpected symbol '{}' at 2"),
+    _Refusal("bool", "bool", "after", _ODD_SPACES,
+             "0 1∧{}\n", "FormulaParseError: line 1: unexpected symbol '{}' at 3"),
+    _Refusal("perm", "perm", "", _ODD_SPACES, "23451{}12345\n",
+             "ValueError: line 1: permutation '23451{}12345' is not a string of decimal digits"),
+    _Refusal("perm", "perm", "before", _ODD_SPACES, "{}21345 21345\n",
+             "ValueError: line 1: permutation '{}21345' is not a string of decimal digits"),
+    _Refusal("assign", "assign", "before", _ODD_SPACES,
+             "{}d_exp=2", "CliUsageError: unknown depth constant '{}d_exp'"),
+    _Refusal("assign", "assign", "after", _ODD_SPACES,
+             "d_exp{}=2", "CliUsageError: unknown depth constant 'd_exp{}'"),
+    # A line holding only another script's space is read, not skipped.
+    _Refusal("blank-line", "perm", "perm", {"": "\u00a0"}, "{}\n",
+             "ValueError: line 1: permutation '{}' is not a string of decimal digits"),
+    _Refusal("blank-line", "bool", "bool", {"": "\u00a0"}, "{}\n",
+             "FormulaParseError: line 1: unexpected symbol '{}' at 0"),
+    _Refusal("blank-line", "arith", "arith", {"": "\u00a0"}, "{}\n",
+             "FormulaParseError: line 1: arithmetic instance needs '; assignment'"),
+    _Refusal("other-breaks", "perm", "", {"": "\u2028"}, "12345{}12345\n",
+             "ValueError: line 1: permutation '12345{}12345' is not a string of decimal digits"),
+    # A corpus refusal names its line in the file: blank lines count, and
+    # so does each ASCII line end, ``\r\n`` as one.
+    _Refusal("line-numbers", "arith", "third-line", _ODD_SPACES,
+             "(+ 1 2) ; \n\n(+ 1{}2) ; \n", "FormulaParseError: line 3: bad atom '1{}2'"),
+    _Refusal("line-numbers", "arith", "after-crlf", _ODD_SPACES,
+             "(+ 1 2) ; \r\n(+ X1 2) ; 1,{}3\r\n",
+             "FormulaParseError: line 2: bad assignment value '{}3'"),
+    _Refusal("line-numbers", "bool", "after-blank", _ODD_SPACES,
+             "0 1∧\n \t\n0{}1∧\n", "FormulaParseError: line 3: unexpected symbol '{}' at 1"),
+    _Refusal("line-numbers", "perm", "second-line", _ODD_SPACES, "12345\n23451{}12345\n",
+             "ValueError: line 2: permutation '23451{}12345' is not a string of decimal digits"),
+    # An ASCII line end that is also a space ends the line, and the refusal
+    # names the line it ended.
+    _Refusal("line-numbers", "arith", "value-break", _SPACE_BREAKS,
+             "(+ X1 X2) ; 1,{}3\n", "FormulaParseError: line 1: bad assignment value ''"),
+]
+
+
+def _run_reader(tmp_path, reader: str, text: str) -> int:
+    """Run the command that reads ``text`` with ``reader``: a netlist or a
+    corpus from a file, an ``fp`` expression or an ``--assign`` item from
+    the command line."""
+    if reader == "fp":
+        return main(["fp", text, "-p", "8"])
+    if reader == "assign":
+        return main(["mamba", "depth", "--shape", "1,1,1,1,1", "--assign", text])
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    if reader == "netlist":
+        return main(["circuit", "depth", str(path)])
+    return main(["hardness", "eval", reader, str(path)])
+
+
+def _refusals(test: str) -> list:
+    """The rows of ``test`` in :data:`_SEPARATORS`, one case per character,
+    as ``(reader, text, stderr)`` named ``position-character``."""
+    return [
+        pytest.param(row.reader, row.text.format(ch), row.stderr.format(repr(ch)[1:-1]) + "\n",
+                     id="-".join(filter(None, (row.position, name))))
+        for row in _SEPARATORS if row.test == test
+        for name, ch in row.chars.items()
+    ]
+
+
+def _assert_refused(tmp_path, capsys, reader: str, text: str, stderr: str) -> None:
+    assert _run_reader(tmp_path, reader, text) == 2
+    assert capsys.readouterr() == ("", stderr)
+
+
+_REFUSAL = "reader,text,stderr"
 
 
 class TestAsciiSeparators:
@@ -515,35 +676,15 @@ class TestAsciiSeparators:
     formulas skip ASCII whitespace only, and an ``--assign`` name is
     stripped of ASCII whitespace only.  Another script's space stays in
     its token, which is refused by name with exit 2; a comment keeps any
-    text."""
+    text.  The refusals are the rows of :data:`_SEPARATORS`."""
 
-    @pytest.mark.parametrize("space", list(_ODD_SPACES.values()), ids=list(_ODD_SPACES))
-    @pytest.mark.parametrize(
-        "template,line,what,token",
-        [
-            ("0{}INPUT\n1 NOT 0\nOUTPUTS 1\n", 1, "bad gate id", "0{}INPUT"),
-            ("0 INPUT\n1 NOT{}0\nOUTPUTS 1\n", 2, "unknown gate kind", "NOT{}0"),
-            ("0 INPUT\n1 NOT 0{}\nOUTPUTS 1\n", 2, "bad input id", "0{}"),
-            ("0 INPUT\n1 NOT 0\nOUTPUTS{}1\n", 3, "bad gate id", "OUTPUTS{}1"),
-            ("0 INPUT\n1 NOT 0\n{}\nOUTPUTS 1\n", 3, "bad gate id", "{}"),
-        ],
-        ids=["after-id", "after-kind", "trailing", "outputs", "blank"],
-    )
-    def test_netlist_refuses_other_spaces(self, tmp_path, capsys, template, line, what,
-                                          token, space):
-        path = tmp_path / "c.nl"
-        path.write_text(template.format(space), encoding="utf-8")
-        assert main(["circuit", "depth", str(path)]) == 2
-        out, err = capsys.readouterr()
-        assert not out and err == f"ParseError: line {line}: {what} {token.format(space)!r}\n"
+    @pytest.mark.parametrize(_REFUSAL, _refusals("netlist"))
+    def test_netlist_refuses_other_spaces(self, tmp_path, capsys, reader, text, stderr):
+        _assert_refused(tmp_path, capsys, reader, text, stderr)
 
-    @pytest.mark.parametrize("brk", ["\u2028", "\u0085"], ids=["line-sep", "next-line"])
-    def test_netlist_breaks_lines_at_ascii_only(self, tmp_path, capsys, brk):
-        path = tmp_path / "c.nl"
-        path.write_text(f"0 INPUT\n1 NOT 0{brk}2 NOT 1\nOUTPUTS 1\n", encoding="utf-8")
-        assert main(["circuit", "depth", str(path)]) == 2
-        out, err = capsys.readouterr()
-        assert not out and err == f"ParseError: line 2: bad input id {'0' + brk + '2'!r}\n"
+    @pytest.mark.parametrize(_REFUSAL, _refusals("netlist-breaks"))
+    def test_netlist_breaks_lines_at_ascii_only(self, tmp_path, capsys, reader, text, stderr):
+        _assert_refused(tmp_path, capsys, reader, text, stderr)
 
     def test_netlist_comments_keep_any_text(self, tmp_path, capsys):
         plain = tmp_path / "plain.nl"
@@ -558,46 +699,16 @@ class TestAsciiSeparators:
         assert main(["circuit", "depth", str(commented)]) == 0
         assert capsys.readouterr() == want
 
-    @pytest.mark.parametrize("space", list(_ODD_SPACES.values()), ids=list(_ODD_SPACES))
-    @pytest.mark.parametrize(
-        "template,token",
-        [("(+ 1{}2) ; \n", "1{}2"), ("(+{}1 2) ; \n", "+{}1"), ("(* X1 2{}) ; 3\n", "2{}")],
-        ids=["between-atoms", "after-op", "trailing"],
-    )
-    def test_arith_refuses_other_spaces(self, tmp_path, capsys, template, token, space):
-        corpus = tmp_path / "c.txt"
-        corpus.write_text(template.format(space), encoding="utf-8")
-        assert main(["hardness", "eval", "arith", str(corpus)]) == 2
-        out, err = capsys.readouterr()
-        assert not out and err == f"FormulaParseError: bad atom {token.format(space)!r}\n"
+    @pytest.mark.parametrize(_REFUSAL, _refusals("arith"))
+    def test_arith_refuses_other_spaces(self, tmp_path, capsys, reader, text, stderr):
+        _assert_refused(tmp_path, capsys, reader, text, stderr)
 
-    @pytest.mark.parametrize("space", list(_ODD_SPACES.values()), ids=list(_ODD_SPACES))
-    @pytest.mark.parametrize(
-        "template,what,token",
-        [
-            ("{}(+ X1 2) ; 1", "bad atom", "{}"),
-            ("(+ X1 2){} ; 1", "bad atom", "{}"),
-            ("(+ X1 2) ;{}1", "bad assignment value", "{}1"),
-            ("(+ X1 2) ; 1{}", "bad assignment value", "1{}"),
-            ("(+ X1 2) ; 1,{}3", "bad assignment value", "{}3"),
-            ("(+ 1 2) ;{}", "bad assignment value", "{}"),
-        ],
-        ids=["before-expr", "before-semicolon", "after-semicolon", "after-value",
-             "after-comma", "only-space"],
-    )
-    def test_arith_line_strips_ascii_only(self, tmp_path, capsys, template, what, token,
-                                          space):
+    @pytest.mark.parametrize(_REFUSAL, _refusals("arith-line"))
+    def test_arith_line_strips_ascii_only(self, tmp_path, capsys, reader, text, stderr):
         """An arithmetic line is stripped of ASCII whitespace only, around
         its expression and its values: another script's space is refused,
         named in the token as read."""
-        corpus = tmp_path / "c.txt"
-        corpus.write_text("\t(+ X1\t2)\x1f;\t1\t, 3\t\n", encoding="utf-8")
-        assert main(["hardness", "eval", "arith", str(corpus)]) == 0
-        assert capsys.readouterr().out == "3\n"
-        corpus.write_text(template.format(space) + "\n", encoding="utf-8")
-        assert main(["hardness", "eval", "arith", str(corpus)]) == 2
-        out, err = capsys.readouterr()
-        assert not out and err == f"FormulaParseError: {what} {token.format(space)!r}\n"
+        _assert_refused(tmp_path, capsys, reader, text, stderr)
 
     def test_arith_values_strip_every_ascii_space(self, tmp_path, capsys):
         """A value is stripped of any ASCII whitespace, as the line and the
@@ -611,80 +722,51 @@ class TestAsciiSeparators:
         for space in "\x1c\x1d\x1e\x1f\v\f":
             assert hardness.eval_instance("arith", f"(+ X1 X2) ;{space}1,{space}3{space}") == "4"
 
-    @pytest.mark.parametrize("space", list(_ODD_SPACES.values()), ids=list(_ODD_SPACES))
-    @pytest.mark.parametrize(
-        "template", ["{}1 + 2", "1 +{}2", "1{}+ 2", "1 + 2{}"],
-        ids=["before", "after-op", "before-op", "after"],
-    )
-    def test_fp_refuses_other_spaces(self, capsys, template, space):
-        assert main(["fp", "1\x1c+\t2\x1f", "-p", "8"]) == 0
-        assert capsys.readouterr().out == "(m=192, e=-6, p=8) ~ 3.000000\n"
-        assert main(["fp", template.format(space), "-p", "8"]) == 2
-        out, err = capsys.readouterr()
-        assert not out and err == f"CliUsageError: unexpected character {space!r} in expression\n"
+    @pytest.mark.parametrize(_REFUSAL, _refusals("fp"))
+    def test_fp_refuses_other_spaces(self, tmp_path, capsys, reader, text, stderr):
+        _assert_refused(tmp_path, capsys, reader, text, stderr)
 
-    @pytest.mark.parametrize("space", list(_ODD_SPACES.values()), ids=list(_ODD_SPACES))
-    @pytest.mark.parametrize(
-        "template,at", [("{}0 1∧", 0), ("0{}1∧", 1), ("0 1{}∧", 2), ("0 1∧{}", 3)],
-        ids=["before", "between", "before-op", "after"],
-    )
-    def test_bool_refuses_other_spaces(self, tmp_path, capsys, template, at, space):
+    @pytest.mark.parametrize(_REFUSAL, _refusals("bool"))
+    def test_bool_refuses_other_spaces(self, tmp_path, capsys, reader, text, stderr):
         """A bool formula drops ASCII whitespace only (``\\x1f`` too, as
         ``str.split`` does): another script's space reaches the parser,
         which refuses it by name."""
-        corpus = tmp_path / "c.txt"
-        corpus.write_text("0\t1\x1f∧\n", encoding="utf-8")
-        assert main(["hardness", "eval", "bool", str(corpus)]) == 0
-        assert capsys.readouterr().out == "0\n"
-        corpus.write_text(template.format(space) + "\n", encoding="utf-8")
-        assert main(["hardness", "eval", "bool", str(corpus)]) == 2
-        out, err = capsys.readouterr()
-        assert not out and err == f"FormulaParseError: unexpected symbol {space!r} at {at}\n"
+        _assert_refused(tmp_path, capsys, reader, text, stderr)
 
-    @pytest.mark.parametrize("space", list(_ODD_SPACES.values()), ids=list(_ODD_SPACES))
-    def test_perm_refuses_other_spaces(self, tmp_path, capsys, space):
+    @pytest.mark.parametrize(
+        "reader,text,stdout",
+        [
+            ("fp", "1\x1c+\t2\x1f", "(m=192, e=-6, p=8) ~ 3.000000\n"),
+            ("bool", "0\t1\x1f∧\n", "0\n"),
+            ("arith", "\t(+ X1\t2)\x1f;\t1\t, 3\t\n", "3\n"),
+        ],
+        ids=["fp", "bool", "arith"],
+    )
+    def test_ascii_separators_are_read(self, tmp_path, capsys, reader, text, stdout):
+        assert _run_reader(tmp_path, reader, text) == 0
+        assert capsys.readouterr() == (stdout, "")
+
+    @pytest.mark.parametrize(_REFUSAL, _refusals("perm"))
+    def test_perm_refuses_other_spaces(self, tmp_path, capsys, reader, text, stderr):
         """Inside a token or padding it: a padded token is refused as read."""
-        corpus = tmp_path / "c.txt"
-        for text, token in [
-            (f"23451{space}12345\n", f"23451{space}12345"),
-            (f"{space}21345 21345\n", f"{space}21345"),
-        ]:
-            corpus.write_text(text, encoding="utf-8")
-            assert main(["hardness", "eval", "perm", str(corpus)]) == 2
-            out, err = capsys.readouterr()
-            assert not out and err == f"ValueError: permutation {token!r} is not a string of decimal digits\n"
+        _assert_refused(tmp_path, capsys, reader, text, stderr)
 
-    @pytest.mark.parametrize("space", list(_ODD_SPACES.values()), ids=list(_ODD_SPACES))
-    @pytest.mark.parametrize("name", ["{}d_exp", "d_exp{}"], ids=["before", "after"])
-    def test_assign_names_refuse_other_spaces(self, capsys, space, name):
+    @pytest.mark.parametrize(_REFUSAL, _refusals("assign"))
+    def test_assign_names_refuse_other_spaces(self, tmp_path, capsys, reader, text, stderr):
         """An ``--assign`` name is stripped of ASCII whitespace only, as its
         weight is: another script's space stays in the name, which is then
         unknown."""
-        name = name.format(space)
-        assert main(["mamba", "depth", "--shape", "1,1,1,1,1", "--assign", f"{name}=2"]) == 2
-        out, err = capsys.readouterr()
-        assert not out and err == f"CliUsageError: unknown depth constant {name!r}\n"
+        _assert_refused(tmp_path, capsys, reader, text, stderr)
 
 
 class TestCorpusLines:
-    """``hardness eval`` breaks corpus and labels lines at ASCII line ends
-    and skips a line as blank only when it holds no token."""
+    """``hardness eval`` breaks corpus and labels lines at ASCII line ends,
+    skips a line as blank only when it holds no token, and names the line
+    of a refusal."""
 
-    @pytest.mark.parametrize(
-        "kind,message",
-        [
-            ("perm", "ValueError: permutation '\\xa0' is not a string of decimal digits"),
-            ("bool", "FormulaParseError: unexpected symbol '\\xa0' at 0"),
-            ("arith", "FormulaParseError: arithmetic instance needs '; assignment'"),
-        ],
-        ids=["perm", "bool", "arith"],
-    )
-    def test_no_break_space_line_is_read(self, tmp_path, capsys, kind, message):
-        corpus = tmp_path / "c.txt"
-        corpus.write_text("\u00a0\n", encoding="utf-8")
-        assert main(["hardness", "eval", kind, str(corpus)]) == 2
-        out, err = capsys.readouterr()
-        assert not out and err == message + "\n"
+    @pytest.mark.parametrize(_REFUSAL, _refusals("blank-line"))
+    def test_no_break_space_line_is_read(self, tmp_path, capsys, reader, text, stderr):
+        _assert_refused(tmp_path, capsys, reader, text, stderr)
 
     @pytest.mark.parametrize("kind,line", [
         ("perm", "23451 51234"), ("bool", "0 1∧"), ("arith", "(+ X1 2) ; 3"),
@@ -699,12 +781,12 @@ class TestCorpusLines:
         assert capsys.readouterr() == want
 
     def test_other_line_breaks_stay_in_the_line(self, tmp_path, capsys):
-        corpus = tmp_path / "c.txt"
-        corpus.write_text("12345\u202812345\n", encoding="utf-8")
-        assert main(["hardness", "eval", "perm", str(corpus)]) == 2
-        assert capsys.readouterr().err == (
-            "ValueError: permutation '12345\\u202812345' is not a string of decimal digits\n"
-        )
+        [case] = _refusals("other-breaks")
+        _assert_refused(tmp_path, capsys, *case.values)
+
+    @pytest.mark.parametrize(_REFUSAL, _refusals("line-numbers"))
+    def test_corpus_refusals_name_their_line(self, tmp_path, capsys, reader, text, stderr):
+        _assert_refused(tmp_path, capsys, reader, text, stderr)
 
     def test_no_break_space_label_line_is_counted(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
@@ -1429,7 +1511,7 @@ class TestHardnessCommands:
         assert main(["hardness", "eval", "arith", str(corpus)]) == 2
         out, err = capsys.readouterr()
         assert not out and len(err.splitlines()) == 1
-        assert err == f"ValueError: label has more than {limit} decimal digits\n"
+        assert err == f"ValueError: line 1: label has more than {limit} decimal digits\n"
         assert "set_int_max_str_digits" not in err
         assert sys.get_int_max_str_digits() == limit
 
@@ -1478,11 +1560,11 @@ class TestHardnessCommands:
     @pytest.mark.parametrize(
         "kind, line, message",
         [
-            ("arith", "(+ 1_0 X1) ; 1", "FormulaParseError: bad atom '1_0'"),
-            ("arith", "(+ X\u0661 1) ; 1", "FormulaParseError: bad atom 'X\u0661'"),
-            ("arith", "(+ X1 1) ; 1_0", "FormulaParseError: bad assignment value '1_0'"),
-            ("arith", "(+ X1 1) ; \uff11", "FormulaParseError: bad assignment value '\uff11'"),
-            ("arith-z7", "(+ X1 1) ; 1, x", "FormulaParseError: bad assignment value 'x'"),
+            ("arith", "(+ 1_0 X1) ; 1", "FormulaParseError: line 1: bad atom '1_0'"),
+            ("arith", "(+ X\u0661 1) ; 1", "FormulaParseError: line 1: bad atom 'X\u0661'"),
+            ("arith", "(+ X1 1) ; 1_0", "FormulaParseError: line 1: bad assignment value '1_0'"),
+            ("arith", "(+ X1 1) ; \uff11", "FormulaParseError: line 1: bad assignment value '\uff11'"),
+            ("arith-z7", "(+ X1 1) ; 1, x", "FormulaParseError: line 1: bad assignment value 'x'"),
         ],
         ids=["atom-underscore", "index-arabic-indic", "value-underscore", "value-fullwidth",
              "value-letter"],
@@ -1820,17 +1902,17 @@ class TestMalformedPermCorpus:
         "line,message",
         [
             ("21345 " * 10_000 + "11345 12345",
-             "ValueError: (1, 1, 3, 4, 5) is not a bijection on [5]"),
-            ("12345 21345 1234 2134", "DomainMismatch: domain sizes differ: 4 vs 5"),
+             "ValueError: line 2: (1, 1, 3, 4, 5) is not a bijection on [5]"),
+            ("12345 21345 1234 2134", "DomainMismatch: line 2: domain sizes differ: 4 vs 5"),
             ("12345 12a45 1x",
-             "ValueError: permutation '12a45' is not a string of decimal digits"),
+             "ValueError: line 2: permutation '12a45' is not a string of decimal digits"),
             ("1234 12345 12a45",
-             "ValueError: permutation '12a45' is not a string of decimal digits"),
+             "ValueError: line 2: permutation '12a45' is not a string of decimal digits"),
             ("\u0661\u0662\u0663\u0664\u0665 12345",
-             "ValueError: permutation '\u0661\u0662\u0663\u0664\u0665' "
+             "ValueError: line 2: permutation '\u0661\u0662\u0663\u0664\u0665' "
              "is not a string of decimal digits"),
             ("12345 +2345",
-             "ValueError: permutation '+2345' is not a string of decimal digits"),
+             "ValueError: line 2: permutation '+2345' is not a string of decimal digits"),
         ],
         ids=["bad-token-after-10000", "mixed-lengths", "non-digit", "parse-before-compose",
              "arabic-indic-digits", "signed-token"],

@@ -122,6 +122,29 @@ def test_every_private_definition_is_read():
     assert unread == []
 
 
+def test_text_rule_lives_in_one_module():
+    """Only ``artifact._text`` reads text by hand.  No other module calls
+    ``isascii`` or ``splitlines``, or ``split`` or ``strip`` with no
+    argument, which split and strip at other scripts' spaces too; and each
+    module imports the names ``_text`` defines from ``_text`` itself."""
+    trees = _package_trees()
+    rule = set(_private_definitions(trees.pop("_text.py", ast.Module([], []))))
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                method = node.func.attr
+                bare = not node.args and not node.keywords
+                if method in ("isascii", "splitlines") or method in ("split", "strip") and bare:
+                    found.append(f"{module}:{node.lineno} calls {method}")
+            elif isinstance(node, ast.ImportFrom) and node.module.rpartition(".")[2] != "_text":
+                found += [
+                    f"{module}:{node.lineno} imports {a.name} from {node.module}"
+                    for a in node.names if a.name in rule
+                ]
+    assert found == []
+
+
 # The exports that nothing in the package reads and README does not name,
 # each with what keeps it.  A new export that nothing reads fails
 # ``test_every_export_is_read``; so does an entry here that is read again.

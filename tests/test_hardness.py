@@ -760,7 +760,7 @@ class TestTokenMemo:
         assert main(["hardness", "eval", "perm", str(corpus)]) == 2
         out, err = capsys.readouterr()
         message = f"permutation {padded!r} is not a string of decimal digits"
-        assert not out and err == f"ValueError: {message}\n"
+        assert not out and err == f"ValueError: line 1: {message}\n"
         assert set(memo) == {"21345"}
 
     @pytest.mark.parametrize("line", ["1 1", "\u00a0", "\u00a0 \u00a0", "1 1 1 1 1"])
