@@ -72,6 +72,7 @@ from artifact.elementary import NegativeInput, NonPositiveInput
 from artifact.elementary import exp_fp, log_fp, sigmoid_fp, silu_fp, softplus_fp, sqrt_fp
 from artifact.floats import FpError, FpNumber, fp_add, fp_div, fp_floor, fp_mul, round_p
 from artifact.hardness import (
+    _line_evaluator,
     barrington_transform,
     eval_instance,
     eval_pbp,
@@ -222,9 +223,12 @@ def eval_expression(text: str, p: int) -> FpNumber:
     return values[0]
 
 
-def _decimal_approx(x: FpNumber, digits: int = 12) -> str:
+_APPROX_DIGITS = 12  # significant digits of the decimal that ``fp`` prints
+
+
+def _decimal_approx(x: FpNumber) -> str:
     with localcontext() as ctx:
-        ctx.prec, ctx.Emax, ctx.Emin = digits, MAX_EMAX, MIN_EMIN
+        ctx.prec, ctx.Emax, ctx.Emin = _APPROX_DIGITS, MAX_EMAX, MIN_EMIN
         ctx.traps[Underflow] = True
         try:
             return str(Decimal(x.m) * (Decimal(2) ** x.e))
@@ -625,8 +629,10 @@ def cmd_hardness_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_hardness_eval(args: argparse.Namespace) -> int:
+    _line_evaluator(args.kind)  # an unknown kind is refused before any file is read
+    lines = _token_lines(_read_text(args.corpus))[0]
     computed = []
-    for line_no, line in _token_lines(_read_text(args.corpus))[0]:
+    for line_no, line in lines:
         try:
             computed.append(eval_instance(args.kind, line))
         except ValueError as exc:
@@ -646,10 +652,11 @@ def cmd_hardness_eval(args: argparse.Namespace) -> int:
         print(f"labels: FAIL (expected {len(computed)} labels, "
               f"file has {len(want)})")
         return 1
-    bad = [i for i, (a, b) in enumerate(zip(computed, want)) if a != b]
+    # A mismatch is named by its corpus line in the file, as a refusal is.
+    bad = [line_no for (line_no, _), a, b in zip(lines, computed, want) if a != b]
     if bad:
         print(f"labels: FAIL ({len(computed) - len(bad)}/{len(computed)} "
-              f"match; first mismatch at line {bad[0] + 1})")
+              f"match; first mismatch at line {bad[0]})")
         return 1
     print(f"labels: PASS ({len(computed)}/{len(computed)})")
     return 0

@@ -37,7 +37,7 @@ from typing import Generic, Sequence, TypeVar
 
 from artifact.elementary import _exp, _log, _sigmoid, _silu, _softplus, _sqrt
 from artifact.floats import DivisionByZero, FpError, Pair, _require_p, _round_quotient
-from artifact.floats import _add, _div, _floor, _iter_add, _iter_mul, _round
+from artifact.floats import _add, _div, _floor, _iter_add, _iter_mul, _mul
 
 V = TypeVar("V")
 
@@ -148,7 +148,7 @@ class PBitScalars(ScalarContext[Pair]):
         return _add(a, b, self.p)
 
     def mul(self, a, b):
-        return _round(a[0] * b[0], a[1] + b[1], self.p)
+        return _mul(a, b, self.p)
 
     const_mul = mul
 

@@ -21,10 +21,10 @@ a Pareto frontier of incomparable path sums (two symbolic sums are
 comparable only coefficient-wise, since the constants may take any
 nonnegative weights).  Path sums have one representation: a coefficient
 vector indexed like ``BASE_CONSTANTS``.  The frontier is computed on bare
-vectors as each node enters the trace, memoized on the node's cost and
-its predecessors' frontiers, so a node whose step the trace has met
+vectors as each node enters the trace, memoized in one table on the
+node's cost and its predecessors' distinct frontiers, so a step met
 before costs one dictionary lookup.  The model's component traces share
-one table of distinct frontiers and steps for the life of the process.
+one such table for the life of the process.
 The critical frontier is read on demand, as the Pareto maxima over the
 distinct frontiers of the trace's own nodes.  A vector read out of a frontier
 is wrapped as ``DepthExpr(vec)``; ``DepthExpr.of`` also accepts the
@@ -36,8 +36,9 @@ indices, each route pair (``ssm_select_*``, ``mamba_forward_*``) once per
 shape with both routes after one shared prefix, and reads every
 component's depth at its own outputs.  A node may name a predecessor more
 than once as it enters the trace (``mul(a, a)``, or a member of the stage
-barrier it also takes); the frontier does not change, and every node read
-back from a trace names each predecessor once, in first-occurrence order.
+barrier it also takes); the frontier does not change, and the trace folds
+the node's predecessors as it enters, so each is named once, in
+first-occurrence order.
 
 The elementary functions are traced on their *reference schedules*: the
 logarithm as two parallel standard levels (shift and scale), an iterated
@@ -345,26 +346,19 @@ class CostTrace:
     default grid and every longer shape tried, the Mamba stages have 110
     distinct frontiers and 137 distinct steps, so after the first traces
     no step is worked out again.  The shared table is not locked: trace
-    from one thread at a time.  Each trace also memoizes on ``(cost,
-    *predecessor frontier indices)`` as given, repeats included, so a node
-    whose step the trace has met before costs one dictionary lookup, and
-    only a step new to the trace deduplicates its key for the table.
+    from one thread at a time.  The table's memo is the only one: a trace
+    keeps no step memo of its own.
 
-    Nodes are stored as columns, one list per field, with predecessors as
-    given, repeats included; :attr:`nodes` builds :class:`TraceNode` rows
-    when read and folds each row's predecessors to distinct ids in
-    first-occurrence order, and path sums become :class:`DepthExpr` only
-    when read.  ``size`` counts cost-bearing events only.
+    Each node is stored as the :class:`TraceNode` row that :attr:`nodes`
+    returns, its predecessors folded to distinct ids in first-occurrence
+    order once, as the node enters; path sums become :class:`DepthExpr`
+    only when read.  ``size`` counts cost-bearing events only.
     """
 
     def __init__(self, nodes: Iterable[TraceNode] = (), outputs: Sequence[int] = ()):
-        # Node columns; a node's id is its position.
-        self._labels: list[str] = []
-        self._costs: list[str | None] = []
-        self._preds: list[tuple[int, ...]] = []
+        self._nodes: list[TraceNode] = []  # a node's id is its position
         self._fronts: list[int] = []  # per node, an index into the table
         self._table = _FrontierTable()
-        self._steps: dict[tuple[str | None | int, ...], int] = {}
         self.outputs: tuple[int, ...] = tuple(outputs)
         for node in nodes:
             self.append(node)
@@ -384,6 +378,7 @@ class CostTrace:
         """
         fronts = self._fronts
         i = len(fronts)
+        preds = tuple(dict.fromkeys(preds))
         # A loop, not max() and min(): a node has few predecessors, and the
         # builtins cost more per call than the loop does per item.
         key = [cost]
@@ -393,16 +388,10 @@ class CostTrace:
                     raise CycleDetected(f"node {i} depends on a later node")
                 raise ValueError(f"node {i} has a negative predecessor id")
             key.append(fronts[q])
-        step = tuple(key)
-        f = self._steps.get(step)
-        if f is None:
-            # The cost is a name or None, never an index, so one fold keeps
-            # it first and leaves the distinct frontier indices after it.
-            f = self._steps[step] = self._table.step(tuple(dict.fromkeys(key)))
-        self._labels.append(label)
-        self._costs.append(cost)
-        self._preds.append(preds)
-        fronts.append(f)
+        # The cost is a name or None, never an index, so one fold keeps it
+        # first and leaves the distinct frontier indices after it.
+        fronts.append(self._table.step(tuple(dict.fromkeys(key))))
+        self._nodes.append(TraceNode(i, label, cost, preds))
         return i
 
     def _distinct_fronts(self) -> Iterable[int]:
@@ -417,15 +406,11 @@ class CostTrace:
     def nodes(self) -> tuple[TraceNode, ...]:
         """The nodes as :class:`TraceNode` rows, each with its predecessors
         distinct, in first-occurrence order."""
-        # Builtins only, so the fold costs no Python frame per row.
-        distinct = map(tuple, map(dict.fromkeys, self._preds))
-        return tuple(
-            map(TraceNode, range(len(self._fronts)), self._labels, self._costs, distinct)
-        )
+        return tuple(self._nodes)
 
     @property
     def size(self) -> int:
-        return len(self._costs) - self._costs.count(None)
+        return sum(node.cost is not None for node in self._nodes)
 
     def depth_frontiers(self) -> list[tuple[DepthExpr, ...]]:
         """Per-node Pareto frontier of path sums ending at the node."""
@@ -565,11 +550,11 @@ class TracedScalars(ScalarContext[int]):
     predecessors are the stage's members; every later event takes it as a
     predecessor, serializing pipeline phases the way the depth formulas
     count them.  A new barrier replaces the previous one.  Each node enters
-    the trace as it is emitted, through the same checks and step memo as
-    :meth:`CostTrace.append` but without building a :class:`TraceNode`, so
-    the frontiers are ready when tracing ends.  Predecessors go in as the
-    operation names them, repeats included, with the barrier last; the
-    trace folds repeats when its nodes are read.
+    the trace as it is emitted, through the same checks, fold and frontier
+    table as :meth:`CostTrace.append`, so the frontiers are ready when
+    tracing ends.  Predecessors go in as the operation names them, repeats
+    included, with the barrier last; the trace folds repeats as the node
+    enters.
     """
 
     def __init__(self) -> None:
@@ -718,7 +703,7 @@ class _FrontScalars(TracedScalars):
     the index of the frontier of path sums ending at it, so each operation
     is one lookup in a step memo of its own, on ``(cost, *predecessor
     frontiers)`` as given, and no per-node state is kept.  The memo lives
-    as long as the context, as a trace's does."""
+    as long as the context."""
 
     def __init__(self) -> None:
         self._barrier: int | None = None

@@ -46,7 +46,7 @@ from collections.abc import Callable
 from functools import cache, lru_cache
 from math import isqrt
 
-from artifact.floats import FpNumber, Overflow, Pair, _add, _div, _normal, _round
+from artifact.floats import FpNumber, Overflow, Pair, _add, _div, _mul, _normal, _round
 
 __all__ = [
     "NegativeInput",
@@ -338,8 +338,7 @@ def silu_fp(x: FpNumber) -> FpNumber:
 
 
 def _silu(a: Pair, p: int) -> Pair:
-    s = _sigmoid(a, p)
-    return _round(a[0] * s[0], a[1] + s[1], p)
+    return _mul(a, _sigmoid(a, p), p)
 
 
 # ----------------------------------------------------------------- softplus

@@ -11,12 +11,12 @@ single rounding kernel, so results are bit-reproducible.  A rational ``num
 ``_round_quotient``: :func:`fp_div`, :func:`round_p` and the exact route of
 :mod:`artifact.contexts` all round through it.
 
-The kernel and its ops (``_add``, ``_div``, ``_compare``, ``_floor``,
-``_iter_add``, ``_iter_mul``; a product is ``_round(m1 * m2, e1 + e2, p)``)
-take plain ``(m, e)`` pairs and ``p``, check nothing and build no
-:class:`FpNumber`; :mod:`artifact.contexts` and :mod:`artifact.synthesis`
-call them directly.  Each public function is its precision check, one
-kernel op and one ``FpNumber`` built from the result.
+The kernel and its ops (``_add``, ``_mul``, ``_div``, ``_compare``,
+``_floor``, ``_iter_add``, ``_iter_mul``) take plain ``(m, e)`` pairs and
+``p``, check nothing and build no :class:`FpNumber`;
+:mod:`artifact.contexts`, :mod:`artifact.elementary` and
+:mod:`artifact.synthesis` call them directly.  Each public function is its
+precision check, one kernel op and one ``FpNumber`` built from the result.
 
 Rounding is round-to-nearest with ties resolved toward the even
 significand.  A result whose nearest representable would need an exponent
@@ -250,6 +250,10 @@ def _add(a: Pair, b: Pair, p: int) -> Pair:
     return _round(x + y, ae - s, p)
 
 
+def _mul(a: Pair, b: Pair, p: int) -> Pair:
+    return _round(a[0] * b[0], a[1] + b[1], p)
+
+
 def _div(a: Pair, b: Pair, p: int) -> Pair:
     if not b[0]:
         raise DivisionByZero("float division by zero")
@@ -344,7 +348,7 @@ def fp_mul(a: FpNumber, b: FpNumber) -> FpNumber:
     """Multiply: significands multiply exactly, exponents add, then round."""
     if a.p != b.p:
         raise _mixed_precision((a, b))
-    return _normal(*_round(a.m * b.m, a.e + b.e, a.p), a.p)
+    return _normal(*_mul((a.m, a.e), (b.m, b.e), a.p), a.p)
 
 
 def fp_div(a: FpNumber, b: FpNumber) -> FpNumber:

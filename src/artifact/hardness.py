@@ -60,7 +60,7 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import permutations as iter_permutations, product as iter_product
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -1149,37 +1149,44 @@ def gen_instances(kind: str, size: int, seed: int, count: int = 100) -> Corpus:
     return Corpus(kind, size, seed, tuple(instances), tuple(labels))
 
 
+def _arith_label(ring: Semiring, line: str) -> str:
+    if ";" not in line:
+        raise FormulaParseError("arithmetic instance needs '; assignment'")
+    # Only ASCII whitespace is stripped: another script's space stays
+    # in its token, which is refused by name.
+    expr, _, assign_text = line.partition(";")
+    formula = parse_arith(expr, ring)
+    assign_text = assign_text.strip(_ASCII_WHITESPACE)
+    assignment = []
+    for tok in assign_text.split(",") if assign_text else ():
+        c = _ascii_int(tok)
+        if c is None:
+            raise FormulaParseError(f"bad assignment value {tok.strip(_ASCII_WHITESPACE)!r}")
+        assignment.append(c)
+    # Cut the assignment to the formula's arity, its largest X_i: a
+    # corpus line may list values for indeterminates it never reads.
+    value = eval_arith(formula, assignment[: formula.n_indeterminates])
+    try:
+        return str(value)
+    except ValueError:
+        # Past the interpreter's int-to-string limit: refuse the label
+        # rather than raise that limit for the whole process.
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"label has more than {limit} decimal digits") from None
+
+
+def _line_evaluator(kind: str) -> Callable[[str], str]:
+    """The function from one corpus line of ``kind`` to its label.  An
+    unknown kind raises ``ValueError`` here, before any line is read."""
+    if kind == "bool":
+        return lambda line: str(eval_bool(parse_bool_postfix(line)))
+    if kind == "perm":
+        return lambda line: str(word_problem(parse_permutation_line(line)))
+    if kind == "arith" or kind.startswith("arith-z"):
+        return partial(_arith_label, _arith_semiring(kind))
+    raise ValueError(f"unknown corpus kind {kind!r}")
+
+
 def eval_instance(kind: str, line: str) -> str:
     """Recompute the ground-truth label of one corpus line."""
-    if kind == "bool":
-        return str(eval_bool(parse_bool_postfix(line)))
-    if kind == "perm":
-        return str(word_problem(parse_permutation_line(line)))
-    if kind == "arith" or kind.startswith("arith-z"):
-        ring = _arith_semiring(kind)
-        if ";" not in line:
-            raise FormulaParseError("arithmetic instance needs '; assignment'")
-        # Only ASCII whitespace is stripped: another script's space stays
-        # in its token, which is refused by name.
-        expr, _, assign_text = line.partition(";")
-        formula = parse_arith(expr, ring)
-        assign_text = assign_text.strip(_ASCII_WHITESPACE)
-        assignment = []
-        for tok in assign_text.split(",") if assign_text else ():
-            c = _ascii_int(tok)
-            if c is None:
-                raise FormulaParseError(
-                    f"bad assignment value {tok.strip(_ASCII_WHITESPACE)!r}"
-                )
-            assignment.append(c)
-        # Cut the assignment to the formula's arity, its largest X_i: a
-        # corpus line may list values for indeterminates it never reads.
-        value = eval_arith(formula, assignment[: formula.n_indeterminates])
-        try:
-            return str(value)
-        except ValueError:
-            # Past the interpreter's int-to-string limit: refuse the label
-            # rather than raise that limit for the whole process.
-            limit = sys.get_int_max_str_digits()
-            raise ValueError(f"label has more than {limit} decimal digits") from None
-    raise ValueError(f"unknown corpus kind {kind!r}")
+    return _line_evaluator(kind)(line)

@@ -57,7 +57,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .circuits import BLOCK_LANES, Circuit, CircuitBuilder, _pack_fields, evaluate_words, pack_codes
 from .floats import Comparison, FpNumber, Overflow, Pair
-from .floats import _add, _compare, _iter_add, _normal, _round
+from .floats import _add, _compare, _iter_add, _mul, _normal
 
 __all__ = [
     "BitEncoding",
@@ -258,7 +258,7 @@ def _xor2(b: _Builder, x: int, y: int) -> int:
     return b.and_(b.or_(x, y), b.not_(b.and_(x, y)))
 
 
-def _sign_extend(b: _Builder, bits: Sequence[int], width: int) -> list[int]:
+def _sign_extend(bits: Sequence[int], width: int) -> list[int]:
     bits = list(bits)
     if len(bits) > width:
         raise ValueError("cannot narrow in sign_extend")
@@ -359,7 +359,7 @@ def _select_shift_left(
     signal; the word is sign-extended to ``width`` first, so the result is
     exact whenever ``width`` accommodates the largest shifted value.
     """
-    ext = _sign_extend(b, bits, width)
+    ext = _sign_extend(bits, width)
     out: list[int] = []
     for i in range(width):
         terms = [
@@ -597,7 +597,7 @@ def _synth_add(p: int, exp_bits: int) -> SynthesizedOp:
 
     dmax = (1 << exp_bits) - 1
     dw = exp_bits + 1
-    delta = _sub(b, _sign_extend(b, e_hi, dw), _sign_extend(b, e_lo, dw))
+    delta = _sub(b, _sign_extend(e_hi, dw), _sign_extend(e_lo, dw))
     onehot = {v: _equals_const(b, delta, v) for v in range(dmax + 1)}
 
     # Exact sum in units of 2**(e_lo - 3):  m_hi*2**(d+3) + 8*m_lo + qf*2**d.
@@ -605,7 +605,7 @@ def _synth_add(p: int, exp_bits: int) -> SynthesizedOp:
     hi_shifted = _select_shift_left(
         b, m_hi, {v + 3: sel for v, sel in onehot.items()}, width
     )
-    lo_eighths = [b.const0()] * 3 + _sign_extend(b, m_lo, width - 3)
+    lo_eighths = [b.const0()] * 3 + _sign_extend(m_lo, width - 3)
     bias = [b.const0()] * width
     for v in range(3, dmax + 1):
         bias[v] = b.and_(onehot[v], _quarter_fail(b, m_lo, v))
@@ -615,7 +615,7 @@ def _synth_add(p: int, exp_bits: int) -> SynthesizedOp:
     sign = s8[-1]
     magnitude = _cond_negate(b, s8, sign)
     w_out = _out_exp_bits(p, exp_bits)
-    e_scaled = _add_const(b, _sign_extend(b, e_lo, w_out), -3)
+    e_scaled = _add_const(b, _sign_extend(e_lo, w_out), -3)
     m_out, e_out, ovf = _round_block(b, magnitude, sign, e_scaled, p, w_out)
     circuit = b.build(m_out + e_out + [ovf])
     return SynthesizedOp("add", p, circuit, enc, BitEncoding(p, w_out))
@@ -628,7 +628,7 @@ def _synth_compare(p: int, exp_bits: int) -> SynthesizedOp:
 
     dmax = (1 << exp_bits) - 1
     dw = exp_bits + 1
-    delta = _sub(b, _sign_extend(b, e_a, dw), _sign_extend(b, e_b, dw))
+    delta = _sub(b, _sign_extend(e_a, dw), _sign_extend(e_b, dw))
     onehot = {v: _equals_const(b, delta, v) for v in range(-dmax, dmax + 1)}
 
     # Scale both sides by 2**(3 + max(delta, 0)): the verdict of
@@ -676,9 +676,7 @@ def _synth_mul(p: int, exp_bits: int) -> SynthesizedOp:
     product = _iterated_sum(b, rows, width)
 
     w_out = _out_exp_bits(p, exp_bits)
-    e_sum, _ = _cla_add(
-        b, _sign_extend(b, e_a, w_out), _sign_extend(b, e_b, w_out)
-    )
+    e_sum, _ = _cla_add(b, _sign_extend(e_a, w_out), _sign_extend(e_b, w_out))
     m_out, e_out, ovf = _round_block(b, product, sign, e_sum, p, w_out)
     circuit = b.build(m_out + e_out + [ovf])
     return SynthesizedOp("mul", p, circuit, enc, BitEncoding(p, w_out))
@@ -705,11 +703,6 @@ def _synth_iter_add(p: int, exp_bits: int, m: int) -> SynthesizedOp:
     m_out, e_out, ovf = _round_block(b, magnitude, sign, e_const, p, w_out)
     circuit = b.build(m_out + e_out + [ovf])
     return SynthesizedOp("iter_add", p, circuit, enc, BitEncoding(p, w_out), m=m)
-
-
-def _mul(a: Pair, b: Pair, p: int) -> Pair:
-    """The p-bit product of two ``(m, e)`` pairs, as ``fp_mul`` rounds it."""
-    return _round(a[0] * b[0], a[1] + b[1], p)
 
 
 #: Each primitive kind's synthesizer and the software op it is checked
@@ -816,11 +809,6 @@ def _op_key(kind: str, p: int, exp_bits: int | None, m: int | None) -> tuple:
 
 MAX_MISMATCHES = 10
 MAX_SWEEP_LANES = 1 << 25  # p=6 add at the default window is 4097**2 lanes
-_VERDICT_BITS = {
-    Comparison.LESS: (1, 0),
-    Comparison.GREATER: (0, 1),
-    Comparison.EQUAL: (0, 0),
-}
 
 
 def _verdict_codes(ref, cases: Iterable[tuple[Pair, Pair]], p: int) -> list[int]:
@@ -867,28 +855,17 @@ def _lane_codes(op: SynthesizedOp, cases: Iterable[tuple[Pair, ...]]) -> list[in
     e_min, e_max = enc.e_min, enc.e_max
     overflow = 1 << (n_out - 1) | 1 << n_out
     unencodable = 1 << (n_out + 1)
-    if op.kind == "iter_add":
-        for xs in cases:
-            try:
-                m, e = ref(xs, p)
-            except Overflow:
-                append(overflow)
-                continue
-            if e_min <= e <= e_max:
-                append((m & sig_mask) | (e & exp_mask) << sig_bits)
-            else:
-                append(unencodable)
-    else:
-        for a, b in cases:
-            try:
-                m, e = ref(a, b, p)
-            except Overflow:
-                append(overflow)
-                continue
-            if e_min <= e <= e_max:
-                append((m & sig_mask) | (e & exp_mask) << sig_bits)
-            else:
-                append(unencodable)
+    family = op.kind == "iter_add"  # ref takes (xs, p), not (a, b, p)
+    for case in cases:
+        try:
+            m, e = ref(case, p) if family else ref(*case, p)
+        except Overflow:
+            append(overflow)
+            continue
+        if e_min <= e <= e_max:
+            append((m & sig_mask) | (e & exp_mask) << sig_bits)
+        else:
+            append(unencodable)
     return codes
 
 
@@ -1108,12 +1085,15 @@ def _mismatch_lanes(outputs: list[int], expected: list[int], limit: int) -> list
 
 def _mismatch_report(op: SynthesizedOp, case: Sequence[Pair], got: tuple[int, ...]) -> dict:
     ref = _PRIMITIVES[op.kind][1]
-    try:
-        want = ref(case, op.p) if op.kind == "iter_add" else ref(*case, op.p)
-    except Overflow:
-        want = "overflow"
+    if op.kind == "compare":
+        code = _verdict_codes(ref, [case], op.p)[0]
+        want = (code & 1, code >> 1)  # (lt, gt)
     else:
-        want = _VERDICT_BITS[want] if op.kind == "compare" else str(_normal(*want, op.p))
+        try:
+            m, e = ref(case, op.p) if op.kind == "iter_add" else ref(*case, op.p)
+            want = str(_normal(m, e, op.p))
+        except Overflow:
+            want = "overflow"
     return {"operands": [str(_normal(*x, op.p)) for x in case], "want": want, "got": got}
 
 

@@ -1495,6 +1495,32 @@ class TestHardnessCommands:
         assert main(["hardness", "eval", "bool", str(corpus)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_eval_names_a_mismatch_by_its_file_line(self, tmp_path, capsys):
+        """A mismatch counts lines as a refusal does: every line of the
+        corpus file, blank ones included."""
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("\n\n12345\n21345\n")
+        (tmp_path / "c.txt.labels").write_text("1\n1\n")
+        assert main(["hardness", "eval", "perm", str(corpus)]) == 1
+        assert capsys.readouterr().out == "labels: FAIL (1/2 match; first mismatch at line 4)\n"
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [("nosuch", "unknown corpus kind 'nosuch'"),
+         ("arith-zq", "unknown arithmetic corpus kind 'arith-zq'")],
+        ids=["kind", "modulus"],
+    )
+    @pytest.mark.parametrize("text", [None, "", "\n\n12345\n"], ids=["missing", "empty", "line-3"])
+    def test_eval_refuses_an_unknown_kind_before_reading(self, tmp_path, capsys, kind, message, text):
+        """An unknown kind is an argument fault: it is refused before the
+        corpus is opened, so with no line number, even when the corpus is
+        empty or missing."""
+        corpus = tmp_path / "c.txt"
+        if text is not None:
+            corpus.write_text(text)
+        assert main(["hardness", "eval", kind, str(corpus)]) == 2
+        assert capsys.readouterr() == ("", f"ValueError: {message}\n")
+
     def test_eval_without_labels_prints_them(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
         corpus.write_text("01∧\n(0¬)\n")

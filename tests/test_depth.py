@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from artifact import contexts, elementary, floats
+from artifact import elementary, floats
 from artifact import depth as depth_mod
 from artifact.cli import main
 from artifact.depth import (
@@ -374,9 +374,9 @@ def _frontiers_without_memo(nodes) -> list[tuple[tuple[int, ...], ...]]:
 
 
 class TestTracedNodes:
-    """The frontiers the tracer computes through its step memo equal those
-    of the same nodes rebuilt through the public ``CostTrace``, and those of
-    a memo-free recomputation, for every component."""
+    """The frontiers the tracer computes through the frontier table's memo
+    equal those of the same nodes rebuilt through the public ``CostTrace``,
+    and those of a memo-free recomputation, for every component."""
 
     SHAPES = [ShapeConfig(3, 2, 3, 2, 2), ShapeConfig(16, 2, 2, 2, 2), ShapeConfig(32, 2, 1, 3, 2)]
 
@@ -402,7 +402,7 @@ class TestTracedNodes:
 
 class TestPredecessorFolding:
     """The tracer hands repeated predecessors to the trace as they come, and
-    ``nodes`` folds them when it builds its rows: every node read back
+    the trace folds them once, as each node enters: every node read back
     names each predecessor once, in first-occurrence order.  The tracer's
     own repeats are checked in ``TestStructureOnlyTracer``, and the
     round trip through ``CostTrace(trace.nodes, trace.outputs)`` in
@@ -412,6 +412,13 @@ class TestPredecessorFolding:
         trace = CostTrace([TraceNode(0, "input", None, ()), TraceNode(1, "add", "d_std", (0, 0))])
         assert trace.nodes[1].preds == (0,)
         assert trace.critical_depth() == expr(d_std=1)
+
+    def test_reads_return_the_stored_rows(self):
+        """``nodes`` builds no rows: two reads give the same row objects."""
+        trace = trace_component("log", ShapeConfig(3, 2, 3, 2, 2))
+        first, second = trace.nodes, trace.nodes
+        assert len(first) == len(second) > 1
+        assert all(a is b for a, b in zip(first, second))
 
     def test_long_shape_counts(self):
         """Node and distinct-edge counts at the widest barrier fan-in the
@@ -558,7 +565,7 @@ class TestStructureOnlyTracer:
             raise AssertionError("the tracer rounded a value")
 
         # The rounding kernel, at the binding each of its callers reads.
-        for module in (floats, contexts, elementary):
+        for module in (floats, elementary):
             monkeypatch.setattr(module, "_round", refuse)
         got = trace_component("mamba_forward_convolution", shape)
         assert got.nodes == want.nodes and got.outputs == want.outputs

@@ -10,7 +10,9 @@ fails here too), and on drawn operands at p = 8 to 64 with exponents at
 both ends of the range and exponent gaps around the ``p + 4`` shortcut.
 A result must be the same pair, or the same error.  The elementary ops
 are drawn across the exponent range, through ``exp`` overflow, the
-``log``/``sqrt`` domain errors and ``softplus`` saturation.  Last, a p-bit
+``log``/``sqrt`` domain errors and ``softplus`` saturation.  Every product
+(``fp_mul``, the context's ``mul``, the one inside ``_silu``) is the
+kernel op ``floats._mul`` on all encodable pairs at p = 2 to 5.  Last, a p-bit
 forward pass is counted: between its input and its output it builds no
 ``FpNumber`` and calls no public elementary function.
 """
@@ -42,6 +44,7 @@ from artifact.floats import (
 )
 from artifact.mamba import ShapeConfig, forward_routes, random_input, random_params
 from artifact.matrices import FpMatrix
+from artifact.synthesis import BitEncoding
 
 SETTINGS = settings(max_examples=80, derandomize=True, database=None, deadline=None)
 P3 = oracles.legal_floats(3)
@@ -230,6 +233,36 @@ def elementary_operands(draw, p: int):
     )
     e = min(max(binade - (p - 1), -lim), lim - 1)
     return (m if draw(st.booleans()) else -m), e
+
+
+class TestOneProduct:
+    """``fp_mul``, ``PBitScalars.mul`` and the product inside ``_silu`` are
+    ``floats._mul``: the same pair, or the same error, on every ordered
+    pair of values the synthesized circuits encode at p = 2 to 5 (window
+    ``p``), whose products reach past the top of the exponent range."""
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_every_product_is_the_kernel_op(self, p, monkeypatch):
+        numbers = BitEncoding(p, p).enumerate_values()
+        pairs = [(x.m, x.e) for x in numbers]
+        mul = PBitScalars(p).mul
+
+        def product(x, y):
+            r = fp_mul(x, y)
+            return r.m, r.e
+
+        # ``_silu`` multiplies its operand by its ``_sigmoid``: here, by ``b``.
+        sigmoids = []
+        monkeypatch.setattr(elementary, "_sigmoid", lambda a, p: sigmoids.pop())
+        overflows = 0
+        for a, x in zip(pairs, numbers):
+            want = [outcome(floats._mul, a, b, p) for b in pairs]
+            assert [outcome(product, x, y) for y in numbers] == want, a
+            assert [outcome(mul, a, b) for b in pairs] == want, a
+            sigmoids[:] = reversed(pairs)
+            assert [outcome(elementary._silu, a, p) for _ in pairs] == want, a
+            overflows += sum(isinstance(w[0], type) for w in want)
+        assert overflows
 
 
 class TestRouteBuildsNoFpNumber:

@@ -666,6 +666,15 @@ class TestExpectedWords:
         assert any(not -4 <= iter_add(case).e <= 3 for case in cases)
         self.assert_blocks_match(op, self.explicit_blocks(op, cases))
 
+    def test_references_are_the_kernel_ops(self):
+        """Each kind is checked against the op the public function rounds
+        through, not a copy of it; ``KERNEL_REFS`` stays independent."""
+        kernel = {"compare": floats._compare, "add": floats._add, "mul": floats._mul,
+                  "iter_add": floats._iter_add}
+        assert synthesis._PRIMITIVES.keys() == kernel.keys()
+        for kind, (_, ref) in synthesis._PRIMITIVES.items():
+            assert ref is kernel[kind], kind
+
     def test_verdict_other_than_a_comparison_raises(self, monkeypatch):
         """Verdicts are coded by identity; anything else raises, not 0."""
         op = synth_primitive("compare", 2)
