@@ -55,6 +55,7 @@ from artifact._text import (
     _token_lines,
 )
 from artifact.circuits import (
+    BLOCK_LANES,
     Circuit,
     evaluate_many,
     is_majority_only,
@@ -72,7 +73,7 @@ from artifact.elementary import NegativeInput, NonPositiveInput
 from artifact.elementary import exp_fp, log_fp, sigmoid_fp, silu_fp, softplus_fp, sqrt_fp
 from artifact.floats import FpError, FpNumber, fp_add, fp_div, fp_floor, fp_mul, round_p
 from artifact.hardness import (
-    _line_evaluator,
+    _corpus_kind,
     barrington_transform,
     eval_instance,
     eval_pbp,
@@ -550,10 +551,14 @@ def cmd_circuit_check(args: argparse.Namespace) -> int:
     op = synth_primitive(kind, p, window, m)
     if kind == "iter_add":
         # Cases as value indices, drawn operand by operand as rng.choice
-        # would draw the values themselves.
-        values = op.input_encoding.enumerate_values()
-        indices = _draw_indices(random.Random(seed), len(values), n_cases * m)
-        report = _check_indices(op, values, indices)
+        # would draw the values themselves, one block of cases at a time.
+        pairs = op.input_encoding._pairs()
+        rng = random.Random(seed)
+        chunks = (
+            _draw_indices(rng, len(pairs), min(BLOCK_LANES, n_cases - start) * m)
+            for start in range(0, n_cases, BLOCK_LANES)
+        )
+        report = _check_indices(op, pairs, chunks, n_cases)
         label = "sampled"
     else:
         report = check_op(op)
@@ -629,7 +634,7 @@ def cmd_hardness_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_hardness_eval(args: argparse.Namespace) -> int:
-    _line_evaluator(args.kind)  # an unknown kind is refused before any file is read
+    _corpus_kind(args.kind)  # an unknown kind is refused before any file is read
     lines = _token_lines(_read_text(args.corpus))[0]
     computed = []
     for line_no, line in lines:

@@ -1108,45 +1108,59 @@ def gen_instances(kind: str, size: int, seed: int, count: int = 100) -> Corpus:
         raise ValueError(f"size must be >= 1, got {size}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    rng = _rng_for(kind, size, seed)
-    instances: list[str] = []
-    labels: list[str] = []
-    if kind == "bool":
-        for _ in range(count):
-            tree = _random_bool_tree(rng, size)
-            instances.append(tree.to_postfix())
-            labels.append(str(eval_bool(tree)))
-    elif kind == "perm":
-        index, texts, products, inverses, draws = _s5_tables()
-        identity = index[tuple(range(1, 6))]
-        for _ in range(count):
-            closed = size >= 2 and rng.random() < 0.5
-            word = _draw_s5(rng, draws, size - 1 if closed else size)
-            q = identity  # the product of the word so far
-            for p in word:
-                q = products[q][p]
-            if closed:
-                p = inverses[q]
-                word.append(p)
-                q = products[q][p]
-            instances.append(" ".join([texts[p] for p in word]))
-            labels.append(str(int(q == identity)))
-    elif kind == "arith" or kind.startswith("arith-z"):
-        ring = _arith_semiring(kind)
-        n_vars = 3
-        # Constants and assignment values share one range per ring.
-        lo, hi = (-9, 9) if ring.kind == "integers" else (0, ring.modulus - 1)
-        for _ in range(count):
-            node = _random_arith_node(rng, size, ring, n_vars, lo, hi)
-            formula = ArithFormula(ring, node, n_vars)
-            assignment = [rng.randint(lo, hi) for _ in range(n_vars)]
-            instances.append(
-                formula.to_sexpr() + " ; " + ",".join(str(c) for c in assignment)
-            )
-            labels.append(str(eval_arith(formula, assignment)))
-    else:
-        raise ValueError(f"unknown corpus kind {kind!r}")
-    return Corpus(kind, size, seed, tuple(instances), tuple(labels))
+    generate = _corpus_kind(kind)[0]
+    instances, labels = zip(*generate(_rng_for(kind, size, seed), size, count))
+    return Corpus(kind, size, seed, instances, labels)
+
+
+def _bool_corpus(rng: random.Random, size: int, count: int) -> list[tuple[str, str]]:
+    out = []
+    for _ in range(count):
+        tree = _random_bool_tree(rng, size)
+        out.append((tree.to_postfix(), str(eval_bool(tree))))
+    return out
+
+
+def _perm_corpus(rng: random.Random, size: int, count: int) -> list[tuple[str, str]]:
+    index, texts, products, inverses, draws = _s5_tables()
+    identity = index[tuple(range(1, 6))]
+    out = []
+    for _ in range(count):
+        closed = size >= 2 and rng.random() < 0.5
+        word = _draw_s5(rng, draws, size - 1 if closed else size)
+        q = identity  # the product of the word so far
+        for p in word:
+            q = products[q][p]
+        if closed:
+            p = inverses[q]
+            word.append(p)
+            q = products[q][p]
+        out.append((" ".join([texts[p] for p in word]), str(int(q == identity))))
+    return out
+
+
+def _arith_corpus(
+    ring: Semiring, rng: random.Random, size: int, count: int
+) -> list[tuple[str, str]]:
+    n_vars = 3
+    # Constants and assignment values share one range per ring.
+    lo, hi = (-9, 9) if ring.kind == "integers" else (0, ring.modulus - 1)
+    out = []
+    for _ in range(count):
+        node = _random_arith_node(rng, size, ring, n_vars, lo, hi)
+        formula = ArithFormula(ring, node, n_vars)
+        assignment = [rng.randint(lo, hi) for _ in range(n_vars)]
+        line = formula.to_sexpr() + " ; " + ",".join(str(c) for c in assignment)
+        out.append((line, str(eval_arith(formula, assignment))))
+    return out
+
+
+def _bool_label(line: str) -> str:
+    return str(eval_bool(parse_bool_postfix(line)))
+
+
+def _perm_label(line: str) -> str:
+    return str(word_problem(parse_permutation_line(line)))
 
 
 def _arith_label(ring: Semiring, line: str) -> str:
@@ -1175,18 +1189,33 @@ def _arith_label(ring: Semiring, line: str) -> str:
         raise ValueError(f"label has more than {limit} decimal digits") from None
 
 
-def _line_evaluator(kind: str) -> Callable[[str], str]:
-    """The function from one corpus line of ``kind`` to its label.  An
-    unknown kind raises ``ValueError`` here, before any line is read."""
-    if kind == "bool":
-        return lambda line: str(eval_bool(parse_bool_postfix(line)))
-    if kind == "perm":
-        return lambda line: str(word_problem(parse_permutation_line(line)))
-    if kind == "arith" or kind.startswith("arith-z"):
-        return partial(_arith_label, _arith_semiring(kind))
-    raise ValueError(f"unknown corpus kind {kind!r}")
+#: The one table of corpus kinds: each family's generator, from ``(rng,
+#: size, count)`` to the instance lines paired with their labels, and its
+#: line evaluator, from one line to its label.  The ``arith`` family's take the
+#: kind's ring first, which :func:`_corpus_kind` binds: ``arith`` is over
+#: the integers and ``arith-zM`` over Z_M.
+_CORPUS_KINDS = {
+    "bool": (_bool_corpus, _bool_label),
+    "perm": (_perm_corpus, _perm_label),
+    "arith": (_arith_corpus, _arith_label),
+}
+
+
+def _corpus_kind(kind: str) -> tuple[Callable, Callable[[str], str]]:
+    """The generator and line evaluator of corpus kind ``kind``, which
+    :func:`gen_instances` and :func:`eval_instance` both read.  An unknown
+    kind raises ``ValueError`` here, before any instance is drawn or line
+    read."""
+    family = "arith" if kind.startswith("arith-z") else kind
+    if family not in _CORPUS_KINDS:
+        raise ValueError(f"unknown corpus kind {kind!r}")
+    generate, label = _CORPUS_KINDS[family]
+    if family == "arith":
+        ring = _arith_semiring(kind)
+        return partial(generate, ring), partial(label, ring)
+    return generate, label
 
 
 def eval_instance(kind: str, line: str) -> str:
     """Recompute the ground-truth label of one corpus line."""
-    return _line_evaluator(kind)(line)
+    return _corpus_kind(kind)[1](line)

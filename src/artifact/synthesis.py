@@ -52,12 +52,12 @@ import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice, product
+from itertools import chain, islice, product, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .circuits import BLOCK_LANES, Circuit, CircuitBuilder, _pack_fields, evaluate_words, pack_codes
 from .floats import Comparison, FpNumber, Overflow, Pair
-from .floats import _add, _compare, _iter_add, _mul, _normal
+from .floats import _add, _compare, _iter_add, _mul, _normal, _require_p, _round
 
 __all__ = [
     "BitEncoding",
@@ -148,14 +148,29 @@ class BitEncoding:
         return FpNumber(m, e, self.p)  # constructor validates normal form
 
     def enumerate_values(self) -> list[FpNumber]:
-        """All encodable values: zero plus every normalized (m, e) pair."""
-        out = [FpNumber.zero(self.p)]
-        lo, hi = 1 << (self.p - 1), (1 << self.p) - 1
-        for m in range(lo, hi + 1):
-            for e in range(self.e_min, self.e_max + 1):
-                out.append(FpNumber(m, e, self.p))
-                out.append(FpNumber(-m, e, self.p))
-        return out
+        """All encodable values: zero plus every normalized (m, e) pair, in
+        the order of :meth:`_pairs`."""
+        return [FpNumber(m, e, self.p) for m, e in self._pairs()]
+
+    def _pairs(self) -> list[Pair]:
+        """Every encodable value as its ``(m, e)`` pair: zero, then each
+        significand magnitude in ascending order, each of its exponents in
+        ascending order, ``+m`` before ``-m``.  Drawn and swept cases are
+        indices into this list.  A precision below 1, or a window wider
+        than any p-bit float's exponent range, is refused as
+        :class:`FpNumber` refuses it."""
+        p, e_min = self.p, self.e_min
+        _require_p(p)
+        if e_min < -(1 << p):
+            raise ValueError(f"exponent {e_min} outside [-2**p, 2**p) for p={p}")
+        exps = range(e_min, self.e_max + 1)
+        signed = [(s, e) for m in range(1 << (p - 1), 1 << p) for e in exps for s in (m, -m)]
+        return [(0, 0), *signed]
+
+    def _codes(self, pairs: Sequence[Pair]) -> list[int]:
+        """:meth:`code` of each pair, which must be encodable."""
+        sig_mask, exp_mask, sig_bits = self.sig_mask, self.exp_mask, self.sig_bits
+        return [(m & sig_mask) | (e & exp_mask) << sig_bits for m, e in pairs]
 
 
 # ----------------------------------------------------------------- builder
@@ -831,20 +846,24 @@ def _verdict_codes(ref, cases: Iterable[tuple[Pair, Pair]], p: int) -> list[int]
     return codes
 
 
-def _lane_codes(op: SynthesizedOp, cases: Iterable[tuple[Pair, ...]]) -> list[int]:
+def _lane_codes(op: SynthesizedOp, cases: Iterable[tuple]) -> list[int]:
     """Reference results of every case, each coded like the circuit's
     outputs, two more bits above them: one set where the reference
     overflows (with the flag output; only the flag is checked there), one
     where the output encoding cannot hold the reference result (always a
     mismatch, as no output bits can equal it).
 
-    Each case costs one call of the kernel op on its ``(m, e)`` pairs, with
-    its own ``Overflow`` handling, and no other Python-level call: the
-    cases come from C iterators, the op is called by name with positional
-    arguments, a verdict is coded by identity (an ``Enum`` hashes in
-    Python) and a result by inlined :meth:`BitEncoding.code`.
+    A case is the two arguments of one kernel call before ``p``: the
+    operand pairs ``(a, b)`` of a binary kind's op, or for ``iter_add`` a
+    lane's integer sum ``n`` and the exponent ``k`` it is scaled to, which
+    ``floats._round`` rounds (:class:`_ScaledSums`).  Each case costs that
+    one call, with its own ``Overflow`` handling, and no other Python-level
+    call: the cases come from C iterators, the op is called by name with
+    positional arguments, a verdict is coded by identity (an ``Enum``
+    hashes in Python) and a result by inlined :meth:`BitEncoding.code`.
     """
-    ref, p = _PRIMITIVES[op.kind][1], op.p
+    p = op.p
+    ref = _round if op.kind == "iter_add" else _PRIMITIVES[op.kind][1]
     if op.kind == "compare":
         return _verdict_codes(ref, cases, p)
     n_out = len(op.circuit.outputs)
@@ -855,10 +874,9 @@ def _lane_codes(op: SynthesizedOp, cases: Iterable[tuple[Pair, ...]]) -> list[in
     e_min, e_max = enc.e_min, enc.e_max
     overflow = 1 << (n_out - 1) | 1 << n_out
     unencodable = 1 << (n_out + 1)
-    family = op.kind == "iter_add"  # ref takes (xs, p), not (a, b, p)
-    for case in cases:
+    for a, b in cases:
         try:
-            m, e = ref(case, p) if family else ref(*case, p)
+            m, e = ref(a, b, p)
         except Overflow:
             append(overflow)
             continue
@@ -869,15 +887,41 @@ def _lane_codes(op: SynthesizedOp, cases: Iterable[tuple[Pair, ...]]) -> list[in
     return codes
 
 
-def _expected_words(op: SynthesizedOp, cases: Iterable[tuple[Pair, ...]]) -> list[int]:
+def _expected_words(op: SynthesizedOp, cases: Iterable[tuple]) -> list[int]:
     """Reference results of every case, packed like the circuit's outputs:
     :func:`_lane_codes`, one kernel call per case, transposed by
     :func:`~artifact.circuits.pack_codes` into one word per output, then
-    the overflow and unencodable bit planes.  The reference of the
-    exhaustive ``iter_add`` sweep and of explicit and sampled cases; the
-    exhaustive binary sweeps derive theirs from scale classes
-    (:class:`_ScaleClasses`)."""
+    the overflow and unencodable bit planes.  The reference of explicit
+    and sampled cases of the binary kinds; the exhaustive binary sweeps
+    derive theirs from scale classes (:class:`_ScaleClasses`), and every
+    ``iter_add`` check from scaled sums (:class:`_ScaledSums`), each
+    through this function for the lanes it hands over."""
     return pack_codes(_lane_codes(op, cases), len(op.circuit.outputs) + 2)
+
+
+class _ScaledSums:
+    """The expected words of ``iter_add`` cases, sampled, explicit or
+    swept: one integer sum and one ``floats._round`` call per lane.
+
+    ``floats._iter_add(xs, p)`` is ``_round(sum(m << (e - e0)), e0, p)``
+    over the nonzero operands, ``e0`` their least exponent.  ``_round``
+    depends only on the value ``n * 2**k`` (``_round(n << s, k - s, p) ==
+    _round(n, k, p)`` for ``s >= 0``, ``Overflow`` included), so any
+    common exponent at or below every operand's gives the same result.
+    Each value of the check is scaled once to the input window's least
+    exponent ``k``, ``scaled[j] = m_j << (e_j - k)`` (zero is 0), and a
+    lane's result is ``_round`` of its operands' scaled sum at ``k``.  The
+    cases hand over the sums (``lane_sums``) with C-level ``sum`` and
+    ``map``, and :func:`_expected_words` codes them.
+    """
+
+    def __init__(self, op: SynthesizedOp, pairs: list[Pair]):
+        self.op = op
+        self.k = k = op.input_encoding.e_min
+        self.scaled = [m << (e - k) for m, e in pairs]
+
+    def expected_words(self, block: _SweepCases | _IndexCases) -> list[int]:
+        return _expected_words(self.op, zip(block.lane_sums(self.scaled), repeat(self.k)))
 
 
 class _ScaleClasses:
@@ -1101,7 +1145,7 @@ class _SweepCases:
     """The cases of one sweep block, made on demand: lane ``h*V + j`` is
     head ``h`` followed by ``values[j]``.  No list of cases is built, so
     a block's cases never sit in memory beside the circuit's wires, and
-    iteration runs in C iterators, with Python code once per head."""
+    its lane sums run in C iterators, with Python code once per head."""
 
     def __init__(self, values: list[Pair], heads: list[tuple[int, ...]]):
         self.values = values
@@ -1110,18 +1154,18 @@ class _SweepCases:
     def __len__(self) -> int:
         return len(self.heads) * len(self.values)
 
-    def __iter__(self) -> Iterator[tuple[Pair, ...]]:
-        values = self.values
-        return chain.from_iterable(
-            product(*[(values[i],) for i in h], values) for h in self.heads
-        )
-
     def __getitem__(self, lane: int) -> tuple[Pair, ...]:
         h, j = divmod(lane, len(self.values))
         return (*[self.values[i] for i in self.heads[h]], self.values[j])
 
+    def lane_sums(self, scaled: list[int]) -> Iterator[int]:
+        """Each lane's sum of ``scaled`` over its operands' value indices:
+        a head's sum, once, plus each of ``scaled`` in turn."""
+        get = scaled.__getitem__
+        return chain.from_iterable(map(sum(map(get, h)).__add__, scaled) for h in self.heads)
 
-def _sweep_blocks(op: SynthesizedOp, values: list[FpNumber]):
+
+def _sweep_blocks(op: SynthesizedOp, values: list[Pair]):
     """The exhaustive sweep as ``(cases, input words)`` blocks of at most
     ``BLOCK_LANES`` lanes (and at least one head), the cases a
     :class:`_SweepCases` over the values' ``(m, e)`` pairs.
@@ -1136,8 +1180,7 @@ def _sweep_blocks(op: SynthesizedOp, values: list[FpNumber]):
     """
     enc = op.input_encoding
     n_values = len(values)
-    codes = [enc.code(x) for x in values]
-    pairs = [(x.m, x.e) for x in values]
+    codes = enc._codes(values)
     ones, zeros = "1" * n_values, "0" * n_values
     bit_runs = [[ones if (c >> k) & 1 else zeros for c in codes] for k in range(enc.width)]
     last_patterns = [
@@ -1152,7 +1195,7 @@ def _sweep_blocks(op: SynthesizedOp, values: list[FpNumber]):
             for runs in bit_runs:
                 words.append(int("".join([runs[h[t]] for h in reversed(block)]), 2))
         words.extend(int(pattern * len(block), 2) for pattern in last_patterns)
-        yield _SweepCases(pairs, block), words
+        yield _SweepCases(values, block), words
 
 
 class _IndexCases:
@@ -1176,32 +1219,44 @@ class _IndexCases:
         n = self.n
         return tuple([self.pairs[i] for i in self.flat[lane * n : lane * n + n]])
 
+    def lane_sums(self, scaled: list[int]) -> Iterator[int]:
+        """Each case's sum of ``scaled`` over its value indices, one C-level
+        ``sum`` per case."""
+        flat, n, get = self.flat, self.n, scaled.__getitem__
+        return map(sum, zip(*[map(get, flat[t::n]) for t in range(n)]))
 
-def _index_blocks(op: SynthesizedOp, codes: list[int], pairs: list[Pair], flat: list[int]):
-    """Cases given as value indices (``flat`` as in :class:`_IndexCases`)
-    in blocks of at most ``BLOCK_LANES``, an :class:`_IndexCases` each.
+
+def _index_blocks(
+    op: SynthesizedOp, codes: list[int], pairs: list[Pair], chunks: Iterable[list[int]]
+):
+    """Cases given as value indices, one :class:`_IndexCases` per chunk of
+    ``chunks``, each a ``flat`` list of at most ``BLOCK_LANES`` cases.
     Value ``j`` has the input code ``codes[j]`` and the pair ``pairs[j]``.
     A block's input words are packed operand by operand: the codes of one
     operand's column of indices, transposed by :func:`pack_codes`."""
     n, width = op.n_operands, op.input_encoding.width
-    step = BLOCK_LANES * n
-    for start in range(0, len(flat), step):
-        block = flat[start : start + step]
+    for block in chunks:
         words: list[int] = []
         for t in range(n):
             words += pack_codes([codes[i] for i in block[t::n]], width)
         yield _IndexCases(pairs, block, n), words
 
 
-def _check_indices(op: SynthesizedOp, values: list[FpNumber], flat: list[int]) -> dict:
-    """:func:`check_op` on cases given as indices into ``values``, ``n``
-    per case, case after case (``n`` the op's operand count): the sampled
-    path, which builds no case of :class:`~artifact.floats.FpNumber`."""
-    enc = op.input_encoding
-    codes = [enc.code(x) for x in values]
-    pairs = [(x.m, x.e) for x in values]
-    blocks = _index_blocks(op, codes, pairs, flat)
-    return _check_blocks(op, len(flat) // op.n_operands, blocks, partial(_expected_words, op))
+def _check_indices(
+    op: SynthesizedOp, pairs: list[Pair], chunks: Iterable[list[int]], total: int
+) -> dict:
+    """:func:`check_op` on ``total`` cases given as indices into the
+    encodable ``pairs``, ``n`` per case, case after case (``n`` the op's
+    operand count), in chunks of at most ``BLOCK_LANES`` cases: the sampled
+    path, which builds no :class:`~artifact.floats.FpNumber`.  A chunk is
+    asked for only once the one before it is checked, and none after the
+    ``MAX_MISMATCHES``-th mismatch."""
+    blocks = _index_blocks(op, op.input_encoding._codes(pairs), pairs, chunks)
+    if op.kind == "iter_add":
+        reference = _ScaledSums(op, pairs).expected_words
+    else:
+        reference = partial(_expected_words, op)
+    return _check_blocks(op, total, blocks, reference)
 
 
 def _check_blocks(op: SynthesizedOp, total: int, blocks, reference) -> dict:
@@ -1234,30 +1289,34 @@ def check_op(
     ``cases=None`` runs the exhaustive sweep over every tuple of encodable
     operands (``V**2`` lanes for the binary kinds, ``V**m`` for
     ``iter_add``, with ``V`` encodable values); its input words are built
-    directly from the value list.  Explicit cases are mapped to indices
-    into their distinct values in one pass, which checks each case's
-    length, and take the path the CLI's sampled check takes
+    directly from the values' ``(m, e)`` pairs and their codes, with no
+    :class:`~artifact.floats.FpNumber` built.  Explicit cases are mapped to
+    indices into their distinct values in one pass, which checks each
+    case's length, and take the path the CLI's sampled check takes
     (:func:`_check_indices`): each distinct value encoded once, input
     words packed operand by operand from the values' codes, the reference
     run on their ``(m, e)`` pairs.  A case of the wrong length, or a value
     outside the window, raises as :meth:`SynthesizedOp.input_code` would.
     Either way the circuit runs through
     :func:`~artifact.circuits.evaluate_words` ``BLOCK_LANES`` lanes at a
-    time, and every lane gets a reference value from the kernel op.  For
-    explicit and sampled cases and the exhaustive ``iter_add`` sweep
-    (:func:`_expected_words`), the kernel is called once per lane on pairs
-    handed over by C iterators, each lane with its own ``Overflow``
-    handling.  The exhaustive ``add``, ``mul`` and ``compare`` sweeps
-    derive each lane's value from its scale class's one kernel call, a
-    class being the lanes whose result is one result shifted in exponent
-    (:class:`_ScaleClasses`); the lanes that break that pattern, those
-    with a zero operand and those whose result is zero, overflows, or lies
-    at the edge of the kernel's exponent range or outside the output
-    window, are called one by one as above.  The coded results are
-    transposed into expected output words block by block, and one XOR per
-    output finds the mismatching lanes.  Where the reference overflows only
-    the flag output is checked; a reference result outside the output
-    encoding's window always mismatches.
+    time, and every lane gets a reference value from the kernel's
+    rounding.  Every ``iter_add`` check scales each value once to the
+    input window's least exponent and rounds each lane's integer sum
+    (:class:`_ScaledSums`).  For explicit and sampled cases of the binary
+    kinds (:func:`_expected_words`), the kernel op is called once per lane
+    on pairs handed over by C iterators, each lane with its own
+    ``Overflow`` handling.  The exhaustive ``add``, ``mul`` and
+    ``compare`` sweeps derive each lane's value from its scale class's one
+    kernel call, a class being the lanes whose result is one result
+    shifted in exponent (:class:`_ScaleClasses`); the lanes that break
+    that pattern, those with a zero operand and those whose result is
+    zero, overflows, or lies at the edge of the kernel's exponent range or
+    outside the output window, are called one by one as above.  The coded
+    results are transposed into expected output words block by block, and
+    one XOR per output finds the mismatching lanes.  Where the reference
+    overflows only the flag output is checked; a reference result outside
+    the output encoding's window always mismatches.  A mismatch's wanted
+    result comes from the kernel op itself.
 
     Returns a report dict with the case count and the first
     ``MAX_MISMATCHES`` (10) mismatches in case order, each with the
@@ -1265,18 +1324,15 @@ def check_op(
     list means full agreement.
     """
     if cases is None:
-        values = op.input_encoding.enumerate_values()
-        total = len(values) ** op.n_operands
+        pairs = op.input_encoding._pairs()
+        total = len(pairs) ** op.n_operands
         if total > MAX_SWEEP_LANES:
             raise ValueError(
                 f"exhaustive sweep of {total} cases exceeds {MAX_SWEEP_LANES}; "
                 "pass explicit cases"
             )
-        if op.kind == "iter_add":
-            reference = partial(_expected_words, op)
-        else:
-            reference = _ScaleClasses(op, [(x.m, x.e) for x in values]).expected_words
-        return _check_blocks(op, total, _sweep_blocks(op, values), reference)
+        reference = (_ScaledSums if op.kind == "iter_add" else _ScaleClasses)(op, pairs)
+        return _check_blocks(op, total, _sweep_blocks(op, pairs), reference.expected_words)
     n = op.n_operands
     index: dict[FpNumber, int] = {}
     flat: list[int] = []
@@ -1285,4 +1341,9 @@ def check_op(
             raise ValueError(f"{op.kind} takes {n} operands")
         for x in case:
             flat.append(index.setdefault(x, len(index)))
-    return _check_indices(op, list(index), flat)
+    enc = op.input_encoding
+    for x in index:
+        enc.code(x)  # refuses another p or an exponent outside the window
+    step = BLOCK_LANES * n
+    chunks = (flat[i : i + step] for i in range(0, len(flat), step))
+    return _check_indices(op, [(x.m, x.e) for x in index], chunks, len(flat) // n)

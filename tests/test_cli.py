@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from artifact import cli, hardness, synthesis
-from artifact.circuits import Circuit, CircuitError, ParseError, serialize_netlist
+from artifact.circuits import BLOCK_LANES, Circuit, CircuitError, ParseError, serialize_netlist
 from artifact.cli import CliUsageError, build_parser, eval_expression, main
 from artifact.elementary import NegativeInput, NonPositiveInput
 from artifact.floats import DivisionByZero, FpError, FpNumber, round_p
@@ -1393,9 +1393,10 @@ class TestSampledCheck:
         drawn = []
         real = cli._check_indices
 
-        def spy(op, values, flat):
-            drawn.append([[values[i].m, values[i].e] for i in flat])
-            return real(op, values, flat)
+        def spy(op, pairs, chunks, total):
+            chunks = list(chunks)
+            drawn.append([list(pairs[i]) for chunk in chunks for i in chunk])
+            return real(op, pairs, chunks, total)
 
         monkeypatch.setattr(cli, "_check_indices", spy)
         assert main(self._argv(m, seed)) == 0
@@ -1405,6 +1406,42 @@ class TestSampledCheck:
         assert len(cases) == 200
         digest = hashlib.sha256(json.dumps(cases).encode()).hexdigest()
         assert digest == self.PINS[m, seed]
+
+    def test_cases_drawn_one_block_at_a_time(self, monkeypatch, capsys):
+        """``--cases BLOCK_LANES + 1`` draws a block of ``BLOCK_LANES``
+        cases, checks it, then draws the last case from the same
+        generator: the same indices one draw of every case gives, never
+        more than a block's in one list."""
+        m, seed, n_cases = 2, 11, BLOCK_LANES + 1
+        events, flats = [], []
+        real_draw = cli._draw_indices
+        real_blocks, real_check = synthesis._index_blocks, synthesis._check_blocks
+
+        def draw(rng, n, count):
+            events.append(("draw", count))
+            return real_draw(rng, n, count)
+
+        def blocks(op, codes, pairs, chunks):
+            return real_blocks(op, codes, pairs, (flats.append(c) or c for c in chunks))
+
+        def check(op, total, blocks, reference):
+            def counted():
+                for block, words in blocks:
+                    yield block, words
+                    events.append(("checked", len(block)))
+            return real_check(op, total, counted(), reference)
+
+        monkeypatch.setattr(cli, "_draw_indices", draw)
+        monkeypatch.setattr(synthesis, "_index_blocks", blocks)
+        monkeypatch.setattr(synthesis, "_check_blocks", check)
+        argv = ["circuit", "check", "iter_add", "-p", "3", "-m", str(m),
+                "--cases", str(n_cases), "--seed", str(seed)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"sampled: PASS ({n_cases} cases, kind=iter_add, p=3)\n"
+        assert events == [("draw", BLOCK_LANES * m), ("checked", BLOCK_LANES),
+                          ("draw", m), ("checked", 1)]
+        n_values = len(synth_primitive("iter_add", 3, m=m).input_encoding.enumerate_values())
+        assert sum(flats, []) == real_draw(random.Random(seed), n_values, n_cases * m)
 
     @pytest.mark.parametrize("n", [9, 64, 65, 257, 4096, 4097])
     def test_index_draw_is_rng_choice(self, n):

@@ -1255,6 +1255,33 @@ class TestCorpora:
         with pytest.raises(ValueError):
             eval_instance("nosuch", "1")
 
+    @staticmethod
+    def outcome(fn, *args) -> str:
+        try:
+            fn(*args)
+        except Exception as exc:  # the refusal itself is what is compared
+            return f"{type(exc).__name__}: {exc}"
+        return "accepted"
+
+    @pytest.mark.parametrize("kind", [
+        "bool", "perm", "arith", "arith-z7", "arith-z2", "arith-z1", "arith-z0",
+        "arith-z-3", "arith-z", "arith-zq", "arith-z 7", "arith-", "arithz7",
+        "arith-Z7", "Bool", "nosuch", "", "perm ",
+    ])
+    def test_gen_and_eval_accept_the_same_kinds(self, kind):
+        """``gen`` and ``eval`` read one table of kinds: each accepts a
+        kind exactly when the other does, and refuses it with the same
+        message.  ``gen`` checks its size first."""
+        gen = self.outcome(gen_instances, kind, 3, 1, 2)
+        evaluate = self.outcome(hardness._corpus_kind, kind)
+        assert gen == evaluate
+        if gen == "accepted":
+            corpus = gen_instances(kind, 3, 1, 2)
+            assert [eval_instance(kind, line) for line in corpus.instances] == list(corpus.labels)
+        else:
+            assert self.outcome(eval_instance, kind, "1") == gen
+        assert self.outcome(gen_instances, kind, 0, 1) == "ValueError: size must be >= 1, got 0"
+
 
 DEEP = 100_000  # nesting depth, a hundred times the default recursion limit
 

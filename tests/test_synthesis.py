@@ -544,19 +544,30 @@ def narrowed(op: SynthesizedOp, exp_bits: int) -> SynthesizedOp:
 def scale_classes(op: SynthesizedOp) -> synthesis._ScaleClasses:
     """The reference of ``op``'s exhaustive binary sweep, as ``check_op``
     builds it."""
-    values = op.input_encoding.enumerate_values()
-    return synthesis._ScaleClasses(op, [(x.m, x.e) for x in values])
+    return synthesis._ScaleClasses(op, op.input_encoding._pairs())
+
+
+def scaled_sums(op: SynthesizedOp, pairs=None) -> synthesis._ScaledSums:
+    """The reference of an ``iter_add`` check over ``pairs`` (the
+    encoding's values by default), as ``check_op`` builds it."""
+    return synthesis._ScaledSums(op, op.input_encoding._pairs() if pairs is None else pairs)
 
 
 def sweep_mismatches(op: SynthesizedOp, reference) -> int:
     """The blocks of ``op``'s exhaustive sweep whose expected words from
     ``reference`` differ from ``oracles.per_lane_expected_words``."""
-    values = op.input_encoding.enumerate_values()
     bad = 0
-    for block, _ in synthesis._sweep_blocks(op, values):
+    for block, _ in synthesis._sweep_blocks(op, op.input_encoding._pairs()):
         cases = [block[i] for i in range(len(block))]
         bad += reference(block) != per_lane_expected_words(op, cases, KERNEL_REFS[op.kind], Overflow)
     return bad
+
+
+def index_chunks(flat: list[int], n: int) -> list[list[int]]:
+    """``flat`` in chunks of ``BLOCK_LANES`` cases of ``n`` indices, as
+    ``check_op`` cuts explicit cases."""
+    step = BLOCK_LANES * n
+    return [flat[i : i + step] for i in range(0, len(flat), step)]
 
 
 class TestExpectedWords:
@@ -564,13 +575,13 @@ class TestExpectedWords:
     ``oracles.per_lane_expected_words``, which calls the kernel op once per
     case, codes each result on its own and packs with ``int.to_bytes``.
     The exhaustive ``add``, ``mul`` and ``compare`` sweeps take their words
-    from scale classes (``_ScaleClasses``); every other path, the
-    exhaustive ``iter_add`` sweep included, from ``_expected_words``."""
+    from scale classes (``_ScaleClasses``), every ``iter_add`` check from
+    scaled sums (``_ScaledSums``), and explicit and sampled binary cases
+    from ``_expected_words``."""
 
     @staticmethod
-    def assert_blocks_match(op: SynthesizedOp, blocks, reference=None) -> int:
-        """Lanes checked; ``reference`` defaults to ``_expected_words``."""
-        reference = reference or partial(synthesis._expected_words, op)
+    def assert_blocks_match(op: SynthesizedOp, blocks, reference) -> int:
+        """Lanes checked."""
         lanes = 0
         for block, _ in blocks:
             cases = [block[i] for i in range(len(block))]
@@ -580,23 +591,30 @@ class TestExpectedWords:
         return lanes
 
     @staticmethod
-    def explicit_blocks(op: SynthesizedOp, cases):
+    def index_reference(op: SynthesizedOp, pairs):
+        """The reference of index blocks over ``pairs``, as ``_check_indices`` takes it."""
+        if op.kind == "iter_add":
+            return scaled_sums(op, pairs).expected_words
+        return partial(synthesis._expected_words, op)
+
+    def assert_explicit_blocks_match(self, op: SynthesizedOp, cases) -> int:
         """``_index_blocks`` over explicit cases, each distinct value an
         index where it first occurs, as ``check_op`` maps them."""
         values = list(dict.fromkeys(x for case in cases for x in case))
         index = {x: i for i, x in enumerate(values)}
         flat = [index[x] for case in cases for x in case]
-        codes = [op.input_encoding.code(x) for x in values]
         pairs = [(x.m, x.e) for x in values]
-        return synthesis._index_blocks(op, codes, pairs, flat)
+        codes = [op.input_encoding.code(x) for x in values]
+        blocks = synthesis._index_blocks(op, codes, pairs, index_chunks(flat, op.n_operands))
+        return self.assert_blocks_match(op, blocks, self.index_reference(op, pairs))
 
     def sweep(self, op: SynthesizedOp) -> None:
         """The sweep's reference as ``check_op`` takes it: scale classes for
-        the binary kinds, ``_expected_words`` for ``iter_add``."""
-        values = op.input_encoding.enumerate_values()
-        reference = None if op.kind == "iter_add" else scale_classes(op).expected_words
-        lanes = self.assert_blocks_match(op, synthesis._sweep_blocks(op, values), reference)
-        assert lanes == len(values) ** op.n_operands
+        the binary kinds, scaled sums for ``iter_add``."""
+        pairs = op.input_encoding._pairs()
+        reference = (scaled_sums if op.kind == "iter_add" else scale_classes)(op).expected_words
+        lanes = self.assert_blocks_match(op, synthesis._sweep_blocks(op, pairs), reference)
+        assert lanes == len(pairs) ** op.n_operands
 
     @pytest.mark.parametrize("p, window", [(p, w) for p in (2, 3, 4, 5) for w in range(1, p + 1)])
     @pytest.mark.parametrize("kind", ["add", "mul", "compare"])
@@ -623,22 +641,46 @@ class TestExpectedWords:
         """The narrowed sweeps above do reach lanes outside the window."""
         for kind in ("add", "mul"):
             op = narrowed(synth_primitive(kind, 3), 2)
-            values = op.input_encoding.enumerate_values()
-            words = [scale_classes(op).expected_words(b) for b, _ in synthesis._sweep_blocks(op, values)]
+            pairs = op.input_encoding._pairs()
+            blocks = synthesis._sweep_blocks(op, pairs)
+            words = [scale_classes(op).expected_words(b) for b, _ in blocks]
             assert any(w[-1] for w in words), kind
 
     def test_iter_add_sweep(self):
+        """Every operand triple at p=2: 17**3 lanes."""
         self.sweep(synth_primitive("iter_add", 2, m=3))
+
+    def test_iter_add_sweep_p3(self):
+        """Every operand triple at p=3: 65**3 lanes."""
+        self.sweep(synth_primitive("iter_add", 3, m=3))
+
+    @pytest.mark.parametrize("window, narrow", [(1, 1), (2, 1), (2, 2)])
+    def test_iter_add_sweeps_on_narrowed_output_windows(self, window, narrow):
+        """Output windows of 1 and 2 exponent bits at p=2, m=3: sums land
+        outside them, and those lanes are unencodable."""
+        op = narrowed(synth_primitive("iter_add", 2, window, m=3), narrow)
+        self.sweep(op)
+        pairs = op.input_encoding._pairs()
+        words = [scaled_sums(op).expected_words(b) for b, _ in synthesis._sweep_blocks(op, pairs)]
+        assert any(w[-1] for w in words)
 
     @pytest.mark.parametrize("m, n_cases", [(2, 500), (8, 300), (64, 200), (2, BLOCK_LANES + 1)])
     def test_sampled_index_blocks(self, m, n_cases):
-        op = synth_primitive("iter_add", 3, m=m)
-        values = op.input_encoding.enumerate_values()
+        self.assert_sampled_blocks_match(synth_primitive("iter_add", 3, m=m), n_cases)
+
+    @pytest.mark.parametrize("m", [8, 64])
+    def test_sampled_index_blocks_on_narrowed_output_windows(self, m):
+        """With two exponent bits out, many sums at p=3 are unencodable."""
+        self.assert_sampled_blocks_match(narrowed(synth_primitive("iter_add", 3, m=m), 2), 300)
+
+    def assert_sampled_blocks_match(self, op: SynthesizedOp, n_cases: int) -> None:
+        m = op.m
+        pairs = op.input_encoding._pairs()
         rng = random.Random(8340 + m)
-        flat = [rng.randrange(len(values)) for _ in range(n_cases * m)]
-        codes = [op.input_encoding.code(x) for x in values]
-        pairs = [(x.m, x.e) for x in values]
-        lanes = self.assert_blocks_match(op, synthesis._index_blocks(op, codes, pairs, flat))
+        flat = [rng.randrange(len(pairs)) for _ in range(n_cases * m)]
+        codes = op.input_encoding._codes(pairs)
+        blocks = synthesis._index_blocks(op, codes, pairs, index_chunks(flat, m))
+        lanes = self.assert_blocks_match(op, blocks, scaled_sums(op).expected_words)
         assert lanes == n_cases
 
     @pytest.mark.parametrize("kind", ["add", "mul", "compare"])
@@ -657,14 +699,147 @@ class TestExpectedWords:
             results = [fp_mul(*case) for case in cases if not self.overflows(case)]
             assert len(results) < len(cases)
             assert any(not -2 <= x.e <= 1 for x in results)
-        self.assert_blocks_match(op, self.explicit_blocks(op, cases))
+        self.assert_explicit_blocks_match(op, cases)
 
     def test_explicit_iter_add_cases_outside_the_output_window(self):
         op = narrowed(synth_primitive("iter_add", 3, m=8), 3)
         rng = random.Random(8360)
         cases = [tuple(random_value(rng, op.input_encoding) for _ in range(8)) for _ in range(400)]
         assert any(not -4 <= iter_add(case).e <= 3 for case in cases)
-        self.assert_blocks_match(op, self.explicit_blocks(op, cases))
+        self.assert_explicit_blocks_match(op, cases)
+
+    @staticmethod
+    def iter_add_outcome(case):
+        try:
+            return iter_add(case)
+        except Overflow:
+            return Overflow
+
+    @pytest.mark.parametrize("p, window, m, overflows", [
+        (2, 1, 64, True), (3, 3, 64, True), (3, 3, 8, False), (5, 5, 2, False),
+    ])
+    def test_explicit_iter_add_overflow_zero_and_cancelling_cases(self, p, window, m, overflows):
+        """All-zero cases, cases whose operands cancel to zero or to one
+        operand, a lone nonzero operand among zeros, and sums of the
+        window's largest values, which overflow at the given parameters:
+        64 times ``3 * 2**0`` is ``3 * 2**6`` at p=2, and 64 times ``7 *
+        2**3`` is ``7 * 2**9`` at p=3."""
+        op = synth_primitive("iter_add", p, window, m=m)
+        enc = op.input_encoding
+        zero = FpNumber.zero(p)
+        top = FpNumber((1 << p) - 1, enc.e_max, p)
+        low = FpNumber(1 << (p - 1), enc.e_min, p)
+        rng = random.Random(8380 + p)
+        cases = [(zero,) * m, (top,) * m, (FpNumber(-top.m, top.e, p),) * m]
+        for _ in range(100):
+            half = [random_value(rng, enc) for _ in range(m // 2)]
+            negated = [FpNumber(-x.m, x.e, p) for x in half]
+            rest = [zero] * (m - 2 * len(half))
+            if rest and rng.random() < 0.5:
+                rest[0] = random_value(rng, enc, zero_rate=0)
+            case = half + negated + rest
+            rng.shuffle(case)
+            cases.append(tuple(case))
+            lone = [zero] * m
+            lone[rng.randrange(m)] = rng.choice((top, low, random_value(rng, enc, zero_rate=0)))
+            cases.append(tuple(lone))
+        outcomes = [self.iter_add_outcome(case) for case in cases]
+        assert outcomes.count(FpNumber.zero(p)) >= 40
+        assert (Overflow in outcomes) == overflows
+        assert self.assert_explicit_blocks_match(op, cases) == len(cases)
+
+    def test_rounding_a_scaled_sum_is_rounding_the_sum(self):
+        """``_round(n << s, k - s, p) == _round(n, k, p)``, ``Overflow``
+        included, over the sums an ``iter_add`` check forms: p = 2 to 6,
+        ``|n|`` of up to ``p + 2**p + 7`` bits (64 operands of the widest
+        window, scaled across it), every shift the window allows.  Each
+        ``n`` is a ``p + 1``-bit head above tie, near-tie and sticky tails,
+        and ``k`` puts the result at each edge of the exponent range and
+        past it.  ``test_floats``' scale test stops at ``|n| < 2**(2p+1)``."""
+
+        def outcome(n, k, p):
+            try:
+                return floats._round(n, k, p)
+            except Overflow:
+                return Overflow
+
+        rng = random.Random(8390)
+        cases = 0
+        for p in range(2, 7):
+            lim = 1 << p
+            for bits in range(1, p + lim + 8):
+                tails = {0, 1}
+                if bits > p + 1:
+                    half = 1 << (bits - p - 2)
+                    tails |= {half - 1, half, half + 1, rng.randrange(2 * half)}
+                for tail in tails:
+                    head = rng.randrange(1 << (p - 1), 1 << p) if bits > p else 0
+                    a = (head << max(bits - p, 0)) | tail | 1 << (bits - 1)
+                    for n in (a, -a):
+                        for e in (-lim - 2, -lim, -lim + 1, -1, 0, lim - 2, lim - 1, lim):
+                            k = e - (bits - p)
+                            want = outcome(n, k, p)
+                            for s in range(1, lim + 1):
+                                assert outcome(n << s, k - s, p) == want, (n, k, s, p)
+                                cases += 1
+        assert cases > 100_000
+
+    def test_planted_exponent_fault_is_caught(self):
+        """Sums rounded one exponent above the window's least, the scaled
+        values unchanged: the p=2, m=3 sweep no longer equals the per-lane
+        reference."""
+        op = synth_primitive("iter_add", 2, m=3)
+        reference = scaled_sums(op)
+        reference.k += 1
+        assert sweep_mismatches(op, reference.expected_words)
+        assert not sweep_mismatches(op, scaled_sums(op).expected_words)
+
+    def test_planted_zero_scale_fault_is_caught(self):
+        """The zero value entered as ``2**0``, the unit at its stored
+        exponent, in place of 0: the sweep's lanes with a zero operand no
+        longer equal the per-lane reference."""
+        op = synth_primitive("iter_add", 2, m=3)
+        reference = scaled_sums(op)
+        assert reference.scaled[0] == 0
+        reference.scaled[0] = 1 << -reference.k
+        assert sweep_mismatches(op, reference.expected_words)
+
+    def test_passing_checks_call_no_iter_add_and_build_no_float(self, monkeypatch, capsys):
+        """The exhaustive sweeps of every kind, the sampled command and
+        explicit ``iter_add`` cases: no ``_iter_add`` call and no
+        ``FpNumber`` built (checked or not) once the cases are given."""
+        op = synth_primitive("iter_add", 3, m=8)
+        rng = random.Random(8400)
+        cases = [tuple(random_value(rng, op.input_encoding) for _ in range(8)) for _ in range(300)]
+        ops = [synth_primitive("iter_add", 2, m=3)]
+        ops += [synth_primitive(kind, 3) for kind in ("add", "mul", "compare")]
+        made = []
+        real_post_init = FpNumber.__post_init__
+
+        def counted(name, real):
+            return lambda *args: made.append(name) or real(*args)
+
+        monkeypatch.setattr(floats, "_iter_add", counted("_iter_add", floats._iter_add))
+        monkeypatch.setattr(synthesis, "_iter_add", counted("_iter_add", synthesis._iter_add))
+        synthesize = synthesis._PRIMITIVES["iter_add"][0]
+        monkeypatch.setitem(
+            synthesis._PRIMITIVES, "iter_add", (synthesize, counted("_iter_add", floats._iter_add))
+        )
+        monkeypatch.setattr(FpNumber, "__post_init__", counted("FpNumber", real_post_init))
+        monkeypatch.setattr(floats, "_normal", counted("FpNumber", floats._normal))
+        monkeypatch.setattr(synthesis, "_normal", counted("FpNumber", synthesis._normal))
+        for swept in ops:
+            assert check_op(swept)["ok"], swept.kind
+        assert check_op(op, cases)["ok"]
+        from artifact.cli import main
+
+        assert main(["circuit", "check", "iter_add", "-p", "3", "-m", "64"]) == 0
+        assert capsys.readouterr().out == "sampled: PASS (200 cases, kind=iter_add, p=3)\n"
+        assert made == []
+        # The spies do see a failing check's report, which asks the kernel.
+        broken = with_outputs(op, op.circuit.outputs[::-1])
+        assert not check_op(broken, cases)["ok"]
+        assert "_iter_add" in made and "FpNumber" in made
 
     def test_references_are_the_kernel_ops(self):
         """Each kind is checked against the op the public function rounds
