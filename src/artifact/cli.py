@@ -384,8 +384,49 @@ def _matrix_json(m: FpMatrix) -> dict:
     }
 
 
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj: object, pad: str = "\n") -> str:
+    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it,
+    for dicts with str keys, lists and tuples, strs, ints, bools and None;
+    ``pad`` is a newline and the indentation of ``obj``'s own line.  Any
+    other value or key raises ``TypeError``."""
+    t = type(obj)
+    if t is str:
+        return _json_str(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    inner = pad + "  "
+    if t is dict:
+        if not obj:
+            return "{}"
+        # A key that is not a str fails in sorted() or in _json_str.
+        items = [_json_str(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + pad + "]"
+    raise TypeError(f"{t.__name__} is left to json.dumps")
+
+
 def _dump(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Write a report, and a newline, as ``json.dumps(obj, indent=2,
+    sort_keys=True)`` would.  With ``indent`` set, ``json`` encodes in pure
+    Python, so :func:`_json_text` writes the types the reports hold; a
+    report holding any other type, or a key that is not a str, goes to
+    ``json.dumps`` whole, so it never prints differently."""
+    try:
+        text = _json_text(obj) + "\n"
+    except TypeError:
+        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -513,14 +554,37 @@ def cmd_circuit_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Most 32-bit words :func:`_draw_indices` asks for in one call.
+_DRAW_WORDS = 1 << 16
+
+
 def _draw_indices(rng: random.Random, n: int, count: int) -> list[int]:
     """``count`` draws of ``rng.choice(range(n))``, drawn the way CPython
     3.10-3.13 draws them: ``choice(seq)`` is ``seq[_randbelow(len(seq))]``,
     and ``_randbelow(n)`` calls ``getrandbits(n.bit_length())`` until the
     result is below ``n``.  The tests check the two agree call for call.
-    ``hardness._draw_s5`` follows the same rule for ``shuffle``."""
+    ``hardness._draw_s5`` follows the same rule for ``shuffle``.
+
+    For ``k = n.bit_length() <= 8`` the words are drawn in bulk.
+    ``getrandbits(k)`` is the top ``k`` bits of one 32-bit Mersenne Twister
+    word, and ``getrandbits(32 * w)`` lays ``w`` words out least
+    significant first, so every fourth byte of its little-endian bytes,
+    from the fourth, is a word's top byte.  One ``translate`` drops the
+    rejected tries and shifts the rest down to ``k`` bits.  A round draws
+    no more words than draws are still missing, so no word is drawn that
+    the call-for-call loop would not draw, and the generator ends in the
+    same state."""
     k = n.bit_length()
     getrandbits = rng.getrandbits
+    if k <= 8:
+        shift = 8 - k
+        table = bytes([b >> shift for b in range(256)])
+        reject = bytes([b for b in range(256) if b >> shift >= n])
+        drawn = bytearray()
+        while len(drawn) < count:
+            w = min(count - len(drawn), _DRAW_WORDS)
+            drawn += getrandbits(32 * w).to_bytes(4 * w, "little")[3::4].translate(table, reject)
+        return list(drawn)
     out: list[int] = []
     for _ in range(count):
         r = getrandbits(k)

@@ -700,21 +700,73 @@ def _model_context() -> TracedScalars:
 
 class _FrontScalars(TracedScalars):
     """Runs the model on frontier indices into ``_MODEL_TABLE``: a value is
-    the index of the frontier of path sums ending at it, so each operation
-    is one lookup in a step memo of its own, on ``(cost, *predecessor
-    frontiers)`` as given, and no per-node state is kept.  The memo lives
-    as long as the context."""
+    the index of the frontier of path sums ending at it, and no per-node
+    state is kept.
+
+    Each operation is one lookup in a step memo of the context's own, on
+    ``(cost, *predecessor frontiers, barrier)`` as given, the barrier
+    ``None`` outside a stage.  The hot operations (``mul``, ``iter_add``,
+    ...) build that key themselves; the composite schedules and the rarer
+    events go through :meth:`_emit`.  A miss drops a ``None`` barrier and
+    folds the key into the shared table's step, so the table sees the keys
+    a trace of the same component gives it.  A leaf's frontier is the
+    barrier's, or the origin outside a stage: it is stepped once when the
+    context starts and once per :meth:`seq_point`, so a leaf needs no
+    lookup and the table still sees the step of a traced leaf.  The memo
+    lives as long as the context."""
 
     def __init__(self) -> None:
         self._barrier: int | None = None
         self._steps: dict[tuple[str | None | int, ...], int] = {}
+        self._leaf = _MODEL_TABLE.step((None,))
+
+    def _miss(self, key: tuple[str | None | int, ...]) -> int:
+        table_key = key if key[-1] is not None else key[:-1]
+        f = self._steps[key] = _MODEL_TABLE.step(tuple(dict.fromkeys(table_key)))
+        return f
 
     def _emit(self, label: str, cost: str | None, preds: tuple[int, ...]) -> int:
-        key = (cost, *preds) if self._barrier is None else (cost, *preds, self._barrier)
+        key = (cost, *preds, self._barrier)
         f = self._steps.get(key)
-        if f is None:
-            f = self._steps[key] = _MODEL_TABLE.step(tuple(dict.fromkeys(key)))
-        return f
+        return self._miss(key) if f is None else f
+
+    def input(self, q: Any) -> int:
+        return self._leaf
+
+    const = reinject = input
+
+    def const_mul(self, a: int, b: int) -> int:
+        key = (None, a, b, self._barrier)
+        f = self._steps.get(key)
+        return self._miss(key) if f is None else f
+
+    def mul(self, a: int, b: int) -> int:
+        key = ("d_std", a, b, self._barrier)
+        f = self._steps.get(key)
+        return self._miss(key) if f is None else f
+
+    add = div = mul
+
+    def index(self, a: int) -> int:
+        key = ("d_std", a, self._barrier)
+        f = self._steps.get(key)
+        return self._miss(key) if f is None else f
+
+    floor = index
+
+    def iter_add(self, xs: Sequence[int]) -> int:
+        key = ("d_oplus", *xs, self._barrier)
+        f = self._steps.get(key)
+        return self._miss(key) if f is None else f
+
+    def iter_mul(self, xs: Sequence[int]) -> int:
+        key = ("d_otimes", *xs, self._barrier)
+        f = self._steps.get(key)
+        return self._miss(key) if f is None else f
+
+    def seq_point(self, xs: Sequence[int]) -> None:
+        super().seq_point(xs)
+        self._leaf = _MODEL_TABLE.step((None, self._barrier))
 
 
 # ----------------------------------------------------- component instances

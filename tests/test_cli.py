@@ -4,9 +4,11 @@ and the wiring of each subcommand to its module."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -1453,6 +1455,41 @@ class TestSampledCheck:
             assert ours.getstate() == theirs.getstate()
         assert cli._draw_indices(random.Random(0), n, 0) == []
 
+    @staticmethod
+    def _per_call(rng, n, count):
+        """The loop ``_randbelow(n)`` runs, once per draw."""
+        k = n.bit_length()
+        out = []
+        for _ in range(count):
+            r = rng.getrandbits(k)
+            while r >= n:
+                r = rng.getrandbits(k)
+            out.append(r)
+        return out
+
+    @pytest.mark.parametrize("words", [None, 1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 65, 255, 256, 257])
+    def test_bulk_draw_is_the_per_call_loop(self, monkeypatch, n, words):
+        """Up to 8 bits a draw takes its words in bulk, at most
+        ``_DRAW_WORDS`` a call (capped at 1 and 3 here too, so a count
+        takes many rounds): the indices of the per-call loop, and the
+        generator left in the same state.  257 takes the loop itself."""
+        if words is not None:
+            monkeypatch.setattr(cli, "_DRAW_WORDS", words)
+        for seed in (0, 5, 2**40 + 1):
+            for count in (0, 1, 2, 7, 100, 1001):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                assert cli._draw_indices(ours, n, count) == self._per_call(theirs, n, count)
+                assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("n", [5, 65])
+    def test_bulk_draw_past_one_call(self, n):
+        """More draws than one call's words: the rounds join up."""
+        count = 2 * cli._DRAW_WORDS + 3
+        ours, theirs = random.Random(3), random.Random(3)
+        assert cli._draw_indices(ours, n, count) == self._per_call(theirs, n, count)
+        assert ours.getstate() == theirs.getstate()
+
     @pytest.mark.parametrize("m", [2, 8, 64])
     def test_fail_report_equals_check_op(self, monkeypatch, capsys, m):
         """With two output wires swapped, the command's report and
@@ -1874,6 +1911,125 @@ def _all_actions(parser: argparse.ArgumentParser):
         if isinstance(action, argparse._SubParsersAction):
             for sub in action.choices.values():
                 yield from _all_actions(sub)
+
+
+# Report trees: the values ``cli._json_text`` writes itself, among them
+# non-ASCII, astral and control-character strings and ints past 64 bits.
+_WRITTEN_LEAVES = (
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=-(2**300), max_value=2**300)
+    | st.text() | st.text(st.characters(max_codepoint=0x1F)) | st.sampled_from(["", "\u2028", "\U0001F600"])
+)
+
+
+def _trees(leaves, *key_kinds):
+    """Nested lists, tuples and dicts over ``leaves``, empty ones
+    included; a dict's keys are all of one of ``key_kinds``."""
+    return st.recursive(
+        leaves,
+        lambda kids: st.lists(kids, max_size=4) | st.tuples(kids, kids)
+        | st.one_of([st.dictionaries(keys, kids, max_size=4) for keys in key_kinds]),
+        max_leaves=30,
+    )
+
+
+class TestReportWriter:
+    """``cli._dump`` writes a report through ``cli._json_text``, which gives
+    the bytes ``json.dumps(obj, indent=2, sort_keys=True)`` gives, without
+    its pure-Python encoder.  A report holding a float or a key that is
+    not a str goes to ``json.dumps`` whole."""
+
+    NETLIST = ["circuit", "synth", "add", "-p", "2"]
+    COMMANDS = {
+        "run-pbit": ["mamba", "run", "--shape", "3,2,2,2,2", "--seed", "4"],
+        "run-exact": ["mamba", "run", "--shape", "3,2,2,2,2", "--seed", "4", "--mode", "exact"],
+        "compare-pbit": ["mamba", "compare", "--shape", "3,2,2,2,2", "--seed", "4"],
+        "compare-exact": ["mamba", "compare", "--shape", "3,2,2,2,2", "--seed", "4",
+                          "--mode", "exact"],
+        "depth": ["mamba", "depth"],
+        "depth-full-grid": ["mamba", "depth", "--full-grid"],
+        "depth-assign": ["mamba", "depth", "--assign", "all=2,d_dup=1", "--shape", "4,2,2,2,2"],
+        "synth-out": NETLIST + ["-o", "{out}"],
+        "rewrite-out": ["circuit", "rewrite", "{netlist}", "-o", "{out}"],
+        "circuit-depth": ["circuit", "depth", "{netlist}"],
+        "barrington": ["hardness", "barrington", "{chain}"],
+        "barrington-check": ["hardness", "barrington", "{chain}", "--check"],
+        "barrington-at-the-digit-limit": ["hardness", "barrington", "{chain_7142}"],
+        "barrington-past-the-digit-limit": ["hardness", "barrington", "{chain_7143}"],
+    }
+
+    @pytest.fixture
+    def dumped(self, monkeypatch):
+        """The objects ``_dump`` is given, in order."""
+        reports = []
+        real = cli._dump
+        monkeypatch.setattr(cli, "_dump", lambda obj, out: reports.append(obj) or real(obj, out))
+        return reports
+
+    @staticmethod
+    def assert_written(out: str, reports: list) -> None:
+        """One report, written by the writer itself, is what stdout ends with."""
+        [obj] = reports
+        text = json.dumps(obj, indent=2, sort_keys=True)
+        assert cli._json_text(obj) == text
+        assert out.endswith(text + "\n")
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_command_reports(self, tmp_path, capsys, dumped, name):
+        netlist = tmp_path / "add.nl"
+        netlist.write_text(serialize_netlist(synth_primitive("add", 2).circuit), encoding="utf-8")
+        slots = {"out": str(tmp_path / "out.nl"), "netlist": str(netlist),
+                 "chain": _not_chain(tmp_path, 3), "chain_7142": _not_chain(tmp_path, 7142),
+                 "chain_7143": _not_chain(tmp_path, 7143)}
+        argv = [arg.format(**slots) for arg in self.COMMANDS[name]]
+        assert main(argv) == 0
+        self.assert_written(capsys.readouterr().out, dumped)
+        if name == "compare-exact":
+            assert dumped[0]["p"] is None
+        if name == "barrington-at-the-digit-limit":
+            assert dumped[0]["length_bound"] == 4**7142
+        if name == "barrington-past-the-digit-limit":
+            assert dumped[0]["length_bound"] == "4**7143"
+
+    @pytest.mark.parametrize("kind,m", [("compare", None), ("add", None), ("iter_add", 8)])
+    def test_check_mismatch_reports(self, monkeypatch, capsys, dumped, kind, m):
+        """A FAIL report's mismatches, whose ``want`` and ``got`` are tuples."""
+        op = synth_primitive(kind, 2, m=m)
+        outputs = list(op.circuit.outputs)
+        outputs[0], outputs[-1] = outputs[-1], outputs[0]
+        broken = dataclasses.replace(op, circuit=Circuit(op.circuit.gates, outputs))
+        monkeypatch.setattr(cli, "synth_primitive", lambda *args: broken)
+        argv = ["circuit", "check", kind, "-p", "2"] + (["-m", str(m)] if m else [])
+        assert main(argv) == 1
+        self.assert_written(capsys.readouterr().out, dumped)
+        assert dumped[0]["mismatches"]
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_trees(_WRITTEN_LEAVES, st.text()))
+    def test_written_trees(self, tree):
+        assert cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_trees(_WRITTEN_LEAVES | st.floats(), st.text(), st.integers()))
+    def test_any_tree(self, tree):
+        """Floats and int keys among the rest: the bytes of ``json.dumps``."""
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._dump(tree, None)
+        assert out.getvalue() == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "tree",
+        [{"x": 0.5}, {1: []}, [{"a": {2: "b"}}], {"n": float("nan")}, {"a": [1, (2, 1e300)]}],
+        ids=["float", "int-key", "nested-int-key", "nan", "nested-float"],
+    )
+    def test_fallback(self, tree):
+        with pytest.raises(TypeError):
+            cli._json_text(tree)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._dump(tree, None)
+        assert out.getvalue() == json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
 
 class TestPrecisionHelp:

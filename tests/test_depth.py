@@ -10,7 +10,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import sys
 import tracemalloc
 from fractions import Fraction
 from operator import le
@@ -33,6 +35,8 @@ from artifact.depth import (
     TracedScalars,
     Verdict,
     _MODEL_TABLE,
+    _FrontierTable,
+    _FrontScalars,
     _maxima,
     _shape_depths,
     check_depth,
@@ -838,6 +842,149 @@ class TestFrontierValuedReport:
             for name in component_names():
                 traced = trace_component(name, shape).critical_depth()
                 assert depths[name] == traced, (name, shape)
+
+
+class TestLeanFrontierOps:
+    """``_FrontScalars`` builds the step key of each hot operation itself.
+    Each such operation returns what ``_emit`` returns for the same event,
+    and what the frontier table steps to on the key the row-keeping trace
+    folds, outside a stage and under a barrier, with repeated predecessors
+    and with the barrier among them.  Each test runs on a private table,
+    so the shared one keeps the model's algebra only."""
+
+    # The lean operations and how many operands each takes; "n" is a list.
+    OPS = {
+        "input": 0, "const": 0, "reinject": 1, "const_mul": 2, "add": 2, "mul": 2,
+        "div": 2, "floor": 1, "index": 1, "iter_add": "n", "iter_mul": "n",
+    }
+    # The cost of the event each operation stands for.
+    COSTS = {"input": None, "const": None, "reinject": None, "const_mul": None,
+             "iter_add": "d_oplus", "iter_mul": "d_otimes"}
+
+    @pytest.fixture
+    def table(self, monkeypatch):
+        table = _FrontierTable()
+        monkeypatch.setattr(depth_mod, "_MODEL_TABLE", table)
+        return table
+
+    @staticmethod
+    def _values(ctx) -> list[int]:
+        """Distinct frontier indices: the origin, one event of each of three
+        costs, and two events deep."""
+        a = ctx.input(F(0))
+        e = ctx.exp(a)
+        return [a, e, ctx.sqrt(a), ctx.dup(e), ctx.sqrt(e)]
+
+    def _cases(self, name, values, barrier):
+        arity = self.OPS[name]
+        pool = values + ([barrier] if barrier is not None else [])
+        if arity == 0:
+            return [(F(1),)]
+        if arity == "n":
+            lists = [[], [pool[1]], [pool[1], pool[1]], pool, pool[::-1] + pool]
+            return [(xs,) for xs in lists]
+        return list(itertools.product(pool, repeat=arity))
+
+    def _preds(self, name, args):
+        """The predecessors the traced event names: none for a leaf."""
+        if name in ("input", "const", "reinject"):
+            return ()
+        return tuple(args[0]) if self.OPS[name] == "n" else args
+
+    @pytest.mark.parametrize("stage", ["none", "origin", "members"])
+    @pytest.mark.parametrize("name", list(OPS))
+    def test_lean_op_is_emit(self, table, name, stage):
+        values = self._values(_FrontScalars())
+        lean, ref = _FrontScalars(), _FrontScalars()
+        members = {"none": None, "origin": [values[0]], "members": values[1:3]}[stage]
+        if members is not None:
+            lean.seq_point(members)
+            ref.seq_point(members)
+        barrier = lean._barrier
+        assert ref._barrier == barrier
+        assert (barrier is None) == (stage == "none")
+        cost = self.COSTS.get(name, "d_std")
+        for args in self._cases(name, values, barrier):
+            got = getattr(lean, name)(*args)
+            # The TracedScalars operation goes through ``_emit``.
+            assert got == getattr(TracedScalars, name)(ref, *args), (name, args)
+            preds = self._preds(name, args) + (() if barrier is None else (barrier,))
+            assert got == table.step(tuple(dict.fromkeys((cost, *preds)))), (name, args)
+            assert getattr(lean, name)(*args) == got  # a hit in the memo
+
+    def test_misses_give_the_table_folded_keys(self, monkeypatch):
+        """A miss hands the table a key without ``None`` barrier and with
+        each frontier once, the key a trace of the same event folds."""
+
+        class Recording(_FrontierTable):
+            def __init__(self):
+                super().__init__()
+                self.keys = []
+
+            def step(self, key):
+                self.keys.append(key)
+                return super().step(key)
+
+        table = Recording()
+        monkeypatch.setattr(depth_mod, "_MODEL_TABLE", table)
+        values = self._values(_FrontScalars())
+        table.keys.clear()
+        ctx = _FrontScalars()
+        ctx.mul(values[1], values[1])
+        ctx.iter_add([values[2], values[1], values[2]])
+        ctx.seq_point([values[1]])
+        ctx.add(values[1], values[3])
+        ctx.iter_mul([values[1]])
+        b = ctx._barrier
+        assert table.keys == [
+            (None,),
+            ("d_std", values[1]),
+            ("d_oplus", values[2], values[1]),
+            (None, values[1]),
+            (None, b),
+            ("d_std", values[1], values[3]),
+            ("d_otimes", values[1]),
+        ]
+
+    def test_report_fills_the_table_as_traces_do(self, table, monkeypatch):
+        """A report at the CLI's default shapes steps a fresh table through
+        exactly the steps, with the same frontiers, that row-keeping traces
+        of every component at the same shapes step it through."""
+
+        def content(t):
+            fr = t.frontiers
+            return {(k[0], *[fr[i] for i in k[1:]]): fr[f] for k, f in t.steps.items()}
+
+        shapes = [ShapeConfig(1, 1, 1, 1, 1), ShapeConfig(2, 2, 2, 2, 2), ShapeConfig(4, 3, 3, 3, 2)]
+        depth_report(shapes=shapes)
+        traced = _FrontierTable()
+        monkeypatch.setattr(depth_mod, "_MODEL_TABLE", traced)
+        for shape in shapes:
+            for name in component_names():
+                trace_component(name, shape)
+        assert content(table) == content(traced)
+        assert len(table.steps) == len(traced.steps)
+
+    def test_report_reaches_emit_only_from_schedules(self, monkeypatch):
+        """At (2,2,2,2,2) a report reaches ``_emit`` from the composite
+        schedules and ``seq_point``, and from ``exp``, ``sqrt`` and ``dup``,
+        single events the model asks for a few times per shape; never from
+        a lean operation."""
+        callers = {}
+        real = _FrontScalars._emit
+
+        def spy(self, label, cost, preds):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+                frame = frame.f_back
+            callers[frame.f_code.co_name] = callers.get(frame.f_code.co_name, 0) + 1
+            return real(self, label, cost, preds)
+
+        monkeypatch.setattr(_FrontScalars, "_emit", spy)
+        depth_report(shapes=[ShapeConfig(2, 2, 2, 2, 2)])
+        assert set(callers) == {
+            "_log_schedule", "softplus", "sigmoid", "silu", "seq_point", "exp", "sqrt", "dup"
+        }
 
 
 class TestDepthReportPinned:

@@ -145,6 +145,32 @@ def test_text_rule_lives_in_one_module():
     assert found == []
 
 
+def test_reports_have_one_writer():
+    """Only ``cli._dump`` calls ``json.dumps``, as the fallback of its own
+    writer, and no module calls ``json.dump`` or imports either name, so
+    every report is written one way."""
+    found = []
+    for module, tree in _package_trees().items():
+        where = {}
+        # ast.walk goes outside in, so a call ends up with its innermost function.
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = getattr(scope, "name", "<module>")
+                where.update((id(node), (node, name)) for node in ast.walk(scope))
+        for node, scope in where.values():
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and (node.func.value.id, node.func.attr) in (("json", "dump"), ("json", "dumps"))
+            ):
+                found.append(f"{module}:{scope} calls json.{node.func.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                found += [f"{module}:{scope} imports {a.name} from json"
+                          for a in node.names if a.name in ("dump", "dumps")]
+    assert found == ["cli.py:_dump calls json.dumps"]
+
+
 # The exports that nothing in the package reads and README does not name,
 # each with what keeps it.  A new export that nothing reads fails
 # ``test_every_export_is_read``; so does an entry here that is read again.
