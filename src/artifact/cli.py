@@ -391,7 +391,7 @@ def _json_text(obj: object, pad: str = "\n") -> str:
     """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it,
     for dicts with str keys, lists and tuples, strs, ints, bools and None;
     ``pad`` is a newline and the indentation of ``obj``'s own line.  Any
-    other value or key raises ``TypeError``."""
+    other value or key raises ``TypeError``: no report holds one."""
     t = type(obj)
     if t is str:
         return _json_str(obj)
@@ -414,19 +414,14 @@ def _json_text(obj: object, pad: str = "\n") -> str:
         if not obj:
             return "[]"
         return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + pad + "]"
-    raise TypeError(f"{t.__name__} is left to json.dumps")
+    raise TypeError(f"a report holds no {t.__name__}")
 
 
 def _dump(obj: dict, out: str | None) -> None:
     """Write a report, and a newline, as ``json.dumps(obj, indent=2,
     sort_keys=True)`` would.  With ``indent`` set, ``json`` encodes in pure
-    Python, so :func:`_json_text` writes the types the reports hold; a
-    report holding any other type, or a key that is not a str, goes to
-    ``json.dumps`` whole, so it never prints differently."""
-    try:
-        text = _json_text(obj) + "\n"
-    except TypeError:
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    Python, so :func:`_json_text` writes the types the reports hold."""
+    text = _json_text(obj) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:

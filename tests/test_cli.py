@@ -4,11 +4,9 @@ and the wiring of each subcommand to its module."""
 from __future__ import annotations
 
 import argparse
-import contextlib
 import copy
 import dataclasses
 import hashlib
-import io
 import itertools
 import json
 import os
@@ -1937,7 +1935,7 @@ class TestReportWriter:
     """``cli._dump`` writes a report through ``cli._json_text``, which gives
     the bytes ``json.dumps(obj, indent=2, sort_keys=True)`` gives, without
     its pure-Python encoder.  A report holding a float or a key that is
-    not a str goes to ``json.dumps`` whole."""
+    not a str raises ``TypeError``."""
 
     NETLIST = ["circuit", "synth", "add", "-p", "2"]
     COMMANDS = {
@@ -2009,27 +2007,15 @@ class TestReportWriter:
     def test_written_trees(self, tree):
         assert cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-    @given(_trees(_WRITTEN_LEAVES | st.floats(), st.text(), st.integers()))
-    def test_any_tree(self, tree):
-        """Floats and int keys among the rest: the bytes of ``json.dumps``."""
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            cli._dump(tree, None)
-        assert out.getvalue() == json.dumps(tree, indent=2, sort_keys=True) + "\n"
-
     @pytest.mark.parametrize(
         "tree",
-        [{"x": 0.5}, {1: []}, [{"a": {2: "b"}}], {"n": float("nan")}, {"a": [1, (2, 1e300)]}],
-        ids=["float", "int-key", "nested-int-key", "nan", "nested-float"],
+        [{"x": 0.5}, {1: []}, [{"a": {2: "b"}}], {"a": [1, (2, 1e300)]}],
+        ids=["float", "int-key", "nested-int-key", "nested-float"],
     )
-    def test_fallback(self, tree):
+    def test_unwritten_types_raise(self, tree):
+        """A report holding a type the writer does not write fails loudly."""
         with pytest.raises(TypeError):
-            cli._json_text(tree)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
             cli._dump(tree, None)
-        assert out.getvalue() == json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
 
 class TestPrecisionHelp:
