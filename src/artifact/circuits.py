@@ -28,13 +28,19 @@ A threshold counts its inputs with a ripple popcount over bit planes and
 then compares the count with ``k`` lane-wise.  A THRESHOLD gate whose input
 tuple equals that of the threshold evaluated just before it reuses that
 count, so the ``T_1 ... T_{f+1}`` run that synthesis emits per counting
-column counts the column once; no count outlives one call.  A wire's word
-is dropped once the last gate that reads it has been evaluated (outputs
-stay), so the live words at any point are those still to be read, not the
-whole circuit.  The loop dispatches on one small opcode per gate, kept in
-a ``bytes`` table: two-input AND and OR skip the n-ary loop, and a
-THRESHOLD that starts a column is told apart from one that reuses the
-last count.  That table and which wires die after which gate are worked
+column counts the column once; no count outlives one call.  When at least
+``_DECODE_MIN`` gates of a run reuse the count, the first of them decodes
+it once into every ``count >= k`` word of the column (``_ge_table``) and
+the others look theirs up; a shorter run compares the count with each
+``k`` on its own.  The gates are evaluated in fixed runs of ``_RUN`` (64),
+and a wire's word is dropped once the run holding the last gate that reads
+it has been evaluated (outputs stay), so the live words at any point are
+those still to be read, plus at most one run's, not the whole circuit;
+no gate is tested for wires to free.  The loop dispatches on one small
+opcode per gate, kept in a ``bytes`` table: two-input AND and OR skip the
+n-ary loop, and a THRESHOLD that starts a column is told apart from one
+that reuses, decodes or looks up the last count.  That table, the runs
+with their gates' input tuples, and the wires each run frees are worked
 out in one pass per circuit, on its first evaluation, and kept with it.
 :func:`evaluate_many` packs assignments into such words ``BLOCK_LANES``
 lanes at a time (:func:`pack_codes` transposes per-lane integer codes into
@@ -54,7 +60,8 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from itertools import count
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from artifact._text import _ascii_int, _ascii_split, _token_lines
 
@@ -221,12 +228,17 @@ class Circuit:
         return max((level[o] for o in self.outputs), default=0)
 
     @cached_property
-    def _plan(self) -> tuple[bytes, list[tuple[int, ...]]]:
+    def _plan(self) -> tuple[bytes, list[_Run]]:
         """How :func:`evaluate_words` runs this circuit: one opcode per
-        gate (see ``_OPCODES``), and per gate the wires that no gate after
-        it reads: those whose last reader it is (or, if nothing reads them,
-        the gate itself), outputs excepted.  Built in one pass on the first
-        evaluation and kept for the circuit's life."""
+        gate (see ``_OPCODES``), and the gates cut into runs of ``_RUN``
+        (gates ``r*_RUN`` up to ``(r+1)*_RUN - 1`` are run ``r``), each
+        with its opcodes, its gates' input tuples and the wires freed once
+        the run has been evaluated: those whose last reader stands in it
+        (or, if nothing reads them, that stand in it), outputs excepted.
+        A THRESHOLD run over one input tuple with at least ``_DECODE_MIN``
+        gates after its first marks the second ``_DECODE`` and the rest
+        ``_TAKE``.  Built in one pass on the first evaluation and kept for
+        the circuit's life."""
         ops = bytearray()
         last = list(range(len(self.gates)))
         counted: tuple[int, ...] | None = None
@@ -240,26 +252,64 @@ class Circuit:
                 ops.append(_BINARY_OPCODES[kind])
             else:
                 ops.append(_OPCODES[kind])
+        _mark_decoded_runs(ops)
         for o in self.outputs:
             last[o] = -1
-        frees: dict[int, list[int]] = {}
+        starts = range(0, len(self.gates), _RUN)
+        frees: list[list[int]] = [[] for _ in starts]
         for q, reader in enumerate(last):
             if reader >= 0:
-                frees.setdefault(reader, []).append(q)
-        dead: list[tuple[int, ...]] = [()] * len(self.gates)
-        for reader, qs in frees.items():
-            dead[reader] = tuple(qs)
-        return bytes(ops), dead
+                frees[reader // _RUN].append(q)
+        runs = [
+            _Run(bytes(ops[i : i + _RUN]), tuple([g.inputs for g in self.gates[i : i + _RUN]]),
+                 tuple(qs))
+            for i, qs in zip(starts, frees)
+        ]
+        return bytes(ops), runs
 
 
-# The opcodes of ``Circuit._plan``, most frequent first as evaluate_words
-# tests them.  A THRESHOLD gate is _COUNT when it counts its inputs afresh
-# and _RECOUNT when its input tuple equals that of the THRESHOLD gate just
-# before it, whose count it reuses.
-_AND2, _NOT, _RECOUNT, _OR, _AND, _OR2, _COUNT, _INPUT, _CONST0, _CONST1 = range(10)
+class _Run(NamedTuple):
+    """A run of ``Circuit._plan``: the opcodes and input tuples of its
+    gates, and the wires that are dead once it has been evaluated."""
+
+    ops: bytes
+    inputs: tuple[tuple[int, ...], ...]
+    dead: tuple[int, ...]
+
+
+# The opcodes of ``Circuit._plan``.  A THRESHOLD gate is _COUNT when it
+# counts its inputs afresh and _RECOUNT when its input tuple equals that
+# of the THRESHOLD gate just before it, whose count it reuses.  In a run
+# with at least _DECODE_MIN such reusing gates, the first is _DECODE,
+# which turns the count into every ``count >= k`` word at once, and the
+# others _TAKE, which look theirs up.
+_AND2, _NOT, _RECOUNT, _OR, _AND, _OR2, _COUNT, _INPUT, _CONST0, _CONST1, _DECODE, _TAKE = (
+    range(12)
+)
 _OPCODES = {"INPUT": _INPUT, "CONST0": _CONST0, "CONST1": _CONST1, "NOT": _NOT,
             "AND": _AND, "OR": _OR}
 _BINARY_OPCODES = {"AND": _AND2, "OR": _OR2}
+# Gates per run of ``Circuit._plan``: the evaluator frees wires once per
+# run instead of testing every gate for wires to free.
+_RUN = 64
+# Below this many reusing gates, a run compares its count with each ``k``
+# on its own (``_ge_const``).  From it on, decoding every threshold at once
+# (``_ge_table``) is cheaper at 200 lanes, the width of a sampled check;
+# at 65,536 lanes decoding is cheaper for runs of every length.
+_DECODE_MIN = 5
+
+
+def _mark_decoded_runs(ops: bytearray) -> None:
+    """Mark the reusing gates of each THRESHOLD run that has at least
+    ``_DECODE_MIN`` of them: the first ``_DECODE``, the others ``_TAKE``."""
+    head = ops.find(_COUNT)
+    while head >= 0:
+        end = head + 1
+        while end < len(ops) and ops[end] == _RECOUNT:
+            end += 1
+        if end - head - 1 >= _DECODE_MIN:
+            ops[head + 1 : end] = bytes((_DECODE, *[_TAKE] * (end - head - 2)))
+        head = ops.find(_COUNT, end)
 
 
 def _popcount_planes(lanes: list[int]) -> list[int]:
@@ -294,6 +344,22 @@ def _ge_const(planes: list[int], k: int, mask: int) -> int:
     return gt | eq
 
 
+def _ge_table(planes: list[int], top: int, mask: int) -> list[int]:
+    """The words ``count >= c`` for every ``c`` from 0 to ``top``, of a
+    plane-encoded count no greater than ``top``.
+
+    Each plane, lowest first, doubles the table: over planes 0 to ``j``,
+    ``count >= c`` is plane ``j`` OR the test of ``c`` over the planes
+    below it, and ``count >= 2**j + c`` is plane ``j`` AND that test, for
+    ``c < 2**j``.  The last plane's AND half stops at ``top``.
+    """
+    ge = [mask]
+    for plane in planes:
+        ge = [mask, *[plane | x for x in ge[1:]], plane,
+              *[plane & x for x in ge[1 : top + 1 - len(ge)]]]
+    return ge + [0] * (top + 1 - len(ge))
+
+
 def evaluate_words(
     circuit: Circuit, input_words: Sequence[int], lanes: int
 ) -> list[int]:
@@ -302,9 +368,12 @@ def evaluate_words(
     Bit ``i`` of ``input_words[j]`` is input ``j`` on lane ``i``; every
     word is below ``2**lanes``.  Returns one word per output in the same
     layout, so many assignments cost one forward pass of word-wide
-    bitwise operations.  A wire's word is dropped as soon as its last
-    reader has been evaluated, so only the words still to be read, and
-    the outputs, are alive at once.
+    bitwise operations.  The gates run in runs of ``_RUN`` (64), and once
+    a run has been evaluated the words whose last reader stands in it are
+    dropped, so only the words still to be read, those of the current run,
+    and the outputs are alive at once.  A run of thresholds over one input
+    tuple counts it once; when it has enough gates, the count is decoded
+    once into every ``count >= k`` word of the column (``_ge_table``).
     """
     if len(input_words) != circuit.n_inputs:
         raise ArityMismatch(
@@ -313,45 +382,55 @@ def evaluate_words(
     mask = (1 << lanes) - 1
     wires: list[int | None] = [0] * len(circuit.gates)
     next_input = iter(input_words)
-    ops, dead_after = circuit._plan
+    gates = circuit.gates
+    # Gate ids, counted across the runs: each run's zip stops at the end
+    # of its opcodes before it asks ``ids`` for another.
+    ids = count()
     # The popcount planes of the last _COUNT gate, which each _RECOUNT
-    # gate after it reuses: a run of thresholds over one column counts it
-    # once.  The opcodes are tested most frequent first, and as literals:
-    # comparing with a constant is cheaper than looking up a global.
+    # gate after it reuses, and the words a _DECODE gate made of them for
+    # the _TAKE gates after it.  The opcodes are tested most frequent
+    # first, and as literals: comparing with a constant is cheaper than
+    # looking up a global.  A THRESHOLD gate reads its ``k`` from its gate.
     planes: list[int] = []
-    for (gid, _, inputs, k), op, dead in zip(circuit.gates, ops, dead_after):
-        if op == 0:  # _AND2
-            a, b = inputs
-            wires[gid] = wires[a] & wires[b]
-        elif op == 1:  # _NOT
-            wires[gid] = wires[inputs[0]] ^ mask
-        elif op == 2:  # _RECOUNT
-            wires[gid] = _ge_const(planes, k, mask)
-        elif op == 3:  # _OR
-            acc = 0
-            for q in inputs:
-                acc |= wires[q]
-            wires[gid] = acc
-        elif op == 4:  # _AND
-            acc = mask
-            for q in inputs:
-                acc &= wires[q]
-            wires[gid] = acc
-        elif op == 5:  # _OR2
-            a, b = inputs
-            wires[gid] = wires[a] | wires[b]
-        elif op == 6:  # _COUNT
-            planes = _popcount_planes([wires[q] for q in inputs])
-            wires[gid] = _ge_const(planes, k, mask)
-        elif op == 7:  # _INPUT
-            wires[gid] = next(next_input)
-        elif op == 8:  # _CONST0
-            wires[gid] = 0
-        else:  # _CONST1
-            wires[gid] = mask
-        if dead:
-            for q in dead:
-                wires[q] = None
+    ge: list[int] = []
+    for run_ops, run_inputs, dead in circuit._plan[1]:
+        for op, inputs, gid in zip(run_ops, run_inputs, ids):
+            if op == 0:  # _AND2
+                a, b = inputs
+                wires[gid] = wires[a] & wires[b]
+            elif op == 1:  # _NOT
+                wires[gid] = wires[inputs[0]] ^ mask
+            elif op == 3:  # _OR
+                acc = 0
+                for q in inputs:
+                    acc |= wires[q]
+                wires[gid] = acc
+            elif op == 4:  # _AND
+                acc = mask
+                for q in inputs:
+                    acc &= wires[q]
+                wires[gid] = acc
+            elif op == 5:  # _OR2
+                a, b = inputs
+                wires[gid] = wires[a] | wires[b]
+            elif op == 11:  # _TAKE
+                wires[gid] = ge[gates[gid].k]
+            elif op == 6:  # _COUNT
+                planes = _popcount_planes([wires[q] for q in inputs])
+                wires[gid] = _ge_const(planes, gates[gid].k, mask)
+            elif op == 10:  # _DECODE
+                ge = _ge_table(planes, len(inputs), mask)
+                wires[gid] = ge[gates[gid].k]
+            elif op == 2:  # _RECOUNT
+                wires[gid] = _ge_const(planes, gates[gid].k, mask)
+            elif op == 7:  # _INPUT
+                wires[gid] = next(next_input)
+            elif op == 8:  # _CONST0
+                wires[gid] = 0
+            else:  # _CONST1
+                wires[gid] = mask
+        for q in dead:
+            wires[q] = None
     return [wires[o] for o in circuit.outputs]
 
 
@@ -371,15 +450,27 @@ def pack_codes(codes: Sequence[int], width: int) -> list[int]:
     """Transpose per-lane integer codes into ``width`` bit-plane words.
 
     Bit ``i`` of word ``j`` is bit ``j`` of ``codes[i]``; every code is
-    below ``2**width``.  The codes are laid out as fixed-width little-endian
-    byte strings, so each plane is one strided slice of them, translated to
-    binary digits and read back by ``int``.  Codes of up to 64 bits are
-    laid out by one C call, as an ``array`` of the smallest native unsigned
-    item that holds them (byte-swapped on a big-endian machine); wider
-    codes take one ``int.to_bytes`` each.
+    below ``2**width``.  Each word is ``int`` of one digit string of
+    :func:`_code_digits`.
     """
     if not codes:
         return [0] * width
+    return [int(d, 2) for d in _code_digits(codes, width)]
+
+
+def _code_digits(codes: Iterable[int], width: int) -> Iterator[bytes]:
+    """For each bit ``j < width`` in turn, the binary digits of bit ``j``
+    of every code, last code first, as ``bytes`` (``codes`` not empty): so
+    ``int`` of digit string ``j`` is :func:`pack_codes`' word ``j``.
+
+    The codes are laid out as fixed-width little-endian byte strings, so
+    each digit string is one strided slice of them, translated to digits
+    and reversed.  Codes of up to 64 bits are laid out by one C call, as
+    an ``array`` of the smallest native unsigned item that holds them
+    (byte-swapped on a big-endian machine); wider codes take one
+    ``int.to_bytes`` each.  Digit strings are made one at a time, as they
+    are asked for, so only one is alive at once.
+    """
     stride = (width + 7) // 8
     if stride in _ARRAY_TYPES:
         lanes = array(_ARRAY_TYPES[stride], codes)
@@ -388,7 +479,14 @@ def pack_codes(codes: Sequence[int], width: int) -> list[int]:
         data, stride = lanes.tobytes(), lanes.itemsize
     else:
         data = b"".join([c.to_bytes(stride, "little") for c in codes])
-    return _pack_fields(data, stride, width)
+    return _field_digits(data, stride, width)
+
+
+def _field_digits(data: bytes, stride: int, width: int) -> Iterator[bytes]:
+    """:func:`_code_digits` of codes already laid out as consecutive
+    ``stride``-byte little-endian fields, lane ``i`` the ``i``-th field."""
+    for j in range(width):
+        yield data[j >> 3 :: stride].translate(_BIT_DIGITS[j & 7])[::-1]
 
 
 def _pack_fields(data: bytes, stride: int, width: int) -> list[int]:
@@ -396,10 +494,7 @@ def _pack_fields(data: bytes, stride: int, width: int) -> list[int]:
     ``stride``-byte little-endian fields, lane ``i`` the ``i``-th field
     (``data`` not empty): the transpose of :func:`pack_codes`, for callers
     that lay the fields out themselves."""
-    return [
-        int(data[j >> 3 :: stride].translate(_BIT_DIGITS[j & 7])[::-1], 2)
-        for j in range(width)
-    ]
+    return [int(d, 2) for d in _field_digits(data, stride, width)]
 
 
 def _unpack(words: Sequence[int], lanes: int) -> list[tuple[int, ...]]:

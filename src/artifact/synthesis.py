@@ -53,9 +53,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice, product, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .circuits import BLOCK_LANES, Circuit, CircuitBuilder, _pack_fields, evaluate_words, pack_codes
+from .circuits import (
+    BLOCK_LANES, Circuit, CircuitBuilder, _code_digits, _pack_fields, evaluate_words, pack_codes,
+)
 from .floats import Comparison, FpNumber, Overflow, Pair
 from .floats import _add, _compare, _iter_add, _mul, _normal, _require_p, _round
 
@@ -1173,28 +1176,40 @@ def _sweep_blocks(op: SynthesizedOp, values: list[Pair]):
     Lanes run in mixed radix over the value list, the first operand most
     significant: for two operands lane ``i*V + j`` is ``(values[i],
     values[j])``.  A block is a run of heads (value indices of all operands
-    but the last), each followed by all V values of the last operand.  In
-    it, a bit of the last operand is a V-lane pattern repeated once per
-    head, and a bit of a leading operand is a run of V equal lanes per
-    head; both are written as binary strings, with no per-lane encoding.
+    but the last), each followed by all V values of the last operand, so
+    head ``i`` of the block owns the V-bit slot of lanes ``i*V`` to
+    ``i*V + V - 1``.  The input words are big-int arithmetic on the
+    values' codes, with no per-lane or per-bit string: ``comb``, bit 0 of
+    every slot, is worked out per block size.  A leading operand's codes
+    are laid out once per block, each head's code in its own slot, by one
+    join of their digits (``slots``); its bit ``k`` word is ``(slots >> k)
+    & comb`` spread over each slot, that is times ``2**V - 1``.  The last
+    operand's bit ``k`` word is the V-lane pattern of bit ``k`` of every
+    value, built once per check, times ``comb``.
     """
     enc = op.input_encoding
-    n_values = len(values)
+    n_values, width = len(values), enc.width
     codes = enc._codes(values)
-    ones, zeros = "1" * n_values, "0" * n_values
-    bit_runs = [[ones if (c >> k) & 1 else zeros for c in codes] for k in range(enc.width)]
-    last_patterns = [
-        "".join("1" if (c >> k) & 1 else "0" for c in reversed(codes))
-        for k in range(enc.width)
-    ]
+    # A code's digits, and the zeros that fill the rest of its slot: joined
+    # by them, a block's codes land one to a slot (width <= V always).
+    digits = [format(c, f"0{width}b") for c in codes]
+    fill = "0" * (n_values - width)
+    patterns = pack_codes(codes, width)
     heads = product(range(n_values), repeat=op.n_operands - 1)
     per_block = max(1, BLOCK_LANES // n_values)
+    size = 0
     while block := list(islice(heads, per_block)):
+        if len(block) != size:  # the first block, or a shorter last one
+            size = len(block)
+            comb = ((1 << (size * n_values)) - 1) // ((1 << n_values) - 1)
+            last = [pattern * comb for pattern in patterns]
         words = []
         for t in range(op.n_operands - 1):
-            for runs in bit_runs:
-                words.append(int("".join([runs[h[t]] for h in reversed(block)]), 2))
-        words.extend(int(pattern * len(block), 2) for pattern in last_patterns)
+            slots = int(fill.join([digits[h[t]] for h in reversed(block)]), 2)
+            for k in range(width):
+                bits = (slots >> k) & comb
+                words.append((bits << n_values) - bits)
+        words += last
         yield _SweepCases(values, block), words
 
 
@@ -1220,10 +1235,15 @@ class _IndexCases:
         return tuple([self.pairs[i] for i in self.flat[lane * n : lane * n + n]])
 
     def lane_sums(self, scaled: list[int]) -> Iterator[int]:
-        """Each case's sum of ``scaled`` over its value indices, one C-level
-        ``sum`` per case."""
-        flat, n, get = self.flat, self.n, scaled.__getitem__
-        return map(sum, zip(*[map(get, flat[t::n]) for t in range(n)]))
+        """Each case's sum of ``scaled`` over its value indices: one
+        ``itemgetter`` gather per operand, over that operand's strided
+        slice of ``flat``, and one C-level ``sum`` per case.  (One gather
+        of all of ``flat`` is as fast, but holds a second copy of the
+        block's indices while it runs.)"""
+        flat, n = self.flat, self.n
+        if len(flat) == n:  # one case: itemgetter of one index is no tuple
+            return iter([sum(map(scaled.__getitem__, flat))])
+        return map(sum, zip(*[itemgetter(*flat[t::n])(scaled) for t in range(n)]))
 
 
 def _index_blocks(
@@ -1232,13 +1252,16 @@ def _index_blocks(
     """Cases given as value indices, one :class:`_IndexCases` per chunk of
     ``chunks``, each a ``flat`` list of at most ``BLOCK_LANES`` cases.
     Value ``j`` has the input code ``codes[j]`` and the pair ``pairs[j]``.
-    A block's input words are packed operand by operand: the codes of one
-    operand's column of indices, transposed by :func:`pack_codes`."""
+    A block's codes are laid out once, in ``flat``'s case-major order, and
+    turned into one digit string per input bit, last index first
+    (:func:`~artifact.circuits._code_digits`, one string alive at a
+    time); operand ``t``'s word of that bit is every ``n``-th digit from
+    ``n - 1 - t``, read by ``int``."""
     n, width = op.n_operands, op.input_encoding.width
     for block in chunks:
-        words: list[int] = []
-        for t in range(n):
-            words += pack_codes([codes[i] for i in block[t::n]], width)
+        words = [0] * (n * width)
+        for j, d in enumerate(_code_digits([codes[i] for i in block], width)):
+            words[j::width] = [int(d[n - 1 - t :: n], 2) for t in range(n)]
         yield _IndexCases(pairs, block, n), words
 
 
@@ -1288,20 +1311,24 @@ def check_op(
 
     ``cases=None`` runs the exhaustive sweep over every tuple of encodable
     operands (``V**2`` lanes for the binary kinds, ``V**m`` for
-    ``iter_add``, with ``V`` encodable values); its input words are built
-    directly from the values' ``(m, e)`` pairs and their codes, with no
-    :class:`~artifact.floats.FpNumber` built.  Explicit cases are mapped to
+    ``iter_add``, with ``V`` encodable values); its input words are
+    big-int arithmetic on the values' codes, one V-lane slot per head
+    (:func:`_sweep_blocks`), with no :class:`~artifact.floats.FpNumber`
+    built.  Explicit cases are mapped to
     indices into their distinct values in one pass, which checks each
     case's length, and take the path the CLI's sampled check takes
-    (:func:`_check_indices`): each distinct value encoded once, input
-    words packed operand by operand from the values' codes, the reference
-    run on their ``(m, e)`` pairs.  A case of the wrong length, or a value
-    outside the window, raises as :meth:`SynthesizedOp.input_code` would.
-    Either way the circuit runs through
-    :func:`~artifact.circuits.evaluate_words` ``BLOCK_LANES`` lanes at a
-    time, and every lane gets a reference value from the kernel's
-    rounding.  Every ``iter_add`` check scales each value once to the
-    input window's least exponent and rounds each lane's integer sum
+    (:func:`_check_indices`): each distinct value encoded once, a block's
+    codes laid out once as one digit string per input bit and each
+    operand's word read from every ``n``-th digit (:func:`_index_blocks`),
+    the reference run on the values' ``(m, e)`` pairs.  A case of the
+    wrong length, or a value outside the window, raises as
+    :meth:`SynthesizedOp.input_code` would.  Either way the circuit runs
+    through :func:`~artifact.circuits.evaluate_words` ``BLOCK_LANES``
+    lanes at a time, which frees dead words once per run of 64 gates and
+    decodes a long threshold column's count once into all of its
+    ``T_k`` words, and every lane gets a reference value from the
+    kernel's rounding.  Every ``iter_add`` check scales each value once to
+    the input window's least exponent and rounds each lane's integer sum
     (:class:`_ScaledSums`).  For explicit and sampled cases of the binary
     kinds (:func:`_expected_words`), the kernel op is called once per lane
     on pairs handed over by C iterators, each lane with its own

@@ -259,6 +259,21 @@ def reference_evaluate(circuit, assignment) -> tuple[int, ...]:
 
 # Each byte's bit b as the ASCII digit "0" or "1", for b in 0..7.
 _BYTE_BIT_DIGITS = [bytes(0x31 if v >> b & 1 else 0x30 for v in range(256)) for b in range(8)]
+# compare's verdicts, by their Comparison value, coded as (lt, gt) bits.
+_VERDICT_CODES = {"less": 1, "greater": 2, "equal": 0}
+
+
+def _transpose(codes: list[int], width: int) -> list[int]:
+    """One word per bit of the codes, lane ``i`` at bit ``i``: the codes
+    laid out with one ``int.to_bytes`` each, each bit read by ``int``."""
+    if not codes:
+        return [0] * width
+    stride = (width + 7) // 8
+    data = b"".join([c.to_bytes(stride, "little") for c in codes])
+    return [
+        int(data[j >> 3 :: stride].translate(_BYTE_BIT_DIGITS[j & 7])[::-1], 2)
+        for j in range(width)
+    ]
 
 
 def per_lane_expected_words(op, cases, ref, overflow) -> list[int]:
@@ -271,15 +286,17 @@ def per_lane_expected_words(op, cases, ref, overflow) -> list[int]:
     circuit's outputs, with two more bits: one set where the reference
     overflows (with the flag output), one where the output encoding cannot
     hold the result.  ``compare`` codes its verdict as ``(lt, gt)`` bits.
-    The codes are laid out with one ``int.to_bytes`` each and transposed
-    into one word per bit, lane ``i`` at bit ``i``.
+    The codes are transposed into one word per bit, lane ``i`` at bit ``i``.
     """
     n_out = len(op.circuit.outputs)
-    width = n_out + 2
     codes = []
+    verdicts = {}  # id of each verdict member -> its code: members hash in Python
     for case in cases:
         if op.kind == "compare":
-            codes.append({"less": 1, "greater": 2, "equal": 0}[ref(*case, op.p).value])
+            verdict = ref(*case, op.p)
+            if not verdicts:
+                verdicts = {id(v): _VERDICT_CODES[v.value] for v in type(verdict)}
+            codes.append(verdicts[id(verdict)])
             continue
         try:
             m, e = ref(*case, op.p)
@@ -291,14 +308,52 @@ def per_lane_expected_words(op, cases, ref, overflow) -> list[int]:
             codes.append(m % (1 << enc.sig_bits) | e % (1 << enc.exp_bits) << enc.sig_bits)
         else:
             codes.append(1 << (n_out + 1))
-    if not codes:
-        return [0] * width
-    stride = (width + 7) // 8
-    data = b"".join([c.to_bytes(stride, "little") for c in codes])
-    return [
-        int(data[j >> 3 :: stride].translate(_BYTE_BIT_DIGITS[j & 7])[::-1], 2)
-        for j in range(width)
-    ]
+    return _transpose(codes, n_out + 2)
+
+
+def per_lane_input_words(op, cases) -> list[int]:
+    """The input words of ``op``'s circuit on ``cases`` of ``(m, e)``
+    pairs, built one lane at a time: each lane's input code (operand ``t``
+    at bits ``t*width`` and up, its significand in two's complement below
+    its exponent), transposed into one word per input bit."""
+    enc = op.input_encoding
+    codes = []
+    for case in cases:
+        code = 0
+        for t, (m, e) in enumerate(case):
+            code |= (m % (1 << enc.sig_bits) | e % (1 << enc.exp_bits) << enc.sig_bits) << (
+                t * enc.width
+            )
+        codes.append(code)
+    return _transpose(codes, op.n_operands * enc.width)
+
+
+# Maps the ASCII digits "0" and "1" to the bytes 0 and 1.
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def per_lane_threshold_words(circuit, input_words, lanes: int) -> list[int]:
+    """The output words of a circuit of sources and THRESHOLD gates that
+    read only sources, each threshold decided lane by lane from the count
+    of its set inputs on that lane.  A source's bits and a tuple's counts
+    are ``bytes``, one per lane, lane 0 first."""
+    mask = (1 << lanes) - 1
+    inputs = iter(input_words)
+    lane_bits = {}  # source id -> its bit on each lane
+    counts = {}  # input tuple -> its count on each lane
+    words = {}
+    for g in circuit.gates:
+        if g.kind == "THRESHOLD":
+            if g.inputs not in counts:
+                counts[g.inputs] = bytes(map(sum, zip(*[lane_bits[q] for q in g.inputs])))
+            reached = bytes(0x31 if c >= g.k else 0x30 for c in range(256))
+            words[g.id] = int(counts[g.inputs].translate(reached)[::-1], 2)
+            continue
+        word = {"INPUT": None, "CONST0": 0, "CONST1": mask}[g.kind]
+        word = next(inputs) if word is None else word
+        words[g.id] = word
+        lane_bits[g.id] = format(word, f"0{lanes}b")[::-1].encode().translate(_DIGIT_VALUES)
+    return [words[o] for o in circuit.outputs]
 
 
 def keep_all_evaluate_words(circuit, input_words, lanes: int) -> list[int]:

@@ -30,7 +30,7 @@ from artifact.hardness import enumerate_small_circuits, lower_or_gates
 from artifact import circuits, synthesis
 from artifact.synthesis import check_op, synth_primitive
 
-from oracles import keep_all_evaluate_words, reference_evaluate
+from oracles import keep_all_evaluate_words, per_lane_threshold_words, reference_evaluate
 
 
 def random_circuit(rng: random.Random, n_inputs: int, n_gates: int) -> Circuit:
@@ -440,31 +440,41 @@ class TestWireLifetime:
             self._agrees(c, rng)
 
     def test_every_wire_but_the_outputs_is_freed_once(self):
+        """Each wire but the outputs is freed exactly once, after the run of
+        ``_RUN`` gates that holds its last reader (its own, if nothing
+        reads it)."""
         rng = random.Random(7011)
-        circuits = [synth_primitive("add", 3).circuit, Circuit(self._GATES, [2, 2, 0])]
-        circuits += [random_circuit(rng, 4, 40) for _ in range(20)]
-        for c in circuits:
+        tested = [synth_primitive("add", 3).circuit, Circuit(self._GATES, [2, 2, 0])]
+        tested += [random_circuit(rng, 4, 40) for _ in range(20)]
+        tested += [random_circuit(rng, 4, 300) for _ in range(5)]
+        for c in tested:
             last = {q: max([g.id for g in c.gates if q in g.inputs], default=q)
                     for q in range(len(c.gates))}
-            freed = [(q, at) for at, qs in enumerate(c._plan[1]) for q in qs]
+            runs = c._plan[1]
+            assert len(runs) == -(-len(c.gates) // circuits._RUN)
+            assert b"".join(run.ops for run in runs) == c._plan[0]
+            assert [q for run in runs for q in run.inputs] == [g.inputs for g in c.gates]
+            frees = [run.dead for run in runs]
+            freed = [(q, run) for run, qs in enumerate(frees) for q in qs]
             assert sorted(q for q, _ in freed) == sorted(set(last) - set(c.outputs))
-            assert all(at == last[q] for q, at in freed)
+            assert all(run == last[q] // circuits._RUN for q, run in freed)
 
     def test_table_built_on_first_evaluation_only(self):
         """Parsing, rewriting and depth do not build the opcode and
-        last-use tables; the first evaluation builds both and later ones
-        reuse them."""
+        per-run freeing tables; the first evaluation builds both and later
+        ones reuse them."""
         c = parse_netlist(serialize_netlist(synth_primitive("mul", 3).circuit))
         assert c.depth > 0 and to_majority_only(c).depth > 0
         assert "_plan" not in vars(c)
         evaluate(c, [0] * c.n_inputs)
         plan = vars(c)["_plan"]
-        ops, dead = plan
-        assert type(ops) is bytes and len(ops) == len(dead) == len(c.gates)
+        ops, runs = plan
+        assert type(ops) is bytes and len(ops) == len(c.gates)
+        assert len(runs) == -(-len(c.gates) // circuits._RUN) > 1
         evaluate_many(c, [[1] * c.n_inputs] * 3)
         evaluate_words(c, [0] * c.n_inputs, 5)
         assert vars(c)["_plan"] is plan
-        assert plan[0] is ops and plan[1] is dead
+        assert plan[0] is ops and plan[1] is runs
 
     def test_opcodes(self):
         """Two-input AND and OR have opcodes of their own, and a THRESHOLD
@@ -496,7 +506,8 @@ class TestWireLifetime:
     def test_sweep_peak_memory(self):
         """Freed wires bound the live words of an exhaustive p=4 ``add``
         sweep: its traced peak was about 19 MB when every wire lived to the
-        end of the call, and is about 9.5 MB now."""
+        end of the call, 1.5 MB when each wire was freed right after its
+        last reader, and is 1.9 MB with wires freed once per run of gates."""
         op = synth_primitive("add", 4, exp_bits=4)
         tracemalloc.start()
         try:
@@ -505,6 +516,99 @@ class TestWireLifetime:
         finally:
             tracemalloc.stop()
         assert peak < 14 << 20
+
+
+class TestThresholdRuns:
+    """A run of THRESHOLD gates over one input tuple counts the tuple
+    once: with fewer than ``_DECODE_MIN`` gates after its first, each
+    compares the count with its own ``k``; with at least that many, the
+    first of them decodes the count into every ``count >= k`` word and
+    the others take theirs.  Every gate agrees with a per-lane popcount."""
+
+    N_INPUTS = 70  # input 0 is 0 on every lane, input 1 is 1 on every lane
+    CONST0 = N_INPUTS
+
+    @classmethod
+    def circuit(cls, runs: list[tuple[tuple[int, ...], list[int]]]) -> Circuit:
+        """Sources, then one THRESHOLD per ``(tuple, k)`` in ``runs``' order;
+        every THRESHOLD is an output."""
+        gates = [Gate(i, "INPUT") for i in range(cls.N_INPUTS)]
+        gates += [Gate(cls.CONST0, "CONST0"), Gate(cls.CONST0 + 1, "CONST1")]
+        for inputs, ks in runs:
+            gates += [Gate(len(gates) + i, "THRESHOLD", inputs, k) for i, k in enumerate(ks)]
+        return Circuit(gates, list(range(cls.CONST0 + 2, len(gates))))
+
+    @classmethod
+    def column(cls, rng: random.Random, f: int) -> tuple[int, ...]:
+        """``f`` distinct inputs and the constant-0 sentinel, sorted, as
+        synthesis builds a counting column."""
+        return tuple(sorted(rng.sample(range(cls.N_INPUTS), f) + [cls.CONST0]))
+
+    def runs(self, rng: random.Random, wide: bool) -> list[tuple[tuple[int, ...], list[int]]]:
+        """Full ``T_1 ... T_{f+1}`` columns, runs of every length from 1 to
+        ``_DECODE_MIN + 2`` with random ``k``s, columns whose count is 0 or
+        fan-in on every lane, and two columns interleaved."""
+        heights = (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 31, 32, 63, 64) if wide else (3, 8, 64)
+        runs = []
+        for f in heights:
+            runs.append((self.column(rng, f), list(range(1, f + 2))))
+        for length in range(1, circuits._DECODE_MIN + 3):
+            inputs = self.column(rng, rng.randint(length, 12))
+            runs.append((inputs, [rng.randint(1, len(inputs)) for _ in range(length)]))
+        runs.append(((0,) * 5 + (self.CONST0,), list(range(1, 7))))  # a count of 0
+        runs.append(((1,) * 9, list(range(9, 0, -1))))  # a count of 9, the fan-in
+        a, b = self.column(rng, 6), self.column(rng, 9)
+        for k in range(1, 8):  # alternating: every gate counts afresh
+            runs += [(a, [k]), (b, [k + 1])]
+        for _ in range(2):  # back and forth in runs
+            runs += [(a, [1, 4, 7, 2, 3, 5, 6]), (b, [10, 1, 5, 9, 2, 8])]
+        return runs
+
+    @pytest.mark.parametrize("lanes", [1, 200, BLOCK_LANES + 1])
+    def test_runs_match_per_lane_popcount(self, lanes):
+        rng = random.Random(7020 + lanes)
+        c = self.circuit(self.runs(rng, wide=lanes <= 200))
+        words = [0, (1 << lanes) - 1] + [rng.getrandbits(lanes) for _ in range(self.N_INPUTS - 2)]
+        assert evaluate_words(c, words, lanes) == per_lane_threshold_words(c, words, lanes)
+
+    def test_plan_decodes_only_long_runs(self):
+        """A run's first gate counts; the gates after it recount one by one
+        when there are fewer than ``_DECODE_MIN`` of them, and are one
+        decode and takes otherwise."""
+        rng = random.Random(7021)
+        runs = self.runs(rng, wide=True)
+        ops = self.circuit(runs)._plan[0][self.CONST0 + 2 :]
+        want = []
+        last = None
+        for inputs, ks in runs:
+            head = [] if inputs == last else [circuits._COUNT]
+            rest = len(ks) - len(head)
+            if head and rest >= circuits._DECODE_MIN:
+                want += head + [circuits._DECODE] + [circuits._TAKE] * (rest - 1)
+            else:
+                want += head + [circuits._RECOUNT] * rest
+            last = inputs
+        assert list(ops) == want
+        assert {circuits._RECOUNT, circuits._DECODE, circuits._TAKE} <= set(ops)
+
+    @pytest.mark.parametrize("top", [1, 2, 3, 7, 8, 9, 65])
+    def test_ge_table(self, top):
+        """``_ge_table`` holds ``count >= c`` for c = 0 .. top, each count
+        from 0 to top on some lane."""
+        lanes = 3 * (top + 1)
+        counts = [lane % (top + 1) for lane in range(lanes)]
+        planes = [sum(((n >> j) & 1) << lane for lane, n in enumerate(counts))
+                  for j in range(top.bit_length())]
+        mask = (1 << lanes) - 1
+        want = [sum(1 << lane for lane, n in enumerate(counts) if n >= c) for c in range(top + 1)]
+        assert circuits._ge_table(planes, top, mask) == want
+        # Planes that stop short, as the popcount leaves them when no lane
+        # carries into the top bits: the table is padded with zeros.
+        low = [n % 2 for n in counts]
+        planes = [sum(n << lane for lane, n in enumerate(low))]
+        want = [mask, planes[0]] + [0] * (top - 1)
+        assert circuits._ge_table(planes, top, mask) == want
+        assert circuits._ge_table([], top, mask) == [mask] + [0] * top
 
 
 class TestMajorityRewrite:

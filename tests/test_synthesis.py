@@ -9,7 +9,8 @@ import random
 import time
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import islice, product
+from typing import Iterator
 
 import pytest
 
@@ -34,7 +35,7 @@ from artifact.synthesis import (
     synth_primitive,
 )
 
-from oracles import per_lane_expected_words, polyfit_max_rel_residual
+from oracles import per_lane_expected_words, per_lane_input_words, polyfit_max_rel_residual
 
 
 def random_value(rng: random.Random, enc: BitEncoding, zero_rate: float = 0.1) -> FpNumber:
@@ -553,13 +554,26 @@ def scaled_sums(op: SynthesizedOp, pairs=None) -> synthesis._ScaledSums:
     return synthesis._ScaledSums(op, op.input_encoding._pairs() if pairs is None else pairs)
 
 
+def sweep_cases(op: SynthesizedOp, pairs: list) -> Iterator[tuple]:
+    """Every case of ``op``'s exhaustive sweep over ``pairs``, in lane order."""
+    return product(pairs, repeat=op.n_operands)
+
+
+def index_cases(pairs: list, flat: list[int], n: int) -> list[tuple]:
+    """The cases of ``n`` value indices each in ``flat``, case after case."""
+    return list(zip(*[iter([pairs[i] for i in flat])] * n))
+
+
 def sweep_mismatches(op: SynthesizedOp, reference) -> int:
     """The blocks of ``op``'s exhaustive sweep whose expected words from
     ``reference`` differ from ``oracles.per_lane_expected_words``."""
+    pairs = op.input_encoding._pairs()
+    cases = sweep_cases(op, pairs)
     bad = 0
-    for block, _ in synthesis._sweep_blocks(op, op.input_encoding._pairs()):
-        cases = [block[i] for i in range(len(block))]
-        bad += reference(block) != per_lane_expected_words(op, cases, KERNEL_REFS[op.kind], Overflow)
+    for block, _ in synthesis._sweep_blocks(op, pairs):
+        block_cases = islice(cases, len(block))
+        want = per_lane_expected_words(op, block_cases, KERNEL_REFS[op.kind], Overflow)
+        bad += reference(block) != want
     return bad
 
 
@@ -580,14 +594,17 @@ class TestExpectedWords:
     from ``_expected_words``."""
 
     @staticmethod
-    def assert_blocks_match(op: SynthesizedOp, blocks, reference) -> int:
-        """Lanes checked."""
+    def assert_blocks_match(op: SynthesizedOp, blocks, reference, cases) -> int:
+        """Lanes checked; ``cases`` holds every case of the blocks, in lane
+        order, and is cut per block."""
+        cases = iter(cases)
         lanes = 0
         for block, _ in blocks:
-            cases = [block[i] for i in range(len(block))]
-            want = per_lane_expected_words(op, cases, KERNEL_REFS[op.kind], Overflow)
+            block_cases = list(islice(cases, len(block)))
+            want = per_lane_expected_words(op, block_cases, KERNEL_REFS[op.kind], Overflow)
             assert reference(block) == want
-            lanes += len(cases)
+            lanes += len(block_cases)
+        assert next(cases, None) is None
         return lanes
 
     @staticmethod
@@ -606,14 +623,16 @@ class TestExpectedWords:
         pairs = [(x.m, x.e) for x in values]
         codes = [op.input_encoding.code(x) for x in values]
         blocks = synthesis._index_blocks(op, codes, pairs, index_chunks(flat, op.n_operands))
-        return self.assert_blocks_match(op, blocks, self.index_reference(op, pairs))
+        cases = [tuple((x.m, x.e) for x in case) for case in cases]
+        return self.assert_blocks_match(op, blocks, self.index_reference(op, pairs), cases)
 
     def sweep(self, op: SynthesizedOp) -> None:
         """The sweep's reference as ``check_op`` takes it: scale classes for
         the binary kinds, scaled sums for ``iter_add``."""
         pairs = op.input_encoding._pairs()
         reference = (scaled_sums if op.kind == "iter_add" else scale_classes)(op).expected_words
-        lanes = self.assert_blocks_match(op, synthesis._sweep_blocks(op, pairs), reference)
+        blocks = synthesis._sweep_blocks(op, pairs)
+        lanes = self.assert_blocks_match(op, blocks, reference, sweep_cases(op, pairs))
         assert lanes == len(pairs) ** op.n_operands
 
     @pytest.mark.parametrize("p, window", [(p, w) for p in (2, 3, 4, 5) for w in range(1, p + 1)])
@@ -664,7 +683,9 @@ class TestExpectedWords:
         words = [scaled_sums(op).expected_words(b) for b, _ in synthesis._sweep_blocks(op, pairs)]
         assert any(w[-1] for w in words)
 
-    @pytest.mark.parametrize("m, n_cases", [(2, 500), (8, 300), (64, 200), (2, BLOCK_LANES + 1)])
+    @pytest.mark.parametrize(
+        "m, n_cases", [(2, 500), (8, 300), (64, 200), (2, BLOCK_LANES + 1), (8, 1), (2, 1)]
+    )
     def test_sampled_index_blocks(self, m, n_cases):
         self.assert_sampled_blocks_match(synth_primitive("iter_add", 3, m=m), n_cases)
 
@@ -680,7 +701,8 @@ class TestExpectedWords:
         flat = [rng.randrange(len(pairs)) for _ in range(n_cases * m)]
         codes = op.input_encoding._codes(pairs)
         blocks = synthesis._index_blocks(op, codes, pairs, index_chunks(flat, m))
-        lanes = self.assert_blocks_match(op, blocks, scaled_sums(op).expected_words)
+        cases = index_cases(pairs, flat, m)
+        lanes = self.assert_blocks_match(op, blocks, scaled_sums(op).expected_words, cases)
         assert lanes == n_cases
 
     @pytest.mark.parametrize("kind", ["add", "mul", "compare"])
@@ -955,6 +977,86 @@ class TestExpectedWords:
         classes = signed * signed * (1 if kind == "mul" else 2 * 16 - 1)
         assert len(pairs) ** 2 == 66_049
         assert calls[0] <= classes + breaking < 66_049 // 6, (calls[0], classes, breaking)
+
+
+class TestInputWords:
+    """The input words of every block equal ``oracles.per_lane_input_words``:
+    each lane's input code on its own, transposed.  The exhaustive sweep
+    builds them by big-int arithmetic over one V-lane slot per head
+    (``_sweep_blocks``), sampled and explicit cases from one digit string
+    per input bit (``_index_blocks``)."""
+
+    @staticmethod
+    def assert_words_match(op: SynthesizedOp, blocks, cases) -> list[int]:
+        """The block sizes; ``cases`` holds every case of the blocks, in
+        lane order, and is cut per block."""
+        cases = iter(cases)
+        sizes = []
+        for block, words in blocks:
+            assert words == per_lane_input_words(op, islice(cases, len(block)))
+            sizes.append(len(block))
+        assert next(cases, None) is None
+        return sizes
+
+    def assert_sweep_words_match(self, op: SynthesizedOp) -> list[int]:
+        pairs = op.input_encoding._pairs()
+        blocks = synthesis._sweep_blocks(op, pairs)
+        return self.assert_words_match(op, blocks, sweep_cases(op, pairs))
+
+    def test_oracle_codes_are_input_codes(self):
+        """The oracle's lane code is ``SynthesizedOp.encode_inputs``' bits."""
+        rng = random.Random(8500)
+        for op in (synth_primitive("add", 3, 2), synth_primitive("iter_add", 2, m=5)):
+            for _ in range(50):
+                case = [random_value(rng, op.input_encoding) for _ in range(op.n_operands)]
+                words = per_lane_input_words(op, [[(x.m, x.e) for x in case]])
+                assert words == op.encode_inputs(case)
+
+    @pytest.mark.parametrize("p, window", [(p, w) for p in (2, 3, 4) for w in range(1, p + 1)])
+    @pytest.mark.parametrize("kind", ["add", "mul", "compare"])
+    def test_binary_sweep_words(self, kind, p, window):
+        sizes = self.assert_sweep_words_match(synth_primitive(kind, p, window))
+        if (p, window) == (4, 4):  # 257 heads, 255 to a block: a partial last block
+            assert sizes == [255 * 257, 2 * 257]
+
+    def test_iter_add_sweep_words(self):
+        """Every operand triple at p=2, in one block of 289 heads."""
+        assert self.assert_sweep_words_match(synth_primitive("iter_add", 2, m=3)) == [17**3]
+
+    @pytest.mark.parametrize("heads", [1, 10, 288])
+    @pytest.mark.parametrize("kind, m, n_heads", [("add", None, 17), ("iter_add", 3, 289)])
+    def test_partial_last_block(self, kind, m, n_heads, heads, monkeypatch):
+        """Blocks of ``heads`` heads at p=2: the last block holds what is
+        left, and its words are made for its own number of heads."""
+        monkeypatch.setattr(synthesis, "BLOCK_LANES", heads * 17)
+        sizes = self.assert_sweep_words_match(synth_primitive(kind, 2, m=m))
+        blocks = -(-n_heads // heads)
+        assert sizes == [heads * 17] * (blocks - 1) + [(n_heads - heads * (blocks - 1)) * 17]
+
+    @pytest.mark.parametrize("m, n_cases", [(2, 300), (8, 300), (64, 200), (2, BLOCK_LANES + 1)])
+    def test_index_words(self, m, n_cases):
+        op = synth_primitive("iter_add", 3, m=m)
+        pairs = op.input_encoding._pairs()
+        rng = random.Random(8510 + m)
+        flat = [rng.randrange(len(pairs)) for _ in range(n_cases * m)]
+        codes = op.input_encoding._codes(pairs)
+        blocks = synthesis._index_blocks(op, codes, pairs, index_chunks(flat, m))
+        sizes = self.assert_words_match(op, blocks, index_cases(pairs, flat, m))
+        assert sizes == ([BLOCK_LANES, 1] if n_cases > BLOCK_LANES else [n_cases])
+
+    def test_explicit_index_words(self):
+        """Explicit ``mul`` cases, each distinct value an index where it
+        first occurs, as ``check_op`` maps them."""
+        op = synth_primitive("mul", 3)
+        cases = list(product(op.input_encoding.enumerate_values(), repeat=2))
+        random.Random(8520).shuffle(cases)
+        values = list(dict.fromkeys(x for case in cases for x in case))
+        index = {x: i for i, x in enumerate(values)}
+        flat = [index[x] for case in cases for x in case]
+        pairs = [(x.m, x.e) for x in values]
+        codes = [op.input_encoding.code(x) for x in values]
+        blocks = synthesis._index_blocks(op, codes, pairs, index_chunks(flat, 2))
+        assert self.assert_words_match(op, blocks, index_cases(pairs, flat, 2)) == [65**2]
 
 
 class TestConformanceReports:
